@@ -67,8 +67,8 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise EntrosetError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise EntrosetError("tolerance must be positive and finite")
         if self.enum_limit < 1:
             raise EntrosetError("enum limit must be >= 1")
 

@@ -112,9 +112,6 @@ class RationalDist:
     def dimension(self) -> int:
         return len(self.support[0])
 
-    def prob_of(self, x) -> Fraction:
-        return self.as_mapping().get(as_element(x), Fraction(0))
-
     def as_mapping(self) -> Mapping[Element, Fraction]:
         return dict(zip(self.support, self.probs))
 
@@ -174,7 +171,17 @@ def entropy(dist: RationalDist, base: float = 2) -> float:
     check_base(base)
     if len(dist) == 1:
         return 0.0
-    return sum(float(p) * _log(1 / float(p), base) for p in dist.probs)
+    return sum(_entropy_term(p, base) for p in dist.probs)
+
+
+def _entropy_term(p: Fraction, base: float) -> float:
+    q = float(p)
+    inv = 1 / q if q else math.inf
+    if math.isinf(inv):
+        # float(p) underflows or 1/float(p) overflows: take log(1/p) from
+        # the exact numerator and denominator, then round p * log(1/p) once
+        return float(p * Fraction(_log(p.denominator, base) - _log(p.numerator, base)))
+    return q * _log(inv, base)
 
 
 def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .covers import CoverSpec
 from .checkers import InequalitySpec
-from .dist import FiniteMap, RationalDist, as_element, as_fraction
+from .dist import FiniteMap, RationalDist, as_fraction
 from .errors import SchemaError
 from .projections import IndexSet, PointSet
 
@@ -37,9 +37,7 @@ def format_rational(value: Fraction) -> str:
 def dist_from_json(doc: dict) -> RationalDist:
     support = _expect(doc, "support", "distribution")
     probs = _expect(doc, "probs", "distribution")
-    return RationalDist(
-        [as_element(x) for x in support], [parse_rational(p) for p in probs]
-    )
+    return RationalDist(support, [parse_rational(p) for p in probs])
 
 
 def dist_to_json(dist: RationalDist) -> dict:
@@ -51,12 +49,10 @@ def dist_to_json(dist: RationalDist) -> dict:
 
 def map_from_json(doc: dict) -> FiniteMap:
     table = _expect(doc, "table", "map")
-    pairs = []
     for entry in table:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise SchemaError(f"map table entries are [key, value] pairs: {entry!r}")
-        pairs.append((as_element(entry[0]), as_element(entry[1])))
-    return FiniteMap(pairs)
+    return FiniteMap(table)
 
 
 def map_to_json(f: FiniteMap) -> dict:
@@ -68,7 +64,7 @@ def map_to_json(f: FiniteMap) -> dict:
 def pointset_from_json(doc: dict) -> PointSet:
     dimension = _expect(doc, "dimension", "point set")
     points = _expect(doc, "points", "point set")
-    return PointSet(dimension, [as_element(p) for p in points])
+    return PointSet(dimension, points)
 
 
 def pointset_to_json(A: PointSet) -> dict:

@@ -9,6 +9,10 @@ to be no conditioning at all.
 
 Exponents stay exact rationals; only the final log-space accumulation is
 floating point.
+
+Slices are built in one grouping pass over A (`_group`), so a conditional
+average size costs O(|A|) restrictions plus a sort of the |A_S| slice
+keys, not one rescan of A per slice.
 """
 
 from __future__ import annotations
@@ -18,15 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .dist import (
-    Element,
-    FiniteMap,
-    RationalDist,
-    as_element,
-    check_base,
-    entropy,
-    pushforward,
-)
+from .dist import Element, RationalDist, as_element, check_base, entropy
 from .errors import EmptySliceError, SchemaError
 
 
@@ -61,9 +57,6 @@ class IndexSet:
 
     def __bool__(self) -> bool:
         return bool(self.indices)
-
-    def intersection(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(set(self.indices) & set(other.indices))
 
     def union(self, other: "IndexSet") -> "IndexSet":
         return IndexSet(set(self.indices) | set(other.indices))
@@ -129,8 +122,12 @@ def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
     if not S:
         raise SchemaError("cannot project onto the empty index set")
     _check_indices(S, X.dimension)
-    proj = FiniteMap({x: _restrict(x, S) for x in X.support})
-    return pushforward(proj, X)
+    # exact mass sums, support in first-image order (as `pushforward` gives)
+    masses: dict[Element, Fraction] = {}
+    for x, p in zip(X.support, X.probs):
+        y = _restrict(x, S)
+        masses[y] = masses.get(y, 0) + p
+    return RationalDist(list(masses), list(masses.values()))
 
 
 def s_star(S: IndexSet) -> IndexSet:
@@ -152,14 +149,24 @@ def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
     return PointSet(A.dimension, pts)
 
 
+def _group(A: PointSet, S: IndexSet, T: IndexSet) -> dict[Element, list[Element]]:
+    """The T-restrictions of the points of A, grouped by their S-restriction.
+
+    One pass over A; a group's length is its slice size |{x in A : x_S = y}|.
+    """
+    groups: dict[Element, list[Element]] = {}
+    for x in A:
+        groups.setdefault(_restrict(x, S), []).append(_restrict(x, T))
+    return groups
+
+
 def slice_weights(A: PointSet, S: IndexSet) -> dict[Element, Fraction]:
     """Exact probability that a uniform point of A projects to each y in A_S."""
-    counts: dict[Element, int] = {}
-    for x in A:
-        y = _restrict(x, S)
-        counts[y] = counts.get(y, 0) + 1
     total = len(A)
-    return {y: Fraction(c, total) for y, c in sorted(counts.items())}
+    return {
+        y: Fraction(len(group), total)
+        for y, group in sorted(_group(A, S, EMPTY_INDEX_SET).items())
+    }
 
 
 def log_conditional_avg_size(
@@ -174,10 +181,10 @@ def log_conditional_avg_size(
     log = math.log2 if base == 2 else math.log
     if not S:
         return log(len(project_set(A, T)))
+    total = len(A)
     acc = 0.0
-    for y, weight in slice_weights(A, S).items():
-        slice_pts = {_restrict(x, T) for x in A if _restrict(x, S) == y}
-        acc += float(weight) * log(len(slice_pts))
+    for _, group in sorted(_group(A, S, T).items()):
+        acc += float(Fraction(len(group), total)) * log(len(set(group)))
     return acc
 
 

@@ -187,6 +187,13 @@ class TestCheckCommands:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_bad_tolerance_exit_code(self, capsys, value):
+        code, out, err = invoke(capsys, [f"--tolerance={value}", "demo"])
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive and finite" in err
+
     def test_infeasible_cover_exit_code(self, tmp_path, capsys):
         cover = write(tmp_path, "c.json", {"n": 3, "members": [[1, 2]]})
         code, _, err = invoke(capsys, ["cover", "min", "--cover", cover])

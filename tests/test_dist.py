@@ -85,6 +85,21 @@ class TestEntropy:
         with pytest.raises(SchemaError):
             entropy(dist([((0,), 1)]), base=10)
 
+    def test_probability_below_float_range(self):
+        # float(2^-1100) is 0.0; the term itself underflows to 0.0
+        tiny = Fraction(1, 2**1100)
+        d = dist([((0,), tiny), ((1,), Fraction(1, 2)), ((2,), Fraction(1, 2) - tiny)])
+        assert entropy(d) == 1.0
+        assert entropy(d, base=math.e) == math.log(2)
+
+    def test_subnormal_probability_term_is_finite(self):
+        # 1/float(2^-1060) overflows to inf; the term 1060 * 2^-1060 does not
+        tiny = Fraction(1, 2**1060)
+        d = dist([((0,), tiny), ((1,), 1 - tiny)])
+        got = entropy(d)
+        assert 0 < got < 1e-300
+        assert got == float(1060 * tiny)
+
     @given(weights_strategy)
     def test_jensen_bound(self, weights):
         d = dist_from_weights(weights)

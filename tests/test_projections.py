@@ -8,6 +8,7 @@ import pytest
 
 from entroset import (
     EmptySliceError,
+    FiniteMap,
     IndexSet,
     PointSet,
     RationalDist,
@@ -18,9 +19,11 @@ from entroset import (
     entropy,
     project_rv,
     project_set,
+    pushforward,
     s_star,
     slice_weights,
 )
+from entroset.projections import log_conditional_avg_size
 
 from genutil import random_dist_on, random_pointset
 
@@ -73,6 +76,22 @@ class TestProjectRV:
         X = RationalDist.uniform([(0, 0), (0, 1), (1, 0)])
         out = project_rv(X, IndexSet([1]))
         assert out.as_mapping() == {(0,): Fraction(2, 3), (1,): Fraction(1, 3)}
+
+    def test_matches_pushforward_of_projection_map(self):
+        # same support order (first image) and the same exact masses
+        rng = random.Random(61)
+        for _ in range(40):
+            A = random_pointset(rng, 3, span=3, max_size=27)
+            support = A.sorted_points()
+            rng.shuffle(support)
+            X = random_dist_on(rng, support)
+            for S in ([1], [3], [1, 3], [2, 3], [1, 2, 3]):
+                S = IndexSet(S)
+                proj = FiniteMap({x: _restrict(x, S) for x in X.support})
+                want = pushforward(proj, X)
+                got = project_rv(X, S)
+                assert got.support == want.support
+                assert got.probs == want.probs
 
 
 class TestConditionalSlice:
@@ -136,6 +155,66 @@ class TestConditionalAvgSize:
     def test_slice_weights_are_exact_masses(self):
         weights = slice_weights(TRIANGLE, IndexSet([1]))
         assert weights == {(0,): Fraction(2, 3), (1,): Fraction(1, 3)}
+
+
+def _restrict(x, S):
+    return tuple(x[i - 1] for i in S)
+
+
+def _rescan_log_cond_size(A, T, S, base):
+    """The defining sum, evaluated by rescanning A once per slice key."""
+    log = math.log2 if base == 2 else math.log
+    if not S:
+        return log(len({_restrict(x, T) for x in A}))
+    acc = 0.0
+    for y in sorted({_restrict(x, S) for x in A}):
+        members = [x for x in A if _restrict(x, S) == y]
+        weight = Fraction(len(members), len(A))
+        acc += float(weight) * log(len({_restrict(x, T) for x in members}))
+    return acc
+
+
+class TestGroupedConditionalSize:
+    """The one-pass grouping gives bit-identical results to the rescan."""
+
+    @pytest.mark.parametrize("base", [2, math.e])
+    def test_random_targets_and_conditions(self, base):
+        rng = random.Random(67)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            A = random_pointset(rng, n, span=3, max_size=60)
+            T = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            S = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            got = log_conditional_avg_size(A, IndexSet(T), IndexSet(S), base=base)
+            assert got == _rescan_log_cond_size(A, T, S, base)
+
+    @pytest.mark.parametrize("base", [2, math.e])
+    def test_empty_condition(self, base):
+        rng = random.Random(71)
+        for _ in range(20):
+            A = random_pointset(rng, 3, span=4, max_size=60)
+            for T in ([1], [2, 3], [1, 2, 3]):
+                got = log_conditional_avg_size(A, IndexSet(T), IndexSet([]), base=base)
+                assert got == _rescan_log_cond_size(A, T, [], base)
+
+    @pytest.mark.parametrize("base", [2, math.e])
+    def test_deep_prefix(self, base):
+        rng = random.Random(73)
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            A = random_pointset(rng, n, span=3, max_size=120)
+            T, S = [n], list(range(1, n))
+            got = log_conditional_avg_size(A, IndexSet(T), IndexSet(S), base=base)
+            assert got == _rescan_log_cond_size(A, T, S, base)
+
+    @pytest.mark.parametrize("base", [2, math.e])
+    def test_overlapping_target_and_condition(self, base):
+        rng = random.Random(79)
+        for _ in range(20):
+            A = random_pointset(rng, 4, span=3, max_size=80)
+            for T, S in (([1, 2], [2, 3]), ([2, 3, 4], [1, 2, 3]), ([3], [3])):
+                got = log_conditional_avg_size(A, IndexSet(T), IndexSet(S), base=base)
+                assert got == _rescan_log_cond_size(A, T, S, base)
 
 
 class TestConditionalEntropy:
