@@ -52,7 +52,14 @@ from .projections import (
     project_set,
     s_star,
 )
-from .report import HOLDS, INCONCLUSIVE, VIOLATED, CheckReport, verdict_from_slack
+from .report import (
+    HOLDS,
+    INCONCLUSIVE,
+    VIOLATED,
+    CheckReport,
+    exact_text,
+    verdict_from_slack,
+)
 from .ruzsa import DEFAULT_ENUM_LIMIT, RuzsaSpec, ruzsa_enumerate, ruzsa_size
 
 DEFAULT_TOLERANCE = 1e-9
@@ -134,8 +141,8 @@ def _cardinality_report(
         verdict = INCONCLUSIVE if exact is None else exact
         provenance = "exact" if exact is not None else "float"
     details = {
-        "lhs_count": str(lhs_count),
-        "rhs_counts": [str(r) for r in rhs_counts],
+        "lhs_count": exact_text(lhs_count),
+        "rhs_counts": [exact_text(r) for r in rhs_counts],
         "coefficients": [str(c) for c in coeffs],
     }
     if extra:
@@ -270,8 +277,8 @@ def empirical_lemma1(
                 "verdict": report.verdict,
                 "lhs_rate": report.lhs / k,
                 "rhs_rate": report.rhs / k,
-                "lhs_count": str(lhs_count),
-                "rhs_counts": [str(r) for r in rhs_counts],
+                "lhs_count": exact_text(lhs_count),
+                "rhs_counts": [exact_text(r) for r in rhs_counts],
             }
         )
     # rates are in base 2; rescale rows if natural log requested
@@ -322,9 +329,9 @@ def check_shearer(
             slack=rhs_log - lhs_log,
             provenance="exact",
             details={
-                "lhs_count": str(lhs_count),
-                "rhs_count": str(rhs_count),
-                "projection_sizes": [str(s) for s in sizes],
+                "lhs_count": exact_text(lhs_count),
+                "rhs_count": exact_text(rhs_count),
+                "projection_sizes": [exact_text(s) for s in sizes],
             },
         )
     if side == "entropy":

@@ -4,11 +4,17 @@ One invocation, one JSON document on stdout. Verdict-style subcommands
 exit 0 when the inequality holds, 1 when violated, 3 when inconclusive;
 malformed input and infeasibility exit 2 with a diagnostic on stderr.
 Reports are deterministic for a fixed seed and inputs.
+
+The parser is built once per process (first `run`) and safe to reuse:
+its defaults are immutable, each call parses into a fresh namespace, and
+usage errors and `--help` go to the call's `sys.stderr` / `sys.stdout`.
+Each leaf subcommand's `run` default is its (args, config) handler.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -89,6 +95,12 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _command(sub, name: str, run, **kwargs) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(run=run)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entroset",
@@ -101,75 +113,79 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "table"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("entropy", help="Shannon entropy of a distribution")
+    p = _command(sub, "entropy", _entropy, help="Shannon entropy of a distribution")
     p.add_argument("--dist", required=True)
 
-    p = sub.add_parser("pushforward", help="distribution of f(X)")
+    p = _command(sub, "pushforward", _pushforward, help="distribution of f(X)")
     p.add_argument("--map", required=True)
     p.add_argument("--dist", required=True)
 
-    p = sub.add_parser("suitable", help="minimal suitable k, optional divisibility test")
+    p = _command(sub, "suitable", _suitable,
+                 help="minimal suitable k, optional divisibility test")
     p.add_argument("--dist", required=True)
     p.add_argument("--k", type=int)
 
-    p = sub.add_parser("rationalize", help="best bounded-denominator approximation")
+    p = _command(sub, "rationalize", _rationalize,
+                 help="best bounded-denominator approximation")
     p.add_argument("--weights", type=_float_list, required=True)
     p.add_argument("--max-denominator", type=int, required=True)
 
     ruzsa = sub.add_parser("ruzsa", help="type-class set operations").add_subparsers(
         dest="ruzsa_command", required=True
     )
-    for name in ("size", "enum", "commute", "lift", "bound"):
-        p = ruzsa.add_parser(name)
+    for name, run in (("size", _ruzsa_size), ("enum", _ruzsa_enum),
+                      ("commute", _ruzsa_commute), ("lift", _ruzsa_lift),
+                      ("bound", _ruzsa_bound)):
+        p = _command(ruzsa, name, run)
         p.add_argument("--dist", required=True)
         p.add_argument("--k", type=int, required=True)
         if name in ("commute", "lift"):
             p.add_argument("--map", required=True)
         if name == "lift":
             p.add_argument("--y", required=True, help="JSON array of elements")
-    p = ruzsa.add_parser("converge")
+    p = _command(ruzsa, "converge", _ruzsa_converge)
     p.add_argument("--dist", required=True)
     p.add_argument("--ks", type=_int_list, required=True)
 
-    p = sub.add_parser("project", help="project a point set or distribution")
+    p = _command(sub, "project", _project, help="project a point set or distribution")
     p.add_argument("--pointset")
     p.add_argument("--dist")
     p.add_argument("--indices", type=_int_list, required=True)
 
-    p = sub.add_parser("condsize", help="conditional average projection size")
+    p = _command(sub, "condsize", _condsize, help="conditional average projection size")
     p.add_argument("--pointset", required=True)
     p.add_argument("--t", type=_int_list, required=True)
-    p.add_argument("--s", type=_int_list, default=[])
+    p.add_argument("--s", type=_int_list, default=())
 
-    p = sub.add_parser("condentropy", help="conditional entropy of a marginal")
+    p = _command(sub, "condentropy", _condentropy, help="conditional entropy of a marginal")
     p.add_argument("--dist", required=True)
     p.add_argument("--s", type=_int_list, required=True)
-    p.add_argument("--c", type=_int_list, default=[])
+    p.add_argument("--c", type=_int_list, default=())
 
     cover = sub.add_parser("cover", help="cover feasibility and optimization").add_subparsers(
         dest="cover_command", required=True
     )
-    p = cover.add_parser("check")
+    p = _command(cover, "check", _cover_check)
     p.add_argument("--cover", required=True)
     p.add_argument("--k", type=int)
-    p = cover.add_parser("min")
+    p = _command(cover, "min", _cover_min)
     p.add_argument("--cover", required=True)
 
     check = sub.add_parser("check", help="inequality checks").add_subparsers(
         dest="check_command", required=True
     )
-    for name in ("entropy", "cardinality"):
-        p = check.add_parser(name)
+    for name, run in (("entropy", _check_entropy), ("cardinality", _check_cardinality)):
+        p = _command(check, name, run)
         p.add_argument("--spec", required=True)
         p.add_argument("--input", required=True)
-    for name in ("shearer", "projection"):
-        p = check.add_parser(name)
+    for name, run in (("shearer", _check_shearer), ("projection", _check_projection)):
+        p = _command(check, name, run)
         p.add_argument("--cover", required=True)
         p.add_argument("--input", required=True)
         p.add_argument("--side", choices=("sets", "entropy"), required=True)
         if name == "shearer":
             p.add_argument("--k", type=int, required=True)
-    p = check.add_parser("lemma1")
+    p = _command(check, "lemma1", _check_lemma1)
     p.add_argument("--spec", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--kmax", type=int, required=True)
@@ -178,11 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     witness = sub.add_parser("witness", help="witness constructions").add_subparsers(
         dest="witness_command", required=True
     )
-    p = witness.add_parser("lemma2")
+    p = _command(witness, "lemma2", _witness_lemma2)
     p.add_argument("--map", required=True)
     p.add_argument("--points", required=True)
 
-    sub.add_parser("demo", help="scripted projection-inequality walkthrough")
+    _command(sub, "demo", lambda args, config: run_demo(config),
+             help="scripted projection-inequality walkthrough")
     return parser
 
 
@@ -202,168 +219,150 @@ def _load_cover(path: str) -> CoverSpec:
     return jsonio.cover_from_json(jsonio.load_json(path))
 
 
-def _run_command(args, config: RunConfig) -> tuple[dict, int]:
-    if args.command == "entropy":
-        value = entropy(_load_dist(args.dist), base=config.log_base)
-        return {"entropy": value}, 0
-
-    if args.command == "pushforward":
-        out = pushforward(_load_map(args.map), _load_dist(args.dist))
-        return jsonio.dist_to_json(out), 0
-
-    if args.command == "suitable":
-        dist = _load_dist(args.dist)
-        doc = {"minimal_suitable_k": minimal_suitable_k(dist)}
-        if args.k is not None:
-            doc["k"] = args.k
-            doc["is_suitable"] = is_suitable(dist, args.k)
-        return doc, 0
-
-    if args.command == "rationalize":
-        out = rationalize(args.weights, args.max_denominator)
-        return jsonio.dist_to_json(out), 0
-
-    if args.command == "ruzsa":
-        return _run_ruzsa(args, config)
-
-    if args.command == "project":
-        S = IndexSet(args.indices)
-        if (args.pointset is None) == (args.dist is None):
-            raise EntrosetError("project needs exactly one of --pointset / --dist")
-        if args.pointset:
-            return jsonio.pointset_to_json(project_set(_load_pointset(args.pointset), S)), 0
-        return jsonio.dist_to_json(project_rv(_load_dist(args.dist), S)), 0
-
-    if args.command == "condsize":
-        A = _load_pointset(args.pointset)
-        value = conditional_avg_size(A, IndexSet(args.t), IndexSet(args.s))
-        return {"size": value}, 0
-
-    if args.command == "condentropy":
-        X = _load_dist(args.dist)
-        value = conditional_entropy(
-            X, IndexSet(args.s), IndexSet(args.c), base=config.log_base
-        )
-        return {"entropy": value}, 0
-
-    if args.command == "cover":
-        return _run_cover(args)
-
-    if args.command == "check":
-        return _run_check(args, config)
-
-    if args.command == "witness":
-        witness = lemma2_witness(_load_pointset(args.points), _load_map(args.map))
-        return jsonio.dist_to_json(witness), 0
-
-    if args.command == "demo":
-        return run_demo(config)
-
-    raise EntrosetError(f"unknown command {args.command!r}")  # pragma: no cover
+def _load_spec(path: str) -> InequalitySpec:
+    return jsonio.ineq_spec_from_json(jsonio.load_json(path))
 
 
-def _run_ruzsa(args, config: RunConfig) -> tuple[dict, int]:
+def _verdict(report):
+    return report.to_json(), report.exit_code()
+
+
+def _entropy(args, config):
+    return {"entropy": entropy(_load_dist(args.dist), base=config.log_base)}, 0
+
+
+def _pushforward(args, config):
+    return jsonio.dist_to_json(pushforward(_load_map(args.map), _load_dist(args.dist))), 0
+
+
+def _suitable(args, config):
     dist = _load_dist(args.dist)
-    if args.ruzsa_command == "converge":
-        rows = convergence_profile(dist, args.ks, base=config.log_base)
-        return {"rows": rows}, 0
-    spec = RuzsaSpec(dist, args.k)
-    if args.ruzsa_command == "size":
-        return {"size": str(ruzsa_size(spec))}, 0
-    if args.ruzsa_command == "enum":
-        vectors = [
-            [list(x) for x in vec] for vec in ruzsa_enumerate(spec, config.enum_limit)
-        ]
-        return {"count": len(vectors), "vectors": vectors}, 0
-    if args.ruzsa_command == "commute":
-        report = verify_commutation(_load_map(args.map), spec, config.enum_limit)
-        return report.to_json(), report.exit_code()
-    if args.ruzsa_command == "lift":
-        try:
-            y = [tuple(v) for v in json.loads(args.y)]
-        except (ValueError, TypeError) as exc:
-            raise EntrosetError(f"--y must be a JSON array of elements: {exc}") from exc
-        lifted = preimage_lift(_load_map(args.map), spec, y)
-        return {"vector": [list(x) for x in lifted]}, 0
-    if args.ruzsa_command == "bound":
-        report = type_bound_check(spec)
-        return report.to_json(), report.exit_code()
-    raise EntrosetError(f"unknown ruzsa command {args.ruzsa_command!r}")  # pragma: no cover
+    doc = {"minimal_suitable_k": minimal_suitable_k(dist)}
+    if args.k is not None:
+        doc.update(k=args.k, is_suitable=is_suitable(dist, args.k))
+    return doc, 0
 
 
-def _run_cover(args) -> tuple[dict, int]:
+def _rationalize(args, config):
+    return jsonio.dist_to_json(rationalize(args.weights, args.max_denominator)), 0
+
+
+def _project(args, config):
+    S = IndexSet(args.indices)
+    if (args.pointset is None) == (args.dist is None):
+        raise EntrosetError("project needs exactly one of --pointset / --dist")
+    if args.pointset is not None:
+        return jsonio.pointset_to_json(project_set(_load_pointset(args.pointset), S)), 0
+    return jsonio.dist_to_json(project_rv(_load_dist(args.dist), S)), 0
+
+
+def _condsize(args, config):
+    A = _load_pointset(args.pointset)
+    return {"size": conditional_avg_size(A, IndexSet(args.t), IndexSet(args.s))}, 0
+
+
+def _condentropy(args, config):
+    X = _load_dist(args.dist)
+    value = conditional_entropy(X, IndexSet(args.s), IndexSet(args.c), base=config.log_base)
+    return {"entropy": value}, 0
+
+
+def _witness_lemma2(args, config):
+    witness = lemma2_witness(_load_pointset(args.points), _load_map(args.map))
+    return jsonio.dist_to_json(witness), 0
+
+
+def _ruzsa_spec(args) -> RuzsaSpec:
+    return RuzsaSpec(_load_dist(args.dist), args.k)
+
+
+def _ruzsa_size(args, config):
+    return {"size": jsonio.format_rational(ruzsa_size(_ruzsa_spec(args)))}, 0
+
+
+def _ruzsa_enum(args, config):
+    members = ruzsa_enumerate(_ruzsa_spec(args), config.enum_limit)
+    vectors = [[list(x) for x in vec] for vec in members]
+    return {"count": len(vectors), "vectors": vectors}, 0
+
+
+def _ruzsa_commute(args, config):
+    spec = _ruzsa_spec(args)
+    return _verdict(verify_commutation(_load_map(args.map), spec, config.enum_limit))
+
+
+def _ruzsa_lift(args, config):
+    spec = _ruzsa_spec(args)
+    try:
+        y = [tuple(v) for v in json.loads(args.y)]
+    except (ValueError, TypeError) as exc:
+        raise EntrosetError(f"--y must be a JSON array of elements: {exc}") from exc
+    lifted = preimage_lift(_load_map(args.map), spec, y)
+    return {"vector": [list(x) for x in lifted]}, 0
+
+
+def _ruzsa_bound(args, config):
+    return _verdict(type_bound_check(_ruzsa_spec(args)))
+
+
+def _ruzsa_converge(args, config):
+    dist = _load_dist(args.dist)
+    return {"rows": convergence_profile(dist, args.ks, base=config.log_base)}, 0
+
+
+def _cover_check(args, config):
     cover = _load_cover(args.cover)
-    if args.cover_command == "check":
-        if args.k is not None:
-            report = is_uniform_k_cover(cover, args.k)
-            code = 0 if report.verdict in ("uniform", "k-cover") else 1
-            return report.to_json(), code
-        report = is_fractional_cover(cover)
-        return report.to_json(), report.exit_code()
-    if args.cover_command == "min":
-        solution = min_fractional_cover(cover.n, cover.members)
-        doc = {
-            "objective": jsonio.format_rational(solution.objective),
-            "weights": [jsonio.format_rational(w) for w in solution.weights],
-            "coverage": [jsonio.format_rational(s) for s in solution.certificate],
-        }
-        return doc, 0
-    raise EntrosetError(f"unknown cover command {args.cover_command!r}")  # pragma: no cover
+    if args.k is None:
+        return _verdict(is_fractional_cover(cover))
+    report = is_uniform_k_cover(cover, args.k)
+    return report.to_json(), 0 if report.verdict in ("uniform", "k-cover") else 1
 
 
-def _run_check(args, config: RunConfig) -> tuple[dict, int]:
-    name = args.check_command
-    if name in ("entropy", "cardinality"):
-        spec = jsonio.ineq_spec_from_json(jsonio.load_json(args.spec))
-        if name == "entropy":
-            report = check_entropy(
-                spec,
-                _load_dist(args.input),
-                tolerance=config.tolerance,
-                base=config.log_base,
-            )
-        else:
-            report = check_cardinality(
-                spec, _load_pointset(args.input), tolerance=config.tolerance
-            )
-        return report.to_json(), report.exit_code()
-    if name == "shearer":
-        cover = _load_cover(args.cover)
-        data = (
-            _load_pointset(args.input)
-            if args.side == "sets"
-            else _load_dist(args.input)
-        )
-        report = check_shearer(
-            data, cover, args.k, args.side,
-            tolerance=config.tolerance, base=config.log_base,
-        )
-        return report.to_json(), report.exit_code()
-    if name == "projection":
-        cover = _load_cover(args.cover)
-        data = (
-            _load_pointset(args.input)
-            if args.side == "sets"
-            else _load_dist(args.input)
-        )
-        report = check_projection_theorem(
-            data, cover, args.side,
-            tolerance=config.tolerance, base=config.log_base,
-        )
-        return report.to_json(), report.exit_code()
-    if name == "lemma1":
-        spec = jsonio.ineq_spec_from_json(jsonio.load_json(args.spec))
-        report = empirical_lemma1(
-            spec,
-            _load_dist(args.input),
-            k_max=args.kmax,
-            limit=config.enum_limit,
-            tolerance=config.tolerance,
-            base=config.log_base,
-            cross_validate=args.cross_validate,
-        )
-        return report.to_json(), report.exit_code()
-    raise EntrosetError(f"unknown check command {name!r}")  # pragma: no cover
+def _cover_min(args, config):
+    cover = _load_cover(args.cover)
+    solution = min_fractional_cover(cover.n, cover.members)
+    return {
+        "objective": jsonio.format_rational(solution.objective),
+        "weights": [jsonio.format_rational(w) for w in solution.weights],
+        "coverage": [jsonio.format_rational(s) for s in solution.certificate],
+    }, 0
+
+
+def _check_entropy(args, config):
+    spec, X = _load_spec(args.spec), _load_dist(args.input)
+    return _verdict(check_entropy(spec, X, tolerance=config.tolerance, base=config.log_base))
+
+
+def _check_cardinality(args, config):
+    spec, A = _load_spec(args.spec), _load_pointset(args.input)
+    return _verdict(check_cardinality(spec, A, tolerance=config.tolerance))
+
+
+def _cover_and_data(args):
+    cover = _load_cover(args.cover)
+    return cover, (_load_pointset if args.side == "sets" else _load_dist)(args.input)
+
+
+def _check_shearer(args, config):
+    cover, data = _cover_and_data(args)
+    return _verdict(check_shearer(
+        data, cover, args.k, args.side, tolerance=config.tolerance, base=config.log_base
+    ))
+
+
+def _check_projection(args, config):
+    cover, data = _cover_and_data(args)
+    return _verdict(check_projection_theorem(
+        data, cover, args.side, tolerance=config.tolerance, base=config.log_base
+    ))
+
+
+def _check_lemma1(args, config):
+    spec, X = _load_spec(args.spec), _load_dist(args.input)
+    return _verdict(empirical_lemma1(
+        spec, X, k_max=args.kmax, limit=config.enum_limit, tolerance=config.tolerance,
+        base=config.log_base, cross_validate=args.cross_validate,
+    ))
 
 
 def run_demo(config: RunConfig) -> tuple[dict, int]:
@@ -426,19 +425,20 @@ def _format_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse argv, execute, print one document; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = RunConfig(
-            tolerance=args.tolerance,
-            log_base=args.base,
-            enum_limit=args.limit,
-            seed=args.seed,
-            format=args.format,
+            tolerance=args.tolerance, log_base=args.base, enum_limit=args.limit,
+            seed=args.seed, format=args.format,
         )
-        doc, code = _run_command(args, config)
+        doc, code = args.run(args, config)
     except (EntrosetError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ApproximationError, DomainError, SchemaError
+from .report import exact_text
 
 Element = tuple[int, ...]
 
@@ -92,7 +93,9 @@ class RationalDist:
             raise SchemaError("support elements must be pairwise distinct")
         total = sum(fracs)
         if total != 1:
-            raise SchemaError(f"probabilities must sum to 1 exactly, got {total}")
+            raise SchemaError(
+                f"probabilities must sum to 1 exactly, got {exact_text(total)}"
+            )
         dims = {len(x) for x in elems}
         if len(dims) != 1:
             raise SchemaError("support elements must share one dimension")
@@ -232,6 +235,8 @@ def rationalize(
     weights = list(weights)
     if not weights:
         raise SchemaError("weights must be nonempty")
+    if not all(math.isfinite(w) for w in weights):
+        raise SchemaError("weights must be finite")
     if any(w < 0 for w in weights):
         raise SchemaError("weights must be nonnegative")
     total = sum(weights)

@@ -4,6 +4,11 @@ Rationals travel as decimal-free strings ("1/6", "2"); big integers as
 strings; elements as arrays of integer coordinates; index sets as
 1-based sorted arrays. Parsing then re-serializing a canonical document
 reproduces it modulo whitespace.
+
+Output strings of exact numbers are exact at any size: `format_rational`
+writes ints and Fractions past Python's int-to-str digit limit without
+changing it. On input, an integer literal past that limit is a
+SchemaError naming the file.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .checkers import InequalitySpec
 from .dist import FiniteMap, RationalDist, as_fraction
 from .errors import SchemaError
 from .projections import IndexSet, PointSet
+from .report import exact_text
 
 
 def _expect(doc: dict, key: str, kind: str):
@@ -30,8 +36,8 @@ def parse_rational(text) -> Fraction:
     return as_fraction(text)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
+def format_rational(value: int | Fraction) -> str:
+    return exact_text(value)
 
 
 def dist_from_json(doc: dict) -> RationalDist:
@@ -122,6 +128,8 @@ def load_json(path: str) -> dict:
         raise SchemaError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an int literal past the digit limit, or not UTF-8
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def dump_json(doc: dict) -> str:

@@ -5,11 +5,19 @@ cardinality checks); when the comparison was settled by exact integer or
 rational arithmetic, `provenance` is "exact" and the exact quantities are
 carried in `details` as strings. `witnesses` holds counterexample
 structures for set-equality style checks.
+
+`exact_text` writes those strings. Python refuses `str()` on an int of
+more than `sys.get_int_max_str_digits()` digits (4300 by default);
+`exact_text` splits such an int by a power of ten until each part is
+below the limit, so an exact quantity of any size has a decimal string,
+and the process-wide limit is never changed.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any
 
 HOLDS = "holds"
@@ -52,11 +60,30 @@ class CheckReport:
         return doc
 
 
-def _jsonable(value):
-    from fractions import Fraction
+def _decimal(n: int) -> str:
+    # interpreters without the limit (before 3.10.7) report it as 0
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # fewer than 3 * limit bits means at most limit digits
+    if limit == 0 or n.bit_length() < 3 * limit:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    low_digits = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10**low_digits)
+    return _decimal(high) + _decimal(low).zfill(low_digits)
 
+
+def exact_text(value: int | Fraction) -> str:
+    """`str(value)` of an int or Fraction, at any number of digits."""
+    text = _decimal(value.numerator)
+    if value.denominator == 1:
+        return text
+    return f"{text}/{_decimal(value.denominator)}"
+
+
+def _jsonable(value):
     if isinstance(value, Fraction):
-        return str(value)
+        return exact_text(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

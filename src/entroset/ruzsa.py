@@ -34,7 +34,7 @@ from .dist import (
     pushforward,
 )
 from .errors import MembershipError, SizeGuardError, SuitabilityError
-from .report import HOLDS, VIOLATED, CheckReport
+from .report import HOLDS, VIOLATED, CheckReport, exact_text
 
 DEFAULT_ENUM_LIMIT = 10**6
 
@@ -91,7 +91,9 @@ def ruzsa_enumerate(
     """
     total = ruzsa_size(spec)
     if total > limit:
-        raise SizeGuardError(f"enumeration of {total} vectors exceeds limit {limit}")
+        raise SizeGuardError(
+            f"enumeration of {exact_text(total)} vectors exceeds limit {limit}"
+        )
     support = spec.dist.support
     idx: list[int] = []
     for i, c in enumerate(spec.counts):
@@ -128,7 +130,7 @@ def verify_commutation(
     for s in (spec, image_spec):
         total = ruzsa_size(s)
         if total > limit:
-            raise SizeGuardError(f"|set| = {total} exceeds limit {limit}")
+            raise SizeGuardError(f"|set| = {exact_text(total)} exceeds limit {limit}")
     images = [f(x) for x in spec.dist.support]
     support = spec.dist.support
     lookup = dict(zip(support, images))
@@ -212,11 +214,11 @@ def type_bound_check(spec: RuzsaSpec) -> CheckReport:
         slack=rhs - lhs,
         provenance="exact",
         details={
-            "size": str(size),
-            "type_mass_inverse": str(t_value),
-            "upper_factor": str(factor),
-            "lower_ratio": str(Fraction(t_value, size)),
-            "upper_ratio": str(Fraction(factor * size) / t_value),
+            "size": exact_text(size),
+            "type_mass_inverse": exact_text(t_value),
+            "upper_factor": exact_text(factor),
+            "lower_ratio": exact_text(Fraction(t_value, size)),
+            "upper_ratio": exact_text(Fraction(factor * size) / t_value),
             "lower_ok": lower_ok,
             "upper_ok": upper_ok,
         },
@@ -244,7 +246,7 @@ def convergence_profile(
                 "entropy": h,
                 "gap": gap,
                 "envelope": envelope,
-                "size": str(size),
+                "size": exact_text(size),
             }
         )
     return rows

@@ -1,10 +1,15 @@
 """CLI surface: schemas, outputs, exit codes, determinism."""
 
+import io
 import json
+import math
+import sys
+from fractions import Fraction
 
 import pytest
 
 from entroset import cli, jsonio
+from entroset.report import exact_text
 
 UNIFORM2 = {"support": [[0], [1]], "probs": ["1/2", "1/2"]}
 SIXTHS = {"support": [[1], [2], [3]], "probs": ["1/6", "1/3", "1/2"]}
@@ -249,3 +254,191 @@ class TestDeterminism:
         code, out, _ = invoke(capsys, ["--format", "table", "entropy", "--dist", path])
         assert code == 0
         assert out.strip() == "entropy: 1.0"
+
+
+class TestParserReuse:
+    """One process, many `cli.run` calls: the cached parser leaks no state."""
+
+    def test_build_parser_runs_once(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        real = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        path = write(tmp_path, "d.json", UNIFORM2)
+        for argv in (["entropy", "--dist", path], ["--seed", "3", "demo"], ["entropy"]):
+            try:
+                invoke(capsys, argv)
+            except SystemExit:
+                pass
+        invoke(capsys, ["ruzsa", "size", "--dist", path, "--k", "2"])
+        assert calls == [1]
+
+    def test_condsize_default_not_leaked(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", TRIANGLE_SET)
+        cli._parser.cache_clear()
+        lone = invoke(capsys, ["condsize", "--pointset", path, "--t", "2"])
+        with_s = invoke(capsys, ["condsize", "--pointset", path, "--t", "2", "--s", "1"])
+        again = invoke(capsys, ["condsize", "--pointset", path, "--t", "2"])
+        assert with_s != lone
+        assert again == lone
+
+    def test_base_default_not_leaked(self, tmp_path, capsys):
+        path = write(tmp_path, "d.json", UNIFORM2)
+        _, out, _ = invoke(capsys, ["--base", "e", "entropy", "--dist", path])
+        assert json.loads(out)["entropy"] == pytest.approx(math.log(2))
+        _, out, _ = invoke(capsys, ["entropy", "--dist", path])
+        assert json.loads(out) == {"entropy": 1.0}
+
+    def test_usage_error_then_good_call(self, tmp_path, capsys):
+        path = write(tmp_path, "d.json", UNIFORM2)
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["entropy", "--dist"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: entroset entropy")
+        good = (0, '{\n  "entropy": 1.0\n}\n', "")
+        assert invoke(capsys, ["entropy", "--dist", path]) == good
+
+    def test_help_and_usage_go_to_streams_of_the_call(self, monkeypatch):
+        cli.run(["--seed", "1", "demo"])  # the parser exists before the streams change
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["ruzsa", "--help"])
+        assert exc.value.code == 0
+        assert out.getvalue().startswith("usage: entroset ruzsa")
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["nosuch"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nosuch'" in err.getvalue()
+
+
+def lifted_str(value) -> str:
+    """str(value) with Python's int-to-str digit limit lifted for the call."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestBigIntegers:
+    """Exact values past the 4300-digit int-to-str limit never raise."""
+
+    K = 12000
+    COUNTS = (1000, 2000, 3000, 6000)  # probabilities 1/12, 2/12, 3/12, 6/12
+
+    @pytest.fixture
+    def twelfths(self, tmp_path):
+        return write(
+            tmp_path, "d.json",
+            {"support": [[0], [1], [2], [3]], "probs": ["1/12", "2/12", "3/12", "6/12"]},
+        )
+
+    def size(self) -> int:
+        size = math.factorial(self.K)
+        for c in self.COUNTS:
+            size //= math.factorial(c)
+        assert size.bit_length() > 3.33 * 4300  # past the default limit
+        return size
+
+    def ruzsa(self, capsys, command, path):
+        return invoke(capsys, ["ruzsa", command, "--dist", path, "--k", str(self.K)])
+
+    def test_ruzsa_size(self, twelfths, capsys):
+        code, out, _ = self.ruzsa(capsys, "size", twelfths)
+        assert code == 0
+        assert json.loads(out) == {"size": lifted_str(self.size())}
+
+    def test_ruzsa_bound(self, twelfths, capsys):
+        code, out, _ = self.ruzsa(capsys, "bound", twelfths)
+        assert code == 0
+        doc = json.loads(out)
+        size = self.size()
+        t_value = 12**1000 * 6**2000 * 4**3000 * 2**6000
+        assert doc["size"] == lifted_str(size)
+        assert doc["type_mass_inverse"] == lifted_str(t_value)
+        assert doc["lower_ratio"] == lifted_str(Fraction(t_value, size))
+
+    def test_ruzsa_converge(self, twelfths, capsys):
+        code, out, _ = invoke(
+            capsys, ["ruzsa", "converge", "--dist", twelfths, "--ks", f"12,{self.K}"]
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0]["size"] == "55440"
+        assert rows[1]["size"] == lifted_str(self.size())
+
+    def test_size_guard_message(self, twelfths, capsys):
+        code, out, err = self.ruzsa(capsys, "enum", twelfths)
+        assert code == 2
+        assert out == ""
+        size = lifted_str(self.size())
+        assert err == f"error: enumeration of {size} vectors exceeds limit 1000000\n"
+
+    def test_checker_counts(self, tmp_path, capsys):
+        # 4^8000 has 4817 digits: |A|^k of a uniform 8000-cover of {1}
+        cover = write(tmp_path, "c.json", {"n": 1, "members": [[1]] * 8000})
+        pts = write(tmp_path, "a.json", {"dimension": 1, "points": [[0], [1], [2], [3]]})
+        code, out, _ = invoke(
+            capsys,
+            ["check", "shearer", "--cover", cover, "--input", pts, "--k", "8000",
+             "--side", "sets"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["lhs_count"] == doc["rhs_count"] == lifted_str(4**8000)
+
+    def test_exact_text_matches_str(self):
+        values = [0, -7, 10**4299, 10**4300, -(3**20000), 2**50000 - 1,
+                  Fraction(-(7**9000), 11**6000), Fraction(1, 10**4400)]
+        assert [exact_text(v) for v in values] == [lifted_str(v) for v in values]
+
+    def test_long_integer_literal_in_input(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_text('{"support": [[1]], "probs": [1' + "0" * 5000 + "]}")
+        code, out, err = invoke(capsys, ["entropy", "--dist", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: Exceeds the limit")
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_bytes(b'{"support": [[1]], "probs": ["\xff"]}')
+        code, out, err = invoke(capsys, ["entropy", "--dist", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+    def test_probability_sum_past_limit(self, tmp_path, capsys):
+        p, q = 10**2200 + 1, 10**2200 + 3
+        path = write(
+            tmp_path, "d.json", {"support": [[0], [1]], "probs": [f"1/{p}", f"1/{q}"]}
+        )
+        code, _, err = invoke(capsys, ["entropy", "--dist", path])
+        assert code == 2
+        assert f"sum to 1 exactly, got {lifted_str(Fraction(1, p) + Fraction(1, q))}" in err
+
+
+@pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf"])
+def test_non_finite_weights_exit_code(capsys, weights):
+    code, out, err = invoke(
+        capsys, ["rationalize", f"--weights={weights}", "--max-denominator", "4"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: weights must be finite\n"
+
+
+def test_project_empty_pointset_path(capsys):
+    code, _, err = invoke(capsys, ["project", "--pointset", "", "--indices", "1"])
+    assert code == 2
+    assert err == "error: no such file: \n"
