@@ -1,0 +1,61 @@
+"""Layer benchmarks of `entroset.ruzsa`, timed with pytest-benchmark.
+
+The tier-1 test run does not collect this file (it is not named
+`test_*.py`); pass it explicitly:
+
+    PYTHONPATH=src python -m pytest benches/bench_ruzsa.py \
+        --benchmark-only --benchmark-json=out.json
+
+Inputs are fixed occurrence counts on the outcomes (0,), (1,), ...:
+
+* `verify_commutation` under the pairwise merge map x -> x // 2, at
+  |set| = 1,260 (counts 2,3,4), 9,240 (3,3,5) and 45,045 (2,4,8): both
+  sides are enumerated, so the cost grows with |set| * k;
+* `ruzsa_enumerate` of the 46,200 vectors of counts 1,3,3,4, decoded to
+  element tuples;
+* `convergence_profile` of probabilities 1/20, 3/20, 4/20, 5/20, 7/20 at
+  100 values of k up to 2,000, which is 100 closed-form sizes.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from entroset import (
+    FiniteMap,
+    RationalDist,
+    RuzsaSpec,
+    convergence_profile,
+    ruzsa_enumerate,
+    verify_commutation,
+)
+
+
+def _spec(counts) -> RuzsaSpec:
+    k = sum(counts)
+    support = [(i,) for i in range(len(counts))]
+    return RuzsaSpec(RationalDist(support, [Fraction(c, k) for c in counts]), k)
+
+
+def _merge_map(spec: RuzsaSpec) -> FiniteMap:
+    return FiniteMap({x: (x[0] // 2,) for x in spec.dist.support})
+
+
+@pytest.mark.parametrize(
+    "counts", [(2, 3, 4), (3, 3, 5), (2, 4, 8)], ids=["s1e3", "s1e4", "s5e4"]
+)
+def test_verify_commutation(benchmark, counts):
+    spec = _spec(counts)
+    report = benchmark(verify_commutation, _merge_map(spec), spec)
+    assert report.holds
+
+
+def test_ruzsa_enumerate(benchmark):
+    spec = _spec((1, 3, 3, 4))
+    assert benchmark(lambda: sum(1 for _ in ruzsa_enumerate(spec))) == 46200
+
+
+def test_convergence_profile(benchmark):
+    dist = RationalDist([(i,) for i in range(5)], ["1/20", "3/20", "4/20", "5/20", "7/20"])
+    ks = list(range(20, 2001, 20))
+    assert len(benchmark(convergence_profile, dist, ks)) == 100

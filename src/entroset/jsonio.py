@@ -7,7 +7,8 @@ reproduces it modulo whitespace.
 
 Output strings of exact numbers are exact at any size: `format_rational`
 writes ints and Fractions past Python's int-to-str digit limit without
-changing it. On input, an integer literal past that limit is a
+changing it, and `dump_json` writes a plain int past it as an exact JSON
+number. On input, an integer literal past that limit is a
 SchemaError naming the file.
 """
 
@@ -132,5 +133,29 @@ def load_json(path: str) -> dict:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def _slot_ints(value, slot, ints: list[int]):
+    """Copy of `value` with every int replaced by `slot`, collected in order."""
+    if isinstance(value, dict):
+        return {k: _slot_ints(v, slot, ints) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_slot_ints(v, slot, ints) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        ints.append(value)
+        return slot
+    return value
+
+
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False)
+    try:
+        return json.dumps(doc, indent=2, sort_keys=False)
+    except ValueError:  # an int past the digit limit: write it with exact_text
+        pass
+    ints: list[int] = []
+    zeroed = json.dumps(_slot_ints(doc, 0, ints), indent=2, sort_keys=False)
+    # a string of NULs that occurs nowhere else marks where each int goes
+    slot = "\0"
+    while json.dumps(slot) in zeroed:
+        slot += "\0"
+    text = json.dumps(_slot_ints(doc, slot, []), indent=2, sort_keys=False)
+    parts = text.split(json.dumps(slot))
+    return parts[0] + "".join(exact_text(n) + part for n, part in zip(ints, parts[1:]))

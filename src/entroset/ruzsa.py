@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator
 
 from .dist import (
@@ -73,12 +74,79 @@ class RuzsaSpec:
         return all(vec.count(x) == c for x, c in zip(support, self.counts))
 
 
+def _multinomial(counts) -> int:
+    # the product of comb(r, c), r running down from k, equals k!/prod(c!)
+    size, r = 1, sum(counts)
+    for c in counts:
+        size *= math.comb(r, c)
+        r -= c
+    return size
+
+
 def ruzsa_size(spec: RuzsaSpec) -> int:
     """Closed-form cardinality: the multinomial (k choose k*p_1, ..., k*p_n)."""
-    size = math.factorial(spec.k)
-    for c in spec.counts:
-        size //= math.factorial(c)
-    return size
+    return _multinomial(spec.counts)
+
+
+def _arrangements(counts: tuple[int, ...], limit: int) -> Iterator[list[bytes]]:
+    """Every arrangement of the multiset with these counts, in chunks.
+
+    An arrangement is `bytes` whose j-th byte is the support index at
+    coordinate j. Chunks are lists of arrangements sharing a prefix, and
+    arrangements come lexicographically, as in `ruzsa_enumerate`. The
+    suffixes of length k//2 are built once per remaining-count state,
+    level by level from the empty suffix, keeping only the last level;
+    the prefixes above them are walked depth first.
+
+    Raises SizeGuardError at the call, before any enumeration, when the
+    count exceeds `limit` or when more than 256 support indices cannot
+    fit in a byte.
+    """
+    total = _multinomial(counts)
+    if total > limit:
+        raise SizeGuardError(
+            f"enumeration of {exact_text(total)} vectors exceeds limit {limit}"
+        )
+    n = len(counts)
+    if n > 256:
+        raise SizeGuardError(f"enumeration over {n} support elements exceeds 256")
+    symbols = [bytes((i,)) for i in range(n)]
+    k = sum(counts)
+    half = k // 2
+
+    def less(state: tuple[int, ...], i: int) -> tuple[int, ...]:
+        return state[:i] + (state[i] - 1,) + state[i + 1 :]
+
+    suffixes: dict[tuple[int, ...], list[bytes]] = {(0,) * n: [b""]}
+    for _ in range(half):
+        grown = {
+            state[:i] + (c + 1,) + state[i + 1 :]
+            for state in suffixes
+            for i, c in enumerate(state)
+            if c < counts[i]
+        }
+        suffixes = {
+            state: [
+                symbols[i] + s
+                for i, c in enumerate(state)
+                if c
+                for s in suffixes[less(state, i)]
+            ]
+            for state in grown
+        }
+
+    def chunks() -> Iterator[list[bytes]]:
+        stack = [(b"", tuple(counts))]
+        while stack:
+            prefix, rest = stack.pop()
+            if len(prefix) + half == k:
+                yield [prefix + s for s in suffixes[rest]]
+                continue
+            for i in reversed(range(n)):
+                if rest[i]:
+                    stack.append((prefix + symbols[i], less(rest, i)))
+
+    return chunks()
 
 
 def ruzsa_enumerate(
@@ -89,29 +157,31 @@ def ruzsa_enumerate(
     Raises SizeGuardError up front when the closed-form count exceeds
     `limit`; counting never needs enumeration.
     """
-    total = ruzsa_size(spec)
-    if total > limit:
-        raise SizeGuardError(
-            f"enumeration of {exact_text(total)} vectors exceeds limit {limit}"
-        )
     support = spec.dist.support
-    idx: list[int] = []
-    for i, c in enumerate(spec.counts):
-        idx.extend([i] * c)
-    k = len(idx)
-    while True:
-        yield tuple(support[i] for i in idx)
-        # next lexicographic multiset permutation
-        j = k - 2
-        while j >= 0 and idx[j] >= idx[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        m = k - 1
-        while idx[m] <= idx[j]:
-            m -= 1
-        idx[j], idx[m] = idx[m], idx[j]
-        idx[j + 1 :] = reversed(idx[j + 1 :])
+    for chunk in _arrangements(spec.counts, limit):
+        for vec in chunk:
+            yield tuple(map(support.__getitem__, vec))
+
+
+def _mapped_arrangements(
+    f: FiniteMap, spec: RuzsaSpec, image_support, limit: int
+) -> set[bytes]:
+    """The f^k-image of the k-set of X, as arrangements over `image_support`.
+
+    `image_support` is the support of the pushforward f(X). Each source
+    arrangement is mapped with one `bytes.translate` by the table taking
+    the index of x to the index of f(x).
+    """
+    chunks = _arrangements(spec.counts, limit)  # its guards fire before the table
+    position = {y: j for j, y in enumerate(image_support)}
+    table = bytearray(256)
+    for i, x in enumerate(spec.dist.support):
+        table[i] = position[f(x)]
+    table = bytes(table)
+    mapped: set[bytes] = set()
+    for chunk in chunks:
+        mapped.update(map(bytes.translate, chunk, repeat(table)))
+    return mapped
 
 
 def verify_commutation(
@@ -131,13 +201,18 @@ def verify_commutation(
         total = ruzsa_size(s)
         if total > limit:
             raise SizeGuardError(f"|set| = {exact_text(total)} exceeds limit {limit}")
-    images = [f(x) for x in spec.dist.support]
-    support = spec.dist.support
-    lookup = dict(zip(support, images))
-    mapped = {tuple(lookup[x] for x in vec) for vec in ruzsa_enumerate(spec, limit)}
-    direct = set(ruzsa_enumerate(image_spec, limit))
-    only_mapped = sorted(mapped - direct)[:max_witnesses]
-    only_direct = sorted(direct - mapped)[:max_witnesses]
+    image = image_spec.dist.support
+    mapped = _mapped_arrangements(f, spec, image, limit)
+    direct: set[bytes] = set()
+    for chunk in _arrangements(image_spec.counts, limit):
+        direct.update(chunk)
+
+    def witnesses(vecs: set[bytes]) -> list[RuzsaVector]:
+        decoded = (tuple(map(image.__getitem__, v)) for v in vecs)
+        return sorted(decoded)[:max_witnesses]
+
+    only_mapped = witnesses(mapped - direct)
+    only_direct = witnesses(direct - mapped)
     equal = not only_mapped and not only_direct and len(mapped) == len(direct)
     return CheckReport(
         verdict=HOLDS if equal else VIOLATED,

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from entroset import checkers
 from entroset import (
     CoverError,
     CoverSpec,
@@ -214,6 +215,26 @@ class TestEmpiricalLemma1:
         X = RationalDist.uniform(TRIANGLE.points)
         report = empirical_lemma1(spec, X, k_max=9, cross_validate=True)
         assert report.holds
+
+    def test_cross_validation_mismatch_is_violated(self, monkeypatch):
+        mapped_arrangements = checkers._mapped_arrangements
+
+        def dropping(*args):
+            mapped = set(mapped_arrangements(*args))
+            mapped.pop()
+            return mapped
+
+        monkeypatch.setattr(checkers, "_mapped_arrangements", dropping)
+        spec = projection_spec(GRID2, [[1], [2]], [1, 1])
+        X = RationalDist.uniform(TRIANGLE.points)
+        report = empirical_lemma1(spec, X, k_max=6, cross_validate=True)
+        assert report.verdict == "violated"
+        assert report.exit_code() == 1
+        rows = report.details["rows"]
+        assert [row["k"] for row in rows] == [3, 6]
+        for row in rows:
+            assert row["verdict"] == "violated"
+            assert int(row["enumerated_count"]) == int(row["lhs_count"]) - 1
 
     def test_verdicts_match_entropy_side(self):
         rng = random.Random(13)

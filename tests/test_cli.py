@@ -427,6 +427,46 @@ class TestBigIntegers:
         assert code == 2
         assert f"sum to 1 exactly, got {lifted_str(Fraction(1, p) + Fraction(1, q))}" in err
 
+    def test_plain_int_output_past_limit(self, tmp_path, capsys):
+        # probabilities x/(ab), y/(bc), 1/(ca) with pairwise coprime a, b, c
+        # of 1501 digits: the minimal suitable k is abc, about 4500 digits
+        n = 10**1500
+        a, b, c = n + 1, n + 3, n + 7
+        x = -b * pow(c, -1, a) % a  # x*c + y*a = abc - b with x, y > 0
+        y = (a * b * c - b - x * c) // a
+        probs = [Fraction(x, a * b), Fraction(y, b * c), Fraction(1, c * a)]
+        assert sum(probs) == 1
+        path = write(
+            tmp_path, "d.json",
+            {"support": [[0], [1], [2]], "probs": [str(p) for p in probs]},
+        )
+        k = math.lcm(*(p.denominator for p in probs))
+        assert k == a * b * c and k.bit_length() > 3.33 * 4300
+        code, out, _ = invoke(capsys, ["suitable", "--dist", path])
+        assert code == 0
+        assert out == f'{{\n  "minimal_suitable_k": {lifted_str(k)}\n}}\n'
+        code, out, _ = invoke(capsys, ["suitable", "--dist", path, "--k", "6"])
+        assert code == 0
+        assert out == (
+            f'{{\n  "minimal_suitable_k": {lifted_str(k)},\n'
+            '  "k": 6,\n  "is_suitable": false\n}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "big", [10**4299, -(10**5000), 7**9000], ids=["at_limit", "negative", "past"]
+    )
+    def test_dump_json_matches_lifted_limit(self, big):
+        # NUL strings must not be taken for the place of an int
+        doc = {"a": [1, -2, True, None, 0.5, "\x00", "\x00\x00"],
+               "b": {"c": (3, big), "\x00": big}, "d": big}
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = json.dumps(doc, indent=2)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert jsonio.dump_json(doc) == expected
+
 
 @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf"])
 def test_non_finite_weights_exit_code(capsys, weights):

@@ -2,10 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from entroset import ruzsa
 from entroset import (
     FiniteMap,
     MembershipError,
@@ -34,6 +36,74 @@ def bruteforce_members(dist, k):
         for v in product(dist.support, repeat=k)
         if all(v.count(x) == c for x, c in counts.items())
     ]
+
+
+def reference_enumerate(spec):
+    """Independent oracle: the next-lexicographic-permutation walk over indices."""
+    support = spec.dist.support
+    idx = []
+    for i, c in enumerate(spec.counts):
+        idx.extend([i] * c)
+    k = len(idx)
+    while True:
+        yield tuple(support[i] for i in idx)
+        j = k - 2
+        while j >= 0 and idx[j] >= idx[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        m = k - 1
+        while idx[m] <= idx[j]:
+            m -= 1
+        idx[j], idx[m] = idx[m], idx[j]
+        idx[j + 1 :] = reversed(idx[j + 1 :])
+
+
+def reference_commutation(f, spec, max_witnesses=5, drop=0):
+    """`verify_commutation`'s JSON, from tuple sets of both enumerations.
+
+    `drop` removes that many of the smallest mapped vectors first.
+    """
+    image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
+    mapped = {f.map_vector(v) for v in reference_enumerate(spec)}
+    for v in sorted(mapped)[:drop]:
+        mapped.discard(v)
+    direct = set(reference_enumerate(image_spec))
+    only_mapped = sorted(mapped - direct)[:max_witnesses]
+    only_direct = sorted(direct - mapped)[:max_witnesses]
+    equal = not only_mapped and not only_direct and len(mapped) == len(direct)
+    return {
+        "verdict": "holds" if equal else "violated",
+        "lhs": float(len(mapped)),
+        "rhs": float(len(direct)),
+        "slack": float(len(direct) - len(mapped)),
+        "witnesses": [
+            {"side": side, "vector": [list(x) for x in v]}
+            for side, vs in (("mapped_only", only_mapped), ("direct_only", only_direct))
+            for v in vs
+        ],
+        "provenance": "exact",
+        "source_size": str(ruzsa_size(spec)),
+        "mapped_size": str(len(mapped)),
+        "direct_size": str(len(direct)),
+        "k": spec.k,
+    }
+
+
+def spec_of_counts(counts, support=None):
+    k = sum(counts)
+    support = support or [(i,) for i in range(len(counts))]
+    return RuzsaSpec(RationalDist(support, [Fraction(c, k) for c in counts]), k)
+
+
+def random_counts_spec(rng, max_size):
+    """Random counts on a shuffled support, |set| <= max_size."""
+    while True:
+        counts = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+        if math.factorial(sum(counts)) // math.prod(map(math.factorial, counts)) <= max_size:
+            break
+    support = rng.sample([(v,) for v in range(-20, 20)], len(counts))
+    return spec_of_counts(counts, support)
 
 
 HALVES = RationalDist([(0,), (1,)], ["1/2", "1/2"])
@@ -71,6 +141,15 @@ class TestSize:
             k = minimal_suitable_k(d)
             spec = RuzsaSpec(d, k)
             assert ruzsa_size(spec) == len(bruteforce_members(d, k))
+
+    def test_matches_factorial_quotient(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            counts = [rng.randint(1, 400) for _ in range(rng.randint(1, 6))]
+            expected = math.factorial(sum(counts))
+            for c in counts:
+                expected //= math.factorial(c)
+            assert ruzsa_size(spec_of_counts(counts)) == expected
 
 
 class TestEnumerate:
@@ -115,6 +194,53 @@ class TestEnumerate:
         with pytest.raises(SizeGuardError):
             list(ruzsa_enumerate(RuzsaSpec(d, 16), limit=1000))
 
+    def test_size_guard_message(self):
+        spec = RuzsaSpec(RationalDist.uniform(range(8)), 16)
+        with pytest.raises(SizeGuardError) as exc:
+            next(ruzsa_enumerate(spec, limit=1000))
+        size = math.factorial(16) // 2**8
+        assert str(exc.value) == f"enumeration of {size} vectors exceeds limit 1000"
+
+    def test_more_than_256_support_elements(self):
+        # 300! < 10**1000, so only the byte encoding stops this enumeration
+        spec = RuzsaSpec(RationalDist.uniform(range(300)), 300)
+        assert ruzsa_size(spec) < 10**1000
+        vectors = ruzsa_enumerate(spec, limit=10**1000)
+        with pytest.raises(SizeGuardError) as exc:
+            next(vectors)
+        assert str(exc.value) == "enumeration over 300 support elements exceeds 256"
+        f = FiniteMap.identity(spec.dist.support)
+        with pytest.raises(SizeGuardError):
+            verify_commutation(f, spec, limit=10**1000)
+
+
+class TestEnumerateMatchesReferenceWalk:
+    """Same vectors in the same order as the index permutation walk."""
+
+    def check(self, spec):
+        assert list(ruzsa_enumerate(spec)) == list(reference_enumerate(spec))
+
+    def test_seeded_random_counts(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            self.check(random_counts_spec(rng, max_size=20000))
+
+    def test_single_point(self):
+        for k in (1, 2, 9, 40):
+            self.check(spec_of_counts([k], [(5,)]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_all_ones(self, n):
+        self.check(spec_of_counts([1] * n, [(v,) for v in range(n, 0, -1)]))
+
+    @pytest.mark.parametrize("counts", [(10, 2), (1, 12, 2), (3, 11), (2, 1, 10, 1)])
+    def test_large_count(self, counts):
+        self.check(spec_of_counts(counts, [(-v,) for v in range(len(counts))]))
+
+    def test_commute_workload_counts(self):
+        for counts in ((1, 2, 11), (1, 1, 1, 8), (3, 3, 5), (2, 4, 8), (1, 3, 3, 4)):
+            self.check(spec_of_counts(counts))
+
 
 class TestCommutation:
     def test_identity_map(self):
@@ -150,6 +276,52 @@ class TestCommutation:
             report = verify_commutation(f, RuzsaSpec(d, k))
             assert report.holds, (d, f)
             done += 1
+
+
+class TestCommutationMatchesTupleReference:
+    """Reports equal a double enumeration over element tuples."""
+
+    def specs_and_maps(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            spec = random_counts_spec(rng, max_size=5000)
+            support = spec.dist.support
+            if rng.random() < 0.5:
+                f = random_map(rng, support, merge_bias=rng.random())
+            else:  # injective, images in shuffled order
+                images = rng.sample([(v, -v) for v in range(50)], len(support))
+                f = FiniteMap(dict(zip(support, images)))
+            yield spec, f
+
+    def test_random_specs_under_random_maps(self):
+        for spec, f in self.specs_and_maps(47, 60):
+            got = verify_commutation(f, spec).to_json()
+            assert got == reference_commutation(f, spec), (spec, f)
+
+    @pytest.mark.parametrize("drop", [1, 7])
+    def test_witnesses_decoded_before_sorting(self, monkeypatch, drop):
+        # drop the smallest mapped vectors (in element order, not byte
+        # order) so the witnesses come from a real discrepancy
+        mapped_arrangements = ruzsa._mapped_arrangements
+
+        def dropping(f, spec, image_support, limit):
+            mapped = mapped_arrangements(f, spec, image_support, limit)
+            by_vector = sorted(mapped, key=lambda v: [image_support[i] for i in v])
+            return mapped - set(by_vector[:drop])
+
+        monkeypatch.setattr(ruzsa, "_mapped_arrangements", dropping)
+        for spec, f in self.specs_and_maps(53, 30):
+            got = verify_commutation(f, spec).to_json()
+            want = reference_commutation(f, spec, drop=drop)
+            assert got == want, (spec, f)
+            assert got["verdict"] == "violated"
+
+    def test_size_guard_message(self):
+        spec = spec_of_counts([2, 4, 8])
+        f = FiniteMap.identity(spec.dist.support)
+        with pytest.raises(SizeGuardError) as exc:
+            verify_commutation(f, spec, limit=45044)
+        assert str(exc.value) == "|set| = 45045 exceeds limit 45044"
 
 
 class TestPreimageLift:
