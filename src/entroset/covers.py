@@ -2,11 +2,16 @@
 
 A cover is a multiset of index sets with optional nonnegative rational
 weights. Feasibility checks are exact rational sums. The minimum-weight
-fractional cover is solved by a dense two-phase simplex over Fractions
-with Bland's anti-cycling rule: instances here are tiny (n around 12,
-a few dozen members), so exactness is worth far more than speed. For a
-fixed input order the returned vertex is deterministic; between
-degenerate optima only the objective value is contractual.
+fractional cover is solved by a dense two-phase simplex with Bland's
+anti-cycling rule over an integer tableau: every entry is a Python int
+over one common denominator, and pivots are fraction-free (Bareiss,
+Math. Comp. 1968; Edmonds 1967), so each division is exact and no
+Fraction is built before the answer. For a 0/1 cover matrix the
+denominator is a basis determinant, bounded by Hadamard's bound (about
+4e3 at n=12). The solution carries the optimal dual packing, which
+proves the objective optimal. For a fixed input order the returned
+vertex is deterministic; between degenerate optima only the objective
+value is contractual.
 """
 
 from __future__ import annotations
@@ -73,11 +78,18 @@ class CoverSpec:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Exact optimum of the cover LP, with its coverage certificate."""
+    """Exact optimum of the cover LP, with certificates of both kinds.
+
+    `certificate` is the coverage of each element by `weights` (all >= 1:
+    feasibility). `dual` is a fractional packing y of the elements: y >= 0,
+    the sum of y over every member is <= 1, and sum(y) == objective, which
+    proves that no cover weighs less (optimality).
+    """
 
     weights: tuple[Fraction, ...]
     objective: Fraction
     certificate: tuple[Fraction, ...]
+    dual: tuple[Fraction, ...]
 
 
 def is_fractional_cover(cover: CoverSpec) -> CheckReport:
@@ -126,109 +138,110 @@ def uniform_cover_as_fractional(cover: CoverSpec, k: int) -> CoverSpec:
 def min_fractional_cover(n: int, members: Sequence) -> LPSolution:
     """Minimum total weight making the multiset a fractional cover.
 
-    Solves min sum(a) s.t. coverage >= 1, a >= 0 exactly. Raises
-    InfeasibleError when some element appears in no member.
+    Solves min sum(a) s.t. coverage >= 1, a >= 0 exactly, and returns
+    the dual packing beside the weights. Raises InfeasibleError when
+    some element appears in no member.
     """
     cover = CoverSpec(n, members)
     missing = [i + 1 for i, c in enumerate(cover.multiplicities()) if c == 0]
     if missing:
         raise InfeasibleError(f"elements {missing} appear in no member")
-    nvar = len(cover.members)
-    rows = [
-        [Fraction(1) if (i + 1) in m else Fraction(0) for m in cover.members]
-        for i in range(n)
-    ]
-    x = _simplex_min_geq(
-        c=[Fraction(1)] * nvar, a=rows, b=[Fraction(1)] * n
+    rows = [[1 if (i + 1) in m else 0 for m in cover.members] for i in range(n)]
+    x, y, d = _simplex_min_geq(c=[1] * len(cover.members), a=rows, b=[1] * n)
+    return LPSolution(
+        weights=tuple(Fraction(v, d) for v in x),
+        objective=Fraction(sum(x), d),
+        certificate=tuple(
+            Fraction(sum(v for v, a in zip(x, row) if a), d) for row in rows
+        ),
+        dual=tuple(Fraction(v, d) for v in y),
     )
-    weights = tuple(x)
-    objective = sum(weights, Fraction(0))
-    certificate = tuple(
-        sum((w for m, w in zip(cover.members, weights) if (i + 1) in m), Fraction(0))
-        for i in range(n)
-    )
-    return LPSolution(weights=weights, objective=objective, certificate=certificate)
 
 
 def _simplex_min_geq(
-    c: list[Fraction], a: list[list[Fraction]], b: list[Fraction]
-) -> list[Fraction]:
+    c: list[int], a: list[list[int]], b: list[int]
+) -> tuple[list[int], list[int], int]:
     """Exact two-phase simplex for min c.x s.t. a x >= b, x >= 0, b >= 0.
 
-    Dense Fraction tableau, Bland's rule for entering and leaving
-    variables. Columns are [x | surplus | artificial].
+    Integer data. Columns are [x | surplus | artificial | rhs]; each
+    entry of the tableau, and of the two reduced-cost rows carried with
+    it, is an int over the common denominator d > 0. Bland's rule picks
+    the entering and leaving variables. Returns the numerators of the
+    optimal x and of the dual y (the phase-2 reduced costs of the
+    surplus columns), and d.
     """
     m = len(a)
     nvar = len(c)
-    width = nvar + 2 * m
+    art = nvar + m
+    width = art + m
     tab = []
     for i in range(m):
-        row = list(a[i])
-        row += [Fraction(-1) if j == i else Fraction(0) for j in range(m)]  # surplus
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]  # artificial
-        row.append(b[i])
+        row = list(a[i]) + [0] * (2 * m) + [b[i]]
+        row[nvar + i] = -1  # surplus
+        row[art + i] = 1  # artificial
         tab.append(row)
-    basis = [nvar + m + i for i in range(m)]
+    basis = list(range(art, width))
+    # reduced-cost rows: phase 2 prices c, phase 1 prices the artificials
+    # (basic at the start, so their reduced cost is 1 minus each column sum)
+    phase1 = [-sum(col) for col in zip(*tab)]
+    for j in range(art, width):
+        phase1[j] += 1
+    objectives = [list(c) + [0] * (2 * m + 1), phase1]
+    d = 1
 
-    def reduced_costs(cost: list[Fraction]) -> list[Fraction]:
-        red = list(cost)
-        for i, bi in enumerate(basis):
-            cb = cost[bi]
-            if cb != 0:
-                for j in range(width):
-                    red[j] -= cb * tab[i][j]
-        return red
+    def pivot(r: int, col: int) -> None:
+        # fraction-free (Bareiss) step: every division by d is exact
+        nonlocal d
+        prow = tab[r]
+        p = prow[col]
+        if p < 0:  # only a drive-out pivot is negative; keep d > 0
+            prow = tab[r] = [-v for v in prow]
+            p = -p
+        for rows in (tab, objectives):
+            for i, row in enumerate(rows):
+                if row is prow:
+                    continue
+                f = row[col]
+                if f:
+                    rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+                elif p != d:
+                    rows[i] = [p * v // d for v in row]
+        d = p
+        basis[r] = col
 
-    def pivot(row: int, col: int) -> None:
-        inv = 1 / tab[row][col]
-        tab[row] = [v * inv for v in tab[row]]
-        for i in range(len(tab)):
-            if i != row and tab[i][col] != 0:
-                factor = tab[i][col]
-                tab[i] = [v - factor * p for v, p in zip(tab[i], tab[row])]
-        basis[row] = col
-
-    def optimize(cost: list[Fraction], allowed: int) -> None:
+    def optimize(phase: int, allowed: int) -> None:
         while True:
-            red = reduced_costs(cost)
-            enter = next((j for j in range(allowed) if red[j] < 0), None)
+            z = objectives[phase]
+            enter = next((j for j in range(allowed) if z[j] < 0), None)
             if enter is None:
                 return
-            best_ratio = None
             leave = None
-            for i in range(len(tab)):
-                coef = tab[i][enter]
+            for i, row in enumerate(tab):
+                coef = row[enter]
                 if coef > 0:
-                    ratio = tab[i][-1] / coef
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
+                    # ratio row[-1] / coef against the best, cross-multiplied
+                    if leave is None:
+                        leave, num, den = i, row[-1], coef
+                        continue
+                    lhs, rhs = row[-1] * den, num * coef
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, num, den = i, row[-1], coef
             if leave is None:
                 raise InfeasibleError("LP is unbounded")  # pragma: no cover
             pivot(leave, enter)
 
-    phase1 = [Fraction(0)] * (nvar + m) + [Fraction(1)] * m
-    optimize(phase1, width)
-    infeas = sum((tab[i][-1] for i in range(m) if basis[i] >= nvar + m), Fraction(0))
-    if infeas > 0:
+    optimize(1, width)
+    if sum(tab[i][-1] for i in range(m) if basis[i] >= art) > 0:
         raise InfeasibleError("no fractional cover exists")  # pragma: no cover
-    # drive degenerate artificials out of the basis; drop redundant rows
-    for i in reversed(range(len(tab))):
-        if basis[i] >= nvar + m:
-            col = next((j for j in range(nvar + m) if tab[i][j] != 0), None)
-            if col is None:
-                del tab[i]
-                del basis[i]
-            else:
-                pivot(i, col)
-    phase2 = list(c) + [Fraction(0)] * (2 * m)
-    optimize(phase2, nvar + m)
-    x = [Fraction(0)] * nvar
+    objectives.pop()  # the phase-1 row is not needed past this point
+    # drive degenerate artificials out of the basis; [a | -I] has full row
+    # rank, so every row has a nonzero entry left of the artificials
+    for i in reversed(range(m)):
+        if basis[i] >= art:
+            pivot(i, next(j for j in range(art) if tab[i][j] != 0))
+    optimize(0, art)
+    x = [0] * nvar
     for i, bi in enumerate(basis):
         if bi < nvar:
             x[bi] = tab[i][-1]
-    return x
+    return x, objectives[0][nvar:art], d

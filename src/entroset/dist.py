@@ -209,6 +209,13 @@ def is_suitable(dist: RationalDist, k: int) -> bool:
     return k >= 1 and k % minimal_suitable_k(dist) == 0
 
 
+def _grid(big_l: int, max_denominator: int) -> list[int]:
+    """Sorted numerators m of every m/L in [0, 1] whose reduced denominator is <= D."""
+    return sorted(
+        {p * (big_l // q) for q in range(1, max_denominator + 1) for p in range(q + 1)}
+    )
+
+
 def rationalize(
     weights: Sequence[float],
     max_denominator: int,
@@ -255,15 +262,7 @@ def rationalize(
         )
 
     big_l = math.lcm(*range(1, max_denominator + 1))
-    # admissible per-entry values: m/L in lowest terms has denominator <= D
-    allowed = np.array(
-        sorted(
-            m
-            for m in range(big_l + 1)
-            if big_l // math.gcd(m, big_l) <= max_denominator
-        ),
-        dtype=np.int64,
-    )
+    allowed = np.array(_grid(big_l, max_denominator), dtype=np.int64)
     n = len(target)
     inf = np.inf
     # best[s] = optimal cost of assigning entries i..n-1 with total mass s/L

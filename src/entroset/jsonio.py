@@ -31,6 +31,18 @@ def _expect(doc: dict, key: str, kind: str):
     return doc[key]
 
 
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer: {value!r}")
+    return value
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{what} must be an array: {value!r}")
+    return value
+
+
 def parse_rational(text) -> Fraction:
     if isinstance(text, str) and ("." in text or "e" in text or "E" in text):
         raise SchemaError(f"rationals must be decimal-free 'p/q' strings: {text!r}")
@@ -84,16 +96,16 @@ def pointset_to_json(A: PointSet) -> dict:
 def indexset_from_json(doc) -> IndexSet:
     if not isinstance(doc, (list, tuple)):
         raise SchemaError(f"index sets are 1-based arrays: {doc!r}")
-    return IndexSet(doc)
+    return IndexSet([_int(i, "index") for i in doc])
 
 
 def cover_from_json(doc: dict) -> CoverSpec:
-    n = _expect(doc, "n", "cover")
-    members = [indexset_from_json(m) for m in _expect(doc, "members", "cover")]
+    n = _int(_expect(doc, "n", "cover"), "cover field 'n'")
+    members = _array(_expect(doc, "members", "cover"), "cover field 'members'")
     weights = doc.get("weights")
     if weights is not None:
-        weights = [parse_rational(w) for w in weights]
-    return CoverSpec(n, members, weights)
+        weights = [parse_rational(w) for w in _array(weights, "cover field 'weights'")]
+    return CoverSpec(n, [indexset_from_json(m) for m in members], weights)
 
 
 def cover_to_json(cover: CoverSpec) -> dict:

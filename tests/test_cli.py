@@ -482,3 +482,38 @@ def test_project_empty_pointset_path(capsys):
     code, _, err = invoke(capsys, ["project", "--pointset", "", "--indices", "1"])
     assert code == 2
     assert err == "error: no such file: \n"
+
+
+class TestCoverDecoding:
+    """Cover documents with values of the wrong JSON type exit 2, never crash."""
+
+    CASES = {
+        "n_string": ({"n": "abc", "members": [[1]]}, "cover field 'n' must be an integer: 'abc'"),
+        "n_null": ({"n": None, "members": [[1]]}, "cover field 'n' must be an integer: None"),
+        "n_float": ({"n": 2.7, "members": [[1, 2]]}, "cover field 'n' must be an integer: 2.7"),
+        "n_bool": ({"n": True, "members": [[1]]}, "cover field 'n' must be an integer: True"),
+        "index_string": ({"n": 2, "members": [["x"]]}, "index must be an integer: 'x'"),
+        "index_float": ({"n": 2, "members": [[1.9, 2]]}, "index must be an integer: 1.9"),
+        "index_bool": ({"n": 2, "members": [[True, 2]]}, "index must be an integer: True"),
+        "members_int": ({"n": 2, "members": 5}, "cover field 'members' must be an array: 5"),
+        "weights_int": (
+            {"n": 2, "members": [[1, 2]], "weights": 3},
+            "cover field 'weights' must be an array: 3",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["min", "check"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_schema_error(self, tmp_path, capsys, case, command):
+        doc, message = self.CASES[case]
+        cover = write(tmp_path, "c.json", doc)
+        code, out, err = invoke(capsys, ["cover", command, "--cover", cover])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_integer_fields_still_accepted(self, tmp_path, capsys):
+        cover = write(tmp_path, "c.json", {"n": 2, "members": [[1, 2], [2]], "weights": ["1", 0]})
+        code, out, _ = invoke(capsys, ["cover", "check", "--cover", cover])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "holds"

@@ -16,6 +16,7 @@ from entroset import (
     min_fractional_cover,
     uniform_cover_as_fractional,
 )
+from entroset.covers import _simplex_min_geq
 
 from genutil import random_members, random_uniform_k_cover
 
@@ -203,3 +204,201 @@ class TestMinFractionalCover:
         solution = min_fractional_cover(2, [[1, 2], [1, 2]])
         assert solution.objective == 1
         assert sum(solution.weights) == 1
+
+
+def reference_simplex_min_geq(c, a, b):
+    """The Fraction simplex the integer tableau replaced, kept as a reference.
+
+    Dense Fraction tableau, objective recomputed every iteration, Bland's
+    rule for entering and leaving variables. Columns are
+    [x | surplus | artificial].
+    """
+    m = len(a)
+    nvar = len(c)
+    width = nvar + 2 * m
+    tab = []
+    for i in range(m):
+        row = list(a[i])
+        row += [Fraction(-1) if j == i else Fraction(0) for j in range(m)]
+        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        row.append(b[i])
+        tab.append(row)
+    basis = [nvar + m + i for i in range(m)]
+
+    def reduced_costs(cost):
+        red = list(cost)
+        for i, bi in enumerate(basis):
+            cb = cost[bi]
+            if cb != 0:
+                for j in range(width):
+                    red[j] -= cb * tab[i][j]
+        return red
+
+    def pivot(row, col):
+        inv = 1 / tab[row][col]
+        tab[row] = [v * inv for v in tab[row]]
+        for i in range(len(tab)):
+            if i != row and tab[i][col] != 0:
+                factor = tab[i][col]
+                tab[i] = [v - factor * p for v, p in zip(tab[i], tab[row])]
+        basis[row] = col
+
+    def optimize(cost, allowed):
+        while True:
+            red = reduced_costs(cost)
+            enter = next((j for j in range(allowed) if red[j] < 0), None)
+            if enter is None:
+                return
+            best_ratio = None
+            leave = None
+            for i in range(len(tab)):
+                coef = tab[i][enter]
+                if coef > 0:
+                    ratio = tab[i][-1] / coef
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leave])
+                    ):
+                        best_ratio = ratio
+                        leave = i
+            if leave is None:
+                raise InfeasibleError("LP is unbounded")
+            pivot(leave, enter)
+
+    optimize([Fraction(0)] * (nvar + m) + [Fraction(1)] * m, width)
+    infeas = sum((tab[i][-1] for i in range(m) if basis[i] >= nvar + m), Fraction(0))
+    if infeas > 0:
+        raise InfeasibleError("no fractional cover exists")
+    for i in reversed(range(len(tab))):
+        if basis[i] >= nvar + m:
+            col = next((j for j in range(nvar + m) if tab[i][j] != 0), None)
+            if col is None:
+                del tab[i]
+                del basis[i]
+            else:
+                pivot(i, col)
+    optimize(list(c) + [Fraction(0)] * (2 * m), nvar + m)
+    x = [Fraction(0)] * nvar
+    for i, bi in enumerate(basis):
+        if bi < nvar:
+            x[bi] = tab[i][-1]
+    return tuple(x)
+
+
+def reference_weights(n, members):
+    rows = [[Fraction(1 if (i + 1) in m else 0) for m in members] for i in range(n)]
+    return reference_simplex_min_geq([Fraction(1)] * len(members), rows, [Fraction(1)] * n)
+
+
+def degenerate_members(rng, n, m):
+    """Members covering {1..n}, mixed with duplicates, full sets and singletons."""
+    members = []
+    while len(members) < m:
+        kind = rng.random()
+        if kind < 0.15:
+            members.append(list(range(1, n + 1)))
+        elif kind < 0.3:
+            members.append([rng.randint(1, n)])
+        elif kind < 0.45 and members:
+            members.append(list(rng.choice(members)))
+        else:
+            members.append(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+    covered = set().union(*map(set, members))
+    return members + [[i] for i in range(1, n + 1) if i not in covered]
+
+
+class TestIntegerTableauMatchesFractionSimplex:
+    """The fraction-free solver returns the same vertex as the Fraction one."""
+
+    def test_seeded_instances(self):
+        rng = random.Random(89)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            members = degenerate_members(rng, n, rng.randint(1, 40))
+            assert min_fractional_cover(n, members).weights == reference_weights(n, members)
+
+    @pytest.mark.parametrize("n, m", [(12, 40), (12, 20), (10, 40), (6, 40)])
+    def test_largest_sizes(self, n, m):
+        rng = random.Random(97 + n * m)
+        members = degenerate_members(rng, n, m)
+        assert min_fractional_cover(n, members).weights == reference_weights(n, members)
+
+    def test_twin_elements(self):
+        # elements 1, 2 lie in the same members, so their rows are equal
+        members = [[1, 2], [1, 2, 3], [3, 4], [1, 2, 4], [4]]
+        assert min_fractional_cover(4, members).weights == reference_weights(4, members)
+
+    def test_general_lps_with_drive_out(self):
+        # A cover LP ends phase 1 with no artificial left in the basis; rows
+        # with negative entries and zero right-hand sides leave degenerate
+        # artificials behind, so the drive-out pivots (most on a negative
+        # entry) run here.
+        rng = random.Random(107)
+        solved = 0
+        for _ in range(1000):
+            m, nvar = rng.randint(1, 5), rng.randint(1, 6)
+            a = [[rng.choice([-1, 0, 0, 1, 1, 2]) for _ in range(nvar)] for _ in range(m)]
+            b = [rng.choice([0, 0, 1, 2]) for _ in range(m)]
+            c = [rng.randint(0, 3) for _ in range(nvar)]
+            try:
+                want = reference_simplex_min_geq(
+                    [Fraction(v) for v in c],
+                    [[Fraction(v) for v in row] for row in a],
+                    [Fraction(v) for v in b],
+                )
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    _simplex_min_geq(c, a, b)
+                continue
+            x, _, d = _simplex_min_geq(c, a, b)
+            assert tuple(Fraction(v, d) for v in x) == want
+            solved += 1
+        assert solved > 600
+
+    def test_ratio_tie_goes_to_lower_basis_index(self):
+        # a seeded instance whose vertex depends on how ratio ties are broken
+        members = [[2, 4, 6, 7, 8], [2, 4, 6, 7, 8], [5], [7], [4], [2, 4, 6, 7, 8],
+                   [2, 4, 5, 6, 7, 8], [7], [4, 5, 6, 7], [6], [1, 2, 7, 8], [3]]
+        assert min_fractional_cover(8, members).weights == reference_weights(8, members)
+
+    def test_full_set_duplicates(self):
+        members = [[1, 2, 3]] * 3 + [[2]]
+        assert min_fractional_cover(3, members).weights == reference_weights(3, members)
+
+
+def check_dual(n, members, solution):
+    """Optimality proof, checked from the members and the dual alone."""
+    y = solution.dual
+    assert len(y) == n
+    assert all(isinstance(v, Fraction) and v >= 0 for v in y)
+    for member in members:
+        assert sum((y[i - 1] for i in member), Fraction(0)) <= 1
+    assert sum(y, Fraction(0)) == solution.objective
+
+
+class TestDualCertificate:
+    def test_triangle(self):
+        solution = min_fractional_cover(3, TRIANGLE_MEMBERS)
+        assert solution.dual == (Fraction(1, 2),) * 3
+        check_dual(3, TRIANGLE_MEMBERS, solution)
+
+    def test_partition(self):
+        members = [[1, 3], [2], [4, 5]]
+        check_dual(5, members, min_fractional_cover(5, members))
+
+    def test_seeded_instances(self):
+        rng = random.Random(101)
+        for _ in range(80):
+            n = rng.randint(1, 12)
+            members = degenerate_members(rng, n, rng.randint(1, 40))
+            check_dual(n, members, min_fractional_cover(n, members))
+
+    def test_matches_vertex_enumeration_oracle(self):
+        rng = random.Random(103)
+        for _ in range(20):
+            n = rng.randint(2, 4)
+            members = degenerate_members(rng, n, rng.randint(1, 3))[:5]
+            solution = min_fractional_cover(n, members)
+            check_dual(n, members, solution)
+            assert solution.objective == solve_by_vertex_enumeration(n, members)

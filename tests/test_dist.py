@@ -22,6 +22,8 @@ from entroset import (
     rationalize,
 )
 
+from entroset.dist import _grid
+
 from genutil import random_dist, random_map
 
 
@@ -231,6 +233,16 @@ class TestRationalize:
         out = rationalize([0.5, 0.5], 1)
         assert out.support == ((0,),)
         assert out.probs == (Fraction(1),)
+
+    @pytest.mark.parametrize("max_denominator", range(1, 17))
+    def test_grid_matches_gcd_scan(self, max_denominator):
+        big_l = math.lcm(*range(1, max_denominator + 1))
+        scan = [
+            m
+            for m in range(big_l + 1)
+            if big_l // math.gcd(m, big_l) <= max_denominator
+        ]
+        assert _grid(big_l, max_denominator) == scan
 
     def test_denominators_bounded(self):
         rng = random.Random(23)
