@@ -13,6 +13,7 @@ Entropy is the only float-valued quantity here; everything feeding it
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -216,6 +217,60 @@ def _grid(big_l: int, max_denominator: int) -> list[int]:
     )
 
 
+def _largest_remainder(target: list[float], q: int) -> list[int]:
+    """Counts k_i summing to q, rounding each target * q up or down.
+
+    The floors are raised by one in order of decreasing remainder (ties to
+    the earlier entry), cycling if float noise leaves more than n to add.
+    """
+    scaled = [t * q for t in target]
+    counts = [math.floor(x) for x in scaled]
+    order = sorted(range(len(target)), key=lambda i: counts[i] - scaled[i])
+    for k in range(q - sum(counts)):
+        counts[order[k % len(order)]] += 1
+    return counts
+
+
+def _sweep(costs: list[list[tuple[int, float]]], big_l: int, limit: float):
+    """Suffix DP over the (value, cost) pairs of each entry, within `limit`.
+
+    Keeps only values and partial sums whose cost, plus the least cost of
+    the entries still unassigned, is <= limit. Returns the least cost of
+    total mass L (None if it was pruned) and, per entry, the value picked
+    at each remaining mass.
+    """
+    rows = [[(a, c) for a, c in row if c <= limit] for row in costs]
+    # what entries 0..i-1, still unassigned at entry i, add at the least and
+    # the most mass, and at the least cost
+    lo, hi, rest = [0], [0], [0.0]
+    for row in rows[:-1]:
+        lo.append(lo[-1] + row[0][0])
+        hi.append(hi[-1] + row[-1][0])
+        rest.append(rest[-1] + min(c for _, c in row))
+    # best[s] = optimal cost of assigning entries i..n-1 with total mass s/L
+    best = {0: 0.0}
+    # choices[i][s] = value picked at entry i given remaining s; values are
+    # swept in ascending order with <=, so exact cost ties keep the largest
+    # value (mass prefers earlier entries at reconstruction)
+    choices = []
+    for i in range(len(rows) - 1, -1, -1):
+        top, bottom, slack = big_l - lo[i], big_l - hi[i], limit - rest[i]
+        nxt: dict[int, float] = {}
+        pick: dict[int, int] = {}
+        keys = sorted(best)
+        for a, c in rows[i]:
+            for s in keys[bisect_left(keys, bottom - a):bisect_right(keys, top - a)]:
+                t = s + a
+                cand = best[s] + c
+                if cand <= slack and cand <= nxt.get(t, math.inf):
+                    nxt[t] = cand
+                    pick[t] = a
+        best = nxt
+        choices.append(pick)
+    choices.reverse()
+    return best.get(big_l), choices
+
+
 def rationalize(
     weights: Sequence[float],
     max_denominator: int,
@@ -227,14 +282,17 @@ def rationalize(
     denominators <= max_denominator, summing to exactly 1, at minimal total
     variation distance from the normalized input. Ties are broken toward
     putting mass on earlier entries. `support` defaults to scalar elements
-    0, 1, 2, ...
+    0, 1, 2, ... If the weights sum past the float range, they are first
+    divided by the largest one.
 
     Every candidate probability is a multiple of 1/L for L = lcm(1..D), so
-    the search is a shortest-path sweep over that grid; max_denominator is
-    capped at 16 to keep L (720720) at desk scale.
+    the search is a shortest-path sweep over that grid. It keeps only the
+    partial sums whose cost stays within a bound no higher than that of
+    largest-remainder rounding, so it returns what a sweep over all L + 1
+    partial sums returns, ties included. max_denominator is capped at 16:
+    the partial sums within the bound, and so the time, grow steeply with
+    the grid (81 values at D = 16, L = 720720) and the number of entries.
     """
-    import numpy as np
-
     if max_denominator < 1:
         raise SchemaError("max_denominator must be >= 1")
     if max_denominator > 16:
@@ -247,6 +305,11 @@ def rationalize(
     if any(w < 0 for w in weights):
         raise SchemaError("weights must be nonnegative")
     total = sum(weights)
+    if not math.isfinite(total):
+        # the sum overflows: scale by the largest weight, which is then 1
+        largest = max(weights)
+        weights = [w / largest for w in weights]
+        total = sum(weights)
     if total <= 0:
         raise SchemaError("weights must have positive sum")
     target = [w / total for w in weights]
@@ -262,37 +325,42 @@ def rationalize(
         )
 
     big_l = math.lcm(*range(1, max_denominator + 1))
-    allowed = np.array(_grid(big_l, max_denominator), dtype=np.int64)
+    grid = _grid(big_l, max_denominator)
     n = len(target)
-    inf = np.inf
-    # best[s] = optimal cost of assigning entries i..n-1 with total mass s/L
-    best = np.full(big_l + 1, inf)
-    best[0] = 0.0
-    # choice[i][s] = index into `allowed` picked at entry i given remaining s;
-    # swept in ascending value order with <=, so exact cost ties keep the
-    # largest value (mass prefers earlier entries at reconstruction)
-    choices = []
-    for i in range(n - 1, -1, -1):
-        cost = np.abs(allowed - target[i] * big_l) / big_l
-        nxt = np.full(big_l + 1, inf)
-        pick = np.full(big_l + 1, -1, dtype=np.int16)
-        for j, (a, c) in enumerate(zip(allowed.tolist(), cost.tolist())):
-            cand = best[: big_l + 1 - a] + c
-            seg = nxt[a:]
-            take = cand <= seg
-            seg[take] = cand[take]
-            pick[a:][take] = j
-        best = nxt
-        choices.append(pick)
-    choices.reverse()
-    if not np.isfinite(best[big_l]):
+    # The sweep assigns entries n-1..0 and sums costs in that order. Float
+    # addition of nonnegative costs is monotone, so a sweep within a limit
+    # keeps every path that costs at most the limit, and every state on it
+    # at its unpruned value; the relative widening covers the rounding of
+    # the lower bounds it adds. If the least cost found is within the
+    # limit, the optimum and every path tied with it were kept, and the
+    # picks are those of a sweep over all L + 1 partial sums. The time
+    # grows steeply with the limit, so limits start low and grow by a
+    # quarter up to `bound`: the least cost, summed in the same order, of
+    # largest-remainder rounding to multiples of 1/q for q <= D.
+    bound = math.inf
+    for q in range(1, max_denominator + 1):
+        step = big_l // q
+        rounded = _largest_remainder(target, q)
+        cost = 0.0
+        for i in range(n - 1, -1, -1):
+            cost = cost + abs(rounded[i] * step - target[i] * big_l) / big_l
+        bound = min(bound, cost)
+    costs = [[(a, abs(a - t * big_l) / big_l) for a in grid] for t in target]
+    least = sum(min(c for _, c in row) for row in costs)
+    # no lower than any entry's least cost, so every entry keeps a value
+    limit = min(bound, max(1.5 * least, bound / 8))
+    while True:
+        value, choices = _sweep(costs, big_l, limit + limit * 1e-9)
+        if value is not None and value <= limit or limit >= bound:
+            break
+        limit = min(bound, 1.25 * limit)
+    if value is None:
         raise ApproximationError("no rational rounding reaches total mass 1")
 
     remaining = big_l
     numerators = []
     for i in range(n):
-        j = int(choices[i][remaining])
-        m = int(allowed[j])
+        m = choices[i][remaining]
         numerators.append(m)
         remaining -= m
     # zero-mass entries are dropped by the constructor

@@ -54,8 +54,8 @@ def format_rational(value: int | Fraction) -> str:
 
 
 def dist_from_json(doc: dict) -> RationalDist:
-    support = _expect(doc, "support", "distribution")
-    probs = _expect(doc, "probs", "distribution")
+    support = _array(_expect(doc, "support", "distribution"), "distribution field 'support'")
+    probs = _array(_expect(doc, "probs", "distribution"), "distribution field 'probs'")
     return RationalDist(support, [parse_rational(p) for p in probs])
 
 
@@ -67,7 +67,7 @@ def dist_to_json(dist: RationalDist) -> dict:
 
 
 def map_from_json(doc: dict) -> FiniteMap:
-    table = _expect(doc, "table", "map")
+    table = _array(_expect(doc, "table", "map"), "map field 'table'")
     for entry in table:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise SchemaError(f"map table entries are [key, value] pairs: {entry!r}")
@@ -81,8 +81,8 @@ def map_to_json(f: FiniteMap) -> dict:
 
 
 def pointset_from_json(doc: dict) -> PointSet:
-    dimension = _expect(doc, "dimension", "point set")
-    points = _expect(doc, "points", "point set")
+    dimension = _int(_expect(doc, "dimension", "point set"), "point set field 'dimension'")
+    points = _array(_expect(doc, "points", "point set"), "point set field 'points'")
     return PointSet(dimension, points)
 
 
@@ -120,8 +120,10 @@ def cover_to_json(cover: CoverSpec) -> dict:
 
 def ineq_spec_from_json(doc: dict) -> InequalitySpec:
     lhs = map_from_json(_expect(doc, "lhs_map", "inequality spec"))
-    rhs = [map_from_json(m) for m in _expect(doc, "rhs_maps", "inequality spec")]
-    coeffs = [parse_rational(c) for c in _expect(doc, "coefficients", "inequality spec")]
+    rhs = _array(_expect(doc, "rhs_maps", "inequality spec"), "inequality spec field 'rhs_maps'")
+    rhs = [map_from_json(m) for m in rhs]
+    coeffs = _expect(doc, "coefficients", "inequality spec")
+    coeffs = [parse_rational(c) for c in _array(coeffs, "inequality spec field 'coefficients'")]
     return InequalitySpec(lhs, rhs, coeffs)
 
 

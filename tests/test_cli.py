@@ -3,11 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import entroset
 from entroset import cli, jsonio
 from entroset.report import exact_text
 
@@ -478,6 +482,32 @@ def test_non_finite_weights_exit_code(capsys, weights):
     assert err == "error: weights must be finite\n"
 
 
+def test_overflowing_weight_sum(capsys):
+    code, out, err = invoke(
+        capsys, ["rationalize", "--weights", "1e308,1e308", "--max-denominator", "8"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["probs"] == ["1/2", "1/2"]
+
+
+def test_cli_does_not_import_numpy():
+    src = str(Path(entroset.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "import entroset.cli\n"
+        "code = entroset.cli.run(['rationalize', '--weights', '0.2,0.3,0.5',"
+        " '--max-denominator', '12'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["probs"] == ["1/5", "3/10", "1/2"]
+
+
 def test_project_empty_pointset_path(capsys):
     code, _, err = invoke(capsys, ["project", "--pointset", "", "--indices", "1"])
     assert code == 2
@@ -517,3 +547,72 @@ class TestCoverDecoding:
         code, out, _ = invoke(capsys, ["cover", "check", "--cover", cover])
         assert code == 0
         assert json.loads(out)["verdict"] == "holds"
+
+
+class TestDocumentDecoding:
+    """Point set, distribution, map and spec documents of the wrong JSON type exit 2."""
+
+    IDENTITY2 = {"table": [[[a, b], [a, b]] for a in range(2) for b in range(2)]}
+    FIRST2 = {"table": [[[a, b], [a]] for a in range(2) for b in range(2)]}
+    CASES = {
+        "points_int": ("pointset", {"dimension": 2, "points": 5},
+                       "point set field 'points' must be an array: 5"),
+        "dimension_bool": ("pointset", {"dimension": True, "points": [[0], [1]]},
+                           "point set field 'dimension' must be an integer: True"),
+        "dimension_float": ("pointset", {"dimension": 2.0, "points": [[0, 1]]},
+                            "point set field 'dimension' must be an integer: 2.0"),
+        "support_int": ("dist", {"support": 3, "probs": ["1"]},
+                        "distribution field 'support' must be an array: 3"),
+        "probs_string": ("dist", {"support": [[0]], "probs": "1"},
+                         "distribution field 'probs' must be an array: '1'"),
+        "table_int": ("map", {"table": 5}, "map field 'table' must be an array: 5"),
+        "table_object": ("map", {"table": {"0": [0]}},
+                         "map field 'table' must be an array: {'0': [0]}"),
+        "rhs_maps_object": (
+            "spec",
+            {"lhs_map": IDENTITY2, "rhs_maps": FIRST2, "coefficients": ["1"]},
+            f"inequality spec field 'rhs_maps' must be an array: {FIRST2!r}",
+        ),
+        "rhs_table_int": (
+            "spec",
+            {"lhs_map": IDENTITY2, "rhs_maps": [{"table": 5}], "coefficients": ["1"]},
+            "map field 'table' must be an array: 5",
+        ),
+        "coefficients_string": (
+            "spec",
+            {"lhs_map": IDENTITY2, "rhs_maps": [FIRST2], "coefficients": "1"},
+            "inequality spec field 'coefficients' must be an array: '1'",
+        ),
+    }
+    GOOD = {
+        "pointset": TRIANGLE_SET,
+        "dist": UNIFORM2,
+        "map": {"table": [[[0], [1]], [[1], [0]]]},
+        "spec": {"lhs_map": IDENTITY2, "rhs_maps": [FIRST2, FIRST2], "coefficients": ["1", "1"]},
+    }
+
+    def argv(self, tmp_path, kind, path):
+        if kind == "pointset":
+            return ["project", "--pointset", path, "--indices", "1"]
+        if kind == "dist":
+            return ["entropy", "--dist", path]
+        if kind == "map":
+            return ["pushforward", "--map", path, "--dist", write(tmp_path, "d.json", UNIFORM2)]
+        square = {"support": [[0, 0], [1, 1]], "probs": ["1/2", "1/2"]}
+        return ["check", "entropy", "--spec", path, "--input", write(tmp_path, "x.json", square)]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_schema_error(self, tmp_path, capsys, case):
+        kind, doc, message = self.CASES[case]
+        argv = self.argv(tmp_path, kind, write(tmp_path, "doc.json", doc))
+        code, out, err = invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", sorted(GOOD))
+    def test_good_document_accepted(self, tmp_path, capsys, kind):
+        argv = self.argv(tmp_path, kind, write(tmp_path, "doc.json", self.GOOD[kind]))
+        code, out, err = invoke(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)

@@ -1,5 +1,6 @@
 """Distribution construction, entropy, pushforward, suitability, rounding."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from entroset import (
     rationalize,
 )
 
+from entroset import dist as dist_module
 from entroset.dist import _grid
 
 from genutil import random_dist, random_map
@@ -256,3 +258,182 @@ class TestRationalize:
             out = rationalize(weights, d)
             assert all(p.denominator <= d for p in out.probs)
             assert sum(out.probs, Fraction(0)) == 1
+
+    def test_overflowing_weight_sum(self):
+        out = rationalize([1e308, 1e308], 8)
+        assert out.probs == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_overflowing_sum_scales_by_largest_weight(self):
+        assert rationalize([1e308, 5e307, 1e308], 8) == rationalize([1.0, 0.5, 1.0], 8)
+        assert rationalize([1.7e308, 1.7e308, 1.0], 12).probs == (
+            Fraction(1, 2), Fraction(1, 2),
+        )
+
+
+def dense_sweep(weights, max_denominator):
+    """Pure-Python copy of the dense sweep over all L + 1 partial sums.
+
+    It builds the same float expressions in the same order as the sparse
+    search: the cost abs(a - t*L) / L, the candidate b + c, an ascending
+    sweep over the grid that keeps a candidate when it is <= the best so
+    far (the largest value wins exact ties), and a forward reconstruction
+    from L. Weights must have a finite, positive sum.
+    """
+    total = sum(weights)
+    target = [w / total for w in weights]
+    big_l = math.lcm(*range(1, max_denominator + 1))
+    allowed = _grid(big_l, max_denominator)
+    best = [0.0] + [math.inf] * big_l
+    choices = []
+    for i in range(len(target) - 1, -1, -1):
+        cost = [abs(a - target[i] * big_l) / big_l for a in allowed]
+        nxt = [math.inf] * (big_l + 1)
+        pick = [-1] * (big_l + 1)
+        for j, (a, c) in enumerate(zip(allowed, cost)):
+            for s in range(big_l + 1 - a):
+                cand = best[s] + c
+                if cand <= nxt[s + a]:
+                    nxt[s + a] = cand
+                    pick[s + a] = j
+        best = nxt
+        choices.append(pick)
+    choices.reverse()
+    remaining = big_l
+    numerators = []
+    for pick in choices:
+        m = allowed[pick[remaining]]
+        numerators.append(m)
+        remaining -= m
+    return RationalDist(
+        [(i,) for i in range(len(target))], [Fraction(m, big_l) for m in numerators]
+    )
+
+
+def numpy_rationalize(weights, max_denominator):
+    """In-test numpy copy of the dense array sweep `rationalize` used before."""
+    np = pytest.importorskip("numpy")
+    total = sum(weights)
+    target = [w / total for w in weights]
+    big_l = math.lcm(*range(1, max_denominator + 1))
+    allowed = np.array(_grid(big_l, max_denominator), dtype=np.int64)
+    n = len(target)
+    best = np.full(big_l + 1, np.inf)
+    best[0] = 0.0
+    choices = []
+    for i in range(n - 1, -1, -1):
+        cost = np.abs(allowed - target[i] * big_l) / big_l
+        nxt = np.full(big_l + 1, np.inf)
+        pick = np.full(big_l + 1, -1, dtype=np.int16)
+        for j, (a, c) in enumerate(zip(allowed.tolist(), cost.tolist())):
+            cand = best[: big_l + 1 - a] + c
+            seg = nxt[a:]
+            take = cand <= seg
+            seg[take] = cand[take]
+            pick[a:][take] = j
+        best = nxt
+        choices.append(pick)
+    choices.reverse()
+    remaining = big_l
+    numerators = []
+    for i in range(n):
+        m = int(allowed[int(choices[i][remaining])])
+        numerators.append(m)
+        remaining -= m
+    return RationalDist([(i,) for i in range(n)], [Fraction(m, big_l) for m in numerators])
+
+
+def seeded_weights(rng, length):
+    """Random weights: uniform floats, small integers (exact ties) or zeros."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [rng.uniform(0.05, 1.0) for _ in range(length)]
+    if kind == 1:
+        return [float(rng.randint(1, 4)) for _ in range(length)]
+    if kind == 2:
+        return [rng.randint(1, 20) / 10 for _ in range(length)]
+    return [rng.choice([0.0, 1.0, 2.0, rng.random()]) for _ in range(length)]
+
+
+def rounds_to_zero(weights, max_denominator):
+    total = sum(weights)
+    return total <= 0 or all(w / total < 1 / (2 * max_denominator) for w in weights)
+
+
+# integer weights whose targets tie exactly between grid values
+TIE_CASES = [
+    ([1.0, 1.0], 1),
+    ([1.0, 1.0, 1.0], 2),
+    ([1.0, 1.0, 1.0, 1.0], 3),
+    ([2.0, 2.0, 2.0], 4),
+    ([1.0, 1.0, 1.0, 1.0, 1.0], 4),
+    ([3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0], 5),
+    ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 6),
+    ([1.0, 3.0, 1.0, 3.0], 3),
+]
+
+
+class TestRationalizeMatchesDenseSweep:
+    """The pruned search returns exactly what the dense sweep returns."""
+
+    @pytest.mark.parametrize("weights,max_denominator", TIE_CASES)
+    def test_exact_ties(self, weights, max_denominator):
+        assert rationalize(weights, max_denominator) == dense_sweep(weights, max_denominator)
+
+    @pytest.mark.parametrize("max_denominator", range(1, 9))
+    def test_single_entry(self, max_denominator):
+        expected = dense_sweep([0.3], max_denominator)
+        assert expected.probs == (Fraction(1),)
+        assert rationalize([0.3], max_denominator) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_instances(self, seed):
+        rng = random.Random(100 + seed)
+        checked = 0
+        while checked < 20:
+            max_denominator = rng.randint(1, 8)
+            length = rng.randint(1, 5 if max_denominator > 6 else 8)
+            weights = seeded_weights(rng, length)
+            if rounds_to_zero(weights, max_denominator):
+                continue
+            got = rationalize(weights, max_denominator)
+            assert got == dense_sweep(weights, max_denominator), (weights, max_denominator)
+            checked += 1
+
+    def test_mutated_sparse_tie_rule_fails(self, monkeypatch):
+        # a copy of the sparse sweep that breaks ties with < must disagree
+        source = inspect.getsource(dist_module._sweep)
+        mutated = source.replace("cand <= nxt.get(", "cand < nxt.get(")
+        assert mutated != source
+        namespace = dict(vars(dist_module))
+        exec(mutated, namespace)
+        monkeypatch.setattr(dist_module, "_sweep", namespace["_sweep"])
+        assert any(
+            rationalize(*case) != dense_sweep(*case) for case in TIE_CASES
+        )
+
+
+class TestRationalizeMatchesNumpySweep:
+    """Against the numpy sweep `rationalize` used before, at larger D."""
+
+    @pytest.mark.parametrize(
+        "max_denominator,count,seed",
+        [(10, 20, 0), (12, 10, 1), (16, 2, 2)],
+        ids=["d10", "d12", "d16"],
+    )
+    def test_seeded_instances(self, max_denominator, count, seed):
+        rng = random.Random(200 + seed)
+        checked = 0
+        while checked < count:
+            length = rng.randint(1, 8 if max_denominator < 16 else 2)
+            weights = seeded_weights(rng, length)
+            if rounds_to_zero(weights, max_denominator):
+                continue
+            expected = numpy_rationalize(weights, max_denominator)
+            assert rationalize(weights, max_denominator) == expected, weights
+            checked += 1
+
+    @pytest.mark.parametrize("max_denominator", [10, 12])
+    def test_exact_ties(self, max_denominator):
+        for weights in ([1.0] * 7, [1.0] * 8, [2.0, 1.0, 2.0, 1.0, 2.0], [5.0]):
+            expected = numpy_rationalize(weights, max_denominator)
+            assert rationalize(weights, max_denominator) == expected, weights
