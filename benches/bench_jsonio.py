@@ -1,0 +1,66 @@
+"""Layer benchmarks of `entroset.jsonio` decoding, timed with pytest-benchmark.
+
+The tier-1 test run does not collect this file (it is not named
+`test_*.py`); pass it explicitly:
+
+    PYTHONPATH=src python -m pytest benches/bench_jsonio.py \
+        --benchmark-only --benchmark-json=out.json
+
+Each round decodes one already-parsed JSON document, so the time is the
+element checks and constructors, not `json.load`. Inputs are seeded and
+fixed, in the shapes the benchmark's `counting` workload reads:
+
+* `pointset_from_json` of 250, 1000 and 4000 distinct points of {0..5}^6;
+* `ineq_spec_from_json` of a cardinality spec on the grids {0..4}^3,
+  {0..5}^4 and {0..6}^4 (125, 1296 and 2401 points): the identity table
+  against the projection tables onto the 3 or 4 members of the cover by
+  all sets of d - 1 coordinates, each with weight 1/(d - 1).
+"""
+
+import random
+from itertools import combinations, product
+
+import pytest
+
+from entroset.jsonio import ineq_spec_from_json, pointset_from_json
+
+DIM = 6
+SPAN = 6
+
+
+def _pointset_doc(count: int, seed: int) -> dict:
+    rng = random.Random(seed)
+    pts: set[tuple[int, ...]] = set()
+    while len(pts) < count:
+        pts.add(tuple(rng.randrange(SPAN) for _ in range(DIM)))
+    return {"dimension": DIM, "points": [list(p) for p in sorted(pts)]}
+
+
+def _table(grid, indices) -> dict:
+    return {"table": [[list(x), [x[i - 1] for i in indices]] for x in grid]}
+
+
+def _spec_doc(side: int, d: int) -> dict:
+    grid = list(product(range(side), repeat=d))
+    members = list(combinations(range(1, d + 1), d - 1))
+    return {
+        "lhs_map": _table(grid, range(1, d + 1)),
+        "rhs_maps": [_table(grid, m) for m in members],
+        "coefficients": [f"1/{d - 1}"] * len(members),
+    }
+
+
+@pytest.mark.parametrize("size", [250, 1000, 4000])
+def test_pointset_from_json(benchmark, size):
+    doc = _pointset_doc(size, seed=size)
+    benchmark.extra_info["points"] = size
+    A = benchmark(pointset_from_json, doc)
+    assert len(A) == size
+
+
+@pytest.mark.parametrize("side,d", [(5, 3), (6, 4), (7, 4)], ids=["g125", "g1296", "g2401"])
+def test_ineq_spec_from_json(benchmark, side, d):
+    doc = _spec_doc(side, d)
+    benchmark.extra_info["domain"] = side**d
+    spec = benchmark(ineq_spec_from_json, doc)
+    assert len(spec.domain) == side**d

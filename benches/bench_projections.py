@@ -14,6 +14,8 @@ Inputs are seeded and fixed:
   its own slice.
 * `project_rv` onto S = {1, 3, 5} of distributions on 40 and 3000 points
   of {0..5}^6 with random exact masses.
+* `project_set` onto S = {1, 3, 5} of point sets of 1k, 4k and 14k points
+  in {0..5}^6 (at most 216 image points).
 """
 
 import random
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from entroset import IndexSet, PointSet, RationalDist, project_rv
+from entroset import IndexSet, PointSet, RationalDist, project_rv, project_set
 from entroset.projections import log_conditional_avg_size
 
 DIM = 6
@@ -61,3 +63,11 @@ def test_project_rv(benchmark, support):
     out = project_rv(X, IndexSet([1, 3, 5]))
     assert sum(out.probs) == 1
     benchmark(project_rv, X, IndexSet([1, 3, 5]))
+
+
+@pytest.mark.parametrize("size", [1000, 4000, 14000])
+def test_project_set(benchmark, size):
+    A = PointSet(DIM, _points(size, seed=size))
+    benchmark.extra_info["points"] = size
+    image = benchmark(project_set, A, IndexSet([1, 3, 5]))
+    assert image.dimension == 3 and len(image) <= SPAN**3

@@ -30,7 +30,7 @@ from .dist import (
     Element,
     FiniteMap,
     RationalDist,
-    as_element,
+    as_elements,
     as_fraction,
     check_base,
     entropy,
@@ -99,7 +99,7 @@ class InequalitySpec:
 def _as_point_collection(A) -> frozenset[Element]:
     if isinstance(A, PointSet):
         return A.points
-    pts = frozenset(as_element(x) for x in A)
+    pts = frozenset(as_elements(A))
     if not pts:
         raise SchemaError("point collection must be nonempty")
     return pts

@@ -8,6 +8,13 @@ at construction) and summing to exactly 1.
 
 Entropy is the only float-valued quantity here; everything feeding it
 (probabilities, preimage sums, denominators) stays exact.
+
+Elements are checked once, where a value enters: a constructor called
+through the API or by a JSON decoder normalizes its elements with
+`as_element`/`as_elements`, which check every coordinate (a whole list at
+once when it is valid). Internal results, such as projections, slices and
+copies of a map, are built from tuples that are already normal and are not
+checked again.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ApproximationError, DomainError, SchemaError
@@ -27,18 +35,50 @@ Element = tuple[int, ...]
 LOG_BASES = (2, math.e)
 
 
+_INT = frozenset({int})
+_SEQUENCES = frozenset({list, tuple})
+
+
 def as_element(value) -> Element:
     """Normalize ints and int sequences to the canonical tuple form."""
     if isinstance(value, int) and not isinstance(value, bool):
         return (value,)
     if isinstance(value, (tuple, list)):
         coords = tuple(value)
+        # exact ints pass at once; bools and int subclasses take the full check
+        if coords and set(map(type, coords)) <= _INT:
+            return coords
         if not coords or not all(
             isinstance(c, int) and not isinstance(c, bool) for c in coords
         ):
             raise SchemaError(f"element coordinates must be integers: {value!r}")
         return coords
     raise SchemaError(f"not a ground element: {value!r}")
+
+
+def _int_tuples(values: list) -> list[Element] | None:
+    """The values as tuples if each is a nonempty list or tuple of ints, else None.
+
+    The ints must be exact `int`s: a bool or an int subclass gives None.
+    """
+    if not set(map(type, values)) <= _SEQUENCES:
+        return None
+    elems = list(map(tuple, values))
+    if all(elems) and set(map(type, chain.from_iterable(elems))) <= _INT:
+        return elems
+    return None
+
+
+def as_elements(values: Iterable) -> list[Element]:
+    """`[as_element(v) for v in values]`, checking all coordinates at once.
+
+    Only when that bulk check fails are the values checked one by one, so
+    the first bad value raises the same error as it would alone.
+    """
+    if not isinstance(values, list):
+        values = list(values)
+    elems = _int_tuples(values)
+    return [as_element(v) for v in values] if elems is None else elems
 
 
 def as_fraction(value) -> Fraction:
@@ -80,7 +120,7 @@ class RationalDist:
     def __init__(self, support: Sequence, probs: Sequence):
         if len(support) != len(probs):
             raise SchemaError("support and probs must have equal length")
-        elems = [as_element(x) for x in support]
+        elems = as_elements(support)
         fracs = [as_fraction(p) for p in probs]
         if any(p < 0 for p in fracs):
             raise SchemaError("probabilities must be nonnegative")
@@ -106,7 +146,7 @@ class RationalDist:
     @classmethod
     def uniform(cls, points: Iterable) -> "RationalDist":
         """Uniform distribution over the given points, in canonical order."""
-        elems = sorted({as_element(x) for x in points})
+        elems = sorted(set(as_elements(points)))
         if not elems:
             raise SchemaError("uniform distribution needs a nonempty point set")
         p = Fraction(1, len(elems))
@@ -135,14 +175,24 @@ class FiniteMap:
 
     def __init__(self, table):
         if isinstance(table, FiniteMap):
-            table = table.table
-        pairs = table.items() if isinstance(table, Mapping) else table
-        normalized: dict[Element, Element] = {}
-        for key, value in pairs:
-            k = as_element(key)
-            if k in normalized:
-                raise SchemaError(f"duplicate key in map table: {k}")
-            normalized[k] = as_element(value)
+            # already normal: copy the table without checking it again
+            object.__setattr__(self, "table", dict(table.table))
+            return
+        pairs = list(table.items() if isinstance(table, Mapping) else table)
+        normalized = None
+        if set(map(type, pairs)) <= _SEQUENCES and set(map(len, pairs)) <= {2}:
+            keys = _int_tuples([k for k, _ in pairs])
+            values = _int_tuples([v for _, v in pairs])
+            if keys is not None and values is not None:
+                normalized = dict(zip(keys, values))
+        if normalized is None or len(normalized) != len(pairs):
+            # a bad entry or a duplicate key: the first one in table order raises
+            normalized = {}
+            for key, value in pairs:
+                k = as_element(key)
+                if k in normalized:
+                    raise SchemaError(f"duplicate key in map table: {k}")
+                normalized[k] = as_element(value)
         if not normalized:
             raise SchemaError("map table must be nonempty")
         object.__setattr__(self, "table", normalized)
@@ -167,7 +217,15 @@ class FiniteMap:
         return tuple(self(x) for x in vec)
 
     def image(self, points: Iterable) -> frozenset[Element]:
-        return frozenset(self(x) for x in points)
+        points = list(points)
+        keys = _int_tuples(points)
+        if keys is None:
+            # a bad point: check and look up one point at a time, in order
+            return frozenset(self(x) for x in points)
+        try:
+            return frozenset(map(self.table.__getitem__, keys))
+        except KeyError as exc:
+            raise DomainError(f"element {exc.args[0]} not in map domain") from None
 
 
 def entropy(dist: RationalDist, base: float = 2) -> float:
@@ -315,7 +373,7 @@ def rationalize(
     target = [w / total for w in weights]
     if support is None:
         support = [(i,) for i in range(len(weights))]
-    elems = [as_element(x) for x in support]
+    elems = as_elements(support)
     if len(elems) != len(weights):
         raise SchemaError("support and weights must have equal length")
 

@@ -68,9 +68,10 @@ def dist_to_json(dist: RationalDist) -> dict:
 
 def map_from_json(doc: dict) -> FiniteMap:
     table = _array(_expect(doc, "table", "map"), "map field 'table'")
-    for entry in table:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise SchemaError(f"map table entries are [key, value] pairs: {entry!r}")
+    if not (set(map(type, table)) <= {list, tuple} and set(map(len, table)) <= {2}):
+        for entry in table:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise SchemaError(f"map table entries are [key, value] pairs: {entry!r}")
     return FiniteMap(table)
 
 
@@ -96,7 +97,7 @@ def pointset_to_json(A: PointSet) -> dict:
 def indexset_from_json(doc) -> IndexSet:
     if not isinstance(doc, (list, tuple)):
         raise SchemaError(f"index sets are 1-based arrays: {doc!r}")
-    return IndexSet([_int(i, "index") for i in doc])
+    return IndexSet(doc)
 
 
 def cover_from_json(doc: dict) -> CoverSpec:

@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable
 
-from .dist import Element, RationalDist, as_element, check_base, entropy
+from .dist import Element, RationalDist, as_element, as_elements, check_base, entropy
 from .errors import EmptySliceError, SchemaError
 
 
@@ -38,7 +39,11 @@ class IndexSet:
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int]):
-        raw = [int(i) for i in indices]
+        raw = []
+        for i in indices:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise SchemaError(f"index must be an integer: {i!r}")
+            raw.append(int(i))
         idx = tuple(sorted(raw))
         if len(set(idx)) != len(idx):
             raise SchemaError(f"duplicate indices: {raw}")
@@ -73,10 +78,10 @@ class PointSet:
     points: frozenset[Element]
 
     def __init__(self, dimension: int, points: Iterable):
-        pts = frozenset(as_element(p) for p in points)
+        pts = frozenset(as_elements(points))
         if not pts:
             raise SchemaError("point set must be nonempty")
-        if any(len(p) != dimension for p in pts):
+        if set(map(len, pts)) != {dimension}:
             raise SchemaError(f"all points must have dimension {dimension}")
         if dimension < 1:
             raise SchemaError("dimension must be >= 1")
@@ -85,10 +90,18 @@ class PointSet:
 
     @classmethod
     def from_points(cls, points: Iterable) -> "PointSet":
-        pts = [as_element(p) for p in points]
+        pts = as_elements(points)
         if not pts:
             raise SchemaError("point set must be nonempty")
         return cls(len(pts[0]), pts)
+
+    @classmethod
+    def _of(cls, dimension: int, points: frozenset[Element]) -> "PointSet":
+        """A point set of already-normal tuples, nonempty and of one dimension."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "dimension", dimension)
+        object.__setattr__(A, "points", points)
+        return A
 
     def sorted_points(self) -> list[Element]:
         return sorted(self.points)
@@ -105,8 +118,15 @@ def _check_indices(S: IndexSet, dimension: int) -> None:
         raise IndexError(f"index set {S.indices} exceeds dimension {dimension}")
 
 
-def _restrict(point: Element, S: IndexSet) -> Element:
-    return tuple(point[i - 1] for i in S.indices)
+def _restrictor(S: IndexSet) -> Callable[[Element], Element]:
+    """The map x -> x_S, built once per index set."""
+    if not S:
+        return lambda x: ()
+    if len(S) == 1:
+        # itemgetter of one index returns the coordinate, not a 1-tuple
+        (i,) = S.indices
+        return lambda x: (x[i - 1],)
+    return itemgetter(*(i - 1 for i in S.indices))
 
 
 def project_set(A: PointSet, S: IndexSet) -> PointSet:
@@ -114,7 +134,7 @@ def project_set(A: PointSet, S: IndexSet) -> PointSet:
     if not S:
         raise SchemaError("cannot project onto the empty index set")
     _check_indices(S, A.dimension)
-    return PointSet(len(S), {_restrict(x, S) for x in A})
+    return PointSet._of(len(S), frozenset(map(_restrictor(S), A.points)))
 
 
 def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
@@ -124,8 +144,9 @@ def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
     _check_indices(S, X.dimension)
     # exact mass sums, support in first-image order (as `pushforward` gives)
     masses: dict[Element, Fraction] = {}
+    restrict = _restrictor(S)
     for x, p in zip(X.support, X.probs):
-        y = _restrict(x, S)
+        y = restrict(x)
         masses[y] = masses.get(y, 0) + p
     return RationalDist(list(masses), list(masses.values()))
 
@@ -143,10 +164,11 @@ def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
         raise SchemaError("conditioning on the empty index set selects all of A")
     _check_indices(S, A.dimension)
     y = as_element(y)
-    pts = {x for x in A if _restrict(x, S) == y}
+    restrict = _restrictor(S)
+    pts = frozenset(x for x in A if restrict(x) == y)
     if not pts:
         raise EmptySliceError(f"no point of A has coordinates {y} on {S.indices}")
-    return PointSet(A.dimension, pts)
+    return PointSet._of(A.dimension, pts)
 
 
 def _group(A: PointSet, S: IndexSet, T: IndexSet) -> dict[Element, list[Element]]:
@@ -155,8 +177,9 @@ def _group(A: PointSet, S: IndexSet, T: IndexSet) -> dict[Element, list[Element]
     One pass over A; a group's length is its slice size |{x in A : x_S = y}|.
     """
     groups: dict[Element, list[Element]] = {}
+    restrict_s, restrict_t = _restrictor(S), _restrictor(T)
     for x in A:
-        groups.setdefault(_restrict(x, S), []).append(_restrict(x, T))
+        groups.setdefault(restrict_s(x), []).append(restrict_t(x))
     return groups
 
 

@@ -10,9 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroset
-from entroset import cli, jsonio
+from entroset import EntrosetError, cli, jsonio
 from entroset.report import exact_text
 
 UNIFORM2 = {"support": [[0], [1]], "probs": ["1/2", "1/2"]}
@@ -583,6 +585,47 @@ class TestDocumentDecoding:
             {"lhs_map": IDENTITY2, "rhs_maps": [FIRST2], "coefficients": "1"},
             "inequality spec field 'coefficients' must be an array: '1'",
         ),
+        # documents with more than one fault: the first in document order wins
+        "duplicate_key_before_bad_value": (
+            "map", {"table": [[[0], [1]], [[0], [0]], [[1], [True]]]},
+            "duplicate key in map table: (0,)",
+        ),
+        "bad_value_before_duplicate_key": (
+            "map", {"table": [[[0], [True]], [[0], [0]], [[1], [0]]]},
+            "element coordinates must be integers: [True]",
+        ),
+        "bad_key_after_bad_value": (
+            "map", {"table": [[[0], [1.5]], [["1"], [0]]]},
+            "element coordinates must be integers: [1.5]",
+        ),
+        "bad_pair_after_bad_value": (
+            "map", {"table": [[[0], []], [[1], [0], [2]]]},
+            "map table entries are [key, value] pairs: [[1], [0], [2]]",
+        ),
+        "rhs_duplicate_key": (
+            "spec",
+            {"lhs_map": IDENTITY2, "rhs_maps": [{"table": FIRST2["table"] + [[[0, 0], [9]]]}],
+             "coefficients": ["1"]},
+            "duplicate key in map table: (0, 0)",
+        ),
+        "point_500_bool": (
+            "pointset",
+            {"dimension": 2,
+             "points": [[i, 0] for i in range(499)] + [[1, True], [0, 1.5], []]},
+            "element coordinates must be integers: [1, True]",
+        ),
+        "point_empty_before_float": (
+            "pointset", {"dimension": 2, "points": [[0, 0], [], [0, 1.5]]},
+            "element coordinates must be integers: []",
+        ),
+        "point_scalar_in_dim_2": (
+            "pointset", {"dimension": 2, "points": [[0, 0], 3]},
+            "all points must have dimension 2",
+        ),
+        "support_bool": (
+            "dist", {"support": [[0], [False]], "probs": ["1/2", "1/2"]},
+            "element coordinates must be integers: [False]",
+        ),
     }
     GOOD = {
         "pointset": TRIANGLE_SET,
@@ -616,3 +659,94 @@ class TestDocumentDecoding:
         code, out, err = invoke(capsys, argv)
         assert (code, err) == (0, "")
         assert json.loads(out)
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.integers(), st.floats(), st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+def mostly(strategy, other=json_values):
+    """`strategy` in about four draws of five, else `other`."""
+    return st.integers(0, 4).flatmap(lambda i: other if i == 0 else strategy)
+
+
+# mostly well-formed, so that most documents reach the constructors
+json_elements = mostly(
+    st.lists(st.integers(0, 1), min_size=1, max_size=2),
+    st.one_of(st.lists(st.one_of(st.integers(0, 1), json_scalars), max_size=3), json_values),
+)
+json_rationals = st.one_of(
+    st.sampled_from(["1", "0", "1/2", "1/3", "2/3", "-1/2", "1/0", "x", "1.5", "1e3", ""]),
+    json_values,
+)
+
+
+def json_docs(fields: dict):
+    """Documents with the given fields, now and then any JSON value in a field's place."""
+    return mostly(st.fixed_dictionaries({k: mostly(v) for k, v in fields.items()}))
+
+
+def json_probs(count: int):
+    """`count` probabilities, mostly uniform so that they sum to 1."""
+    return mostly(
+        st.just([f"1/{count}"] * count),
+        st.lists(json_rationals, min_size=count, max_size=count),
+    )
+
+
+@st.composite
+def json_dist_docs(draw):
+    count = draw(st.integers(1, 4))
+    return draw(json_docs({
+        "support": st.lists(json_elements, min_size=count, max_size=count),
+        "probs": json_probs(count),
+    }))
+
+
+map_docs = json_docs({
+    "table": st.lists(mostly(st.lists(json_elements, min_size=2, max_size=2)), min_size=1, max_size=5)
+})
+
+
+@st.composite
+def json_spec_docs(draw):
+    count = draw(st.integers(1, 3))
+    return draw(json_docs({
+        "lhs_map": map_docs,
+        "rhs_maps": st.lists(map_docs, min_size=count, max_size=count),
+        "coefficients": st.lists(json_rationals, min_size=count, max_size=count),
+    }))
+
+
+DECODER_DOCS = {
+    "pointset": (jsonio.pointset_from_json, json_docs({
+        "dimension": st.integers(0, 2),
+        "points": st.lists(json_elements, min_size=1, max_size=6),
+    })),
+    "dist": (jsonio.dist_from_json, json_dist_docs()),
+    "map": (jsonio.map_from_json, map_docs),
+    "spec": (jsonio.ineq_spec_from_json, json_spec_docs()),
+}
+
+
+class TestDecoderFuzz:
+    """Decoders given any JSON value return or raise an EntrosetError, nothing else."""
+
+    @pytest.mark.parametrize("kind", sorted(DECODER_DOCS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_only_entroset_errors(self, kind, data):
+        decode, docs = DECODER_DOCS[kind]
+        doc = json.loads(json.dumps(data.draw(docs)))
+        try:
+            decode(doc)
+        except EntrosetError:
+            pass

@@ -3,6 +3,7 @@
 import inspect
 import math
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +25,7 @@ from entroset import (
 )
 
 from entroset import dist as dist_module
-from entroset.dist import _grid
+from entroset.dist import _grid, as_element, as_elements
 
 from genutil import random_dist, random_map
 
@@ -437,3 +438,159 @@ class TestRationalizeMatchesNumpySweep:
         for weights in ([1.0] * 7, [1.0] * 8, [2.0, 1.0, 2.0, 1.0, 2.0], [5.0]):
             expected = numpy_rationalize(weights, max_denominator)
             assert rationalize(weights, max_denominator) == expected, weights
+
+
+def reference_as_element(value):
+    """`as_element` as it was before its fast path: every coordinate checked alone."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return (value,)
+    if isinstance(value, (tuple, list)):
+        coords = tuple(value)
+        if not coords or not all(
+            isinstance(c, int) and not isinstance(c, bool) for c in coords
+        ):
+            raise SchemaError(f"element coordinates must be integers: {value!r}")
+        return coords
+    raise SchemaError(f"not a ground element: {value!r}")
+
+
+def reference_table(table):
+    """`FiniteMap.__init__`'s table as it was: one entry at a time, in order."""
+    pairs = table.items() if isinstance(table, dict) else table
+    normalized = {}
+    for key, value in pairs:
+        k = reference_as_element(key)
+        if k in normalized:
+            raise SchemaError(f"duplicate key in map table: {k}")
+        normalized[k] = reference_as_element(value)
+    if not normalized:
+        raise SchemaError("map table must be nonempty")
+    return normalized
+
+
+def reference_image(f, points):
+    """`FiniteMap.image` as it was: each point checked, then looked up, in order."""
+    image = set()
+    for x in points:
+        key = reference_as_element(x)
+        if key not in f.table:
+            raise DomainError(f"element {key} not in map domain")
+        image.add(f.table[key])
+    return frozenset(image)
+
+
+def outcome(fn, *args):
+    """The result's repr (which tells an IntEnum from an int), or the error raised."""
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as exc:  # compared, never hidden: both sides must match
+        return type(exc).__name__, str(exc)
+
+
+class Small(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+coordinates = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.booleans(),
+    st.sampled_from(list(Small)),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+int_lists = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+elements = st.one_of(
+    st.integers(),
+    int_lists,
+    st.tuples(st.integers(), st.integers()),
+    coordinates,
+    st.lists(coordinates, max_size=4),
+    st.tuples(coordinates, coordinates),
+)
+element_lists = st.one_of(
+    st.lists(int_lists, max_size=8),
+    st.lists(st.one_of(int_lists, st.integers()), max_size=8),
+    st.lists(elements, max_size=8),
+)
+# keys from a small domain, so that duplicates are common
+map_keys = st.one_of(st.lists(st.integers(0, 2), min_size=1, max_size=2), elements)
+map_pairs = st.lists(st.tuples(map_keys, elements).map(list), max_size=6)
+
+SEEDED_ELEMENTS = [
+    0, -7, 2**80, True, False, Small.ONE, 1.0, float("nan"), "3", "", None,
+    [], (), [1], (1, 2), [0, -1, 2**70], [True], [1, False], [Small.TWO, 3],
+    (Small.ONE,), [1.0], [1, 2.5], ["1"], [None], [[1]], [1, [2]], ([1], [2]),
+    {1: 2}, {1, 2},
+]
+SEEDED_LISTS = [
+    [],
+    [[1, 2], [3, 4]],
+    [(1, 2), [3, 4]],
+    [[1], 2, (3,)],
+    [[1, 2], [3, True]],
+    [[1], [], [2.0]],
+    [[1], [2.0], []],
+    [[Small.ONE, 2], [3, 4]],
+    [[1, 2], "12"],
+    [[0, i] for i in range(499)] + [[1, True]] + [[2, i] for i in range(10)],
+]
+
+
+class TestElementFastPath:
+    """`as_element`, `as_elements`, map tables and images against the old checks."""
+
+    @pytest.mark.parametrize("value", SEEDED_ELEMENTS, ids=repr)
+    def test_seeded_element(self, value):
+        assert outcome(as_element, value) == outcome(reference_as_element, value)
+
+    @pytest.mark.parametrize("values", SEEDED_LISTS, ids=range(len(SEEDED_LISTS)))
+    def test_seeded_list(self, values):
+        expected = outcome(lambda vs: [reference_as_element(v) for v in vs], values)
+        assert outcome(as_elements, values) == expected
+        assert outcome(as_elements, tuple(values)) == expected
+        assert outcome(as_elements, iter(values)) == expected
+
+    @given(elements)
+    def test_element(self, value):
+        assert outcome(as_element, value) == outcome(reference_as_element, value)
+
+    @given(element_lists)
+    def test_list(self, values):
+        expected = outcome(lambda vs: [reference_as_element(v) for v in vs], values)
+        assert outcome(as_elements, values) == expected
+
+    @given(map_pairs)
+    def test_map_table(self, pairs):
+        assert outcome(lambda p: FiniteMap(p).table, pairs) == outcome(reference_table, pairs)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[[0], [0]], [[0], [1]], [[1], [True]]],
+            [[[0], [True]], [[0], [1]]],
+            [[[0], [0]], [[1], [0], [2]]],
+            [[[0], [0]], 5],
+            [[[0], [0]], [[0], [0]]],
+            {(0,): [1], 1: (2,)},
+        ],
+        ids=["duplicate-first", "bad-value-first", "triple", "scalar-entry", "same-pair", "mapping"],
+    )
+    def test_seeded_map_table(self, pairs):
+        assert outcome(lambda p: FiniteMap(p).table, pairs) == outcome(reference_table, pairs)
+
+    @given(st.lists(st.one_of(st.lists(st.integers(0, 3), min_size=2, max_size=2), elements),
+                    max_size=6))
+    def test_image(self, points):
+        f = FiniteMap({(a, b): (a + b,) for a in range(3) for b in range(3)})
+        assert outcome(lambda p: sorted(f.image(p)), points) == outcome(
+            lambda p: sorted(reference_image(f, p)), points
+        )
+
+    def test_map_copy_shares_no_table(self):
+        f = FiniteMap({(0,): (1,), (1,): (0,)})
+        g = FiniteMap(f)
+        assert g == f and g.table == f.table and g.table is not f.table

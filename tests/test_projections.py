@@ -38,6 +38,18 @@ class TestIndexSet:
         with pytest.raises(SchemaError):
             IndexSet([0, 2])
 
+    @pytest.mark.parametrize(
+        "bad", [1.9, 2.0, "3", True, False, None, (1,)], ids=repr
+    )
+    def test_rejects_non_integer_index(self, bad):
+        with pytest.raises(SchemaError) as info:
+            IndexSet([1, bad])
+        assert str(info.value) == f"index must be an integer: {bad!r}"
+
+    def test_accepts_every_int(self):
+        assert IndexSet(range(3, 0, -1)).indices == (1, 2, 3)
+        assert IndexSet([2**70]).indices == (2**70,)
+
     def test_s_star(self):
         assert s_star(IndexSet([3, 5])).indices == (1, 2)
         assert s_star(IndexSet([1, 4])).indices == ()
