@@ -2,10 +2,10 @@
 
 The two sides of the correspondence are kept honest with one another:
 
-* cardinality checks count images exactly and compare in log-space, with
-  an exact big-integer fallback inside the float-noise band, so a false
-  "violated" can never come from rounding;
-* entropy checks evaluate pushforward entropies as floats;
+* every checker decides through one comparator, `_compare`: both sides
+  are products of counts, conditional average sizes and powers 2^H, each
+  with a float log and an exact form, so a verdict is decided exactly, or
+  in floats only outside the tolerance band, or is `inconclusive`;
 * `lemma2_witness` builds the uniform variable on fiber representatives
   whose image entropy equals log|f(A)| exactly, the bridge from entropy
   statements back to counting statements;
@@ -21,7 +21,7 @@ cardinality side, where the bridge argument needs positivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,6 +34,7 @@ from .dist import (
     as_fraction,
     check_base,
     entropy,
+    entropy_power,
     minimal_suitable_k,
     pushforward,
 )
@@ -45,9 +46,11 @@ from .errors import (
     SuitabilityError,
 )
 from .projections import (
+    EMPTY_INDEX_SET,
     PointSet,
     log_conditional_avg_size,
     conditional_entropy,
+    conditional_size_power,
     project_rv,
     project_set,
     s_star,
@@ -58,14 +61,13 @@ from .report import (
     VIOLATED,
     CheckReport,
     exact_text,
-    verdict_from_slack,
 )
 from .ruzsa import DEFAULT_ENUM_LIMIT, RuzsaSpec, _mapped_arrangements, ruzsa_size
 
 DEFAULT_TOLERANCE = 1e-9
 
 # refuse exact power comparisons beyond this many bits
-_EXACT_FALLBACK_BIT_LIMIT = 2_000_000
+_EXACT_BIT_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -105,55 +107,66 @@ def _as_point_collection(A) -> frozenset[Element]:
     return pts
 
 
-def _exact_power_verdict(
-    lhs_count: int, rhs_counts: list[int], coeffs: Sequence[Fraction]
-) -> str | None:
-    """Compare lhs <= prod rhs_i^a_i by integer powers; None if too large."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    exps = [int(c * d) for c in coeffs]
-    bits = d * lhs_count.bit_length() + sum(
-        e * r.bit_length() for e, r in zip(exps, rhs_counts)
-    )
-    if bits > _EXACT_FALLBACK_BIT_LIMIT:
+def _count(n: int, base: float = 2):
+    return (math.log2(n) if base == 2 else math.log(n)), n
+
+
+def _counted(lhs_count: int, rhs_counts: list[int], coefficients):
+    return [(1, _count(lhs_count))], [(c, _count(r)) for c, r in zip(coefficients, rhs_counts)]
+
+
+def _entropy_term(X: RationalDist, base: float):
+    return entropy(X, base=base), lambda: entropy_power(X)
+
+
+def _exact_verdict(lhs, rhs) -> str | None:
+    """Compare prod lhs <= prod rhs exactly; None past the bit limit."""
+    forms = [
+        (sign, c, (1, {f: 1}) if isinstance(f, int) else f())
+        for sign, side in ((-1, lhs), (1, rhs))
+        for c, (_, f) in side
+    ]
+    lcm = math.lcm(*(c.denominator * d for _, c, (d, _) in forms))
+    # prod b^e over `exps` is (rhs / lhs)^lcm; integer exponents only
+    exps: dict[int, int] = {}
+    for sign, c, (d, powers) in forms:
+        scale = sign * c.numerator * (lcm // (c.denominator * d))
+        for b, e in powers.items():
+            exps[b] = exps.get(b, 0) + scale * e
+    exps.pop(1, None)
+    # (rhs / lhs)^(lcm / g) is >= 1 just when (rhs / lhs)^lcm is
+    g = math.gcd(*exps.values()) or 1
+    if sum(abs(e) // g * b.bit_length() for b, e in exps.items()) > _EXACT_BIT_LIMIT:
         return None
-    lhs_pow = lhs_count**d
-    rhs_pow = 1
-    for r, e in zip(rhs_counts, exps):
-        rhs_pow *= r**e
-    return HOLDS if lhs_pow <= rhs_pow else VIOLATED
+    num = math.prod(b ** (e // g) for b, e in exps.items() if e > 0)
+    den = math.prod(b ** (-e // g) for b, e in exps.items() if e < 0)
+    return HOLDS if den <= num else VIOLATED
 
 
-def _cardinality_report(
-    lhs_count: int,
-    rhs_counts: list[int],
-    coeffs: Sequence[Fraction],
-    tolerance: float,
-    extra: dict | None = None,
-) -> CheckReport:
-    lhs_log = math.log2(lhs_count)
-    rhs_log = sum(float(c) * math.log2(r) for c, r in zip(coeffs, rhs_counts))
+def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckReport:
+    """Is prod term^c over lhs <= the same over rhs, for (c, term) pairs?
+
+    A term is (log, form): a float log, and an int count or a function
+    giving (d, {b: e}) with term^d = prod b^e, called only when needed.
+    Exact when every term is a count and every c an integer; else by the
+    float slack outside the tolerance band, exact inside it. Past the bit
+    limit the slack decides outside the band; inside it is inconclusive.
+    """
+    lhs_log = sum(float(c) * log for c, (log, _) in lhs)
+    rhs_log = sum(float(c) * log for c, (log, _) in rhs)
     slack = rhs_log - lhs_log
-    if abs(slack) >= tolerance:
-        verdict = verdict_from_slack(slack, tolerance)
-        provenance = "float"
-    else:
-        exact = _exact_power_verdict(lhs_count, rhs_counts, coeffs)
-        verdict = INCONCLUSIVE if exact is None else exact
-        provenance = "exact" if exact is not None else "float"
-    details = {
-        "lhs_count": exact_text(lhs_count),
-        "rhs_counts": [exact_text(r) for r in rhs_counts],
-        "coefficients": [str(c) for c in coeffs],
-    }
-    if extra:
-        details.update(extra)
+    counts = all(isinstance(f, int) and c.denominator == 1 for c, (_, f) in lhs + rhs)
+    in_band = abs(slack) < tolerance
+    verdict = _exact_verdict(lhs, rhs) if counts or in_band else None
+    provenance = "float" if verdict is None else "exact"
+    verdict = verdict or (INCONCLUSIVE if in_band else HOLDS if slack >= 0 else VIOLATED)
     return CheckReport(
         verdict=verdict,
         lhs=lhs_log,
         rhs=rhs_log,
         slack=slack,
         provenance=provenance,
-        details=details,
+        details=details or {},
     )
 
 
@@ -170,7 +183,15 @@ def check_cardinality(
         raise DomainError("point set is not contained in the maps' domain")
     lhs_count = len(spec.lhs_map.image(points))
     rhs_counts = [len(m.image(points)) for m in spec.rhs_maps]
-    return _cardinality_report(lhs_count, rhs_counts, spec.coefficients, tolerance)
+    return _compare(
+        *_counted(lhs_count, rhs_counts, spec.coefficients),
+        tolerance,
+        {
+            "lhs_count": exact_text(lhs_count),
+            "rhs_counts": [exact_text(r) for r in rhs_counts],
+            "coefficients": [str(c) for c in spec.coefficients],
+        },
+    )
 
 
 def check_entropy(
@@ -180,23 +201,26 @@ def check_entropy(
     base: float = 2,
 ) -> CheckReport:
     """H(f(X)) <= sum a_i H(f_i(X)); negative a_i evaluated as given."""
+    return _entropy_check(spec, X, tolerance, base)[0]
+
+
+def _entropy_check(spec: InequalitySpec, X: RationalDist, tolerance: float, base: float):
+    """check_entropy's report, and the images f(X), f_1(X), ... it compares."""
     check_base(base)
     if not frozenset(X.support) <= spec.domain:
         raise DomainError("distribution support is not contained in the maps' domain")
-    lhs = entropy(pushforward(spec.lhs_map, X), base=base)
-    parts = [entropy(pushforward(m, X), base=base) for m in spec.rhs_maps]
-    rhs = sum(float(c) * h for c, h in zip(spec.coefficients, parts))
-    slack = rhs - lhs
-    return CheckReport(
-        verdict=verdict_from_slack(slack, tolerance),
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        details={
-            "rhs_entropies": parts,
+    images = [pushforward(m, X) for m in (spec.lhs_map, *spec.rhs_maps)]
+    parts = [_entropy_term(d, base) for d in images[1:]]
+    report = _compare(
+        [(1, _entropy_term(images[0], base))],
+        list(zip(spec.coefficients, parts)),
+        tolerance,
+        {
+            "rhs_entropies": [h for h, _ in parts],
             "coefficients": [str(c) for c in spec.coefficients],
         },
     )
+    return report, images
 
 
 def lemma2_witness(A, f: FiniteMap) -> RationalDist:
@@ -241,60 +265,81 @@ def empirical_lemma1(
         raise NegativeCoefficientError(
             "counting-side checks require nonnegative coefficients"
         )
-    if not frozenset(X.support) <= spec.domain:
-        raise DomainError("distribution support is not contained in the maps' domain")
+    entropy_side, (image, *image_rhs) = _entropy_check(spec, X, tolerance, base)
     k_min = minimal_suitable_k(X)
     ks = list(range(k_min, k_max + 1, k_min))
     if not ks:
         raise SuitabilityError(f"no suitable k <= {k_max} (minimal is {k_min})")
-    image = pushforward(spec.lhs_map, X)
-    image_rhs = [pushforward(m, X) for m in spec.rhs_maps]
-    h_lhs = entropy(image, base=base)
-    h_rhs = sum(
-        float(c) * entropy(d, base=base)
-        for c, d in zip(spec.coefficients, image_rhs)
-    )
-    log = math.log2 if base == 2 else math.log
+    # rows are counted in base 2 and rescaled to the report's base
+    scale = 1 if base == 2 else math.log(2)
     rows = []
-    all_hold = True
     for k in ks:
         lhs_count = ruzsa_size(RuzsaSpec(image, k))
         rhs_counts = [ruzsa_size(RuzsaSpec(d, k)) for d in image_rhs]
         enumerated = lhs_count
         if cross_validate:
             src = RuzsaSpec(X, k)
-            mapped = _mapped_arrangements(spec.lhs_map, src, image.support, limit)
-            enumerated = len(mapped)
-        report = _cardinality_report(
-            lhs_count, rhs_counts, spec.coefficients, tolerance
-        )
+            enumerated = len(_mapped_arrangements(spec.lhs_map, src, image.support, limit))
+        report = _compare(*_counted(lhs_count, rhs_counts, spec.coefficients), tolerance)
         row = {
             "k": k,
             "verdict": report.verdict,
-            "lhs_rate": report.lhs / k,
-            "rhs_rate": report.rhs / k,
+            "lhs_rate": report.lhs / k * scale,
+            "rhs_rate": report.rhs / k * scale,
             "lhs_count": exact_text(lhs_count),
             "rhs_counts": [exact_text(r) for r in rhs_counts],
         }
         if enumerated != lhs_count:
             row["verdict"] = VIOLATED
             row["enumerated_count"] = exact_text(enumerated)
-        all_hold = all_hold and row["verdict"] == HOLDS
         rows.append(row)
-    # rates are in base 2; rescale rows if natural log requested
-    if base != 2:
-        for row in rows:
-            row["lhs_rate"] *= math.log(2)
-            row["rhs_rate"] *= math.log(2)
-    slack = h_rhs - h_lhs
-    return CheckReport(
-        verdict=HOLDS if all_hold else VIOLATED,
-        lhs=h_lhs,
-        rhs=h_rhs,
-        slack=slack,
+    verdicts = {row["verdict"] for row in rows}
+    return replace(
+        entropy_side,
+        # any violated row decides; an inconclusive one leaves it open
+        verdict=next((v for v in (VIOLATED, INCONCLUSIVE) if v in verdicts), HOLDS),
         provenance="exact",
         details={"rows": rows, "k_values": ks},
     )
+
+
+def _side(data, side: str, n: int, base: float):
+    """The whole-data term of one side of the correspondence, and its parts.
+
+    Sets: |A| and part(T, C) = |A_T cond A_C|, a count when C is empty.
+    Entropy: 2^H(X) and part(T, C) = 2^H(X_T | X_C).
+    """
+    if side == "sets":
+        A = data if isinstance(data, PointSet) else PointSet.from_points(data)
+
+        def part(T, C):
+            if not C:
+                return _count(len(project_set(A, T)), base)
+            log = log_conditional_avg_size(A, T, C, base=base)
+            return log, lambda: conditional_size_power(A, T, C)
+
+        whole, dimension = _count(len(A), base), A.dimension
+    elif side == "entropy":
+        X = data
+
+        def part(T, C):
+            def form():
+                # 2^H(X_T | X_C) = 2^H(X_{T u C}) / 2^H(X_C), and d_c divides d
+                d, powers = entropy_power(project_rv(X, T.union(C)))
+                if C:
+                    d_c, given = entropy_power(project_rv(X, C))
+                    for b, e in given.items():
+                        powers[b] = powers.get(b, 0) - e * (d // d_c)
+                return d, powers
+
+            return conditional_entropy(X, T, C, base=base), form
+
+        whole, dimension = _entropy_term(X, base), X.dimension
+    else:
+        raise SchemaError(f"side must be 'sets' or 'entropy', got {side!r}")
+    if n != dimension:
+        raise SchemaError(f"cover is over [{n}] but data has dimension {dimension}")
+    return whole, part
 
 
 def check_shearer(
@@ -308,47 +353,19 @@ def check_shearer(
     """Uniform k-cover inequality: |A|^k <= prod |A_S| or kH(X) <= sum H(X_S)."""
     check_base(base)
     uniform = is_uniform_k_cover(cover, k)
-    if uniform.verdict != "uniform":
+    if not uniform.details["uniform"]:
         raise CoverError(f"not a uniform {k}-cover: counts {uniform.details['counts']}")
-    if side == "sets":
-        A = data if isinstance(data, PointSet) else PointSet.from_points(data)
-        _require_dimension(cover.n, A.dimension)
-        lhs_count = len(A) ** k
-        rhs_count = 1
-        sizes = []
-        for member in cover.members:
-            size = len(project_set(A, member))
-            sizes.append(size)
-            rhs_count *= size
-        lhs_log = k * math.log2(len(A))
-        rhs_log = sum(math.log2(s) for s in sizes)
-        return CheckReport(
-            verdict=HOLDS if lhs_count <= rhs_count else VIOLATED,
-            lhs=lhs_log,
-            rhs=rhs_log,
-            slack=rhs_log - lhs_log,
-            provenance="exact",
-            details={
-                "lhs_count": exact_text(lhs_count),
-                "rhs_count": exact_text(rhs_count),
-                "projection_sizes": [exact_text(s) for s in sizes],
-            },
-        )
+    whole, part = _side(data, side, cover.n, base)
+    parts = [part(member, EMPTY_INDEX_SET) for member in cover.members]
+    report = _compare([(k, whole)], [(1, t) for t in parts], tolerance)
     if side == "entropy":
-        X = data
-        _require_dimension(cover.n, X.dimension)
-        lhs = k * entropy(X, base=base)
-        parts = [entropy(project_rv(X, member), base=base) for member in cover.members]
-        rhs = sum(parts)
-        slack = rhs - lhs
-        return CheckReport(
-            verdict=verdict_from_slack(slack, tolerance),
-            lhs=lhs,
-            rhs=rhs,
-            slack=slack,
-            details={"projection_entropies": parts},
-        )
-    raise SchemaError(f"side must be 'sets' or 'entropy', got {side!r}")
+        return replace(report, details={"projection_entropies": [h for h, _ in parts]})
+    sizes = [size for _, size in parts]
+    details = {"projection_sizes": [exact_text(s) for s in sizes]}
+    if report.provenance == "exact":  # the powers are within the bit limit
+        details = {"lhs_count": exact_text(whole[1] ** k),
+                   "rhs_count": exact_text(math.prod(sizes)), **details}
+    return replace(report, details=details)
 
 
 def check_projection_theorem(
@@ -372,43 +389,14 @@ def check_projection_theorem(
     members = [
         (m, w) for m, w in zip(cover.members, cover.weights) if w > 0
     ]
-    if side == "sets":
-        A = data if isinstance(data, PointSet) else PointSet.from_points(data)
-        _require_dimension(cover.n, A.dimension)
-        lhs = math.log2(len(A)) if base == 2 else math.log(len(A))
-        terms = [
-            float(w) * log_conditional_avg_size(A, m, s_star(m), base=base)
-            for m, w in members
-        ]
-        rhs = sum(terms)
-        slack = rhs - lhs
-        return CheckReport(
-            verdict=verdict_from_slack(slack, tolerance),
-            lhs=lhs,
-            rhs=rhs,
-            slack=slack,
-            details={"terms": terms, "members": [list(m.indices) for m, _ in members]},
-        )
-    if side == "entropy":
-        X = data
-        _require_dimension(cover.n, X.dimension)
-        lhs = entropy(X, base=base)
-        terms = [
-            float(w) * conditional_entropy(X, m, s_star(m), base=base)
-            for m, w in members
-        ]
-        rhs = sum(terms)
-        slack = rhs - lhs
-        return CheckReport(
-            verdict=verdict_from_slack(slack, tolerance),
-            lhs=lhs,
-            rhs=rhs,
-            slack=slack,
-            details={"terms": terms, "members": [list(m.indices) for m, _ in members]},
-        )
-    raise SchemaError(f"side must be 'sets' or 'entropy', got {side!r}")
-
-
-def _require_dimension(n: int, dimension: int) -> None:
-    if n != dimension:
-        raise SchemaError(f"cover is over [{n}] but data has dimension {dimension}")
+    whole, part = _side(data, side, cover.n, base)
+    terms = [(w, part(m, s_star(m))) for m, w in members]
+    return _compare(
+        [(1, whole)],
+        terms,
+        tolerance,
+        {
+            "terms": [float(w) * log for w, (log, _) in terms],
+            "members": [list(m.indices) for m, _ in members],
+        },
+    )

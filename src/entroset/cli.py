@@ -312,10 +312,8 @@ def _ruzsa_converge(args, config):
 
 def _cover_check(args, config):
     cover = _load_cover(args.cover)
-    if args.k is None:
-        return _verdict(is_fractional_cover(cover))
-    report = is_uniform_k_cover(cover, args.k)
-    return report.to_json(), 0 if report.verdict in ("uniform", "k-cover") else 1
+    k = args.k
+    return _verdict(is_fractional_cover(cover) if k is None else is_uniform_k_cover(cover, k))
 
 
 def _cover_min(args, config):

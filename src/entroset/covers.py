@@ -109,27 +109,24 @@ def is_fractional_cover(cover: CoverSpec) -> CheckReport:
 
 
 def is_uniform_k_cover(cover: CoverSpec, k: int) -> CheckReport:
-    """Multiplicity check: 'uniform' if every count equals k, 'k-cover' if >= k."""
+    """Multiplicity check: holds if every count is >= k; details say if all equal k."""
     counts = cover.multiplicities()
     uniform = all(c == k for c in counts)
-    at_least = all(c >= k for c in counts)
-    verdict = "uniform" if uniform else ("k-cover" if at_least else VIOLATED)
     bad = [i + 1 for i, c in enumerate(counts) if c < k]
     return CheckReport(
-        verdict=verdict,
+        verdict=VIOLATED if bad else HOLDS,
         lhs=float(k),
         rhs=float(min(counts)),
         slack=float(min(counts) - k),
         witnesses=tuple({"element": i} for i in bad),
         provenance="exact",
-        details={"counts": counts, "k": k, "uniform": uniform, "k_cover": at_least},
+        details={"counts": counts, "k": k, "uniform": uniform, "k_cover": not bad},
     )
 
 
 def uniform_cover_as_fractional(cover: CoverSpec, k: int) -> CoverSpec:
     """Scale a uniform k-cover by 1/k; every coverage sum becomes exactly 1."""
-    report = is_uniform_k_cover(cover, k)
-    if report.verdict != "uniform":
+    if not is_uniform_k_cover(cover, k).details["uniform"]:
         raise SchemaError(f"not a uniform {k}-cover")
     w = Fraction(1, k)
     return CoverSpec(cover.n, cover.members, [w] * len(cover.members))

@@ -7,7 +7,7 @@ positive denominator, strictly positive (zero-mass outcomes are dropped
 at construction) and summing to exactly 1.
 
 Entropy is the only float-valued quantity here; everything feeding it
-(probabilities, preimage sums, denominators) stays exact.
+(probabilities, preimage sums, denominators) stays exact, as does 2^(d*H).
 
 Elements are checked once, where a value enters: a constructor called
 through the API or by a JSON decoder normalizes its elements with
@@ -244,6 +244,16 @@ def _entropy_term(p: Fraction, base: float) -> float:
         # the exact numerator and denominator, then round p * log(1/p) once
         return float(p * Fraction(_log(p.denominator, base) - _log(p.numerator, base)))
     return q * _log(inv, base)
+
+
+def entropy_power(dist: RationalDist) -> tuple[int, dict[int, int]]:
+    """(d, {b: e}) with 2^(d*H) = prod b^e: for p_i = c_i/d, d^d / prod c_i^c_i."""
+    d = minimal_suitable_k(dist)
+    powers = {d: d}
+    for p in dist.probs:
+        c = p.numerator * (d // p.denominator)
+        powers[c] = powers.get(c, 0) - c
+    return d, powers
 
 
 def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:

@@ -7,8 +7,8 @@ weight slice sizes by the exact probability that a uniformly random point
 of A lands in the slice. Conditioning on the empty index set is defined
 to be no conditioning at all.
 
-Exponents stay exact rationals; only the final log-space accumulation is
-floating point.
+Its log is accumulated in floats; `conditional_size_power` gives its
+|A|-th power exactly, as a product of integer powers.
 
 Slices are built in one grouping pass over A (`_group`), so a conditional
 average size costs O(|A|) restrictions plus a sort of the |A_S| slice
@@ -207,8 +207,17 @@ def log_conditional_avg_size(
     total = len(A)
     acc = 0.0
     for _, group in sorted(_group(A, S, T).items()):
-        acc += float(Fraction(len(group), total)) * log(len(set(group)))
+        acc += len(group) / total * log(len(set(group)))
     return acc
+
+
+def conditional_size_power(A: PointSet, T: IndexSet, S: IndexSet):
+    """(|A|, {s: e}) with |A_T cond A_S|^|A| = prod s^e: e points lie in slices of T-size s."""
+    powers: dict[int, int] = {}
+    for group in _group(A, S, T).values():
+        size = len(set(group))
+        powers[size] = powers.get(size, 0) + len(group)
+    return len(A), powers
 
 
 def conditional_avg_size(A: PointSet, T: IndexSet, S: IndexSet) -> float:

@@ -1,8 +1,9 @@
 """Check reports: evaluated sides of an inequality plus a verdict.
 
 Reports are plain value objects. `lhs`/`rhs` are floats (log-space for
-cardinality checks); when the comparison was settled by exact integer or
-rational arithmetic, `provenance` is "exact" and the exact quantities are
+cardinality checks). `provenance` is "exact" when exact integer or
+rational arithmetic settled the verdict, else "float": the float slack
+outside the tolerance band, or `inconclusive`. Exact quantities are
 carried in `details` as strings. `witnesses` holds counterexample
 structures for set-equality style checks.
 
@@ -24,7 +25,7 @@ HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
-#: CLI exit codes per verdict; anything unlisted maps to success.
+#: CLI exit codes per verdict.
 EXIT_CODES = {HOLDS: 0, VIOLATED: 1, INCONCLUSIVE: 3}
 
 
@@ -43,7 +44,7 @@ class CheckReport:
         return self.verdict == HOLDS
 
     def exit_code(self) -> int:
-        return EXIT_CODES.get(self.verdict, 0)
+        return EXIT_CODES[self.verdict]
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {"verdict": self.verdict}
@@ -89,8 +90,3 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
-
-
-def verdict_from_slack(slack: float, tolerance: float) -> str:
-    """holds iff the inequality lhs <= rhs is satisfied within tolerance."""
-    return HOLDS if slack >= -tolerance else VIOLATED

@@ -329,6 +329,7 @@ class TestProjectionTheorem:
             report = check_projection_theorem(X, chain_cover(n), "entropy")
             assert report.holds
             assert report.slack == pytest.approx(0.0, abs=1e-9)
+            assert report.provenance == "exact"
 
     def test_triangle_sets_example(self):
         cover = CoverSpec(2, [[1], [2]], [1, 1])
@@ -362,3 +363,112 @@ class TestProjectionTheorem:
             assert check_projection_theorem(A, cover, "sets").slack >= -1e-9
             X = random_dist_on(rng, A.sorted_points())
             assert check_projection_theorem(X, cover, "entropy").slack >= -1e-9
+
+
+def product_dist(first: RationalDist, second: RationalDist) -> RationalDist:
+    """The independent pair (X, Y) on two coordinates."""
+    support, probs = [], []
+    for (x,), p in zip(first.support, first.probs):
+        for (y,), q in zip(second.support, second.probs):
+            support.append((x, y))
+            probs.append(p * q)
+    return RationalDist(support, probs)
+
+
+class TestComparator:
+    """Every checker decides through one comparator: exact, float or inconclusive."""
+
+    SIXTHS = RationalDist([(0,), (1,), (2,)], ["1/6", "1/3", "1/2"])
+
+    def test_in_band_entropy_violation_is_exact(self):
+        # H(X) <= (999/1000) H(X) is false by ~1.5e-3, inside a 1e-2 band
+        ident = FiniteMap.identity([(0,), (1,), (2,)])
+        spec = InequalitySpec(ident, [ident], ["999/1000"])
+        report = check_entropy(spec, self.SIXTHS, tolerance=1e-2)
+        assert -1e-2 < report.slack < 0
+        assert report.verdict == "violated"
+        assert report.provenance == "exact"
+
+    def test_product_distribution_shearer_tie_is_exact(self):
+        X = product_dist(self.SIXTHS, RationalDist([(0,), (1,)], ["2/7", "5/7"]))
+        cover = CoverSpec(2, [[1], [2]])
+        report = check_shearer(X, cover, 1, "entropy")
+        assert report.verdict == "holds"
+        assert report.provenance == "exact"
+
+    def test_chain_cover_tie_in_a_wide_band_is_exact(self):
+        rng = random.Random(31)
+        X = random_dist_on(rng, random_pointset(rng, 3, span=3).sorted_points())
+        report = check_projection_theorem(X, chain_cover(3), "entropy", tolerance=1e-3)
+        assert (report.verdict, report.provenance) == ("holds", "exact")
+
+    def test_product_set_tie_is_exact(self):
+        A = PointSet(3, [(a, b, c) for a in range(2) for b in range(3) for c in range(5)])
+        cover = CoverSpec(3, [[1, 2], [1, 3], [2, 3]], ["1/2", "1/2", "1/2"])
+        report = check_projection_theorem(A, cover, "sets")
+        assert report.slack == pytest.approx(0.0, abs=1e-9)
+        assert (report.verdict, report.provenance) == ("holds", "exact")
+        shearer = check_shearer(A, CoverSpec(3, cover.members), 2, "sets")
+        assert (shearer.verdict, shearer.provenance) == ("holds", "exact")
+        assert shearer.details["lhs_count"] == shearer.details["rhs_count"] == "900"
+
+    def test_true_violation_of_1e_12_is_exact(self):
+        # log2(2^40 + 1) - 40 is about 1.3e-12
+        lhs = [(1, checkers._count(2**40 + 1))]
+        for rhs in ([(1, checkers._count(2**40))], [(Fraction(1, 2), checkers._count(2**80))]):
+            report = checkers._compare(lhs, rhs, 1e-9)
+            assert -1e-11 < report.slack <= 0
+            assert (report.verdict, report.provenance) == ("violated", "exact")
+
+    def test_integer_coefficient_counts_are_exact_outside_the_band(self):
+        spec = projection_spec(GRID2, [[1], [2]], [1, 1])
+        report = check_cardinality(spec, TRIANGLE)
+        assert report.slack > 0.4
+        assert (report.verdict, report.provenance) == ("holds", "exact")
+        half = check_cardinality(projection_spec(GRID2, [[1], [2]], ["1/2", 1]), TRIANGLE)
+        assert half.provenance == "float"
+
+    def test_past_the_bit_limit_is_inconclusive(self):
+        # 2^(d H) for d = 999983 * 1000003 has about 4e13 bits
+        X = product_dist(
+            RationalDist([(0,), (1,)], ["1/999983", "999982/999983"]),
+            RationalDist([(0,), (1,)], ["1/1000003", "1000002/1000003"]),
+        )
+        report = check_shearer(X, CoverSpec(2, [[1], [2]]), 1, "entropy")
+        assert abs(report.slack) < 1e-9
+        assert (report.verdict, report.provenance) == ("inconclusive", "float")
+        assert report.exit_code() == 3
+
+    def test_int_coefficient_clears_a_denominator_above_2_53(self):
+        d = 3**34  # odd and above 2^53, so d is not a float
+        X = RationalDist([(0,), (1,)], [Fraction(1, d), Fraction(d - 1, d)])
+        # k = 3 copies of {1}: 3 H(X) <= H(X) + H(X) + H(X)
+        report = check_shearer(X, CoverSpec(1, [[1]] * 3), 3, "entropy")
+        assert (report.verdict, report.provenance) == ("holds", "exact")
+        # H(X, B) <= H(X) + H(B) for a fair bit B: the term H(B), of
+        # denominator 2, is raised to the power 2d / 2 = d, an int
+        XB = product_dist(X, RationalDist([(0,), (1,)], ["1/2", "1/2"]))
+        report = check_shearer(XB, CoverSpec(2, [[1], [2]]), 1, "entropy")
+        assert (report.verdict, report.provenance) == ("holds", "exact")
+
+    def test_float_verdicts_build_no_exact_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact form built on the float path")
+
+        monkeypatch.setattr(checkers, "entropy_power", refuse)
+        monkeypatch.setattr(checkers, "conditional_size_power", refuse)
+        spec = projection_spec(GRID2, [[1], [2]], ["1/2", "1/2"])
+        assert check_cardinality(spec, TRIANGLE).provenance == "float"
+        assert check_entropy(spec, RationalDist.uniform(TRIANGLE.points)).provenance == "float"
+        cover = CoverSpec(2, [[1], [2]], [1, 1])
+        assert check_projection_theorem(TRIANGLE, cover, "sets").provenance == "float"
+
+    def test_lemma1_rows_past_the_bit_limit(self, monkeypatch):
+        # no exact comparison fits and every row is inside the band: the rows
+        # are inconclusive, and so is the whole report, instead of violated
+        monkeypatch.setattr(checkers, "_EXACT_BIT_LIMIT", 0)
+        spec = projection_spec(GRID2, [[1], [2]], [1, 1])
+        X = RationalDist.uniform(GRID2)
+        report = empirical_lemma1(spec, X, k_max=8, tolerance=100.0)
+        assert {row["verdict"] for row in report.details["rows"]} == {"inconclusive"}
+        assert report.verdict == "inconclusive"

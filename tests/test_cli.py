@@ -214,7 +214,43 @@ class TestCheckCommands:
         cover = write(tmp_path, "c.json", {"n": 3, "members": [[1, 2], [1, 3], [2, 3]]})
         code, out, _ = invoke(capsys, ["cover", "check", "--cover", cover, "--k", "2"])
         assert code == 0
-        assert json.loads(out)["verdict"] == "uniform"
+        doc = json.loads(out)
+        assert doc["verdict"] == "holds"
+        assert doc["uniform"] is True
+
+    def test_cover_check_k_cover_and_violated(self, tmp_path, capsys):
+        cover = write(tmp_path, "c.json", {"n": 2, "members": [[1], [1, 2]]})
+        code, out, _ = invoke(capsys, ["cover", "check", "--cover", cover, "--k", "1"])
+        doc = json.loads(out)
+        assert (code, doc["verdict"], doc["uniform"], doc["k_cover"]) == (0, "holds", False, True)
+        code, out, _ = invoke(capsys, ["cover", "check", "--cover", cover, "--k", "2"])
+        doc = json.loads(out)
+        assert (code, doc["verdict"], doc["uniform"], doc["k_cover"]) == (1, "violated", False, False)
+
+    def test_in_band_entropy_violation(self, tmp_path, capsys):
+        # H(X) <= (999/1000) H(X) is false by 1.5e-3, inside the 1e-2 band
+        ident = {"table": [[[i], [i]] for i in (1, 2, 3)]}
+        spec = write(tmp_path, "s.json",
+                     {"lhs_map": ident, "rhs_maps": [ident], "coefficients": ["999/1000"]})
+        dist = write(tmp_path, "d.json", SIXTHS)
+        code, out, _ = invoke(capsys, ["--tolerance", "1e-2", "check", "entropy",
+                                       "--spec", spec, "--input", dist])
+        doc = json.loads(out)
+        assert (code, doc["verdict"], doc["provenance"]) == (1, "violated", "exact")
+
+    def test_inconclusive_exit_code(self, tmp_path, capsys):
+        # a product-distribution tie whose exact powers are far past the bit limit
+        p, q = 999983, 1000003
+        dist = write(tmp_path, "d.json", {
+            "support": [[0, 0], [0, 1], [1, 0], [1, 1]],
+            "probs": [f"1/{p * q}", f"{q - 1}/{p * q}", f"{p - 1}/{p * q}",
+                      f"{(p - 1) * (q - 1)}/{p * q}"],
+        })
+        cover = write(tmp_path, "c.json", {"n": 2, "members": [[1], [2]]})
+        code, out, _ = invoke(capsys, ["check", "shearer", "--cover", cover, "--input", dist,
+                                       "--k", "1", "--side", "entropy"])
+        doc = json.loads(out)
+        assert (code, doc["verdict"], doc["provenance"]) == (3, "inconclusive", "float")
 
     def test_check_lemma1(self, tmp_path, capsys):
         spec = write(

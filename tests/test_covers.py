@@ -96,20 +96,24 @@ class TestFractionalCover:
 class TestUniformKCover:
     def test_all_pairs_is_uniform_two_cover(self):
         report = is_uniform_k_cover(CoverSpec(3, TRIANGLE_MEMBERS), 2)
-        assert report.verdict == "uniform"
+        assert report.verdict == "holds"
+        assert report.details["uniform"] is True
 
     def test_plain_cover_but_not_uniform(self):
         report = is_uniform_k_cover(CoverSpec(2, [[1], [1, 2]]), 1)
-        assert report.verdict == "k-cover"
+        assert report.verdict == "holds"
+        assert report.details["uniform"] is False
         assert report.details["counts"] == [2, 1]
 
     def test_partition_is_uniform_one_cover(self):
         report = is_uniform_k_cover(CoverSpec(4, [[1], [2], [3], [4]]), 1)
-        assert report.verdict == "uniform"
+        assert report.verdict == "holds"
+        assert report.details["uniform"] is True
 
     def test_violated(self):
         report = is_uniform_k_cover(CoverSpec(3, [[1, 2]]), 1)
         assert report.verdict == "violated"
+        assert report.details["uniform"] is False
 
     def test_random_partition_unions_are_uniform(self):
         rng = random.Random(61)
@@ -117,7 +121,9 @@ class TestUniformKCover:
             n = rng.randint(2, 6)
             k = rng.randint(1, 4)
             cover = random_uniform_k_cover(rng, n, k)
-            assert is_uniform_k_cover(cover, k).verdict == "uniform"
+            report = is_uniform_k_cover(cover, k)
+            assert report.verdict == "holds"
+            assert report.details["uniform"] is True
 
     def test_scaled_uniform_cover_has_unit_coverage(self):
         rng = random.Random(67)
