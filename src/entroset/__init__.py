@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     EmptySliceError,
     EntrosetError,
+    IndexRangeError,
     InfeasibleError,
     MembershipError,
     NegativeCoefficientError,
@@ -78,6 +79,7 @@ __all__ = [
     "EmptySliceError",
     "EntrosetError",
     "FiniteMap",
+    "IndexRangeError",
     "IndexSet",
     "InequalitySpec",
     "InfeasibleError",

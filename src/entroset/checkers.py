@@ -21,6 +21,7 @@ cardinality side, where the bridge argument needs positivity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -30,9 +31,9 @@ from .dist import (
     Element,
     FiniteMap,
     RationalDist,
+    _log_function,
     as_elements,
     as_fraction,
-    check_base,
     entropy,
     entropy_power,
     minimal_suitable_k,
@@ -49,7 +50,6 @@ from .projections import (
     EMPTY_INDEX_SET,
     PointSet,
     log_conditional_avg_size,
-    conditional_entropy,
     conditional_size_power,
     project_rv,
     project_set,
@@ -65,6 +65,14 @@ from .report import (
 from .ruzsa import DEFAULT_ENUM_LIMIT, RuzsaSpec, _mapped_arrangements, ruzsa_size
 
 DEFAULT_TOLERANCE = 1e-9
+
+
+def _check_tolerance(tolerance) -> None:
+    """SchemaError unless the tolerance is a positive finite real (not a bool)."""
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
+            or not (math.isfinite(tolerance) and tolerance > 0)):
+        raise SchemaError("tolerance must be positive and finite")
+
 
 # refuse exact power comparisons beyond this many bits
 _EXACT_BIT_LIMIT = 2_000_000
@@ -107,8 +115,8 @@ def _as_point_collection(A) -> frozenset[Element]:
     return pts
 
 
-def _count(n: int, base: float = 2):
-    return (math.log2(n) if base == 2 else math.log(n)), n
+def _count(n: int, log=math.log2):
+    return log(n), n
 
 
 def _counted(lhs_count: int, rhs_counts: list[int], coefficients):
@@ -143,6 +151,12 @@ def _exact_verdict(lhs, rhs) -> str | None:
     return HOLDS if den <= num else VIOLATED
 
 
+def _logs(lhs, rhs) -> tuple[float, float]:
+    """The float logs of both sides: sums of c * log over the (c, term) pairs."""
+    return (sum(float(c) * log for c, (log, _) in lhs),
+            sum(float(c) * log for c, (log, _) in rhs))
+
+
 def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckReport:
     """Is prod term^c over lhs <= the same over rhs, for (c, term) pairs?
 
@@ -152,8 +166,8 @@ def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckRe
     float slack outside the tolerance band, exact inside it. Past the bit
     limit the slack decides outside the band; inside it is inconclusive.
     """
-    lhs_log = sum(float(c) * log for c, (log, _) in lhs)
-    rhs_log = sum(float(c) * log for c, (log, _) in rhs)
+    _check_tolerance(tolerance)
+    lhs_log, rhs_log = _logs(lhs, rhs)
     slack = rhs_log - lhs_log
     counts = all(isinstance(f, int) and c.denominator == 1 for c, (_, f) in lhs + rhs)
     in_band = abs(slack) < tolerance
@@ -201,26 +215,22 @@ def check_entropy(
     base: float = 2,
 ) -> CheckReport:
     """H(f(X)) <= sum a_i H(f_i(X)); negative a_i evaluated as given."""
-    return _entropy_check(spec, X, tolerance, base)[0]
+    lhs, rhs, _ = _entropy_sides(spec, X, base)
+    details = {
+        "rhs_entropies": [h for _, (h, _) in rhs],
+        "coefficients": [str(c) for c in spec.coefficients],
+    }
+    return _compare(lhs, rhs, tolerance, details)
 
 
-def _entropy_check(spec: InequalitySpec, X: RationalDist, tolerance: float, base: float):
-    """check_entropy's report, and the images f(X), f_1(X), ... it compares."""
-    check_base(base)
+def _entropy_sides(spec: InequalitySpec, X: RationalDist, base: float):
+    """check_entropy's (c, term) pairs per side, and the images f(X), f_1(X), ..."""
+    _log_function(base)  # a bad base fails before the domain check
     if not frozenset(X.support) <= spec.domain:
         raise DomainError("distribution support is not contained in the maps' domain")
     images = [pushforward(m, X) for m in (spec.lhs_map, *spec.rhs_maps)]
-    parts = [_entropy_term(d, base) for d in images[1:]]
-    report = _compare(
-        [(1, _entropy_term(images[0], base))],
-        list(zip(spec.coefficients, parts)),
-        tolerance,
-        {
-            "rhs_entropies": [h for h, _ in parts],
-            "coefficients": [str(c) for c in spec.coefficients],
-        },
-    )
-    return report, images
+    rhs = [(c, _entropy_term(d, base)) for c, d in zip(spec.coefficients, images[1:])]
+    return [(1, _entropy_term(images[0], base))], rhs, images
 
 
 def lemma2_witness(A, f: FiniteMap) -> RationalDist:
@@ -260,27 +270,28 @@ def empirical_lemma1(
     a row whose enumerated count differs from the closed form is violated
     and carries the enumerated count.
     """
-    check_base(base)
+    # rows are counted in base 2 and rescaled to the report's base
+    scale = _log_function(base)(2)
     if any(c < 0 for c in spec.coefficients):
         raise NegativeCoefficientError(
             "counting-side checks require nonnegative coefficients"
         )
-    entropy_side, (image, *image_rhs) = _entropy_check(spec, X, tolerance, base)
+    # the entropy side is reported in floats only: the rows decide the verdict
+    lhs, rhs, (image, *image_rhs) = _entropy_sides(spec, X, base)
+    lhs_log, rhs_log = _logs(lhs, rhs)
     k_min = minimal_suitable_k(X)
     ks = list(range(k_min, k_max + 1, k_min))
     if not ks:
         raise SuitabilityError(f"no suitable k <= {k_max} (minimal is {k_min})")
-    # rows are counted in base 2 and rescaled to the report's base
-    scale = 1 if base == 2 else math.log(2)
     rows = []
     for k in ks:
         lhs_count = ruzsa_size(RuzsaSpec(image, k))
         rhs_counts = [ruzsa_size(RuzsaSpec(d, k)) for d in image_rhs]
+        report = _compare(*_counted(lhs_count, rhs_counts, spec.coefficients), tolerance)
         enumerated = lhs_count
         if cross_validate:
             src = RuzsaSpec(X, k)
             enumerated = len(_mapped_arrangements(spec.lhs_map, src, image.support, limit))
-        report = _compare(*_counted(lhs_count, rhs_counts, spec.coefficients), tolerance)
         row = {
             "k": k,
             "verdict": report.verdict,
@@ -294,10 +305,12 @@ def empirical_lemma1(
             row["enumerated_count"] = exact_text(enumerated)
         rows.append(row)
     verdicts = {row["verdict"] for row in rows}
-    return replace(
-        entropy_side,
+    return CheckReport(
         # any violated row decides; an inconclusive one leaves it open
         verdict=next((v for v in (VIOLATED, INCONCLUSIVE) if v in verdicts), HOLDS),
+        lhs=lhs_log,
+        rhs=rhs_log,
+        slack=rhs_log - lhs_log,
         provenance="exact",
         details={"rows": rows, "k_values": ks},
     )
@@ -311,28 +324,34 @@ def _side(data, side: str, n: int, base: float):
     """
     if side == "sets":
         A = data if isinstance(data, PointSet) else PointSet.from_points(data)
+        log = _log_function(base)
 
         def part(T, C):
             if not C:
-                return _count(len(project_set(A, T)), base)
-            log = log_conditional_avg_size(A, T, C, base=base)
-            return log, lambda: conditional_size_power(A, T, C)
+                return _count(len(project_set(A, T)), log)
+            value = log_conditional_avg_size(A, T, C, base=base)
+            return value, lambda: conditional_size_power(A, T, C)
 
-        whole, dimension = _count(len(A), base), A.dimension
+        whole, dimension = _count(len(A), log), A.dimension
     elif side == "entropy":
         X = data
 
         def part(T, C):
+            # H(X_T | X_C) = H(X_{T u C}) - H(X_C), as `conditional_entropy` takes it
+            joint = project_rv(X, T.union(C))
+            if not C:
+                return _entropy_term(joint, base)
+            given = project_rv(X, C)
+
             def form():
                 # 2^H(X_T | X_C) = 2^H(X_{T u C}) / 2^H(X_C), and d_c divides d
-                d, powers = entropy_power(project_rv(X, T.union(C)))
-                if C:
-                    d_c, given = entropy_power(project_rv(X, C))
-                    for b, e in given.items():
-                        powers[b] = powers.get(b, 0) - e * (d // d_c)
+                d, powers = entropy_power(joint)
+                d_c, given_powers = entropy_power(given)
+                for b, e in given_powers.items():
+                    powers[b] = powers.get(b, 0) - e * (d // d_c)
                 return d, powers
 
-            return conditional_entropy(X, T, C, base=base), form
+            return entropy(joint, base=base) - entropy(given, base=base), form
 
         whole, dimension = _entropy_term(X, base), X.dimension
     else:
@@ -351,7 +370,7 @@ def check_shearer(
     base: float = 2,
 ) -> CheckReport:
     """Uniform k-cover inequality: |A|^k <= prod |A_S| or kH(X) <= sum H(X_S)."""
-    check_base(base)
+    _log_function(base)  # a bad base fails before the cover checks
     uniform = is_uniform_k_cover(cover, k)
     if not uniform.details["uniform"]:
         raise CoverError(f"not a uniform {k}-cover: counts {uniform.details['counts']}")
@@ -380,7 +399,7 @@ def check_projection_theorem(
     Set side: log|A| <= sum a_S log|A_S cond A_{S*}|; entropy side:
     H(X) <= sum a_S H(X_S | X_{S*}). Zero-weight members are skipped.
     """
-    check_base(base)
+    _log_function(base)  # a bad base fails before the cover checks
     if cover.weights is None:
         raise CoverError("projection theorem checks need cover weights")
     frac = is_fractional_cover(cover)

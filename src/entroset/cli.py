@@ -8,7 +8,10 @@ Reports are deterministic for a fixed seed and inputs.
 The parser is built once per process (first `run`) and safe to reuse:
 its defaults are immutable, each call parses into a fresh namespace, and
 usage errors and `--help` go to the call's `sys.stderr` / `sys.stdout`.
-Each leaf subcommand's `run` default is its (args, config) handler.
+Each leaf subcommand's `run` default is its handler, which takes the parsed
+args alone. Settings are checked where the library reads them; `run`
+checks `--tolerance` and `--limit` up front, so a bad value exits 2 even
+for a subcommand that never reads it.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from . import jsonio
 from .checkers import (
+    DEFAULT_TOLERANCE,
     InequalitySpec,
+    _check_tolerance,
     check_cardinality,
     check_entropy,
     check_projection_theorem,
@@ -62,23 +66,6 @@ from .ruzsa import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Global evaluation parameters shared by every subcommand."""
-
-    tolerance: float = 1e-9
-    log_base: float = 2
-    enum_limit: int = DEFAULT_ENUM_LIMIT
-    seed: int = 0
-    format: str = "json"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise EntrosetError("tolerance must be positive and finite")
-        if self.enum_limit < 1:
-            raise EntrosetError("enum limit must be >= 1")
-
-
 def _parse_base(text: str) -> float:
     if text == "2":
         return 2
@@ -106,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entroset",
         description="entropy and set-projection inequality toolbox",
     )
-    parser.add_argument("--tolerance", type=float, default=1e-9)
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     parser.add_argument("--base", type=_parse_base, default=2)
     parser.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
     parser.add_argument("--seed", type=int, default=0)
@@ -198,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--points", required=True)
 
-    _command(sub, "demo", lambda args, config: run_demo(config),
+    _command(sub, "demo", lambda args: run_demo(args),
              help="scripted projection-inequality walkthrough")
     return parser
 
@@ -227,15 +214,15 @@ def _verdict(report):
     return report.to_json(), report.exit_code()
 
 
-def _entropy(args, config):
-    return {"entropy": entropy(_load_dist(args.dist), base=config.log_base)}, 0
+def _entropy(args):
+    return {"entropy": entropy(_load_dist(args.dist), base=args.base)}, 0
 
 
-def _pushforward(args, config):
+def _pushforward(args):
     return jsonio.dist_to_json(pushforward(_load_map(args.map), _load_dist(args.dist))), 0
 
 
-def _suitable(args, config):
+def _suitable(args):
     dist = _load_dist(args.dist)
     doc = {"minimal_suitable_k": minimal_suitable_k(dist)}
     if args.k is not None:
@@ -243,11 +230,11 @@ def _suitable(args, config):
     return doc, 0
 
 
-def _rationalize(args, config):
+def _rationalize(args):
     return jsonio.dist_to_json(rationalize(args.weights, args.max_denominator)), 0
 
 
-def _project(args, config):
+def _project(args):
     S = IndexSet(args.indices)
     if (args.pointset is None) == (args.dist is None):
         raise EntrosetError("project needs exactly one of --pointset / --dist")
@@ -256,18 +243,18 @@ def _project(args, config):
     return jsonio.dist_to_json(project_rv(_load_dist(args.dist), S)), 0
 
 
-def _condsize(args, config):
+def _condsize(args):
     A = _load_pointset(args.pointset)
     return {"size": conditional_avg_size(A, IndexSet(args.t), IndexSet(args.s))}, 0
 
 
-def _condentropy(args, config):
+def _condentropy(args):
     X = _load_dist(args.dist)
-    value = conditional_entropy(X, IndexSet(args.s), IndexSet(args.c), base=config.log_base)
+    value = conditional_entropy(X, IndexSet(args.s), IndexSet(args.c), base=args.base)
     return {"entropy": value}, 0
 
 
-def _witness_lemma2(args, config):
+def _witness_lemma2(args):
     witness = lemma2_witness(_load_pointset(args.points), _load_map(args.map))
     return jsonio.dist_to_json(witness), 0
 
@@ -276,22 +263,22 @@ def _ruzsa_spec(args) -> RuzsaSpec:
     return RuzsaSpec(_load_dist(args.dist), args.k)
 
 
-def _ruzsa_size(args, config):
+def _ruzsa_size(args):
     return {"size": jsonio.format_rational(ruzsa_size(_ruzsa_spec(args)))}, 0
 
 
-def _ruzsa_enum(args, config):
-    members = ruzsa_enumerate(_ruzsa_spec(args), config.enum_limit)
+def _ruzsa_enum(args):
+    members = ruzsa_enumerate(_ruzsa_spec(args), args.limit)
     vectors = [[list(x) for x in vec] for vec in members]
     return {"count": len(vectors), "vectors": vectors}, 0
 
 
-def _ruzsa_commute(args, config):
+def _ruzsa_commute(args):
     spec = _ruzsa_spec(args)
-    return _verdict(verify_commutation(_load_map(args.map), spec, config.enum_limit))
+    return _verdict(verify_commutation(_load_map(args.map), spec, args.limit))
 
 
-def _ruzsa_lift(args, config):
+def _ruzsa_lift(args):
     spec = _ruzsa_spec(args)
     try:
         y = [tuple(v) for v in json.loads(args.y)]
@@ -301,22 +288,22 @@ def _ruzsa_lift(args, config):
     return {"vector": [list(x) for x in lifted]}, 0
 
 
-def _ruzsa_bound(args, config):
+def _ruzsa_bound(args):
     return _verdict(type_bound_check(_ruzsa_spec(args)))
 
 
-def _ruzsa_converge(args, config):
+def _ruzsa_converge(args):
     dist = _load_dist(args.dist)
-    return {"rows": convergence_profile(dist, args.ks, base=config.log_base)}, 0
+    return {"rows": convergence_profile(dist, args.ks, base=args.base)}, 0
 
 
-def _cover_check(args, config):
+def _cover_check(args):
     cover = _load_cover(args.cover)
     k = args.k
     return _verdict(is_fractional_cover(cover) if k is None else is_uniform_k_cover(cover, k))
 
 
-def _cover_min(args, config):
+def _cover_min(args):
     cover = _load_cover(args.cover)
     solution = min_fractional_cover(cover.n, cover.members)
     return {
@@ -326,14 +313,14 @@ def _cover_min(args, config):
     }, 0
 
 
-def _check_entropy(args, config):
+def _check_entropy(args):
     spec, X = _load_spec(args.spec), _load_dist(args.input)
-    return _verdict(check_entropy(spec, X, tolerance=config.tolerance, base=config.log_base))
+    return _verdict(check_entropy(spec, X, tolerance=args.tolerance, base=args.base))
 
 
-def _check_cardinality(args, config):
+def _check_cardinality(args):
     spec, A = _load_spec(args.spec), _load_pointset(args.input)
-    return _verdict(check_cardinality(spec, A, tolerance=config.tolerance))
+    return _verdict(check_cardinality(spec, A, tolerance=args.tolerance))
 
 
 def _cover_and_data(args):
@@ -341,37 +328,38 @@ def _cover_and_data(args):
     return cover, (_load_pointset if args.side == "sets" else _load_dist)(args.input)
 
 
-def _check_shearer(args, config):
+def _check_shearer(args):
     cover, data = _cover_and_data(args)
     return _verdict(check_shearer(
-        data, cover, args.k, args.side, tolerance=config.tolerance, base=config.log_base
+        data, cover, args.k, args.side, tolerance=args.tolerance, base=args.base
     ))
 
 
-def _check_projection(args, config):
+def _check_projection(args):
     cover, data = _cover_and_data(args)
     return _verdict(check_projection_theorem(
-        data, cover, args.side, tolerance=config.tolerance, base=config.log_base
+        data, cover, args.side, tolerance=args.tolerance, base=args.base
     ))
 
 
-def _check_lemma1(args, config):
+def _check_lemma1(args):
     spec, X = _load_spec(args.spec), _load_dist(args.input)
     return _verdict(empirical_lemma1(
-        spec, X, k_max=args.kmax, limit=config.enum_limit, tolerance=config.tolerance,
-        base=config.log_base, cross_validate=args.cross_validate,
+        spec, X, k_max=args.kmax, limit=args.limit, tolerance=args.tolerance,
+        base=args.base, cross_validate=args.cross_validate,
     ))
 
 
-def run_demo(config: RunConfig) -> tuple[dict, int]:
+def run_demo(args: argparse.Namespace) -> tuple[dict, int]:
     """Projection-inequality walkthrough on a random subset of {0,1,2}^3.
 
     Checks the three-coordinate projection (Loomis-Whitney style) bound by
     counting, the matching entropy bound for the uniform variable, then the
     finite-k counting experiment whose rates approach the entropy values,
-    and tabulates the convergence of log|set|/k.
+    and tabulates the convergence of log|set|/k. Reads `seed`, `tolerance`,
+    `base` and `limit` from the parsed args.
     """
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     grid = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     points = sorted(rng.sample(grid, rng.randint(3, 6)))
     A = PointSet(3, points)
@@ -384,25 +372,20 @@ def run_demo(config: RunConfig) -> tuple[dict, int]:
         ],
         coefficients=["1/2", "1/2", "1/2"],
     )
-    counting = check_cardinality(spec, A, tolerance=config.tolerance)
+    counting = check_cardinality(spec, A, tolerance=args.tolerance)
     X = RationalDist.uniform(A)
-    entropy_side = check_entropy(
-        spec, X, tolerance=config.tolerance, base=config.log_base
-    )
+    entropy_side = check_entropy(spec, X, tolerance=args.tolerance, base=args.base)
     finite_k = empirical_lemma1(
-        spec, X, k_max=12,
-        limit=config.enum_limit, tolerance=config.tolerance, base=config.log_base,
+        spec, X, k_max=12, limit=args.limit, tolerance=args.tolerance, base=args.base
     )
     k_min = minimal_suitable_k(X)
-    rows = convergence_profile(
-        X, list(range(k_min, 13, k_min)), base=config.log_base
-    )
+    rows = convergence_profile(X, list(range(k_min, 13, k_min)), base=args.base)
     envelope_ok = all(-1e-12 <= row["gap"] <= row["envelope"] + 1e-9 for row in rows)
     all_hold = (
         counting.holds and entropy_side.holds and finite_k.holds and envelope_ok
     )
     doc = {
-        "seed": config.seed,
+        "seed": args.seed,
         "points": [list(p) for p in points],
         "loomis_whitney": counting.to_json(),
         "han": entropy_side.to_json(),
@@ -432,15 +415,14 @@ def run(argv=None) -> int:
     """Parse argv, execute, print one document; returns the exit code."""
     args = _parser().parse_args(argv)
     try:
-        config = RunConfig(
-            tolerance=args.tolerance, log_base=args.base, enum_limit=args.limit,
-            seed=args.seed, format=args.format,
-        )
-        doc, code = args.run(args, config)
-    except (EntrosetError, IndexError) as exc:
+        _check_tolerance(args.tolerance)
+        if args.limit < 1:
+            raise EntrosetError("enum limit must be >= 1")
+        doc, code = args.run(args)
+    except EntrosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.format == "table":
+    if args.format == "table":
         print(_format_table(doc))
     else:
         print(jsonio.dump_json(doc))

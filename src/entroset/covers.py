@@ -35,7 +35,8 @@ class CoverSpec:
     weights: tuple[Fraction, ...] | None = None
 
     def __init__(self, n: int, members: Sequence, weights: Sequence | None = None):
-        n = int(n)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise SchemaError(f"n must be an integer: {n!r}")
         if n < 1:
             raise SchemaError("n must be >= 1")
         mems = tuple(m if isinstance(m, IndexSet) else IndexSet(m) for m in members)

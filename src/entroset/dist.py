@@ -24,15 +24,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ApproximationError, DomainError, SchemaError
 from .report import exact_text
 
 Element = tuple[int, ...]
-
-#: Accepted log bases for entropy values: bits (2) or nats (e).
-LOG_BASES = (2, math.e)
 
 
 _INT = frozenset({int})
@@ -95,16 +92,13 @@ def as_fraction(value) -> Fraction:
     raise SchemaError(f"not an exact rational: {value!r}")
 
 
-def _log(x: float, base: float) -> float:
+def _log_function(base: float) -> Callable[[float], float]:
+    """The log of an accepted base: `math.log2` for bits (2), `math.log` for nats (e)."""
     if base == 2:
-        return math.log2(x)
-    return math.log(x)
-
-
-def check_base(base: float) -> float:
-    if base not in LOG_BASES:
-        raise SchemaError(f"log base must be 2 or e, got {base!r}")
-    return base
+        return math.log2
+    if base == math.e:
+        return math.log
+    raise SchemaError(f"log base must be 2 or e, got {base!r}")
 
 
 @dataclass(frozen=True)
@@ -179,12 +173,14 @@ class FiniteMap:
             object.__setattr__(self, "table", dict(table.table))
             return
         pairs = list(table.items() if isinstance(table, Mapping) else table)
-        normalized = None
-        if set(map(type, pairs)) <= _SEQUENCES and set(map(len, pairs)) <= {2}:
-            keys = _int_tuples([k for k, _ in pairs])
-            values = _int_tuples([v for _, v in pairs])
-            if keys is not None and values is not None:
-                normalized = dict(zip(keys, values))
+        if not (set(map(type, pairs)) <= _SEQUENCES and set(map(len, pairs)) <= {2}):
+            # the shape of every entry is checked before any element
+            for entry in pairs:
+                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                    raise SchemaError(f"map table entries are [key, value] pairs: {entry!r}")
+        keys = _int_tuples([k for k, _ in pairs])
+        values = _int_tuples([v for _, v in pairs])
+        normalized = None if keys is None or values is None else dict(zip(keys, values))
         if normalized is None or len(normalized) != len(pairs):
             # a bad entry or a duplicate key: the first one in table order raises
             normalized = {}
@@ -230,20 +226,20 @@ class FiniteMap:
 
 def entropy(dist: RationalDist, base: float = 2) -> float:
     """Shannon entropy sum(p * log(1/p)); 0 for a single-point support."""
-    check_base(base)
+    log = _log_function(base)
     if len(dist) == 1:
         return 0.0
-    return sum(_entropy_term(p, base) for p in dist.probs)
+    return sum(_entropy_term(p, log) for p in dist.probs)
 
 
-def _entropy_term(p: Fraction, base: float) -> float:
+def _entropy_term(p: Fraction, log: Callable[[float], float]) -> float:
     q = float(p)
     inv = 1 / q if q else math.inf
     if math.isinf(inv):
         # float(p) underflows or 1/float(p) overflows: take log(1/p) from
         # the exact numerator and denominator, then round p * log(1/p) once
-        return float(p * Fraction(_log(p.denominator, base) - _log(p.numerator, base)))
-    return q * _log(inv, base)
+        return float(p * Fraction(log(p.denominator) - log(p.numerator)))
+    return q * log(inv)
 
 
 def entropy_power(dist: RationalDist) -> tuple[int, dict[int, int]]:
@@ -339,19 +335,15 @@ def _sweep(costs: list[list[tuple[int, float]]], big_l: int, limit: float):
     return best.get(big_l), choices
 
 
-def rationalize(
-    weights: Sequence[float],
-    max_denominator: int,
-    support: Sequence | None = None,
-) -> RationalDist:
+def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
     """Best rational approximation of a weight vector as a distribution.
 
     Normalizes the weights, then finds probabilities with reduced
     denominators <= max_denominator, summing to exactly 1, at minimal total
     variation distance from the normalized input. Ties are broken toward
-    putting mass on earlier entries. `support` defaults to scalar elements
-    0, 1, 2, ... If the weights sum past the float range, they are first
-    divided by the largest one.
+    putting mass on earlier entries. Entry i becomes the scalar element i.
+    If the weights sum past the float range, they are first divided by the
+    largest one.
 
     Every candidate probability is a multiple of 1/L for L = lcm(1..D), so
     the search is a shortest-path sweep over that grid. It keeps only the
@@ -381,11 +373,6 @@ def rationalize(
     if total <= 0:
         raise SchemaError("weights must have positive sum")
     target = [w / total for w in weights]
-    if support is None:
-        support = [(i,) for i in range(len(weights))]
-    elems = as_elements(support)
-    if len(elems) != len(weights):
-        raise SchemaError("support and weights must have equal length")
 
     if all(p < 1 / (2 * max_denominator) for p in target):
         raise ApproximationError(
@@ -432,4 +419,4 @@ def rationalize(
         numerators.append(m)
         remaining -= m
     # zero-mass entries are dropped by the constructor
-    return RationalDist(elems, [Fraction(m, big_l) for m in numerators])
+    return RationalDist([(i,) for i in range(n)], [Fraction(m, big_l) for m in numerators])

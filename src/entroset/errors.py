@@ -3,7 +3,8 @@
 Everything raised on purpose derives from EntrosetError, so callers (and the
 CLI) can separate input/feasibility problems (exit code 2) from genuine
 inequality violations (reported in a CheckReport, never raised).
-Out-of-range coordinate indices raise the builtin IndexError.
+Out-of-range coordinate indices raise IndexRangeError, a SchemaError that
+is also a builtin IndexError.
 """
 
 
@@ -33,6 +34,10 @@ class ApproximationError(EntrosetError):
 
 class SchemaError(EntrosetError):
     """Malformed or incomplete input data (JSON or constructor arguments)."""
+
+
+class IndexRangeError(SchemaError, IndexError):
+    """A coordinate index exceeds the dimension of the data."""
 
 
 class InfeasibleError(EntrosetError):

@@ -67,12 +67,7 @@ def dist_to_json(dist: RationalDist) -> dict:
 
 
 def map_from_json(doc: dict) -> FiniteMap:
-    table = _array(_expect(doc, "table", "map"), "map field 'table'")
-    if not (set(map(type, table)) <= {list, tuple} and set(map(len, table)) <= {2}):
-        for entry in table:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise SchemaError(f"map table entries are [key, value] pairs: {entry!r}")
-    return FiniteMap(table)
+    return FiniteMap(_array(_expect(doc, "table", "map"), "map field 'table'"))
 
 
 def map_to_json(f: FiniteMap) -> dict:

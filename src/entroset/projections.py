@@ -17,14 +17,13 @@ keys, not one rescan of A per slice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .dist import Element, RationalDist, as_element, as_elements, check_base, entropy
-from .errors import EmptySliceError, SchemaError
+from .dist import Element, RationalDist, _log_function, as_element, as_elements, entropy
+from .errors import EmptySliceError, IndexRangeError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class PointSet:
 
 def _check_indices(S: IndexSet, dimension: int) -> None:
     if S and max(S.indices) > dimension:
-        raise IndexError(f"index set {S.indices} exceeds dimension {dimension}")
+        raise IndexRangeError(f"index set {S.indices} exceeds dimension {dimension}")
 
 
 def _restrictor(S: IndexSet) -> Callable[[Element], Element]:
@@ -196,12 +195,11 @@ def log_conditional_avg_size(
     A: PointSet, T: IndexSet, S: IndexSet, base: float = 2
 ) -> float:
     """log of the conditional average size, the form used by the checkers."""
-    check_base(base)
+    log = _log_function(base)
     if not T:
         raise SchemaError("conditioned projection needs a nonempty target T")
     _check_indices(T, A.dimension)
     _check_indices(S, A.dimension)
-    log = math.log2 if base == 2 else math.log
     if not S:
         return log(len(project_set(A, T)))
     total = len(A)

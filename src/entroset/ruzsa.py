@@ -29,6 +29,7 @@ from .dist import (
     Element,
     FiniteMap,
     RationalDist,
+    _log_function,
     as_element,
     entropy,
     is_suitable,
@@ -188,13 +189,12 @@ def verify_commutation(
     f: FiniteMap,
     spec: RuzsaSpec,
     limit: int = DEFAULT_ENUM_LIMIT,
-    max_witnesses: int = 5,
 ) -> CheckReport:
     """Check that mapping coordinatewise commutes with the construction.
 
     Enumerates the f^k-image of the k-set of X (deduplicated) and,
     independently, the k-set of the pushforward f(X); reports exact set
-    equality with discrepancy witnesses.
+    equality with up to five discrepancy witnesses per side.
     """
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
     for s in (spec, image_spec):
@@ -209,7 +209,7 @@ def verify_commutation(
 
     def witnesses(vecs: set[bytes]) -> list[RuzsaVector]:
         decoded = (tuple(map(image.__getitem__, v)) for v in vecs)
-        return sorted(decoded)[:max_witnesses]
+        return sorted(decoded)[:5]
 
     only_mapped = witnesses(mapped - direct)
     only_direct = witnesses(direct - mapped)
@@ -260,12 +260,6 @@ def preimage_lift(f: FiniteMap, spec: RuzsaSpec, y) -> RuzsaVector:
     return lifted
 
 
-def _log_fraction(value: Fraction, base: float) -> float:
-    if base == 2:
-        return math.log2(value.numerator) - math.log2(value.denominator)
-    return math.log(value.numerator) - math.log(value.denominator)
-
-
 def type_bound_check(spec: RuzsaSpec) -> CheckReport:
     """Exact sandwich |set| <= prod p_i^(-k p_i) <= (k+1)^(n-1) |set|.
 
@@ -280,8 +274,8 @@ def type_bound_check(spec: RuzsaSpec) -> CheckReport:
     factor = (spec.k + 1) ** (n - 1)
     lower_ok = size <= t_value
     upper_ok = t_value <= factor * size
-    lhs = _log_fraction(Fraction(size), 2)
-    rhs = _log_fraction(t_value, 2)
+    lhs = math.log2(size)
+    rhs = math.log2(t_value.numerator) - math.log2(t_value.denominator)
     return CheckReport(
         verdict=HOLDS if (lower_ok and upper_ok) else VIOLATED,
         lhs=lhs,
@@ -304,16 +298,16 @@ def convergence_profile(
     dist: RationalDist, k_list, base: float = 2
 ) -> list[dict]:
     """Per-k rate log|set|/k against H(X), with the (n-1)log(k+1)/k envelope."""
+    log = _log_function(base)
     h = entropy(dist, base=base)
     n = len(dist)
     rows = []
     for k in k_list:
         spec = RuzsaSpec(dist, k)
         size = ruzsa_size(spec)
-        log_size = _log_fraction(Fraction(size), base)
-        rate = log_size / k
+        rate = log(size) / k
         gap = h - rate
-        envelope = (n - 1) * (math.log2(k + 1) if base == 2 else math.log(k + 1)) / k
+        envelope = (n - 1) * log(k + 1) / k
         rows.append(
             {
                 "k": k,

@@ -16,6 +16,7 @@ from entroset import (
     NegativeCoefficientError,
     PointSet,
     RationalDist,
+    SchemaError,
     check_cardinality,
     check_entropy,
     check_projection_theorem,
@@ -463,6 +464,18 @@ class TestComparator:
         cover = CoverSpec(2, [[1], [2]], [1, 1])
         assert check_projection_theorem(TRIANGLE, cover, "sets").provenance == "float"
 
+    def test_lemma1_builds_no_exact_entropy_form(self, monkeypatch):
+        # H(X) <= H(X) is a tie inside the band; lemma1 reports its entropy
+        # side in floats and lets the exact row counts decide
+        def refuse(*args):
+            raise AssertionError("exact entropy form built for lemma1")
+
+        monkeypatch.setattr(checkers, "entropy_power", refuse)
+        ident = FiniteMap.identity([(0,), (1,), (2,)])
+        report = empirical_lemma1(InequalitySpec(ident, [ident], [1]), self.SIXTHS, k_max=12)
+        assert (report.verdict, report.provenance, report.slack) == ("holds", "exact", 0.0)
+        assert report.details["k_values"] == [6, 12]
+
     def test_lemma1_rows_past_the_bit_limit(self, monkeypatch):
         # no exact comparison fits and every row is inside the band: the rows
         # are inconclusive, and so is the whole report, instead of violated
@@ -472,3 +485,39 @@ class TestComparator:
         report = empirical_lemma1(spec, X, k_max=8, tolerance=100.0)
         assert {row["verdict"] for row in report.details["rows"]} == {"inconclusive"}
         assert report.verdict == "inconclusive"
+
+
+class TestTolerance:
+    """The tolerance is checked where the comparator reads it, for every checker."""
+
+    BAD = [0, 0.0, -1e-9, -math.inf, math.inf, math.nan, True, None, "1e-9"]
+
+    @pytest.mark.parametrize("tolerance", BAD, ids=repr)
+    def test_every_checker_rejects_a_bad_tolerance(self, tolerance):
+        spec = projection_spec(GRID2, [[1], [2]], [1, 1])
+        X = RationalDist.uniform(GRID2)
+        cover = CoverSpec(2, [[1], [2]], [1, 1])
+        calls = [
+            lambda: check_cardinality(spec, TRIANGLE, tolerance=tolerance),
+            lambda: check_entropy(spec, X, tolerance=tolerance),
+            lambda: check_shearer(TRIANGLE, cover, 1, "sets", tolerance=tolerance),
+            lambda: check_shearer(X, cover, 1, "entropy", tolerance=tolerance),
+            lambda: check_projection_theorem(TRIANGLE, cover, "sets", tolerance=tolerance),
+            lambda: check_projection_theorem(X, cover, "entropy", tolerance=tolerance),
+            lambda: empirical_lemma1(spec, X, k_max=4, tolerance=tolerance),
+        ]
+        for call in calls:
+            with pytest.raises(SchemaError, match="^tolerance must be positive and finite$"):
+                call()
+
+    def test_product_distribution_shearer_ties_hold_exactly(self):
+        # H(X, Y) = H(X) + H(Y) for independent X, Y; the float slack is
+        # rounding noise of either sign, and the default band decides exactly
+        rng = random.Random(8)
+        for _ in range(40):
+            first, second = (
+                random_dist_on(rng, [(i,) for i in range(rng.randint(2, 4))]) for _ in range(2)
+            )
+            X = product_dist(first, second)
+            report = check_shearer(X, CoverSpec(2, [[1], [2]]), 1, "entropy")
+            assert (report.verdict, report.provenance) == ("holds", "exact")

@@ -1,12 +1,15 @@
 """CLI surface: schemas, outputs, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -204,6 +207,15 @@ class TestCheckCommands:
         assert code == 2
         assert out == ""
         assert "tolerance must be positive and finite" in err
+
+    @pytest.mark.parametrize("flag", ["--tolerance=nan", "--tolerance=0", "--limit=0"])
+    def test_bad_setting_exits_2_where_it_is_not_read(self, tmp_path, capsys, flag):
+        # `entropy` compares nothing and enumerates nothing, yet a bad value exits 2
+        code, out, err = invoke(capsys, [flag, "entropy", "--dist", write(tmp_path, "d.json",
+                                                                          UNIFORM2)])
+        message = "enum limit must be >= 1" if "limit" in flag else "tolerance must be"
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
     def test_infeasible_cover_exit_code(self, tmp_path, capsys):
         cover = write(tmp_path, "c.json", {"n": 3, "members": [[1, 2]]})
@@ -773,8 +785,140 @@ DECODER_DOCS = {
 }
 
 
+def usually(strategy, other):
+    """`strategy` in about five draws of six, else `other`.
+
+    Unlike `mostly`, the simplest draw (the one hypothesis favours) is `strategy`.
+    """
+    return st.integers(0, 5).flatmap(lambda i: other if i == 5 else strategy)
+
+
+@st.composite
+def cli_world(draw):
+    """One well-formed document of each kind, all over the grid {0,1}^d.
+
+    The documents fit one another (a map's domain holds the distribution's
+    support, a cover is over [d]) so that many runs get past decoding; `k`
+    is a suitable length for the distribution, at most 8, and `y` a vector
+    of the k-set of the distribution's image under the map.
+    """
+    d = draw(st.integers(1, 3))
+    grid = [list(x) for x in product(range(2), repeat=d)]
+    subsets = st.lists(st.sampled_from(grid), min_size=1, max_size=4, unique_by=tuple)
+
+    def table():
+        e = draw(st.integers(1, 2))
+        images = st.lists(st.lists(st.integers(0, 1), min_size=e, max_size=e),
+                          min_size=len(grid), max_size=len(grid))
+        return {"table": [[x, y] for x, y in zip(grid, draw(images))]}
+
+    support = draw(subsets)
+    weights = draw(st.lists(st.integers(1, 2), min_size=len(support), max_size=len(support)))
+    total = sum(weights)
+    k = total if total > 4 else 2 * total
+    f = table()
+    image = dict((tuple(x), y) for x, y in f["table"])
+    y = [image[tuple(x)] for x, w in zip(support, weights) for _ in range(w * k // total)]
+    count = draw(st.integers(1, 3))
+    members = st.lists(st.integers(1, d), min_size=1, max_size=d, unique=True)
+    cover = {"n": d, "members": draw(st.lists(members, min_size=1, max_size=4))}
+    if draw(st.booleans()):
+        cover["weights"] = draw(st.lists(st.sampled_from(["1", "1/2", "0"]),
+                                         min_size=len(cover["members"]),
+                                         max_size=len(cover["members"])))
+    return {
+        "dist": {"support": support, "probs": [f"{w}/{total}" for w in weights]},
+        "pointset": {"dimension": d, "points": draw(subsets)},
+        "map": f,
+        "spec": {"lhs_map": table(), "rhs_maps": [table() for _ in range(count)],
+                 "coefficients": draw(st.lists(st.sampled_from(["1", "1/2", "2", "0", "-1"]),
+                                               min_size=count, max_size=count))},
+        "cover": cover,
+        "k": str(k),
+        "y": json.dumps(draw(st.permutations(y))),
+    }
+
+
+cover_docs = json_docs({
+    "n": st.integers(0, 3),
+    "members": st.lists(mostly(st.lists(st.integers(0, 4), max_size=3)), min_size=1, max_size=4),
+})
+# documents of any shape, for the runs that do not take the well-formed one
+CLI_DOCS = {
+    "dist": json_dist_docs(),
+    "map": map_docs,
+    "pointset": DECODER_DOCS["pointset"][1],
+    "spec": json_spec_docs(),
+    "cover": cover_docs,
+}
+json_text = st.one_of(json_values.map(json.dumps), st.just("["))
+# flag texts: mostly valid, now and then of the wrong type or out of range
+INTS = st.sampled_from(["1", "2", "3", "0", "-1", "x"])
+INDEX_LISTS = st.sampled_from(["1", "2", "1,2", "2,1", "1,3", "", "0", "4", "1,1", "x"])
+GLOBAL_FLAGS = {
+    "--tolerance": st.sampled_from(["1e-9", "1e-2", "1e-12", "0", "nan", "x"]),
+    "--base": st.sampled_from(["2", "e", "e", "10"]),
+    "--limit": st.sampled_from(["1000", "1000000", "1000000", "0"]),
+    "--seed": st.sampled_from(["0", "7", "-3"]),
+    "--format": st.sampled_from(["json", "table", "table", "xml"]),
+}
+# every leaf subcommand: its words, then each flag with a document kind
+# (written to a file), "k" or "y" for the world's text, a strategy for its
+# text, or None for a switch
+CLI_COMMANDS = {
+    "entropy": (["entropy"], {"--dist": "dist"}),
+    "pushforward": (["pushforward"], {"--map": "map", "--dist": "dist"}),
+    "suitable": (["suitable"], {"--dist": "dist", "--k": "k"}),
+    "rationalize": (["rationalize"], {
+        "--weights": st.sampled_from(["1,2", "0.4999,0.5001", "1,1,1", "0,0", "nan,1", "-1,2",
+                                      "1e308,1e308", "", "x"]),
+        "--max-denominator": st.sampled_from(["1", "2", "8", "16", "17", "0", "x"]),
+    }),
+    **{f"ruzsa {name}": (["ruzsa", name], {"--dist": "dist", "--k": "k"})
+       for name in ("size", "enum", "bound")},
+    "ruzsa commute": (["ruzsa", "commute"], {"--dist": "dist", "--k": "k", "--map": "map"}),
+    "ruzsa lift": (["ruzsa", "lift"], {"--dist": "dist", "--k": "k", "--map": "map",
+                                       "--y": "y"}),
+    "ruzsa converge": (["ruzsa", "converge"], {"--dist": "dist", "--ks": "k"}),
+    "project sets": (["project"], {"--pointset": "pointset", "--indices": INDEX_LISTS}),
+    "project dist": (["project"], {"--dist": "dist", "--indices": INDEX_LISTS}),
+    "condsize": (["condsize"], {"--pointset": "pointset", "--t": INDEX_LISTS, "--s": INDEX_LISTS}),
+    "condentropy": (["condentropy"], {"--dist": "dist", "--s": INDEX_LISTS, "--c": INDEX_LISTS}),
+    "cover check": (["cover", "check"], {"--cover": "cover", "--k": INTS}),
+    "cover min": (["cover", "min"], {"--cover": "cover"}),
+    **{f"check {name}": (["check", name], {"--spec": "spec", "--input": kind})
+       for name, kind in (("entropy", "dist"), ("cardinality", "pointset"))},
+    **{f"check {name} {side}": (["check", name], {
+        "--cover": "cover", "--input": kind, "--side": st.sampled_from([side, side, "x"]),
+        **({"--k": INTS} if name == "shearer" else {}),
+    }) for name in ("shearer", "projection")
+       for side, kind in (("sets", "pointset"), ("entropy", "dist"))},
+    "check lemma1": (["check", "lemma1"], {
+        "--spec": "spec", "--input": "dist", "--kmax": "k", "--cross-validate": None,
+    }),
+    "witness lemma2": (["witness", "lemma2"], {"--map": "map", "--points": "pointset"}),
+    "demo": (["demo"], {}),
+}
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one `cli.run`; an argparse usage error exits 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestDecoderFuzz:
-    """Decoders given any JSON value return or raise an EntrosetError, nothing else."""
+    """Decoders given any JSON value return or raise an EntrosetError, nothing else.
+
+    `cli.run` given generated documents and flags for every subcommand exits
+    0, 1, 2 or 3 (an argparse usage error exits 2), lets no exception out,
+    and prints the same bytes when run again.
+    """
 
     @pytest.mark.parametrize("kind", sorted(DECODER_DOCS))
     @settings(max_examples=40, deadline=None)
@@ -786,3 +930,32 @@ class TestDecoderFuzz:
             decode(doc)
         except EntrosetError:
             pass
+
+    @pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_cli_run(self, command, data):
+        words, flags = CLI_COMMANDS[command]
+        world = data.draw(cli_world())
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [f"{flag}={data.draw(text)}" for flag, text in GLOBAL_FLAGS.items()
+                    if data.draw(st.integers(0, 2)) == 2]
+            argv += words
+            for flag, value in flags.items():
+                # a flag is left out now and then, a switch half the time
+                if data.draw(st.integers(0, 1 if value is None else 7)) == 1:
+                    continue
+                if value is None:
+                    argv.append(flag)
+                    continue
+                if value in ("k", "y"):
+                    value = usually(st.just(world[value]), INTS if value == "k" else json_text)
+                elif isinstance(value, str):
+                    path = Path(tmp) / f"{flag[2:]}.json"
+                    doc = data.draw(usually(st.just(world[value]), CLI_DOCS[value]))
+                    path.write_text(json.dumps(doc))
+                    value = st.just(str(path))
+                argv.append(f"{flag}={data.draw(value)}")
+            first = run_cli(argv)
+            assert first[0] in (0, 1, 2, 3), first
+            assert run_cli(argv) == first

@@ -1,6 +1,7 @@
 """Cover feasibility checks and the exact minimum fractional cover LP."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -91,6 +92,11 @@ class TestFractionalCover:
     def test_weights_required(self):
         with pytest.raises(SchemaError):
             is_fractional_cover(CoverSpec(2, [[1, 2]]))
+
+    @pytest.mark.parametrize("n", ["abc", "2", 2.7, 2.0, True, None], ids=repr)
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(SchemaError, match=f"^n must be an integer: {re.escape(repr(n))}$"):
+            CoverSpec(n, [[1]])
 
 
 class TestUniformKCover:

@@ -455,8 +455,14 @@ def reference_as_element(value):
 
 
 def reference_table(table):
-    """`FiniteMap.__init__`'s table as it was: one entry at a time, in order."""
-    pairs = table.items() if isinstance(table, dict) else table
+    """`FiniteMap.__init__`'s table, one entry at a time, in order.
+
+    Every entry's [key, value] shape is checked first, before any element.
+    """
+    pairs = list(table.items() if isinstance(table, dict) else table)
+    for entry in pairs:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise SchemaError(f"map table entries are [key, value] pairs: {entry!r}")
     normalized = {}
     for key, value in pairs:
         k = reference_as_element(key)
@@ -574,10 +580,14 @@ class TestElementFastPath:
             [[[0], [True]], [[0], [1]]],
             [[[0], [0]], [[1], [0], [2]]],
             [[[0], [0]], 5],
+            [5],
+            [[1, 2, 3]],
+            [[[0], [True]], [[1], [0], [2]]],
             [[[0], [0]], [[0], [0]]],
             {(0,): [1], 1: (2,)},
         ],
-        ids=["duplicate-first", "bad-value-first", "triple", "scalar-entry", "same-pair", "mapping"],
+        ids=["duplicate-first", "bad-value-first", "triple", "scalar-entry", "scalar-only",
+             "flat-triple", "bad-pair-after-bad-value", "same-pair", "mapping"],
     )
     def test_seeded_map_table(self, pairs):
         assert outcome(lambda p: FiniteMap(p).table, pairs) == outcome(reference_table, pairs)

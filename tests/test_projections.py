@@ -72,6 +72,10 @@ class TestProjectSet:
         with pytest.raises(IndexError):
             project_set(TRIANGLE, IndexSet([3]))
 
+    def test_out_of_range_index_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match=r"^index set \(3,\) exceeds dimension 2$"):
+            project_set(TRIANGLE, IndexSet([3]))
+
 
 class TestProjectRV:
     def test_symmetric_diagonal(self):
