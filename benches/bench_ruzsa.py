@@ -10,7 +10,10 @@ Inputs are fixed occurrence counts on the outcomes (0,), (1,), ...:
 
 * `verify_commutation` under the pairwise merge map x -> x // 2, at
   |set| = 1,260 (counts 2,3,4), 9,240 (3,3,5) and 45,045 (2,4,8): both
-  sides are enumerated, so the cost grows with |set| * k;
+  sides are built as image sets of partial arrangements, so the cost
+  follows the image set (126, 462 and 3,003 vectors);
+* `verify_commutation` under the identity at |set| = 45,045 (2,4,8),
+  where nothing merges and the image set is the whole source set;
 * `ruzsa_enumerate` of the 46,200 vectors of counts 1,3,3,4, decoded to
   element tuples;
 * `convergence_profile` of probabilities 1/20, 3/20, 4/20, 5/20, 7/20 at
@@ -48,6 +51,12 @@ def test_verify_commutation(benchmark, counts):
     spec = _spec(counts)
     report = benchmark(verify_commutation, _merge_map(spec), spec)
     assert report.holds
+
+
+def test_verify_commutation_identity(benchmark):
+    spec = _spec((2, 4, 8))
+    report = benchmark(verify_commutation, FiniteMap.identity(spec.dist.support), spec)
+    assert report.details["mapped_size"] == "45045"
 
 
 def test_ruzsa_enumerate(benchmark):

@@ -265,8 +265,9 @@ def empirical_lemma1(
     are computed from the closed-form counts of the pushforward type-class
     sets (the commutation identity makes enumeration unnecessary), and the
     per-coordinate rates are reported next to the entropy-side values they
-    approach. `cross_validate` additionally enumerates the mapped set and
-    compares counts, raising SizeGuardError when that would exceed `limit`;
+    approach. `cross_validate` additionally builds the mapped set itself
+    (the f^k-image of the k-set of X, without walking the k-set) and
+    compares counts, raising SizeGuardError when the k-set exceeds `limit`;
     a row whose enumerated count differs from the closed form is violated
     and carries the enumerated count.
     """

@@ -39,7 +39,10 @@ class CoverSpec:
             raise SchemaError(f"n must be an integer: {n!r}")
         if n < 1:
             raise SchemaError("n must be >= 1")
-        mems = tuple(m if isinstance(m, IndexSet) else IndexSet(m) for m in members)
+        try:
+            mems = tuple(m if isinstance(m, IndexSet) else IndexSet(m) for m in members)
+        except TypeError:
+            raise SchemaError(f"cover members must be a sequence: {members!r}") from None
         if not mems:
             raise SchemaError("cover needs at least one member")
         for m in mems:
@@ -49,7 +52,10 @@ class CoverSpec:
                 raise SchemaError(f"member {m.indices} exceeds n={n}")
         ws = None
         if weights is not None:
-            ws = tuple(as_fraction(w) for w in weights)
+            try:
+                ws = tuple(map(as_fraction, weights))
+            except TypeError:
+                raise SchemaError(f"cover weights must be a sequence: {weights!r}") from None
             if len(ws) != len(mems):
                 raise SchemaError("weights must be parallel to members")
             if any(w < 0 for w in ws):

@@ -73,7 +73,10 @@ def as_elements(values: Iterable) -> list[Element]:
     the first bad value raises the same error as it would alone.
     """
     if not isinstance(values, list):
-        values = list(values)
+        try:
+            values = list(values)
+        except TypeError:
+            raise SchemaError(f"elements must be a sequence: {values!r}") from None
     elems = _int_tuples(values)
     return [as_element(v) for v in values] if elems is None else elems
 
@@ -112,7 +115,11 @@ class RationalDist:
     probs: tuple[Fraction, ...]
 
     def __init__(self, support: Sequence, probs: Sequence):
-        if len(support) != len(probs):
+        try:
+            lengths_differ = len(support) != len(probs)
+        except TypeError:
+            raise SchemaError("support and probs must be sequences") from None
+        if lengths_differ:
             raise SchemaError("support and probs must have equal length")
         elems = as_elements(support)
         fracs = [as_fraction(p) for p in probs]
@@ -172,7 +179,10 @@ class FiniteMap:
             # already normal: copy the table without checking it again
             object.__setattr__(self, "table", dict(table.table))
             return
-        pairs = list(table.items() if isinstance(table, Mapping) else table)
+        try:
+            pairs = list(table.items() if isinstance(table, Mapping) else table)
+        except TypeError:
+            raise SchemaError(f"map table must be a mapping or a sequence: {table!r}") from None
         if not (set(map(type, pairs)) <= _SEQUENCES and set(map(len, pairs)) <= {2}):
             # the shape of every entry is checked before any element
             for entry in pairs:
@@ -226,6 +236,8 @@ class FiniteMap:
 
 def entropy(dist: RationalDist, base: float = 2) -> float:
     """Shannon entropy sum(p * log(1/p)); 0 for a single-point support."""
+    if not isinstance(dist, RationalDist):
+        raise SchemaError(f"entropy needs a RationalDist: {dist!r}")
     log = _log_function(base)
     if len(dist) == 1:
         return 0.0
@@ -357,7 +369,10 @@ def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
         raise SchemaError("max_denominator must be >= 1")
     if max_denominator > 16:
         raise SchemaError("max_denominator above 16 is not supported (lcm grid too large)")
-    weights = list(weights)
+    try:
+        weights = list(weights)
+    except TypeError:
+        raise SchemaError(f"weights must be a sequence: {weights!r}") from None
     if not weights:
         raise SchemaError("weights must be nonempty")
     if not all(math.isfinite(w) for w in weights):

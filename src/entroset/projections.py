@@ -38,6 +38,10 @@ class IndexSet:
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int]):
+        try:
+            indices = iter(indices)
+        except TypeError:
+            raise SchemaError(f"indices must be a sequence: {indices!r}") from None
         raw = []
         for i in indices:
             if isinstance(i, bool) or not isinstance(i, int):

@@ -12,9 +12,12 @@ n support elements,
 all three quantities exact big integers/rationals. Applying a map f
 coordinatewise commutes with the construction: the image of the k-set of
 X under f^k equals the k-set of f(X). Both directions are implemented:
-`verify_commutation` checks the identity by double enumeration, and
-`preimage_lift` constructs an explicit preimage vector witnessing the
-hard inclusion.
+`verify_commutation` checks the identity by computing both sets
+independently, and `preimage_lift` constructs an explicit preimage vector
+witnessing the hard inclusion. The mapped side is built without walking
+the source set: image sets of partial arrangements, keyed by the source
+counts they use, are deduplicated as they grow and joined at half length,
+so its cost follows the (often much smaller) image set.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterator
+from itertools import product
+from typing import Iterable, Iterator
 
 from .dist import (
     Element,
@@ -51,6 +54,8 @@ class RuzsaSpec:
     k: int
 
     def __init__(self, dist: RationalDist, k: int):
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise SuitabilityError(f"k must be an integer: {k!r}")
         if not is_suitable(dist, k):
             raise SuitabilityError(
                 f"k={k} is not a multiple of the probability denominators"
@@ -89,28 +94,37 @@ def ruzsa_size(spec: RuzsaSpec) -> int:
     return _multinomial(spec.counts)
 
 
-def _arrangements(counts: tuple[int, ...], limit: int) -> Iterator[list[bytes]]:
-    """Every arrangement of the multiset with these counts, in chunks.
+def _guard(counts: tuple[int, ...], limit: int) -> None:
+    """Raise SizeGuardError unless the arrangements of `counts` may be built.
 
-    An arrangement is `bytes` whose j-th byte is the support index at
-    coordinate j. Chunks are lists of arrangements sharing a prefix, and
-    arrangements come lexicographically, as in `ruzsa_enumerate`. The
-    suffixes of length k//2 are built once per remaining-count state,
-    level by level from the empty suffix, keeping only the last level;
-    the prefixes above them are walked depth first.
-
-    Raises SizeGuardError at the call, before any enumeration, when the
-    count exceeds `limit` or when more than 256 support indices cannot
-    fit in a byte.
+    They may not when their number exceeds `limit`, or when more than 256
+    support indices cannot fit in a byte.
     """
     total = _multinomial(counts)
     if total > limit:
         raise SizeGuardError(
             f"enumeration of {exact_text(total)} vectors exceeds limit {limit}"
         )
+    if len(counts) > 256:
+        raise SizeGuardError(
+            f"enumeration over {len(counts)} support elements exceeds 256"
+        )
+
+
+def _arrangements(counts: tuple[int, ...], limit: int) -> Iterator[list[bytes]]:
+    """Every arrangement of the multiset with these counts, lazily, in chunks.
+
+    Serves `ruzsa_enumerate`. An arrangement is `bytes` whose j-th byte is
+    the support index at coordinate j. Chunks are lists of arrangements
+    sharing a prefix, and arrangements come lexicographically. The
+    suffixes of length k//2 are built once per remaining-count state,
+    level by level from the empty suffix, keeping only the last level;
+    the prefixes above them are walked depth first.
+
+    Raises SizeGuardError at the call, before any enumeration (`_guard`).
+    """
+    _guard(counts, limit)
     n = len(counts)
-    if n > 256:
-        raise SizeGuardError(f"enumeration over {n} support elements exceeds 256")
     symbols = [bytes((i,)) for i in range(n)]
     k = sum(counts)
     half = k // 2
@@ -150,6 +164,42 @@ def _arrangements(counts: tuple[int, ...], limit: int) -> Iterator[list[bytes]]:
     return chunks()
 
 
+def _image_set(counts: tuple[int, ...], symbols: Iterable[int], limit: int) -> set[bytes]:
+    """The image of every arrangement of `counts` under index i -> symbols[i].
+
+    An image is `bytes` whose j-th byte is the symbol of the support index
+    at coordinate j; `symbols` is read only after the guards of `_guard`
+    have passed. The image sets of the arrangements of every partial count
+    vector u <= counts are grown level by level from {b""}, each level
+    prepending symbols[i] to the set of u - e_i, and deduplicated as they
+    grow. The k//2 level is kept as the suffix sets; the answer joins, for
+    every state u at level k - k//2, each head in the set of u to each tail
+    in the set of counts - u. States are source count vectors, so every
+    member is the image of a real arrangement.
+    """
+    _guard(counts, limit)
+    symbols = [bytes((s,)) for s in symbols]
+    k = sum(counts)
+    half = k // 2
+    level: dict[tuple[int, ...], set[bytes]] = {(0,) * len(counts): {b""}}
+    suffixes = level
+    for depth in range(1, k - half + 1):
+        grown: dict[tuple[int, ...], set[bytes]] = {}
+        for state, images in level.items():
+            for i, c in enumerate(state):
+                if c < counts[i]:
+                    child = state[:i] + (c + 1,) + state[i + 1 :]
+                    grown.setdefault(child, set()).update(map(symbols[i].__add__, images))
+        level = grown
+        if depth == half:
+            suffixes = level
+    joined: set[bytes] = set()
+    for state, heads in level.items():
+        tails = suffixes[tuple(c - u for c, u in zip(counts, state))]
+        joined.update(map(b"".join, product(heads, tails)))
+    return joined
+
+
 def ruzsa_enumerate(
     spec: RuzsaSpec, limit: int = DEFAULT_ENUM_LIMIT
 ) -> Iterator[RuzsaVector]:
@@ -169,20 +219,13 @@ def _mapped_arrangements(
 ) -> set[bytes]:
     """The f^k-image of the k-set of X, as arrangements over `image_support`.
 
-    `image_support` is the support of the pushforward f(X). Each source
-    arrangement is mapped with one `bytes.translate` by the table taking
-    the index of x to the index of f(x).
+    `image_support` is the support of the pushforward f(X): the byte of
+    source index i is the index of f(x_i) there. `f` is called only after
+    the size guards have passed.
     """
-    chunks = _arrangements(spec.counts, limit)  # its guards fire before the table
     position = {y: j for j, y in enumerate(image_support)}
-    table = bytearray(256)
-    for i, x in enumerate(spec.dist.support):
-        table[i] = position[f(x)]
-    table = bytes(table)
-    mapped: set[bytes] = set()
-    for chunk in chunks:
-        mapped.update(map(bytes.translate, chunk, repeat(table)))
-    return mapped
+    symbols = (position[f(x)] for x in spec.dist.support)
+    return _image_set(spec.counts, symbols, limit)
 
 
 def verify_commutation(
@@ -192,9 +235,10 @@ def verify_commutation(
 ) -> CheckReport:
     """Check that mapping coordinatewise commutes with the construction.
 
-    Enumerates the f^k-image of the k-set of X (deduplicated) and,
-    independently, the k-set of the pushforward f(X); reports exact set
-    equality with up to five discrepancy witnesses per side.
+    Builds the f^k-image of the k-set of X and, independently, the k-set
+    of the pushforward f(X) (both by `_image_set`, the second under the
+    identity); reports exact set equality with up to five discrepancy
+    witnesses per side.
     """
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
     for s in (spec, image_spec):
@@ -203,9 +247,7 @@ def verify_commutation(
             raise SizeGuardError(f"|set| = {exact_text(total)} exceeds limit {limit}")
     image = image_spec.dist.support
     mapped = _mapped_arrangements(f, spec, image, limit)
-    direct: set[bytes] = set()
-    for chunk in _arrangements(image_spec.counts, limit):
-        direct.update(chunk)
+    direct = _image_set(image_spec.counts, range(len(image)), limit)
 
     def witnesses(vecs: set[bytes]) -> list[RuzsaVector]:
         decoded = (tuple(map(image.__getitem__, v)) for v in vecs)

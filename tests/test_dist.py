@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 from entroset import (
     ApproximationError,
+    CoverSpec,
     DomainError,
     FiniteMap,
+    IndexSet,
+    PointSet,
     RationalDist,
     SchemaError,
     entropy,
@@ -66,6 +69,38 @@ class TestConstruction:
         d = RationalDist([(0,), (1,)], [Fraction(2, 4), Fraction(3, 6)])
         assert all(p == Fraction(1, 2) for p in d.probs)
         assert all(p.denominator == 2 for p in d.probs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FiniteMap(5),
+        lambda: RationalDist(5, [1]),
+        lambda: RationalDist([(0,)], 1),
+        lambda: PointSet(2, 5),
+        lambda: PointSet.from_points(5),
+        lambda: IndexSet(5),
+        lambda: CoverSpec(2, 5),
+        lambda: CoverSpec(2, [[1, 2]], 5),
+        lambda: rationalize(5, 2),
+        lambda: entropy(5),
+    ],
+    ids=[
+        "FiniteMap",
+        "RationalDist-support",
+        "RationalDist-probs",
+        "PointSet",
+        "PointSet.from_points",
+        "IndexSet",
+        "CoverSpec-members",
+        "CoverSpec-weights",
+        "rationalize",
+        "entropy",
+    ],
+)
+def test_non_iterable_argument_is_schema_error(call):
+    with pytest.raises(SchemaError):
+        call()
 
 
 class TestEntropy:

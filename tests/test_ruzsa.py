@@ -3,12 +3,13 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from entroset import ruzsa
 from entroset import (
+    DomainError,
     FiniteMap,
     MembershipError,
     RationalDist,
@@ -115,6 +116,11 @@ class TestSpec:
     def test_unsuitable_k_rejected(self):
         with pytest.raises(SuitabilityError):
             RuzsaSpec(THIRDS, 4)
+
+    @pytest.mark.parametrize("k", ["a", 2.0, True, None])
+    def test_non_int_k_rejected(self, k):
+        with pytest.raises(SuitabilityError, match="k must be an integer"):
+            RuzsaSpec(HALVES, k)
 
     def test_counts_are_exact(self):
         assert RuzsaSpec(SIXTHS, 6).counts == (1, 2, 3)
@@ -240,6 +246,75 @@ class TestEnumerateMatchesReferenceWalk:
     def test_commute_workload_counts(self):
         for counts in ((1, 2, 11), (1, 1, 1, 8), (3, 3, 5), (2, 4, 8), (1, 3, 3, 4)):
             self.check(spec_of_counts(counts))
+
+
+class TestImageSet:
+    """`_image_set` equals the tuple-level image {f^k(v) : v in the k-set}."""
+
+    @staticmethod
+    def check(spec, f):
+        image = pushforward(f, spec.dist).support
+        position = {y: j for j, y in enumerate(image)}
+        symbols = [position[f(x)] for x in spec.dist.support]
+        got = ruzsa._image_set(spec.counts, symbols, ruzsa.DEFAULT_ENUM_LIMIT)
+        want = {f.map_vector(v) for v in ruzsa_enumerate(spec)}
+        assert {tuple(image[j] for j in v) for v in got} == want
+        assert len(got) == len(want)
+
+    def test_seeded_random_counts_and_maps(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            spec = random_counts_spec(rng, max_size=20000)
+            self.check(spec, random_map(rng, spec.dist.support, merge_bias=rng.random()))
+
+    def test_constant_map(self):
+        spec = spec_of_counts([2, 3, 1, 2])
+        f = FiniteMap({x: (7,) for x in spec.dist.support})
+        self.check(spec, f)
+        assert ruzsa._image_set(spec.counts, [0] * 4, 10**6) == {bytes(8)}
+
+    def test_identity_map(self):
+        spec = spec_of_counts([2, 1, 3])
+        self.check(spec, FiniteMap.identity(spec.dist.support))
+
+    def test_injective_reordering(self):
+        rng = random.Random(67)
+        for _ in range(20):
+            spec = random_counts_spec(rng, max_size=5000)
+            images = rng.sample([(v, -v) for v in range(30)], len(spec.dist))
+            self.check(spec, FiniteMap(dict(zip(spec.dist.support, images))))
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_single_support_element(self, k):
+        # k = 1 needs a point mass, so it is the case n = 1 with k = 1
+        spec = spec_of_counts([k], [(4,)])
+        self.check(spec, FiniteMap({(4,): (0,)}))
+        assert ruzsa._image_set((k,), [3], 1) == {bytes([3] * k)}
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_all_ones_are_permutations(self, n):
+        got = ruzsa._image_set((1,) * n, range(n), math.factorial(n))
+        assert got == set(map(bytes, permutations(range(n))))
+        self.check(spec_of_counts([1] * n), FiniteMap.identity(range(n)))
+
+    def test_256_index_guard(self):
+        def unread():
+            raise AssertionError("symbols read before the guard")
+            yield  # pragma: no cover
+
+        counts = (1,) * 257
+        with pytest.raises(SizeGuardError, match="257 support elements exceeds 256"):
+            ruzsa._image_set(counts, unread(), math.factorial(257))
+        with pytest.raises(SizeGuardError, match="10 vectors exceeds limit 9"):
+            ruzsa._image_set((2, 3), unread(), 9)
+
+    def test_size_guard_before_map_is_called(self):
+        spec = spec_of_counts([2, 4, 8])
+        partial = FiniteMap({(0,): (0,), (1,): (0,)})  # (2,) is not in the domain
+        with pytest.raises(SizeGuardError):
+            ruzsa._mapped_arrangements(partial, spec, [(0,)], limit=45044)
+        with pytest.raises(DomainError):
+            ruzsa._mapped_arrangements(partial, spec, [(0,)], limit=45045)
 
 
 class TestCommutation:
