@@ -167,30 +167,28 @@ def _simplex_min_geq(
 ) -> tuple[list[int], list[int], int]:
     """Exact two-phase simplex for min c.x s.t. a x >= b, x >= 0, b >= 0.
 
-    Integer data. Columns are [x | surplus | artificial | rhs]; each
-    entry of the tableau, and of the two reduced-cost rows carried with
-    it, is an int over the common denominator d > 0. Bland's rule picks
-    the entering and leaving variables. Returns the numerators of the
-    optimal x and of the dual y (the phase-2 reduced costs of the
-    surplus columns), and d.
+    Integer data, with a >= 0 and no zero row. Columns are [x | surplus |
+    rhs]; each entry of the tableau, and of the two reduced-cost rows
+    carried with it, is an int over the common denominator d > 0. Bland's
+    rule picks the entering and leaving variables. The artificial of row i
+    (minus surplus column i) is only the basis entry nvar + m + i: once the
+    x and surplus columns price >= 0, the precondition forces the
+    multipliers to 0, so every artificial prices at 1 and is never entered.
+    Returns the numerators of the optimal x and of the dual y (the phase-2
+    reduced costs of the surplus columns), and d.
     """
     m = len(a)
     nvar = len(c)
     art = nvar + m
-    width = art + m
     tab = []
     for i in range(m):
-        row = list(a[i]) + [0] * (2 * m) + [b[i]]
+        row = list(a[i]) + [0] * m + [b[i]]
         row[nvar + i] = -1  # surplus
-        row[art + i] = 1  # artificial
         tab.append(row)
-    basis = list(range(art, width))
+    basis = list(range(art, art + m))
     # reduced-cost rows: phase 2 prices c, phase 1 prices the artificials
-    # (basic at the start, so their reduced cost is 1 minus each column sum)
-    phase1 = [-sum(col) for col in zip(*tab)]
-    for j in range(art, width):
-        phase1[j] += 1
-    objectives = [list(c) + [0] * (2 * m + 1), phase1]
+    # (basic at the start, so a column's reduced cost is minus its sum)
+    objectives = [list(c) + [0] * (m + 1), [-sum(col) for col in zip(*tab)]]
     d = 1
 
     def pivot(r: int, col: int) -> None:
@@ -213,10 +211,10 @@ def _simplex_min_geq(
         d = p
         basis[r] = col
 
-    def optimize(phase: int, allowed: int) -> None:
+    def optimize(phase: int) -> None:
         while True:
             z = objectives[phase]
-            enter = next((j for j in range(allowed) if z[j] < 0), None)
+            enter = next((j for j in range(art) if z[j] < 0), None)
             if enter is None:
                 return
             leave = None
@@ -234,16 +232,16 @@ def _simplex_min_geq(
                 raise InfeasibleError("LP is unbounded")  # pragma: no cover
             pivot(leave, enter)
 
-    optimize(1, width)
+    optimize(1)
     if sum(tab[i][-1] for i in range(m) if basis[i] >= art) > 0:
         raise InfeasibleError("no fractional cover exists")  # pragma: no cover
     objectives.pop()  # the phase-1 row is not needed past this point
     # drive degenerate artificials out of the basis; [a | -I] has full row
-    # rank, so every row has a nonzero entry left of the artificials
+    # rank, so every row has a nonzero x or surplus entry
     for i in reversed(range(m)):
         if basis[i] >= art:
             pivot(i, next(j for j in range(art) if tab[i][j] != 0))
-    optimize(0, art)
+    optimize(0)
     x = [0] * nvar
     for i, bi in enumerate(basis):
         if bi < nvar:

@@ -2,12 +2,12 @@
 
 Ground elements are tuples of bounded integers; scalars are stored as
 length-1 tuples so that every element lives in some product space.
-Probabilities are `fractions.Fraction` values, always reduced with a
-positive denominator, strictly positive (zero-mass outcomes are dropped
-at construction) and summing to exactly 1.
+A distribution stores positive int counts c_i over d, the lcm of the
+reduced denominators of its probabilities p_i = c_i/d, so the form is
+canonical. Zero-mass outcomes are dropped; `probs` derives the Fractions.
 
 Entropy is the only float-valued quantity here; everything feeding it
-(probabilities, preimage sums, denominators) stays exact, as does 2^(d*H).
+(counts, preimage sums, denominators) stays exact, as does 2^(d*H).
 
 Elements are checked once, where a value enters: a constructor called
 through the API or by a JSON decoder normalizes its elements with
@@ -108,11 +108,12 @@ def _log_function(base: float) -> Callable[[float], float]:
 class RationalDist:
     """Finite-support distribution with exact rational probabilities.
 
-    `support` keeps the construction order; `probs` is parallel to it.
+    `support` keeps the construction order; Pr(support[i]) = counts[i] / denominator.
     """
 
     support: tuple[Element, ...]
-    probs: tuple[Fraction, ...]
+    counts: tuple[int, ...]
+    denominator: int
 
     def __init__(self, support: Sequence, probs: Sequence):
         try:
@@ -129,20 +130,20 @@ class RationalDist:
         kept = [(x, p) for x, p in zip(elems, fracs) if p > 0]
         if not kept:
             raise SchemaError("distribution has no positive-probability outcome")
-        elems = [x for x, _ in kept]
-        fracs = [p for _, p in kept]
+        elems, fracs = zip(*kept)
         if len(set(elems)) != len(elems):
             raise SchemaError("support elements must be pairwise distinct")
-        total = sum(fracs)
-        if total != 1:
+        d = math.lcm(*(p.denominator for p in fracs))
+        counts = tuple(p.numerator * (d // p.denominator) for p in fracs)
+        if sum(counts) != d:
             raise SchemaError(
-                f"probabilities must sum to 1 exactly, got {exact_text(total)}"
+                f"probabilities must sum to 1 exactly, got {exact_text(sum(counts), d)}"
             )
-        dims = {len(x) for x in elems}
-        if len(dims) != 1:
+        if len(set(map(len, elems))) != 1:
             raise SchemaError("support elements must share one dimension")
-        object.__setattr__(self, "support", tuple(elems))
-        object.__setattr__(self, "probs", tuple(fracs))
+        object.__setattr__(self, "support", elems)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "denominator", d)
 
     @classmethod
     def uniform(cls, points: Iterable) -> "RationalDist":
@@ -150,8 +151,12 @@ class RationalDist:
         elems = sorted(set(as_elements(points)))
         if not elems:
             raise SchemaError("uniform distribution needs a nonempty point set")
-        p = Fraction(1, len(elems))
-        return cls(elems, [p] * len(elems))
+        return cls(elems, [Fraction(1, len(elems))] * len(elems))
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The probabilities counts[i] / denominator, reduced, parallel to the support."""
+        return tuple(Fraction(c, self.denominator) for c in self.counts)
 
     @property
     def dimension(self) -> int:
@@ -205,7 +210,7 @@ class FiniteMap:
 
     @classmethod
     def identity(cls, domain: Iterable) -> "FiniteMap":
-        return cls({as_element(x): as_element(x) for x in domain})
+        return cls({x: x for x in as_elements(domain)})
 
     @property
     def domain(self) -> frozenset[Element]:
@@ -234,22 +239,28 @@ class FiniteMap:
             raise DomainError(f"element {exc.args[0]} not in map domain") from None
 
 
+def _expect_dist(value, what: str) -> None:
+    if not isinstance(value, RationalDist):
+        raise SchemaError(f"{what} needs a RationalDist: {value!r}")
+
+
 def entropy(dist: RationalDist, base: float = 2) -> float:
     """Shannon entropy sum(p * log(1/p)); 0 for a single-point support."""
-    if not isinstance(dist, RationalDist):
-        raise SchemaError(f"entropy needs a RationalDist: {dist!r}")
+    _expect_dist(dist, "entropy")
     log = _log_function(base)
     if len(dist) == 1:
         return 0.0
-    return sum(_entropy_term(p, log) for p in dist.probs)
+    return sum(_entropy_term(c, dist.denominator, log) for c in dist.counts)
 
 
-def _entropy_term(p: Fraction, log: Callable[[float], float]) -> float:
-    q = float(p)
+def _entropy_term(c: int, d: int, log: Callable[[float], float]) -> float:
+    # int true division is correctly rounded, as float(Fraction(c, d)) is
+    q = c / d
     inv = 1 / q if q else math.inf
     if math.isinf(inv):
-        # float(p) underflows or 1/float(p) overflows: take log(1/p) from
-        # the exact numerator and denominator, then round p * log(1/p) once
+        # c/d underflows or d/c overflows: take log(1/p) from the reduced
+        # numerator and denominator, then round p * log(1/p) once
+        p = Fraction(c, d)
         return float(p * Fraction(log(p.denominator) - log(p.numerator)))
     return q * log(inv)
 
@@ -258,32 +269,43 @@ def entropy_power(dist: RationalDist) -> tuple[int, dict[int, int]]:
     """(d, {b: e}) with 2^(d*H) = prod b^e: for p_i = c_i/d, d^d / prod c_i^c_i."""
     d = minimal_suitable_k(dist)
     powers = {d: d}
-    for p in dist.probs:
-        c = p.numerator * (d // p.denominator)
+    for c in dist.counts:
         powers[c] = powers.get(c, 0) - c
     return d, powers
 
 
+def _merge(images: Iterable[Element], dist: RationalDist) -> RationalDist:
+    """The law of the images of X's support points, in first-image order,
+    with the summed counts and d divided by their gcd (the canonical form)."""
+    masses: dict[Element, int] = {}
+    for y, c in zip(images, dist.counts):
+        masses[y] = masses.get(y, 0) + c
+    g = math.gcd(dist.denominator, *masses.values())
+    merged = object.__new__(RationalDist)
+    object.__setattr__(merged, "support", tuple(masses))
+    object.__setattr__(merged, "counts", tuple(c // g for c in masses.values()))
+    object.__setattr__(merged, "denominator", dist.denominator // g)
+    return merged
+
+
 def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:
     """Distribution of f(X): exact preimage sums, support in first-image order."""
-    masses: dict[Element, Fraction] = {}
-    order: list[Element] = []
-    for x, p in zip(dist.support, dist.probs):
-        y = f(x)
-        if y not in masses:
-            masses[y] = Fraction(0)
-            order.append(y)
-        masses[y] += p
-    return RationalDist(order, [masses[y] for y in order])
+    _expect_dist(dist, "pushforward")
+    image = _merge(map(f, dist.support), dist)
+    # map values may differ in length
+    if len(set(map(len, image.support))) != 1:
+        raise SchemaError("support elements must share one dimension")
+    return image
 
 
 def minimal_suitable_k(dist: RationalDist) -> int:
-    """Least k making every k*p_i an integer: lcm of the reduced denominators."""
-    return math.lcm(*(p.denominator for p in dist.probs))
+    """Least k making every k*p_i an integer: the denominator d of the counts."""
+    _expect_dist(dist, "minimal_suitable_k")
+    return dist.denominator
 
 
 def is_suitable(dist: RationalDist, k: int) -> bool:
-    return k >= 1 and k % minimal_suitable_k(dist) == 0
+    return k % minimal_suitable_k(dist) == 0 and k >= 1
 
 
 def _grid(big_l: int, max_denominator: int) -> list[int]:

@@ -123,14 +123,6 @@ def ineq_spec_from_json(doc: dict) -> InequalitySpec:
     return InequalitySpec(lhs, rhs, coeffs)
 
 
-def ineq_spec_to_json(spec: InequalitySpec) -> dict:
-    return {
-        "lhs_map": map_to_json(spec.lhs_map),
-        "rhs_maps": [map_to_json(m) for m in spec.rhs_maps],
-        "coefficients": [format_rational(c) for c in spec.coefficients],
-    }
-
-
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .dist import Element, RationalDist, _log_function, as_element, as_elements, entropy
+from .dist import Element, RationalDist, _log_function, _merge, as_element, as_elements, entropy
 from .errors import EmptySliceError, IndexRangeError, SchemaError
 
 
@@ -145,13 +145,7 @@ def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
     if not S:
         raise SchemaError("cannot project onto the empty index set")
     _check_indices(S, X.dimension)
-    # exact mass sums, support in first-image order (as `pushforward` gives)
-    masses: dict[Element, Fraction] = {}
-    restrict = _restrictor(S)
-    for x, p in zip(X.support, X.probs):
-        y = restrict(x)
-        masses[y] = masses.get(y, 0) + p
-    return RationalDist(list(masses), list(masses.values()))
+    return _merge(map(_restrictor(S), X.support), X)
 
 
 def s_star(S: IndexSet) -> IndexSet:

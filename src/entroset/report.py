@@ -16,6 +16,7 @@ and the process-wide limit is never changed.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,12 +75,14 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(low_digits)
 
 
-def exact_text(value: int | Fraction) -> str:
-    """`str(value)` of an int or Fraction, at any number of digits."""
-    text = _decimal(value.numerator)
-    if value.denominator == 1:
+def exact_text(value: int | Fraction, denominator: int = 1) -> str:
+    """`str(Fraction(value, denominator))` of an int or Fraction, at any number of digits."""
+    num, den = value.numerator, value.denominator * denominator
+    g = math.gcd(num, den)
+    text = _decimal(num // g)
+    if den == g:
         return text
-    return f"{text}/{_decimal(value.denominator)}"
+    return f"{text}/{_decimal(den // g)}"
 
 
 def _jsonable(value):

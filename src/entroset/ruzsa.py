@@ -1,8 +1,8 @@
 """Type-class vector sets built from exact rational distributions.
 
-For a distribution X with probabilities p_i = q_i/r_i and a suitable k
-(common multiple of the r_i), the k-set of X is the set of length-k
-vectors over the support in which element x_i occurs exactly k*p_i times.
+For a distribution X with probabilities p_i = c_i/d and a suitable k (a
+multiple of d), the k-set of X is the set of length-k vectors over the
+support in which element x_i occurs exactly k*p_i = c_i*(k/d) times.
 Its cardinality is the multinomial coefficient k!/prod((k*p_i)!), and
 log|set|/k converges to H(X) inside an exactly-checkable envelope: with
 n support elements,
@@ -23,8 +23,8 @@ so its cost follows the (often much smaller) image set.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -38,7 +38,7 @@ from .dist import (
     is_suitable,
     pushforward,
 )
-from .errors import MembershipError, SizeGuardError, SuitabilityError
+from .errors import MembershipError, SchemaError, SizeGuardError, SuitabilityError
 from .report import HOLDS, VIOLATED, CheckReport, exact_text
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -65,19 +65,13 @@ class RuzsaSpec:
 
     @property
     def counts(self) -> tuple[int, ...]:
-        """Exact occurrence counts k*p_i, parallel to the support."""
-        return tuple(int(p * self.k) for p in self.dist.probs)
+        """Exact occurrence counts k*p_i = c_i * (k // d), parallel to the support."""
+        return tuple(c * (self.k // self.dist.denominator) for c in self.dist.counts)
 
     def contains(self, vec) -> bool:
         """Exact membership test: every support element occurs k*p_i times."""
         vec = tuple(vec)
-        if len(vec) != self.k:
-            return False
-        support = self.dist.support
-        allowed = set(support)
-        if any(x not in allowed for x in vec):
-            return False
-        return all(vec.count(x) == c for x, c in zip(support, self.counts))
+        return len(vec) == self.k and Counter(vec) == dict(zip(self.dist.support, self.counts))
 
 
 def _multinomial(counts) -> int:
@@ -91,6 +85,8 @@ def _multinomial(counts) -> int:
 
 def ruzsa_size(spec: RuzsaSpec) -> int:
     """Closed-form cardinality: the multinomial (k choose k*p_1, ..., k*p_n)."""
+    if not isinstance(spec, RuzsaSpec):
+        raise SchemaError(f"ruzsa_size needs a RuzsaSpec: {spec!r}")
     return _multinomial(spec.counts)
 
 
@@ -305,19 +301,21 @@ def preimage_lift(f: FiniteMap, spec: RuzsaSpec, y) -> RuzsaVector:
 def type_bound_check(spec: RuzsaSpec) -> CheckReport:
     """Exact sandwich |set| <= prod p_i^(-k p_i) <= (k+1)^(n-1) |set|.
 
-    All comparisons are big-rational; the report carries both ratios so the
-    finite-k distance to 2^(kH) is visible.
+    All comparisons are exact, in big integers; the report carries both
+    ratios so the finite-k distance to 2^(kH) is visible.
     """
     size = ruzsa_size(spec)
-    t_value = Fraction(1)
-    for p, c in zip(spec.dist.probs, spec.counts):
-        t_value *= Fraction(p.denominator, p.numerator) ** c
+    # prod p_i^(-k p_i) = d^k / prod c_i^(k c_i / d), in lowest terms num/den
+    num = spec.dist.denominator ** spec.k
+    den = math.prod(map(pow, spec.dist.counts, spec.counts))
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     n = len(spec.dist)
     factor = (spec.k + 1) ** (n - 1)
-    lower_ok = size <= t_value
-    upper_ok = t_value <= factor * size
+    lower_ok = size * den <= num
+    upper_ok = num <= factor * size * den
     lhs = math.log2(size)
-    rhs = math.log2(t_value.numerator) - math.log2(t_value.denominator)
+    rhs = math.log2(num) - math.log2(den)
     return CheckReport(
         verdict=HOLDS if (lower_ok and upper_ok) else VIOLATED,
         lhs=lhs,
@@ -326,10 +324,10 @@ def type_bound_check(spec: RuzsaSpec) -> CheckReport:
         provenance="exact",
         details={
             "size": exact_text(size),
-            "type_mass_inverse": exact_text(t_value),
+            "type_mass_inverse": exact_text(num, den),
             "upper_factor": exact_text(factor),
-            "lower_ratio": exact_text(Fraction(t_value, size)),
-            "upper_ratio": exact_text(Fraction(factor * size) / t_value),
+            "lower_ratio": exact_text(num, size * den),
+            "upper_ratio": exact_text(factor * size * den, num),
             "lower_ok": lower_ok,
             "upper_ok": upper_ok,
         },
@@ -343,6 +341,10 @@ def convergence_profile(
     log = _log_function(base)
     h = entropy(dist, base=base)
     n = len(dist)
+    try:
+        k_list = list(k_list)
+    except TypeError:
+        raise SchemaError(f"k_list must be a sequence: {k_list!r}") from None
     rows = []
     for k in k_list:
         spec = RuzsaSpec(dist, k)

@@ -19,18 +19,22 @@ from entroset import (
     IndexSet,
     PointSet,
     RationalDist,
+    RuzsaSpec,
     SchemaError,
+    convergence_profile,
     entropy,
     is_suitable,
     minimal_suitable_k,
+    project_rv,
     pushforward,
     rationalize,
+    ruzsa_size,
 )
 
 from entroset import dist as dist_module
 from entroset.dist import _grid, as_element, as_elements
 
-from genutil import random_dist, random_map
+from genutil import random_dist, random_elements, random_map
 
 
 def dist(pairs):
@@ -84,6 +88,13 @@ class TestConstruction:
         lambda: CoverSpec(2, [[1, 2]], 5),
         lambda: rationalize(5, 2),
         lambda: entropy(5),
+        lambda: pushforward(FiniteMap.identity([0]), 5),
+        lambda: minimal_suitable_k(5),
+        lambda: is_suitable(5, 3),
+        lambda: ruzsa_size(5),
+        lambda: RuzsaSpec(5, 2),
+        lambda: FiniteMap.identity(5),
+        lambda: convergence_profile(RationalDist.uniform([0, 1]), 5),
     ],
     ids=[
         "FiniteMap",
@@ -96,6 +107,13 @@ class TestConstruction:
         "CoverSpec-weights",
         "rationalize",
         "entropy",
+        "pushforward",
+        "minimal_suitable_k",
+        "is_suitable",
+        "ruzsa_size",
+        "RuzsaSpec",
+        "FiniteMap.identity",
+        "convergence_profile",
     ],
 )
 def test_non_iterable_argument_is_schema_error(call):
@@ -201,6 +219,101 @@ class TestPushforward:
             d = random_dist(rng)
             f = random_map(rng, d.support)
             assert minimal_suitable_k(d) % minimal_suitable_k(pushforward(f, d)) == 0
+
+
+def reference_entropy(probs: list[Fraction], base: float) -> float:
+    """Entropy summed from Fractions, as the library did before it stored counts."""
+    log = math.log2 if base == 2 else math.log
+    if len(probs) == 1:
+        return 0.0
+
+    def term(p: Fraction) -> float:
+        q = float(p)
+        inv = 1 / q if q else math.inf
+        if math.isinf(inv):
+            return float(p * Fraction(log(p.denominator) - log(p.numerator)))
+        return q * log(inv)
+
+    return sum(term(p) for p in probs)
+
+
+def reference_merge(images: list, probs: list[Fraction]) -> RationalDist:
+    """Fraction preimage sums in first-image order, through the public constructor."""
+    masses: dict = {}
+    for y, p in zip(images, probs):
+        masses[y] = masses.get(y, Fraction(0)) + p
+    return RationalDist(list(masses), list(masses.values()))
+
+
+def seeded_cases() -> list[tuple[list, list[Fraction]]]:
+    """(support, probs) in dimension 2 with mixed denominators.
+
+    Every other case adds a probability of 2^-1100 (below the float range),
+    or of 2^-1060 or 2^-1030 (subnormal, so 1/p overflows).
+    """
+    rng = random.Random(2024)
+    cases = []
+    for n in range(60):
+        raw = [Fraction(rng.randint(1, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, 10))]
+        probs = [r / sum(raw) for r in raw]
+        if n % 2:
+            tiny = Fraction(1, 2 ** (1100, 1060, 1030)[n % 3])
+            probs = [tiny] + [p * (1 - tiny) for p in probs]
+        cases.append((random_elements(rng, len(probs), dim=2, span=4), probs))
+    # d = 5 * 2^1030 is not the reduced denominator of 2^-1030, and the
+    # entropy is about 2^-1020, so an unreduced log(d) - log(c) would show
+    tiny = Fraction(1, 2**1030)
+    cases.append(([(0, 0), (0, 1), (1, 0)], [tiny, tiny / 5, 1 - tiny * 6 / 5]))
+    return cases
+
+
+class TestCountsFormat:
+    """Counts over one denominator against an in-test Fraction reference."""
+
+    CASES = seeded_cases()
+
+    def test_probs_and_canonical_counts(self):
+        for support, probs in self.CASES:
+            d = RationalDist(support, probs)
+            assert d.probs == tuple(probs)
+            assert d.denominator == math.lcm(*(p.denominator for p in probs))
+            assert sum(d.counts) == d.denominator
+            assert math.gcd(d.denominator, *d.counts) == 1
+
+    @pytest.mark.parametrize("base", [2, math.e])
+    def test_entropy_repr_equal(self, base):
+        for support, probs in self.CASES:
+            got = entropy(RationalDist(support, probs), base=base)
+            assert repr(got) == repr(reference_entropy(probs, base))
+
+    def test_pushforward_and_project_rv_match_constructor(self):
+        rng = random.Random(2025)
+        for support, probs in self.CASES:
+            d = RationalDist(support, probs)
+            f = random_map(rng, support)
+            pairs = [(pushforward(f, d), reference_merge([f(x) for x in support], probs))]
+            for S in ([1], [2], [1, 2]):
+                images = [tuple(x[i - 1] for i in S) for x in support]
+                pairs.append((project_rv(d, IndexSet(S)), reference_merge(images, probs)))
+            for got, want in pairs:
+                assert got == want and hash(got) == hash(want)
+
+    def test_merge_divides_out_a_common_factor(self):
+        # the counts 2 and 2 of the images share the factor 2 with d = 4
+        want = RationalDist([(1,), (0,)], ["1/2", "1/2"])
+        grid = RationalDist.uniform([(a, b) for a in range(2) for b in range(2)])
+        got = [
+            pushforward(FiniteMap({(i,): (i % 2,) for i in range(1, 5)}),
+                        RationalDist.uniform([1, 2, 3, 4])),
+            project_rv(grid, IndexSet([2])),
+        ]
+        assert [(g.counts, g.denominator) for g in got] == [((1, 1), 2)] * 2
+        assert got[0] == want and hash(got[0]) == hash(want)
+        assert got[1] == RationalDist([(0,), (1,)], ["1/2", "1/2"])
+
+    def test_pushforward_rejects_images_of_mixed_dimension(self):
+        with pytest.raises(SchemaError, match="^support elements must share one dimension$"):
+            pushforward(FiniteMap({0: 0, 1: (0, 1)}), RationalDist.uniform([0, 1]))
 
 
 class TestSuitability:
