@@ -16,10 +16,19 @@ Inputs are fixed occurrence counts on the outcomes (0,), (1,), ...:
   where nothing merges and the image set is the whole source set;
 * `ruzsa_enumerate` of the 46,200 vectors of counts 1,3,3,4, decoded to
   element tuples;
-* `convergence_profile` of probabilities 1/20, 3/20, 4/20, 5/20, 7/20 at
-  100 values of k up to 2,000, which is 100 closed-form sizes.
+* `convergence_profile`, whose sizes come from one ascending pass that
+  steps from the previous k by an exact recurrence when the gap is at
+  most an eighth of it, and is a fresh multinomial otherwise:
+  - probabilities 1/20, 3/20, 4/20, 5/20, 7/20 at 100 values of k up to
+    2,000 (k = 20, 40, ...) and at 40 of those values, drawn by a seeded
+    sample as the `solvers` benchmark draws them;
+  - probabilities 2/5, 3/5 at 100 values of k up to 20,000 (k = 200, 400,
+    ...);
+  - the five-outcome distribution at k = 2,000 alone and at k = 20, 200,
+    2,000, where every size is a fresh multinomial.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,7 +73,25 @@ def test_ruzsa_enumerate(benchmark):
     assert benchmark(lambda: sum(1 for _ in ruzsa_enumerate(spec))) == 46200
 
 
+FIVE = RationalDist([(i,) for i in range(5)], ["1/20", "3/20", "4/20", "5/20", "7/20"])
+TWO = RationalDist([(0,), (1,)], ["2/5", "3/5"])
+
+
 def test_convergence_profile(benchmark):
-    dist = RationalDist([(i,) for i in range(5)], ["1/20", "3/20", "4/20", "5/20", "7/20"])
     ks = list(range(20, 2001, 20))
-    assert len(benchmark(convergence_profile, dist, ks)) == 100
+    assert len(benchmark(convergence_profile, FIVE, ks)) == 100
+
+
+@pytest.mark.parametrize(
+    "dist, ks",
+    [
+        (FIVE, sorted(random.Random(0).sample(range(20, 2001, 20), 40))),
+        (TWO, range(200, 20_001, 200)),
+        (FIVE, [2000]),
+        (FIVE, [20, 200, 2000]),
+    ],
+    ids=["k40", "two_outcomes_k100_to_20000", "single_k", "large_gaps"],
+)
+def test_convergence_profile_shapes(benchmark, dist, ks):
+    ks = list(ks)
+    assert len(benchmark(convergence_profile, dist, ks)) == len(ks)

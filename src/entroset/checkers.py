@@ -31,6 +31,7 @@ from .dist import (
     Element,
     FiniteMap,
     RationalDist,
+    _expect_dist,
     _log_function,
     as_elements,
     as_fraction,
@@ -62,7 +63,7 @@ from .report import (
     CheckReport,
     exact_text,
 )
-from .ruzsa import DEFAULT_ENUM_LIMIT, RuzsaSpec, _mapped_arrangements, ruzsa_size
+from .ruzsa import DEFAULT_ENUM_LIMIT, RuzsaSpec, _mapped_arrangements, _sizes
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -215,6 +216,7 @@ def check_entropy(
     base: float = 2,
 ) -> CheckReport:
     """H(f(X)) <= sum a_i H(f_i(X)); negative a_i evaluated as given."""
+    _expect_dist(X, "check_entropy")
     lhs, rhs, _ = _entropy_sides(spec, X, base)
     details = {
         "rhs_entropies": [h for _, (h, _) in rhs],
@@ -271,6 +273,7 @@ def empirical_lemma1(
     a row whose enumerated count differs from the closed form is violated
     and carries the enumerated count.
     """
+    _expect_dist(X, "empirical_lemma1")
     # rows are counted in base 2 and rescaled to the report's base
     scale = _log_function(base)(2)
     if any(c < 0 for c in spec.coefficients):
@@ -284,10 +287,13 @@ def empirical_lemma1(
     ks = list(range(k_min, k_max + 1, k_min))
     if not ks:
         raise SuitabilityError(f"no suitable k <= {k_max} (minimal is {k_min})")
+    # every image's d divides k_min, so each k is suitable for all of them
+    lhs_sizes = _sizes(image, ks)
+    rhs_sizes = [_sizes(d, ks) for d in image_rhs]
     rows = []
     for k in ks:
-        lhs_count = ruzsa_size(RuzsaSpec(image, k))
-        rhs_counts = [ruzsa_size(RuzsaSpec(d, k)) for d in image_rhs]
+        lhs_count = lhs_sizes[k]
+        rhs_counts = [sizes[k] for sizes in rhs_sizes]
         report = _compare(*_counted(lhs_count, rhs_counts, spec.coefficients), tolerance)
         enumerated = lhs_count
         if cross_validate:

@@ -291,6 +291,8 @@ def _merge(images: Iterable[Element], dist: RationalDist) -> RationalDist:
 def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:
     """Distribution of f(X): exact preimage sums, support in first-image order."""
     _expect_dist(dist, "pushforward")
+    if not callable(f):
+        raise SchemaError(f"pushforward needs a map: {f!r}")
     image = _merge(map(f, dist.support), dist)
     # map values may differ in length
     if len(set(map(len, image.support))) != 1:

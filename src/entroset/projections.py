@@ -22,7 +22,16 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .dist import Element, RationalDist, _log_function, _merge, as_element, as_elements, entropy
+from .dist import (
+    Element,
+    RationalDist,
+    _expect_dist,
+    _log_function,
+    _merge,
+    as_element,
+    as_elements,
+    entropy,
+)
 from .errors import EmptySliceError, IndexRangeError, SchemaError
 
 
@@ -142,6 +151,7 @@ def project_set(A: PointSet, S: IndexSet) -> PointSet:
 
 def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
     """Marginal of X on the coordinates in S (pushforward of a projection)."""
+    _expect_dist(X, "project_rv")
     if not S:
         raise SchemaError("cannot project onto the empty index set")
     _check_indices(S, X.dimension)
@@ -230,6 +240,7 @@ def conditional_entropy(
     X: RationalDist, S: IndexSet, C: IndexSet = EMPTY_INDEX_SET, base: float = 2
 ) -> float:
     """H(X_S | X_C) = H(X_{S u C}) - H(X_C); plain H(X_S) when C is empty."""
+    _expect_dist(X, "conditional_entropy")
     if not S:
         raise SchemaError("conditional entropy needs a nonempty target S")
     _check_indices(S, X.dimension)

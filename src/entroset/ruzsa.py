@@ -9,15 +9,26 @@ n support elements,
 
     |set|  <=  prod_i p_i^(-k*p_i)  <=  (k+1)^(n-1) * |set|,
 
-all three quantities exact big integers/rationals. Applying a map f
-coordinatewise commutes with the construction: the image of the k-set of
-X under f^k equals the k-set of f(X). Both directions are implemented:
-`verify_commutation` checks the identity by computing both sets
-independently, and `preimage_lift` constructs an explicit preimage vector
-witnessing the hard inclusion. The mapped side is built without walking
-the source set: image sets of partial arrangements, keyed by the source
-counts they use, are deduplicated as they grow and joined at half length,
-so its cost follows the (often much smaller) image set.
+all three quantities exact big integers/rationals. Sizes over a list of k
+(`convergence_profile`, the rows of `checkers.empirical_lemma1`) come from
+one pass over the distinct k in ascending order: with m = k/d, a size
+steps from the previous k' by the exact recurrence
+
+    |k-set| = |k'-set| * perm(k, k-k') / prod_i perm(c_i*m, c_i*(m-m')),
+
+whose operands grow with the gap, while a fresh multinomial grows with k.
+So the step is taken only when the gap is small next to k'
+(8*(k-k') <= k'); the first k and every larger jump are computed afresh.
+
+Applying a map f coordinatewise commutes with the construction: the
+image of the k-set of X under f^k equals the k-set of f(X). Both
+directions are implemented: `verify_commutation` checks the identity by
+computing both sets independently, and `preimage_lift` constructs an
+explicit preimage vector witnessing the hard inclusion. The mapped side
+is built without walking the source set: image sets of partial
+arrangements, keyed by the source counts they use, are deduplicated as
+they grow and joined at half length, so its cost follows the (often much
+smaller) image set.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from .dist import (
     _log_function,
     as_element,
     entropy,
-    is_suitable,
+    minimal_suitable_k,
     pushforward,
 )
 from .errors import MembershipError, SchemaError, SizeGuardError, SuitabilityError
@@ -56,7 +67,12 @@ class RuzsaSpec:
     def __init__(self, dist: RationalDist, k: int):
         if isinstance(k, bool) or not isinstance(k, int):
             raise SuitabilityError(f"k must be an integer: {k!r}")
-        if not is_suitable(dist, k):
+        d = minimal_suitable_k(dist)
+        if k < 1:
+            raise SuitabilityError(
+                f"k={k} must be a positive multiple of the probability denominator d={d}"
+            )
+        if k % d:
             raise SuitabilityError(
                 f"k={k} is not a multiple of the probability denominators"
             )
@@ -83,10 +99,36 @@ def _multinomial(counts) -> int:
     return size
 
 
+def _sizes(dist: RationalDist, ks) -> dict[int, int]:
+    """Exact k-set size of X for every k in `ks`, each a positive multiple of d.
+
+    The distinct ks are visited in ascending order. A k within an eighth of
+    the previous k' steps from its size by the recurrence of the module
+    docstring (the division is exact); any other k is a fresh multinomial.
+    """
+    d = dist.denominator
+    sizes: dict[int, int] = {}
+    prev = 0
+    for k in sorted(set(ks)):
+        m = k // d
+        if prev and 8 * (k - prev) <= prev:
+            step = m - prev // d
+            num = sizes[prev] * math.perm(k, k - prev)
+            sizes[k] = num // math.prod(math.perm(c * m, c * step) for c in dist.counts)
+        else:
+            sizes[k] = _multinomial([c * m for c in dist.counts])
+        prev = k
+    return sizes
+
+
+def _expect_spec(spec, what: str) -> None:
+    if not isinstance(spec, RuzsaSpec):
+        raise SchemaError(f"{what} needs a RuzsaSpec: {spec!r}")
+
+
 def ruzsa_size(spec: RuzsaSpec) -> int:
     """Closed-form cardinality: the multinomial (k choose k*p_1, ..., k*p_n)."""
-    if not isinstance(spec, RuzsaSpec):
-        raise SchemaError(f"ruzsa_size needs a RuzsaSpec: {spec!r}")
+    _expect_spec(spec, "ruzsa_size")
     return _multinomial(spec.counts)
 
 
@@ -201,9 +243,11 @@ def ruzsa_enumerate(
 ) -> Iterator[RuzsaVector]:
     """Yield every member exactly once, lexicographic in support indices.
 
-    Raises SizeGuardError up front when the closed-form count exceeds
-    `limit`; counting never needs enumeration.
+    A generator: at the first item, before any vector is built, it raises
+    SchemaError for a non-spec and SizeGuardError when the closed-form
+    count exceeds `limit`; counting never needs enumeration.
     """
+    _expect_spec(spec, "ruzsa_enumerate")
     support = spec.dist.support
     for chunk in _arrangements(spec.counts, limit):
         for vec in chunk:
@@ -236,6 +280,7 @@ def verify_commutation(
     identity); reports exact set equality with up to five discrepancy
     witnesses per side.
     """
+    _expect_spec(spec, "verify_commutation")
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
     for s in (spec, image_spec):
         total = ruzsa_size(s)
@@ -279,6 +324,7 @@ def preimage_lift(f: FiniteMap, spec: RuzsaSpec, y) -> RuzsaVector:
     order), preimage elements are assigned in contiguous blocks of size
     k*Pr(X=x), blocks ordered by the support ordering of X.
     """
+    _expect_spec(spec, "preimage_lift")
     y = tuple(as_element(v) for v in y)
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
     if not image_spec.contains(y):
@@ -337,7 +383,12 @@ def type_bound_check(spec: RuzsaSpec) -> CheckReport:
 def convergence_profile(
     dist: RationalDist, k_list, base: float = 2
 ) -> list[dict]:
-    """Per-k rate log|set|/k against H(X), with the (n-1)log(k+1)/k envelope."""
+    """Per-k rate log|set|/k against H(X), with the (n-1)log(k+1)/k envelope.
+
+    Rows follow `k_list` as given, duplicates included. Every k is checked
+    before any size is computed; the sizes come from `_sizes`, which steps
+    between nearby ks by an exact recurrence instead of a fresh multinomial.
+    """
     log = _log_function(base)
     h = entropy(dist, base=base)
     n = len(dist)
@@ -345,10 +396,12 @@ def convergence_profile(
         k_list = list(k_list)
     except TypeError:
         raise SchemaError(f"k_list must be a sequence: {k_list!r}") from None
+    for k in k_list:
+        RuzsaSpec(dist, k)
+    sizes = _sizes(dist, k_list)
     rows = []
     for k in k_list:
-        spec = RuzsaSpec(dist, k)
-        size = ruzsa_size(spec)
+        size = sizes[k]
         rate = log(size) / k
         gap = h - rate
         envelope = (n - 1) * log(k + 1) / k

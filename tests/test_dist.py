@@ -17,24 +17,35 @@ from entroset import (
     DomainError,
     FiniteMap,
     IndexSet,
+    InequalitySpec,
     PointSet,
     RationalDist,
     RuzsaSpec,
     SchemaError,
+    check_entropy,
+    conditional_entropy,
     convergence_profile,
+    empirical_lemma1,
     entropy,
     is_suitable,
     minimal_suitable_k,
+    preimage_lift,
     project_rv,
     pushforward,
     rationalize,
+    ruzsa_enumerate,
     ruzsa_size,
+    verify_commutation,
 )
 
 from entroset import dist as dist_module
 from entroset.dist import _grid, as_element, as_elements
 
 from genutil import random_dist, random_elements, random_map
+
+
+HALVES = RationalDist.uniform([0, 1])
+IDENTITY = FiniteMap.identity(HALVES.support)
 
 
 def dist(pairs):
@@ -94,7 +105,16 @@ class TestConstruction:
         lambda: ruzsa_size(5),
         lambda: RuzsaSpec(5, 2),
         lambda: FiniteMap.identity(5),
-        lambda: convergence_profile(RationalDist.uniform([0, 1]), 5),
+        lambda: convergence_profile(HALVES, 5),
+        # a generator: the spec is read at the first item
+        lambda: next(ruzsa_enumerate(5)),
+        lambda: verify_commutation(IDENTITY, 5),
+        lambda: preimage_lift(IDENTITY, 5, [(0,), (1,)]),
+        lambda: project_rv(5, IndexSet([1])),
+        lambda: conditional_entropy(5, IndexSet([1])),
+        lambda: check_entropy(InequalitySpec(IDENTITY, [IDENTITY], [1]), 5),
+        lambda: empirical_lemma1(InequalitySpec(IDENTITY, [IDENTITY], [1]), 5, 4),
+        lambda: pushforward(5, HALVES),
     ],
     ids=[
         "FiniteMap",
@@ -114,6 +134,14 @@ class TestConstruction:
         "RuzsaSpec",
         "FiniteMap.identity",
         "convergence_profile",
+        "ruzsa_enumerate",
+        "verify_commutation",
+        "preimage_lift",
+        "project_rv",
+        "conditional_entropy",
+        "check_entropy",
+        "empirical_lemma1",
+        "pushforward-map",
     ],
 )
 def test_non_iterable_argument_is_schema_error(call):

@@ -7,16 +7,18 @@ from itertools import permutations, product
 
 import pytest
 
-from entroset import ruzsa
+from entroset import checkers, ruzsa
 from entroset import (
     DomainError,
     FiniteMap,
+    InequalitySpec,
     MembershipError,
     RationalDist,
     RuzsaSpec,
     SizeGuardError,
     SuitabilityError,
     convergence_profile,
+    empirical_lemma1,
     minimal_suitable_k,
     preimage_lift,
     pushforward,
@@ -121,6 +123,12 @@ class TestSpec:
     def test_non_int_k_rejected(self, k):
         with pytest.raises(SuitabilityError, match="k must be an integer"):
             RuzsaSpec(HALVES, k)
+
+    @pytest.mark.parametrize("k", [0, -2, -3])
+    def test_nonpositive_k_message(self, k):
+        want = f"k={k} must be a positive multiple of the probability denominator d=3"
+        with pytest.raises(SuitabilityError, match=f"^{want}$"):
+            RuzsaSpec(THIRDS, k)
 
     def test_counts_are_exact(self):
         assert RuzsaSpec(SIXTHS, 6).counts == (1, 2, 3)
@@ -494,3 +502,105 @@ class TestConvergence:
             ks = [k_min * m for m in (1, 2, 5)]
             for row in convergence_profile(d, ks):
                 assert -1e-12 <= row["gap"] <= row["envelope"] + 1e-9
+
+
+def fresh_sizes(dist, ks):
+    """Reference for `ruzsa._sizes`: one multinomial of the counts per k."""
+    d = dist.denominator
+    return {k: ruzsa._multinomial([c * (k // d) for c in dist.counts]) for k in ks}
+
+
+def random_outcomes_dist(rng, max_count=9):
+    """2 to 7 outcomes with counts up to max_count."""
+    counts = [rng.randint(1, max_count) for _ in range(rng.randint(2, 7))]
+    total = sum(counts)
+    return RationalDist([(i,) for i in range(len(counts))], [Fraction(c, total) for c in counts])
+
+
+class TestSizes:
+    """`_sizes` steps between nearby ks; every size equals a fresh multinomial."""
+
+    def test_matches_fresh_multinomials(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            d = random_outcomes_dist(rng)
+            k_min = minimal_suitable_k(d)
+            ks = [k_min * m for m in rng.sample(range(1, 200), 40)]
+            ks += rng.sample(ks, 10)  # unsorted, with duplicates
+            assert ruzsa._sizes(d, ks) == fresh_sizes(d, ks)
+
+    @pytest.mark.parametrize(
+        "multiples",
+        [[1], [57], [8, 9], [7, 8], [16, 18], [16, 19], [1, 2, 3, 100, 101, 113, 114, 400]],
+        ids=["single-min", "single", "step-edge", "direct-edge", "step", "direct",
+             "mixed"],
+    )
+    def test_gaps_on_both_sides_of_the_step_rule(self, multiples):
+        d = SIXTHS
+        ks = [6 * m for m in multiples]
+        assert ruzsa._sizes(d, ks) == fresh_sizes(d, ks)
+
+    def test_step_rule_picks_the_path(self, monkeypatch):
+        calls = []
+        multinomial = ruzsa._multinomial
+
+        def counting(counts):
+            calls.append(sum(counts))
+            return multinomial(counts)
+
+        monkeypatch.setattr(ruzsa, "_multinomial", counting)
+        ruzsa._sizes(SIXTHS, [6 * m for m in (16, 18, 7, 8, 9)])
+        # k = 6m: m = 8 follows 7 by more than an eighth of 7; 9 and 18 step
+        assert calls == [42, 48, 96]
+
+    def test_two_outcomes_up_to_k_20000(self):
+        d = RationalDist([(0,), (1,)], ["3/7", "4/7"])
+        rng = random.Random(43)
+        ks = sorted(rng.sample(range(7, 20_001, 7), 150)) + list(range(19_600, 20_001, 7))
+        assert ruzsa._sizes(d, ks) == fresh_sizes(d, ks)
+
+    def test_single_point_distribution(self):
+        d = RationalDist([(0,)], [1])
+        assert ruzsa._sizes(d, [1, 2, 3, 50, 51]) == dict.fromkeys([1, 2, 3, 50, 51], 1)
+
+    @pytest.mark.parametrize("base", [2, math.e], ids=["base2", "base_e"])
+    def test_convergence_rows_match_fresh_sizes(self, monkeypatch, base):
+        rng = random.Random(47)
+        cases = []
+        for _ in range(20):
+            d = random_outcomes_dist(rng)
+            k_min = minimal_suitable_k(d)
+            ks = [k_min * m for m in rng.choices(range(1, 150), k=50)]
+            cases.append((d, ks, convergence_profile(d, ks, base=base)))
+        monkeypatch.setattr(ruzsa, "_sizes", fresh_sizes)
+        for d, ks, rows in cases:
+            assert [row["k"] for row in rows] == ks
+            assert rows == convergence_profile(d, ks, base=base)
+
+    def test_bad_last_k_raises_before_any_size(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a size was computed")
+
+        monkeypatch.setattr(ruzsa, "_sizes", refuse)
+        monkeypatch.setattr(ruzsa, "_multinomial", refuse)
+        with pytest.raises(SuitabilityError) as want:
+            RuzsaSpec(SIXTHS, 7)
+        with pytest.raises(SuitabilityError) as got:
+            convergence_profile(SIXTHS, [6, 6 * 10**9, 7])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("base", [2, math.e], ids=["base2", "base_e"])
+    def test_lemma1_rows_match_fresh_sizes(self, monkeypatch, base):
+        rng = random.Random(53)
+        cases = []
+        for _ in range(12):
+            X = random_outcomes_dist(rng, max_count=5)
+            rhs_maps = [random_map(rng, X.support) for _ in range(rng.randint(1, 3))]
+            coefficients = [Fraction(rng.randint(1, 4), 2) for _ in rhs_maps]
+            spec = InequalitySpec(random_map(rng, X.support), rhs_maps, coefficients)
+            k_max = minimal_suitable_k(X) * 30
+            cases.append((spec, X, k_max, empirical_lemma1(spec, X, k_max, base=base)))
+        monkeypatch.setattr(checkers, "_sizes", fresh_sizes)
+        for spec, X, k_max, report in cases:
+            assert len(report.details["rows"]) == 30
+            assert report == empirical_lemma1(spec, X, k_max, base=base)
