@@ -14,15 +14,20 @@ fixed, in the shapes the benchmark's `counting` workload reads:
 * `ineq_spec_from_json` of a cardinality spec on the grids {0..4}^3,
   {0..5}^4 and {0..6}^4 (125, 1296 and 2401 points): the identity table
   against the projection tables onto the 3 or 4 members of the cover by
-  all sets of d - 1 coordinates, each with weight 1/(d - 1).
+  all sets of d - 1 coordinates, each with weight 1/(d - 1);
+* `dist_from_json` of a distribution on 4, 40, 400 and 4000 points of
+  dimension 2, with probabilities w_i / sum(w) for seeded weights w_i in
+  1..30, written reduced, so their denominators are mixed; and
+  `dist_to_json` of the decoded distribution, its counts written back.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from entroset.jsonio import ineq_spec_from_json, pointset_from_json
+from entroset.jsonio import dist_from_json, dist_to_json, ineq_spec_from_json, pointset_from_json
 
 DIM = 6
 SPAN = 6
@@ -64,3 +69,29 @@ def test_ineq_spec_from_json(benchmark, side, d):
     benchmark.extra_info["domain"] = side**d
     spec = benchmark(ineq_spec_from_json, doc)
     assert len(spec.domain) == side**d
+
+
+def _dist_doc(size: int, seed: int) -> dict:
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 30) for _ in range(size)]
+    total = sum(weights)
+    return {
+        "support": [[i, i % 7] for i in range(size)],
+        "probs": [str(Fraction(w, total)) for w in weights],
+    }
+
+
+@pytest.mark.parametrize("size", [4, 40, 400, 4000])
+def test_dist_from_json(benchmark, size):
+    doc = _dist_doc(size, seed=size)
+    benchmark.extra_info["support"] = size
+    X = benchmark(dist_from_json, doc)
+    assert len(X) == size
+
+
+@pytest.mark.parametrize("size", [4, 40, 400, 4000])
+def test_dist_to_json(benchmark, size):
+    X = dist_from_json(_dist_doc(size, seed=size))
+    benchmark.extra_info["support"] = size
+    doc = benchmark(dist_to_json, X)
+    assert doc == _dist_doc(size, seed=size)

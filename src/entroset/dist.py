@@ -5,6 +5,10 @@ length-1 tuples so that every element lives in some product space.
 A distribution stores positive int counts c_i over d, the lcm of the
 reduced denominators of its probabilities p_i = c_i/d, so the form is
 canonical. Zero-mass outcomes are dropped; `probs` derives the Fractions.
+Probabilities are read as int (numerator, denominator) pairs: a plain
+"p" or "p/q" string of ASCII digits is split and read with `int`, and no
+Fraction is made on the way in or out; any other string goes through
+`as_fraction`, which decides what is accepted and what the error says.
 
 Entropy is the only float-valued quantity here; everything feeding it
 (counts, preimage sums, denominators) stays exact, as does 2^(d*H).
@@ -20,6 +24,7 @@ checked again.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,6 +100,30 @@ def as_fraction(value) -> Fraction:
     raise SchemaError(f"not an exact rational: {value!r}")
 
 
+def _ratio(value) -> tuple[int, int]:
+    """`as_fraction(value)` as its (numerator, denominator), in lowest terms.
+
+    A plain "p" or "p/q" string of ASCII digits with q nonzero is read with
+    `int`; every other string, and every value that is not an int or a
+    Fraction, goes through `as_fraction`, which accepts it or raises.
+    """
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash):
+            try:
+                n, q = int(num), int(den) if slash else 1
+            except ValueError:  # a part past the int digit limit
+                pass
+            else:
+                if q:
+                    g = math.gcd(n, q)
+                    return n // g, q // g
+    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value.numerator, value.denominator
+    p = as_fraction(value)
+    return p.numerator, p.denominator
+
+
 def _log_function(base: float) -> Callable[[float], float]:
     """The log of an accepted base: `math.log2` for bits (2), `math.log` for nats (e)."""
     if base == 2:
@@ -102,6 +131,17 @@ def _log_function(base: float) -> Callable[[float], float]:
     if base == math.e:
         return math.log
     raise SchemaError(f"log base must be 2 or e, got {base!r}")
+
+
+def _support_of(support: Sequence, probs: Sequence) -> list[Element]:
+    """The normalized support, once it is known to pair up with the probabilities."""
+    try:
+        lengths_differ = len(support) != len(probs)
+    except TypeError:
+        raise SchemaError("support and probs must be sequences") from None
+    if lengths_differ:
+        raise SchemaError("support and probs must have equal length")
+    return as_elements(support)
 
 
 @dataclass(frozen=True)
@@ -116,25 +156,30 @@ class RationalDist:
     denominator: int
 
     def __init__(self, support: Sequence, probs: Sequence):
-        try:
-            lengths_differ = len(support) != len(probs)
-        except TypeError:
-            raise SchemaError("support and probs must be sequences") from None
-        if lengths_differ:
-            raise SchemaError("support and probs must have equal length")
-        elems = as_elements(support)
-        fracs = [as_fraction(p) for p in probs]
-        if any(p < 0 for p in fracs):
+        elems = _support_of(support, probs)
+        self._fill(elems, [_ratio(p) for p in probs])
+
+    @classmethod
+    def _from_ratios(cls, support: Sequence, ratios: list[tuple[int, int]]) -> "RationalDist":
+        """The distribution of `support` with its probabilities already read by
+        `_ratio`: the entry of a decoder that reads them before the support."""
+        dist = object.__new__(cls)
+        dist._fill(_support_of(support, ratios), ratios)
+        return dist
+
+    def _fill(self, elems: list[Element], ratios: list[tuple[int, int]]) -> None:
+        """Check the (numerator, denominator) pairs against `elems` and store the counts."""
+        if any(n < 0 for n, _ in ratios):
             raise SchemaError("probabilities must be nonnegative")
         # zero-mass outcomes are dropped, not rejected
-        kept = [(x, p) for x, p in zip(elems, fracs) if p > 0]
+        kept = [(x, r) for x, r in zip(elems, ratios) if r[0]]
         if not kept:
             raise SchemaError("distribution has no positive-probability outcome")
-        elems, fracs = zip(*kept)
+        elems, ratios = zip(*kept)
         if len(set(elems)) != len(elems):
             raise SchemaError("support elements must be pairwise distinct")
-        d = math.lcm(*(p.denominator for p in fracs))
-        counts = tuple(p.numerator * (d // p.denominator) for p in fracs)
+        d = math.lcm(*(q for _, q in ratios))
+        counts = tuple(n * (d // q) for n, q in ratios)
         if sum(counts) != d:
             raise SchemaError(
                 f"probabilities must sum to 1 exactly, got {exact_text(sum(counts), d)}"
@@ -389,6 +434,8 @@ def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
     the partial sums within the bound, and so the time, grow steeply with
     the grid (81 values at D = 16, L = 720720) and the number of entries.
     """
+    if isinstance(max_denominator, bool) or not isinstance(max_denominator, int):
+        raise SchemaError(f"max_denominator must be an integer: {max_denominator!r}")
     if max_denominator < 1:
         raise SchemaError("max_denominator must be >= 1")
     if max_denominator > 16:
@@ -399,6 +446,9 @@ def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
         raise SchemaError(f"weights must be a sequence: {weights!r}") from None
     if not weights:
         raise SchemaError("weights must be nonempty")
+    for w in weights:
+        if not isinstance(w, numbers.Real):
+            raise SchemaError(f"weights must be real numbers: {w!r}")
     if not all(math.isfinite(w) for w in weights):
         raise SchemaError("weights must be finite")
     if any(w < 0 for w in weights):

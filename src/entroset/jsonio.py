@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .covers import CoverSpec
 from .checkers import InequalitySpec
-from .dist import FiniteMap, RationalDist, as_fraction
+from .dist import FiniteMap, RationalDist, _ratio, as_fraction
 from .errors import SchemaError
 from .projections import IndexSet, PointSet
 from .report import exact_text
@@ -43,10 +43,14 @@ def _array(value, what: str) -> list:
     return value
 
 
-def parse_rational(text) -> Fraction:
+def _decimal_free(text):
     if isinstance(text, str) and ("." in text or "e" in text or "E" in text):
         raise SchemaError(f"rationals must be decimal-free 'p/q' strings: {text!r}")
-    return as_fraction(text)
+    return text
+
+
+def parse_rational(text) -> Fraction:
+    return as_fraction(_decimal_free(text))
 
 
 def format_rational(value: int | Fraction) -> str:
@@ -56,13 +60,15 @@ def format_rational(value: int | Fraction) -> str:
 def dist_from_json(doc: dict) -> RationalDist:
     support = _array(_expect(doc, "support", "distribution"), "distribution field 'support'")
     probs = _array(_expect(doc, "probs", "distribution"), "distribution field 'probs'")
-    return RationalDist(support, [parse_rational(p) for p in probs])
+    # every probability is read, in order, before the support is checked
+    return RationalDist._from_ratios(support, [_ratio(_decimal_free(p)) for p in probs])
 
 
 def dist_to_json(dist: RationalDist) -> dict:
+    d = dist.denominator
     return {
         "support": [list(x) for x in dist.support],
-        "probs": [format_rational(p) for p in dist.probs],
+        "probs": [exact_text(c, d) for c in dist.counts],
     }
 
 

@@ -674,6 +674,33 @@ class TestDocumentDecoding:
             "dist", {"support": [[0], [False]], "probs": ["1/2", "1/2"]},
             "element coordinates must be integers: [False]",
         ),
+        # every probability is read, in order, before the support is checked,
+        # and an entry's decimal check comes before its parse
+        "zero_denominator_before_decimal": (
+            "dist", {"support": [[1], [2]], "probs": ["1/0", "0.5"]},
+            "not a rational string: '1/0'",
+        ),
+        "decimal_before_zero_denominator": (
+            "dist", {"support": [[1], [2]], "probs": ["0.5", "1/0"]},
+            "rationals must be decimal-free 'p/q' strings: '0.5'",
+        ),
+        "bad_prob_before_length": (
+            "dist", {"support": [[1]], "probs": ["abc", "1/2"]},
+            "not a rational string: 'abc'",
+        ),
+        "bad_prob_before_bad_element": (
+            "dist", {"support": [[1], ["x"]], "probs": ["1/2", "abc"]},
+            "not a rational string: 'abc'",
+        ),
+        "bad_element_before_negative_prob": (
+            "dist", {"support": [[1], ["x"]], "probs": ["-1/2", "3/2"]},
+            "element coordinates must be integers: ['x']",
+        ),
+        # int() refuses a string past sys.get_int_max_str_digits() (4300)
+        "numerator_of_5000_digits": (
+            "dist", {"support": [[1]], "probs": ["1" * 5000]},
+            f"not a rational string: {'1' * 5000!r}",
+        ),
     }
     GOOD = {
         "pointset": TRIANGLE_SET,
@@ -709,6 +736,14 @@ class TestDocumentDecoding:
         assert json.loads(out)
 
 
+def decoded(decode, doc):
+    """The decoded value, or the type and message of the error raised."""
+    try:
+        return "ok", decode(doc)
+    except EntrosetError as exc:
+        return type(exc).__name__, str(exc)
+
+
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.integers(), st.floats(), st.text(max_size=4)
 )
@@ -731,8 +766,17 @@ json_elements = mostly(
     st.lists(st.integers(0, 1), min_size=1, max_size=2),
     st.one_of(st.lists(st.one_of(st.integers(0, 1), json_scalars), max_size=3), json_values),
 )
+# strings that `Fraction` reads but a split on "/" and `int` would not, or
+# the reverse: signs, spaces, underscores, non-ASCII digits, empty parts,
+# zero denominators and parts past the int digit limit
+AWKWARD_RATIONALS = [
+    "+1/2", " 1/2", "1/2 ", "\t1\n", "-0", "01/002", "1_0/20", "1__0/20", "_1/2",
+    "\u0661/\u0662", "\uff11/\uff12", "\u00b2", "1/\u00b2", "0/0", "/2", "1/", "/",
+    "1/2/3", "1 / 2", "1.", "1/-2", "1" * 4301, "1/" + "2" * 4301, "0" * 5000 + "1",
+]
 json_rationals = st.one_of(
     st.sampled_from(["1", "0", "1/2", "1/3", "2/3", "-1/2", "1/0", "x", "1.5", "1e3", ""]),
+    st.sampled_from(AWKWARD_RATIONALS),
     json_values,
 )
 
@@ -930,6 +974,21 @@ class TestDecoderFuzz:
             decode(doc)
         except EntrosetError:
             pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=json_dist_docs())
+    def test_dist_matches_fraction_decoder(self, doc):
+        """`dist_from_json` against the decoder that read each entry as a Fraction."""
+        doc = json.loads(json.dumps(doc))
+
+        def through_fractions(doc):
+            support = jsonio._array(jsonio._expect(doc, "support", "distribution"),
+                                    "distribution field 'support'")
+            probs = jsonio._array(jsonio._expect(doc, "probs", "distribution"),
+                                  "distribution field 'probs'")
+            return entroset.RationalDist(support, [jsonio.parse_rational(p) for p in probs])
+
+        assert decoded(jsonio.dist_from_json, doc) == decoded(through_fractions, doc)
 
     @pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
     @settings(max_examples=5, deadline=None)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroset import (
@@ -39,7 +39,8 @@ from entroset import (
 )
 
 from entroset import dist as dist_module
-from entroset.dist import _grid, as_element, as_elements
+from entroset import jsonio
+from entroset.dist import _grid, _ratio, as_element, as_elements, as_fraction
 
 from genutil import random_dist, random_elements, random_map
 
@@ -147,6 +148,22 @@ class TestConstruction:
 def test_non_iterable_argument_is_schema_error(call):
     with pytest.raises(SchemaError):
         call()
+
+
+@pytest.mark.parametrize(
+    "weights, max_denominator, message",
+    [
+        (["a"], 5, "weights must be real numbers: 'a'"),
+        ([1.0, None], 5, "weights must be real numbers: None"),
+        ([1.0, 1.0], 4.5, "max_denominator must be an integer: 4.5"),
+        ([1.0, 1.0], "4", "max_denominator must be an integer: '4'"),
+        ([1.0, 1.0], True, "max_denominator must be an integer: True"),
+    ],
+)
+def test_rationalize_argument_of_wrong_type_is_schema_error(weights, max_denominator, message):
+    with pytest.raises(SchemaError) as info:
+        rationalize(weights, max_denominator)
+    assert str(info.value) == message
 
 
 class TestEntropy:
@@ -780,3 +797,118 @@ class TestElementFastPath:
         f = FiniteMap({(0,): (1,), (1,): (0,)})
         g = FiniteMap(f)
         assert g == f and g.table == f.table and g.table is not f.table
+
+
+def reference_ratio(value):
+    p = as_fraction(value)
+    return p.numerator, p.denominator
+
+
+def reference_dist(support, probs):
+    """`RationalDist` as it was: every probability read as a Fraction, then checked."""
+    try:
+        lengths_differ = len(support) != len(probs)
+    except TypeError:
+        raise SchemaError("support and probs must be sequences") from None
+    if lengths_differ:
+        raise SchemaError("support and probs must have equal length")
+    elems = as_elements(support)
+    fracs = [as_fraction(p) for p in probs]
+    if any(p < 0 for p in fracs):
+        raise SchemaError("probabilities must be nonnegative")
+    kept = [(x, p) for x, p in zip(elems, fracs) if p > 0]
+    if not kept:
+        raise SchemaError("distribution has no positive-probability outcome")
+    elems, fracs = zip(*kept)
+    if len(set(elems)) != len(elems):
+        raise SchemaError("support elements must be pairwise distinct")
+    d = math.lcm(*(p.denominator for p in fracs))
+    counts = tuple(p.numerator * (d // p.denominator) for p in fracs)
+    if sum(counts) != d:
+        raise SchemaError(f"probabilities must sum to 1 exactly, got {Fraction(sum(counts), d)}")
+    if len(set(map(len, elems))) != 1:
+        raise SchemaError("support elements must share one dimension")
+    return elems, counts, d
+
+
+def stored(support, probs):
+    d = RationalDist(support, probs)
+    return d.support, d.counts, d.denominator
+
+
+SEEDED_RATIOS = [
+    "1", "0", "7/21", "01/002", "000", "0/5", "12/18",
+    " 1/2", "1/2 ", "\t3\n", "+1/2", "-1/2", "-0", "+0/3",
+    "1_0/20", "1__0/20", "_1/2", "1/2_",
+    "\u0661/\u0662", "\uff11/\uff12", "\u0663", "\u00b2", "1/\u00b2",
+    "1/0", "0/0", "", " ", "/", "/2", "1/", "1/2/3", "1 / 2", "1.5", "1e3", "1.", "1/-2", "abc",
+    "9" * 4300, "1/" + "9" * 4300, "9" * 4301, "1/" + "9" * 4301, "0" * 5000 + "1",
+    0, 1, -3, 2**100, True, False, Small.ONE, Fraction(0), Fraction(-2, 6), Fraction(10**30, 7),
+    0.5, float("nan"), None, [1, 2], (1, 2),
+]
+digit_strings = st.text(alphabet="0123456789", max_size=5)
+ratio_values = st.one_of(
+    st.builds(lambda a, b: f"{a}/{b}", digit_strings, digit_strings),
+    digit_strings,
+    st.text(alphabet="0123456789/+-_ .eE\t\u0661\uff11\u00b2x", max_size=8),
+    st.text(max_size=4),
+    st.fractions().map(str),
+    st.integers(),
+    st.booleans(),
+    st.fractions(),
+    st.floats(),
+    st.none(),
+    st.sampled_from(list(Small)),
+)
+
+
+@st.composite
+def dist_arguments(draw):
+    """Supports with probabilities that mostly sum to 1, written in mixed forms."""
+    n = draw(st.integers(0, 4))
+    support = draw(st.one_of(
+        st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=2), min_size=n, max_size=n),
+        st.lists(elements, min_size=n, max_size=n + 1),
+    ))
+    weights = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+    total = sum(weights) or 1
+    forms = [str, lambda p: p, lambda p: f"{3 * p.numerator}/{3 * p.denominator}", lambda p: p.numerator]
+    probs = [draw(st.sampled_from(forms))(Fraction(w, total)) for w in weights]
+    if probs and draw(st.booleans()):
+        probs[draw(st.integers(0, n - 1))] = draw(ratio_values)
+    return support, probs
+
+
+class TestRatio:
+    """Probabilities read as int pairs against reading them as Fractions."""
+
+    @pytest.mark.parametrize("value", SEEDED_RATIOS, ids=lambda v: repr(v)[:24])
+    def test_seeded_value(self, value):
+        assert outcome(_ratio, value) == outcome(reference_ratio, value)
+
+    @given(ratio_values)
+    def test_value(self, value):
+        assert outcome(_ratio, value) == outcome(reference_ratio, value)
+
+    @settings(max_examples=300)
+    @given(dist_arguments())
+    def test_constructor(self, arguments):
+        assert outcome(stored, *arguments) == outcome(reference_dist, *arguments)
+
+    def test_plain_probabilities_make_no_fraction(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError(f"as_fraction({value!r}) called")
+
+        monkeypatch.setattr(dist_module, "as_fraction", refuse)
+        doc = {"support": [[0], [1], [2], [3]], "probs": ["1/6", "2/6", "0", "01/2"]}
+        X = jsonio.dist_from_json(doc)
+        assert (X.support, X.counts, X.denominator) == (((0,), (1,), (3,)), (1, 2, 3), 6)
+        assert jsonio.dist_to_json(X) == {"support": [[0], [1], [3]], "probs": ["1/6", "1/3", "1/2"]}
+        X = RationalDist([0, 1, 2], ["1/4", 0, Fraction(3, 4)])
+        assert (X.support, X.counts, X.denominator) == (((0,), (2,)), (1, 3), 4)
+        assert RationalDist([0, 1], [1, "0/7"]).counts == (1,)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dist_to_json_writes_the_probs(self, seed):
+        X = random_dist(random.Random(seed), max_support=6, max_denominator=40)
+        assert jsonio.dist_to_json(X)["probs"] == [str(p) for p in X.probs]
