@@ -31,6 +31,7 @@ from .dist import (
     Element,
     FiniteMap,
     RationalDist,
+    _as_float,
     _expect_dist,
     _log_function,
     as_elements,
@@ -154,8 +155,8 @@ def _exact_verdict(lhs, rhs) -> str | None:
 
 def _logs(lhs, rhs) -> tuple[float, float]:
     """The float logs of both sides: sums of c * log over the (c, term) pairs."""
-    return (sum(float(c) * log for c, (log, _) in lhs),
-            sum(float(c) * log for c, (log, _) in rhs))
+    return (sum(_as_float(c, "coefficient") * log for c, (log, _) in lhs),
+            sum(_as_float(c, "coefficient") * log for c, (log, _) in rhs))
 
 
 def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckReport:
@@ -204,7 +205,7 @@ def check_cardinality(
         {
             "lhs_count": exact_text(lhs_count),
             "rhs_counts": [exact_text(r) for r in rhs_counts],
-            "coefficients": [str(c) for c in spec.coefficients],
+            "coefficients": [exact_text(c) for c in spec.coefficients],
         },
     )
 
@@ -220,7 +221,7 @@ def check_entropy(
     lhs, rhs, _ = _entropy_sides(spec, X, base)
     details = {
         "rhs_entropies": [h for _, (h, _) in rhs],
-        "coefficients": [str(c) for c in spec.coefficients],
+        "coefficients": [exact_text(c) for c in spec.coefficients],
     }
     return _compare(lhs, rhs, tolerance, details)
 
@@ -422,7 +423,7 @@ def check_projection_theorem(
         terms,
         tolerance,
         {
-            "terms": [float(w) * log for w, (log, _) in terms],
+            "terms": [_as_float(w, "weight") * log for w, (log, _) in terms],
             "members": [list(m.indices) for m, _ in members],
         },
     )

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dist import as_fraction
+from .dist import _as_float, as_fraction
 from .errors import InfeasibleError, SchemaError
 from .projections import IndexSet
-from .report import HOLDS, VIOLATED, CheckReport
+from .report import HOLDS, VIOLATED, CheckReport, exact_text
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,11 @@ def is_fractional_cover(cover: CoverSpec) -> CheckReport:
     return CheckReport(
         verdict=HOLDS if not uncovered else VIOLATED,
         lhs=1.0,
-        rhs=float(worst),
+        rhs=_as_float(worst, "least coverage"),
         slack=float(worst - 1),
         witnesses=tuple({"element": i} for i in uncovered),
         provenance="exact",
-        details={"coverage": [str(s) for s in sums]},
+        details={"coverage": [exact_text(s) for s in sums]},
     )
 
 
@@ -122,7 +122,7 @@ def is_uniform_k_cover(cover: CoverSpec, k: int) -> CheckReport:
     bad = [i + 1 for i, c in enumerate(counts) if c < k]
     return CheckReport(
         verdict=VIOLATED if bad else HOLDS,
-        lhs=float(k),
+        lhs=_as_float(k, "k"),
         rhs=float(min(counts)),
         slack=float(min(counts) - k),
         witnesses=tuple({"element": i} for i in bad),

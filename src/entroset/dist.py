@@ -100,6 +100,14 @@ def as_fraction(value) -> Fraction:
     raise SchemaError(f"not an exact rational: {value!r}")
 
 
+def _as_float(value, what: str) -> float:
+    """`float(value)`; SchemaError naming an exact value past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{what} is outside the float range: {exact_text(value)}") from None
+
+
 def _ratio(value) -> tuple[int, int]:
     """`as_fraction(value)` as its (numerator, denominator), in lowest terms.
 
@@ -449,7 +457,7 @@ def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
     for w in weights:
         if not isinstance(w, numbers.Real):
             raise SchemaError(f"weights must be real numbers: {w!r}")
-    if not all(math.isfinite(w) for w in weights):
+    if not all(math.isfinite(_as_float(w, "weight")) for w in weights):
         raise SchemaError("weights must be finite")
     if any(w < 0 for w in weights):
         raise SchemaError("weights must be nonnegative")

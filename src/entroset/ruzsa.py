@@ -24,11 +24,14 @@ Applying a map f coordinatewise commutes with the construction: the
 image of the k-set of X under f^k equals the k-set of f(X). Both
 directions are implemented: `verify_commutation` checks the identity by
 computing both sets independently, and `preimage_lift` constructs an
-explicit preimage vector witnessing the hard inclusion. The mapped side
-is built without walking the source set: image sets of partial
-arrangements, keyed by the source counts they use, are deduplicated as
-they grow and joined at half length, so its cost follows the (often much
-smaller) image set.
+explicit preimage vector witnessing the hard inclusion.
+
+Arrangements come from one level-by-level DP (`_grow`): a deduplicated
+set of images per source count vector u, grown a coordinate at a time.
+`_image_set` joins the half-length sets, so the mapped side is built
+without walking the source set and costs what the (often much smaller)
+image set does. `ruzsa_enumerate` sorts them once under the identity
+and walks the prefixes above them, lazily and in lexicographic order.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ from .report import HOLDS, VIOLATED, CheckReport, exact_text
 DEFAULT_ENUM_LIMIT = 10**6
 
 RuzsaVector = tuple[Element, ...]
+# one level of the arrangement DP: source count vector -> set of images
+Level = dict[tuple[int, ...], set[bytes]]
 
 
 @dataclass(frozen=True)
@@ -149,57 +154,20 @@ def _guard(counts: tuple[int, ...], limit: int) -> None:
         )
 
 
-def _arrangements(counts: tuple[int, ...], limit: int) -> Iterator[list[bytes]]:
-    """Every arrangement of the multiset with these counts, lazily, in chunks.
+def _grow(level: Level, counts: tuple[int, ...], symbols: list[bytes]) -> Level:
+    """One level of the arrangement DP, shared by `_image_set` and `ruzsa_enumerate`.
 
-    Serves `ruzsa_enumerate`. An arrangement is `bytes` whose j-th byte is
-    the support index at coordinate j. Chunks are lists of arrangements
-    sharing a prefix, and arrangements come lexicographically. The
-    suffixes of length k//2 are built once per remaining-count state,
-    level by level from the empty suffix, keeping only the last level;
-    the prefixes above them are walked depth first.
-
-    Raises SizeGuardError at the call, before any enumeration (`_guard`).
+    `level` maps count vectors u <= counts to sets of images of length
+    sum(u). The result maps every u + e_i <= counts to the union, over
+    such u, of symbols[i] prepended to the set of u; sets deduplicate.
     """
-    _guard(counts, limit)
-    n = len(counts)
-    symbols = [bytes((i,)) for i in range(n)]
-    k = sum(counts)
-    half = k // 2
-
-    def less(state: tuple[int, ...], i: int) -> tuple[int, ...]:
-        return state[:i] + (state[i] - 1,) + state[i + 1 :]
-
-    suffixes: dict[tuple[int, ...], list[bytes]] = {(0,) * n: [b""]}
-    for _ in range(half):
-        grown = {
-            state[:i] + (c + 1,) + state[i + 1 :]
-            for state in suffixes
-            for i, c in enumerate(state)
-            if c < counts[i]
-        }
-        suffixes = {
-            state: [
-                symbols[i] + s
-                for i, c in enumerate(state)
-                if c
-                for s in suffixes[less(state, i)]
-            ]
-            for state in grown
-        }
-
-    def chunks() -> Iterator[list[bytes]]:
-        stack = [(b"", tuple(counts))]
-        while stack:
-            prefix, rest = stack.pop()
-            if len(prefix) + half == k:
-                yield [prefix + s for s in suffixes[rest]]
-                continue
-            for i in reversed(range(n)):
-                if rest[i]:
-                    stack.append((prefix + symbols[i], less(rest, i)))
-
-    return chunks()
+    grown: Level = {}
+    for state, images in level.items():
+        for i, c in enumerate(state):
+            if c < counts[i]:
+                child = state[:i] + (c + 1,) + state[i + 1 :]
+                grown.setdefault(child, set()).update(map(symbols[i].__add__, images))
+    return grown
 
 
 def _image_set(counts: tuple[int, ...], symbols: Iterable[int], limit: int) -> set[bytes]:
@@ -208,27 +176,20 @@ def _image_set(counts: tuple[int, ...], symbols: Iterable[int], limit: int) -> s
     An image is `bytes` whose j-th byte is the symbol of the support index
     at coordinate j; `symbols` is read only after the guards of `_guard`
     have passed. The image sets of the arrangements of every partial count
-    vector u <= counts are grown level by level from {b""}, each level
-    prepending symbols[i] to the set of u - e_i, and deduplicated as they
-    grow. The k//2 level is kept as the suffix sets; the answer joins, for
-    every state u at level k - k//2, each head in the set of u to each tail
-    in the set of counts - u. States are source count vectors, so every
+    vector u <= counts are grown level by level from {b""} by `_grow`. The
+    k//2 level is kept as the suffix sets; the answer joins, for every
+    state u at level k - k//2, each head in the set of u to each tail in
+    the set of counts - u. States are source count vectors, so every
     member is the image of a real arrangement.
     """
     _guard(counts, limit)
     symbols = [bytes((s,)) for s in symbols]
     k = sum(counts)
     half = k // 2
-    level: dict[tuple[int, ...], set[bytes]] = {(0,) * len(counts): {b""}}
+    level: Level = {(0,) * len(counts): {b""}}
     suffixes = level
     for depth in range(1, k - half + 1):
-        grown: dict[tuple[int, ...], set[bytes]] = {}
-        for state, images in level.items():
-            for i, c in enumerate(state):
-                if c < counts[i]:
-                    child = state[:i] + (c + 1,) + state[i + 1 :]
-                    grown.setdefault(child, set()).update(map(symbols[i].__add__, images))
-        level = grown
+        level = _grow(level, counts, symbols)
         if depth == half:
             suffixes = level
     joined: set[bytes] = set()
@@ -245,13 +206,33 @@ def ruzsa_enumerate(
 
     A generator: at the first item, before any vector is built, it raises
     SchemaError for a non-spec and SizeGuardError when the closed-form
-    count exceeds `limit`; counting never needs enumeration.
+    count exceeds `limit` (`_guard`); counting never needs enumeration.
+    The suffix sets of length k//2 come from `_grow` under the identity,
+    each sorted and decoded to elements once, at first use; the prefixes
+    above them are walked depth first, so members come lazily in order.
     """
     _expect_spec(spec, "ruzsa_enumerate")
+    counts = spec.counts
+    _guard(counts, limit)
+    n, k = len(counts), spec.k
+    symbols = [bytes((i,)) for i in range(n)]
+    half = k // 2
+    level: Level = {(0,) * n: {b""}}
+    for _ in range(half):
+        level = _grow(level, counts, symbols)
     support = spec.dist.support
-    for chunk in _arrangements(spec.counts, limit):
-        for vec in chunk:
-            yield tuple(map(support.__getitem__, vec))
+    suffixes: dict[tuple[int, ...], list[RuzsaVector]] = {}
+    stack: list[tuple[RuzsaVector, tuple[int, ...]]] = [((), counts)]
+    while stack:
+        head, rest = stack.pop()
+        if len(head) + half == k:
+            if rest not in suffixes:
+                suffixes[rest] = [tuple(map(support.__getitem__, t)) for t in sorted(level[rest])]
+            yield from map(head.__add__, suffixes[rest])
+            continue
+        for i in reversed(range(n)):
+            if rest[i]:
+                stack.append((head + (support[i],), rest[:i] + (rest[i] - 1,) + rest[i + 1 :]))
 
 
 def _mapped_arrangements(
@@ -282,8 +263,8 @@ def verify_commutation(
     """
     _expect_spec(spec, "verify_commutation")
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
-    for s in (spec, image_spec):
-        total = ruzsa_size(s)
+    source_size = ruzsa_size(spec)
+    for total in (source_size, ruzsa_size(image_spec)):
         if total > limit:
             raise SizeGuardError(f"|set| = {exact_text(total)} exceeds limit {limit}")
     image = image_spec.dist.support
@@ -309,7 +290,7 @@ def verify_commutation(
         ),
         provenance="exact",
         details={
-            "source_size": str(ruzsa_size(spec)),
+            "source_size": str(source_size),
             "mapped_size": str(len(mapped)),
             "direct_size": str(len(direct)),
             "k": spec.k,

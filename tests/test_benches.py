@@ -1,7 +1,9 @@
-"""The layer benchmarks under benches/ still run against the current API.
+"""The benchmarks still run against the current API.
 
-They are not named `test_*.py`, so the tier-1 run never collects them on
-its own; this runs each benchmark once, untimed, in a subprocess.
+The layer benchmarks under benches/ are not named `test_*.py`, so the
+tier-1 run never collects them on its own; this runs each benchmark once,
+untimed, in a subprocess. The end-to-end harness under bench/ is checked
+by running its self-test once, also in a subprocess.
 """
 
 import os
@@ -24,6 +26,17 @@ def test_layer_benches_run():
          "--benchmark-disable", *benches],
         cwd=ROOT,
         env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+
+
+def test_bench_selftest_runs():
+    """`bench/selftest.py` finds every name it needs in the current src/."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        cwd=ROOT,
         capture_output=True,
         text=True,
     )

@@ -91,6 +91,13 @@ class TestCheckCardinality:
         with pytest.raises(NegativeCoefficientError):
             check_cardinality(spec, TRIANGLE)
 
+    def test_coefficient_past_the_str_digit_limit(self):
+        ident = FiniteMap.identity(GRID2)
+        spec = InequalitySpec(ident, [ident], [Fraction(1, 10**5000)])
+        report = check_cardinality(spec, TRIANGLE)
+        assert report.verdict == "violated"
+        assert report.details["coefficients"] == ["1/1" + "0" * 5000]
+
     def test_exact_fallback_settles_near_ties(self):
         # |f(A)| = 4 vs 2 * 2: float slack is ~0, exact comparison says holds
         spec = projection_spec(GRID2, [[1], [2]], [1, 1])
@@ -122,6 +129,13 @@ class TestCheckEntropy:
         assert report.lhs == pytest.approx(math.log2(3), abs=1e-12)
         assert report.rhs == pytest.approx(2 * (math.log2(3) - 2 / 3), abs=1e-12)
         assert report.holds
+
+    def test_coefficient_past_the_str_digit_limit(self):
+        ident = FiniteMap.identity(GRID2)
+        spec = InequalitySpec(ident, [ident], [Fraction(-1, 10**5000)])
+        report = check_entropy(spec, RationalDist.uniform(TRIANGLE.points))
+        assert report.verdict == "violated"
+        assert report.details["coefficients"] == ["-1/1" + "0" * 5000]
 
     def test_negative_coefficients_evaluated(self):
         spec = projection_spec(GRID2, [[1], [2]], [1, -1])

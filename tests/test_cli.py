@@ -540,6 +540,63 @@ def test_overflowing_weight_sum(capsys):
     assert json.loads(out)["probs"] == ["1/2", "1/2"]
 
 
+BIG = "1" + "0" * 400
+IDENTITY2 = {"table": [[[0], [0]], [[1], [1]]]}
+
+
+class TestFloatRange:
+    """A value past the float range exits 2 with an error that names it."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        docs = {
+            "spec": {"lhs_map": IDENTITY2, "rhs_maps": [IDENTITY2], "coefficients": [BIG]},
+            "line": {"dimension": 1, "points": [[0], [1]]},
+            "plane": {"dimension": 2, "points": [[0, 0], [0, 1], [1, 1]]},
+            "dist": UNIFORM2,
+            "big": {"n": 2, "members": [[1, 2]], "weights": [BIG]},
+            "mixed": {"n": 2, "members": [[1, 2], [2]], "weights": ["1", BIG]},
+            "one": {"n": 1, "members": [[1]]},
+        }
+        return {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "cardinality", "--spec", "{spec}", "--input", "{line}"],
+             f"coefficient is outside the float range: {BIG}"),
+            (["check", "entropy", "--spec", "{spec}", "--input", "{dist}"],
+             f"coefficient is outside the float range: {BIG}"),
+            (["check", "lemma1", "--spec", "{spec}", "--input", "{dist}", "--kmax", "4"],
+             f"coefficient is outside the float range: {BIG}"),
+            (["cover", "check", "--cover", "{big}"],
+             f"least coverage is outside the float range: {BIG}"),
+            (["cover", "check", "--cover", "{one}", "--k", BIG + "1"],
+             f"k is outside the float range: {BIG}1"),
+            (["check", "shearer", "--cover", "{one}", "--input", "{line}", "--k", BIG + "1",
+              "--side", "sets"],
+             f"k is outside the float range: {BIG}1"),
+            (["check", "projection", "--cover", "{mixed}", "--input", "{plane}",
+              "--side", "sets"],
+             f"weight is outside the float range: {BIG}"),
+        ],
+        ids=["cardinality", "entropy", "lemma1", "cover_check", "cover_check_k", "shearer_k",
+             "projection"],
+    )
+    def test_schema_error_names_the_value(self, files, capsys, argv, message):
+        code, out, err = invoke(capsys, [a.format(**files) for a in argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_huge_weight_beside_a_small_coverage(self, files, capsys):
+        # only the least coverage is read as a float
+        code, out, err = invoke(capsys, ["cover", "check", "--cover", files["mixed"]])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "verdict": "holds", "lhs": 1.0, "rhs": 1.0, "slack": 0.0, "witnesses": [],
+            "provenance": "exact", "coverage": ["1", "1" + "0" * 399 + "1"],
+        }
+
+
 def test_cli_does_not_import_numpy():
     src = str(Path(entroset.__file__).resolve().parents[1])
     script = (

@@ -79,6 +79,12 @@ class TestFractionalCover:
         assert report.holds
         assert report.details["coverage"] == ["1", "1", "1"]
 
+    def test_coverage_past_the_str_digit_limit(self):
+        cover = CoverSpec(2, [[1, 2], [2]], [1, Fraction(1, 10**5000)])
+        report = is_fractional_cover(cover)
+        assert report.holds
+        assert report.details["coverage"] == ["1", "1" + "0" * 4999 + "1/1" + "0" * 5000]
+
     def test_uncovered_element(self):
         cover = CoverSpec(2, [[1]], [1])
         report = is_fractional_cover(cover)

@@ -166,6 +166,13 @@ def test_rationalize_argument_of_wrong_type_is_schema_error(weights, max_denomin
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+def test_rationalize_weight_past_float_range(big):
+    with pytest.raises(SchemaError) as info:
+        rationalize([big, 1], 4)
+    assert str(info.value) == f"weight is outside the float range: {big}"
+
+
 class TestEntropy:
     def test_uniform_two_point_is_one_bit(self):
         assert entropy(dist([((0,), "1/2"), ((1,), "1/2")])) == 1.0

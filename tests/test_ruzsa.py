@@ -2,8 +2,9 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -215,6 +216,18 @@ class TestEnumerate:
         size = math.factorial(16) // 2**8
         assert str(exc.value) == f"enumeration of {size} vectors exceeds limit 1000"
 
+    def test_first_items_are_lazy(self):
+        # all 10! = 3,628,800 members would take about 450 MB as tuples
+        spec = spec_of_counts([1] * 10)
+        tracemalloc.start()
+        try:
+            first = list(islice(ruzsa_enumerate(spec, limit=10**7), 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == list(islice(reference_enumerate(spec), 5))
+        assert peak < 32 * 2**20
+
     def test_more_than_256_support_elements(self):
         # 300! < 10**1000, so only the byte encoding stops this enumeration
         spec = RuzsaSpec(RationalDist.uniform(range(300)), 300)
@@ -265,7 +278,7 @@ class TestImageSet:
         position = {y: j for j, y in enumerate(image)}
         symbols = [position[f(x)] for x in spec.dist.support]
         got = ruzsa._image_set(spec.counts, symbols, ruzsa.DEFAULT_ENUM_LIMIT)
-        want = {f.map_vector(v) for v in ruzsa_enumerate(spec)}
+        want = {f.map_vector(v) for v in reference_enumerate(spec)}
         assert {tuple(image[j] for j in v) for v in got} == want
         assert len(got) == len(want)
 
