@@ -32,7 +32,8 @@ from .dist import (
     FiniteMap,
     RationalDist,
     _as_float,
-    _expect_dist,
+    _as_list,
+    _expect_type,
     _log_function,
     as_elements,
     as_fraction,
@@ -89,9 +90,9 @@ class InequalitySpec:
     coefficients: tuple[Fraction, ...]
 
     def __init__(self, lhs_map, rhs_maps: Sequence, coefficients: Sequence):
-        maps = tuple(FiniteMap(m) for m in rhs_maps)
+        maps = tuple(map(FiniteMap, _as_list(rhs_maps, "rhs_maps")))
         lhs = FiniteMap(lhs_map)
-        coeffs = tuple(as_fraction(c) for c in coefficients)
+        coeffs = tuple(map(as_fraction, _as_list(coefficients, "coefficients")))
         if len(maps) != len(coeffs):
             raise SchemaError("rhs_maps and coefficients must have equal length")
         if not maps:
@@ -167,12 +168,13 @@ def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckRe
     Exact when every term is a count and every c an integer; else by the
     float slack outside the tolerance band, exact inside it. Past the bit
     limit the slack decides outside the band; inside it is inconclusive.
+    A NaN or infinite slack (a side past the float range) is inside the band.
     """
     _check_tolerance(tolerance)
     lhs_log, rhs_log = _logs(lhs, rhs)
     slack = rhs_log - lhs_log
     counts = all(isinstance(f, int) and c.denominator == 1 for c, (_, f) in lhs + rhs)
-    in_band = abs(slack) < tolerance
+    in_band = not math.isfinite(slack) or abs(slack) < tolerance
     verdict = _exact_verdict(lhs, rhs) if counts or in_band else None
     provenance = "float" if verdict is None else "exact"
     verdict = verdict or (INCONCLUSIVE if in_band else HOLDS if slack >= 0 else VIOLATED)
@@ -217,7 +219,7 @@ def check_entropy(
     base: float = 2,
 ) -> CheckReport:
     """H(f(X)) <= sum a_i H(f_i(X)); negative a_i evaluated as given."""
-    _expect_dist(X, "check_entropy")
+    _expect_type(X, RationalDist, "check_entropy")
     lhs, rhs, _ = _entropy_sides(spec, X, base)
     details = {
         "rhs_entropies": [h for _, (h, _) in rhs],
@@ -274,7 +276,7 @@ def empirical_lemma1(
     a row whose enumerated count differs from the closed form is violated
     and carries the enumerated count.
     """
-    _expect_dist(X, "empirical_lemma1")
+    _expect_type(X, RationalDist, "empirical_lemma1")
     # rows are counted in base 2 and rescaled to the report's base
     scale = _log_function(base)(2)
     if any(c < 0 for c in spec.coefficients):

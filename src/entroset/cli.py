@@ -379,8 +379,10 @@ def run_demo(args: argparse.Namespace) -> tuple[dict, int]:
         spec, X, k_max=12, limit=args.limit, tolerance=args.tolerance, base=args.base
     )
     k_min = minimal_suitable_k(X)
-    rows = convergence_profile(X, list(range(k_min, 13, k_min)), base=args.base)
-    envelope_ok = all(-1e-12 <= row["gap"] <= row["envelope"] + 1e-9 for row in rows)
+    ks = list(range(k_min, 13, k_min))
+    rows = convergence_profile(X, ks, base=args.base)
+    # 0 <= gap <= envelope is the exact sandwich of `type_bound_check`
+    envelope_ok = all(type_bound_check(RuzsaSpec(X, k)).holds for k in ks)
     all_hold = (
         counting.holds and entropy_side.holds and finite_k.holds and envelope_ok
     )

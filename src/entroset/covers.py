@@ -16,11 +16,12 @@ value is contractual.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dist import _as_float, as_fraction
+from .dist import _as_float, _as_int, _as_list, as_fraction
 from .errors import InfeasibleError, SchemaError
 from .projections import IndexSet
 from .report import HOLDS, VIOLATED, CheckReport, exact_text
@@ -35,14 +36,12 @@ class CoverSpec:
     weights: tuple[Fraction, ...] | None = None
 
     def __init__(self, n: int, members: Sequence, weights: Sequence | None = None):
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise SchemaError(f"n must be an integer: {n!r}")
-        if n < 1:
+        if _as_int(n, "n") < 1:
             raise SchemaError("n must be >= 1")
-        try:
-            mems = tuple(m if isinstance(m, IndexSet) else IndexSet(m) for m in members)
-        except TypeError:
-            raise SchemaError(f"cover members must be a sequence: {members!r}") from None
+        if n > sys.maxsize:
+            raise SchemaError(f"n is outside the index range: {exact_text(n)}")
+        members = _as_list(members, "cover members")
+        mems = tuple(m if isinstance(m, IndexSet) else IndexSet(m) for m in members)
         if not mems:
             raise SchemaError("cover needs at least one member")
         for m in mems:
@@ -52,10 +51,7 @@ class CoverSpec:
                 raise SchemaError(f"member {m.indices} exceeds n={n}")
         ws = None
         if weights is not None:
-            try:
-                ws = tuple(map(as_fraction, weights))
-            except TypeError:
-                raise SchemaError(f"cover weights must be a sequence: {weights!r}") from None
+            ws = tuple(map(as_fraction, _as_list(weights, "cover weights")))
             if len(ws) != len(mems):
                 raise SchemaError("weights must be parallel to members")
             if any(w < 0 for w in ws):

@@ -13,6 +13,12 @@ Fraction is made on the way in or out; any other string goes through
 Entropy is the only float-valued quantity here; everything feeding it
 (counts, preimage sums, denominators) stays exact, as does 2^(d*H).
 
+The input rules that every module shares live here, each a helper that
+raises SchemaError naming the value: `_as_int` (an int, not a bool),
+`_as_list` (any iterable, read into a list), `_expect_type` (an instance
+of a given class) and `_as_float` (a value inside the float range).
+Index-set arguments are checked by `projections._check_indices`.
+
 Elements are checked once, where a value enters: a constructor called
 through the API or by a JSON decoder normalizes its elements with
 `as_element`/`as_elements`, which check every coordinate (a whole list at
@@ -39,6 +45,28 @@ Element = tuple[int, ...]
 
 _INT = frozenset({int})
 _SEQUENCES = frozenset({list, tuple})
+
+
+def _as_int(value, what: str) -> int:
+    """`value` if it is an int and not a bool; else SchemaError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer: {value!r}")
+    return value
+
+
+def _as_list(values, what: str) -> list:
+    """`list(values)`; SchemaError naming a value that cannot be iterated."""
+    try:
+        return list(values)
+    except TypeError:
+        raise SchemaError(f"{what} must be a sequence: {values!r}") from None
+
+
+def _expect_type(value, kind: type, what: str) -> None:
+    """SchemaError unless `value` is a `kind`: "<what> needs a <kind>"."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise SchemaError(f"{what} needs {article} {kind.__name__}: {value!r}")
 
 
 def as_element(value) -> Element:
@@ -78,10 +106,7 @@ def as_elements(values: Iterable) -> list[Element]:
     the first bad value raises the same error as it would alone.
     """
     if not isinstance(values, list):
-        try:
-            values = list(values)
-        except TypeError:
-            raise SchemaError(f"elements must be a sequence: {values!r}") from None
+        values = _as_list(values, "elements")
     elems = _int_tuples(values)
     return [as_element(v) for v in values] if elems is None else elems
 
@@ -278,10 +303,10 @@ class FiniteMap:
 
     def map_vector(self, vec: Sequence) -> tuple[Element, ...]:
         """Coordinatewise application to a vector over the domain."""
-        return tuple(self(x) for x in vec)
+        return tuple(map(self, _as_list(vec, "vector")))
 
     def image(self, points: Iterable) -> frozenset[Element]:
-        points = list(points)
+        points = _as_list(points, "points")
         keys = _int_tuples(points)
         if keys is None:
             # a bad point: check and look up one point at a time, in order
@@ -292,14 +317,9 @@ class FiniteMap:
             raise DomainError(f"element {exc.args[0]} not in map domain") from None
 
 
-def _expect_dist(value, what: str) -> None:
-    if not isinstance(value, RationalDist):
-        raise SchemaError(f"{what} needs a RationalDist: {value!r}")
-
-
 def entropy(dist: RationalDist, base: float = 2) -> float:
     """Shannon entropy sum(p * log(1/p)); 0 for a single-point support."""
-    _expect_dist(dist, "entropy")
+    _expect_type(dist, RationalDist, "entropy")
     log = _log_function(base)
     if len(dist) == 1:
         return 0.0
@@ -343,7 +363,7 @@ def _merge(images: Iterable[Element], dist: RationalDist) -> RationalDist:
 
 def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:
     """Distribution of f(X): exact preimage sums, support in first-image order."""
-    _expect_dist(dist, "pushforward")
+    _expect_type(dist, RationalDist, "pushforward")
     if not callable(f):
         raise SchemaError(f"pushforward needs a map: {f!r}")
     image = _merge(map(f, dist.support), dist)
@@ -355,7 +375,7 @@ def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:
 
 def minimal_suitable_k(dist: RationalDist) -> int:
     """Least k making every k*p_i an integer: the denominator d of the counts."""
-    _expect_dist(dist, "minimal_suitable_k")
+    _expect_type(dist, RationalDist, "minimal_suitable_k")
     return dist.denominator
 
 
@@ -442,16 +462,12 @@ def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
     the partial sums within the bound, and so the time, grow steeply with
     the grid (81 values at D = 16, L = 720720) and the number of entries.
     """
-    if isinstance(max_denominator, bool) or not isinstance(max_denominator, int):
-        raise SchemaError(f"max_denominator must be an integer: {max_denominator!r}")
+    _as_int(max_denominator, "max_denominator")
     if max_denominator < 1:
         raise SchemaError("max_denominator must be >= 1")
     if max_denominator > 16:
         raise SchemaError("max_denominator above 16 is not supported (lcm grid too large)")
-    try:
-        weights = list(weights)
-    except TypeError:
-        raise SchemaError(f"weights must be a sequence: {weights!r}") from None
+    weights = _as_list(weights, "weights")
     if not weights:
         raise SchemaError("weights must be nonempty")
     for w in weights:

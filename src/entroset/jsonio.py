@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .covers import CoverSpec
 from .checkers import InequalitySpec
-from .dist import FiniteMap, RationalDist, _ratio, as_fraction
+from .dist import FiniteMap, RationalDist, _as_int, _ratio, as_fraction
 from .errors import SchemaError
 from .projections import IndexSet, PointSet
 from .report import exact_text
@@ -29,12 +29,6 @@ def _expect(doc: dict, key: str, kind: str):
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"{kind} document needs field {key!r}")
     return doc[key]
-
-
-def _int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer: {value!r}")
-    return value
 
 
 def _array(value, what: str) -> list:
@@ -83,7 +77,7 @@ def map_to_json(f: FiniteMap) -> dict:
 
 
 def pointset_from_json(doc: dict) -> PointSet:
-    dimension = _int(_expect(doc, "dimension", "point set"), "point set field 'dimension'")
+    dimension = _as_int(_expect(doc, "dimension", "point set"), "point set field 'dimension'")
     points = _array(_expect(doc, "points", "point set"), "point set field 'points'")
     return PointSet(dimension, points)
 
@@ -102,7 +96,7 @@ def indexset_from_json(doc) -> IndexSet:
 
 
 def cover_from_json(doc: dict) -> CoverSpec:
-    n = _int(_expect(doc, "n", "cover"), "cover field 'n'")
+    n = _as_int(_expect(doc, "n", "cover"), "cover field 'n'")
     members = _array(_expect(doc, "members", "cover"), "cover field 'members'")
     weights = doc.get("weights")
     if weights is not None:

@@ -25,7 +25,9 @@ from typing import Callable, Iterable
 from .dist import (
     Element,
     RationalDist,
-    _expect_dist,
+    _as_int,
+    _as_list,
+    _expect_type,
     _log_function,
     _merge,
     as_element,
@@ -47,15 +49,7 @@ class IndexSet:
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int]):
-        try:
-            indices = iter(indices)
-        except TypeError:
-            raise SchemaError(f"indices must be a sequence: {indices!r}") from None
-        raw = []
-        for i in indices:
-            if isinstance(i, bool) or not isinstance(i, int):
-                raise SchemaError(f"index must be an integer: {i!r}")
-            raw.append(int(i))
+        raw = [int(_as_int(i, "index")) for i in _as_list(indices, "indices")]
         idx = tuple(sorted(raw))
         if len(set(idx)) != len(idx):
             raise SchemaError(f"duplicate indices: {raw}")
@@ -95,8 +89,6 @@ class PointSet:
             raise SchemaError("point set must be nonempty")
         if set(map(len, pts)) != {dimension}:
             raise SchemaError(f"all points must have dimension {dimension}")
-        if dimension < 1:
-            raise SchemaError("dimension must be >= 1")
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "points", pts)
 
@@ -125,9 +117,15 @@ class PointSet:
         return iter(self.points)
 
 
-def _check_indices(S: IndexSet, dimension: int) -> None:
-    if S and max(S.indices) > dimension:
-        raise IndexRangeError(f"index set {S.indices} exceeds dimension {dimension}")
+def _check_indices(S: IndexSet, data, empty: str | None = None) -> None:
+    """SchemaError unless S is an IndexSet, nonempty when `empty` (the error
+    message) is given; IndexRangeError when S exceeds the dimension of `data`."""
+    _expect_type(S, IndexSet, "index argument")
+    if not S:
+        if empty:
+            raise SchemaError(empty)
+    elif max(S.indices) > data.dimension:
+        raise IndexRangeError(f"index set {S.indices} exceeds dimension {data.dimension}")
 
 
 def _restrictor(S: IndexSet) -> Callable[[Element], Element]:
@@ -143,23 +141,20 @@ def _restrictor(S: IndexSet) -> Callable[[Element], Element]:
 
 def project_set(A: PointSet, S: IndexSet) -> PointSet:
     """Coordinate projection {x_S : x in A}, duplicates collapsed."""
-    if not S:
-        raise SchemaError("cannot project onto the empty index set")
-    _check_indices(S, A.dimension)
+    _check_indices(S, A, "cannot project onto the empty index set")
     return PointSet._of(len(S), frozenset(map(_restrictor(S), A.points)))
 
 
 def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
     """Marginal of X on the coordinates in S (pushforward of a projection)."""
-    _expect_dist(X, "project_rv")
-    if not S:
-        raise SchemaError("cannot project onto the empty index set")
-    _check_indices(S, X.dimension)
+    _expect_type(X, RationalDist, "project_rv")
+    _check_indices(S, X, "cannot project onto the empty index set")
     return _merge(map(_restrictor(S), X.support), X)
 
 
 def s_star(S: IndexSet) -> IndexSet:
     """The prefix {1, ..., min(S)-1}; empty when min(S) = 1."""
+    _expect_type(S, IndexSet, "index argument")
     if not S:
         raise SchemaError("s_star of the empty index set is undefined")
     return IndexSet(range(1, min(S.indices)))
@@ -167,9 +162,7 @@ def s_star(S: IndexSet) -> IndexSet:
 
 def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
     """Subset of A whose S-coordinates equal y."""
-    if not S:
-        raise SchemaError("conditioning on the empty index set selects all of A")
-    _check_indices(S, A.dimension)
+    _check_indices(S, A, "conditioning on the empty index set selects all of A")
     y = as_element(y)
     restrict = _restrictor(S)
     pts = frozenset(x for x in A if restrict(x) == y)
@@ -192,6 +185,8 @@ def _group(A: PointSet, S: IndexSet, T: IndexSet) -> dict[Element, list[Element]
 
 def slice_weights(A: PointSet, S: IndexSet) -> dict[Element, Fraction]:
     """Exact probability that a uniform point of A projects to each y in A_S."""
+    _expect_type(A, PointSet, "slice_weights")
+    _check_indices(S, A)
     total = len(A)
     return {
         y: Fraction(len(group), total)
@@ -204,10 +199,8 @@ def log_conditional_avg_size(
 ) -> float:
     """log of the conditional average size, the form used by the checkers."""
     log = _log_function(base)
-    if not T:
-        raise SchemaError("conditioned projection needs a nonempty target T")
-    _check_indices(T, A.dimension)
-    _check_indices(S, A.dimension)
+    _check_indices(T, A, "conditioned projection needs a nonempty target T")
+    _check_indices(S, A)
     if not S:
         return log(len(project_set(A, T)))
     total = len(A)
@@ -240,11 +233,9 @@ def conditional_entropy(
     X: RationalDist, S: IndexSet, C: IndexSet = EMPTY_INDEX_SET, base: float = 2
 ) -> float:
     """H(X_S | X_C) = H(X_{S u C}) - H(X_C); plain H(X_S) when C is empty."""
-    _expect_dist(X, "conditional_entropy")
-    if not S:
-        raise SchemaError("conditional entropy needs a nonempty target S")
-    _check_indices(S, X.dimension)
-    _check_indices(C, X.dimension)
+    _expect_type(X, RationalDist, "conditional_entropy")
+    _check_indices(S, X, "conditional entropy needs a nonempty target S")
+    _check_indices(C, X)
     if not C:
         return entropy(project_rv(X, S), base=base)
     joint = entropy(project_rv(X, S.union(C)), base=base)

@@ -5,7 +5,8 @@ cardinality checks). `provenance` is "exact" when exact integer or
 rational arithmetic settled the verdict, else "float": the float slack
 outside the tolerance band, or `inconclusive`. Exact quantities are
 carried in `details` as strings. `witnesses` holds counterexample
-structures for set-equality style checks.
+structures for set-equality style checks. JSON has no NaN or infinity,
+so `to_json` writes such a float (a side past the float range) as null.
 
 `exact_text` writes those strings. Python refuses `str()` on an int of
 more than `sys.get_int_max_str_digits()` digits (4300 by default);
@@ -49,12 +50,9 @@ class CheckReport:
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {"verdict": self.verdict}
-        if self.lhs is not None:
-            doc["lhs"] = self.lhs
-        if self.rhs is not None:
-            doc["rhs"] = self.rhs
-        if self.slack is not None:
-            doc["slack"] = self.slack
+        for key, value in (("lhs", self.lhs), ("rhs", self.rhs), ("slack", self.slack)):
+            if value is not None:
+                doc[key] = _jsonable(value)
         doc["witnesses"] = [_jsonable(w) for w in self.witnesses]
         doc["provenance"] = self.provenance
         if self.details:
@@ -86,6 +84,8 @@ def exact_text(value: int | Fraction, denominator: int = 1) -> str:
 
 
 def _jsonable(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     if isinstance(value, Fraction):
         return exact_text(value)
     if isinstance(value, dict):

@@ -597,6 +597,44 @@ class TestFloatRange:
         }
 
 
+def _no_constants(name):
+    raise AssertionError(f"{name} in a JSON report")
+
+
+class TestNonFiniteSides:
+    """A side past the float range is decided exactly and written as null."""
+
+    FOUR = {"support": [[0], [1], [2], [3]], "probs": ["1/4"] * 4}
+    IDENTITY4 = {"table": [[[i], [i]] for i in range(4)]}
+    E308 = "1" + "0" * 308
+
+    @pytest.mark.parametrize(
+        "coeffs", [[E308, "-" + E308, "1"], [E308]], ids=["nan", "infinity"]
+    )
+    def test_check_entropy(self, tmp_path, capsys, coeffs):
+        spec = {"lhs_map": self.IDENTITY4, "rhs_maps": [self.IDENTITY4] * len(coeffs),
+                "coefficients": coeffs}
+        argv = ["check", "entropy", "--spec", write(tmp_path, "s.json", spec),
+                "--input", write(tmp_path, "x.json", self.FOUR)]
+        code, out, err = invoke(capsys, argv)
+        doc = json.loads(out, parse_constant=_no_constants)
+        # H(X) = 2 <= 2 holds exactly, and 2 <= 2 * 10**308 as well
+        assert (code, err) == (0, "")
+        assert (doc["verdict"], doc["provenance"]) == ("holds", "exact")
+        assert (doc["lhs"], doc["rhs"], doc["slack"]) == (2.0, None, None)
+
+    def test_check_lemma1_rows(self, tmp_path, capsys):
+        spec = {"lhs_map": self.IDENTITY4, "rhs_maps": [self.IDENTITY4],
+                "coefficients": [self.E308]}
+        argv = ["check", "lemma1", "--spec", write(tmp_path, "s.json", spec),
+                "--input", write(tmp_path, "x.json", self.FOUR), "--kmax", "8"]
+        code, out, err = invoke(capsys, argv)
+        doc = json.loads(out, parse_constant=_no_constants)
+        assert (code, err) == (0, "")
+        assert [row["verdict"] for row in doc["rows"]] == ["holds", "holds"]
+        assert [row["rhs_rate"] for row in doc["rows"]] == [None, None]
+
+
 def test_cli_does_not_import_numpy():
     src = str(Path(entroset.__file__).resolve().parents[1])
     script = (
@@ -654,6 +692,28 @@ class TestCoverDecoding:
         code, out, _ = invoke(capsys, ["cover", "check", "--cover", cover])
         assert code == 0
         assert json.loads(out)["verdict"] == "holds"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "min", "--cover", "{cover}"],
+        ["cover", "check", "--cover", "{cover}"],
+        ["cover", "check", "--cover", "{cover}", "--k", "1"],
+        ["check", "shearer", "--cover", "{cover}", "--input", "{points}", "--side", "sets",
+         "--k", "1"],
+        ["check", "projection", "--cover", "{cover}", "--input", "{points}", "--side", "sets"],
+    ],
+    ids=["cover_min", "cover_check", "cover_check_k", "shearer", "projection"],
+)
+def test_cover_n_past_the_index_range(tmp_path, capsys, argv):
+    n = 10**29
+    files = {
+        "cover": write(tmp_path, "c.json", {"n": n, "members": [[1]], "weights": ["1"]}),
+        "points": write(tmp_path, "a.json", {"dimension": 1, "points": [[0]]}),
+    }
+    code, out, err = invoke(capsys, [a.format(**files) for a in argv])
+    assert (code, out, err) == (2, "", f"error: n is outside the index range: {n}\n")
 
 
 class TestDocumentDecoding:

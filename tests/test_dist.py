@@ -116,6 +116,11 @@ class TestConstruction:
         lambda: check_entropy(InequalitySpec(IDENTITY, [IDENTITY], [1]), 5),
         lambda: empirical_lemma1(InequalitySpec(IDENTITY, [IDENTITY], [1]), 5, 4),
         lambda: pushforward(5, HALVES),
+        lambda: IDENTITY.image(5),
+        lambda: IDENTITY.map_vector(5),
+        lambda: preimage_lift(IDENTITY, RuzsaSpec(HALVES, 2), 5),
+        lambda: InequalitySpec(IDENTITY, 5, [1]),
+        lambda: InequalitySpec(IDENTITY, [IDENTITY], 5),
     ],
     ids=[
         "FiniteMap",
@@ -143,6 +148,11 @@ class TestConstruction:
         "check_entropy",
         "empirical_lemma1",
         "pushforward-map",
+        "FiniteMap.image",
+        "FiniteMap.map_vector",
+        "preimage_lift-y",
+        "InequalitySpec-rhs_maps",
+        "InequalitySpec-coefficients",
     ],
 )
 def test_non_iterable_argument_is_schema_error(call):

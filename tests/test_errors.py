@@ -1,0 +1,132 @@
+"""Error paths that no other test reaches: each raise with its class and message."""
+
+import pytest
+
+from entroset import (
+    CoverSpec,
+    DomainError,
+    EntrosetError,
+    FiniteMap,
+    IndexSet,
+    InequalitySpec,
+    NegativeCoefficientError,
+    PointSet,
+    RationalDist,
+    SchemaError,
+    SuitabilityError,
+    check_cardinality,
+    check_entropy,
+    check_shearer,
+    cli,
+    conditional_entropy,
+    conditional_slice,
+    empirical_lemma1,
+    jsonio,
+    lemma2_witness,
+    project_rv,
+    project_set,
+    rationalize,
+    s_star,
+    uniform_cover_as_fractional,
+)
+from entroset.projections import EMPTY_INDEX_SET, log_conditional_avg_size
+
+HALVES = RationalDist.uniform([0, 1])
+IDENTITY = FiniteMap.identity(HALVES.support)
+SPEC = InequalitySpec(IDENTITY, [IDENTITY], [1])
+PLANE = PointSet(2, [(0, 0), (0, 1), (1, 0)])
+SQUARE = RationalDist.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
+ONE = CoverSpec(1, [[1]])
+
+
+def run_handler(argv):
+    """The leaf handler of a parsed command line, called on its args."""
+    args = cli.build_parser().parse_args(argv)
+    return args.run(args)
+
+
+CASES = {
+    # checkers
+    "coefficients_length": (lambda: InequalitySpec(IDENTITY, [IDENTITY], [1, 1]), SchemaError,
+                            "rhs_maps and coefficients must have equal length"),
+    "rhs_maps_empty": (lambda: InequalitySpec(IDENTITY, [], []), SchemaError,
+                       "need at least one rhs map"),
+    "maps_domain": (lambda: InequalitySpec(IDENTITY, [FiniteMap.identity([0])], [1]),
+                    DomainError, "all maps must share one declared domain"),
+    "points_empty": (lambda: check_cardinality(SPEC, []), SchemaError,
+                     "point collection must be nonempty"),
+    "cardinality_domain": (lambda: check_cardinality(SPEC, [5]), DomainError,
+                           "point set is not contained in the maps' domain"),
+    "entropy_domain": (lambda: check_entropy(SPEC, RationalDist.uniform([5])), DomainError,
+                       "distribution support is not contained in the maps' domain"),
+    "lemma2_domain": (lambda: lemma2_witness([5], IDENTITY), DomainError,
+                      "point set is not contained in the map domain"),
+    "lemma1_negative": (
+        lambda: empirical_lemma1(InequalitySpec(IDENTITY, [IDENTITY], [-1]), HALVES, 4),
+        NegativeCoefficientError, "counting-side checks require nonnegative coefficients"),
+    "lemma1_no_k": (lambda: empirical_lemma1(SPEC, HALVES, 1), SuitabilityError,
+                    "no suitable k <= 1 (minimal is 2)"),
+    "shearer_side": (lambda: check_shearer([0], ONE, 1, "both"), SchemaError,
+                     "side must be 'sets' or 'entropy', got 'both'"),
+    "shearer_dimension": (lambda: check_shearer(PLANE, ONE, 1, "sets"), SchemaError,
+                          "cover is over [1] but data has dimension 2"),
+    # covers
+    "n_zero": (lambda: CoverSpec(0, [[1]]), SchemaError, "n must be >= 1"),
+    "no_members": (lambda: CoverSpec(2, []), SchemaError, "cover needs at least one member"),
+    "member_empty": (lambda: CoverSpec(2, [[]]), SchemaError,
+                     "cover members must be nonempty"),
+    "member_past_n": (lambda: CoverSpec(2, [[3]]), SchemaError, "member (3,) exceeds n=2"),
+    "weights_length": (lambda: CoverSpec(2, [[1, 2]], [1, 1]), SchemaError,
+                       "weights must be parallel to members"),
+    "weights_negative": (lambda: CoverSpec(2, [[1, 2]], [-1]), SchemaError,
+                         "weights must be nonnegative"),
+    "not_uniform": (lambda: uniform_cover_as_fractional(CoverSpec(2, [[1], [1, 2]]), 1),
+                    SchemaError, "not a uniform 1-cover"),
+    # dist
+    "table_empty": (lambda: FiniteMap([]), SchemaError, "map table must be nonempty"),
+    "uniform_empty": (lambda: RationalDist.uniform([]), SchemaError,
+                      "uniform distribution needs a nonempty point set"),
+    "weights_empty": (lambda: rationalize([], 4), SchemaError, "weights must be nonempty"),
+    "max_denominator_zero": (lambda: rationalize([1], 0), SchemaError,
+                             "max_denominator must be >= 1"),
+    "max_denominator_17": (
+        lambda: rationalize([1], 17), SchemaError,
+        "max_denominator above 16 is not supported (lcm grid too large)"),
+    "weight_negative": (lambda: rationalize([1, -1], 4), SchemaError,
+                        "weights must be nonnegative"),
+    "weights_zero": (lambda: rationalize([0, 0], 4), SchemaError,
+                     "weights must have positive sum"),
+    # jsonio
+    "index_set_document": (lambda: jsonio.indexset_from_json(5), SchemaError,
+                           "index sets are 1-based arrays: 5"),
+    # projections
+    "pointset_empty": (lambda: PointSet(2, []), SchemaError, "point set must be nonempty"),
+    "from_points_empty": (lambda: PointSet.from_points([]), SchemaError,
+                          "point set must be nonempty"),
+    "project_set_empty": (lambda: project_set(PLANE, EMPTY_INDEX_SET), SchemaError,
+                          "cannot project onto the empty index set"),
+    "project_rv_empty": (lambda: project_rv(SQUARE, EMPTY_INDEX_SET), SchemaError,
+                         "cannot project onto the empty index set"),
+    "s_star_empty": (lambda: s_star(EMPTY_INDEX_SET), SchemaError,
+                     "s_star of the empty index set is undefined"),
+    "slice_empty": (lambda: conditional_slice(PLANE, EMPTY_INDEX_SET, ()), SchemaError,
+                    "conditioning on the empty index set selects all of A"),
+    "target_T_empty": (
+        lambda: log_conditional_avg_size(PLANE, EMPTY_INDEX_SET, IndexSet([1])),
+        SchemaError, "conditioned projection needs a nonempty target T"),
+    "target_S_empty": (lambda: conditional_entropy(SQUARE, EMPTY_INDEX_SET), SchemaError,
+                       "conditional entropy needs a nonempty target S"),
+    # cli
+    "project_both_inputs": (
+        lambda: run_handler(["project", "--pointset", "a", "--dist", "b", "--indices", "1"]),
+        EntrosetError, "project needs exactly one of --pointset / --dist"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_error_path(case):
+    call, cls, message = CASES[case]
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls
+    assert str(info.value) == message

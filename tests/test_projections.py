@@ -9,6 +9,7 @@ import pytest
 from entroset import (
     EmptySliceError,
     FiniteMap,
+    IndexRangeError,
     IndexSet,
     PointSet,
     RationalDist,
@@ -54,6 +55,39 @@ class TestIndexSet:
         assert s_star(IndexSet([3, 5])).indices == (1, 2)
         assert s_star(IndexSet([1, 4])).indices == ()
         assert s_star(IndexSet([2])).indices == (1,)
+
+
+HALF_SQUARE = RationalDist.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda S: project_set(TRIANGLE, S),
+        lambda S: project_rv(HALF_SQUARE, S),
+        lambda S: conditional_slice(TRIANGLE, S, (0,)),
+        lambda S: slice_weights(TRIANGLE, S),
+        lambda S: conditional_avg_size(TRIANGLE, S, IndexSet([1])),
+        lambda S: conditional_avg_size(TRIANGLE, IndexSet([1]), S),
+        lambda S: conditional_entropy(HALF_SQUARE, S),
+        lambda S: conditional_entropy(HALF_SQUARE, IndexSet([1]), S),
+        lambda S: s_star(S),
+    ],
+    ids=["project_set", "project_rv", "conditional_slice", "slice_weights",
+         "conditional_avg_size-T", "conditional_avg_size-S", "conditional_entropy-S",
+         "conditional_entropy-C", "s_star"],
+)
+@pytest.mark.parametrize("bad", [[1], 5], ids=repr)
+def test_index_argument_must_be_an_index_set(call, bad):
+    with pytest.raises(SchemaError) as info:
+        call(bad)
+    assert str(info.value) == f"index argument needs an IndexSet: {bad!r}"
+
+
+def test_slice_weights_checks_the_index_range():
+    with pytest.raises(IndexRangeError) as info:
+        slice_weights(TRIANGLE, IndexSet([5]))
+    assert str(info.value) == "index set (5,) exceeds dimension 2"
 
 
 class TestProjectSet:
