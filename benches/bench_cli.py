@@ -13,12 +13,18 @@ and writing the output document. Inputs are seeded and fixed:
 * `entropy --dist` of a distribution on 16 points of {0..3}^3;
 * `check projection --side entropy` of the same distribution against the
   triangle cover {1,2}, {1,3}, {2,3} with weights 1/2.
+
+`test_cold_import` times what every one-shot `entroset` call pays first:
+a fresh interpreter that runs `import entroset.cli` and exits, with the
+environment (and so PYTHONPATH) of the benchmark run.
 """
 
 import contextlib
 import io
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -68,3 +74,9 @@ def test_check_projection_entropy(benchmark, inputs):
     dist, cover = inputs
     argv = ["check", "projection", "--cover", cover, "--input", dist, "--side", "entropy"]
     assert benchmark(_run, argv) == 0
+
+
+def test_cold_import(benchmark):
+    argv = [sys.executable, "-c", "import entroset.cli"]
+    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"check": True},
+                       rounds=20, warmup_rounds=1)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,6 +32,7 @@ from .dist import (
     FiniteMap,
     RationalDist,
     _as_float,
+    _as_int,
     _as_list,
     _expect_type,
     _log_function,
@@ -63,6 +64,7 @@ from .report import (
     INCONCLUSIVE,
     VIOLATED,
     CheckReport,
+    Record,
     exact_text,
 )
 from .ruzsa import DEFAULT_ENUM_LIMIT, RuzsaSpec, _mapped_arrangements, _sizes
@@ -73,7 +75,7 @@ DEFAULT_TOLERANCE = 1e-9
 def _check_tolerance(tolerance) -> None:
     """SchemaError unless the tolerance is a positive finite real (not a bool)."""
     if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
-            or not (math.isfinite(tolerance) and tolerance > 0)):
+            or not 0 < tolerance <= sys.float_info.max):
         raise SchemaError("tolerance must be positive and finite")
 
 
@@ -81,8 +83,7 @@ def _check_tolerance(tolerance) -> None:
 _EXACT_BIT_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
-class InequalitySpec:
+class InequalitySpec(Record):
     """Maps f, f_1..f_n and exponents for |f(A)| <= prod |f_i(A)|^a_i."""
 
     lhs_map: FiniteMap
@@ -100,9 +101,7 @@ class InequalitySpec:
         domain = lhs.domain
         if any(m.domain != domain for m in maps):
             raise DomainError("all maps must share one declared domain")
-        object.__setattr__(self, "lhs_map", lhs)
-        object.__setattr__(self, "rhs_maps", maps)
-        object.__setattr__(self, "coefficients", coeffs)
+        self._set(lhs_map=lhs, rhs_maps=maps, coefficients=coeffs)
 
     @property
     def domain(self) -> frozenset[Element]:
@@ -184,7 +183,7 @@ def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckRe
         rhs=rhs_log,
         slack=slack,
         provenance=provenance,
-        details=details or {},
+        details=details,
     )
 
 
@@ -192,6 +191,7 @@ def check_cardinality(
     spec: InequalitySpec, A, tolerance: float = DEFAULT_TOLERANCE
 ) -> CheckReport:
     """|f(A)| <= prod |f_i(A)|^a_i by exact counting, log-space comparison."""
+    _expect_type(spec, InequalitySpec, "check_cardinality")
     if any(c < 0 for c in spec.coefficients):
         raise NegativeCoefficientError(
             "cardinality-side checks require nonnegative coefficients"
@@ -244,6 +244,7 @@ def lemma2_witness(A, f: FiniteMap) -> RationalDist:
     Representatives are the canonical minima, so the construction is
     deterministic and H(f(X)) = log|f(A)| holds exactly.
     """
+    _expect_type(f, FiniteMap, "lemma2_witness")
     points = _as_point_collection(A)
     if not points <= f.domain:
         raise DomainError("point set is not contained in the map domain")
@@ -287,7 +288,7 @@ def empirical_lemma1(
     lhs, rhs, (image, *image_rhs) = _entropy_sides(spec, X, base)
     lhs_log, rhs_log = _logs(lhs, rhs)
     k_min = minimal_suitable_k(X)
-    ks = list(range(k_min, k_max + 1, k_min))
+    ks = list(range(k_min, _as_int(k_max, "k_max") + 1, k_min))
     if not ks:
         raise SuitabilityError(f"no suitable k <= {k_max} (minimal is {k_min})")
     # every image's d divides k_min, so each k is suitable for all of them
@@ -388,13 +389,13 @@ def check_shearer(
     parts = [part(member, EMPTY_INDEX_SET) for member in cover.members]
     report = _compare([(k, whole)], [(1, t) for t in parts], tolerance)
     if side == "entropy":
-        return replace(report, details={"projection_entropies": [h for h, _ in parts]})
+        return report.with_details({"projection_entropies": [h for h, _ in parts]})
     sizes = [size for _, size in parts]
     details = {"projection_sizes": [exact_text(s) for s in sizes]}
     if report.provenance == "exact":  # the powers are within the bit limit
         details = {"lhs_count": exact_text(whole[1] ** k),
                    "rhs_count": exact_text(math.prod(sizes)), **details}
-    return replace(report, details=details)
+    return report.with_details(details)
 
 
 def check_projection_theorem(

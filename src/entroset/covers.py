@@ -17,23 +17,21 @@ value is contractual.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dist import _as_float, _as_int, _as_list, as_fraction
+from .dist import _as_float, _as_int, _as_list, _expect_type, as_fraction
 from .errors import InfeasibleError, SchemaError
 from .projections import IndexSet
-from .report import HOLDS, VIOLATED, CheckReport, exact_text
+from .report import HOLDS, VIOLATED, CheckReport, Record, exact_text
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(Record):
     """Multiset of subsets of {1..n} with optional rational weights."""
 
     n: int
     members: tuple[IndexSet, ...]
-    weights: tuple[Fraction, ...] | None = None
+    weights: tuple[Fraction, ...] | None
 
     def __init__(self, n: int, members: Sequence, weights: Sequence | None = None):
         if _as_int(n, "n") < 1:
@@ -56,9 +54,7 @@ class CoverSpec:
                 raise SchemaError("weights must be parallel to members")
             if any(w < 0 for w in ws):
                 raise SchemaError("weights must be nonnegative")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", mems)
-        object.__setattr__(self, "weights", ws)
+        self._set(n=n, members=mems, weights=ws)
 
     def coverage(self) -> list[Fraction]:
         """Exact total weight covering each element 1..n (weights required)."""
@@ -79,8 +75,7 @@ class CoverSpec:
         return counts
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(Record):
     """Exact optimum of the cover LP, with certificates of both kinds.
 
     `certificate` is the coverage of each element by `weights` (all >= 1:
@@ -94,9 +89,13 @@ class LPSolution:
     certificate: tuple[Fraction, ...]
     dual: tuple[Fraction, ...]
 
+    def __init__(self, weights, objective, certificate, dual):
+        self._set(weights=weights, objective=objective, certificate=certificate, dual=dual)
+
 
 def is_fractional_cover(cover: CoverSpec) -> CheckReport:
     """Exact check that every element is covered with total weight >= 1."""
+    _expect_type(cover, CoverSpec, "is_fractional_cover")
     sums = cover.coverage()
     uncovered = [i + 1 for i, s in enumerate(sums) if s < 1]
     worst = min(sums)
@@ -113,6 +112,8 @@ def is_fractional_cover(cover: CoverSpec) -> CheckReport:
 
 def is_uniform_k_cover(cover: CoverSpec, k: int) -> CheckReport:
     """Multiplicity check: holds if every count is >= k; details say if all equal k."""
+    _expect_type(cover, CoverSpec, "is_uniform_k_cover")
+    _as_int(k, "k")
     counts = cover.multiplicities()
     uniform = all(c == k for c in counts)
     bad = [i + 1 for i, c in enumerate(counts) if c < k]

@@ -31,14 +31,15 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
+import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ApproximationError, DomainError, SchemaError
-from .report import exact_text
+from .report import Record, exact_text
 
 Element = tuple[int, ...]
 
@@ -111,14 +112,26 @@ def as_elements(values: Iterable) -> list[Element]:
     return [as_element(v) for v in values] if elems is None else elems
 
 
+# the exponent of a rational string such as "15e-1", read by Fraction as 10**exponent
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction.
+
+    A string whose exponent exceeds the int digit limit is refused, as is
+    one with a part of more digits: `Fraction` would build 10**exponent.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        exponent = _EXPONENT.search(value)
         try:
+            if limit and exponent and int(exponent[1]) > limit:
+                raise ValueError(f"exponent above the int digit limit {limit}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"not a rational string: {value!r}") from exc
@@ -177,8 +190,7 @@ def _support_of(support: Sequence, probs: Sequence) -> list[Element]:
     return as_elements(support)
 
 
-@dataclass(frozen=True)
-class RationalDist:
+class RationalDist(Record):
     """Finite-support distribution with exact rational probabilities.
 
     `support` keeps the construction order; Pr(support[i]) = counts[i] / denominator.
@@ -219,9 +231,7 @@ class RationalDist:
             )
         if len(set(map(len, elems))) != 1:
             raise SchemaError("support elements must share one dimension")
-        object.__setattr__(self, "support", elems)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "denominator", d)
+        self._set(support=elems, counts=counts, denominator=d)
 
     @classmethod
     def uniform(cls, points: Iterable) -> "RationalDist":
@@ -247,20 +257,19 @@ class RationalDist:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class FiniteMap:
+class FiniteMap(Record, unhashed=("table",)):
     """Explicit function table between ground elements.
 
     Total on its declared domain; one image per key. Applying it to an
     element outside the domain raises DomainError.
     """
 
-    table: Mapping[Element, Element] = field(hash=False)
+    table: Mapping[Element, Element]
 
     def __init__(self, table):
         if isinstance(table, FiniteMap):
             # already normal: copy the table without checking it again
-            object.__setattr__(self, "table", dict(table.table))
+            self._set(table=dict(table.table))
             return
         try:
             pairs = list(table.items() if isinstance(table, Mapping) else table)
@@ -284,7 +293,7 @@ class FiniteMap:
                 normalized[k] = as_element(value)
         if not normalized:
             raise SchemaError("map table must be nonempty")
-        object.__setattr__(self, "table", normalized)
+        self._set(table=normalized)
 
     @classmethod
     def identity(cls, domain: Iterable) -> "FiniteMap":
@@ -354,11 +363,9 @@ def _merge(images: Iterable[Element], dist: RationalDist) -> RationalDist:
     for y, c in zip(images, dist.counts):
         masses[y] = masses.get(y, 0) + c
     g = math.gcd(dist.denominator, *masses.values())
-    merged = object.__new__(RationalDist)
-    object.__setattr__(merged, "support", tuple(masses))
-    object.__setattr__(merged, "counts", tuple(c // g for c in masses.values()))
-    object.__setattr__(merged, "denominator", dist.denominator // g)
-    return merged
+    counts = tuple(c // g for c in masses.values())
+    return object.__new__(RationalDist)._set(
+        support=tuple(masses), counts=counts, denominator=dist.denominator // g)
 
 
 def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:
@@ -380,7 +387,7 @@ def minimal_suitable_k(dist: RationalDist) -> int:
 
 
 def is_suitable(dist: RationalDist, k: int) -> bool:
-    return k % minimal_suitable_k(dist) == 0 and k >= 1
+    return _as_int(k, "k") % minimal_suitable_k(dist) == 0 and k >= 1
 
 
 def _grid(big_l: int, max_denominator: int) -> list[int]:

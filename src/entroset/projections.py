@@ -17,7 +17,6 @@ keys, not one rescan of A per slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -35,10 +34,10 @@ from .dist import (
     entropy,
 )
 from .errors import EmptySliceError, IndexRangeError, SchemaError
+from .report import Record
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(Record):
     """Sorted duplicate-free subset of {1, ..., n}.
 
     Empty instances are allowed; they arise as conditioning sets (the
@@ -55,7 +54,7 @@ class IndexSet:
             raise SchemaError(f"duplicate indices: {raw}")
         if any(i < 1 for i in idx):
             raise SchemaError(f"indices must be >= 1: {idx}")
-        object.__setattr__(self, "indices", idx)
+        self._set(indices=idx)
 
     def __iter__(self):
         return iter(self.indices)
@@ -76,8 +75,7 @@ class IndexSet:
 EMPTY_INDEX_SET = IndexSet(())
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """Finite set of distinct points of a common dimension."""
 
     dimension: int
@@ -87,10 +85,9 @@ class PointSet:
         pts = frozenset(as_elements(points))
         if not pts:
             raise SchemaError("point set must be nonempty")
-        if set(map(len, pts)) != {dimension}:
+        if set(map(len, pts)) != {_as_int(dimension, "dimension")}:
             raise SchemaError(f"all points must have dimension {dimension}")
-        object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "points", pts)
+        self._set(dimension=int(dimension), points=pts)
 
     @classmethod
     def from_points(cls, points: Iterable) -> "PointSet":
@@ -102,10 +99,7 @@ class PointSet:
     @classmethod
     def _of(cls, dimension: int, points: frozenset[Element]) -> "PointSet":
         """A point set of already-normal tuples, nonempty and of one dimension."""
-        A = object.__new__(cls)
-        object.__setattr__(A, "dimension", dimension)
-        object.__setattr__(A, "points", points)
-        return A
+        return object.__new__(cls)._set(dimension=dimension, points=points)
 
     def sorted_points(self) -> list[Element]:
         return sorted(self.points)
@@ -141,6 +135,7 @@ def _restrictor(S: IndexSet) -> Callable[[Element], Element]:
 
 def project_set(A: PointSet, S: IndexSet) -> PointSet:
     """Coordinate projection {x_S : x in A}, duplicates collapsed."""
+    _expect_type(A, PointSet, "project_set")
     _check_indices(S, A, "cannot project onto the empty index set")
     return PointSet._of(len(S), frozenset(map(_restrictor(S), A.points)))
 
@@ -162,6 +157,7 @@ def s_star(S: IndexSet) -> IndexSet:
 
 def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
     """Subset of A whose S-coordinates equal y."""
+    _expect_type(A, PointSet, "conditional_slice")
     _check_indices(S, A, "conditioning on the empty index set selects all of A")
     y = as_element(y)
     restrict = _restrictor(S)
@@ -198,6 +194,7 @@ def log_conditional_avg_size(
     A: PointSet, T: IndexSet, S: IndexSet, base: float = 2
 ) -> float:
     """log of the conditional average size, the form used by the checkers."""
+    _expect_type(A, PointSet, "log_conditional_avg_size")
     log = _log_function(base)
     _check_indices(T, A, "conditioned projection needs a nonempty target T")
     _check_indices(S, A)

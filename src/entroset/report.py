@@ -13,13 +13,19 @@ more than `sys.get_int_max_str_digits()` digits (4300 by default);
 `exact_text` splits such an int by a power of ten until each part is
 below the limit, so an exact quantity of any size has a decimal string,
 and the process-wide limit is never changed.
+
+`Record` is the base of the value classes: its fields are the annotated
+names, stored by `_set`; equality is by class and fields, the hash skips
+the fields named in `unhashed=`, the repr is `Name(field=value, ...)`, and
+no field can be assigned or deleted. It replaces frozen data classes:
+importing their module (with `inspect` and `ast`) and generating their
+methods took a third of a cold `import entroset.cli`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -31,15 +37,52 @@ INCONCLUSIVE = "inconclusive"
 EXIT_CODES = {HOLDS: 0, VIOLATED: 1, INCONCLUSIVE: 3}
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class Record:
+    """Immutable value with equality, hash and repr built from its fields."""
+
+    def __init_subclass__(cls, unhashed: tuple[str, ...] = ()):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._hashed = tuple(name for name in cls._fields if name not in unhashed)
+
+    def _set(self, **fields):  # the one writer of fields; returns the instance
+        self.__dict__.update(fields)
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__  # holds exactly the fields
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._hashed]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class CheckReport(Record, unhashed=("details",)):
     verdict: str
-    lhs: float | None = None
-    rhs: float | None = None
-    slack: float | None = None
-    witnesses: tuple = ()
-    provenance: str = "float"
-    details: dict[str, Any] = field(default_factory=dict, hash=False)
+    lhs: float | None
+    rhs: float | None
+    slack: float | None
+    witnesses: tuple
+    provenance: str
+    details: dict[str, Any]
+
+    def __init__(self, verdict: str, lhs=None, rhs=None, slack=None, witnesses: tuple = (),
+                 provenance: str = "float", details: dict[str, Any] | None = None):
+        self._set(verdict=verdict, lhs=lhs, rhs=rhs, slack=slack, witnesses=witnesses,
+                  provenance=provenance, details={} if details is None else details)
+
+    def with_details(self, details: dict[str, Any]) -> "CheckReport":
+        """This report with `details` in place of its own."""
+        return CheckReport(**dict(self.__dict__, details=details))
 
     @property
     def holds(self) -> bool:

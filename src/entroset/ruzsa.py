@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -46,6 +45,7 @@ from .dist import (
     Element,
     FiniteMap,
     RationalDist,
+    _as_int,
     _as_list,
     _expect_type,
     _log_function,
@@ -55,7 +55,7 @@ from .dist import (
     pushforward,
 )
 from .errors import MembershipError, SizeGuardError, SuitabilityError
-from .report import HOLDS, VIOLATED, CheckReport, exact_text
+from .report import HOLDS, VIOLATED, CheckReport, Record, exact_text
 
 DEFAULT_ENUM_LIMIT = 10**6
 
@@ -64,8 +64,7 @@ RuzsaVector = tuple[Element, ...]
 Level = dict[tuple[int, ...], set[bytes]]
 
 
-@dataclass(frozen=True)
-class RuzsaSpec:
+class RuzsaSpec(Record):
     """A distribution together with a suitable vector length k."""
 
     dist: RationalDist
@@ -83,8 +82,7 @@ class RuzsaSpec:
             raise SuitabilityError(
                 f"k={k} is not a multiple of the probability denominators"
             )
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "k", k)
+        self._set(dist=dist, k=k)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -141,7 +139,7 @@ def _guard(counts: tuple[int, ...], limit: int) -> None:
     support indices cannot fit in a byte.
     """
     total = _multinomial(counts)
-    if total > limit:
+    if total > _as_int(limit, "limit"):
         raise SizeGuardError(
             f"enumeration of {exact_text(total)} vectors exceeds limit {limit}"
         )
@@ -262,7 +260,7 @@ def verify_commutation(
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
     # the k-set of f(X) is the image of the k-set of X, so it is never larger
     source_size = ruzsa_size(spec)
-    if source_size > limit:
+    if source_size > _as_int(limit, "limit"):
         raise SizeGuardError(f"|set| = {exact_text(source_size)} exceeds limit {limit}")
     image = image_spec.dist.support
     mapped = _mapped_arrangements(f, spec, image, limit)

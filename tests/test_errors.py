@@ -12,6 +12,7 @@ from entroset import (
     NegativeCoefficientError,
     PointSet,
     RationalDist,
+    RuzsaSpec,
     SchemaError,
     SuitabilityError,
     check_cardinality,
@@ -21,14 +22,20 @@ from entroset import (
     conditional_entropy,
     conditional_slice,
     empirical_lemma1,
+    is_fractional_cover,
+    is_suitable,
+    is_uniform_k_cover,
     jsonio,
     lemma2_witness,
     project_rv,
     project_set,
     rationalize,
+    ruzsa_enumerate,
     s_star,
     uniform_cover_as_fractional,
+    verify_commutation,
 )
+from entroset.dist import as_fraction
 from entroset.projections import EMPTY_INDEX_SET, log_conditional_avg_size
 
 HALVES = RationalDist.uniform([0, 1])
@@ -37,6 +44,8 @@ SPEC = InequalitySpec(IDENTITY, [IDENTITY], [1])
 PLANE = PointSet(2, [(0, 0), (0, 1), (1, 0)])
 SQUARE = RationalDist.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
 ONE = CoverSpec(1, [[1]])
+PAIRS = RuzsaSpec(HALVES, 2)
+FIRST = IndexSet([1])
 
 
 def run_handler(argv):
@@ -70,6 +79,15 @@ CASES = {
                      "side must be 'sets' or 'entropy', got 'both'"),
     "shearer_dimension": (lambda: check_shearer(PLANE, ONE, 1, "sets"), SchemaError,
                           "cover is over [1] but data has dimension 2"),
+    "cardinality_spec": (lambda: check_cardinality(5, PLANE), SchemaError,
+                         "check_cardinality needs an InequalitySpec: 5"),
+    "lemma2_map": (lambda: lemma2_witness(PLANE, 5), SchemaError,
+                   "lemma2_witness needs a FiniteMap: 5"),
+    "tolerance_past_float_range": (
+        lambda: check_entropy(SPEC, HALVES, tolerance=10**400), SchemaError,
+        "tolerance must be positive and finite"),
+    "lemma1_k_max": (lambda: empirical_lemma1(SPEC, HALVES, None), SchemaError,
+                     "k_max must be an integer: None"),
     # covers
     "n_zero": (lambda: CoverSpec(0, [[1]]), SchemaError, "n must be >= 1"),
     "no_members": (lambda: CoverSpec(2, []), SchemaError, "cover needs at least one member"),
@@ -82,6 +100,12 @@ CASES = {
                          "weights must be nonnegative"),
     "not_uniform": (lambda: uniform_cover_as_fractional(CoverSpec(2, [[1], [1, 2]]), 1),
                     SchemaError, "not a uniform 1-cover"),
+    "fractional_cover_type": (lambda: is_fractional_cover(5), SchemaError,
+                              "is_fractional_cover needs a CoverSpec: 5"),
+    "uniform_cover_type": (lambda: is_uniform_k_cover(5, 1), SchemaError,
+                           "is_uniform_k_cover needs a CoverSpec: 5"),
+    "uniform_cover_k": (lambda: uniform_cover_as_fractional(ONE, None), SchemaError,
+                        "k must be an integer: None"),
     # dist
     "table_empty": (lambda: FiniteMap([]), SchemaError, "map table must be nonempty"),
     "uniform_empty": (lambda: RationalDist.uniform([]), SchemaError,
@@ -96,11 +120,25 @@ CASES = {
                         "weights must be nonnegative"),
     "weights_zero": (lambda: rationalize([0, 0], 4), SchemaError,
                      "weights must have positive sum"),
+    "suitable_k": (lambda: is_suitable(HALVES, None), SchemaError,
+                   "k must be an integer: None"),
+    "exponent_past_digit_limit": (lambda: as_fraction("1e-4301"), SchemaError,
+                                  "not a rational string: '1e-4301'"),
     # jsonio
     "index_set_document": (lambda: jsonio.indexset_from_json(5), SchemaError,
                            "index sets are 1-based arrays: 5"),
     # projections
     "pointset_empty": (lambda: PointSet(2, []), SchemaError, "point set must be nonempty"),
+    "pointset_dimension_list": (lambda: PointSet([], [(0, 0)]), SchemaError,
+                                "dimension must be an integer: []"),
+    "pointset_dimension_float": (lambda: PointSet(2.0, [(0, 0)]), SchemaError,
+                                 "dimension must be an integer: 2.0"),
+    "project_set_type": (lambda: project_set(5, FIRST), SchemaError,
+                         "project_set needs a PointSet: 5"),
+    "slice_type": (lambda: conditional_slice(5, FIRST, (0,)), SchemaError,
+                   "conditional_slice needs a PointSet: 5"),
+    "avg_size_type": (lambda: log_conditional_avg_size(5, FIRST, EMPTY_INDEX_SET),
+                      SchemaError, "log_conditional_avg_size needs a PointSet: 5"),
     "from_points_empty": (lambda: PointSet.from_points([]), SchemaError,
                           "point set must be nonempty"),
     "project_set_empty": (lambda: project_set(PLANE, EMPTY_INDEX_SET), SchemaError,
@@ -116,6 +154,11 @@ CASES = {
         SchemaError, "conditioned projection needs a nonempty target T"),
     "target_S_empty": (lambda: conditional_entropy(SQUARE, EMPTY_INDEX_SET), SchemaError,
                        "conditional entropy needs a nonempty target S"),
+    # ruzsa
+    "enumerate_limit": (lambda: next(ruzsa_enumerate(PAIRS, None)), SchemaError,
+                        "limit must be an integer: None"),
+    "commutation_limit": (lambda: verify_commutation(IDENTITY, PAIRS, None), SchemaError,
+                          "limit must be an integer: None"),
     # cli
     "project_both_inputs": (
         lambda: run_handler(["project", "--pointset", "a", "--dist", "b", "--indices", "1"]),
