@@ -2,10 +2,13 @@
 
 The two sides of the correspondence are kept honest with one another:
 
-* every checker decides through one comparator, `_compare`: both sides
-  are products of counts, conditional average sizes and powers 2^H, each
-  with a float log and an exact form, so a verdict is decided exactly, or
-  in floats only outside the tolerance band, or is `inconclusive`;
+* every checker decides through one comparator, `_compare`, on
+  (coefficient, term) pairs. A term is a float log and an exact form of a
+  count |f(A)| or |A_T cond A_C|, or of 2^H(f(X)) or 2^H(X_T | X_C):
+  `_term` makes it for an image (a set or a RationalDist),
+  `_conditional_term` for data conditioned on coordinates. A verdict is
+  decided exactly, or in floats only outside the tolerance band, or is
+  `inconclusive`;
 * `lemma2_witness` builds the uniform variable on fiber representatives
   whose image entropy equals log|f(A)| exactly, the bridge from entropy
   statements back to counting statements;
@@ -48,6 +51,7 @@ from .errors import (
     DomainError,
     NegativeCoefficientError,
     SchemaError,
+    SizeGuardError,
     SuitabilityError,
 )
 from .projections import (
@@ -81,6 +85,9 @@ def _check_tolerance(tolerance) -> None:
 
 # refuse exact power comparisons beyond this many bits
 _EXACT_BIT_LIMIT = 2_000_000
+
+# refuse lemma1 experiments of more rows than this (k_max // k_min)
+MAX_LEMMA1_ROWS = 10_000
 
 
 class InequalitySpec(Record):
@@ -121,12 +128,41 @@ def _count(n: int, log=math.log2):
     return log(n), n
 
 
-def _counted(lhs_count: int, rhs_counts: list[int], coefficients):
-    return [(1, _count(lhs_count))], [(c, _count(r)) for c, r in zip(coefficients, rhs_counts)]
+def _term(image, base: float):
+    """The term of an image: the count |f(A)| of a set, or 2^H(f(X)) of a RationalDist."""
+    if isinstance(image, RationalDist):
+        return entropy(image, base=base), lambda: entropy_power(image)
+    return _count(len(image), _log_function(base))
 
 
-def _entropy_term(X: RationalDist, base: float):
-    return entropy(X, base=base), lambda: entropy_power(X)
+def _conditional_term(data, T, C, base: float):
+    """|A_T cond A_C| of a PointSet or 2^H(X_T | X_C) of a RationalDist; the
+    `_term` of the projection onto T when C is empty."""
+    if isinstance(data, PointSet):
+        if not C:
+            return _term(project_set(data, T), base)
+        return (log_conditional_avg_size(data, T, C, base=base),
+                lambda: conditional_size_power(data, T, C))
+    # H(X_T | X_C) = H(X_{T u C}) - H(X_C), as `conditional_entropy` takes it
+    joint = _term(project_rv(data, T.union(C)), base)
+    if not C:
+        return joint
+    given = _term(project_rv(data, C), base)
+
+    def form():
+        # 2^H(X_T | X_C) = 2^H(X_{T u C}) / 2^H(X_C), and d_c divides d
+        (d, powers), (d_c, given_powers) = joint[1](), given[1]()
+        for b, e in given_powers.items():
+            powers[b] = powers.get(b, 0) - e * (d // d_c)
+        return d, powers
+
+    return joint[0] - given[0], form
+
+
+def _spec_sides(spec: InequalitySpec, terms: list):
+    """The (c, term) pairs of each side, from the terms of f, f_1, ..., f_n."""
+    lhs, *rhs = terms
+    return [(1, lhs)], list(zip(spec.coefficients, rhs))
 
 
 def _exact_verdict(lhs, rhs) -> str | None:
@@ -199,17 +235,11 @@ def check_cardinality(
     points = _as_point_collection(A)
     if not points <= spec.domain:
         raise DomainError("point set is not contained in the maps' domain")
-    lhs_count = len(spec.lhs_map.image(points))
-    rhs_counts = [len(m.image(points)) for m in spec.rhs_maps]
-    return _compare(
-        *_counted(lhs_count, rhs_counts, spec.coefficients),
-        tolerance,
-        {
-            "lhs_count": exact_text(lhs_count),
-            "rhs_counts": [exact_text(r) for r in rhs_counts],
-            "coefficients": [exact_text(c) for c in spec.coefficients],
-        },
-    )
+    terms = [_term(m.image(points), 2) for m in (spec.lhs_map, *spec.rhs_maps)]
+    lhs_count, *rhs_counts = (exact_text(n) for _, n in terms)
+    details = {"lhs_count": lhs_count, "rhs_counts": rhs_counts,
+               "coefficients": [exact_text(c) for c in spec.coefficients]}
+    return _compare(*_spec_sides(spec, terms), tolerance, details)
 
 
 def check_entropy(
@@ -219,8 +249,9 @@ def check_entropy(
     base: float = 2,
 ) -> CheckReport:
     """H(f(X)) <= sum a_i H(f_i(X)); negative a_i evaluated as given."""
+    _expect_type(spec, InequalitySpec, "check_entropy")
     _expect_type(X, RationalDist, "check_entropy")
-    lhs, rhs, _ = _entropy_sides(spec, X, base)
+    lhs, rhs = _spec_sides(spec, [_term(d, base) for d in _pushforwards(spec, X, base)])
     details = {
         "rhs_entropies": [h for _, (h, _) in rhs],
         "coefficients": [exact_text(c) for c in spec.coefficients],
@@ -228,14 +259,12 @@ def check_entropy(
     return _compare(lhs, rhs, tolerance, details)
 
 
-def _entropy_sides(spec: InequalitySpec, X: RationalDist, base: float):
-    """check_entropy's (c, term) pairs per side, and the images f(X), f_1(X), ..."""
+def _pushforwards(spec: InequalitySpec, X: RationalDist, base: float) -> list[RationalDist]:
+    """The images f(X), f_1(X), ..., f_n(X)."""
     _log_function(base)  # a bad base fails before the domain check
     if not frozenset(X.support) <= spec.domain:
         raise DomainError("distribution support is not contained in the maps' domain")
-    images = [pushforward(m, X) for m in (spec.lhs_map, *spec.rhs_maps)]
-    rhs = [(c, _entropy_term(d, base)) for c, d in zip(spec.coefficients, images[1:])]
-    return [(1, _entropy_term(images[0], base))], rhs, images
+    return [pushforward(m, X) for m in (spec.lhs_map, *spec.rhs_maps)]
 
 
 def lemma2_witness(A, f: FiniteMap) -> RationalDist:
@@ -275,8 +304,10 @@ def empirical_lemma1(
     (the f^k-image of the k-set of X, without walking the k-set) and
     compares counts, raising SizeGuardError when the k-set exceeds `limit`;
     a row whose enumerated count differs from the closed form is violated
-    and carries the enumerated count.
+    and carries the enumerated count. More than MAX_LEMMA1_ROWS rows
+    (k_max // k_min) raise SizeGuardError before any row is built.
     """
+    _expect_type(spec, InequalitySpec, "empirical_lemma1")
     _expect_type(X, RationalDist, "empirical_lemma1")
     # rows are counted in base 2 and rescaled to the report's base
     scale = _log_function(base)(2)
@@ -284,25 +315,29 @@ def empirical_lemma1(
         raise NegativeCoefficientError(
             "counting-side checks require nonnegative coefficients"
         )
+    images = _pushforwards(spec, X, base)
     # the entropy side is reported in floats only: the rows decide the verdict
-    lhs, rhs, (image, *image_rhs) = _entropy_sides(spec, X, base)
-    lhs_log, rhs_log = _logs(lhs, rhs)
+    lhs_log, rhs_log = _logs(*_spec_sides(spec, [_term(d, base) for d in images]))
     k_min = minimal_suitable_k(X)
-    ks = list(range(k_min, _as_int(k_max, "k_max") + 1, k_min))
+    k_max = _as_int(k_max, "k_max")
+    if k_max // k_min > MAX_LEMMA1_ROWS:
+        raise SizeGuardError(
+            f"k_max // k_min exceeds the row limit {MAX_LEMMA1_ROWS} (k_min = {k_min})"
+        )
+    ks = list(range(k_min, k_max + 1, k_min))
     if not ks:
         raise SuitabilityError(f"no suitable k <= {k_max} (minimal is {k_min})")
     # every image's d divides k_min, so each k is suitable for all of them
-    lhs_sizes = _sizes(image, ks)
-    rhs_sizes = [_sizes(d, ks) for d in image_rhs]
+    sizes = [_sizes(d, ks) for d in images]
     rows = []
     for k in ks:
-        lhs_count = lhs_sizes[k]
-        rhs_counts = [sizes[k] for sizes in rhs_sizes]
-        report = _compare(*_counted(lhs_count, rhs_counts, spec.coefficients), tolerance)
+        counts = [s[k] for s in sizes]
+        lhs_count, *rhs_counts = counts
+        report = _compare(*_spec_sides(spec, [_count(n) for n in counts]), tolerance)
         enumerated = lhs_count
         if cross_validate:
             src = RuzsaSpec(X, k)
-            enumerated = len(_mapped_arrangements(spec.lhs_map, src, image.support, limit))
+            enumerated = len(_mapped_arrangements(spec.lhs_map, src, images[0].support, limit))
         row = {
             "k": k,
             "verdict": report.verdict,
@@ -327,49 +362,18 @@ def empirical_lemma1(
     )
 
 
-def _side(data, side: str, n: int, base: float):
-    """The whole-data term of one side of the correspondence, and its parts.
-
-    Sets: |A| and part(T, C) = |A_T cond A_C|, a count when C is empty.
-    Entropy: 2^H(X) and part(T, C) = 2^H(X_T | X_C).
-    """
+def _cover_data(data, side: str, n: int):
+    """The data of a cover checker's side: a PointSet for "sets", a
+    RationalDist for "entropy", of the cover's dimension n."""
     if side == "sets":
-        A = data if isinstance(data, PointSet) else PointSet.from_points(data)
-        log = _log_function(base)
-
-        def part(T, C):
-            if not C:
-                return _count(len(project_set(A, T)), log)
-            value = log_conditional_avg_size(A, T, C, base=base)
-            return value, lambda: conditional_size_power(A, T, C)
-
-        whole, dimension = _count(len(A), log), A.dimension
+        data = data if isinstance(data, PointSet) else PointSet.from_points(data)
     elif side == "entropy":
-        X = data
-
-        def part(T, C):
-            # H(X_T | X_C) = H(X_{T u C}) - H(X_C), as `conditional_entropy` takes it
-            joint = project_rv(X, T.union(C))
-            if not C:
-                return _entropy_term(joint, base)
-            given = project_rv(X, C)
-
-            def form():
-                # 2^H(X_T | X_C) = 2^H(X_{T u C}) / 2^H(X_C), and d_c divides d
-                d, powers = entropy_power(joint)
-                d_c, given_powers = entropy_power(given)
-                for b, e in given_powers.items():
-                    powers[b] = powers.get(b, 0) - e * (d // d_c)
-                return d, powers
-
-            return entropy(joint, base=base) - entropy(given, base=base), form
-
-        whole, dimension = _entropy_term(X, base), X.dimension
+        _expect_type(data, RationalDist, "entropy")
     else:
         raise SchemaError(f"side must be 'sets' or 'entropy', got {side!r}")
-    if n != dimension:
-        raise SchemaError(f"cover is over [{n}] but data has dimension {dimension}")
-    return whole, part
+    if n != data.dimension:
+        raise SchemaError(f"cover is over [{n}] but data has dimension {data.dimension}")
+    return data
 
 
 def check_shearer(
@@ -385,10 +389,11 @@ def check_shearer(
     uniform = is_uniform_k_cover(cover, k)
     if not uniform.details["uniform"]:
         raise CoverError(f"not a uniform {k}-cover: counts {uniform.details['counts']}")
-    whole, part = _side(data, side, cover.n, base)
-    parts = [part(member, EMPTY_INDEX_SET) for member in cover.members]
+    data = _cover_data(data, side, cover.n)
+    whole = _term(data, base)
+    parts = [_conditional_term(data, m, EMPTY_INDEX_SET, base) for m in cover.members]
     report = _compare([(k, whole)], [(1, t) for t in parts], tolerance)
-    if side == "entropy":
+    if isinstance(data, RationalDist):
         return report.with_details({"projection_entropies": [h for h, _ in parts]})
     sizes = [size for _, size in parts]
     details = {"projection_sizes": [exact_text(s) for s in sizes]}
@@ -411,6 +416,7 @@ def check_projection_theorem(
     H(X) <= sum a_S H(X_S | X_{S*}). Zero-weight members are skipped.
     """
     _log_function(base)  # a bad base fails before the cover checks
+    _expect_type(cover, CoverSpec, "check_projection_theorem")
     if cover.weights is None:
         raise CoverError("projection theorem checks need cover weights")
     frac = is_fractional_cover(cover)
@@ -419,10 +425,10 @@ def check_projection_theorem(
     members = [
         (m, w) for m, w in zip(cover.members, cover.weights) if w > 0
     ]
-    whole, part = _side(data, side, cover.n, base)
-    terms = [(w, part(m, s_star(m))) for m, w in members]
+    data = _cover_data(data, side, cover.n)
+    terms = [(w, _conditional_term(data, m, s_star(m), base)) for m, w in members]
     return _compare(
-        [(1, whole)],
+        [(1, _term(data, base))],
         terms,
         tolerance,
         {

@@ -1,0 +1,121 @@
+"""Dump, and diff, what `entroset.cli.run` prints for every benchmark op.
+
+Usage, from the root of a checkout:
+
+    python tests/dump_outputs.py dump SRC OUT [--seeds 1 2 3 7 84]
+    python tests/dump_outputs.py diff OLD NEW
+
+`dump` generates the inputs of every workload at each seed with
+`bench/gen.py` (imported, never changed), runs each op once through
+`cli.run` of the entroset package under SRC (the `src/` directory of any
+checkout), and writes one JSON line per op: workload, seed, op id, kind,
+exit code, stdout and stderr. The input directory's path is replaced by
+`<work>` in what is printed, so two dumps compare byte for byte. `diff`
+exits 1 and names the first differences when two dumps differ in any op.
+
+The name does not match `test_*.py`, so pytest never collects this file;
+`tests/test_benches.py` runs it once.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3, 7, 84)
+FIELDS = ("code", "stdout", "stderr")
+
+
+def _import_cli(src: Path):
+    """`entroset.cli` imported from `src`, or exit with a message."""
+    if "entroset" in sys.modules:
+        sys.exit("error: entroset is already imported; run dump in its own process")
+    sys.path.insert(0, str(src))
+    import entroset.cli
+
+    found = Path(entroset.__file__).resolve().parent
+    if found != (src / "entroset").resolve():
+        sys.exit(f"error: entroset resolved to {found}, not under {src}")
+    return entroset.cli
+
+
+def _run(cli, argv) -> tuple[int | None, str, str]:
+    """(exit code, stdout, stderr) of one `cli.run`; code None if it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(list(argv))
+    except (Exception, SystemExit) as exc:
+        code = None
+        err.write(repr(exc))
+    return code, out.getvalue(), err.getvalue()
+
+
+def dump(src: Path, out: Path, seeds) -> int:
+    cli = _import_cli(src)
+    sys.path.insert(0, str(ROOT / "bench"))
+    import gen
+
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp, open(out, "w", encoding="utf-8") as handle:
+        for workload in sorted(gen.WORKLOADS):
+            for seed in seeds:
+                workdir = Path(tmp) / f"{workload}-{seed}"
+                for op in gen.generate(workload, seed, workdir):
+                    code, stdout, stderr = _run(cli, op.argv)
+                    handle.write(json.dumps({
+                        "workload": workload, "seed": seed, "op": op.op_id,
+                        "kind": op.kind, "code": code,
+                        "stdout": stdout.replace(str(workdir), "<work>"),
+                        "stderr": stderr.replace(str(workdir), "<work>"),
+                    }) + "\n")
+                    count += 1
+    print(f"{count} ops dumped to {out}")
+    return 0
+
+
+def _load(path: Path) -> dict:
+    records = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+    return {(r["workload"], r["seed"], r["op"]): r for r in records}
+
+
+def diff(old: Path, new: Path) -> int:
+    a, b = _load(old), _load(new)
+    problems = [f"only in {old}: {key}" for key in sorted(a.keys() - b.keys())]
+    problems += [f"only in {new}: {key}" for key in sorted(b.keys() - a.keys())]
+    for key in sorted(a.keys() & b.keys()):
+        for name in FIELDS:
+            if a[key][name] != b[key][name]:
+                problems.append(f"{key} {a[key]['kind']} {name}: "
+                                f"{a[key][name]!r:.200} != {b[key][name]!r:.200}")
+    if problems:
+        print(f"{len(problems)} differences", *problems[:5], sep="\n")
+        return 1
+    print(f"{len(a)} ops identical")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    p = commands.add_parser("dump", help="run every op and write one JSON line per op")
+    p.add_argument("src", type=Path, help="the src/ directory of a checkout")
+    p.add_argument("out", type=Path)
+    p.add_argument("--seeds", type=int, nargs="+", default=SEEDS)
+    p = commands.add_parser("diff", help="compare two dumps; exit 1 if any op differs")
+    p.add_argument("old", type=Path)
+    p.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        return dump(args.src, args.out, args.seeds)
+    return diff(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,9 +3,11 @@
 The layer benchmarks under benches/ are not named `test_*.py`, so the
 tier-1 run never collects them on its own; this runs each benchmark once,
 untimed, in a subprocess. The end-to-end harness under bench/ is checked
-by running its self-test once, also in a subprocess.
+by running its self-test once, also in a subprocess, and the output dump
+harness `tests/dump_outputs.py` is run once on one seed.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -41,3 +43,25 @@ def test_bench_selftest_runs():
         text=True,
     )
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+
+
+def test_dump_outputs_runs(tmp_path):
+    """`tests/dump_outputs.py` dumps every op of one seed, and its diff tells
+    an identical dump from one with a changed byte."""
+    script = str(ROOT / "tests" / "dump_outputs.py")
+    dump = tmp_path / "a.jsonl"
+    done = subprocess.run(
+        [sys.executable, script, "dump", str(ROOT / "src"), str(dump), "--seeds", "1"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    records = [json.loads(line) for line in dump.read_text().splitlines()]
+    assert {r["workload"] for r in records} == {"counting", "entropy", "solvers"}
+    assert {r["code"] for r in records} == {0}
+
+    changed = tmp_path / "b.jsonl"
+    records[-1]["stdout"] += " "
+    changed.write_text("".join(json.dumps(r) + "\n" for r in records))
+    diffs = [subprocess.run([sys.executable, script, "diff", str(dump), str(other)],
+                            capture_output=True, text=True) for other in (dump, changed)]
+    assert [d.returncode for d in diffs] == [0, 1], [d.stdout for d in diffs]

@@ -1,5 +1,6 @@
 """Both sides of the cardinality/entropy inequalities, and the bridges."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from entroset import (
     PointSet,
     RationalDist,
     SchemaError,
+    SizeGuardError,
     check_cardinality,
     check_entropy,
     check_projection_theorem,
@@ -379,6 +381,35 @@ class TestProjectionTheorem:
             X = random_dist_on(rng, A.sorted_points())
             assert check_projection_theorem(X, cover, "entropy").slack >= -1e-9
 
+    def test_empty_prefixes_match_the_projection_spec_bit_for_bit(self):
+        # every member contains 1, so every S* is empty: the theorem is then
+        # the spec of the projection maps with the cover weights, on both sides
+        rng = random.Random(41)
+        fields = ("verdict", "provenance", "lhs", "rhs", "slack")
+        provenances = set()
+        for _ in range(120):
+            n = rng.randint(2, 4)
+            grid = list(itertools.product(range(3), repeat=n))
+            members = [[1, *rng.sample(range(2, n + 1), rng.randint(0, n - 1))]
+                       for _ in range(rng.randint(1, 4))]
+            members += [[1, i] for i in range(2, n + 1) if not any(i in m for m in members)]
+            weights = [Fraction(rng.randint(1, 6), 6) for _ in members]
+            least = min(sum(w for m, w in zip(members, weights) if i in m)
+                        for i in range(1, n + 1))
+            weights = [w / min(least, 1) for w in weights]
+            cover = CoverSpec(n, members, weights)
+            spec = projection_spec(grid, members, weights)
+            A = random_pointset(rng, n, span=3, max_size=20)
+            X = random_dist_on(rng, A.sorted_points())
+            for theorem, direct in (
+                (check_projection_theorem(A, cover, "sets"), check_cardinality(spec, A)),
+                (check_projection_theorem(X, cover, "entropy"), check_entropy(spec, X)),
+            ):
+                got, want = ([getattr(r, f) for f in fields] for r in (theorem, direct))
+                assert got == want
+                provenances.add(theorem.provenance)
+        assert provenances == {"exact", "float"}
+
 
 def product_dist(first: RationalDist, second: RationalDist) -> RationalDist:
     """The independent pair (X, Y) on two coordinates."""
@@ -489,6 +520,15 @@ class TestComparator:
         report = empirical_lemma1(InequalitySpec(ident, [ident], [1]), self.SIXTHS, k_max=12)
         assert (report.verdict, report.provenance, report.slack) == ("holds", "exact", 0.0)
         assert report.details["k_values"] == [6, 12]
+
+    def test_lemma1_row_limit(self, monkeypatch):
+        # k_min = 2: k_max = 6 gives 3 rows, at the limit; k_max = 8 one more
+        monkeypatch.setattr(checkers, "MAX_LEMMA1_ROWS", 3)
+        spec = projection_spec(GRID2, [[1], [2]], [1, 1])
+        X = RationalDist.uniform(GRID2[:2])
+        assert empirical_lemma1(spec, X, k_max=7).details["k_values"] == [2, 4, 6]
+        with pytest.raises(SizeGuardError, match="exceeds the row limit 3"):
+            empirical_lemma1(spec, X, k_max=8)
 
     def test_lemma1_rows_past_the_bit_limit(self, monkeypatch):
         # no exact comparison fits and every row is inside the band: the rows

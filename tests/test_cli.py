@@ -132,6 +132,19 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out) == {"vector": [[2], [4], [1], [3]]}
 
+    @pytest.mark.parametrize("y, reason", [
+        ("[1,", "Expecting value: line 1 column 4 (char 3)"),
+        ("5", "'int' object is not iterable"),
+    ], ids=["truncated", "not_an_array"])
+    def test_ruzsa_lift_bad_y(self, tmp_path, capsys, y, reason):
+        dist = write(tmp_path, "d.json", {"support": [[1], [2], [3], [4]], "probs": ["1/4"] * 4})
+        fmap = write(tmp_path, "f.json", MOD2_MAP)
+        code, out, err = invoke(
+            capsys, ["ruzsa", "lift", "--dist", dist, "--k", "4", "--map", fmap, "--y", y]
+        )
+        message = f"error: --y must be a JSON array of elements: {reason}\n"
+        assert (code, out, err) == (2, "", message)
+
     def test_ruzsa_enum_and_converge(self, tmp_path, capsys):
         dist = write(tmp_path, "d.json", {"support": [[0], [1]], "probs": ["1/3", "2/3"]})
         code, out, _ = invoke(capsys, ["ruzsa", "enum", "--dist", dist, "--k", "3"])
@@ -287,6 +300,17 @@ class TestCheckCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "holds"
         assert [row["k"] for row in doc["rows"]] == [3, 6, 9]
+
+    def test_lemma1_kmax_past_the_row_limit(self, tmp_path, capsys):
+        # 10**20 // 2 is past sys.maxsize: no row list is ever built
+        spec = write(tmp_path, "s.json", {"lhs_map": {"table": [[[0], [0]], [[1], [1]]]},
+                                          "rhs_maps": [{"table": [[[0], [0]], [[1], [1]]]}],
+                                          "coefficients": ["1"]})
+        dist = write(tmp_path, "x.json", UNIFORM2)
+        code, out, err = invoke(capsys, ["check", "lemma1", "--spec", spec, "--input", dist,
+                                         "--kmax", "100000000000000000000"])
+        assert (code, out) == (2, "")
+        assert err == "error: k_max // k_min exceeds the row limit 10000 (k_min = 2)\n"
 
 
 class TestDeterminism:

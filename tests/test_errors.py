@@ -14,9 +14,11 @@ from entroset import (
     RationalDist,
     RuzsaSpec,
     SchemaError,
+    SizeGuardError,
     SuitabilityError,
     check_cardinality,
     check_entropy,
+    check_projection_theorem,
     check_shearer,
     cli,
     conditional_entropy,
@@ -88,6 +90,17 @@ CASES = {
         "tolerance must be positive and finite"),
     "lemma1_k_max": (lambda: empirical_lemma1(SPEC, HALVES, None), SchemaError,
                      "k_max must be an integer: None"),
+    "entropy_spec": (lambda: check_entropy(5, HALVES), SchemaError,
+                     "check_entropy needs an InequalitySpec: 5"),
+    "lemma1_spec": (lambda: empirical_lemma1(5, HALVES, 4), SchemaError,
+                    "empirical_lemma1 needs an InequalitySpec: 5"),
+    "projection_cover": (lambda: check_projection_theorem(PLANE, 5, "sets"), SchemaError,
+                         "check_projection_theorem needs a CoverSpec: 5"),
+    # k_max // k_min is past sys.maxsize for both, so no row list is ever built
+    "lemma1_rows_1e20": (lambda: empirical_lemma1(SPEC, HALVES, 10**20), SizeGuardError,
+                         "k_max // k_min exceeds the row limit 10000 (k_min = 2)"),
+    "lemma1_rows_1e400": (lambda: empirical_lemma1(SPEC, HALVES, 10**400), SizeGuardError,
+                          "k_max // k_min exceeds the row limit 10000 (k_min = 2)"),
     # covers
     "n_zero": (lambda: CoverSpec(0, [[1]]), SchemaError, "n must be >= 1"),
     "no_members": (lambda: CoverSpec(2, []), SchemaError, "cover needs at least one member"),
