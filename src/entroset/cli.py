@@ -378,8 +378,7 @@ def run_demo(args: argparse.Namespace) -> tuple[dict, int]:
     finite_k = empirical_lemma1(
         spec, X, k_max=12, limit=args.limit, tolerance=args.tolerance, base=args.base
     )
-    k_min = minimal_suitable_k(X)
-    ks = list(range(k_min, 13, k_min))
+    ks = finite_k.details["k_values"]
     rows = convergence_profile(X, ks, base=args.base)
     # 0 <= gap <= envelope is the exact sandwich of `type_bound_check`
     envelope_ok = all(type_bound_check(RuzsaSpec(X, k)).holds for k in ks)
@@ -404,6 +403,8 @@ def _format_table(doc: dict) -> str:
     for key, value in doc.items():
         if isinstance(value, (dict, list)):
             value = json.dumps(value)
+        elif type(value) is int:  # not a bool; exact past the str digit limit
+            value = jsonio.format_rational(value)
         lines.append(f"{key}: {value}")
     return "\n".join(lines)
 

@@ -16,7 +16,6 @@ value is contractual.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,6 +23,8 @@ from .dist import _as_float, _as_int, _as_list, _expect_type, as_fraction
 from .errors import InfeasibleError, SchemaError
 from .projections import IndexSet
 from .report import HOLDS, VIOLATED, CheckReport, Record, exact_text
+
+MAX_COVER_N = 10_000  # the checks allocate lists of n entries
 
 
 class CoverSpec(Record):
@@ -36,7 +37,7 @@ class CoverSpec(Record):
     def __init__(self, n: int, members: Sequence, weights: Sequence | None = None):
         if _as_int(n, "n") < 1:
             raise SchemaError("n must be >= 1")
-        if n > sys.maxsize:
+        if n > MAX_COVER_N:
             raise SchemaError(f"n is outside the index range: {exact_text(n)}")
         members = _as_list(members, "cover members")
         mems = tuple(m if isinstance(m, IndexSet) else IndexSet(m) for m in members)
@@ -104,7 +105,7 @@ def is_fractional_cover(cover: CoverSpec) -> CheckReport:
         lhs=1.0,
         rhs=_as_float(worst, "least coverage"),
         slack=float(worst - 1),
-        witnesses=tuple({"element": i} for i in uncovered),
+        witnesses=({"element": i} for i in uncovered),
         provenance="exact",
         details={"coverage": [exact_text(s) for s in sums]},
     )
@@ -122,7 +123,7 @@ def is_uniform_k_cover(cover: CoverSpec, k: int) -> CheckReport:
         lhs=_as_float(k, "k"),
         rhs=float(min(counts)),
         slack=float(min(counts) - k),
-        witnesses=tuple({"element": i} for i in bad),
+        witnesses=({"element": i} for i in bad),
         provenance="exact",
         details={"counts": counts, "k": k, "uniform": uniform, "k_cover": not bad},
     )
@@ -167,12 +168,14 @@ def _simplex_min_geq(
     Integer data, with a >= 0 and no zero row. Columns are [x | surplus |
     rhs]; each entry of the tableau, and of the two reduced-cost rows
     carried with it, is an int over the common denominator d > 0. Bland's
-    rule picks the entering and leaving variables. The artificial of row i
-    (minus surplus column i) is only the basis entry nvar + m + i: once the
-    x and surplus columns price >= 0, the precondition forces the
-    multipliers to 0, so every artificial prices at 1 and is never entered.
-    Returns the numerators of the optimal x and of the dual y (the phase-2
-    reduced costs of the surplus columns), and d.
+    rule picks the entering and leaving variables, and pivots only on a
+    positive entry. The artificial of row i (minus surplus column i) is only
+    the basis entry nvar + m + i. By the precondition some x > 0 has every
+    surplus > 0, and [a | -I] has full row rank; so once the x and surplus
+    columns price >= 0, the phase-1 multipliers y are 0 (at that point,
+    y.b = 0 is a sum of column terms that are each <= 0), and no artificial
+    is left basic or ever entered. Returns the numerators of the optimal x
+    and of the dual y (the phase-2 reduced costs of the surplus columns), d.
     """
     m = len(a)
     nvar = len(c)
@@ -193,9 +196,6 @@ def _simplex_min_geq(
         nonlocal d
         prow = tab[r]
         p = prow[col]
-        if p < 0:  # only a drive-out pivot is negative; keep d > 0
-            prow = tab[r] = [-v for v in prow]
-            p = -p
         for rows in (tab, objectives):
             for i, row in enumerate(rows):
                 if row is prow:
@@ -230,14 +230,9 @@ def _simplex_min_geq(
             pivot(leave, enter)
 
     optimize(1)
-    if sum(tab[i][-1] for i in range(m) if basis[i] >= art) > 0:
+    if any(bi >= art for bi in basis):
         raise InfeasibleError("no fractional cover exists")  # pragma: no cover
     objectives.pop()  # the phase-1 row is not needed past this point
-    # drive degenerate artificials out of the basis; [a | -I] has full row
-    # rank, so every row has a nonzero x or surplus entry
-    for i in reversed(range(m)):
-        if basis[i] >= art:
-            pivot(i, next(j for j in range(art) if tab[i][j] != 0))
     optimize(0)
     x = [0] * nvar
     for i, bi in enumerate(basis):

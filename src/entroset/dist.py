@@ -330,8 +330,6 @@ def entropy(dist: RationalDist, base: float = 2) -> float:
     """Shannon entropy sum(p * log(1/p)); 0 for a single-point support."""
     _expect_type(dist, RationalDist, "entropy")
     log = _log_function(base)
-    if len(dist) == 1:
-        return 0.0
     return sum(_entropy_term(c, dist.denominator, log) for c in dist.counts)
 
 

@@ -29,6 +29,8 @@ import sys
 from fractions import Fraction
 from typing import Any
 
+from .errors import SchemaError
+
 HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
@@ -77,7 +79,10 @@ class CheckReport(Record, unhashed=("details",)):
 
     def __init__(self, verdict: str, lhs=None, rhs=None, slack=None, witnesses: tuple = (),
                  provenance: str = "float", details: dict[str, Any] | None = None):
-        self._set(verdict=verdict, lhs=lhs, rhs=rhs, slack=slack, witnesses=witnesses,
+        if (verdict not in (HOLDS, VIOLATED, INCONCLUSIVE) or not hasattr(witnesses, "__iter__")
+                or not isinstance(details, (dict, type(None)))):
+            raise SchemaError(f"bad report: {verdict=}, {witnesses=}, {details=}")
+        self._set(verdict=verdict, lhs=lhs, rhs=rhs, slack=slack, witnesses=tuple(witnesses),
                   provenance=provenance, details={} if details is None else details)
 
     def with_details(self, details: dict[str, Any]) -> "CheckReport":

@@ -272,13 +272,13 @@ def verify_commutation(
 
     only_mapped = witnesses(mapped - direct)
     only_direct = witnesses(direct - mapped)
-    equal = not only_mapped and not only_direct and len(mapped) == len(direct)
+    equal = not only_mapped and not only_direct
     return CheckReport(
         verdict=HOLDS if equal else VIOLATED,
         lhs=float(len(mapped)),
         rhs=float(len(direct)),
         slack=float(len(direct) - len(mapped)),
-        witnesses=tuple(
+        witnesses=(
             {"side": side, "vector": list(v)}
             for side, vs in (("mapped_only", only_mapped), ("direct_only", only_direct))
             for v in vs

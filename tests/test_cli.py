@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import entroset
 from entroset import EntrosetError, cli, jsonio
+from entroset.covers import MAX_COVER_N
 from entroset.report import exact_text
 
 UNIFORM2 = {"support": [[0], [1]], "probs": ["1/2", "1/2"]}
@@ -505,7 +506,9 @@ class TestBigIntegers:
         assert code == 2
         assert f"sum to 1 exactly, got {lifted_str(Fraction(1, p) + Fraction(1, q))}" in err
 
-    def test_plain_int_output_past_limit(self, tmp_path, capsys):
+    @staticmethod
+    def huge_suitable_k_dist(tmp_path):
+        """A law file whose minimal suitable k is past the str digit limit, and that k."""
         # probabilities x/(ab), y/(bc), 1/(ca) with pairwise coprime a, b, c
         # of 1501 digits: the minimal suitable k is abc, about 4500 digits
         n = 10**1500
@@ -520,6 +523,10 @@ class TestBigIntegers:
         )
         k = math.lcm(*(p.denominator for p in probs))
         assert k == a * b * c and k.bit_length() > 3.33 * 4300
+        return path, k
+
+    def test_plain_int_output_past_limit(self, tmp_path, capsys):
+        path, k = self.huge_suitable_k_dist(tmp_path)
         code, out, _ = invoke(capsys, ["suitable", "--dist", path])
         assert code == 0
         assert out == f'{{\n  "minimal_suitable_k": {lifted_str(k)}\n}}\n'
@@ -529,6 +536,15 @@ class TestBigIntegers:
             f'{{\n  "minimal_suitable_k": {lifted_str(k)},\n'
             '  "k": 6,\n  "is_suitable": false\n}\n'
         )
+
+    def test_table_int_output_past_limit(self, tmp_path, capsys):
+        path, k = self.huge_suitable_k_dist(tmp_path)
+        code, table, _ = invoke(capsys, ["--format", "table", "suitable", "--dist", path])
+        assert code == 0
+        _, doc, _ = invoke(capsys, ["suitable", "--dist", path])
+        digits = lifted_str(k)
+        assert (table, doc) == (f"minimal_suitable_k: {digits}\n",
+                                f'{{\n  "minimal_suitable_k": {digits}\n}}\n')
 
     @pytest.mark.parametrize(
         "big", [10**4299, -(10**5000), 7**9000], ids=["at_limit", "negative", "past"]
@@ -737,6 +753,18 @@ def test_cover_n_past_the_index_range(tmp_path, capsys, argv):
         "points": write(tmp_path, "a.json", {"dimension": 1, "points": [[0]]}),
     }
     code, out, err = invoke(capsys, [a.format(**files) for a in argv])
+    assert (code, out, err) == (2, "", f"error: n is outside the index range: {n}\n")
+
+
+@pytest.mark.parametrize("n", [MAX_COVER_N + 1, 10**18])
+@pytest.mark.parametrize("argv", [["cover", "min"], ["cover", "check"],
+                                  ["cover", "check", "--k", "1"]], ids=["min", "check", "check_k"])
+def test_cover_n_past_the_limit(tmp_path, capsys, argv, n):
+    # refused before any list of n entries is built: at 10**18 that list
+    # cannot be allocated, and at 10,001 `cover check --k 1` would list
+    # 10,000 uncovered elements
+    path = write(tmp_path, "c.json", {"n": n, "members": [[1]], "weights": ["1"]})
+    code, out, err = invoke(capsys, [*argv, "--cover", path])
     assert (code, out, err) == (2, "", f"error: n is outside the index range: {n}\n")
 
 

@@ -17,7 +17,7 @@ from entroset import (
     min_fractional_cover,
     uniform_cover_as_fractional,
 )
-from entroset.covers import _simplex_min_geq
+from entroset.covers import MAX_COVER_N, _simplex_min_geq
 
 from genutil import random_members, random_uniform_k_cover
 
@@ -78,6 +78,10 @@ class TestFractionalCover:
         report = is_fractional_cover(cover)
         assert report.holds
         assert report.details["coverage"] == ["1", "1", "1"]
+
+    def test_n_at_the_limit(self):
+        report = is_fractional_cover(CoverSpec(MAX_COVER_N, [[1]], [1]))
+        assert report.verdict == "violated" and len(report.witnesses) == MAX_COVER_N - 1
 
     def test_coverage_past_the_str_digit_limit(self):
         cover = CoverSpec(2, [[1, 2], [2]], [1, Fraction(1, 10**5000)])
@@ -347,32 +351,15 @@ class TestIntegerTableauMatchesFractionSimplex:
         members = [[1, 2], [1, 2, 3], [3, 4], [1, 2, 4], [4]]
         assert min_fractional_cover(4, members).weights == reference_weights(4, members)
 
-    def test_general_lps_with_drive_out(self):
-        # A cover LP ends phase 1 with no artificial left in the basis; rows
-        # with negative entries and zero right-hand sides leave degenerate
-        # artificials behind, so the drive-out pivots (most on a negative
-        # entry) run here.
-        rng = random.Random(107)
-        solved = 0
-        for _ in range(1000):
-            m, nvar = rng.randint(1, 5), rng.randint(1, 6)
-            a = [[rng.choice([-1, 0, 0, 1, 1, 2]) for _ in range(nvar)] for _ in range(m)]
-            b = [rng.choice([0, 0, 1, 2]) for _ in range(m)]
-            c = [rng.randint(0, 3) for _ in range(nvar)]
-            try:
-                want = reference_simplex_min_geq(
-                    [Fraction(v) for v in c],
-                    [[Fraction(v) for v in row] for row in a],
-                    [Fraction(v) for v in b],
-                )
-            except InfeasibleError:
-                with pytest.raises(InfeasibleError):
-                    _simplex_min_geq(c, a, b)
-                continue
-            x, _, d = _simplex_min_geq(c, a, b)
-            assert tuple(Fraction(v, d) for v in x) == want
-            solved += 1
-        assert solved > 600
+    def test_artificial_left_in_the_basis_is_infeasible(self):
+        # Outside the precondition (a >= 0, no zero row) phase 1 can end with
+        # a degenerate artificial in the basis; the solver refuses such an
+        # LP rather than driving the artificial out.
+        c = [2, 1, 3, 0, 1, 3]
+        a = [[1, 1, 1, 2, 0, 1], [0, 0, 0, 0, -1, -1], [-1, -1, 1, -1, -1, 0],
+             [2, -1, 1, 0, 2, 1]]
+        with pytest.raises(InfeasibleError):
+            _simplex_min_geq(c, a, [0, 0, 2, 2])
 
     def test_ratio_tie_goes_to_lower_basis_index(self):
         # a seeded instance whose vertex depends on how ratio ties are broken

@@ -3,6 +3,7 @@
 import pytest
 
 from entroset import (
+    CheckReport,
     CoverSpec,
     DomainError,
     EntrosetError,
@@ -37,6 +38,7 @@ from entroset import (
     uniform_cover_as_fractional,
     verify_commutation,
 )
+from entroset.covers import MAX_COVER_N
 from entroset.dist import as_fraction
 from entroset.projections import EMPTY_INDEX_SET, log_conditional_avg_size
 
@@ -103,6 +105,8 @@ CASES = {
                           "k_max // k_min exceeds the row limit 10000 (k_min = 2)"),
     # covers
     "n_zero": (lambda: CoverSpec(0, [[1]]), SchemaError, "n must be >= 1"),
+    "n_past_the_limit": (lambda: CoverSpec(MAX_COVER_N + 1, [[1]]), SchemaError,
+                         "n is outside the index range: 10001"),
     "no_members": (lambda: CoverSpec(2, []), SchemaError, "cover needs at least one member"),
     "member_empty": (lambda: CoverSpec(2, [[]]), SchemaError,
                      "cover members must be nonempty"),
@@ -167,6 +171,13 @@ CASES = {
         SchemaError, "conditioned projection needs a nonempty target T"),
     "target_S_empty": (lambda: conditional_entropy(SQUARE, EMPTY_INDEX_SET), SchemaError,
                        "conditional entropy needs a nonempty target S"),
+    # report
+    "report_verdict": (lambda: CheckReport("maybe"), SchemaError,
+                       "bad report: verdict='maybe', witnesses=(), details=None"),
+    "report_witnesses": (lambda: CheckReport("holds", witnesses=5), SchemaError,
+                         "bad report: verdict='holds', witnesses=5, details=None"),
+    "report_details": (lambda: CheckReport("holds", details=5), SchemaError,
+                       "bad report: verdict='holds', witnesses=(), details=5"),
     # ruzsa
     "enumerate_limit": (lambda: next(ruzsa_enumerate(PAIRS, None)), SchemaError,
                         "limit must be an integer: None"),

@@ -7,6 +7,7 @@ Each value class compares by class and fields, hashes its fields (except
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,14 @@ def test_report_defaults():
     assert (report.lhs, report.rhs, report.slack) == (None, None, None)
     assert report.witnesses == () and report.provenance == "float"
     assert report.details == {} and report.details is not CheckReport("holds").details
+
+
+def test_report_stores_witnesses_as_a_tuple_and_writes_a_fraction_as_text():
+    report = CheckReport("holds", witnesses=[{"element": 1}], details={"w": Fraction(-2, 6)})
+    assert report.witnesses == ({"element": 1},)
+    assert report.to_json() == {
+        "verdict": "holds", "witnesses": [{"element": 1}], "provenance": "float", "w": "-1/3",
+    }
 
 
 CUBE = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
