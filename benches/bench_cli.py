@@ -14,6 +14,10 @@ and writing the output document. Inputs are seeded and fixed:
 * `check projection --side entropy` of the same distribution against the
   triangle cover {1,2}, {1,3}, {2,3} with weights 1/2.
 
+`test_parse` times `cli.run`'s parse step alone (`cli._parse`) over one
+plain argv per leaf command: its words, the global options and every one of
+its options, with sample values. A round parses all of them once.
+
 `test_cold_import` times what every one-shot `entroset` call pays first:
 a fresh interpreter that runs `import entroset.cli` and exits, with the
 environment (and so PYTHONPATH) of the benchmark run.
@@ -74,6 +78,35 @@ def test_check_projection_entropy(benchmark, inputs):
     dist, cover = inputs
     argv = ["check", "projection", "--cover", cover, "--input", dist, "--side", "entropy"]
     assert benchmark(_run, argv) == 0
+
+
+# a sample value per option type; None is an untyped (string) option
+SAMPLE = {int: "4", float: "1e-09", cli._int_list: "1,2", cli._float_list: "0.25,0.75",
+          cli._parse_base: "2", None: "x.json"}
+
+
+def _plain_argvs(level=cli._ROOT, words=()) -> list[list[str]]:
+    """One plain argv per leaf of the command table, with every option."""
+    if level.run is None:
+        return [argv for word, child in level.commands.items()
+                for argv in _plain_argvs(child, (*words, word))]
+    argv = ["--seed", "1", *words]
+    for flag, keywords in level.options.items():
+        argv.append(flag)
+        if keywords.get("action") != "store_true":
+            argv.append(keywords.get("choices", [SAMPLE[keywords.get("type")]])[0])
+    return [argv]
+
+
+def _parse_all(argvs) -> None:
+    for argv in argvs:
+        cli._parse(argv)
+
+
+def test_parse(benchmark):
+    argvs = _plain_argvs()
+    assert all(cli._plain_args(argv) is not None for argv in argvs)
+    benchmark(_parse_all, argvs)
 
 
 def test_cold_import(benchmark):

@@ -235,7 +235,9 @@ def check_cardinality(
     points = _as_point_collection(A)
     if not points <= spec.domain:
         raise DomainError("point set is not contained in the maps' domain")
-    terms = [_term(m.image(points), 2) for m in (spec.lhs_map, *spec.rhs_maps)]
+    # every point is a key of every map (one shared domain), and already normal
+    terms = [_term(frozenset(map(m.table.__getitem__, points)), 2)
+             for m in (spec.lhs_map, *spec.rhs_maps)]
     lhs_count, *rhs_counts = (exact_text(n) for _, n in terms)
     details = {"lhs_count": lhs_count, "rhs_counts": rhs_counts,
                "coefficients": [exact_text(c) for c in spec.coefficients]}

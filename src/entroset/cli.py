@@ -5,7 +5,13 @@ exit 0 when the inequality holds, 1 when violated, 3 when inconclusive;
 malformed input and infeasibility exit 2 with a diagnostic on stderr.
 Reports are deterministic for a fixed seed and inputs.
 
-The parser is built once per process (first `run`) and safe to reuse:
+Every command and option is written once, in the command table `_ROOT`.
+A plain argv (global options, the command words, then the leaf's options,
+each an exact `--flag value` pair or a switch) is parsed straight from the
+table. Any other argv goes to the argparse parser that `build_parser` makes
+from the same table, so usage errors, `--help` and argparse's other forms
+(abbreviations, `--flag=value`, negative numbers) read as they always have.
+That parser is built on first need, once per process, and safe to reuse:
 its defaults are immutable, each call parses into a fresh namespace, and
 usage errors and `--help` go to the call's `sys.stderr` / `sys.stdout`.
 Each leaf subcommand's `run` default is its handler, which takes the parsed
@@ -80,114 +86,6 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
-
-
-def _command(sub, name: str, run, **kwargs) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, **kwargs)
-    p.set_defaults(run=run)
-    return p
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entroset",
-        description="entropy and set-projection inequality toolbox",
-    )
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    parser.add_argument("--base", type=_parse_base, default=2)
-    parser.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(sub, "entropy", _entropy, help="Shannon entropy of a distribution")
-    p.add_argument("--dist", required=True)
-
-    p = _command(sub, "pushforward", _pushforward, help="distribution of f(X)")
-    p.add_argument("--map", required=True)
-    p.add_argument("--dist", required=True)
-
-    p = _command(sub, "suitable", _suitable,
-                 help="minimal suitable k, optional divisibility test")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--k", type=int)
-
-    p = _command(sub, "rationalize", _rationalize,
-                 help="best bounded-denominator approximation")
-    p.add_argument("--weights", type=_float_list, required=True)
-    p.add_argument("--max-denominator", type=int, required=True)
-
-    ruzsa = sub.add_parser("ruzsa", help="type-class set operations").add_subparsers(
-        dest="ruzsa_command", required=True
-    )
-    for name, run in (("size", _ruzsa_size), ("enum", _ruzsa_enum),
-                      ("commute", _ruzsa_commute), ("lift", _ruzsa_lift),
-                      ("bound", _ruzsa_bound)):
-        p = _command(ruzsa, name, run)
-        p.add_argument("--dist", required=True)
-        p.add_argument("--k", type=int, required=True)
-        if name in ("commute", "lift"):
-            p.add_argument("--map", required=True)
-        if name == "lift":
-            p.add_argument("--y", required=True, help="JSON array of elements")
-    p = _command(ruzsa, "converge", _ruzsa_converge)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--ks", type=_int_list, required=True)
-
-    p = _command(sub, "project", _project, help="project a point set or distribution")
-    p.add_argument("--pointset")
-    p.add_argument("--dist")
-    p.add_argument("--indices", type=_int_list, required=True)
-
-    p = _command(sub, "condsize", _condsize, help="conditional average projection size")
-    p.add_argument("--pointset", required=True)
-    p.add_argument("--t", type=_int_list, required=True)
-    p.add_argument("--s", type=_int_list, default=())
-
-    p = _command(sub, "condentropy", _condentropy, help="conditional entropy of a marginal")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--s", type=_int_list, required=True)
-    p.add_argument("--c", type=_int_list, default=())
-
-    cover = sub.add_parser("cover", help="cover feasibility and optimization").add_subparsers(
-        dest="cover_command", required=True
-    )
-    p = _command(cover, "check", _cover_check)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--k", type=int)
-    p = _command(cover, "min", _cover_min)
-    p.add_argument("--cover", required=True)
-
-    check = sub.add_parser("check", help="inequality checks").add_subparsers(
-        dest="check_command", required=True
-    )
-    for name, run in (("entropy", _check_entropy), ("cardinality", _check_cardinality)):
-        p = _command(check, name, run)
-        p.add_argument("--spec", required=True)
-        p.add_argument("--input", required=True)
-    for name, run in (("shearer", _check_shearer), ("projection", _check_projection)):
-        p = _command(check, name, run)
-        p.add_argument("--cover", required=True)
-        p.add_argument("--input", required=True)
-        p.add_argument("--side", choices=("sets", "entropy"), required=True)
-        if name == "shearer":
-            p.add_argument("--k", type=int, required=True)
-    p = _command(check, "lemma1", _check_lemma1)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--cross-validate", action="store_true")
-
-    witness = sub.add_parser("witness", help="witness constructions").add_subparsers(
-        dest="witness_command", required=True
-    )
-    p = _command(witness, "lemma2", _witness_lemma2)
-    p.add_argument("--map", required=True)
-    p.add_argument("--points", required=True)
-
-    _command(sub, "demo", lambda args: run_demo(args),
-             help="scripted projection-inequality walkthrough")
-    return parser
 
 
 def _load_dist(path: str) -> RationalDist:
@@ -409,14 +307,181 @@ def _format_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+class _Level:
+    """One parser level of the command table.
+
+    `options` maps each flag to its `add_argument` keywords, in usage order.
+    A leaf has its handler `run`; a group has the `dest` that records its
+    subcommand word and its subcommands by word. `help` is the level's
+    `add_parser` help, if it has one.
+    """
+
+    __slots__ = ("options", "run", "dest", "commands", "help",
+                 "fields", "required", "defaults")
+
+    def __init__(self, options=None, *, run=None, dest=None, commands=None, help=None):
+        self.options = options or {}
+        self.run, self.dest, self.commands, self.help = run, dest, commands, help
+        # what `_plain_args` reads: flag -> (dest, type or None for a switch, choices)
+        self.fields = {}
+        self.defaults = {} if run is None else {"run": run}
+        for flag, keywords in self.options.items():
+            name = flag[2:].replace("-", "_")
+            switch = keywords.get("action") == "store_true"
+            self.fields[flag] = (name, None if switch else keywords.get("type", str),
+                                 keywords.get("choices"))
+            self.defaults[name] = keywords.get("default", False if switch else None)
+        self.required = frozenset(f for f, kw in self.options.items() if kw.get("required"))
+
+
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_REQUIRED_INTS = {"type": _int_list, "required": True}
+_DIST = {"--dist": _REQUIRED}
+_DIST_K = {"--dist": _REQUIRED, "--k": _REQUIRED_INT}
+_SPEC = {"--spec": _REQUIRED, "--input": _REQUIRED}
+_COVER_SIDE = {"--cover": _REQUIRED, "--input": _REQUIRED,
+               "--side": {"choices": ("sets", "entropy"), "required": True}}
+
+# every command and option, once; `build_parser` and `_plain_args` both read it
+_ROOT = _Level({
+    "--tolerance": {"type": float, "default": DEFAULT_TOLERANCE},
+    "--base": {"type": _parse_base, "default": 2},
+    "--limit": {"type": int, "default": DEFAULT_ENUM_LIMIT},
+    "--seed": {"type": int, "default": 0},
+    "--format": {"choices": ("json", "table"), "default": "json"},
+}, dest="command", commands={
+    "entropy": _Level(_DIST, run=_entropy, help="Shannon entropy of a distribution"),
+    "pushforward": _Level({"--map": _REQUIRED, **_DIST}, run=_pushforward,
+                          help="distribution of f(X)"),
+    "suitable": _Level({**_DIST, "--k": {"type": int}}, run=_suitable,
+                       help="minimal suitable k, optional divisibility test"),
+    "rationalize": _Level({"--weights": {"type": _float_list, "required": True},
+                           "--max-denominator": _REQUIRED_INT},
+                          run=_rationalize, help="best bounded-denominator approximation"),
+    "ruzsa": _Level(dest="ruzsa_command", help="type-class set operations", commands={
+        "size": _Level(_DIST_K, run=_ruzsa_size),
+        "enum": _Level(_DIST_K, run=_ruzsa_enum),
+        "commute": _Level({**_DIST_K, "--map": _REQUIRED}, run=_ruzsa_commute),
+        "lift": _Level({**_DIST_K, "--map": _REQUIRED,
+                        "--y": {"required": True, "help": "JSON array of elements"}},
+                       run=_ruzsa_lift),
+        "bound": _Level(_DIST_K, run=_ruzsa_bound),
+        "converge": _Level({**_DIST, "--ks": _REQUIRED_INTS}, run=_ruzsa_converge),
+    }),
+    "project": _Level({"--pointset": {}, "--dist": {}, "--indices": _REQUIRED_INTS},
+                      run=_project, help="project a point set or distribution"),
+    "condsize": _Level({"--pointset": _REQUIRED, "--t": _REQUIRED_INTS,
+                        "--s": {"type": _int_list, "default": ()}},
+                       run=_condsize, help="conditional average projection size"),
+    "condentropy": _Level({**_DIST, "--s": _REQUIRED_INTS,
+                           "--c": {"type": _int_list, "default": ()}},
+                          run=_condentropy, help="conditional entropy of a marginal"),
+    "cover": _Level(dest="cover_command", help="cover feasibility and optimization", commands={
+        "check": _Level({"--cover": _REQUIRED, "--k": {"type": int}}, run=_cover_check),
+        "min": _Level({"--cover": _REQUIRED}, run=_cover_min),
+    }),
+    "check": _Level(dest="check_command", help="inequality checks", commands={
+        "entropy": _Level(_SPEC, run=_check_entropy),
+        "cardinality": _Level(_SPEC, run=_check_cardinality),
+        "shearer": _Level({**_COVER_SIDE, "--k": _REQUIRED_INT}, run=_check_shearer),
+        "projection": _Level(_COVER_SIDE, run=_check_projection),
+        "lemma1": _Level({**_SPEC, "--kmax": _REQUIRED_INT,
+                          "--cross-validate": {"action": "store_true"}},
+                         run=_check_lemma1),
+    }),
+    "witness": _Level(dest="witness_command", help="witness constructions", commands={
+        "lemma2": _Level({"--map": _REQUIRED, "--points": _REQUIRED}, run=_witness_lemma2),
+    }),
+    # calls `run_demo` by name, so a wrapper installed on the module is the one run
+    "demo": _Level(run=lambda args: run_demo(args),
+                   help="scripted projection-inequality walkthrough"),
+})
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command table."""
+    parser = argparse.ArgumentParser(
+        prog="entroset",
+        description="entropy and set-projection inequality toolbox",
+    )
+    _add_level(parser, _ROOT)
+    return parser
+
+
+def _add_level(parser: argparse.ArgumentParser, level: _Level) -> None:
+    for flag, keywords in level.options.items():
+        parser.add_argument(flag, **keywords)
+    if level.run is not None:
+        parser.set_defaults(run=level.run)
+        return
+    sub = parser.add_subparsers(dest=level.dest, required=True)
+    for word, child in level.commands.items():
+        # a help keyword, even None, would list the word in the parent's help
+        keywords = {} if child.help is None else {"help": child.help}
+        _add_level(sub.add_parser(word, **keywords), child)
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """The args of a plain argv, read from the command table; None otherwise.
+
+    Plain: the global options, the command words, then the leaf's options.
+    Each option appears at most once, as an exact `--flag value` pair or a
+    bare switch; no value starts with "-", and each passes its option's type
+    and choices. The namespace is the one argparse would build. For None,
+    argparse parses the argv and makes every usage error and help text.
+    """
+    values, level, i, n = {}, _ROOT, 0, len(argv)
+    while True:
+        values.update(level.defaults)
+        given = set()
+        while i < n and type(argv[i]) is str and argv[i].startswith("-"):
+            flag = argv[i]
+            if flag not in level.fields or flag in given:
+                return None
+            given.add(flag)
+            dest, convert, choices = level.fields[flag]
+            if convert is None:
+                values[dest] = True
+                i += 1
+                continue
+            if i + 1 == n or type(argv[i + 1]) is not str or argv[i + 1].startswith("-"):
+                return None
+            try:
+                value = convert(argv[i + 1])
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+            i += 2
+        if not level.required <= given:
+            return None
+        if level.run is not None:
+            return argparse.Namespace(**values) if i == n else None
+        word = argv[i] if i < n else None
+        if type(word) is not str or word not in level.commands:
+            return None
+        values[level.dest] = word
+        level = level.commands[word]
+        i += 1
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """`run`'s parse step: a plain argv from the table, any other by argparse."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    return _parser().parse_args(argv) if args is None else args
+
+
 def run(argv=None) -> int:
     """Parse argv, execute, print one document; returns the exit code."""
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         _check_tolerance(args.tolerance)
         if args.limit < 1:

@@ -10,8 +10,12 @@ Usage, from the root of a checkout:
 `cli.run` of the entroset package under SRC (the `src/` directory of any
 checkout), and writes one JSON line per op: workload, seed, op id, kind,
 exit code, stdout and stderr. The input directory's path is replaced by
-`<work>` in what is printed, so two dumps compare byte for byte. `diff`
-exits 1 and names the first differences when two dumps differ in any op.
+`<work>` in what is printed, so two dumps compare byte for byte. `dump`
+also runs USAGE, a fixed list of command lines that no benchmark op uses
+(`--help` at every parser level, usage errors, and options that argparse
+reads but the command table does not), with COLUMNS fixed at 80; they are
+dumped as workload "usage", seed 0. `diff` exits 1 and names the first
+differences when two dumps differ in any op.
 
 The name does not match `test_*.py`, so pytest never collects this file;
 `tests/test_benches.py` runs it once.
@@ -23,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +35,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 7, 84)
 FIELDS = ("code", "stdout", "stderr")
+
+# every parser level, for `--help` at each
+LEVELS = (
+    "", "entropy", "pushforward", "suitable", "rationalize",
+    "ruzsa", "ruzsa size", "ruzsa enum", "ruzsa commute", "ruzsa lift", "ruzsa bound",
+    "ruzsa converge", "project", "condsize", "condentropy", "cover", "cover check",
+    "cover min", "check", "check entropy", "check cardinality", "check shearer",
+    "check projection", "check lemma1", "witness", "witness lemma2", "demo",
+)
+# <d> and <c> stand for a distribution file and a cover file
+USAGE = [level.split() + ["--help"] for level in LEVELS] + [
+    [],                                                    # no command
+    ["ruzsa"],                                             # no subcommand
+    ["nosuch"],                                            # unknown command
+    ["entropy"],                                           # missing required option
+    ["ruzsa", "lift", "--dist", "<d>", "--k", "2"],
+    ["entropy", "--dist", "<d>", "--bogus", "1"],          # unknown option
+    ["ruzsa", "size", "--dist", "<d>", "--k", "two"],      # bad int
+    ["rationalize", "--weights", "1,x", "--max-denominator", "4"],
+    ["--base", "10", "entropy", "--dist", "<d>"],          # bad type
+    ["--format", "xml", "demo"],                           # bad choice
+    ["check", "projection", "--cover", "<c>", "--input", "<d>", "--side", "both"],
+    ["entropy", "--di", "<d>"],                            # abbreviation
+    ["--se", "4", "demo"],
+    ["entropy", "--dist=<d>"],                             # --name=value
+    ["ruzsa", "size", "--dist", "<d>", "--k", "2", "--k", "3"],  # repeated option
+    ["ruzsa", "size", "--dist", "<d>", "--k", "-3"],       # negative number value
+    ["entropy", "--dist", "<d>", "--seed", "1"],           # global option after command
+    ["entropy", "--dist"],                                 # missing value
+    ["entropy", "--dist", "<d>", "extra"],                 # extra token
+    ["--seed", "1", "--", "demo"],
+    ["-h"],
+]
+UNIFORM2 = {"support": [[0], [1]], "probs": ["1/2", "1/2"]}
+TRIANGLE = {"n": 3, "members": [[1, 2], [1, 3], [2, 3]], "weights": ["1/2", "1/2", "1/2"]}
 
 
 def _import_cli(src: Path):
@@ -57,25 +97,49 @@ def _run(cli, argv) -> tuple[int | None, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _usage_ops(workdir: Path) -> list[tuple[int, str, list[str]]]:
+    """(op id, kind, argv) of each USAGE command line, its files in `workdir`."""
+    workdir.mkdir()
+    files = {"<d>": workdir / "d.json", "<c>": workdir / "c.json"}
+    files["<d>"].write_text(json.dumps(UNIFORM2), encoding="utf-8")
+    files["<c>"].write_text(json.dumps(TRIANGLE), encoding="utf-8")
+    ops = []
+    for i, argv in enumerate(USAGE):
+        real = list(argv)
+        for mark, path in files.items():
+            real = [arg.replace(mark, str(path)) for arg in real]
+        ops.append((i, " ".join(argv), real))
+    return ops
+
+
+def _write(handle, cli, workload: str, seed: int, workdir: Path, ops) -> int:
+    """Run each (op id, kind, argv) and write its record; returns the count."""
+    for op_id, kind, argv in ops:
+        code, stdout, stderr = _run(cli, argv)
+        handle.write(json.dumps({
+            "workload": workload, "seed": seed, "op": op_id, "kind": kind, "code": code,
+            "stdout": stdout.replace(str(workdir), "<work>"),
+            "stderr": stderr.replace(str(workdir), "<work>"),
+        }) + "\n")
+    return len(ops)
+
+
 def dump(src: Path, out: Path, seeds) -> int:
     cli = _import_cli(src)
     sys.path.insert(0, str(ROOT / "bench"))
     import gen
 
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
     count = 0
     with tempfile.TemporaryDirectory() as tmp, open(out, "w", encoding="utf-8") as handle:
         for workload in sorted(gen.WORKLOADS):
             for seed in seeds:
                 workdir = Path(tmp) / f"{workload}-{seed}"
-                for op in gen.generate(workload, seed, workdir):
-                    code, stdout, stderr = _run(cli, op.argv)
-                    handle.write(json.dumps({
-                        "workload": workload, "seed": seed, "op": op.op_id,
-                        "kind": op.kind, "code": code,
-                        "stdout": stdout.replace(str(workdir), "<work>"),
-                        "stderr": stderr.replace(str(workdir), "<work>"),
-                    }) + "\n")
-                    count += 1
+                ops = [(op.op_id, op.kind, op.argv)
+                       for op in gen.generate(workload, seed, workdir)]
+                count += _write(handle, cli, workload, seed, workdir, ops)
+        workdir = Path(tmp) / "usage"
+        count += _write(handle, cli, "usage", 0, workdir, _usage_ops(workdir))
     print(f"{count} ops dumped to {out}")
     return 0
 

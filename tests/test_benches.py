@@ -4,7 +4,8 @@ The layer benchmarks under benches/ are not named `test_*.py`, so the
 tier-1 run never collects them on its own; this runs each benchmark once,
 untimed, in a subprocess. The end-to-end harness under bench/ is checked
 by running its self-test once, also in a subprocess, and the output dump
-harness `tests/dump_outputs.py` is run once on one seed.
+harness `tests/dump_outputs.py` is run once on one seed, with its help and
+usage-error command lines.
 """
 
 import json
@@ -56,8 +57,11 @@ def test_dump_outputs_runs(tmp_path):
     )
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     records = [json.loads(line) for line in dump.read_text().splitlines()]
-    assert {r["workload"] for r in records} == {"counting", "entropy", "solvers"}
-    assert {r["code"] for r in records} == {0}
+    assert {r["workload"] for r in records} == {"counting", "entropy", "solvers", "usage"}
+    assert {r["code"] for r in records if r["workload"] != "usage"} == {0}
+    usage = {r["kind"]: r for r in records if r["workload"] == "usage"}
+    assert usage["--help"]["stdout"].startswith("usage: entroset [-h]")
+    assert usage["entropy"]["stderr"].endswith("required: --dist\nSystemExit(2)")
 
     changed = tmp_path / "b.jsonl"
     records[-1]["stdout"] += " "

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from entroset import checkers
+from entroset import checkers, dist
 from entroset import (
     CoverError,
     CoverSpec,
@@ -106,6 +106,18 @@ class TestCheckCardinality:
         report = check_cardinality(spec, PointSet(2, GRID2))
         assert report.provenance == "exact"
         assert report.holds
+
+    def test_point_set_is_not_checked_again(self, monkeypatch):
+        spec = projection_spec(GRID2, [[1], [2]], [1, 1])
+        expected = check_cardinality(spec, TRIANGLE).to_json()
+        calls = []
+        real = dist._int_tuples
+        monkeypatch.setattr(dist, "_int_tuples", lambda values: calls.append(1) or real(values))
+        assert check_cardinality(spec, TRIANGLE).to_json() == expected
+        assert calls == []
+        # a list of points is still checked once, where it enters
+        assert check_cardinality(spec, list(TRIANGLE.points)).to_json() == expected
+        assert calls == [1]
 
 
 class TestCheckEntropy:

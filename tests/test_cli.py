@@ -384,8 +384,22 @@ class TestParserReuse:
         good = (0, '{\n  "entropy": 1.0\n}\n', "")
         assert invoke(capsys, ["entropy", "--dist", path]) == good
 
+    def test_plain_argv_builds_no_parser(self, monkeypatch, tmp_path, capsys):
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built"))
+        path = write(tmp_path, "d.json", UNIFORM2)
+        assert invoke(capsys, ["entropy", "--dist", path])[0] == 0
+        assert invoke(capsys, ["--seed", "3", "demo"])[0] == 0
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch, tmp_path, capsys):
+        path = write(tmp_path, "d.json", UNIFORM2)
+        monkeypatch.setattr(sys, "argv", ["entroset", "entropy", "--dist", path])
+        plain = invoke(capsys, None)
+        monkeypatch.setattr(sys, "argv", ["entroset", "entropy", f"--dist={path}"])
+        assert invoke(capsys, None) == plain == (0, '{\n  "entropy": 1.0\n}\n', "")
+
     def test_help_and_usage_go_to_streams_of_the_call(self, monkeypatch):
-        cli.run(["--seed", "1", "demo"])  # the parser exists before the streams change
+        cli._parser()  # the parser exists before the streams change
         out, err = io.StringIO(), io.StringIO()
         monkeypatch.setattr(sys, "stdout", out)
         monkeypatch.setattr(sys, "stderr", err)
@@ -397,6 +411,188 @@ class TestParserReuse:
             cli.run(["nosuch"])
         assert exc.value.code == 2
         assert "invalid choice: 'nosuch'" in err.getvalue()
+
+
+def _levels(level=cli._ROOT, words=()):
+    """(command words, level) of every level of the command table."""
+    yield words, level
+    for word, child in (level.commands or {}).items():
+        yield from _levels(child, (*words, word))
+
+
+LEAVES = [(words, level) for words, level in _levels() if level.run is not None]
+PARSER = cli.build_parser()
+# values that argparse reads in ways a plain table parse must not guess at
+ODD_VALUES = ("", "-3", "-x", "--dist", "1,,2", "nan", " 7 ", "٣", "10**6", "e", "table")
+# tokens that are no command word, an option or a value of the table
+ODD_TOKENS = ("nosuch", "", "Entropy", "-", "ruzs", "extra", "-h", "--help", "--")
+# one accepted value per option type; None is an untyped (string) option
+SAMPLE = {int: "3", float: "0.5", cli._int_list: "1,2", cli._float_list: "0.25,0.75",
+          cli._parse_base: "e", None: "x.json"}
+
+
+def _is_switch(keywords) -> bool:
+    return keywords.get("action") == "store_true"
+
+
+def _valid_value(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    return {
+        int: st.integers(0, 30).map(str),
+        float: st.sampled_from(["0.5", "1e-09", "0", "7"]),
+        cli._int_list: st.lists(st.integers(1, 6), max_size=3).map(
+            lambda xs: ",".join(map(str, xs))),
+        cli._float_list: st.sampled_from(["0.5,0.5", "1", "0.25,0.75"]),
+        cli._parse_base: st.sampled_from(["2", "e"]),
+        None: st.sampled_from(["x.json", "a b", "entropy"]),
+    }[keywords.get("type")]
+
+
+@st.composite
+def option_tokens(draw, level, flag):
+    """[(token, role)] of one option: a flag and a valid value, or a switch."""
+    keywords = level.options[flag]
+    if _is_switch(keywords):
+        return [(flag, "flag")]
+    return [(flag, "flag"), (draw(_valid_value(keywords)), "value")]
+
+
+@st.composite
+def level_tokens(draw, level):
+    """A level's options in random order, the optional ones sometimes left out."""
+    flags = [f for f in draw(st.permutations(list(level.options)))
+             if level.options[f].get("required") or draw(st.booleans())]
+    return [pair for flag in flags for pair in draw(option_tokens(level, flag))]
+
+
+@st.composite
+def mutated(draw, tokens):
+    """[(token, role)] with one change that may turn a plain argv into one
+    that only argparse reads, or that argparse refuses."""
+    tokens = list(tokens)
+    where = {role: [i for i, (_, r) in enumerate(tokens) if r == role]
+             for role in ("flag", "value", "word")}
+    where["long"] = [i for i in where["flag"] if len(tokens[i][0]) > 2]
+    kind = draw(st.integers(0, 8))
+    if kind == 0 and where["value"]:  # an odd value
+        tokens[draw(st.sampled_from(where["value"]))] = (draw(st.sampled_from(ODD_VALUES)),
+                                                         "value")
+    elif kind == 1 and where["long"]:  # an abbreviated flag
+        i = draw(st.sampled_from(where["long"]))
+        flag = tokens[i][0]
+        tokens[i] = (flag[:draw(st.integers(2, len(flag) - 1))], "flag")
+    elif kind == 2 and where["value"]:  # --flag=value
+        i = draw(st.sampled_from(where["value"]))
+        tokens[i - 1:i + 1] = [(f"{tokens[i - 1][0]}={tokens[i][0]}", "other")]
+    elif kind == 3:  # an odd token anywhere
+        tokens.insert(draw(st.integers(0, len(tokens))),
+                      (draw(st.sampled_from(ODD_TOKENS)), "other"))
+    elif kind == 4 and tokens:  # an item that is not a str
+        tokens[draw(st.integers(0, len(tokens) - 1))] = (draw(st.sampled_from([7, None, 0])),
+                                                        "other")
+    elif kind == 5 and tokens:  # a token left out
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif kind == 6 and where["flag"]:  # an option given twice
+        i = draw(st.sampled_from(where["flag"]))
+        pair = tokens[i:i + 2] if i + 1 in where["value"] else tokens[i:i + 1]
+        tokens[i:i] = pair
+    elif kind == 7:  # a global option anywhere
+        flag = draw(st.sampled_from(list(cli._ROOT.options)))
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = draw(option_tokens(cli._ROOT, flag))
+    elif kind == 8 and where["word"]:  # an unknown command word
+        tokens[draw(st.sampled_from(where["word"]))] = (draw(st.sampled_from(ODD_TOKENS)),
+                                                        "word")
+    return tokens
+
+
+@st.composite
+def command_lines(draw):
+    """A plain argv (global options, command words, the leaf's options) with
+    up to two changes from `mutated`."""
+    tokens = draw(level_tokens(cli._ROOT))
+    level = cli._ROOT
+    while level.commands is not None:
+        word = draw(st.sampled_from(list(level.commands)))
+        tokens.append((word, "word"))
+        level = level.commands[word]
+    tokens += draw(level_tokens(level))
+    for _ in range(draw(st.integers(0, 2))):
+        tokens = draw(mutated(tokens))
+    return [token for token, _ in tokens]
+
+
+def _fields(args) -> dict:
+    # repr, so that two nan values compare equal and 1 differs from 1.0
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+def _argparse_args(argv):
+    """What argparse makes of argv: its namespace, or None where it exits or raises."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return PARSER.parse_args(argv)
+        except SystemExit:
+            return None
+        except (TypeError, AttributeError):  # an item that is not a str
+            assert not all(isinstance(arg, str) for arg in argv)
+            return None
+
+
+class TestCommandTable:
+    """`cli._plain_args` parses a plain argv exactly as argparse does, and
+    declines every other one."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines())
+    def test_table_agrees_with_argparse(self, argv):
+        before = list(argv)
+        table = cli._plain_args(argv)
+        expected = _argparse_args(argv)
+        assert argv == before
+        if expected is None:
+            assert table is None
+        elif table is not None:
+            assert _fields(table) == _fields(expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--di", "d"],                        # abbreviated
+        ["entropy", "--dist", "d", "--bogus", "1"],      # unknown
+        ["entropy", "--dist", "d", "--dist", "e"],       # repeated
+        ["entropy", "--dist=d"],
+        ["-h"], ["entropy", "--help"], ["--", "demo"], ["entropy", "--", "--dist", "d"],
+        ["entropy", "--dist", "-x"],                     # a value that starts with "-"
+        ["ruzsa", "size", "--dist", "d", "--k", "-3"],
+        ["entropy", "--dist", "d", "--seed", "1"],       # a global option after the command
+        ["entropy"], ["ruzsa", "lift", "--dist", "d", "--k", "2"],  # missing required
+        ["entropy", "--dist", "d", "extra"], ["entropy", "--dist"],
+        [], ["ruzsa"], ["nosuch"], ["ruzsa", "sizes", "--dist", "d", "--k", "2"],
+        ["--base", "10", "demo"], ["ruzsa", "size", "--dist", "d", "--k", "two"],  # bad type
+        ["--format", "xml", "demo"],                     # not a choice
+        ["entropy", "--dist", None], [None], [7, "demo"], [["demo"]],  # not a str
+    ], ids=repr)
+    def test_declines_what_is_not_plain(self, argv):
+        assert cli._plain_args(argv) is None
+
+    @pytest.mark.parametrize("words, level", LEAVES, ids=[" ".join(w) for w, _ in LEAVES])
+    def test_every_leaf_takes_the_table_path(self, words, level):
+        every = ["--tolerance", "0.5", "--base", "e", "--limit", "5", "--seed", "3",
+                 "--format", "table", *words]
+        required = list(words)
+        for flag, keywords in level.options.items():
+            if _is_switch(keywords):
+                tokens = [flag]
+            else:
+                tokens = [flag, keywords.get("choices", [SAMPLE[keywords.get("type")]])[-1]]
+            every += tokens
+            if keywords.get("required"):
+                required += tokens
+        for argv in (every, required):
+            table = cli._plain_args(argv)
+            assert table is not None, argv
+            assert _fields(table) == _fields(PARSER.parse_args(argv))
+            assert table.run is level.run
 
 
 def lifted_str(value) -> str:
