@@ -98,8 +98,9 @@ class InequalitySpec(Record):
     coefficients: tuple[Fraction, ...]
 
     def __init__(self, lhs_map, rhs_maps: Sequence, coefficients: Sequence):
-        maps = tuple(map(FiniteMap, _as_list(rhs_maps, "rhs_maps")))
-        lhs = FiniteMap(lhs_map)
+        # a FiniteMap is immutable and already checked, so it is kept as given
+        *maps, lhs = (m if isinstance(m, FiniteMap) else FiniteMap(m)
+                      for m in (*_as_list(rhs_maps, "rhs_maps"), lhs_map))
         coeffs = tuple(map(as_fraction, _as_list(coefficients, "coefficients")))
         if len(maps) != len(coeffs):
             raise SchemaError("rhs_maps and coefficients must have equal length")
@@ -108,7 +109,7 @@ class InequalitySpec(Record):
         domain = lhs.domain
         if any(m.domain != domain for m in maps):
             raise DomainError("all maps must share one declared domain")
-        self._set(lhs_map=lhs, rhs_maps=maps, coefficients=coeffs)
+        self._set(lhs_map=lhs, rhs_maps=tuple(maps), coefficients=coeffs)
 
     @property
     def domain(self) -> frozenset[Element]:

@@ -315,15 +315,7 @@ class FiniteMap(Record, unhashed=("table",)):
         return tuple(map(self, _as_list(vec, "vector")))
 
     def image(self, points: Iterable) -> frozenset[Element]:
-        points = _as_list(points, "points")
-        keys = _int_tuples(points)
-        if keys is None:
-            # a bad point: check and look up one point at a time, in order
-            return frozenset(self(x) for x in points)
-        try:
-            return frozenset(map(self.table.__getitem__, keys))
-        except KeyError as exc:
-            raise DomainError(f"element {exc.args[0]} not in map domain") from None
+        return frozenset(map(self, _as_list(points, "points")))
 
 
 def entropy(dist: RationalDist, base: float = 2) -> float:
@@ -395,20 +387,6 @@ def _grid(big_l: int, max_denominator: int) -> list[int]:
     )
 
 
-def _largest_remainder(target: list[float], q: int) -> list[int]:
-    """Counts k_i summing to q, rounding each target * q up or down.
-
-    The floors are raised by one in order of decreasing remainder (ties to
-    the earlier entry), cycling if float noise leaves more than n to add.
-    """
-    scaled = [t * q for t in target]
-    counts = [math.floor(x) for x in scaled]
-    order = sorted(range(len(target)), key=lambda i: counts[i] - scaled[i])
-    for k in range(q - sum(counts)):
-        counts[order[k % len(order)]] += 1
-    return counts
-
-
 def _sweep(costs: list[list[tuple[int, float]]], big_l: int, limit: float):
     """Suffix DP over the (value, cost) pairs of each entry, within `limit`.
 
@@ -461,11 +439,12 @@ def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
 
     Every candidate probability is a multiple of 1/L for L = lcm(1..D), so
     the search is a shortest-path sweep over that grid. It keeps only the
-    partial sums whose cost stays within a bound no higher than that of
-    largest-remainder rounding, so it returns what a sweep over all L + 1
-    partial sums returns, ties included. max_denominator is capped at 16:
-    the partial sums within the bound, and so the time, grow steeply with
-    the grid (81 values at D = 16, L = 720720) and the number of entries.
+    partial sums whose cost stays within a limit, and grows the limit until
+    the least cost it finds lies within it, so it returns what a sweep over
+    all L + 1 partial sums returns, ties included. That always happens:
+    putting all mass on one entry costs at most 2. max_denominator is capped
+    at 16: the partial sums within the limit, and so the time, grow steeply
+    with the grid (81 values at D = 16, L = 720720) and the number of entries.
     """
     _as_int(max_denominator, "max_denominator")
     if max_denominator < 1:
@@ -507,28 +486,20 @@ def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
     # the lower bounds it adds. If the least cost found is within the
     # limit, the optimum and every path tied with it were kept, and the
     # picks are those of a sweep over all L + 1 partial sums. The time
-    # grows steeply with the limit, so limits start low and grow by a
-    # quarter up to `bound`: the least cost, summed in the same order, of
-    # largest-remainder rounding to multiples of 1/q for q <= D.
-    bound = math.inf
-    for q in range(1, max_denominator + 1):
-        step = big_l // q
-        rounded = _largest_remainder(target, q)
-        cost = 0.0
-        for i in range(n - 1, -1, -1):
-            cost = cost + abs(rounded[i] * step - target[i] * big_l) / big_l
-        bound = min(bound, cost)
+    # grows steeply with the limit, so it starts low and grows by a
+    # quarter. The loop ends: the grid holds 0 and L, so putting all mass
+    # on one entry is a path of cost at most 2 (up to rounding), and a
+    # sweep within a limit above its cost keeps it.
     costs = [[(a, abs(a - t * big_l) / big_l) for a in grid] for t in target]
     least = sum(min(c for _, c in row) for row in costs)
-    # no lower than any entry's least cost, so every entry keeps a value
-    limit = min(bound, max(1.5 * least, bound / 8))
+    # the start is no lower than any entry's least cost, so every entry
+    # keeps a value, and above 0, so that growing it by a quarter moves it
+    limit = max(1.5 * least, 1 / big_l)
     while True:
         value, choices = _sweep(costs, big_l, limit + limit * 1e-9)
-        if value is not None and value <= limit or limit >= bound:
+        if value is not None and value <= limit:
             break
-        limit = min(bound, 1.25 * limit)
-    if value is None:
-        raise ApproximationError("no rational rounding reaches total mass 1")
+        limit *= 1.25
 
     remaining = big_l
     numerators = []

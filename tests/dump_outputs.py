@@ -14,8 +14,11 @@ exit code, stdout and stderr. The input directory's path is replaced by
 also runs USAGE, a fixed list of command lines that no benchmark op uses
 (`--help` at every parser level, usage errors, and options that argparse
 reads but the command table does not), with COLUMNS fixed at 80; they are
-dumped as workload "usage", seed 0. `diff` exits 1 and names the first
-differences when two dumps differ in any op.
+dumped as workload "usage", seed 0. It runs RATIONALIZE too, fixed
+`rationalize` command lines beyond the benchmark's sizes (which are D 8,
+10 and 12 with 3-8 weights), dumped as workload "rationalize", seed 0.
+`diff` exits 1 and names the first differences when two dumps differ in
+any op.
 
 The name does not match `test_*.py`, so pytest never collects this file;
 `tests/test_benches.py` runs it once.
@@ -28,6 +31,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -67,6 +71,15 @@ USAGE = [level.split() + ["--help"] for level in LEVELS] + [
     ["entropy", "--dist", "<d>", "extra"],                 # extra token
     ["--seed", "1", "--", "demo"],
     ["-h"],
+]
+# (weights, D): 9-12 seeded weights at D 8, 12 and 16, equal weights (exact
+# ties), zero weights, and sums past the float range
+_RNG = random.Random(20)
+RATIONALIZE = [
+    (",".join(f"{_RNG.uniform(0.05, 1.0):.6f}" for _ in range(count)), d)
+    for d in (8, 12, 16) for count in (9, 10, 11, 12)
+] + [(",".join(["1"] * count), d) for d, count in ((4, 7), (5, 9), (6, 7), (6, 11))] + [
+    ("0,1,2,0.5,0", 8), ("0,0,3", 12), (",".join(["1e308"] * 10), 12), ("1e308,5e307,1", 16),
 ]
 UNIFORM2 = {"support": [[0], [1]], "probs": ["1/2", "1/2"]}
 TRIANGLE = {"n": 3, "members": [[1, 2], [1, 3], [2, 3]], "weights": ["1/2", "1/2", "1/2"]}
@@ -140,6 +153,10 @@ def dump(src: Path, out: Path, seeds) -> int:
                 count += _write(handle, cli, workload, seed, workdir, ops)
         workdir = Path(tmp) / "usage"
         count += _write(handle, cli, "usage", 0, workdir, _usage_ops(workdir))
+        ops = [(i, f"rationalize D={d} n={weights.count(',') + 1}",
+                ["rationalize", "--weights", weights, "--max-denominator", str(d)])
+               for i, (weights, d) in enumerate(RATIONALIZE)]
+        count += _write(handle, cli, "rationalize", 0, Path(tmp), ops)
     print(f"{count} ops dumped to {out}")
     return 0
 

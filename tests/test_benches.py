@@ -5,7 +5,7 @@ tier-1 run never collects them on its own; this runs each benchmark once,
 untimed, in a subprocess. The end-to-end harness under bench/ is checked
 by running its self-test once, also in a subprocess, and the output dump
 harness `tests/dump_outputs.py` is run once on one seed, with its help and
-usage-error command lines.
+usage-error command lines and its fixed `rationalize` command lines.
 """
 
 import json
@@ -57,7 +57,8 @@ def test_dump_outputs_runs(tmp_path):
     )
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     records = [json.loads(line) for line in dump.read_text().splitlines()]
-    assert {r["workload"] for r in records} == {"counting", "entropy", "solvers", "usage"}
+    assert {r["workload"] for r in records} == {
+        "counting", "entropy", "solvers", "usage", "rationalize"}
     assert {r["code"] for r in records if r["workload"] != "usage"} == {0}
     usage = {r["kind"]: r for r in records if r["workload"] == "usage"}
     assert usage["--help"]["stdout"].startswith("usage: entroset [-h]")

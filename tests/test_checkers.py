@@ -54,6 +54,20 @@ def projection_spec(grid, index_sets, coefficients):
     )
 
 
+class TestInequalitySpec:
+    def test_maps_kept_as_given(self):
+        f = FiniteMap.identity(GRID2)
+        g = projection_map(GRID2, [1])
+        spec = InequalitySpec(f, [g], [1])
+        assert spec.lhs_map is f and spec.rhs_maps[0] is g
+
+    def test_raw_tables_become_maps(self):
+        table = {x: x for x in GRID2}
+        spec = InequalitySpec(table, [list(table.items())], [1])
+        assert spec.lhs_map == spec.rhs_maps[0] == FiniteMap.identity(GRID2)
+        assert isinstance(spec.rhs_maps, tuple)
+
+
 class TestCheckCardinality:
     def test_identity_equality(self):
         domain = [(i,) for i in range(4)]

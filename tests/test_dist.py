@@ -610,6 +610,20 @@ class TestRationalizeMatchesDenseSweep:
             assert got == dense_sweep(weights, max_denominator), (weights, max_denominator)
             checked += 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_many_weights(self, seed):
+        # 9-12 entries, more than any other test draws; L <= 60 keeps the dense sweep cheap
+        rng = random.Random(300 + seed)
+        checked = 0
+        while checked < 10:
+            max_denominator = rng.randint(1, 6)
+            weights = seeded_weights(rng, rng.randint(9, 12))
+            if rounds_to_zero(weights, max_denominator):
+                continue
+            got = rationalize(weights, max_denominator)
+            assert got == dense_sweep(weights, max_denominator), (weights, max_denominator)
+            checked += 1
+
     def test_mutated_sparse_tie_rule_fails(self, monkeypatch):
         # a copy of the sparse sweep that breaks ties with < must disagree
         source = inspect.getsource(dist_module._sweep)
