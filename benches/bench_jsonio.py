@@ -1,4 +1,4 @@
-"""Layer benchmarks of `entroset.jsonio` decoding, timed with pytest-benchmark.
+"""Layer benchmarks of `entroset.jsonio`, timed with pytest-benchmark.
 
 The tier-1 test run does not collect this file (it is not named
 `test_*.py`); pass it explicitly:
@@ -6,9 +6,9 @@ The tier-1 test run does not collect this file (it is not named
     PYTHONPATH=src python -m pytest benches/bench_jsonio.py \
         --benchmark-only --benchmark-json=out.json
 
-Each round decodes one already-parsed JSON document, so the time is the
-element checks and constructors, not `json.load`. Inputs are seeded and
-fixed, in the shapes the benchmark's `counting` workload reads:
+Each decoding round decodes one already-parsed JSON document, so the time
+is the element checks and constructors, not `json.load`. Inputs are seeded
+and fixed, in the shapes the benchmark's `counting` workload reads:
 
 * `pointset_from_json` of 250, 1000 and 4000 distinct points of {0..5}^6;
 * `ineq_spec_from_json` of a cardinality spec on the grids {0..4}^3,
@@ -19,15 +19,29 @@ fixed, in the shapes the benchmark's `counting` workload reads:
   dimension 2, with probabilities w_i / sum(w) for seeded weights w_i in
   1..30, written reduced, so their denominators are mixed; and
   `dist_to_json` of the decoded distribution, its counts written back.
+
+`dump_json` writes documents shaped like the workloads' output: a
+`project` output of 250, 1000 and 4000 points of dimension 6, a
+`ruzsa converge` report of 40 and 100 rows, and a `check lemma1` report
+(6 rows).
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from entroset.jsonio import dist_from_json, dist_to_json, ineq_spec_from_json, pointset_from_json
+from entroset import FiniteMap, InequalitySpec, RationalDist, empirical_lemma1
+from entroset.jsonio import (
+    dist_from_json,
+    dist_to_json,
+    dump_json,
+    ineq_spec_from_json,
+    pointset_from_json,
+)
+from entroset.ruzsa import convergence_profile
 
 DIM = 6
 SPAN = 6
@@ -95,3 +109,33 @@ def test_dist_to_json(benchmark, size):
     benchmark.extra_info["support"] = size
     doc = benchmark(dist_to_json, X)
     assert doc == _dist_doc(size, seed=size)
+
+
+def _converge_doc(rows: int) -> dict:
+    X = RationalDist([[0], [1], [2]], ["1/6", "1/3", "1/2"])
+    return {"rows": convergence_profile(X, [6 * (i + 1) for i in range(rows)])}
+
+
+def _lemma1_doc() -> dict:
+    X = RationalDist([[0, 0], [0, 1], [1, 0], [1, 1]], ["1/4"] * 4)
+    maps = [FiniteMap({x: tuple(x[i] for i in S) for x in X.support})
+            for S in ((0, 1), (0,), (1,))]  # the identity and both coordinates
+    return empirical_lemma1(InequalitySpec(maps[0], maps[1:], [1, 1]), X, 24).to_json()
+
+
+DUMP_DOCS = {
+    "project250": lambda: _pointset_doc(250, seed=250),
+    "project1000": lambda: _pointset_doc(1000, seed=1000),
+    "project4000": lambda: _pointset_doc(4000, seed=4000),
+    "converge40": lambda: _converge_doc(40),
+    "converge100": lambda: _converge_doc(100),
+    "lemma1": _lemma1_doc,
+}
+
+
+@pytest.mark.parametrize("shape", list(DUMP_DOCS))
+def test_dump_json(benchmark, shape):
+    doc = DUMP_DOCS[shape]()
+    expected = json.dumps(doc, indent=2)
+    benchmark.extra_info["bytes"] = len(expected)
+    assert benchmark(dump_json, doc) == expected

@@ -180,7 +180,7 @@ def _ruzsa_lift(args):
     spec = _ruzsa_spec(args)
     try:
         y = [tuple(v) for v in json.loads(args.y)]
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise EntrosetError(f"--y must be a JSON array of elements: {exc}") from exc
     lifted = preimage_lift(_load_map(args.map), spec, y)
     return {"vector": [list(x) for x in lifted]}, 0
@@ -299,10 +299,8 @@ def run_demo(args: argparse.Namespace) -> tuple[dict, int]:
 def _format_table(doc: dict) -> str:
     lines = []
     for key, value in doc.items():
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value)
-        elif type(value) is int:  # not a bool; exact past the str digit limit
-            value = jsonio.format_rational(value)
+        if type(value) is int or isinstance(value, (dict, list)):  # not a bool
+            value = jsonio._encode(value, None)
         lines.append(f"{key}: {value}")
     return "\n".join(lines)
 

@@ -5,24 +5,26 @@ strings; elements as arrays of integer coordinates; index sets as
 1-based sorted arrays. Parsing then re-serializing a canonical document
 reproduces it modulo whitespace.
 
-Output strings of exact numbers are exact at any size: `format_rational`
-writes ints and Fractions past Python's int-to-str digit limit without
-changing it, and `dump_json` writes a plain int past it as an exact JSON
-number. On input, an integer literal past that limit is a
-SchemaError naming the file.
+Output is exact at any size, and Python's int-to-str digit limit is never
+changed: one writer, `_encode`, writes both output formats as `json.dumps`
+would, with every int an exact number at any depth. On input, an int literal
+past that limit, nesting past the recursion limit, or a path that cannot be
+read is a SchemaError naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from .covers import CoverSpec
 from .checkers import InequalitySpec
 from .dist import FiniteMap, RationalDist, _as_int, _ratio, as_fraction
 from .errors import SchemaError
 from .projections import IndexSet, PointSet
-from .report import exact_text
+from .report import _decimal, exact_text
 
 
 def _expect(doc: dict, key: str, kind: str):
@@ -129,35 +131,33 @@ def load_json(path: str) -> dict:
             return json.load(handle)
     except FileNotFoundError as exc:
         raise SchemaError(f"no such file: {path}") from exc
+    except OSError as exc:  # a directory, a path through a file, no permission
+        raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an int literal past the digit limit, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # an int past the limit, too deep, not UTF-8
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _slot_ints(value, slot, ints: list[int]):
-    """Copy of `value` with every int replaced by `slot`, collected in order."""
-    if isinstance(value, dict):
-        return {k: _slot_ints(v, slot, ints) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_slot_ints(v, slot, ints) for v in value]
-    if isinstance(value, int) and not isinstance(value, bool):
-        ints.append(value)
-        return slot
-    return value
+def _encode(value, indent: str | None) -> str:
+    """`json.dumps(value)`, or `json.dumps(value, indent=2)` at the depth whose
+    line break and indentation are `indent`; ints are exact at any size."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return _decimal(value)
+    if kind is float and math.isfinite(value):
+        return repr(value)
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = None if indent is None else indent + "  "
+        first, sep, last = ("", ", ", "") if inner is None else (inner, "," + inner, indent)
+        if isinstance(value, dict):  # _escape refuses a non-str key with TypeError
+            items = [_escape(k) + ": " + _encode(v, inner) for k, v in value.items()]
+            return "{" + first + sep.join(items) + last + "}"
+        return "[" + first + sep.join([_encode(v, inner) for v in value]) + last + "]"
+    return json.dumps(value)  # bools, None, nan, inf, [] and {}; TypeError if not JSON
 
 
 def dump_json(doc: dict) -> str:
-    try:
-        return json.dumps(doc, indent=2, sort_keys=False)
-    except ValueError:  # an int past the digit limit: write it with exact_text
-        pass
-    ints: list[int] = []
-    zeroed = json.dumps(_slot_ints(doc, 0, ints), indent=2, sort_keys=False)
-    # a string of NULs that occurs nowhere else marks where each int goes
-    slot = "\0"
-    while json.dumps(slot) in zeroed:
-        slot += "\0"
-    text = json.dumps(_slot_ints(doc, slot, []), indent=2, sort_keys=False)
-    parts = text.split(json.dumps(slot))
-    return parts[0] + "".join(exact_text(n) + part for n, part in zip(ints, parts[1:]))
+    return _encode(doc, "\n")

@@ -6,10 +6,12 @@ Usage, from the root of a checkout:
     python tests/dump_outputs.py diff OLD NEW
 
 `dump` generates the inputs of every workload at each seed with
-`bench/gen.py` (imported, never changed), runs each op once through
+`bench/gen.py` (imported, never changed), runs each op through
 `cli.run` of the entroset package under SRC (the `src/` directory of any
 checkout), and writes one JSON line per op: workload, seed, op id, kind,
-exit code, stdout and stderr. The input directory's path is replaced by
+exit code, stdout and stderr. Each op is run a second time with
+`--format table` prepended and recorded under workload "table:<name>", so
+both output formats are pinned. The input directory's path is replaced by
 `<work>` in what is printed, so two dumps compare byte for byte. `dump`
 also runs USAGE, a fixed list of command lines that no benchmark op uses
 (`--help` at every parser level, usage errors, and options that argparse
@@ -151,6 +153,8 @@ def dump(src: Path, out: Path, seeds) -> int:
                 ops = [(op.op_id, op.kind, op.argv)
                        for op in gen.generate(workload, seed, workdir)]
                 count += _write(handle, cli, workload, seed, workdir, ops)
+                table = [(i, kind, ["--format", "table", *argv]) for i, kind, argv in ops]
+                count += _write(handle, cli, f"table:{workload}", seed, workdir, table)
         workdir = Path(tmp) / "usage"
         count += _write(handle, cli, "usage", 0, workdir, _usage_ops(workdir))
         ops = [(i, f"rationalize D={d} n={weights.count(',') + 1}",

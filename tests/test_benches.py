@@ -58,7 +58,8 @@ def test_dump_outputs_runs(tmp_path):
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert {r["workload"] for r in records} == {
-        "counting", "entropy", "solvers", "usage", "rationalize"}
+        "counting", "entropy", "solvers", "usage", "rationalize",
+        "table:counting", "table:entropy", "table:solvers"}
     assert {r["code"] for r in records if r["workload"] != "usage"} == {0}
     usage = {r["kind"]: r for r in records if r["workload"] == "usage"}
     assert usage["--help"]["stdout"].startswith("usage: entroset [-h]")

@@ -595,14 +595,35 @@ class TestCommandTable:
             assert table.run is level.run
 
 
-def lifted_str(value) -> str:
-    """str(value) with Python's int-to-str digit limit lifted for the call."""
+def lifted(call, *args, **kwargs):
+    """`call(*args, **kwargs)` with Python's int-to-str digit limit lifted for the call."""
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        return call(*args, **kwargs)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def lifted_str(value) -> str:
+    return lifted(str, value)
+
+
+# JSON-like documents: nested dicts, lists and tuples (empty ones too),
+# awkward strings, ints past the digit limit of both signs, edge floats
+_JSON_STRINGS = st.text(st.one_of(st.sampled_from('\x00"\\/\n\x7f\u00e9\u2028\ud800'),
+                                  st.characters()), max_size=6)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _JSON_STRINGS,
+    st.builds(lambda e, sign: sign * 3**e, st.integers(8500, 11000), st.sampled_from([1, -1])),
+    st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]), st.floats(),
+)
+JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_JSON_STRINGS, kids, max_size=4)),
+    max_leaves=16,
+)
 
 
 class TestBigIntegers:
@@ -742,20 +763,30 @@ class TestBigIntegers:
         assert (table, doc) == (f"minimal_suitable_k: {digits}\n",
                                 f'{{\n  "minimal_suitable_k": {digits}\n}}\n')
 
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=JSON_DOCUMENTS)
     @pytest.mark.parametrize(
         "big", [10**4299, -(10**5000), 7**9000], ids=["at_limit", "negative", "past"]
     )
-    def test_dump_json_matches_lifted_limit(self, big):
-        # NUL strings must not be taken for the place of an int
+    def test_dump_json_matches_lifted_limit(self, big, drawn):
         doc = {"a": [1, -2, True, None, 0.5, "\x00", "\x00\x00"],
-               "b": {"c": (3, big), "\x00": big}, "d": big}
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            expected = json.dumps(doc, indent=2)
-        finally:
-            sys.set_int_max_str_digits(old)
-        assert jsonio.dump_json(doc) == expected
+               "b": {"c": (3, big), "\x00": big}, "d": big, "drawn": drawn}
+        assert jsonio.dump_json(doc) == lifted(json.dumps, doc, indent=2)
+        assert jsonio._encode(doc, None) == lifted(json.dumps, doc)
+        assert jsonio._encode(drawn, None) == lifted(json.dumps, drawn)
+
+    def test_table_list_int_past_limit(self):
+        big = -(7**9000)
+        doc = {"k": big, "points": [[0, big], [1, 2]], "row": {"size": big, "k": 3}, "ok": True}
+        assert cli._format_table(doc) == (
+            f"k: {lifted_str(big)}\npoints: {lifted(json.dumps, doc['points'])}\n"
+            f"row: {lifted(json.dumps, doc['row'])}\nok: True")
+
+    @pytest.mark.parametrize("key", [1, 0.5, True, None, (1, 2)], ids=repr)
+    def test_non_str_key_is_refused(self, key):
+        for indent in (None, "\n"):
+            with pytest.raises(TypeError):
+                jsonio._encode({"a": [{key: 1}]}, indent)
 
 
 @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf"])
@@ -962,6 +993,40 @@ def test_cover_n_past_the_limit(tmp_path, capsys, argv, n):
     path = write(tmp_path, "c.json", {"n": n, "members": [[1]], "weights": ["1"]})
     code, out, err = invoke(capsys, [*argv, "--cover", path])
     assert (code, out, err) == (2, "", f"error: n is outside the index range: {n}\n")
+
+
+class TestReadFailures:
+    """A JSON document that cannot be read exits 2 with one error line."""
+
+    DEEP = "recursion depth exceeded while decoding a JSON array"
+
+    def test_dist_is_a_directory(self, tmp_path, capsys):
+        code, out, err = invoke(capsys, ["entropy", "--dist", str(tmp_path)])
+        assert (code, out, err) == (2, "", f"error: {tmp_path}: Is a directory\n")
+
+    def test_dist_path_through_a_file(self, tmp_path, capsys):
+        path = write(tmp_path, "d.json", UNIFORM2) + "/x"
+        code, out, err = invoke(capsys, ["entropy", "--dist", path])
+        assert (code, out, err) == (2, "", f"error: {path}: Not a directory\n")
+
+    def test_dist_nested_too_deep(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = invoke(capsys, ["entropy", "--dist", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: maximum ") and self.DEEP in err
+        assert err.count("\n") == 1
+
+    def test_lift_y_nested_too_deep(self, tmp_path, capsys):
+        dist = write(tmp_path, "d.json", {"support": [[1], [2], [3], [4]], "probs": ["1/4"] * 4})
+        fmap = write(tmp_path, "f.json", MOD2_MAP)
+        y = "[" * 60_000 + "]" * 60_000
+        code, out, err = invoke(
+            capsys, ["ruzsa", "lift", "--dist", dist, "--k", "4", "--map", fmap, "--y", y]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --y must be a JSON array of elements: maximum ")
+        assert self.DEEP in err and err.count("\n") == 1
 
 
 class TestDocumentDecoding:
