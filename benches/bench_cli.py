@@ -21,14 +21,34 @@ its options, with sample values. A round parses all of them once.
 `test_cold_import` times what every one-shot `entroset` call pays first:
 a fresh interpreter that runs `import entroset.cli` and exits, with the
 environment (and so PYTHONPATH) of the benchmark run.
+
+`test_size_series` times commands whose inputs grow, so that most of what
+they allocate is live until the command ends:
+
+* `check cardinality` of the identity against the three projections onto
+  pairs of coordinates, each with weight 1/2 (Loomis-Whitney), on the grids
+  {0..9}^3, {0..19}^3 and {0..29}^3 (1000, 8000 and 27000 points), with a
+  seeded half of the grid as the input set;
+* `condsize --t 4 --s 1,2,3` of 1000, 10000 and 100000 distinct seeded
+  points of {0..17}^4.
+
+`test_first_collection_after` times the same commands followed by the
+first cyclic-collector pass that the allocations after them set off, so a
+collector pass saved inside the command and paid just after it would show.
+`extra_info` records that pass alone: its generation and milliseconds,
+read with `gc.callbacks`, as the median over the rounds.
 """
 
 import contextlib
+import gc
 import io
 import json
 import random
+import statistics
 import subprocess
 import sys
+from itertools import combinations, product
+from time import perf_counter
 
 import pytest
 
@@ -113,3 +133,72 @@ def test_cold_import(benchmark):
     argv = [sys.executable, "-c", "import entroset.cli"]
     benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"check": True},
                        rounds=20, warmup_rounds=1)
+
+
+# {0..side-1}^3 for the cardinality specs; condsize points are drawn from {0..17}^4
+GRID_SIDES = {"g1000": 10, "g8000": 20, "g27000": 30}
+CONDSIZE_POINTS = {"p1000": 1000, "p10000": 10000, "p100000": 100000}
+COND_SPAN = 18
+
+
+def _cardinality_argv(tmp_path, side: int) -> list[str]:
+    grid = list(product(range(side), repeat=3))
+    pairs = list(combinations(range(3), 2))
+    spec = {
+        "lhs_map": {"table": [[x, x] for x in grid]},
+        "rhs_maps": [{"table": [[x, [x[i] for i in pair]] for x in grid]} for pair in pairs],
+        "coefficients": ["1/2"] * len(pairs),
+    }
+    subset = sorted(random.Random(side).sample(grid, len(grid) // 2))
+    return ["check", "cardinality", "--spec", _write(tmp_path / "spec.json", spec),
+            "--input", _write(tmp_path / "a.json", {"dimension": 3, "points": subset})]
+
+
+def _condsize_argv(tmp_path, count: int) -> list[str]:
+    codes = random.Random(count).sample(range(COND_SPAN**4), count)
+    points = [[c // COND_SPAN**i % COND_SPAN for i in range(4)] for c in sorted(codes)]
+    path = _write(tmp_path / "a.json", {"dimension": 4, "points": points})
+    return ["condsize", "--pointset", path, "--t", "4", "--s", "1,2,3"]
+
+
+@pytest.fixture(params=[*GRID_SIDES, *CONDSIZE_POINTS])
+def sized_argv(request, tmp_path):
+    if request.param in GRID_SIDES:
+        return _cardinality_argv(tmp_path, GRID_SIDES[request.param])
+    return _condsize_argv(tmp_path, CONDSIZE_POINTS[request.param])
+
+
+def test_size_series(benchmark, sized_argv):
+    assert benchmark(_run, sized_argv) == 0
+
+
+def _first_pass() -> tuple[int, float]:
+    """(generation, ms) of the next collector pass, set off by allocating lists."""
+    assert gc.isenabled()
+    marks = []
+
+    def note(phase, info):
+        marks.append((info["generation"], perf_counter()))
+
+    gc.callbacks.append(note)
+    try:
+        kept = []
+        while len(marks) < 2:  # the pass's "start" and "stop"
+            kept.append([])
+    finally:
+        gc.callbacks.remove(note)
+    (generation, start), (_, stop) = marks
+    return generation, (stop - start) * 1e3
+
+
+def test_first_collection_after(benchmark, sized_argv):
+    passes = []
+
+    def command_then_first_pass():
+        code = _run(sized_argv)
+        passes.append(_first_pass())
+        return code
+
+    assert benchmark(command_then_first_pass) == 0
+    benchmark.extra_info["first_pass_generation"] = statistics.median(g for g, _ in passes)
+    benchmark.extra_info["first_pass_ms"] = statistics.median(ms for _, ms in passes)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import random
@@ -478,20 +479,29 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def run(argv=None) -> int:
-    """Parse argv, execute, print one document; returns the exit code."""
+    """Parse argv, execute, print one document; returns the exit code.
+
+    The command runs with the cyclic garbage collector paused: every value
+    it decodes or builds is acyclic, so reference counting frees its garbage
+    and a collector pass could only re-walk live data. The collector's state
+    is restored before printing.
+    """
     args = _parse(argv)
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         _check_tolerance(args.tolerance)
         if args.limit < 1:
             raise EntrosetError("enum limit must be >= 1")
         doc, code = args.run(args)
+        text = _format_table(doc) if args.format == "table" else jsonio.dump_json(doc)
+        stream = sys.stdout
     except EntrosetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "table":
-        print(_format_table(doc))
-    else:
-        print(jsonio.dump_json(doc))
+        text, stream, code = f"error: {exc}", sys.stderr, 2
+    finally:
+        if was_enabled:
+            gc.enable()
+    print(text, file=stream)
     return code
 
 

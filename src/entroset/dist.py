@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ApproximationError, DomainError, SchemaError
+from .errors import ApproximationError, DomainError, SchemaError, _echo
 from .report import Record, exact_text
 
 Element = tuple[int, ...]
@@ -82,9 +82,9 @@ def as_element(value) -> Element:
         if not coords or not all(
             isinstance(c, int) and not isinstance(c, bool) for c in coords
         ):
-            raise SchemaError(f"element coordinates must be integers: {value!r}")
+            raise SchemaError(f"element coordinates must be integers: {_echo(value)}")
         return coords
-    raise SchemaError(f"not a ground element: {value!r}")
+    raise SchemaError(f"not a ground element: {_echo(value)}")
 
 
 def _int_tuples(values: list) -> list[Element] | None:

@@ -4,8 +4,23 @@ Everything raised on purpose derives from EntrosetError, so callers (and the
 CLI) can separate input/feasibility problems (exit code 2) from genuine
 inequality violations (reported in a CheckReport, never raised).
 Out-of-range coordinate indices raise IndexRangeError, a SchemaError that
-is also a builtin IndexError.
+is also a builtin IndexError. The element-check and "must be an array"
+messages show the offending value through `_echo`, cut to a short line.
 """
+
+#: the most characters of an offending value that an error message repeats
+ECHO_CHARS = 100
+
+
+def _echo(value) -> str:
+    """`repr(value)` for an error message, cut to ECHO_CHARS characters."""
+    try:
+        text = repr(value)
+    except RecursionError:  # nested deeper than repr can go
+        return f"a {type(value).__name__} nested too deep to show"
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
 class EntrosetError(Exception):

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from .covers import CoverSpec
 from .checkers import InequalitySpec
 from .dist import FiniteMap, RationalDist, _as_int, _ratio, as_fraction
-from .errors import SchemaError
+from .errors import SchemaError, _echo
 from .projections import IndexSet, PointSet
 from .report import _decimal, exact_text
 
@@ -35,7 +35,7 @@ def _expect(doc: dict, key: str, kind: str):
 
 def _array(value, what: str) -> list:
     if not isinstance(value, (list, tuple)):
-        raise SchemaError(f"{what} must be an array: {value!r}")
+        raise SchemaError(f"{what} must be an array: {_echo(value)}")
     return value
 
 

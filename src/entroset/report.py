@@ -109,9 +109,12 @@ class CheckReport(Record, unhashed=("details",)):
 
 
 def _decimal(n: int) -> str:
+    # fewer than 3 * limit bits means at most limit digits, and Python
+    # accepts no limit below 640, so fewer than 1920 bits is always safe
+    if n.bit_length() < 1920:
+        return str(n)
     # interpreters without the limit (before 3.10.7) report it as 0
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    # fewer than 3 * limit bits means at most limit digits
     if limit == 0 or n.bit_length() < 3 * limit:
         return str(n)
     if n < 0:

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 import entroset
 from entroset import EntrosetError, cli, jsonio
 from entroset.covers import MAX_COVER_N
-from entroset.report import exact_text
+from entroset.errors import ECHO_CHARS, _echo
+from entroset.projections import PointSet
+from entroset.report import _decimal, exact_text
 
 UNIFORM2 = {"support": [[0], [1]], "probs": ["1/2", "1/2"]}
 SIXTHS = {"support": [[1], [2], [3]], "probs": ["1/6", "1/3", "1/2"]}
@@ -698,6 +700,24 @@ class TestBigIntegers:
                   Fraction(-(7**9000), 11**6000), Fraction(1, 10**4400)]
         assert [exact_text(v) for v in values] == [lifted_str(v) for v in values]
 
+    def test_decimal_short_path_matches_str(self):
+        # under 1920 bits `_decimal` is `str` without looking up the limit
+        values = [0, 1, -1, 2**1919 - 1, 2**1919, -(2**1919), 2**1920, -(2**1920)]
+        assert [_decimal(v) for v in values] == [lifted_str(v) for v in values]
+
+    def test_decimal_exact_past_lowest_limit(self):
+        # 640 is the lowest limit Python accepts; 2**1920 - 1 has 578 digits
+        values = [2**1920 - 1, 10**639, 10**640, -(10**641 - 1), 3**5000, -(7**9000)]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            lowered = [_decimal(v) for v in values]
+        finally:
+            sys.set_int_max_str_digits(old)
+        expected = [lifted_str(v) for v in values]
+        assert lowered == expected
+        assert [_decimal(v) for v in values] == expected
+
     def test_long_integer_literal_in_input(self, tmp_path, capsys):
         path = tmp_path / "d.json"
         path.write_text('{"support": [[1]], "probs": [1' + "0" * 5000 + "]}")
@@ -1027,6 +1047,57 @@ class TestReadFailures:
         assert (code, out) == (2, "")
         assert err.startswith("error: --y must be a JSON array of elements: maximum ")
         assert self.DEEP in err and err.count("\n") == 1
+
+
+def nested(depth: int) -> str:
+    """A JSON array holding 0 at `depth` levels of nesting."""
+    return "[" * depth + "0" + "]" * depth
+
+
+class TestEchoBound:
+    """Element-check and "must be an array" errors show at most ECHO_CHARS characters
+    of the offending value."""
+
+    def assert_one_short_line(self, code, out, err, message):
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}: ")
+        assert err.count("\n") == 1 and len(err) < len(message) + ECHO_CHARS + 40
+
+    def test_dist_support_entry_nested(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_text(f'{{"support": [[0], {nested(500)}], "probs": ["1/2", "1/2"]}}')
+        code, out, err = invoke(capsys, ["entropy", "--dist", str(path)])
+        self.assert_one_short_line(code, out, err, "element coordinates must be integers")
+
+    def test_lift_y_nested(self, tmp_path, capsys):
+        dist = write(tmp_path, "d.json", {"support": [[1], [2], [3], [4]], "probs": ["1/4"] * 4})
+        fmap = write(tmp_path, "f.json", MOD2_MAP)
+        code, out, err = invoke(
+            capsys, ["ruzsa", "lift", "--dist", dist, "--k", "4", "--map", fmap,
+                     "--y", nested(500)]
+        )
+        self.assert_one_short_line(code, out, err, "element coordinates must be integers")
+
+    def test_not_an_array(self, tmp_path, capsys):
+        path = write(tmp_path, "d.json", {"support": "x" * 5000, "probs": ["1"]})
+        code, out, err = invoke(capsys, ["entropy", "--dist", path])
+        message = "distribution field 'support' must be an array"
+        self.assert_one_short_line(code, out, err, message)
+        assert err == f"error: {message}: '{'x' * (ECHO_CHARS - 1)}... (5002 characters)\n"
+
+    def test_cut_past_echo_chars(self):
+        value = [0, "a" * (ECHO_CHARS - 7)]  # a repr of exactly ECHO_CHARS characters
+        assert _echo(value) == repr(value) and len(repr(value)) == ECHO_CHARS
+        longer = [1, *value]
+        assert _echo(longer) == f"{repr(longer)[:ECHO_CHARS]}... ({ECHO_CHARS + 3} characters)"
+
+    def test_nested_past_repr(self):
+        value = 0
+        for _ in range(100_000):
+            value = [value]
+        assert _echo(value) == "a list nested too deep to show"
+        with pytest.raises(EntrosetError, match="^element coordinates must be integers: a list "):
+            PointSet(1, [[value]])
 
 
 class TestDocumentDecoding:
