@@ -4,11 +4,11 @@ The two sides of the correspondence are kept honest with one another:
 
 * every checker decides through one comparator, `_compare`, on
   (coefficient, term) pairs. A term is a float log and an exact form of a
-  count |f(A)| or |A_T cond A_C|, or of 2^H(f(X)) or 2^H(X_T | X_C):
-  `_term` makes it for an image (a set or a RationalDist),
-  `_conditional_term` for data conditioned on coordinates. A verdict is
-  decided exactly, or in floats only outside the tolerance band, or is
-  `inconclusive`;
+  count |f(A)| or |A_T cond A_C|, or of 2^H(f(X)) or 2^H(X_T | X_C);
+  `projections` makes every term, with `_term` for an image (a set or a
+  RationalDist) and `_conditional_term` for data conditioned on
+  coordinates. A verdict is decided exactly, or in floats only outside
+  the tolerance band, or is `inconclusive`;
 * `lemma2_witness` builds the uniform variable on fiber representatives
   whose image entropy equals log|f(A)| exactly, the bridge from entropy
   statements back to counting statements;
@@ -41,8 +41,6 @@ from .dist import (
     _log_function,
     as_elements,
     as_fraction,
-    entropy,
-    entropy_power,
     minimal_suitable_k,
     pushforward,
 )
@@ -53,14 +51,15 @@ from .errors import (
     SchemaError,
     SizeGuardError,
     SuitabilityError,
+    _echo,
 )
 from .projections import (
     EMPTY_INDEX_SET,
     PointSet,
-    log_conditional_avg_size,
-    conditional_size_power,
-    project_rv,
-    project_set,
+    _conditional_term,
+    _count,
+    _term,
+    log_conditional_avg_size,  # unused: bench/selftest.py checks that its tracer rewraps it
     s_star,
 )
 from .report import (
@@ -123,41 +122,6 @@ def _as_point_collection(A) -> frozenset[Element]:
     if not pts:
         raise SchemaError("point collection must be nonempty")
     return pts
-
-
-def _count(n: int, log=math.log2):
-    return log(n), n
-
-
-def _term(image, base: float):
-    """The term of an image: the count |f(A)| of a set, or 2^H(f(X)) of a RationalDist."""
-    if isinstance(image, RationalDist):
-        return entropy(image, base=base), lambda: entropy_power(image)
-    return _count(len(image), _log_function(base))
-
-
-def _conditional_term(data, T, C, base: float):
-    """|A_T cond A_C| of a PointSet or 2^H(X_T | X_C) of a RationalDist; the
-    `_term` of the projection onto T when C is empty."""
-    if isinstance(data, PointSet):
-        if not C:
-            return _term(project_set(data, T), base)
-        return (log_conditional_avg_size(data, T, C, base=base),
-                lambda: conditional_size_power(data, T, C))
-    # H(X_T | X_C) = H(X_{T u C}) - H(X_C), as `conditional_entropy` takes it
-    joint = _term(project_rv(data, T.union(C)), base)
-    if not C:
-        return joint
-    given = _term(project_rv(data, C), base)
-
-    def form():
-        # 2^H(X_T | X_C) = 2^H(X_{T u C}) / 2^H(X_C), and d_c divides d
-        (d, powers), (d_c, given_powers) = joint[1](), given[1]()
-        for b, e in given_powers.items():
-            powers[b] = powers.get(b, 0) - e * (d // d_c)
-        return d, powers
-
-    return joint[0] - given[0], form
 
 
 def _spec_sides(spec: InequalitySpec, terms: list):
@@ -267,7 +231,8 @@ def _pushforwards(spec: InequalitySpec, X: RationalDist, base: float) -> list[Ra
     _log_function(base)  # a bad base fails before the domain check
     if not frozenset(X.support) <= spec.domain:
         raise DomainError("distribution support is not contained in the maps' domain")
-    return [pushforward(m, X) for m in (spec.lhs_map, *spec.rhs_maps)]
+    # every support point is a key of every map, and already normal
+    return [pushforward(m.table.__getitem__, X) for m in (spec.lhs_map, *spec.rhs_maps)]
 
 
 def lemma2_witness(A, f: FiniteMap) -> RationalDist:
@@ -280,11 +245,8 @@ def lemma2_witness(A, f: FiniteMap) -> RationalDist:
     points = _as_point_collection(A)
     if not points <= f.domain:
         raise DomainError("point set is not contained in the map domain")
-    reps: dict[Element, Element] = {}
-    for x in sorted(points):
-        y = f(x)
-        if y not in reps:
-            reps[y] = x
+    # in descending order, the last point written to a fiber is its minimum
+    reps = {f.table[x]: x for x in sorted(points, reverse=True)}
     return RationalDist.uniform(reps.values())
 
 
@@ -329,9 +291,10 @@ def empirical_lemma1(
         )
     ks = list(range(k_min, k_max + 1, k_min))
     if not ks:
-        raise SuitabilityError(f"no suitable k <= {k_max} (minimal is {k_min})")
+        raise SuitabilityError(f"no suitable k <= {_echo(k_max)} (minimal is {k_min})")
     # every image's d divides k_min, so each k is suitable for all of them
     sizes = [_sizes(d, ks) for d in images]
+    f = spec.lhs_map.table.__getitem__
     rows = []
     for k in ks:
         counts = [s[k] for s in sizes]
@@ -340,7 +303,7 @@ def empirical_lemma1(
         enumerated = lhs_count
         if cross_validate:
             src = RuzsaSpec(X, k)
-            enumerated = len(_mapped_arrangements(spec.lhs_map, src, images[0].support, limit))
+            enumerated = len(_mapped_arrangements(f, src, images[0].support, limit))
         row = {
             "k": k,
             "verdict": report.verdict,
@@ -373,7 +336,7 @@ def _cover_data(data, side: str, n: int):
     elif side == "entropy":
         _expect_type(data, RationalDist, "entropy")
     else:
-        raise SchemaError(f"side must be 'sets' or 'entropy', got {side!r}")
+        raise SchemaError(f"side must be 'sets' or 'entropy', got {_echo(side)}")
     if n != data.dimension:
         raise SchemaError(f"cover is over [{n}] but data has dimension {data.dimension}")
     return data

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dist import _as_float, _as_int, _as_list, _expect_type, as_fraction
-from .errors import InfeasibleError, SchemaError
+from .errors import InfeasibleError, SchemaError, _echo
 from .projections import IndexSet
 from .report import HOLDS, VIOLATED, CheckReport, Record, exact_text
 
@@ -47,7 +47,7 @@ class CoverSpec(Record):
             if not m:
                 raise SchemaError("cover members must be nonempty")
             if max(m.indices) > n:
-                raise SchemaError(f"member {m.indices} exceeds n={n}")
+                raise SchemaError(f"member {_echo(m.indices)} exceeds n={n}")
         ws = None
         if weights is not None:
             ws = tuple(map(as_fraction, _as_list(weights, "cover weights")))
@@ -147,7 +147,7 @@ def min_fractional_cover(n: int, members: Sequence) -> LPSolution:
     cover = CoverSpec(n, members)
     missing = [i + 1 for i, c in enumerate(cover.multiplicities()) if c == 0]
     if missing:
-        raise InfeasibleError(f"elements {missing} appear in no member")
+        raise InfeasibleError(f"elements {_echo(missing)} appear in no member")
     rows = [[1 if (i + 1) in m else 0 for m in cover.members] for i in range(n)]
     x, y, d = _simplex_min_geq(c=[1] * len(cover.members), a=rows, b=[1] * n)
     return LPSolution(

@@ -51,7 +51,7 @@ _SEQUENCES = frozenset({list, tuple})
 def _as_int(value, what: str) -> int:
     """`value` if it is an int and not a bool; else SchemaError naming it."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer: {value!r}")
+        raise SchemaError(f"{what} must be an integer: {_echo(value)}")
     return value
 
 
@@ -60,14 +60,14 @@ def _as_list(values, what: str) -> list:
     try:
         return list(values)
     except TypeError:
-        raise SchemaError(f"{what} must be a sequence: {values!r}") from None
+        raise SchemaError(f"{what} must be a sequence: {_echo(values)}") from None
 
 
 def _expect_type(value, kind: type, what: str) -> None:
     """SchemaError unless `value` is a `kind`: "<what> needs a <kind>"."""
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise SchemaError(f"{what} needs {article} {kind.__name__}: {value!r}")
+        raise SchemaError(f"{what} needs {article} {kind.__name__}: {_echo(value)}")
 
 
 def as_element(value) -> Element:
@@ -134,8 +134,8 @@ def as_fraction(value) -> Fraction:
                 raise ValueError(f"exponent above the int digit limit {limit}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"not a rational string: {value!r}") from exc
-    raise SchemaError(f"not an exact rational: {value!r}")
+            raise SchemaError(f"not a rational string: {_echo(value)}") from exc
+    raise SchemaError(f"not an exact rational: {_echo(value)}")
 
 
 def _as_float(value, what: str) -> float:
@@ -176,7 +176,7 @@ def _log_function(base: float) -> Callable[[float], float]:
         return math.log2
     if base == math.e:
         return math.log
-    raise SchemaError(f"log base must be 2 or e, got {base!r}")
+    raise SchemaError(f"log base must be 2 or e, got {_echo(base)}")
 
 
 def _support_of(support: Sequence, probs: Sequence) -> list[Element]:
@@ -274,12 +274,13 @@ class FiniteMap(Record, unhashed=("table",)):
         try:
             pairs = list(table.items() if isinstance(table, Mapping) else table)
         except TypeError:
-            raise SchemaError(f"map table must be a mapping or a sequence: {table!r}") from None
+            raise SchemaError(
+                f"map table must be a mapping or a sequence: {_echo(table)}") from None
         if not (set(map(type, pairs)) <= _SEQUENCES and set(map(len, pairs)) <= {2}):
             # the shape of every entry is checked before any element
             for entry in pairs:
                 if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                    raise SchemaError(f"map table entries are [key, value] pairs: {entry!r}")
+                    raise SchemaError(f"map table entries are [key, value] pairs: {_echo(entry)}")
         keys = _int_tuples([k for k, _ in pairs])
         values = _int_tuples([v for _, v in pairs])
         normalized = None if keys is None or values is None else dict(zip(keys, values))
@@ -289,7 +290,7 @@ class FiniteMap(Record, unhashed=("table",)):
             for key, value in pairs:
                 k = as_element(key)
                 if k in normalized:
-                    raise SchemaError(f"duplicate key in map table: {k}")
+                    raise SchemaError(f"duplicate key in map table: {_echo(k)}")
                 normalized[k] = as_element(value)
         if not normalized:
             raise SchemaError("map table must be nonempty")
@@ -308,7 +309,7 @@ class FiniteMap(Record, unhashed=("table",)):
         try:
             return self.table[key]
         except KeyError:
-            raise DomainError(f"element {key} not in map domain") from None
+            raise DomainError(f"element {_echo(key)} not in map domain") from None
 
     def map_vector(self, vec: Sequence) -> tuple[Element, ...]:
         """Coordinatewise application to a vector over the domain."""
@@ -362,7 +363,7 @@ def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:
     """Distribution of f(X): exact preimage sums, support in first-image order."""
     _expect_type(dist, RationalDist, "pushforward")
     if not callable(f):
-        raise SchemaError(f"pushforward needs a map: {f!r}")
+        raise SchemaError(f"pushforward needs a map: {_echo(f)}")
     image = _merge(map(f, dist.support), dist)
     # map values may differ in length
     if len(set(map(len, image.support))) != 1:
@@ -456,7 +457,7 @@ def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
         raise SchemaError("weights must be nonempty")
     for w in weights:
         if not isinstance(w, numbers.Real):
-            raise SchemaError(f"weights must be real numbers: {w!r}")
+            raise SchemaError(f"weights must be real numbers: {_echo(w)}")
     if not all(math.isfinite(_as_float(w, "weight")) for w in weights):
         raise SchemaError("weights must be finite")
     if any(w < 0 for w in weights):

@@ -4,8 +4,8 @@ Everything raised on purpose derives from EntrosetError, so callers (and the
 CLI) can separate input/feasibility problems (exit code 2) from genuine
 inequality violations (reported in a CheckReport, never raised).
 Out-of-range coordinate indices raise IndexRangeError, a SchemaError that
-is also a builtin IndexError. The element-check and "must be an array"
-messages show the offending value through `_echo`, cut to a short line.
+is also a builtin IndexError. Every message that repeats an offending
+value shows it through `_echo`, cut to a short line.
 """
 
 #: the most characters of an offending value that an error message repeats
@@ -18,6 +18,8 @@ def _echo(value) -> str:
         text = repr(value)
     except RecursionError:  # nested deeper than repr can go
         return f"a {type(value).__name__} nested too deep to show"
+    except ValueError:  # holds an int past the int-to-str digit limit
+        return f"a value of type {type(value).__name__} too large to show"
     if len(text) <= ECHO_CHARS:
         return text
     return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"

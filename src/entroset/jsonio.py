@@ -41,7 +41,7 @@ def _array(value, what: str) -> list:
 
 def _decimal_free(text):
     if isinstance(text, str) and ("." in text or "e" in text or "E" in text):
-        raise SchemaError(f"rationals must be decimal-free 'p/q' strings: {text!r}")
+        raise SchemaError(f"rationals must be decimal-free 'p/q' strings: {_echo(text)}")
     return text
 
 
@@ -93,7 +93,7 @@ def pointset_to_json(A: PointSet) -> dict:
 
 def indexset_from_json(doc) -> IndexSet:
     if not isinstance(doc, (list, tuple)):
-        raise SchemaError(f"index sets are 1-based arrays: {doc!r}")
+        raise SchemaError(f"index sets are 1-based arrays: {_echo(doc)}")
     return IndexSet(doc)
 
 

@@ -7,16 +7,20 @@ weight slice sizes by the exact probability that a uniformly random point
 of A lands in the slice. Conditioning on the empty index set is defined
 to be no conditioning at all.
 
-Its log is accumulated in floats; `conditional_size_power` gives its
-|A|-th power exactly, as a product of integer powers.
+Every term of the correspondence is built here once, for the public
+functions and the checkers: `_term` (|f(A)| or 2^H(f(X))) and
+`_conditional_term` (|A_T cond A_C| or 2^H(X_T | X_C)), each a float log
+and an exact form built only when asked for.
 
 Slices are built in one grouping pass over A (`_group`), so a conditional
 average size costs O(|A|) restrictions plus a sort of the |A_S| slice
-keys, not one rescan of A per slice.
+keys, not one rescan of A per slice. Its log and its exact |A|-th power
+(`conditional_size_power`) are read from the same slice sizes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -32,8 +36,9 @@ from .dist import (
     as_element,
     as_elements,
     entropy,
+    entropy_power,
 )
-from .errors import EmptySliceError, IndexRangeError, SchemaError
+from .errors import EmptySliceError, IndexRangeError, SchemaError, _echo
 from .report import Record
 
 
@@ -51,9 +56,9 @@ class IndexSet(Record):
         raw = [int(_as_int(i, "index")) for i in _as_list(indices, "indices")]
         idx = tuple(sorted(raw))
         if len(set(idx)) != len(idx):
-            raise SchemaError(f"duplicate indices: {raw}")
+            raise SchemaError(f"duplicate indices: {_echo(raw)}")
         if any(i < 1 for i in idx):
-            raise SchemaError(f"indices must be >= 1: {idx}")
+            raise SchemaError(f"indices must be >= 1: {_echo(idx)}")
         self._set(indices=idx)
 
     def __iter__(self):
@@ -86,7 +91,7 @@ class PointSet(Record):
         if not pts:
             raise SchemaError("point set must be nonempty")
         if set(map(len, pts)) != {_as_int(dimension, "dimension")}:
-            raise SchemaError(f"all points must have dimension {dimension}")
+            raise SchemaError(f"all points must have dimension {_echo(dimension)}")
         self._set(dimension=int(dimension), points=pts)
 
     @classmethod
@@ -163,7 +168,7 @@ def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
     restrict = _restrictor(S)
     pts = frozenset(x for x in A if restrict(x) == y)
     if not pts:
-        raise EmptySliceError(f"no point of A has coordinates {y} on {S.indices}")
+        raise EmptySliceError(f"no point of A has coordinates {_echo(y)} on {S.indices}")
     return PointSet._of(A.dimension, pts)
 
 
@@ -190,30 +195,22 @@ def slice_weights(A: PointSet, S: IndexSet) -> dict[Element, Fraction]:
     }
 
 
-def log_conditional_avg_size(
-    A: PointSet, T: IndexSet, S: IndexSet, base: float = 2
-) -> float:
-    """log of the conditional average size, the form used by the checkers."""
+def log_conditional_avg_size(A: PointSet, T: IndexSet, S: IndexSet, base: float = 2) -> float:
+    """log of the conditional average size, in bits or nats."""
     _expect_type(A, PointSet, "log_conditional_avg_size")
-    log = _log_function(base)
+    _log_function(base)  # a bad base fails before the index checks
     _check_indices(T, A, "conditioned projection needs a nonempty target T")
     _check_indices(S, A)
-    if not S:
-        return log(len(project_set(A, T)))
-    total = len(A)
-    acc = 0.0
-    for _, group in sorted(_group(A, S, T).items()):
-        acc += len(group) / total * log(len(set(group)))
-    return acc
+    return _conditional_term(A, T, S, base)[0]
 
 
-def conditional_size_power(A: PointSet, T: IndexSet, S: IndexSet):
-    """(|A|, {s: e}) with |A_T cond A_S|^|A| = prod s^e: e points lie in slices of T-size s."""
+def conditional_size_power(total: int, sizes) -> tuple[int, dict[int, int]]:
+    """(|A|, {s: e}) with |A_T cond A_S|^|A| = prod s^e, from the (slice size,
+    T-size) pairs of the slices: e points lie in slices of T-size s."""
     powers: dict[int, int] = {}
-    for group in _group(A, S, T).values():
-        size = len(set(group))
-        powers[size] = powers.get(size, 0) + len(group)
-    return len(A), powers
+    for n, size in sizes:
+        powers[size] = powers.get(size, 0) + n
+    return total, powers
 
 
 def conditional_avg_size(A: PointSet, T: IndexSet, S: IndexSet) -> float:
@@ -233,8 +230,44 @@ def conditional_entropy(
     _expect_type(X, RationalDist, "conditional_entropy")
     _check_indices(S, X, "conditional entropy needs a nonempty target S")
     _check_indices(C, X)
+    return _conditional_term(X, S, C, base)[0]
+
+
+def _count(n: int, log=math.log2):
+    return log(n), n
+
+
+def _term(image, base: float):
+    """The term of an image: the count |f(A)| of a set, or 2^H(f(X)) of a RationalDist."""
+    if isinstance(image, RationalDist):
+        return entropy(image, base=base), lambda: entropy_power(image)
+    return _count(len(image), _log_function(base))
+
+
+def _conditional_term(data, T: IndexSet, C: IndexSet, base: float):
+    """|A_T cond A_C| of a PointSet or 2^H(X_T | X_C) of a RationalDist, T and
+    C checked; the `_term` of the projection onto T when C is empty."""
     if not C:
-        return entropy(project_rv(X, S), base=base)
-    joint = entropy(project_rv(X, S.union(C)), base=base)
-    given = entropy(project_rv(X, C), base=base)
-    return joint - given
+        project = project_set if isinstance(data, PointSet) else project_rv
+        return _term(project(data, T), base)
+    if isinstance(data, PointSet):
+        groups = _group(data, C, T)
+        # (slice size, T-size) of each slice, in slice-key order
+        sizes = [(len(groups[y]), len(set(groups[y]))) for y in sorted(groups)]
+        total, log = len(data), _log_function(base)
+        acc = 0.0
+        for n, size in sizes:
+            acc += n / total * log(size)
+        return acc, lambda: conditional_size_power(total, sizes)
+    # H(X_T | X_C) = H(X_{T u C}) - H(X_C)
+    joint = _term(project_rv(data, T.union(C)), base)
+    given = _term(project_rv(data, C), base)
+
+    def form():
+        # 2^H(X_T | X_C) = 2^H(X_{T u C}) / 2^H(X_C), and d_c divides d
+        (d, powers), (d_c, given_powers) = joint[1](), given[1]()
+        for b, e in given_powers.items():
+            powers[b] = powers.get(b, 0) - e * (d // d_c)
+        return d, powers
+
+    return joint[0] - given[0], form

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .dist import (
     Element,
@@ -54,7 +54,7 @@ from .dist import (
     minimal_suitable_k,
     pushforward,
 )
-from .errors import MembershipError, SizeGuardError, SuitabilityError
+from .errors import MembershipError, SizeGuardError, SuitabilityError, _echo
 from .report import HOLDS, VIOLATED, CheckReport, Record, exact_text
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -72,15 +72,15 @@ class RuzsaSpec(Record):
 
     def __init__(self, dist: RationalDist, k: int):
         if isinstance(k, bool) or not isinstance(k, int):
-            raise SuitabilityError(f"k must be an integer: {k!r}")
+            raise SuitabilityError(f"k must be an integer: {_echo(k)}")
         d = minimal_suitable_k(dist)
         if k < 1:
             raise SuitabilityError(
-                f"k={k} must be a positive multiple of the probability denominator d={d}"
+                f"k={_echo(k)} must be a positive multiple of the probability denominator d={d}"
             )
         if k % d:
             raise SuitabilityError(
-                f"k={k} is not a multiple of the probability denominators"
+                f"k={_echo(k)} is not a multiple of the probability denominators"
             )
         self._set(dist=dist, k=k)
 
@@ -231,13 +231,13 @@ def ruzsa_enumerate(
 
 
 def _mapped_arrangements(
-    f: FiniteMap, spec: RuzsaSpec, image_support, limit: int
+    f: Callable[[Element], Element], spec: RuzsaSpec, image_support, limit: int
 ) -> set[bytes]:
     """The f^k-image of the k-set of X, as arrangements over `image_support`.
 
     `image_support` is the support of the pushforward f(X): the byte of
-    source index i is the index of f(x_i) there. `f` is called only after
-    the size guards have passed.
+    source index i is the index of f(x_i) there. `f` (a FiniteMap, or its
+    table's `__getitem__`) is called only after the size guards have passed.
     """
     position = {y: j for j, y in enumerate(image_support)}
     symbols = (position[f(x)] for x in spec.dist.support)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from entroset import checkers, dist
+from entroset import checkers, dist, projections
 from entroset import (
     CoverError,
     CoverSpec,
@@ -527,8 +527,8 @@ class TestComparator:
         def refuse(*args):
             raise AssertionError("exact form built on the float path")
 
-        monkeypatch.setattr(checkers, "entropy_power", refuse)
-        monkeypatch.setattr(checkers, "conditional_size_power", refuse)
+        monkeypatch.setattr(projections, "entropy_power", refuse)
+        monkeypatch.setattr(projections, "conditional_size_power", refuse)
         spec = projection_spec(GRID2, [[1], [2]], ["1/2", "1/2"])
         assert check_cardinality(spec, TRIANGLE).provenance == "float"
         assert check_entropy(spec, RationalDist.uniform(TRIANGLE.points)).provenance == "float"
@@ -541,7 +541,7 @@ class TestComparator:
         def refuse(*args):
             raise AssertionError("exact entropy form built for lemma1")
 
-        monkeypatch.setattr(checkers, "entropy_power", refuse)
+        monkeypatch.setattr(projections, "entropy_power", refuse)
         ident = FiniteMap.identity([(0,), (1,), (2,)])
         report = empirical_lemma1(InequalitySpec(ident, [ident], [1]), self.SIXTHS, k_max=12)
         assert (report.verdict, report.provenance, report.slack) == ("holds", "exact", 0.0)

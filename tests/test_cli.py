@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1055,8 +1056,8 @@ def nested(depth: int) -> str:
 
 
 class TestEchoBound:
-    """Element-check and "must be an array" errors show at most ECHO_CHARS characters
-    of the offending value."""
+    """Every error that repeats an offending value shows at most ECHO_CHARS
+    characters of it."""
 
     def assert_one_short_line(self, code, out, err, message):
         assert (code, out) == (2, "")
@@ -1084,6 +1085,76 @@ class TestEchoBound:
         message = "distribution field 'support' must be an array"
         self.assert_one_short_line(code, out, err, message)
         assert err == f"error: {message}: '{'x' * (ECHO_CHARS - 1)}... (5002 characters)\n"
+
+    LONG = {
+        "dimension_of_200_ints": (
+            "pointset", {"dimension": list(range(200)), "points": [[0]]},
+            "point set field 'dimension' must be an integer"),
+        "decimal_of_300_characters": (
+            "dist", {"support": [[0]], "probs": ["0." + "1" * 298]},
+            "rationals must be decimal-free 'p/q' strings"),
+        "rational_string_of_300_characters": (
+            "dist", {"support": [[0]], "probs": ["x" * 300]}, "not a rational string"),
+        "probability_of_200_ints": (
+            "dist", {"support": [[0]], "probs": [list(range(200))]}, "not an exact rational"),
+        "map_entry_of_200_ints": (
+            "map", {"table": [list(range(200))]}, "map table entries are [key, value] pairs"),
+        "member_of_300_characters": (
+            "cover", {"n": 2, "members": ["x" * 300]}, "index sets are 1-based arrays"),
+        "member_of_200_duplicates": (
+            "cover", {"n": 2, "members": [[1] * 200]}, "duplicate indices"),
+        "member_of_200_negatives": (
+            "cover", {"n": 2, "members": [list(range(-199, 1))]}, "indices must be >= 1"),
+        # the value sits inside the sentence
+        "member_of_200_past_n": (
+            "cover", {"n": 2, "members": [list(range(1, 201))]}, "member (1, 2, 3,"),
+        "uncovered_2000_elements": (
+            "cover_min", {"n": 2000, "members": [[1]]}, "elements [2, 3, 4,"),
+        "duplicate_key_of_200_ints": (
+            "map", {"table": [[list(range(200)), [0]], [list(range(200)), [1]]]},
+            "duplicate key in map table: (0, 1,"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LONG))
+    def test_long_value_is_cut(self, tmp_path, capsys, case):
+        kind, doc, message = self.LONG[case]
+        path = write(tmp_path, "doc.json", doc)
+        argv = {
+            "pointset": ["project", "--pointset", path, "--indices", "1"],
+            "dist": ["entropy", "--dist", path],
+            "map": ["pushforward", "--map", path, "--dist", path],
+            "cover": ["cover", "check", "--cover", path],
+            "cover_min": ["cover", "min", "--cover", path],
+        }[kind]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert re.search(r"\.\.\. \(\d+ characters\)", err)
+        assert len(err) < len(message) + ECHO_CHARS + 60
+
+    def test_short_value_is_whole(self, tmp_path, capsys):
+        path = write(tmp_path, "c.json", {"n": 2, "members": [[2, 1, 2]]})
+        code, out, err = invoke(capsys, ["cover", "check", "--cover", path])
+        assert (code, out, err) == (2, "", "error: duplicate indices: [2, 1, 2]\n")
+
+    def test_int_past_the_digit_limit(self):
+        # repr and str of an int of more than 4300 digits raise ValueError
+        huge = 10**5000
+        assert _echo([huge]) == "a value of type list too large to show"
+        X = entroset.RationalDist([(0,), (1,)], ["1/2", "1/2"])
+        ident = entroset.FiniteMap.identity(X.support)
+        spec = entroset.InequalitySpec(ident, [ident], [1])
+        first = entroset.IndexSet([1])
+        calls = {
+            "project_set needs a PointSet: ": lambda: entroset.project_set(huge, first),
+            "all points must have dimension ": lambda: PointSet(huge, [(1,)]),
+            "k=": lambda: entroset.RuzsaSpec(X, -huge),
+            "no suitable k <= ": lambda: entroset.empirical_lemma1(spec, X, -huge),
+        }
+        for prefix, call in calls.items():
+            shown = re.escape(prefix) + "a value of type int too large to show"
+            with pytest.raises(EntrosetError, match=f"^{shown}"):
+                call()
 
     def test_cut_past_echo_chars(self):
         value = [0, "a" * (ECHO_CHARS - 7)]  # a repr of exactly ECHO_CHARS characters
@@ -1200,7 +1271,7 @@ class TestDocumentDecoding:
         # int() refuses a string past sys.get_int_max_str_digits() (4300)
         "numerator_of_5000_digits": (
             "dist", {"support": [[1]], "probs": ["1" * 5000]},
-            f"not a rational string: {'1' * 5000!r}",
+            f"not a rational string: '{'1' * (ECHO_CHARS - 1)}... (5002 characters)",
         ),
     }
     GOOD = {

@@ -24,7 +24,11 @@ from entroset import (
     s_star,
     slice_weights,
 )
-from entroset.projections import log_conditional_avg_size
+from entroset.projections import (
+    EMPTY_INDEX_SET,
+    _conditional_term,
+    log_conditional_avg_size,
+)
 
 from genutil import random_dist_on, random_pointset
 
@@ -318,3 +322,51 @@ class TestConditionalEntropy:
                 lhs = conditional_entropy(X, IndexSet(T), IndexSet(S))
                 rhs = math.log2(conditional_avg_size(A, IndexSet(T), IndexSet(S)))
                 assert lhs <= rhs + 1e-9
+
+
+class TestTerms:
+    """The public quantities are the logs of the terms the checkers compare."""
+
+    @staticmethod
+    def draw(rng):
+        n = rng.randint(1, 4)
+        A = random_pointset(rng, n, span=3, max_size=60)
+        T = IndexSet(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        C = IndexSet(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        return A, T, C
+
+    @pytest.mark.parametrize("base", [2, math.e])
+    def test_public_functions_read_the_term_log(self, base):
+        rng = random.Random(83)
+        for _ in range(60):
+            A, T, C = self.draw(rng)
+            X = random_dist_on(rng, A.sorted_points())
+            for given in (EMPTY_INDEX_SET, C):
+                sets, entropy_log = (_conditional_term(data, T, given, base)[0]
+                                     for data in (A, X))
+                assert log_conditional_avg_size(A, T, given, base=base) == sets
+                assert sets == _rescan_log_cond_size(A, T.indices, given.indices, base)
+                assert conditional_entropy(X, T, given, base=base) == entropy_log
+                if base == 2:
+                    assert conditional_avg_size(A, T, given) == 2.0**sets
+
+    def test_entropy_term_is_the_difference_of_marginals(self):
+        rng = random.Random(89)
+        for _ in range(60):
+            A, T, C = self.draw(rng)
+            X = random_dist_on(rng, A.sorted_points())
+            joint, given = (entropy(project_rv(X, S)) for S in (T.union(C), C))
+            assert _conditional_term(X, T, C, 2)[0] == joint - given
+            assert _conditional_term(X, T, EMPTY_INDEX_SET, 2)[0] == entropy(project_rv(X, T))
+
+    def test_set_form_is_the_slice_census(self):
+        # |A_T cond A_C|^|A| = prod s^e: e points of A lie in slices of T-size s
+        rng = random.Random(97)
+        for _ in range(60):
+            A, T, C = self.draw(rng)
+            census: dict[int, int] = {}
+            for y in {_restrict(x, C.indices) for x in A}:
+                members = [x for x in A if _restrict(x, C.indices) == y]
+                size = len({_restrict(x, T.indices) for x in members})
+                census[size] = census.get(size, 0) + len(members)
+            assert _conditional_term(A, T, C, 2)[1]() == (len(A), census)

@@ -27,8 +27,12 @@ from entroset import (
     check_entropy,
     check_projection_theorem,
     check_shearer,
+    conditional_avg_size,
+    conditional_entropy,
+    empirical_lemma1,
 )
 from entroset.checkers import DEFAULT_TOLERANCE, _compare, _conditional_term
+from entroset.projections import log_conditional_avg_size
 from entroset.report import HOLDS, VIOLATED
 
 from genutil import random_fractional_cover, random_uniform_k_cover
@@ -132,3 +136,42 @@ def test_conditional_terms_tie_exactly(G):
             for lhs, rhs in ((sets, entropy), (entropy, sets)):
                 report = _compare([(1, lhs)], [(1, rhs)], DEFAULT_TOLERANCE)
                 assert (report.verdict, report.provenance) == (HOLDS, "exact"), (T, C)
+
+
+@settings(max_examples=20, deadline=None)
+@given(G=SUBGROUPS, base=st.sampled_from([2, math.e]))
+def test_public_functions_read_the_terms(G, base):
+    """log_conditional_avg_size, conditional_avg_size and conditional_entropy
+    are the logs of the checkers' terms, bit for bit, for every nonempty T and
+    every C outside it (the empty C included)."""
+    everything = range(1, G.n + 1)
+    for T in _index_sets(everything)[1:]:
+        for C in _index_sets([i for i in everything if i not in T]):
+            sets, entropy = (_conditional_term(data, T, C, base)[0] for data in (G.A, G.X))
+            assert log_conditional_avg_size(G.A, T, C, base=base) == sets
+            assert conditional_entropy(G.X, T, C, base=base) == entropy
+            if base == 2:
+                assert conditional_avg_size(G.A, T, C) == 2.0**sets
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=SUBGROUPS, count=st.integers(1, 3), coefficients=st.data())
+def test_lemma1_rows_count_type_classes(G, count, coefficients):
+    """X is uniform on A, so k_min = |A|, and f(X) is uniform on m = |f(A)|
+    points: every row count at k = |A| and 2|A| is k!/((k/m)!)^m, and the
+    entropy side of the report is the set side of check_cardinality."""
+    maps = [G.linear_map() for _ in range(count + 1)]
+    coeffs = coefficients.draw(st.lists(
+        st.fractions(0, 3, max_denominator=4), min_size=count, max_size=count))
+    spec = InequalitySpec(maps[0], maps[1:], coeffs)
+    size = len(G.points)
+    report = empirical_lemma1(spec, G.X, k_max=2 * size)
+    cardinality = check_cardinality(spec, G.A)
+    assert math.isclose(report.lhs, cardinality.lhs, abs_tol=1e-9)
+    assert math.isclose(report.rhs, cardinality.rhs, abs_tol=1e-9)
+    assert report.details["k_values"] == [size, 2 * size]
+    images = [len(f.image(G.points)) for f in maps]
+    for row in report.details["rows"]:
+        k = row["k"]
+        counts = [int(row["lhs_count"]), *map(int, row["rhs_counts"])]
+        assert counts == [math.factorial(k) // math.factorial(k // m) ** m for m in images]
