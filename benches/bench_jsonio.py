@@ -14,7 +14,10 @@ and fixed, in the shapes the benchmark's `counting` workload reads:
 * `ineq_spec_from_json` of a cardinality spec on the grids {0..4}^3,
   {0..5}^4 and {0..6}^4 (125, 1296 and 2401 points): the identity table
   against the projection tables onto the 3 or 4 members of the cover by
-  all sets of d - 1 coordinates, each with weight 1/(d - 1);
+  all sets of d - 1 coordinates, each with weight 1/(d - 1). Every table
+  lists the grid in one key order, so the rhs tables share the lhs's key
+  column; `test_ineq_spec_from_json_shuffled` decodes the same spec with
+  each rhs table's entries in a seeded shuffled order, so none does;
 * `dist_from_json` of a distribution on 4, 40, 400 and 4000 points of
   dimension 2, with probabilities w_i / sum(w) for seeded weights w_i in
   1..30, written reduced, so their denominators are mixed; and
@@ -59,12 +62,14 @@ def _table(grid, indices) -> dict:
     return {"table": [[list(x), [x[i - 1] for i in indices]] for x in grid]}
 
 
-def _spec_doc(side: int, d: int) -> dict:
+def _spec_doc(side: int, d: int, shuffle: bool = False) -> dict:
     grid = list(product(range(side), repeat=d))
     members = list(combinations(range(1, d + 1), d - 1))
+    rng = random.Random(side)
+    rhs = [_table(rng.sample(grid, len(grid)) if shuffle else grid, m) for m in members]
     return {
         "lhs_map": _table(grid, range(1, d + 1)),
-        "rhs_maps": [_table(grid, m) for m in members],
+        "rhs_maps": rhs,
         "coefficients": [f"1/{d - 1}"] * len(members),
     }
 
@@ -83,6 +88,14 @@ def test_ineq_spec_from_json(benchmark, side, d):
     benchmark.extra_info["domain"] = side**d
     spec = benchmark(ineq_spec_from_json, doc)
     assert len(spec.domain) == side**d
+
+
+@pytest.mark.parametrize("side,d", [(5, 3), (6, 4), (7, 4)], ids=["g125", "g1296", "g2401"])
+def test_ineq_spec_from_json_shuffled(benchmark, side, d):
+    doc = _spec_doc(side, d, shuffle=True)
+    benchmark.extra_info["domain"] = side**d
+    spec = benchmark(ineq_spec_from_json, doc)
+    assert spec == ineq_spec_from_json(_spec_doc(side, d))
 
 
 def _dist_doc(size: int, seed: int) -> dict:

@@ -105,8 +105,9 @@ class InequalitySpec(Record):
             raise SchemaError("rhs_maps and coefficients must have equal length")
         if not maps:
             raise SchemaError("need at least one rhs map")
-        domain = lhs.domain
-        if any(m.domain != domain for m in maps):
+        # maps decoded from one key column list the same keys in one order
+        keys, domain = list(lhs.table), lhs.domain
+        if any(list(m.table) != keys and m.domain != domain for m in maps):
             raise DomainError("all maps must share one declared domain")
         self._set(lhs_map=lhs, rhs_maps=tuple(maps), coefficients=coeffs)
 
@@ -198,7 +199,7 @@ def check_cardinality(
             "cardinality-side checks require nonnegative coefficients"
         )
     points = _as_point_collection(A)
-    if not points <= spec.domain:
+    if points.difference(spec.lhs_map.table):
         raise DomainError("point set is not contained in the maps' domain")
     # every point is a key of every map (one shared domain), and already normal
     terms = [_term(frozenset(map(m.table.__getitem__, points)), 2)
@@ -354,7 +355,7 @@ def check_shearer(
     _log_function(base)  # a bad base fails before the cover checks
     uniform = is_uniform_k_cover(cover, k)
     if not uniform.details["uniform"]:
-        raise CoverError(f"not a uniform {k}-cover: counts {uniform.details['counts']}")
+        raise CoverError(f"not a uniform {k}-cover: counts {_echo(uniform.details['counts'])}")
     data = _cover_data(data, side, cover.n)
     whole = _term(data, base)
     parts = [_conditional_term(data, m, EMPTY_INDEX_SET, base) for m in cover.members]
@@ -387,7 +388,7 @@ def check_projection_theorem(
         raise CoverError("projection theorem checks need cover weights")
     frac = is_fractional_cover(cover)
     if not frac.holds:
-        raise CoverError(f"not a fractional cover: coverage {frac.details['coverage']}")
+        raise CoverError(f"not a fractional cover: coverage {_echo(frac.details['coverage'])}")
     members = [
         (m, w) for m, w in zip(cover.members, cover.weights) if w > 0
     ]

@@ -22,21 +22,26 @@ Index-set arguments are checked by `projections._check_indices`.
 Elements are checked once, where a value enters: a constructor called
 through the API or by a JSON decoder normalizes its elements with
 `as_element`/`as_elements`, which check every coordinate (a whole list at
-once when it is valid). Internal results, such as projections, slices and
-copies of a map, are built from tuples that are already normal and are not
-checked again.
+once when it is valid). A map table is read by `_map_table`, whose key
+column a later table in the same key order reuses (the maps of an
+inequality spec share one domain), as does an identity table's value
+column. Internal results, such as projections, slices and copies of a map,
+are built from tuples that are already normal and are not checked again.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import numbers
 import re
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ApproximationError, DomainError, SchemaError, _echo
 from .report import Record, exact_text
@@ -257,6 +262,66 @@ class RationalDist(Record):
         return len(self.support)
 
 
+class _KeyColumn:
+    """A raw key column that passed the bulk check, and its key tuples.
+
+    `holds` is true of a raw column of the same values of the same types. It
+    compares marshal's bytes, which tell True, 1.0 and 1 apart where `==` does
+    not, and refuse all but builtin types. The first entries are compared
+    first: most other columns already differ there.
+    """
+
+    def __init__(self, raw: list, keys: list[Element]):
+        self.raw, self.keys, self._head = raw, keys, marshal.dumps(raw[:1], 2)
+
+    @cached_property
+    def _bytes(self) -> bytes:
+        return marshal.dumps(self.raw, 2)
+
+    def holds(self, raw: list) -> bool:
+        try:
+            return marshal.dumps(raw[:1], 2) == self._head and marshal.dumps(raw, 2) == self._bytes
+        except ValueError:  # a type marshal cannot write
+            return False
+
+
+def _map_table(table, column: _KeyColumn | None = None) -> tuple[dict, _KeyColumn | None]:
+    """A map table (a mapping or a sequence of [key, value] pairs), normalized,
+    and its key column if that passed the bulk check. A key column that
+    `column` holds, and a value column that the key column holds (an identity
+    table), reuse its key tuples. A bad entry or a repeated key falls back to
+    one entry at a time, so the first in table order raises, as it would alone.
+    """
+    try:
+        pairs = list(table.items() if isinstance(table, Mapping) else table)
+    except TypeError:
+        raise SchemaError(
+            f"map table must be a mapping or a sequence: {_echo(table)}") from None
+    if not (set(map(type, pairs)) <= _SEQUENCES and set(map(len, pairs)) <= {2}):
+        # the shape of every entry is checked before any element
+        for entry in pairs:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise SchemaError(f"map table entries are [key, value] pairs: {_echo(entry)}")
+    raw_keys, raw_values = [k for k, _ in pairs], [v for _, v in pairs]
+    if column is None or not column.holds(raw_keys):
+        keys = _int_tuples(raw_keys)
+        column = None if keys is None else _KeyColumn(raw_keys, keys)
+    identity = column is not None and column.holds(raw_values)
+    values = column.keys if identity else _int_tuples(raw_values)
+    normalized = None if column is None or values is None else dict(zip(column.keys, values))
+    if normalized is None or len(normalized) != len(pairs):
+        # a bad entry or a duplicate key: the first one in table order raises
+        normalized = {}
+        for key, value in pairs:
+            k = as_element(key)
+            if k in normalized:
+                raise SchemaError(f"duplicate key in map table: {_echo(k)}")
+            normalized[k] = as_element(value)
+    if not normalized:
+        raise SchemaError("map table must be nonempty")
+    return normalized, column
+
+
 class FiniteMap(Record, unhashed=("table",)):
     """Explicit function table between ground elements.
 
@@ -267,34 +332,14 @@ class FiniteMap(Record, unhashed=("table",)):
     table: Mapping[Element, Element]
 
     def __init__(self, table):
-        if isinstance(table, FiniteMap):
-            # already normal: copy the table without checking it again
-            self._set(table=dict(table.table))
-            return
-        try:
-            pairs = list(table.items() if isinstance(table, Mapping) else table)
-        except TypeError:
-            raise SchemaError(
-                f"map table must be a mapping or a sequence: {_echo(table)}") from None
-        if not (set(map(type, pairs)) <= _SEQUENCES and set(map(len, pairs)) <= {2}):
-            # the shape of every entry is checked before any element
-            for entry in pairs:
-                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                    raise SchemaError(f"map table entries are [key, value] pairs: {_echo(entry)}")
-        keys = _int_tuples([k for k, _ in pairs])
-        values = _int_tuples([v for _, v in pairs])
-        normalized = None if keys is None or values is None else dict(zip(keys, values))
-        if normalized is None or len(normalized) != len(pairs):
-            # a bad entry or a duplicate key: the first one in table order raises
-            normalized = {}
-            for key, value in pairs:
-                k = as_element(key)
-                if k in normalized:
-                    raise SchemaError(f"duplicate key in map table: {_echo(k)}")
-                normalized[k] = as_element(value)
-        if not normalized:
-            raise SchemaError("map table must be nonempty")
-        self._set(table=normalized)
+        # a FiniteMap is already normal: its table is copied, not checked again
+        table = dict(table.table) if isinstance(table, FiniteMap) else _map_table(table)[0]
+        self._set(table=table)
+
+    @classmethod
+    def _of(cls, table: dict[Element, Element]) -> "FiniteMap":
+        """A map of an already-normal, nonempty table, kept as given."""
+        return object.__new__(cls)._set(table=table)
 
     @classmethod
     def identity(cls, domain: Iterable) -> "FiniteMap":

@@ -10,6 +10,11 @@ changed: one writer, `_encode`, writes both output formats as `json.dumps`
 would, with every int an exact number at any depth. On input, an int literal
 past that limit, nesting past the recursion limit, or a path that cannot be
 read is a SchemaError naming the file.
+
+Elements are checked once, where a value enters: each decoder builds its
+values through the constructors' checks. An inequality spec's maps share
+one domain, so a table listing its keys in the lhs table's order reuses
+the lhs's checked key tuples instead of reading its key column again.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from .covers import CoverSpec
 from .checkers import InequalitySpec
-from .dist import FiniteMap, RationalDist, _as_int, _ratio, as_fraction
+from .dist import FiniteMap, RationalDist, _as_int, _map_table, _ratio, as_fraction
 from .errors import SchemaError, _echo
 from .projections import IndexSet, PointSet
 from .report import _decimal, exact_text
@@ -68,8 +73,12 @@ def dist_to_json(dist: RationalDist) -> dict:
     }
 
 
+def _table(doc: dict) -> list:
+    return _array(_expect(doc, "table", "map"), "map field 'table'")
+
+
 def map_from_json(doc: dict) -> FiniteMap:
-    return FiniteMap(_array(_expect(doc, "table", "map"), "map field 'table'"))
+    return FiniteMap(_table(doc))
 
 
 def map_to_json(f: FiniteMap) -> dict:
@@ -117,12 +126,13 @@ def cover_to_json(cover: CoverSpec) -> dict:
 
 
 def ineq_spec_from_json(doc: dict) -> InequalitySpec:
-    lhs = map_from_json(_expect(doc, "lhs_map", "inequality spec"))
+    lhs, column = _map_table(_table(_expect(doc, "lhs_map", "inequality spec")))
     rhs = _array(_expect(doc, "rhs_maps", "inequality spec"), "inequality spec field 'rhs_maps'")
-    rhs = [map_from_json(m) for m in rhs]
+    # a table written in the lhs's key order shares its checked key tuples
+    rhs = [FiniteMap._of(_map_table(_table(m), column)[0]) for m in rhs]
     coeffs = _expect(doc, "coefficients", "inequality spec")
     coeffs = [parse_rational(c) for c in _array(coeffs, "inequality spec field 'coefficients'")]
-    return InequalitySpec(lhs, rhs, coeffs)
+    return InequalitySpec(FiniteMap._of(lhs), rhs, coeffs)
 
 
 def load_json(path: str) -> dict:

@@ -124,7 +124,7 @@ def _check_indices(S: IndexSet, data, empty: str | None = None) -> None:
         if empty:
             raise SchemaError(empty)
     elif max(S.indices) > data.dimension:
-        raise IndexRangeError(f"index set {S.indices} exceeds dimension {data.dimension}")
+        raise IndexRangeError(f"index set {_echo(S.indices)} exceeds dimension {data.dimension}")
 
 
 def _restrictor(S: IndexSet) -> Callable[[Element], Element]:

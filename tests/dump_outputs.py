@@ -18,7 +18,10 @@ also runs USAGE, a fixed list of command lines that no benchmark op uses
 reads but the command table does not), with COLUMNS fixed at 80; they are
 dumped as workload "usage", seed 0. It runs RATIONALIZE too, fixed
 `rationalize` command lines beyond the benchmark's sizes (which are D 8,
-10 and 12 with 3-8 weights), dumped as workload "rationalize", seed 0.
+10 and 12 with 3-8 weights), dumped as workload "rationalize", seed 0,
+and SPEC_OPS, `check cardinality` and `check entropy` over fixed specs whose
+tables are written in one key order, reordered, or with one fault each,
+dumped as workload "specs", seed 0.
 `diff` exits 1 and names the first differences when two dumps differ in
 any op.
 
@@ -84,6 +87,38 @@ RATIONALIZE = [
     ("0,1,2,0.5,0", 8), ("0,0,3", 12), (",".join(["1e308"] * 10), 12), ("1e308,5e307,1", 16),
 ]
 UNIFORM2 = {"support": [[0], [1]], "probs": ["1/2", "1/2"]}
+# inequality specs over the grid {0,1}^2: the identity against both coordinates,
+# the tables written in one key order, reordered, and with one fault each
+
+
+def _spec(*tables) -> dict:
+    return {"lhs_map": {"table": tables[0]}, "rhs_maps": [{"table": t} for t in tables[1:]],
+            "coefficients": ["1"] * (len(tables) - 1)}
+
+
+GRID = [[0, 0], [0, 1], [1, 0], [1, 1]]
+IDENTITY = [[x, list(x)] for x in GRID]
+FIRST, SECOND = ([[x, [x[i]]] for x in GRID] for i in (0, 1))
+SPECS = {
+    "same order": _spec(IDENTITY, FIRST, SECOND),
+    "reordered": _spec(IDENTITY, FIRST[::-1], SECOND[2:] + SECOND[:2]),
+    "identity rhs": _spec(IDENTITY, IDENTITY, FIRST),
+    "other domain": _spec(IDENTITY, FIRST[:3], SECOND),
+    "bool in rhs key": _spec(IDENTITY, FIRST[:3] + [[[1, True], [1]]], SECOND),
+    "float in lhs value": _spec(IDENTITY[:3] + [[[1, 1], [1, 1.0]]], FIRST, SECOND),
+    "duplicate rhs key": _spec(IDENTITY, FIRST, SECOND[:3] + [[[1, 0], [0]]]),
+    "3-entry rhs pair": _spec(IDENTITY, FIRST, SECOND[:3] + [[[1, 1], [1], [1]]]),
+    "string in rhs value": _spec(IDENTITY, [[[0, 0], ["x"]]] + FIRST[1:], SECOND),
+    "bad value before bad pair": _spec(IDENTITY, [[[0, 0], [None]]] + FIRST[1:] + [[0]], SECOND),
+}
+# (spec, command, input): <a> is a point set of the grid, <h> half of it,
+# <x> a point off the grid; <d> is uniform on the grid
+SPEC_OPS = [
+    *((name, command, data) for name in SPECS
+      for command, data in (("cardinality", "<a>"), ("entropy", "<d>"))),
+    ("same order", "cardinality", "<h>"),
+    ("reordered", "cardinality", "<x>"),
+]
 TRIANGLE = {"n": 3, "members": [[1, 2], [1, 3], [2, 3]], "weights": ["1/2", "1/2", "1/2"]}
 
 
@@ -127,6 +162,22 @@ def _usage_ops(workdir: Path) -> list[tuple[int, str, list[str]]]:
     return ops
 
 
+def _spec_ops(workdir: Path) -> list[tuple[int, str, list[str]]]:
+    """(op id, kind, argv) of each SPEC_OPS line, its files in `workdir`."""
+    workdir.mkdir()
+    grid = {"dimension": 2, "points": GRID}
+    docs = {"<a>": grid, "<h>": {**grid, "points": GRID[1:3]},
+            "<x>": {**grid, "points": [[0, 0], [2, 0]]},
+            "<d>": {"support": GRID, "probs": ["1/4"] * 4}}
+    files = {}
+    for i, (mark, doc) in enumerate([*docs.items(), *SPECS.items()]):
+        files[mark] = workdir / f"{i}.json"
+        files[mark].write_text(json.dumps(doc), encoding="utf-8")
+    return [(i, f"check {command} {name} {data}",
+             ["check", command, "--spec", str(files[name]), "--input", str(files[data])])
+            for i, (name, command, data) in enumerate(SPEC_OPS)]
+
+
 def _write(handle, cli, workload: str, seed: int, workdir: Path, ops) -> int:
     """Run each (op id, kind, argv) and write its record; returns the count."""
     for op_id, kind, argv in ops:
@@ -161,6 +212,8 @@ def dump(src: Path, out: Path, seeds) -> int:
                 ["rationalize", "--weights", weights, "--max-denominator", str(d)])
                for i, (weights, d) in enumerate(RATIONALIZE)]
         count += _write(handle, cli, "rationalize", 0, Path(tmp), ops)
+        workdir = Path(tmp) / "specs"
+        count += _write(handle, cli, "specs", 0, workdir, _spec_ops(workdir))
     print(f"{count} ops dumped to {out}")
     return 0
 

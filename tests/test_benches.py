@@ -5,7 +5,8 @@ tier-1 run never collects them on its own; this runs each benchmark once,
 untimed, in a subprocess. The end-to-end harness under bench/ is checked
 by running its self-test once, also in a subprocess, and the output dump
 harness `tests/dump_outputs.py` is run once on one seed, with its help and
-usage-error command lines and its fixed `rationalize` command lines.
+usage-error command lines, its fixed `rationalize` command lines and its
+fixed inequality-spec command lines.
 """
 
 import json
@@ -58,9 +59,13 @@ def test_dump_outputs_runs(tmp_path):
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert {r["workload"] for r in records} == {
-        "counting", "entropy", "solvers", "usage", "rationalize",
+        "counting", "entropy", "solvers", "usage", "rationalize", "specs",
         "table:counting", "table:entropy", "table:solvers"}
-    assert {r["code"] for r in records if r["workload"] != "usage"} == {0}
+    assert {r["code"] for r in records if r["workload"] not in ("usage", "specs")} == {0}
+    specs = {r["kind"]: r for r in records if r["workload"] == "specs"}
+    assert {r["code"] for r in specs.values()} == {0, 2}
+    assert specs["check cardinality bool in rhs key <a>"]["stderr"] == (
+        "error: element coordinates must be integers: [1, True]\n")
     usage = {r["kind"]: r for r in records if r["workload"] == "usage"}
     assert usage["--help"]["stdout"].startswith("usage: entroset [-h]")
     assert usage["entropy"]["stderr"].endswith("required: --dist\nSystemExit(2)")

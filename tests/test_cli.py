@@ -1137,6 +1137,38 @@ class TestEchoBound:
         code, out, err = invoke(capsys, ["cover", "check", "--cover", path])
         assert (code, out, err) == (2, "", "error: duplicate indices: [2, 1, 2]\n")
 
+    # computed values: a cover's counts and coverage, an index set past the dimension
+    COMPUTED = {
+        "shearer_counts": (
+            ["check", "shearer", "--k", "2", "--side", "sets"], {"members": [[1]]},
+            "not a uniform 2-cover: counts [1, 0, 0,", "not a uniform 2-cover: counts [1, 0]"),
+        "projection_coverage": (
+            ["check", "projection", "--side", "sets"], {"members": [[1]], "weights": ["1"]},
+            "not a fractional cover: coverage ['1', '0', '0',",
+            "not a fractional cover: coverage ['1', '0']"),
+        "project_indices": (
+            ["project", "--indices"], None, "index set (1, 2, 3,", "index set (1, 2) exceeds"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COMPUTED))
+    @pytest.mark.parametrize("n", [2, 3000], ids=["short", "long"])
+    def test_computed_value(self, tmp_path, capsys, case, n):
+        argv, cover, long_message, short_message = self.COMPUTED[case]
+        points = write(tmp_path, "a.json", {"dimension": 1, "points": [[0]]})
+        if cover is None:
+            argv = [*argv, ",".join(map(str, range(1, n + 1))), "--pointset", points]
+        else:
+            argv = [*argv, "--cover", write(tmp_path, "c.json", {"n": n, **cover}),
+                    "--input", points]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        if n == 2:  # a short value is shown whole, as it always was
+            assert err == f"error: {short_message}{' dimension 1' if cover is None else ''}\n"
+        else:
+            assert err.startswith(f"error: {long_message}")
+            assert re.search(r"\.\.\. \(\d+ characters\)", err)
+            assert len(err) < len(long_message) + ECHO_CHARS + 60
+
     def test_int_past_the_digit_limit(self):
         # repr and str of an int of more than 4300 digits raise ValueError
         huge = 10**5000

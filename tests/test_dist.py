@@ -830,6 +830,95 @@ class TestElementFastPath:
         assert g == f and g.table == f.table and g.table is not f.table
 
 
+def reference_spec(doc):
+    """`ineq_spec_from_json` map by map: each table through `reference_table`
+    in document order, then the domains compared as frozensets."""
+    lhs = reference_table(doc["lhs_map"]["table"])
+    rhs = [reference_table(m["table"]) for m in doc["rhs_maps"]]
+    if any(frozenset(t) != frozenset(lhs) for t in rhs):
+        raise DomainError("all maps must share one declared domain")
+    return InequalitySpec(FiniteMap(lhs), [FiniteMap(t) for t in rhs], doc["coefficients"])
+
+
+# a bool or float equal to the int coordinate it replaces, and coordinates equal to no int
+EQUAL_INTRUDERS = {0: False, 1: True}
+BAD_COORDINATES = ["x", None, 1.5, [0]]
+
+
+@st.composite
+def spec_docs(draw):
+    """A spec document over one domain of 1-6 keys: the lhs an identity or a
+    drawn table, each rhs table in the lhs's key order, shuffled, an identity
+    or over another domain; now and then one fault in one entry of one table."""
+    dim = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    domain = draw(st.lists(coords, min_size=1, max_size=6, unique_by=tuple))
+
+    def table(kind):
+        keys = [list(k) for k in domain]  # every table has its own lists, as JSON gives
+        if kind == "shuffled":
+            keys = draw(st.permutations(keys))
+        elif kind == "other domain":
+            keys = draw(st.lists(coords, min_size=1, max_size=6, unique_by=tuple))
+        if kind == "identity":
+            return [[k, list(k)] for k in keys]
+        images = st.lists(st.integers(0, 3), min_size=1, max_size=2)
+        return [[k, draw(images)] for k in keys]
+
+    tables = [table(draw(st.sampled_from(["identity", "same order"])))]
+    kinds = st.sampled_from(["same order", "shuffled", "identity", "other domain"])
+    tables += [table(draw(kinds)) for _ in range(draw(st.integers(1, 3)))]
+    fault = draw(st.sampled_from([None, "coordinate", "equal", "duplicate", "triple"]))
+    if fault is not None:
+        t = draw(st.sampled_from(tables))
+        i = draw(st.integers(0, len(t) - 1))
+        if fault == "triple":
+            t[i] = [*t[i], t[i][1]]
+        elif fault == "duplicate":
+            t.insert(i, [list(draw(st.sampled_from(t))[0]), [0]])
+        else:
+            element = t[i][draw(st.integers(0, 1))]
+            j = draw(st.integers(0, len(element) - 1))
+            element[j] = (EQUAL_INTRUDERS.get(element[j], float(element[j]))
+                          if fault == "equal" else draw(st.sampled_from(BAD_COORDINATES)))
+    return {"lhs_map": {"table": tables[0]}, "rhs_maps": [{"table": t} for t in tables[1:]],
+            "coefficients": ["1/2"] * (len(tables) - 1)}
+
+
+class TestSpecDecoding:
+    """`ineq_spec_from_json`, which shares a key column between tables, against
+    `reference_spec`, which decodes each map alone."""
+
+    @given(spec_docs())
+    @settings(max_examples=400)
+    def test_matches_map_by_map(self, doc):
+        expected = outcome(reference_spec, doc)
+        assert outcome(jsonio.ineq_spec_from_json, doc) == expected
+        if expected[0] == "ok":
+            spec = jsonio.ineq_spec_from_json(doc)
+            assert spec == reference_spec(doc)
+            tables = [m.table for m in (spec.lhs_map, *spec.rhs_maps)]
+            assert len({id(t) for t in tables}) == len(tables)
+
+    @pytest.mark.parametrize("intruder", [True, 1.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("where", ["rhs key", "lhs value"])
+    def test_value_equal_to_an_int_is_refused(self, intruder, where):
+        # True == 1 and 1.0 == 1, so the columns compare equal with ==
+        doc = {"lhs_map": {"table": [[[0, 1], [0, 1]], [[1, 1], [1, 1]]]},
+               "rhs_maps": [{"table": [[[0, 1], [0]], [[1, 1], [1]]]}],
+               "coefficients": ["1"]}
+        table = doc["rhs_maps"][0]["table"] if where == "rhs key" else doc["lhs_map"]["table"]
+        table[1][0 if where == "rhs key" else 1][1] = intruder
+        with pytest.raises(SchemaError, match="^element coordinates must be integers: "):
+            jsonio.ineq_spec_from_json(doc)
+
+    def test_array_value_is_refused_without_comparing_it(self):
+        # `==` against a NumPy array of two entries raises ValueError
+        np = pytest.importorskip("numpy")
+        with pytest.raises(SchemaError, match="^not a ground element: array"):
+            FiniteMap([[[0, 1], np.array([0, 1])]])
+
+
 def reference_ratio(value):
     p = as_fraction(value)
     return p.numerator, p.denominator
