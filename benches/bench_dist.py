@@ -15,6 +15,10 @@ Inputs are seeded and fixed:
   `solvers` workload.
 * `entropy` and `pushforward` on distributions with 16, 256 and 4096
   support points and random exact masses; the map sends x to x // 4.
+* `as_fraction` and `_ratio`, the one reader of rationals, on 10, 100 and
+  1,000 seeded values of each kind: plain "p/q" strings (every rational
+  the CLI reads from a benchmark input), signed or spaced strings ("-3/4",
+  " 1/2"), Fractions and ints; p/q has q in 1..40 and 0 <= p <= q.
 """
 
 import random
@@ -23,6 +27,7 @@ from fractions import Fraction
 import pytest
 
 from entroset import FiniteMap, RationalDist, entropy, pushforward, rationalize
+from entroset.dist import _ratio, as_fraction
 
 BATCH = 5
 
@@ -63,3 +68,29 @@ def test_pushforward(benchmark, support):
     X = _dist(support)
     f = FiniteMap({(x,): (x // 4,) for x in range(support)})
     assert len(benchmark(pushforward, f, X)) == support // 4
+
+
+def _rationals(kind: str, count: int) -> list:
+    rng = random.Random(count)
+    pairs = [(rng.randint(0, q), q) for q in (rng.randint(1, 40) for _ in range(count))]
+    if kind == "plain":
+        return [f"{p}/{q}" for p, q in pairs]
+    if kind == "signed":
+        return [f"-{p}/{q}" if i % 2 else f" {p}/{q}" for i, (p, q) in enumerate(pairs)]
+    if kind == "fraction":
+        return [Fraction(p, q) for p, q in pairs]
+    return [p for p, _ in pairs]
+
+
+def _read_all(read, values):
+    return [read(v) for v in values]
+
+
+@pytest.mark.parametrize("count", [10, 100, 1000], ids=["n10", "n100", "n1000"])
+@pytest.mark.parametrize("kind", ["plain", "signed", "fraction", "int"])
+@pytest.mark.parametrize("read", [as_fraction, _ratio], ids=["as_fraction", "_ratio"])
+def test_read_rationals(benchmark, read, kind, count):
+    values = _rationals(kind, count)
+    out = benchmark(_read_all, read, values)
+    assert [Fraction(*r) if isinstance(r, tuple) else r for r in out] == [
+        Fraction(v) for v in values]

@@ -5,10 +5,10 @@ length-1 tuples so that every element lives in some product space.
 A distribution stores positive int counts c_i over d, the lcm of the
 reduced denominators of its probabilities p_i = c_i/d, so the form is
 canonical. Zero-mass outcomes are dropped; `probs` derives the Fractions.
-Probabilities are read as int (numerator, denominator) pairs: a plain
-"p" or "p/q" string of ASCII digits is split and read with `int`, and no
-Fraction is made on the way in or out; any other string goes through
-`as_fraction`, which decides what is accepted and what the error says.
+Every rational (probability, coefficient, cover weight) is read by `_ratio`
+as an int (numerator, denominator) pair; a plain "p" or "p/q" string is read
+with `int`, so no Fraction is made on the way in or out of a distribution.
+`as_fraction` is the Fraction of that pair.
 
 Entropy is the only float-valued quantity here; everything feeding it
 (counts, preimage sums, denominators) stays exact, as does 2^(d*H).
@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from .errors import ApproximationError, DomainError, SchemaError, _echo
+from .errors import ApproximationError, DomainError, SchemaError, _cut, _echo
 from .report import Record, exact_text
 
 Element = tuple[int, ...]
@@ -121,26 +121,40 @@ def as_elements(values: Iterable) -> list[Element]:
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction.
+def _ratio(value) -> tuple[int, int]:
+    """An exact rational as its (numerator, denominator), in lowest terms.
 
-    A string whose exponent exceeds the int digit limit is refused, as is
-    one with a part of more digits: `Fraction` would build 10**exponent.
+    The one reader of rationals. A plain "p" or "p/q" string of ASCII digits
+    with q nonzero is read with `int` and one `gcd`; any other string is read
+    by `Fraction`. A string with a part past the int digit limit is refused,
+    as is one whose exponent exceeds it (`Fraction` would build 10**exponent).
+    An int (not a bool) or a Fraction gives its own numerator and denominator.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        exponent = _EXPONENT.search(value)
-        try:
+    try:
+        if type(value) is str and value.isascii():
+            num, slash, den = value.partition("/")
+            if num.isdigit() and (den.isdigit() or not slash):
+                n, q = int(num), int(den) if slash else 1
+                if q:
+                    g = math.gcd(n, q)
+                    return n // g, q // g
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return value.numerator, value.denominator
+        if isinstance(value, str):
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            exponent = _EXPONENT.search(value)
             if limit and exponent and int(exponent[1]) > limit:
                 raise ValueError(f"exponent above the int digit limit {limit}")
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"not a rational string: {_echo(value)}") from exc
+            p = Fraction(value)
+            return p.numerator, p.denominator
+    except (ValueError, ZeroDivisionError) as exc:  # raised only in reading a string
+        raise SchemaError(f"not a rational string: {_echo(value)}") from exc
     raise SchemaError(f"not an exact rational: {_echo(value)}")
+
+
+def as_fraction(value) -> Fraction:
+    """Ints, Fractions and rational strings as an exact Fraction, read by `_ratio`."""
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
 def _as_float(value, what: str) -> float:
@@ -148,31 +162,7 @@ def _as_float(value, what: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise SchemaError(f"{what} is outside the float range: {exact_text(value)}") from None
-
-
-def _ratio(value) -> tuple[int, int]:
-    """`as_fraction(value)` as its (numerator, denominator), in lowest terms.
-
-    A plain "p" or "p/q" string of ASCII digits with q nonzero is read with
-    `int`; every other string, and every value that is not an int or a
-    Fraction, goes through `as_fraction`, which accepts it or raises.
-    """
-    if type(value) is str and value.isascii():
-        num, slash, den = value.partition("/")
-        if num.isdigit() and (den.isdigit() or not slash):
-            try:
-                n, q = int(num), int(den) if slash else 1
-            except ValueError:  # a part past the int digit limit
-                pass
-            else:
-                if q:
-                    g = math.gcd(n, q)
-                    return n // g, q // g
-    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return value.numerator, value.denominator
-    p = as_fraction(value)
-    return p.numerator, p.denominator
+        raise SchemaError(f"{what} is outside the float range: {_cut(exact_text(value))}") from None
 
 
 def _log_function(base: float) -> Callable[[float], float]:
@@ -337,11 +327,6 @@ class FiniteMap(Record, unhashed=("table",)):
         self._set(table=table)
 
     @classmethod
-    def _of(cls, table: dict[Element, Element]) -> "FiniteMap":
-        """A map of an already-normal, nonempty table, kept as given."""
-        return object.__new__(cls)._set(table=table)
-
-    @classmethod
     def identity(cls, domain: Iterable) -> "FiniteMap":
         return cls({x: x for x in as_elements(domain)})
 
@@ -400,7 +385,7 @@ def _merge(images: Iterable[Element], dist: RationalDist) -> RationalDist:
         masses[y] = masses.get(y, 0) + c
     g = math.gcd(dist.denominator, *masses.values())
     counts = tuple(c // g for c in masses.values())
-    return object.__new__(RationalDist)._set(
+    return RationalDist._of(
         support=tuple(masses), counts=counts, denominator=dist.denominator // g)
 
 

@@ -4,25 +4,29 @@ Everything raised on purpose derives from EntrosetError, so callers (and the
 CLI) can separate input/feasibility problems (exit code 2) from genuine
 inequality violations (reported in a CheckReport, never raised).
 Out-of-range coordinate indices raise IndexRangeError, a SchemaError that
-is also a builtin IndexError. Every message that repeats an offending
-value shows it through `_echo`, cut to a short line.
+is also a builtin IndexError. A message that repeats an offending value
+(`_echo`) or an exact number cuts it to a short line with `_cut`.
 """
 
 #: the most characters of an offending value that an error message repeats
 ECHO_CHARS = 100
 
 
+def _cut(text: str) -> str:
+    """`text` for an error message, cut to ECHO_CHARS characters."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _echo(value) -> str:
-    """`repr(value)` for an error message, cut to ECHO_CHARS characters."""
+    """`repr(value)` for an error message, cut by `_cut`."""
     try:
-        text = repr(value)
+        return _cut(repr(value))
     except RecursionError:  # nested deeper than repr can go
         return f"a {type(value).__name__} nested too deep to show"
     except ValueError:  # holds an int past the int-to-str digit limit
         return f"a value of type {type(value).__name__} too large to show"
-    if len(text) <= ECHO_CHARS:
-        return text
-    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
 class EntrosetError(Exception):

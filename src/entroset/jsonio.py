@@ -129,10 +129,10 @@ def ineq_spec_from_json(doc: dict) -> InequalitySpec:
     lhs, column = _map_table(_table(_expect(doc, "lhs_map", "inequality spec")))
     rhs = _array(_expect(doc, "rhs_maps", "inequality spec"), "inequality spec field 'rhs_maps'")
     # a table written in the lhs's key order shares its checked key tuples
-    rhs = [FiniteMap._of(_map_table(_table(m), column)[0]) for m in rhs]
+    rhs = [FiniteMap._of(table=_map_table(_table(m), column)[0]) for m in rhs]
     coeffs = _expect(doc, "coefficients", "inequality spec")
     coeffs = [parse_rational(c) for c in _array(coeffs, "inequality spec field 'coefficients'")]
-    return InequalitySpec(FiniteMap._of(lhs), rhs, coeffs)
+    return InequalitySpec(FiniteMap._of(table=lhs), rhs, coeffs)
 
 
 def load_json(path: str) -> dict:

@@ -101,11 +101,6 @@ class PointSet(Record):
             raise SchemaError("point set must be nonempty")
         return cls(len(pts[0]), pts)
 
-    @classmethod
-    def _of(cls, dimension: int, points: frozenset[Element]) -> "PointSet":
-        """A point set of already-normal tuples, nonempty and of one dimension."""
-        return object.__new__(cls)._set(dimension=dimension, points=points)
-
     def sorted_points(self) -> list[Element]:
         return sorted(self.points)
 
@@ -142,7 +137,7 @@ def project_set(A: PointSet, S: IndexSet) -> PointSet:
     """Coordinate projection {x_S : x in A}, duplicates collapsed."""
     _expect_type(A, PointSet, "project_set")
     _check_indices(S, A, "cannot project onto the empty index set")
-    return PointSet._of(len(S), frozenset(map(_restrictor(S), A.points)))
+    return PointSet._of(dimension=len(S), points=frozenset(map(_restrictor(S), A.points)))
 
 
 def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
@@ -169,7 +164,7 @@ def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
     pts = frozenset(x for x in A if restrict(x) == y)
     if not pts:
         raise EmptySliceError(f"no point of A has coordinates {_echo(y)} on {S.indices}")
-    return PointSet._of(A.dimension, pts)
+    return PointSet._of(dimension=A.dimension, points=pts)
 
 
 def _group(A: PointSet, S: IndexSet, T: IndexSet) -> dict[Element, list[Element]]:

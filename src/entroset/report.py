@@ -50,6 +50,11 @@ class Record:
         self.__dict__.update(fields)
         return self
 
+    @classmethod
+    def _of(cls, **fields):
+        """An instance of already-checked fields, kept as given."""
+        return object.__new__(cls)._set(**fields)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -3,15 +3,41 @@
 Everything takes an explicit random.Random so each test fixes its own
 seed; scales follow the desk-scale bounds used throughout (support and
 point sets of a few dozen elements, denominators in the low teens).
+`reference_ratio` is the test oracle for reading a rational: it reads with
+`fractions.Fraction` alone, not with the package's own reader.
 """
 
 from __future__ import annotations
 
+import fractions
 import math
 import random
+import sys
 from fractions import Fraction
 
-from entroset import CoverSpec, FiniteMap, IndexSet, PointSet, RationalDist
+from entroset import CoverSpec, FiniteMap, IndexSet, PointSet, RationalDist, SchemaError
+from entroset.errors import _echo
+
+
+def reference_ratio(value) -> tuple[int, int]:
+    """An exact rational as (numerator, denominator), read by `Fraction` alone.
+
+    It refuses what the package documents refusing: a bool, a value that is
+    not an int, a Fraction or a string, a string `Fraction` cannot read, and
+    one whose exponent, as `Fraction` reads it, exceeds the int digit limit.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise SchemaError(f"not an exact rational: {_echo(value)}")
+    try:
+        if isinstance(value, str):
+            match = fractions._RATIONAL_FORMAT.match(value)
+            limit = sys.get_int_max_str_digits()
+            if limit and match and match["exp"] and abs(int(match["exp"])) > limit:
+                raise ValueError("exponent above the int digit limit")
+        p = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"not a rational string: {_echo(value)}") from None
+    return p.numerator, p.denominator
 
 
 def random_elements(rng: random.Random, count: int, dim: int = 1, span: int = 10):

@@ -331,6 +331,11 @@ class TestCheckShearer:
         with pytest.raises(CoverError):
             check_shearer(RationalDist.uniform([(0, 0, 0)]), cover, 2, "entropy")
 
+    def test_k_past_the_digit_limit_is_cut(self):
+        with pytest.raises(SchemaError) as info:
+            check_shearer(PointSet(1, [[0], [1]]), CoverSpec(1, [[1]]), 10**5000, "sets")
+        assert str(info.value) == f"k is outside the float range: 1{'0' * 99}... (5001 characters)"
+
     def test_matches_direct_han_evaluation(self):
         rng = random.Random(17)
         grid = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]

@@ -24,6 +24,8 @@ from entroset.errors import ECHO_CHARS, _echo
 from entroset.projections import PointSet
 from entroset.report import _decimal, exact_text
 
+from genutil import reference_ratio
+
 UNIFORM2 = {"support": [[0], [1]], "probs": ["1/2", "1/2"]}
 SIXTHS = {"support": [[1], [2], [3]], "probs": ["1/6", "1/3", "1/2"]}
 MOD2_MAP = {"table": [[[1], [1]], [[2], [0]], [[3], [1]], [[4], [0]]]}
@@ -829,6 +831,9 @@ def test_overflowing_weight_sum(capsys):
 
 
 BIG = "1" + "0" * 400
+# BIG and BIG + "1" in an error message: the first ECHO_CHARS digits and the length
+BIG_CUT = f"1{'0' * (ECHO_CHARS - 1)}... (401 characters)"
+BIG1_CUT = f"1{'0' * (ECHO_CHARS - 1)}... (402 characters)"
 IDENTITY2 = {"table": [[[0], [0]], [[1], [1]]]}
 
 
@@ -852,24 +857,27 @@ class TestFloatRange:
         "argv, message",
         [
             (["check", "cardinality", "--spec", "{spec}", "--input", "{line}"],
-             f"coefficient is outside the float range: {BIG}"),
+             f"coefficient is outside the float range: {BIG_CUT}"),
             (["check", "entropy", "--spec", "{spec}", "--input", "{dist}"],
-             f"coefficient is outside the float range: {BIG}"),
+             f"coefficient is outside the float range: {BIG_CUT}"),
             (["check", "lemma1", "--spec", "{spec}", "--input", "{dist}", "--kmax", "4"],
-             f"coefficient is outside the float range: {BIG}"),
+             f"coefficient is outside the float range: {BIG_CUT}"),
             (["cover", "check", "--cover", "{big}"],
-             f"least coverage is outside the float range: {BIG}"),
+             f"least coverage is outside the float range: {BIG_CUT}"),
             (["cover", "check", "--cover", "{one}", "--k", BIG + "1"],
-             f"k is outside the float range: {BIG}1"),
+             f"k is outside the float range: {BIG1_CUT}"),
             (["check", "shearer", "--cover", "{one}", "--input", "{line}", "--k", BIG + "1",
               "--side", "sets"],
-             f"k is outside the float range: {BIG}1"),
+             f"k is outside the float range: {BIG1_CUT}"),
             (["check", "projection", "--cover", "{mixed}", "--input", "{plane}",
               "--side", "sets"],
-             f"weight is outside the float range: {BIG}"),
+             f"weight is outside the float range: {BIG_CUT}"),
+            (["check", "shearer", "--cover", "{one}", "--input", "{line}", "--k",
+              "1" + "0" * 3999, "--side", "sets"],
+             f"k is outside the float range: 1{'0' * (ECHO_CHARS - 1)}... (4000 characters)"),
         ],
         ids=["cardinality", "entropy", "lemma1", "cover_check", "cover_check_k", "shearer_k",
-             "projection"],
+             "projection", "shearer_long_k"],
     )
     def test_schema_error_names_the_value(self, files, capsys, argv, message):
         code, out, err = invoke(capsys, [a.format(**files) for a in argv])
@@ -1590,7 +1598,13 @@ class TestDecoderFuzz:
                                     "distribution field 'support'")
             probs = jsonio._array(jsonio._expect(doc, "probs", "distribution"),
                                   "distribution field 'probs'")
-            return entroset.RationalDist(support, [jsonio.parse_rational(p) for p in probs])
+            fracs = []
+            for p in probs:
+                if isinstance(p, str) and any(c in p for c in ".eE"):
+                    raise entroset.SchemaError(
+                        f"rationals must be decimal-free 'p/q' strings: {_echo(p)}")
+                fracs.append(Fraction(*reference_ratio(p)))
+            return entroset.RationalDist(support, fracs)
 
         assert decoded(jsonio.dist_from_json, doc) == decoded(through_fractions, doc)
 

@@ -42,7 +42,7 @@ from entroset import dist as dist_module
 from entroset import jsonio
 from entroset.dist import _grid, _ratio, as_element, as_elements, as_fraction
 
-from genutil import random_dist, random_elements, random_map
+from genutil import random_dist, random_elements, random_map, reference_ratio
 
 
 HALVES = RationalDist.uniform([0, 1])
@@ -176,11 +176,16 @@ def test_rationalize_argument_of_wrong_type_is_schema_error(weights, max_denomin
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
-def test_rationalize_weight_past_float_range(big):
+@pytest.mark.parametrize(
+    "big, length",
+    [(10**400, 401), (Fraction(10**400, 3), 403)],
+    ids=["int", "fraction"],
+)
+def test_rationalize_weight_past_float_range(big, length):
     with pytest.raises(SchemaError) as info:
         rationalize([big, 1], 4)
-    assert str(info.value) == f"weight is outside the float range: {big}"
+    cut = f"1{'0' * 99}... ({length} characters)"
+    assert str(info.value) == f"weight is outside the float range: {cut}"
 
 
 class TestEntropy:
@@ -809,9 +814,13 @@ class TestElementFastPath:
             [[[0], [True]], [[1], [0], [2]]],
             [[[0], [0]], [[0], [0]]],
             {(0,): [1], 1: (2,)},
+            # a value column marshal cannot write is not taken for the key column
+            {(0,): (Small.ONE,)},
+            {(0,): Fraction(1)},
         ],
         ids=["duplicate-first", "bad-value-first", "triple", "scalar-entry", "scalar-only",
-             "flat-triple", "bad-pair-after-bad-value", "same-pair", "mapping"],
+             "flat-triple", "bad-pair-after-bad-value", "same-pair", "mapping", "enum-value",
+             "fraction-value"],
     )
     def test_seeded_map_table(self, pairs):
         assert outcome(lambda p: FiniteMap(p).table, pairs) == outcome(reference_table, pairs)
@@ -919,9 +928,8 @@ class TestSpecDecoding:
             FiniteMap([[[0, 1], np.array([0, 1])]])
 
 
-def reference_ratio(value):
-    p = as_fraction(value)
-    return p.numerator, p.denominator
+def reference_fraction(value):
+    return Fraction(*reference_ratio(value))
 
 
 def reference_dist(support, probs):
@@ -933,7 +941,7 @@ def reference_dist(support, probs):
     if lengths_differ:
         raise SchemaError("support and probs must have equal length")
     elems = as_elements(support)
-    fracs = [as_fraction(p) for p in probs]
+    fracs = [reference_fraction(p) for p in probs]
     if any(p < 0 for p in fracs):
         raise SchemaError("probabilities must be nonnegative")
     kept = [(x, p) for x, p in zip(elems, fracs) if p > 0]
@@ -962,6 +970,7 @@ SEEDED_RATIOS = [
     "1_0/20", "1__0/20", "_1/2", "1/2_",
     "\u0661/\u0662", "\uff11/\uff12", "\u0663", "\u00b2", "1/\u00b2",
     "1/0", "0/0", "", " ", "/", "/2", "1/", "1/2/3", "1 / 2", "1.5", "1e3", "1.", "1/-2", "abc",
+    "1e-4301", "2E+4_301 ", "1e4300", "1/2e9999",
     "9" * 4300, "1/" + "9" * 4300, "9" * 4301, "1/" + "9" * 4301, "0" * 5000 + "1",
     0, 1, -3, 2**100, True, False, Small.ONE, Fraction(0), Fraction(-2, 6), Fraction(10**30, 7),
     0.5, float("nan"), None, [1, 2], (1, 2),
@@ -1000,15 +1009,17 @@ def dist_arguments(draw):
 
 
 class TestRatio:
-    """Probabilities read as int pairs against reading them as Fractions."""
+    """`_ratio` and `as_fraction` against `reference_ratio`, which reads with `Fraction` alone."""
 
     @pytest.mark.parametrize("value", SEEDED_RATIOS, ids=lambda v: repr(v)[:24])
     def test_seeded_value(self, value):
         assert outcome(_ratio, value) == outcome(reference_ratio, value)
+        assert outcome(as_fraction, value) == outcome(reference_fraction, value)
 
     @given(ratio_values)
     def test_value(self, value):
         assert outcome(_ratio, value) == outcome(reference_ratio, value)
+        assert outcome(as_fraction, value) == outcome(reference_fraction, value)
 
     @settings(max_examples=300)
     @given(dist_arguments())
@@ -1016,10 +1027,14 @@ class TestRatio:
         assert outcome(stored, *arguments) == outcome(reference_dist, *arguments)
 
     def test_plain_probabilities_make_no_fraction(self, monkeypatch):
-        def refuse(value):
-            raise AssertionError(f"as_fraction({value!r}) called")
+        # every string off the plain path has its exponent read before `Fraction`
+        class Refuse:
+            def search(self, value):
+                raise AssertionError(f"{value!r} read by Fraction")
 
-        monkeypatch.setattr(dist_module, "as_fraction", refuse)
+        monkeypatch.setattr(dist_module, "_EXPONENT", Refuse())
+        with pytest.raises(AssertionError, match="read by Fraction"):
+            RationalDist([0], [" 1"])
         doc = {"support": [[0], [1], [2], [3]], "probs": ["1/6", "2/6", "0", "01/2"]}
         X = jsonio.dist_from_json(doc)
         assert (X.support, X.counts, X.denominator) == (((0,), (1,), (3,)), (1, 2, 3), 6)
