@@ -4,11 +4,11 @@ The two sides of the correspondence are kept honest with one another:
 
 * every checker decides through one comparator, `_compare`, on
   (coefficient, term) pairs. A term is a float log and an exact form of a
-  count |f(A)| or |A_T cond A_C|, or of 2^H(f(X)) or 2^H(X_T | X_C);
-  `projections` makes every term, with `_term` for an image (a set or a
-  RationalDist) and `_conditional_term` for data conditioned on
-  coordinates. A verdict is decided exactly, or in floats only outside
-  the tolerance band, or is `inconclusive`;
+  count |f(A)| or |f(A) cond g(A)|, or of 2^H(f(X)) or 2^H(f(X) | g(X));
+  `projections` makes every term, with `_term` for an image and
+  `_conditional_term` for f given g (map table getters or `_restrictor`s).
+  A verdict is decided exactly, or in floats only outside the tolerance
+  band, or is `inconclusive`;
 * `lemma2_witness` builds the uniform variable on fiber representatives
   whose image entropy equals log|f(A)| exactly, the bridge from entropy
   statements back to counting statements;
@@ -51,13 +51,14 @@ from .errors import (
     SchemaError,
     SizeGuardError,
     SuitabilityError,
+    _cut,
     _echo,
 )
 from .projections import (
-    EMPTY_INDEX_SET,
     PointSet,
     _conditional_term,
     _count,
+    _restrictor,
     _term,
     log_conditional_avg_size,  # unused: bench/selftest.py checks that its tracer rewraps it
     s_star,
@@ -202,7 +203,7 @@ def check_cardinality(
     if points.difference(spec.lhs_map.table):
         raise DomainError("point set is not contained in the maps' domain")
     # every point is a key of every map (one shared domain), and already normal
-    terms = [_term(frozenset(map(m.table.__getitem__, points)), 2)
+    terms = [_conditional_term(points, m.table.__getitem__, None, 2)
              for m in (spec.lhs_map, *spec.rhs_maps)]
     lhs_count, *rhs_counts = (exact_text(n) for _, n in terms)
     details = {"lhs_count": lhs_count, "rhs_counts": rhs_counts,
@@ -285,14 +286,14 @@ def empirical_lemma1(
     # the entropy side is reported in floats only: the rows decide the verdict
     lhs_log, rhs_log = _logs(*_spec_sides(spec, [_term(d, base) for d in images]))
     k_min = minimal_suitable_k(X)
-    k_max = _as_int(k_max, "k_max")
+    k_max, shown = _as_int(k_max, "k_max"), _cut(exact_text(k_min))
     if k_max // k_min > MAX_LEMMA1_ROWS:
         raise SizeGuardError(
-            f"k_max // k_min exceeds the row limit {MAX_LEMMA1_ROWS} (k_min = {k_min})"
+            f"k_max // k_min exceeds the row limit {MAX_LEMMA1_ROWS} (k_min = {shown})"
         )
     ks = list(range(k_min, k_max + 1, k_min))
     if not ks:
-        raise SuitabilityError(f"no suitable k <= {_echo(k_max)} (minimal is {k_min})")
+        raise SuitabilityError(f"no suitable k <= {_echo(k_max)} (minimal is {shown})")
     # every image's d divides k_min, so each k is suitable for all of them
     sizes = [_sizes(d, ks) for d in images]
     f = spec.lhs_map.table.__getitem__
@@ -355,10 +356,11 @@ def check_shearer(
     _log_function(base)  # a bad base fails before the cover checks
     uniform = is_uniform_k_cover(cover, k)
     if not uniform.details["uniform"]:
-        raise CoverError(f"not a uniform {k}-cover: counts {_echo(uniform.details['counts'])}")
+        raise CoverError(f"not a uniform {_cut(exact_text(k))}-cover: "
+                         f"counts {_echo(uniform.details['counts'])}")
     data = _cover_data(data, side, cover.n)
     whole = _term(data, base)
-    parts = [_conditional_term(data, m, EMPTY_INDEX_SET, base) for m in cover.members]
+    parts = [_conditional_term(data, _restrictor(m), None, base) for m in cover.members]
     report = _compare([(k, whole)], [(1, t) for t in parts], tolerance)
     if isinstance(data, RationalDist):
         return report.with_details({"projection_entropies": [h for h, _ in parts]})
@@ -393,7 +395,8 @@ def check_projection_theorem(
         (m, w) for m, w in zip(cover.members, cover.weights) if w > 0
     ]
     data = _cover_data(data, side, cover.n)
-    terms = [(w, _conditional_term(data, m, s_star(m), base)) for m, w in members]
+    terms = [(w, _conditional_term(data, _restrictor(m), _restrictor(s_star(m)), base))
+             for m, w in members]
     return _compare(
         [(1, _term(data, base))],
         terms,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dist import _as_float, _as_int, _as_list, _expect_type, as_fraction
-from .errors import InfeasibleError, SchemaError, _echo
+from .errors import InfeasibleError, SchemaError, _cut, _echo
 from .projections import IndexSet
 from .report import HOLDS, VIOLATED, CheckReport, Record, exact_text
 
@@ -38,7 +38,7 @@ class CoverSpec(Record):
         if _as_int(n, "n") < 1:
             raise SchemaError("n must be >= 1")
         if n > MAX_COVER_N:
-            raise SchemaError(f"n is outside the index range: {exact_text(n)}")
+            raise SchemaError(f"n is outside the index range: {_cut(exact_text(n))}")
         members = _as_list(members, "cover members")
         mems = tuple(m if isinstance(m, IndexSet) else IndexSet(m) for m in members)
         if not mems:
@@ -132,7 +132,7 @@ def is_uniform_k_cover(cover: CoverSpec, k: int) -> CheckReport:
 def uniform_cover_as_fractional(cover: CoverSpec, k: int) -> CoverSpec:
     """Scale a uniform k-cover by 1/k; every coverage sum becomes exactly 1."""
     if not is_uniform_k_cover(cover, k).details["uniform"]:
-        raise SchemaError(f"not a uniform {k}-cover")
+        raise SchemaError(f"not a uniform {_cut(exact_text(k))}-cover")
     w = Fraction(1, k)
     return CoverSpec(cover.n, cover.members, [w] * len(cover.members))
 

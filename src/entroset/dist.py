@@ -12,6 +12,7 @@ with `int`, so no Fraction is made on the way in or out of a distribution.
 
 Entropy is the only float-valued quantity here; everything feeding it
 (counts, preimage sums, denominators) stays exact, as does 2^(d*H).
+`_image` makes the image of a map on both sides: f(A), or the law of f(X).
 
 The input rules that every module shares live here, each a helper that
 raises SchemaError naming the value: `_as_int` (an int, not a bool),
@@ -346,7 +347,7 @@ class FiniteMap(Record, unhashed=("table",)):
         return tuple(map(self, _as_list(vec, "vector")))
 
     def image(self, points: Iterable) -> frozenset[Element]:
-        return frozenset(map(self, _as_list(points, "points")))
+        return _image(_as_list(points, "points"), self)
 
 
 def entropy(dist: RationalDist, base: float = 2) -> float:
@@ -377,16 +378,18 @@ def entropy_power(dist: RationalDist) -> tuple[int, dict[int, int]]:
     return d, powers
 
 
-def _merge(images: Iterable[Element], dist: RationalDist) -> RationalDist:
-    """The law of the images of X's support points, in first-image order,
-    with the summed counts and d divided by their gcd (the canonical form)."""
-    masses: dict[Element, int] = {}
-    for y, c in zip(images, dist.counts):
+def _image(data, f: Callable) -> frozenset | RationalDist:
+    """f(A) of a collection of points, or the law of f(X) of a RationalDist in first-image
+    order, with the summed counts and d divided by their gcd (the canonical form)."""
+    if not isinstance(data, RationalDist):
+        return frozenset(map(f, data))
+    masses: dict = {}
+    for y, c in zip(map(f, data.support), data.counts):
         masses[y] = masses.get(y, 0) + c
-    g = math.gcd(dist.denominator, *masses.values())
+    g = math.gcd(data.denominator, *masses.values())
     counts = tuple(c // g for c in masses.values())
     return RationalDist._of(
-        support=tuple(masses), counts=counts, denominator=dist.denominator // g)
+        support=tuple(masses), counts=counts, denominator=data.denominator // g)
 
 
 def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:
@@ -394,7 +397,7 @@ def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:
     _expect_type(dist, RationalDist, "pushforward")
     if not callable(f):
         raise SchemaError(f"pushforward needs a map: {_echo(f)}")
-    image = _merge(map(f, dist.support), dist)
+    image = _image(dist, f)
     # map values may differ in length
     if len(set(map(len, image.support))) != 1:
         raise SchemaError("support elements must share one dimension")

@@ -5,17 +5,18 @@ The conditional average size of a projection is a geometric mean: slice
 the ambient set A by its S-coordinates, project each slice to T, and
 weight slice sizes by the exact probability that a uniformly random point
 of A lands in the slice. Conditioning on the empty index set is defined
-to be no conditioning at all.
+to be no conditioning at all: its `_restrictor` is None, no g.
 
 Every term of the correspondence is built here once, for the public
 functions and the checkers: `_term` (|f(A)| or 2^H(f(X))) and
-`_conditional_term` (|A_T cond A_C| or 2^H(X_T | X_C)), each a float log
-and an exact form built only when asked for.
+`_conditional_term` (|f(A) cond g(A)| or 2^H(f(X) | g(X)) for any two fast
+callables f and g), each a float log and an exact form built only when
+asked for; every image is `dist._image`.
 
-Slices are built in one grouping pass over A (`_group`), so a conditional
-average size costs O(|A|) restrictions plus a sort of the |A_S| slice
-keys, not one rescan of A per slice. Its log and its exact |A|-th power
-(`conditional_size_power`) are read from the same slice sizes.
+Slices are built in one grouping pass over A (`_group`, by any callable),
+so a conditional average size costs O(|A|) restrictions plus a sort of the
+|A_S| slice keys, not one rescan of A per slice. Its log and its exact
+|A|-th power (`conditional_size_power`) are read from the same slice sizes.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .dist import (
     _as_int,
     _as_list,
     _expect_type,
+    _image,
     _log_function,
-    _merge,
     as_element,
     as_elements,
     entropy,
@@ -122,10 +123,10 @@ def _check_indices(S: IndexSet, data, empty: str | None = None) -> None:
         raise IndexRangeError(f"index set {_echo(S.indices)} exceeds dimension {data.dimension}")
 
 
-def _restrictor(S: IndexSet) -> Callable[[Element], Element]:
-    """The map x -> x_S, built once per index set."""
+def _restrictor(S: IndexSet) -> Callable[[Element], Element] | None:
+    """The map x -> x_S, built once per index set; None (no g) for the empty S."""
     if not S:
-        return lambda x: ()
+        return None
     if len(S) == 1:
         # itemgetter of one index returns the coordinate, not a 1-tuple
         (i,) = S.indices
@@ -137,14 +138,14 @@ def project_set(A: PointSet, S: IndexSet) -> PointSet:
     """Coordinate projection {x_S : x in A}, duplicates collapsed."""
     _expect_type(A, PointSet, "project_set")
     _check_indices(S, A, "cannot project onto the empty index set")
-    return PointSet._of(dimension=len(S), points=frozenset(map(_restrictor(S), A.points)))
+    return PointSet._of(dimension=len(S), points=_image(A.points, _restrictor(S)))
 
 
 def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
     """Marginal of X on the coordinates in S (pushforward of a projection)."""
     _expect_type(X, RationalDist, "project_rv")
     _check_indices(S, X, "cannot project onto the empty index set")
-    return _merge(map(_restrictor(S), X.support), X)
+    return _image(X, _restrictor(S))
 
 
 def s_star(S: IndexSet) -> IndexSet:
@@ -167,15 +168,14 @@ def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
     return PointSet._of(dimension=A.dimension, points=pts)
 
 
-def _group(A: PointSet, S: IndexSet, T: IndexSet) -> dict[Element, list[Element]]:
-    """The T-restrictions of the points of A, grouped by their S-restriction.
+def _group(points, by: Callable, to: Callable) -> dict:
+    """The images to(x) of the points, grouped by by(x).
 
-    One pass over A; a group's length is its slice size |{x in A : x_S = y}|.
+    One pass over the points; a group's length is its slice size |{x : by(x) = y}|.
     """
-    groups: dict[Element, list[Element]] = {}
-    restrict_s, restrict_t = _restrictor(S), _restrictor(T)
-    for x in A:
-        groups.setdefault(restrict_s(x), []).append(restrict_t(x))
+    groups: dict = {}
+    for x in points:
+        groups.setdefault(by(x), []).append(to(x))
     return groups
 
 
@@ -183,10 +183,10 @@ def slice_weights(A: PointSet, S: IndexSet) -> dict[Element, Fraction]:
     """Exact probability that a uniform point of A projects to each y in A_S."""
     _expect_type(A, PointSet, "slice_weights")
     _check_indices(S, A)
-    total = len(A)
+    total, restrict = len(A), _restrictor(S) or (lambda x: ())
     return {
         y: Fraction(len(group), total)
-        for y, group in sorted(_group(A, S, EMPTY_INDEX_SET).items())
+        for y, group in sorted(_group(A, restrict, restrict).items())
     }
 
 
@@ -196,12 +196,12 @@ def log_conditional_avg_size(A: PointSet, T: IndexSet, S: IndexSet, base: float 
     _log_function(base)  # a bad base fails before the index checks
     _check_indices(T, A, "conditioned projection needs a nonempty target T")
     _check_indices(S, A)
-    return _conditional_term(A, T, S, base)[0]
+    return _conditional_term(A, _restrictor(T), _restrictor(S), base)[0]
 
 
 def conditional_size_power(total: int, sizes) -> tuple[int, dict[int, int]]:
-    """(|A|, {s: e}) with |A_T cond A_S|^|A| = prod s^e, from the (slice size,
-    T-size) pairs of the slices: e points lie in slices of T-size s."""
+    """(|A|, {s: e}) with |f(A) cond g(A)|^|A| = prod s^e, from the (slice size,
+    f-size) pairs of the slices: e points lie in slices of f-size s."""
     powers: dict[int, int] = {}
     for n, size in sizes:
         powers[size] = powers.get(size, 0) + n
@@ -225,7 +225,7 @@ def conditional_entropy(
     _expect_type(X, RationalDist, "conditional_entropy")
     _check_indices(S, X, "conditional entropy needs a nonempty target S")
     _check_indices(C, X)
-    return _conditional_term(X, S, C, base)[0]
+    return _conditional_term(X, _restrictor(S), _restrictor(C), base)[0]
 
 
 def _count(n: int, log=math.log2):
@@ -239,30 +239,30 @@ def _term(image, base: float):
     return _count(len(image), _log_function(base))
 
 
-def _conditional_term(data, T: IndexSet, C: IndexSet, base: float):
-    """|A_T cond A_C| of a PointSet or 2^H(X_T | X_C) of a RationalDist, T and
-    C checked; the `_term` of the projection onto T when C is empty."""
-    if not C:
-        project = project_set if isinstance(data, PointSet) else project_rv
-        return _term(project(data, T), base)
-    if isinstance(data, PointSet):
-        groups = _group(data, C, T)
-        # (slice size, T-size) of each slice, in slice-key order
+def _conditional_term(data, f: Callable, g: Callable | None, base: float):
+    """|f(A) cond g(A)| of points A or 2^H(f(X) | g(X)) of a RationalDist X, for fast
+    callables on checked points; the `_term` of the image of f when g is None."""
+    if g is None:
+        return _term(_image(data, f), base)
+    if not isinstance(data, RationalDist):
+        groups = _group(data, g, f)
+        # (slice size, f-size) of each slice, in slice-key order
         sizes = [(len(groups[y]), len(set(groups[y]))) for y in sorted(groups)]
         total, log = len(data), _log_function(base)
         acc = 0.0
         for n, size in sizes:
             acc += n / total * log(size)
         return acc, lambda: conditional_size_power(total, sizes)
-    # H(X_T | X_C) = H(X_{T u C}) - H(X_C)
-    joint = _term(project_rv(data, T.union(C)), base)
-    given = _term(project_rv(data, C), base)
+    # H(f(X) | g(X)) = H((f, g)(X)) - H(g(X)); restrictors of T and C pair into
+    # the classes of the restrictor of T u C, in the same order
+    joint = _term(_image(data, lambda x: (f(x), g(x))), base)
+    given = _term(_image(data, g), base)
 
     def form():
-        # 2^H(X_T | X_C) = 2^H(X_{T u C}) / 2^H(X_C), and d_c divides d
-        (d, powers), (d_c, given_powers) = joint[1](), given[1]()
+        # 2^H(f(X) | g(X)) = 2^H((f, g)(X)) / 2^H(g(X)), and d_g divides d
+        (d, powers), (d_g, given_powers) = joint[1](), given[1]()
         for b, e in given_powers.items():
-            powers[b] = powers.get(b, 0) - e * (d // d_c)
+            powers[b] = powers.get(b, 0) - e * (d // d_g)
         return d, powers
 
     return joint[0] - given[0], form

@@ -54,7 +54,8 @@ from .dist import (
     minimal_suitable_k,
     pushforward,
 )
-from .errors import MembershipError, SizeGuardError, SuitabilityError, _echo
+from .errors import MembershipError, SizeGuardError, SuitabilityError, _cut, _echo
+from .projections import _group
 from .report import HOLDS, VIOLATED, CheckReport, Record, exact_text
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -76,7 +77,8 @@ class RuzsaSpec(Record):
         d = minimal_suitable_k(dist)
         if k < 1:
             raise SuitabilityError(
-                f"k={_echo(k)} must be a positive multiple of the probability denominator d={d}"
+                f"k={_echo(k)} must be a positive multiple of the probability denominator "
+                f"d={_cut(exact_text(d))}"
             )
         if k % d:
             raise SuitabilityError(
@@ -141,7 +143,7 @@ def _guard(counts: tuple[int, ...], limit: int) -> None:
     total = _multinomial(counts)
     if total > _as_int(limit, "limit"):
         raise SizeGuardError(
-            f"enumeration of {exact_text(total)} vectors exceeds limit {limit}"
+            f"enumeration of {exact_text(total)} vectors exceeds limit {_cut(exact_text(limit))}"
         )
     if len(counts) > 256:
         raise SizeGuardError(
@@ -253,15 +255,11 @@ def verify_commutation(
 
     Builds the f^k-image of the k-set of X and, independently, the k-set
     of the pushforward f(X) (both by `_image_set`, the second under the
-    identity); reports exact set equality with up to five discrepancy
-    witnesses per side.
+    identity, each after the size guards of `_guard`); reports exact set
+    equality with up to five discrepancy witnesses per side.
     """
     _expect_type(spec, RuzsaSpec, "verify_commutation")
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
-    # the k-set of f(X) is the image of the k-set of X, so it is never larger
-    source_size = ruzsa_size(spec)
-    if source_size > _as_int(limit, "limit"):
-        raise SizeGuardError(f"|set| = {exact_text(source_size)} exceeds limit {limit}")
     image = image_spec.dist.support
     mapped = _mapped_arrangements(f, spec, image, limit)
     direct = _image_set(image_spec.counts, range(len(image)), limit)
@@ -285,7 +283,7 @@ def verify_commutation(
         ),
         provenance="exact",
         details={
-            "source_size": str(source_size),
+            "source_size": str(ruzsa_size(spec)),
             "mapped_size": str(len(mapped)),
             "direct_size": str(len(direct)),
             "k": spec.k,
@@ -305,9 +303,7 @@ def preimage_lift(f: FiniteMap, spec: RuzsaSpec, y) -> RuzsaVector:
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
     if not image_spec.contains(y):
         raise MembershipError("vector is not in the image k-set")
-    positions: dict[Element, list[int]] = {}
-    for j, v in enumerate(y):
-        positions.setdefault(v, []).append(j)
+    positions = _group(range(len(y)), y.__getitem__, lambda j: j)
     result: list[Element | None] = [None] * spec.k
     for x, c in zip(spec.dist.support, spec.counts):
         slots = positions[f(x)]

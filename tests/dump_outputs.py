@@ -21,7 +21,9 @@ dumped as workload "usage", seed 0. It runs RATIONALIZE too, fixed
 10 and 12 with 3-8 weights), dumped as workload "rationalize", seed 0,
 and SPEC_OPS, `check cardinality` and `check entropy` over fixed specs whose
 tables are written in one key order, reordered, or with one fault each,
-dumped as workload "specs", seed 0.
+dumped as workload "specs", seed 0, and TERM_OPS, fixed command lines
+whose terms no benchmark op builds (the benchmark's `condentropy` ops take
+disjoint S and C, in base 2 only), dumped as workload "terms", seed 0.
 `diff` exits 1 and names the first differences when two dumps differ in
 any op.
 
@@ -120,6 +122,26 @@ SPEC_OPS = [
     ("reordered", "cardinality", "<x>"),
 ]
 TRIANGLE = {"n": 3, "members": [[1, 2], [1, 3], [2, 3]], "weights": ["1/2", "1/2", "1/2"]}
+# conditional terms with overlapping or equal index sets, in both bases, and the
+# cover checkers' terms: <a> is a point set of {0,1,2}^3, <d> a law on {0,1}^3
+TERM_DOCS = {
+    "<a>": {"dimension": 3, "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0],
+                                       [0, 2, 0], [0, 0, 2], [1, 1, 0], [1, 0, 1], [0, 1, 1]]},
+    "<d>": {"support": [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+            "probs": ["1/16", "1/8", "1/16", "1/4", "1/8", "1/16", "3/16", "1/8"]},
+    "<c>": TRIANGLE,
+}
+TERM_OPS = [
+    *(["--base", base, "condentropy", "--dist", "<d>", "--s", s, "--c", c]
+      for base in ("2", "e")
+      for s, c in (("1,2", "2,3"), ("1", "1,2"), ("2,3", "3"), ("2", "2"), ("1,3", "1,3"))),
+    *(["condsize", "--pointset", "<a>", "--t", t, "--s", s]
+      for t, s in (("1,2", "2,3"), ("1", "1,2"), ("1,2,3", "3"), ("2", "2"))),
+    *(["--base", base, "check", "projection", "--cover", "<c>", "--input", data, "--side", side]
+      for base in ("2", "e") for data, side in (("<a>", "sets"), ("<d>", "entropy"))),
+    ["--base", "e", "check", "shearer", "--cover", "<c>", "--input", "<d>", "--side", "entropy",
+     "--k", "2"],
+]
 
 
 def _import_cli(src: Path):
@@ -147,14 +169,15 @@ def _run(cli, argv) -> tuple[int | None, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _usage_ops(workdir: Path) -> list[tuple[int, str, list[str]]]:
-    """(op id, kind, argv) of each USAGE command line, its files in `workdir`."""
+def _fixed_ops(workdir: Path, docs: dict, lines) -> list[tuple[int, str, list[str]]]:
+    """(op id, kind, argv) of each command line, each <x> in it the path of the
+    document docs["<x>"], written to x.json in `workdir`."""
     workdir.mkdir()
-    files = {"<d>": workdir / "d.json", "<c>": workdir / "c.json"}
-    files["<d>"].write_text(json.dumps(UNIFORM2), encoding="utf-8")
-    files["<c>"].write_text(json.dumps(TRIANGLE), encoding="utf-8")
+    files = {mark: workdir / f"{mark[1:-1]}.json" for mark in docs}
+    for mark, doc in docs.items():
+        files[mark].write_text(json.dumps(doc), encoding="utf-8")
     ops = []
-    for i, argv in enumerate(USAGE):
+    for i, argv in enumerate(lines):
         real = list(argv)
         for mark, path in files.items():
             real = [arg.replace(mark, str(path)) for arg in real]
@@ -207,13 +230,17 @@ def dump(src: Path, out: Path, seeds) -> int:
                 table = [(i, kind, ["--format", "table", *argv]) for i, kind, argv in ops]
                 count += _write(handle, cli, f"table:{workload}", seed, workdir, table)
         workdir = Path(tmp) / "usage"
-        count += _write(handle, cli, "usage", 0, workdir, _usage_ops(workdir))
+        ops = _fixed_ops(workdir, {"<d>": UNIFORM2, "<c>": TRIANGLE}, USAGE)
+        count += _write(handle, cli, "usage", 0, workdir, ops)
         ops = [(i, f"rationalize D={d} n={weights.count(',') + 1}",
                 ["rationalize", "--weights", weights, "--max-denominator", str(d)])
                for i, (weights, d) in enumerate(RATIONALIZE)]
         count += _write(handle, cli, "rationalize", 0, Path(tmp), ops)
         workdir = Path(tmp) / "specs"
         count += _write(handle, cli, "specs", 0, workdir, _spec_ops(workdir))
+        workdir = Path(tmp) / "terms"
+        ops = _fixed_ops(workdir, TERM_DOCS, TERM_OPS)
+        count += _write(handle, cli, "terms", 0, workdir, ops)
     print(f"{count} ops dumped to {out}")
     return 0
 

@@ -6,7 +6,7 @@ untimed, in a subprocess. The end-to-end harness under bench/ is checked
 by running its self-test once, also in a subprocess, and the output dump
 harness `tests/dump_outputs.py` is run once on one seed, with its help and
 usage-error command lines, its fixed `rationalize` command lines and its
-fixed inequality-spec command lines.
+fixed inequality-spec and term command lines.
 """
 
 import json
@@ -59,7 +59,7 @@ def test_dump_outputs_runs(tmp_path):
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert {r["workload"] for r in records} == {
-        "counting", "entropy", "solvers", "usage", "rationalize", "specs",
+        "counting", "entropy", "solvers", "usage", "rationalize", "specs", "terms",
         "table:counting", "table:entropy", "table:solvers"}
     assert {r["code"] for r in records if r["workload"] not in ("usage", "specs")} == {0}
     specs = {r["kind"]: r for r in records if r["workload"] == "specs"}

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import entroset
 from entroset import EntrosetError, cli, jsonio
-from entroset.covers import MAX_COVER_N
-from entroset.errors import ECHO_CHARS, _echo
+from entroset.covers import MAX_COVER_N, uniform_cover_as_fractional
+from entroset.errors import ECHO_CHARS, _cut, _echo
 from entroset.projections import PointSet
 from entroset.report import _decimal, exact_text
 
@@ -1195,6 +1195,101 @@ class TestEchoBound:
             shown = re.escape(prefix) + "a value of type int too large to show"
             with pytest.raises(EntrosetError, match=f"^{shown}"):
                 call()
+
+    @staticmethod
+    def coprime_fifths():
+        """Ten outcomes of probability 1/(5d) and (d-1)/(5d), for five pairwise coprime
+        d (none a multiple of 5) just above 10**1000, and their minimal suitable k.
+
+        Each probability is written in about 2,000 digits, but k = 5 prod d has
+        about 5,000: past the int-to-str digit limit.
+        """
+        ds: list[int] = []
+        d = 10**1000
+        while len(ds) < 5:
+            d += 1
+            if d % 5 and all(math.gcd(d, e) == 1 for e in ds):
+                ds.append(d)
+        probs = [p for d in ds for p in (Fraction(1, 5 * d), Fraction(d - 1, 5 * d))]
+        k = 5 * math.prod(ds)
+        assert math.lcm(*(p.denominator for p in probs)) == k and k.bit_length() > 3.33 * 4300
+        return [(i,) for i in range(10)], probs, k
+
+    NUMBER_ECHOES = {
+        "ruzsa size": ["ruzsa", "size", "--dist", "<d>", "--k", "0"],
+        "ruzsa bound": ["ruzsa", "bound", "--dist", "<d>", "--k", "0"],
+        "ruzsa enum": ["ruzsa", "enum", "--dist", "<d>", "--k", "0"],
+        "ruzsa converge": ["ruzsa", "converge", "--dist", "<d>", "--ks", "0"],
+        "check lemma1": ["check", "lemma1", "--spec", "<s>", "--input", "<d>", "--kmax", "1"],
+        "check lemma1 at the limit": ["check", "lemma1", "--spec", "<s>", "--input", "<d>",
+                                      "--kmax", "9" * 4299],
+    }
+
+    @pytest.mark.parametrize("case", sorted(NUMBER_ECHOES))
+    def test_exact_number_past_the_digit_limit(self, tmp_path, capsys, case):
+        """A computed number past the digit limit in a message is cut, not a traceback."""
+        support, probs, k = self.coprime_fifths()
+        identity = {"table": [[list(x), list(x)] for x in support]}
+        files = {
+            "<d>": write(tmp_path, "d.json", {"support": [list(x) for x in support],
+                                              "probs": [str(p) for p in probs]}),
+            "<s>": write(tmp_path, "s.json", {"lhs_map": identity, "rhs_maps": [identity],
+                                              "coefficients": ["1"]}),
+        }
+        argv = [files.get(arg, arg) for arg in self.NUMBER_ECHOES[case]]
+        code, out, err = invoke(capsys, argv)
+        shown = _cut(lifted_str(k))
+        assert shown.endswith(f"... ({len(lifted_str(k))} characters)")
+        message = f"k=0 must be a positive multiple of the probability denominator d={shown}"
+        if case.startswith("check lemma1"):
+            message = f"no suitable k <= {_cut(argv[-1])} (minimal is {shown})"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_exact_number_past_the_digit_limit_api(self):
+        support, probs, k = self.coprime_fifths()
+        X = entroset.RationalDist(support, probs)
+        ident = entroset.FiniteMap.identity(support)
+        spec = entroset.InequalitySpec(ident, [ident], [1])
+        shown = _cut(lifted_str(k))
+        calls = {
+            f"k=0 must be a positive multiple of the probability denominator d={shown}":
+                lambda: entroset.RuzsaSpec(X, 0),
+            f"no suitable k <= 1 (minimal is {shown})":
+                lambda: entroset.empirical_lemma1(spec, X, 1),
+            f"k_max // k_min exceeds the row limit 10000 (k_min = {shown})":
+                lambda: entroset.empirical_lemma1(spec, X, k * 10**5),
+        }
+        for message, call in calls.items():
+            with pytest.raises(EntrosetError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_limit_past_the_digit_limit_is_cut(self):
+        # C(16000, 8000) has 4,815 digits, written whole; the limit below it is cut
+        spec = entroset.RuzsaSpec(entroset.RationalDist.uniform([0, 1]), 16000)
+        limit = 10**4400
+        with pytest.raises(entroset.SizeGuardError) as info:
+            next(entroset.ruzsa_enumerate(spec, limit=limit))
+        size = lifted_str(math.comb(16000, 8000))
+        assert str(info.value) == (
+            f"enumeration of {size} vectors exceeds limit {_cut(lifted_str(limit))}")
+
+    def test_cover_n_past_the_digit_limit_is_cut(self):
+        with pytest.raises(entroset.SchemaError) as info:
+            entroset.CoverSpec(10**5000, [[1]])
+        shown = f"1{'0' * (ECHO_CHARS - 1)}... (5001 characters)"
+        assert str(info.value) == f"n is outside the index range: {shown}"
+
+    def test_k_of_300_digits_is_cut(self):
+        # 10**300 is inside the float range, so the uniform-cover checks echo it
+        k, cover = 10**300, entroset.CoverSpec(1, [[1]])
+        shown = f"1{'0' * (ECHO_CHARS - 1)}... (301 characters)"
+        with pytest.raises(entroset.CoverError) as info:
+            entroset.check_shearer(PointSet(1, [[0], [1]]), cover, k, "sets")
+        assert str(info.value) == f"not a uniform {shown}-cover: counts [1]"
+        with pytest.raises(entroset.SchemaError) as info:
+            uniform_cover_as_fractional(cover, k)
+        assert str(info.value) == f"not a uniform {shown}-cover"
 
     def test_cut_past_echo_chars(self):
         value = [0, "a" * (ECHO_CHARS - 7)]  # a repr of exactly ECHO_CHARS characters

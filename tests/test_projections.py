@@ -27,6 +27,7 @@ from entroset import (
 from entroset.projections import (
     EMPTY_INDEX_SET,
     _conditional_term,
+    _restrictor,
     log_conditional_avg_size,
 )
 
@@ -342,8 +343,8 @@ class TestTerms:
             A, T, C = self.draw(rng)
             X = random_dist_on(rng, A.sorted_points())
             for given in (EMPTY_INDEX_SET, C):
-                sets, entropy_log = (_conditional_term(data, T, given, base)[0]
-                                     for data in (A, X))
+                f, g = _restrictor(T), _restrictor(given)
+                sets, entropy_log = (_conditional_term(data, f, g, base)[0] for data in (A, X))
                 assert log_conditional_avg_size(A, T, given, base=base) == sets
                 assert sets == _rescan_log_cond_size(A, T.indices, given.indices, base)
                 assert conditional_entropy(X, T, given, base=base) == entropy_log
@@ -356,8 +357,35 @@ class TestTerms:
             A, T, C = self.draw(rng)
             X = random_dist_on(rng, A.sorted_points())
             joint, given = (entropy(project_rv(X, S)) for S in (T.union(C), C))
-            assert _conditional_term(X, T, C, 2)[0] == joint - given
-            assert _conditional_term(X, T, EMPTY_INDEX_SET, 2)[0] == entropy(project_rv(X, T))
+            assert _conditional_term(X, _restrictor(T), _restrictor(C), 2)[0] == joint - given
+            assert _conditional_term(X, _restrictor(T), None, 2)[0] == entropy(project_rv(X, T))
+
+    @pytest.mark.parametrize("base", [2, math.e])
+    def test_table_and_restrictor_give_one_term(self, base):
+        """A coordinate projection given as a FiniteMap table and as a `_restrictor`
+        gives one term, conditioned and not: equal logs and exact forms, and the
+        logs of the defining rescan and of the difference of marginals."""
+        rng = random.Random(101)
+        for _ in range(60):
+            A, T, C = self.draw(rng)
+            X = random_dist_on(rng, A.sorted_points())
+
+            def table(S):
+                return FiniteMap({x: _restrict(x, S) for x in A}).table.__getitem__ if S else None
+
+            for given in (EMPTY_INDEX_SET, C):
+                for data in (A, X):
+                    terms = [_conditional_term(data, f(T), f(given), base)
+                             for f in (table, _restrictor)]
+                    logs, forms = zip(*((log, form if isinstance(form, int) else form())
+                                        for log, form in terms))
+                    assert logs[0] == logs[1] and forms[0] == forms[1]
+                sets, entropy_log = (_conditional_term(data, table(T), table(given), base)[0]
+                                     for data in (A, X))
+                assert sets == _rescan_log_cond_size(A, T.indices, given.indices, base)
+                marginals = [entropy(project_rv(X, S), base) if S else 0.0
+                             for S in (T.union(given), given)]
+                assert entropy_log == marginals[0] - marginals[1]
 
     def test_set_form_is_the_slice_census(self):
         # |A_T cond A_C|^|A| = prod s^e: e points of A lie in slices of T-size s
@@ -369,4 +397,4 @@ class TestTerms:
                 members = [x for x in A if _restrict(x, C.indices) == y]
                 size = len({_restrict(x, T.indices) for x in members})
                 census[size] = census.get(size, 0) + len(members)
-            assert _conditional_term(A, T, C, 2)[1]() == (len(A), census)
+            assert _conditional_term(A, _restrictor(T), _restrictor(C), 2)[1]() == (len(A), census)

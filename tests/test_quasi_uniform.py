@@ -32,7 +32,7 @@ from entroset import (
     empirical_lemma1,
 )
 from entroset.checkers import DEFAULT_TOLERANCE, _compare, _conditional_term
-from entroset.projections import log_conditional_avg_size
+from entroset.projections import _restrictor, log_conditional_avg_size
 from entroset.report import HOLDS, VIOLATED
 
 from genutil import random_fractional_cover, random_uniform_k_cover
@@ -132,10 +132,26 @@ def test_conditional_terms_tie_exactly(G):
     everything = range(1, G.n + 1)
     for T in _index_sets(everything)[1:]:
         for C in _index_sets([i for i in everything if i not in T]):
-            sets, entropy = (_conditional_term(data, T, C, 2) for data in (G.A, G.X))
+            sets, entropy = (_conditional_term(data, _restrictor(T), _restrictor(C), 2)
+                             for data in (G.A, G.X))
             for lhs, rhs in ((sets, entropy), (entropy, sets)):
                 report = _compare([(1, lhs)], [(1, rhs)], DEFAULT_TOLERANCE)
                 assert (report.verdict, report.provenance) == (HOLDS, "exact"), (T, C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=SUBGROUPS)
+def test_conditional_map_terms_tie_exactly(G):
+    """For mod-p linear maps f and g the g-slices of A are cosets of ker g in A,
+    each with an f-image of |f(ker g)| points, and H(f(X) | g(X)) is the log of
+    that size too: |f(A) cond g(A)| and 2^H(f(X) | g(X)) decide `holds` against
+    each other both ways, exactly."""
+    for _ in range(3):
+        f, g = (m.table.__getitem__ for m in (G.linear_map(), G.linear_map()))
+        sets, entropy = (_conditional_term(data, f, g, 2) for data in (G.A, G.X))
+        for lhs, rhs in ((sets, entropy), (entropy, sets)):
+            report = _compare([(1, lhs)], [(1, rhs)], DEFAULT_TOLERANCE)
+            assert (report.verdict, report.provenance) == (HOLDS, "exact")
 
 
 @settings(max_examples=20, deadline=None)
@@ -147,7 +163,8 @@ def test_public_functions_read_the_terms(G, base):
     everything = range(1, G.n + 1)
     for T in _index_sets(everything)[1:]:
         for C in _index_sets([i for i in everything if i not in T]):
-            sets, entropy = (_conditional_term(data, T, C, base)[0] for data in (G.A, G.X))
+            sets, entropy = (_conditional_term(data, _restrictor(T), _restrictor(C), base)[0]
+                             for data in (G.A, G.X))
             assert log_conditional_avg_size(G.A, T, C, base=base) == sets
             assert conditional_entropy(G.X, T, C, base=base) == entropy
             if base == 2:

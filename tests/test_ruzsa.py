@@ -417,7 +417,7 @@ class TestCommutationMatchesTupleReference:
         f = FiniteMap.identity(spec.dist.support)
         with pytest.raises(SizeGuardError) as exc:
             verify_commutation(f, spec, limit=45044)
-        assert str(exc.value) == "|set| = 45045 exceeds limit 45044"
+        assert str(exc.value) == "enumeration of 45045 vectors exceeds limit 45044"
 
 
 class TestPreimageLift:
