@@ -1274,13 +1274,18 @@ class TestEchoBound:
         assert str(info.value) == (
             f"enumeration of {size} vectors exceeds limit {_cut(lifted_str(limit))}")
 
-    def test_cover_n_past_the_digit_limit_is_cut(self):
+    def test_cover_n_past_the_digit_limit_is_cut(self, tmp_path, capsys):
         with pytest.raises(entroset.SchemaError) as info:
             entroset.CoverSpec(10**5000, [[1]])
         shown = f"1{'0' * (ECHO_CHARS - 1)}... (5001 characters)"
         assert str(info.value) == f"n is outside the index range: {shown}"
+        # a JSON int stays within the digit limit
+        path = write(tmp_path, "c.json", {"n": 10**4000, "members": [[1]]})
+        code, out, err = invoke(capsys, ["cover", "check", "--cover", path])
+        shown = f"1{'0' * (ECHO_CHARS - 1)}... (4001 characters)"
+        assert (code, out, err) == (2, "", f"error: n is outside the index range: {shown}\n")
 
-    def test_k_of_300_digits_is_cut(self):
+    def test_k_of_300_digits_is_cut(self, tmp_path, capsys):
         # 10**300 is inside the float range, so the uniform-cover checks echo it
         k, cover = 10**300, entroset.CoverSpec(1, [[1]])
         shown = f"1{'0' * (ECHO_CHARS - 1)}... (301 characters)"
@@ -1290,6 +1295,11 @@ class TestEchoBound:
         with pytest.raises(entroset.SchemaError) as info:
             uniform_cover_as_fractional(cover, k)
         assert str(info.value) == f"not a uniform {shown}-cover"
+        argv = ["check", "shearer", "--k", str(k), "--side", "sets",
+                "--cover", write(tmp_path, "c.json", {"n": 1, "members": [[1]]}),
+                "--input", write(tmp_path, "a.json", {"dimension": 1, "points": [[0], [1]]})]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: not a uniform {shown}-cover: counts [1]\n")
 
     def test_cut_past_echo_chars(self):
         value = [0, "a" * (ECHO_CHARS - 7)]  # a repr of exactly ECHO_CHARS characters
