@@ -6,9 +6,11 @@ The two sides of the correspondence are kept honest with one another:
   (coefficient, term) pairs. A term is a float log and an exact form of a
   count |f(A)| or |f(A) cond g(A)|, or of 2^H(f(X)) or 2^H(f(X) | g(X));
   `projections` makes every term, with `_term` for an image and
-  `_conditional_term` for f given g (map table getters or `_restrictor`s).
+  `_conditional_term` for f given g (`_restrictor`s of index sets).
   A verdict is decided exactly, or in floats only outside the tolerance
   band, or is `inconclusive`;
+* `_images` alone applies an inequality spec's maps, by one domain test and
+  `dist._image` of each table, the same way to points and to a law;
 * `lemma2_witness` builds the uniform variable on fiber representatives
   whose image entropy equals log|f(A)| exactly, the bridge from entropy
   statements back to counting statements;
@@ -38,11 +40,11 @@ from .dist import (
     _as_int,
     _as_list,
     _expect_type,
+    _image,
     _log_function,
     as_elements,
     as_fraction,
     minimal_suitable_k,
-    pushforward,
 )
 from .errors import (
     CoverError,
@@ -132,6 +134,16 @@ def _spec_sides(spec: InequalitySpec, terms: list):
     return [(1, lhs)], list(zip(spec.coefficients, rhs))
 
 
+def _images(spec: InequalitySpec, data) -> list:
+    """The images by f, f_1, ..., f_n of points (sets) or of a RationalDist (laws)."""
+    law = isinstance(data, RationalDist)
+    if not all(map(spec.lhs_map.table.__contains__, data.support if law else data)):
+        where = "distribution support" if law else "point set"
+        raise DomainError(f"{where} is not contained in the maps' domain")
+    # every point is a key of every map (one shared domain), and already normal
+    return [_image(data, m.table.__getitem__) for m in (spec.lhs_map, *spec.rhs_maps)]
+
+
 def _exact_verdict(lhs, rhs) -> str | None:
     """Compare prod lhs <= prod rhs exactly; None past the bit limit."""
     forms = [
@@ -199,12 +211,7 @@ def check_cardinality(
         raise NegativeCoefficientError(
             "cardinality-side checks require nonnegative coefficients"
         )
-    points = _as_point_collection(A)
-    if points.difference(spec.lhs_map.table):
-        raise DomainError("point set is not contained in the maps' domain")
-    # every point is a key of every map (one shared domain), and already normal
-    terms = [_conditional_term(points, m.table.__getitem__, None, 2)
-             for m in (spec.lhs_map, *spec.rhs_maps)]
+    terms = [_term(image, 2) for image in _images(spec, _as_point_collection(A))]
     lhs_count, *rhs_counts = (exact_text(n) for _, n in terms)
     details = {"lhs_count": lhs_count, "rhs_counts": rhs_counts,
                "coefficients": [exact_text(c) for c in spec.coefficients]}
@@ -220,21 +227,11 @@ def check_entropy(
     """H(f(X)) <= sum a_i H(f_i(X)); negative a_i evaluated as given."""
     _expect_type(spec, InequalitySpec, "check_entropy")
     _expect_type(X, RationalDist, "check_entropy")
-    lhs, rhs = _spec_sides(spec, [_term(d, base) for d in _pushforwards(spec, X, base)])
-    details = {
-        "rhs_entropies": [h for _, (h, _) in rhs],
-        "coefficients": [exact_text(c) for c in spec.coefficients],
-    }
-    return _compare(lhs, rhs, tolerance, details)
-
-
-def _pushforwards(spec: InequalitySpec, X: RationalDist, base: float) -> list[RationalDist]:
-    """The images f(X), f_1(X), ..., f_n(X)."""
     _log_function(base)  # a bad base fails before the domain check
-    if not frozenset(X.support) <= spec.domain:
-        raise DomainError("distribution support is not contained in the maps' domain")
-    # every support point is a key of every map, and already normal
-    return [pushforward(m.table.__getitem__, X) for m in (spec.lhs_map, *spec.rhs_maps)]
+    lhs, rhs = _spec_sides(spec, [_term(d, base) for d in _images(spec, X)])
+    details = {"rhs_entropies": [h for _, (h, _) in rhs],
+               "coefficients": [exact_text(c) for c in spec.coefficients]}
+    return _compare(lhs, rhs, tolerance, details)
 
 
 def lemma2_witness(A, f: FiniteMap) -> RationalDist:
@@ -245,7 +242,7 @@ def lemma2_witness(A, f: FiniteMap) -> RationalDist:
     """
     _expect_type(f, FiniteMap, "lemma2_witness")
     points = _as_point_collection(A)
-    if not points <= f.domain:
+    if not f.table.keys() >= points:
         raise DomainError("point set is not contained in the map domain")
     # in descending order, the last point written to a fiber is its minimum
     reps = {f.table[x]: x for x in sorted(points, reverse=True)}
@@ -271,8 +268,10 @@ def empirical_lemma1(
     (the f^k-image of the k-set of X, without walking the k-set) and
     compares counts, raising SizeGuardError when the k-set exceeds `limit`;
     a row whose enumerated count differs from the closed form is violated
-    and carries the enumerated count. More than MAX_LEMMA1_ROWS rows
-    (k_max // k_min) raise SizeGuardError before any row is built.
+    and carries the enumerated count. Rows are decided exactly; one past the
+    bit limit goes to `_compare` and makes the report's provenance float.
+    More than MAX_LEMMA1_ROWS rows (k_max // k_min) raise SizeGuardError
+    before any row is built.
     """
     _expect_type(spec, InequalitySpec, "empirical_lemma1")
     _expect_type(X, RationalDist, "empirical_lemma1")
@@ -282,7 +281,7 @@ def empirical_lemma1(
         raise NegativeCoefficientError(
             "counting-side checks require nonnegative coefficients"
         )
-    images = _pushforwards(spec, X, base)
+    images = _images(spec, X)
     # the entropy side is reported in floats only: the rows decide the verdict
     lhs_log, rhs_log = _logs(*_spec_sides(spec, [_term(d, base) for d in images]))
     k_min = minimal_suitable_k(X)
@@ -296,21 +295,24 @@ def empirical_lemma1(
         raise SuitabilityError(f"no suitable k <= {_echo(k_max)} (minimal is {shown})")
     # every image's d divides k_min, so each k is suitable for all of them
     sizes = [_sizes(d, ks) for d in images]
+    _check_tolerance(tolerance)  # even when no row reaches `_compare`
     f = spec.lhs_map.table.__getitem__
-    rows = []
+    rows, exact = [], True
     for k in ks:
         counts = [s[k] for s in sizes]
         lhs_count, *rhs_counts = counts
-        report = _compare(*_spec_sides(spec, [_count(n) for n in counts]), tolerance)
+        sides = _spec_sides(spec, [_count(n) for n in counts])
+        verdict = _exact_verdict(*sides)
+        exact &= verdict is not None
+        row_lhs, row_rhs = _logs(*sides)
         enumerated = lhs_count
         if cross_validate:
-            src = RuzsaSpec(X, k)
-            enumerated = len(_mapped_arrangements(f, src, images[0].support, limit))
+            enumerated = len(_mapped_arrangements(f, RuzsaSpec(X, k), images[0].support, limit))
         row = {
             "k": k,
-            "verdict": report.verdict,
-            "lhs_rate": report.lhs / k * scale,
-            "rhs_rate": report.rhs / k * scale,
+            "verdict": verdict or _compare(*sides, tolerance).verdict,
+            "lhs_rate": row_lhs / k * scale,
+            "rhs_rate": row_rhs / k * scale,
             "lhs_count": exact_text(lhs_count),
             "rhs_counts": [exact_text(r) for r in rhs_counts],
         }
@@ -325,7 +327,7 @@ def empirical_lemma1(
         lhs=lhs_log,
         rhs=rhs_log,
         slack=rhs_log - lhs_log,
-        provenance="exact",
+        provenance="exact" if exact else "float",
         details={"rows": rows, "k_values": ks},
     )
 

@@ -223,7 +223,7 @@ class RationalDist(Record):
         counts = tuple(n * (d // q) for n, q in ratios)
         if sum(counts) != d:
             raise SchemaError(
-                f"probabilities must sum to 1 exactly, got {exact_text(sum(counts), d)}"
+                f"probabilities must sum to 1 exactly, got {_cut(exact_text(sum(counts), d))}"
             )
         if len(set(map(len, elems))) != 1:
             raise SchemaError("support elements must share one dimension")

@@ -74,9 +74,6 @@ class IndexSet(Record):
     def __bool__(self) -> bool:
         return bool(self.indices)
 
-    def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(set(self.indices) | set(other.indices))
-
 
 EMPTY_INDEX_SET = IndexSet(())
 

@@ -142,9 +142,8 @@ def _guard(counts: tuple[int, ...], limit: int) -> None:
     """
     total = _multinomial(counts)
     if total > _as_int(limit, "limit"):
-        raise SizeGuardError(
-            f"enumeration of {exact_text(total)} vectors exceeds limit {_cut(exact_text(limit))}"
-        )
+        raise SizeGuardError(f"enumeration of {_cut(exact_text(total))} vectors exceeds "
+                             f"limit {_cut(exact_text(limit))}")
     if len(counts) > 256:
         raise SizeGuardError(
             f"enumeration over {len(counts)} support elements exceeds 256"

@@ -20,8 +20,9 @@ dumped as workload "usage", seed 0. It runs RATIONALIZE too, fixed
 `rationalize` command lines beyond the benchmark's sizes (which are D 8,
 10 and 12 with 3-8 weights), dumped as workload "rationalize", seed 0,
 and SPEC_OPS, `check cardinality` and `check entropy` over fixed specs whose
-tables are written in one key order, reordered, or with one fault each,
-dumped as workload "specs", seed 0, and TERM_OPS, fixed command lines
+tables are written in one key order, reordered, with one fault each, or
+with map values of two lengths (also under `check lemma1`), dumped as
+workload "specs", seed 0, and TERM_OPS, fixed command lines
 whose terms no benchmark op builds (the benchmark's `condentropy` ops take
 disjoint S and C, in base 2 only), dumped as workload "terms", seed 0.
 `diff` exits 1 and names the first differences when two dumps differ in
@@ -90,7 +91,8 @@ RATIONALIZE = [
 ]
 UNIFORM2 = {"support": [[0], [1]], "probs": ["1/2", "1/2"]}
 # inequality specs over the grid {0,1}^2: the identity against both coordinates,
-# the tables written in one key order, reordered, and with one fault each
+# the tables written in one key order, reordered, with one fault each, and with
+# values of two lengths
 
 
 def _spec(*tables) -> dict:
@@ -112,6 +114,9 @@ SPECS = {
     "3-entry rhs pair": _spec(IDENTITY, FIRST, SECOND[:3] + [[[1, 1], [1], [1]]]),
     "string in rhs value": _spec(IDENTITY, [[[0, 0], ["x"]]] + FIRST[1:], SECOND),
     "bad value before bad pair": _spec(IDENTITY, [[[0, 0], [None]]] + FIRST[1:] + [[0]], SECOND),
+    # the identity and the first coordinate, each with values of two lengths; it holds
+    "mixed lengths": _spec([[x, x[:1] if x == [0, 0] else x] for x in GRID],
+                           [[x, x[:1] * (1 + x[0])] for x in GRID], SECOND),
 }
 # (spec, command, input): <a> is a point set of the grid, <h> half of it,
 # <x> a point off the grid; <d> is uniform on the grid
@@ -120,6 +125,7 @@ SPEC_OPS = [
       for command, data in (("cardinality", "<a>"), ("entropy", "<d>"))),
     ("same order", "cardinality", "<h>"),
     ("reordered", "cardinality", "<x>"),
+    ("mixed lengths", "lemma1", "<d>", "--kmax", "4"),
 ]
 TRIANGLE = {"n": 3, "members": [[1, 2], [1, 3], [2, 3]], "weights": ["1/2", "1/2", "1/2"]}
 # conditional terms with overlapping or equal index sets, in both bases, and the
@@ -196,9 +202,9 @@ def _spec_ops(workdir: Path) -> list[tuple[int, str, list[str]]]:
     for i, (mark, doc) in enumerate([*docs.items(), *SPECS.items()]):
         files[mark] = workdir / f"{i}.json"
         files[mark].write_text(json.dumps(doc), encoding="utf-8")
-    return [(i, f"check {command} {name} {data}",
-             ["check", command, "--spec", str(files[name]), "--input", str(files[data])])
-            for i, (name, command, data) in enumerate(SPEC_OPS)]
+    return [(i, " ".join(("check", command, name, data, *options)),
+             ["check", command, "--spec", str(files[name]), "--input", str(files[data]), *options])
+            for i, (name, command, data, *options) in enumerate(SPEC_OPS)]
 
 
 def _write(handle, cli, workload: str, seed: int, workdir: Path, ops) -> int:

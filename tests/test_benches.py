@@ -66,6 +66,9 @@ def test_dump_outputs_runs(tmp_path):
     assert {r["code"] for r in specs.values()} == {0, 2}
     assert specs["check cardinality bool in rhs key <a>"]["stderr"] == (
         "error: element coordinates must be integers: [1, True]\n")
+    mixed = ["check cardinality mixed lengths <a>", "check entropy mixed lengths <d>",
+             "check lemma1 mixed lengths <d> --kmax 4"]
+    assert [json.loads(specs[kind]["stdout"])["verdict"] for kind in mixed] == ["holds"] * 3
     usage = {r["kind"]: r for r in records if r["workload"] == "usage"}
     assert usage["--help"]["stdout"].startswith("usage: entroset [-h]")
     assert usage["entropy"]["stderr"].endswith("required: --dist\nSystemExit(2)")

@@ -1,16 +1,18 @@
 """Both sides of the cardinality/entropy inequalities, and the bridges."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from entroset import checkers, dist, projections
+from entroset import checkers, cli, dist, projections
 from entroset import (
     CoverError,
     CoverSpec,
+    DomainError,
     FiniteMap,
     IndexSet,
     InequalitySpec,
@@ -294,6 +296,79 @@ class TestEmpiricalLemma1:
                 if not entropy_side.holds:
                     continue
                 assert counting.lhs <= counting.rhs + 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_demo_rows_are_decided_exactly(self, seed, capsys):
+        # the demo's coefficients are 1/2, so `_compare` would decide its rows in floats
+        assert cli.run(["--seed", str(seed), "demo"]) in (0, 1)
+        finite_k = json.loads(capsys.readouterr().out)["finite_k"]
+        assert finite_k["provenance"] == "exact"
+        half = Fraction(1, 2)
+        for row in finite_k["rows"]:
+            lhs = [(1, projections._count(int(row["lhs_count"])))]
+            rhs = [(half, projections._count(int(n))) for n in row["rhs_counts"]]
+            assert row["verdict"] == checkers._exact_verdict(lhs, rhs)
+
+    def test_rows_past_the_bit_limit_are_float(self, monkeypatch):
+        spec = projection_spec(GRID2, [[1], [2]], [1, 1])
+        X = RationalDist.uniform(GRID2)
+        assert empirical_lemma1(spec, X, k_max=8).provenance == "exact"
+        monkeypatch.setattr(checkers, "_EXACT_BIT_LIMIT", 0)
+        report = empirical_lemma1(spec, X, k_max=8)
+        assert (report.verdict, report.provenance) == ("holds", "float")
+
+
+def mixed_lengths_map(grid, index):
+    """The projection onto coordinate `index`, its values (a,) for even a and (a, a)
+    for odd a: the same fibers as `projection_map(grid, [index])`, values of two lengths."""
+    return FiniteMap({x: (x[index - 1],) * (1 + x[index - 1] % 2) for x in grid})
+
+
+class TestMixedLengthMaps:
+    """A spec whose map values differ in length is applied the same way on both sides."""
+
+    GRID3 = [(a, b) for a in range(3) for b in range(3)]
+    # the projection spec below, each map's values relabelled to values of two lengths
+    MIXED = InequalitySpec(FiniteMap({x: x + x[:sum(x) % 2] for x in GRID3}),
+                           [mixed_lengths_map(GRID3, 1), mixed_lengths_map(GRID3, 2)],
+                           ["1/2", 1])
+    PLAIN = projection_spec(GRID3, [[1], [2]], ["1/2", 1])
+
+    def test_every_checker_reports_as_for_the_relabelled_spec(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            A = random_pointset(rng, 2, span=3, max_size=9)
+            X, U = random_dist_on(rng, A.sorted_points()), RationalDist.uniform(A)
+            for call in (lambda spec: check_cardinality(spec, A),
+                         lambda spec: check_entropy(spec, X),
+                         lambda spec: empirical_lemma1(spec, X, 2 * minimal(X)),
+                         lambda spec: empirical_lemma1(spec, U, len(A), cross_validate=True)):
+                assert call(self.MIXED) == call(self.PLAIN)
+
+    def test_lemma2_witness_ties_the_set_side_exactly(self):
+        rng = random.Random(37)
+        f = self.MIXED.rhs_maps[0]
+        spec = InequalitySpec(f, [f], [1])
+        for _ in range(30):
+            A = random_pointset(rng, 2, span=3, max_size=9)
+            X = lemma2_witness(A.points, f)
+            (law, _), (image, _) = (checkers._images(spec, data) for data in (X, A.points))
+            assert {len(y) for y in image} == {len(y) for y in law.support}
+            h, n = projections._term(law, 2), projections._term(image, 2)
+            assert h[0] == pytest.approx(n[0], abs=1e-12)
+            assert checkers._exact_verdict([(1, h)], [(1, n)]) == "holds"
+            assert checkers._exact_verdict([(1, n)], [(1, h)]) == "holds"
+
+    def test_domain_errors(self):
+        A, X = [(0, 3)], RationalDist([(0, 3)], [1])
+        with pytest.raises(DomainError, match="^point set is not contained in the maps' domain$"):
+            check_cardinality(self.MIXED, A)
+        for call in (check_entropy, lambda spec, X: empirical_lemma1(spec, X, 2)):
+            with pytest.raises(DomainError,
+                               match="^distribution support is not contained in the maps' domain$"):
+                call(self.MIXED, X)
+        with pytest.raises(DomainError, match="^point set is not contained in the map domain$"):
+            lemma2_witness(A, self.MIXED.rhs_maps[0])
 
 
 def minimal(X):

@@ -41,6 +41,7 @@ from entroset import (
 from entroset import dist as dist_module
 from entroset import jsonio
 from entroset.dist import _grid, _ratio, as_element, as_elements, as_fraction
+from entroset.errors import _cut
 
 from genutil import random_dist, random_elements, random_map, reference_ratio
 
@@ -953,7 +954,8 @@ def reference_dist(support, probs):
     d = math.lcm(*(p.denominator for p in fracs))
     counts = tuple(p.numerator * (d // p.denominator) for p in fracs)
     if sum(counts) != d:
-        raise SchemaError(f"probabilities must sum to 1 exactly, got {Fraction(sum(counts), d)}")
+        raise SchemaError(
+            f"probabilities must sum to 1 exactly, got {_cut(str(Fraction(sum(counts), d)))}")
     if len(set(map(len, elems))) != 1:
         raise SchemaError("support elements must share one dimension")
     return elems, counts, d

@@ -356,7 +356,7 @@ class TestTerms:
         for _ in range(60):
             A, T, C = self.draw(rng)
             X = random_dist_on(rng, A.sorted_points())
-            joint, given = (entropy(project_rv(X, S)) for S in (T.union(C), C))
+            joint, given = (entropy(project_rv(X, S)) for S in (IndexSet({*T, *C}), C))
             assert _conditional_term(X, _restrictor(T), _restrictor(C), 2)[0] == joint - given
             assert _conditional_term(X, _restrictor(T), None, 2)[0] == entropy(project_rv(X, T))
 
@@ -384,7 +384,7 @@ class TestTerms:
                                      for data in (A, X))
                 assert sets == _rescan_log_cond_size(A, T.indices, given.indices, base)
                 marginals = [entropy(project_rv(X, S), base) if S else 0.0
-                             for S in (T.union(given), given)]
+                             for S in (IndexSet({*T, *given}), given)]
                 assert entropy_log == marginals[0] - marginals[1]
 
     def test_set_form_is_the_slice_census(self):
