@@ -7,8 +7,9 @@ The two sides of the correspondence are kept honest with one another:
   count |f(A)| or |f(A) cond g(A)|, or of 2^H(f(X)) or 2^H(f(X) | g(X));
   `projections` makes every term, with `_term` for an image and
   `_conditional_term` for f given g (`_restrictor`s of index sets).
-  A verdict is decided exactly, or in floats only outside the tolerance
-  band, or is `inconclusive`;
+  A comparison of counts alone is exact, whatever its rational
+  coefficients; any other is exact inside the tolerance band and float
+  outside it. Past the bit limit an in-band one is `inconclusive`;
 * `_images` alone applies an inequality spec's maps, by one domain test and
   `dist._image` of each table, the same way to points and to a law;
 * `lemma2_witness` builds the uniform variable on fiber representatives
@@ -16,7 +17,7 @@ The two sides of the correspondence are kept honest with one another:
   statements back to counting statements;
 * `empirical_lemma1` runs the finite-k experiment on type-class sets,
   where the commutation identity lets every count come from the closed
-  form instead of enumeration.
+  form instead of enumeration; each row is one `_compare` of its counts.
 
 Negative coefficients are accepted on the entropy side only (nothing is
 claimed for them; they are evaluated as given) and rejected on the
@@ -108,9 +109,10 @@ class InequalitySpec(Record):
             raise SchemaError("rhs_maps and coefficients must have equal length")
         if not maps:
             raise SchemaError("need at least one rhs map")
-        # maps decoded from one key column list the same keys in one order
-        keys, domain = list(lhs.table), lhs.domain
-        if any(list(m.table) != keys and m.domain != domain for m in maps):
+        # maps decoded from one key column list the same keys in one order;
+        # only a map that lists them in another is compared as a key set
+        keys = list(lhs.table)
+        if any(list(m.table) != keys and m.table.keys() != lhs.table.keys() for m in maps):
             raise DomainError("all maps must share one declared domain")
         self._set(lhs_map=lhs, rhs_maps=tuple(maps), coefficients=coeffs)
 
@@ -179,7 +181,8 @@ def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckRe
 
     A term is (log, form): a float log, and an int count or a function
     giving (d, {b: e}) with term^d = prod b^e, called only when needed.
-    Exact when every term is a count and every c an integer; else by the
+    Exact when every term is a count, whatever the rational c (the cleared
+    exponents are each c times the lcm of the c's denominators); else by the
     float slack outside the tolerance band, exact inside it. Past the bit
     limit the slack decides outside the band; inside it is inconclusive.
     A NaN or infinite slack (a side past the float range) is inside the band.
@@ -187,7 +190,7 @@ def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckRe
     _check_tolerance(tolerance)
     lhs_log, rhs_log = _logs(lhs, rhs)
     slack = rhs_log - lhs_log
-    counts = all(isinstance(f, int) and c.denominator == 1 for c, (_, f) in lhs + rhs)
+    counts = all(isinstance(f, int) for _, (_, f) in lhs + rhs)
     in_band = not math.isfinite(slack) or abs(slack) < tolerance
     verdict = _exact_verdict(lhs, rhs) if counts or in_band else None
     provenance = "float" if verdict is None else "exact"
@@ -268,8 +271,9 @@ def empirical_lemma1(
     (the f^k-image of the k-set of X, without walking the k-set) and
     compares counts, raising SizeGuardError when the k-set exceeds `limit`;
     a row whose enumerated count differs from the closed form is violated
-    and carries the enumerated count. Rows are decided exactly; one past the
-    bit limit goes to `_compare` and makes the report's provenance float.
+    and carries the enumerated count. Each row is one `_compare` of its
+    counts, so it is decided exactly; the report is exact when every row
+    is, and a row past the bit limit makes it float.
     More than MAX_LEMMA1_ROWS rows (k_max // k_min) raise SizeGuardError
     before any row is built.
     """
@@ -295,24 +299,20 @@ def empirical_lemma1(
         raise SuitabilityError(f"no suitable k <= {_echo(k_max)} (minimal is {shown})")
     # every image's d divides k_min, so each k is suitable for all of them
     sizes = [_sizes(d, ks) for d in images]
-    _check_tolerance(tolerance)  # even when no row reaches `_compare`
     f = spec.lhs_map.table.__getitem__
     rows, exact = [], True
     for k in ks:
-        counts = [s[k] for s in sizes]
-        lhs_count, *rhs_counts = counts
-        sides = _spec_sides(spec, [_count(n) for n in counts])
-        verdict = _exact_verdict(*sides)
-        exact &= verdict is not None
-        row_lhs, row_rhs = _logs(*sides)
+        lhs_count, *rhs_counts = counts = [s[k] for s in sizes]
+        report = _compare(*_spec_sides(spec, [_count(n) for n in counts]), tolerance)
+        exact &= report.provenance == "exact"
         enumerated = lhs_count
         if cross_validate:
             enumerated = len(_mapped_arrangements(f, RuzsaSpec(X, k), images[0].support, limit))
         row = {
             "k": k,
-            "verdict": verdict or _compare(*sides, tolerance).verdict,
-            "lhs_rate": row_lhs / k * scale,
-            "rhs_rate": row_rhs / k * scale,
+            "verdict": report.verdict,
+            "lhs_rate": report.lhs / k * scale,
+            "rhs_rate": report.rhs / k * scale,
             "lhs_count": exact_text(lhs_count),
             "rhs_counts": [exact_text(r) for r in rhs_counts],
         }

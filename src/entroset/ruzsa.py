@@ -9,7 +9,9 @@ n support elements,
 
     |set|  <=  prod_i p_i^(-k*p_i)  <=  (k+1)^(n-1) * |set|,
 
-all three quantities exact big integers/rationals. Sizes over a list of k
+all three quantities exact big integers/rationals. The first two are at
+most n^k <= d^k, so a k is refused (`_check_k`) when d^k may pass a bit
+limit, before any of them is built. Sizes over a list of k
 (`convergence_profile`, the rows of `checkers.empirical_lemma1`) come from
 one pass over the distinct k in ascending order: with m = k/d, a size
 steps from the previous k' by the exact recurrence
@@ -60,6 +62,9 @@ from .report import HOLDS, VIOLATED, CheckReport, Record, exact_text
 
 DEFAULT_ENUM_LIMIT = 10**6
 
+# refuse a k for which k * bit_length(d) exceeds this (`_check_k`)
+_K_BIT_LIMIT = 2**17
+
 RuzsaVector = tuple[Element, ...]
 # one level of the arrangement DP: source count vector -> set of images
 Level = dict[tuple[int, ...], set[bytes]]
@@ -72,18 +77,7 @@ class RuzsaSpec(Record):
     k: int
 
     def __init__(self, dist: RationalDist, k: int):
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise SuitabilityError(f"k must be an integer: {_echo(k)}")
-        d = minimal_suitable_k(dist)
-        if k < 1:
-            raise SuitabilityError(
-                f"k={_echo(k)} must be a positive multiple of the probability denominator "
-                f"d={_cut(exact_text(d))}"
-            )
-        if k % d:
-            raise SuitabilityError(
-                f"k={_echo(k)} is not a multiple of the probability denominators"
-            )
+        _check_k(k, _suitable(dist, k))
         self._set(dist=dist, k=k)
 
     @property
@@ -95,6 +89,32 @@ class RuzsaSpec(Record):
         """Exact membership test: every support element occurs k*p_i times."""
         vec = tuple(vec)
         return len(vec) == self.k and Counter(vec) == dict(zip(self.dist.support, self.counts))
+
+
+def _suitable(dist: RationalDist, k) -> int:
+    """The denominator d of `dist`; SuitabilityError unless k is a positive multiple of it."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise SuitabilityError(f"k must be an integer: {_echo(k)}")
+    d = minimal_suitable_k(dist)
+    if k < 1:
+        raise SuitabilityError(
+            f"k={_echo(k)} must be a positive multiple of the probability denominator "
+            f"d={_cut(exact_text(d))}"
+        )
+    if k % d:
+        raise SuitabilityError(
+            f"k={_echo(k)} is not a multiple of the probability denominators"
+        )
+    return d
+
+
+def _check_k(k: int, d: int) -> None:
+    """SizeGuardError when k * bit_length(d), which bounds the bits of d^k (so of
+    the k-set size and of `type_bound_check`'s powers) and the vector length k,
+    exceeds _K_BIT_LIMIT."""
+    if k * d.bit_length() > _K_BIT_LIMIT:
+        raise SizeGuardError(f"k={_cut(exact_text(k))} times the {d.bit_length()} bits of "
+                             f"d={_cut(exact_text(d))} exceeds the bit limit {_K_BIT_LIMIT}")
 
 
 def _multinomial(counts) -> int:
@@ -112,8 +132,10 @@ def _sizes(dist: RationalDist, ks) -> dict[int, int]:
     The distinct ks are visited in ascending order. A k within an eighth of
     the previous k' steps from its size by the recurrence of the module
     docstring (the division is exact); any other k is a fresh multinomial.
+    The largest k passes `_check_k` first.
     """
     d = dist.denominator
+    _check_k(max(ks, default=0), d)
     sizes: dict[int, int] = {}
     prev = 0
     for k in sorted(set(ks)):
@@ -357,15 +379,16 @@ def convergence_profile(
     """Per-k rate log|set|/k against H(X), with the (n-1)log(k+1)/k envelope.
 
     Rows follow `k_list` as given, duplicates included. Every k is checked
-    before any size is computed; the sizes come from `_sizes`, which steps
-    between nearby ks by an exact recurrence instead of a fresh multinomial.
+    for suitability, and then the largest against the bit limit, before any
+    size is computed; the sizes come from `_sizes`, which steps between
+    nearby ks by an exact recurrence instead of a fresh multinomial.
     """
     log = _log_function(base)
     h = entropy(dist, base=base)
     n = len(dist)
     k_list = _as_list(k_list, "k_list")
     for k in k_list:
-        RuzsaSpec(dist, k)
+        _suitable(dist, k)
     sizes = _sizes(dist, k_list)
     rows = []
     for k in k_list:

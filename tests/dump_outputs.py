@@ -24,7 +24,9 @@ tables are written in one key order, reordered, with one fault each, or
 with map values of two lengths (also under `check lemma1`), dumped as
 workload "specs", seed 0, and TERM_OPS, fixed command lines
 whose terms no benchmark op builds (the benchmark's `condentropy` ops take
-disjoint S and C, in base 2 only), dumped as workload "terms", seed 0.
+disjoint S and C, in base 2 only), dumped as workload "terms", seed 0, and
+GUARD_OPS, `ruzsa` and `check lemma1` command lines with k just past the
+bit limit on k, dumped as workload "guards", seed 0.
 `diff` exits 1 and names the first differences when two dumps differ in
 any op.
 
@@ -149,6 +151,21 @@ TERM_OPS = [
      "--k", "2"],
 ]
 
+# k just past the bit limit on k * bit_length(d): 65538 * 2 bits for <d>, uniform
+# on two points, and 12288 * 13 bits for <r>, of denominator 4096, whose lemma1
+# rows are 3. Each is cheap to compute too, so a checkout without the limit
+# dumps them in seconds.
+GUARD_DOCS = {
+    "<d>": UNIFORM2,
+    "<r>": {"support": [[0], [1]], "probs": ["1/4096", "4095/4096"]},
+    "<s>": _spec([[[0], [0]], [[1], [1]]], [[[0], [0]], [[1], [0]]]),
+}
+GUARD_OPS = [
+    *(["ruzsa", command, "--dist", "<d>", "--k", "65538"] for command in ("size", "bound", "enum")),
+    ["ruzsa", "converge", "--dist", "<d>", "--ks", "2,65538"],
+    ["check", "lemma1", "--spec", "<s>", "--input", "<r>", "--kmax", "12288"],
+]
+
 
 def _import_cli(src: Path):
     """`entroset.cli` imported from `src`, or exit with a message."""
@@ -247,6 +264,9 @@ def dump(src: Path, out: Path, seeds) -> int:
         workdir = Path(tmp) / "terms"
         ops = _fixed_ops(workdir, TERM_DOCS, TERM_OPS)
         count += _write(handle, cli, "terms", 0, workdir, ops)
+        workdir = Path(tmp) / "guards"
+        ops = _fixed_ops(workdir, GUARD_DOCS, GUARD_OPS)
+        count += _write(handle, cli, "guards", 0, workdir, ops)
     print(f"{count} ops dumped to {out}")
     return 0
 

@@ -59,9 +59,21 @@ def test_dump_outputs_runs(tmp_path):
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert {r["workload"] for r in records} == {
-        "counting", "entropy", "solvers", "usage", "rationalize", "specs", "terms",
+        "counting", "entropy", "solvers", "usage", "rationalize", "specs", "terms", "guards",
         "table:counting", "table:entropy", "table:solvers"}
-    assert {r["code"] for r in records if r["workload"] not in ("usage", "specs")} == {0}
+    assert {r["code"] for r in records
+            if r["workload"] not in ("usage", "specs", "guards")} == {0}
+    guards = [r for r in records if r["workload"] == "guards"]
+    assert [(r["code"], r["stdout"]) for r in guards] == [(2, "")] * 5
+    assert all(r["stderr"].endswith(" exceeds the bit limit 131072\n") for r in guards)
+    # every comparison of counts is exact, whatever its coefficients
+    cardinality = [r for r in records if r["kind"] == "cardinality"]
+    assert len(cardinality) > 0 and {r["workload"] for r in cardinality} == {
+        "counting", "table:counting"}
+    assert all(json.loads(r["stdout"])["provenance"] == "exact"
+               for r in cardinality if r["workload"] == "counting")
+    assert all("\nprovenance: exact\n" in r["stdout"]
+               for r in cardinality if r["workload"] == "table:counting")
     specs = {r["kind"]: r for r in records if r["workload"] == "specs"}
     assert {r["code"] for r in specs.values()} == {0, 2}
     assert specs["check cardinality bool in rhs key <a>"]["stderr"] == (

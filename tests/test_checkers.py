@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from entroset import checkers, cli, dist, projections
+from entroset import checkers, cli, dist, jsonio, projections
 from entroset import (
     CoverError,
     CoverSpec,
@@ -19,6 +19,7 @@ from entroset import (
     NegativeCoefficientError,
     PointSet,
     RationalDist,
+    RuzsaSpec,
     SchemaError,
     SizeGuardError,
     check_cardinality,
@@ -30,6 +31,7 @@ from entroset import (
     lemma2_witness,
     project_rv,
     pushforward,
+    ruzsa_size,
 )
 
 from genutil import (
@@ -68,6 +70,33 @@ class TestInequalitySpec:
         spec = InequalitySpec(table, [list(table.items())], [1])
         assert spec.lhs_map == spec.rhs_maps[0] == FiniteMap.identity(GRID2)
         assert isinstance(spec.rhs_maps, tuple)
+
+
+class TestSpecDomain:
+    """A spec compares its maps' key sets only when their tables list keys in another order."""
+
+    def test_same_order_tables_never_read_the_domain(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a domain frozenset was built")
+
+        monkeypatch.setattr(FiniteMap, "domain", property(refuse))
+        spec = projection_spec(GRID2, [[1], [2]], [1, 1])
+        assert check_cardinality(spec, TRIANGLE).holds
+        table = [[list(x), list(x)] for x in GRID2]
+        doc = {"lhs_map": {"table": table}, "rhs_maps": [{"table": table}],
+               "coefficients": ["1"]}
+        assert jsonio.ineq_spec_from_json(doc).coefficients == (1,)
+
+    def test_reordered_keys_of_one_domain_are_accepted(self):
+        ident = FiniteMap.identity(GRID2)
+        reordered = FiniteMap({x: x[:1] for x in reversed(GRID2)})
+        assert InequalitySpec(ident, [reordered], [1]).rhs_maps == (reordered,)
+
+    def test_reordered_keys_of_another_domain_raise(self):
+        ident = FiniteMap.identity(GRID2)
+        for keys in (GRID2[:0:-1], [*GRID2[:0:-1], (2, 2)]):
+            with pytest.raises(DomainError, match="^all maps must share one declared domain$"):
+                InequalitySpec(ident, [FiniteMap({x: x for x in keys})], [1])
 
 
 class TestCheckCardinality:
@@ -578,7 +607,7 @@ class TestComparator:
         assert report.slack > 0.4
         assert (report.verdict, report.provenance) == ("holds", "exact")
         half = check_cardinality(projection_spec(GRID2, [[1], [2]], ["1/2", 1]), TRIANGLE)
-        assert half.provenance == "float"
+        assert half.provenance == "exact"
 
     def test_past_the_bit_limit_is_inconclusive(self):
         # 2^(d H) for d = 999983 * 1000003 has about 4e13 bits
@@ -610,7 +639,7 @@ class TestComparator:
         monkeypatch.setattr(projections, "entropy_power", refuse)
         monkeypatch.setattr(projections, "conditional_size_power", refuse)
         spec = projection_spec(GRID2, [[1], [2]], ["1/2", "1/2"])
-        assert check_cardinality(spec, TRIANGLE).provenance == "float"
+        assert check_cardinality(spec, TRIANGLE).provenance == "exact"
         assert check_entropy(spec, RationalDist.uniform(TRIANGLE.points)).provenance == "float"
         cover = CoverSpec(2, [[1], [2]], [1, 1])
         assert check_projection_theorem(TRIANGLE, cover, "sets").provenance == "float"
@@ -645,6 +674,75 @@ class TestComparator:
         report = empirical_lemma1(spec, X, k_max=8, tolerance=100.0)
         assert {row["verdict"] for row in report.details["rows"]} == {"inconclusive"}
         assert report.verdict == "inconclusive"
+
+
+def count_reference(lhs, rhs) -> str:
+    """prod n^c over lhs <= the same over rhs for (c, n) pairs of positive c, decided with
+    int powers: both sides raised to the lcm of the coefficients' denominators."""
+    lcm = math.lcm(*(c.denominator for c, _ in lhs + rhs))
+    left, right = (math.prod(n ** int(c * lcm) for c, n in side) for side in (lhs, rhs))
+    return "holds" if left <= right else "violated"
+
+
+class TestCountComparisons:
+    """A comparison of counts alone is exact, whatever its rational coefficients."""
+
+    @staticmethod
+    def coefficient(rng) -> Fraction:
+        q = rng.randint(1, 12)
+        return Fraction(rng.randint(1, 2 * q), q)
+
+    def cases(self):
+        """(lhs, rhs) lists of (c, n) pairs: ties (ab)^c = a^c b^c with the lhs count
+        moved by -1, 0 or 1 and a shared term on both sides, then random pairs."""
+        rng = random.Random(28)
+        for _ in range(150):
+            a, b = rng.randint(2, 1000), rng.randint(2, 1000)
+            while a * b > 10**6:
+                b //= 2
+            c, shared = self.coefficient(rng), (self.coefficient(rng), rng.randint(1, 10**6))
+            rhs = [(c, a), (c, b), shared]
+            rng.shuffle(rhs)
+            yield [(c, a * b + rng.choice((-1, 0, 1))), shared], rhs
+        for _ in range(100):
+            yield ([(self.coefficient(rng), rng.randint(1, 10**6)) for _ in range(2)]
+                   for _ in range(2))
+
+    def test_exact_and_equal_to_int_powers(self):
+        # a band of 1e-4 holds the near ties of large counts but not of small ones
+        verdicts, band = set(), 1e-4
+        for lhs, rhs in self.cases():
+            report = checkers._compare(*([(c, projections._count(n)) for c, n in side]
+                                         for side in (lhs, rhs)), band)
+            assert report.provenance == "exact"
+            assert report.verdict == count_reference(lhs, rhs), (lhs, rhs)
+            if abs(report.slack) >= band:
+                assert report.verdict == ("holds" if report.slack > 0 else "violated")
+            verdicts.add((report.verdict, abs(report.slack) < band))
+        # ties and near ties fall inside the band on both sides of the verdict
+        assert verdicts == set(itertools.product(("holds", "violated"), (False, True)))
+
+    def test_lemma1_rows_are_compare_on_their_counts(self):
+        rng = random.Random(29)
+        grid = [(a, b) for a in range(3) for b in range(3)]
+        for _ in range(12):
+            coeffs = [self.coefficient(rng), self.coefficient(rng)]
+            spec = projection_spec(grid, [[1], [2]], coeffs)
+            X = random_dist_on(rng, rng.sample(grid, rng.randint(2, 5)))
+            report = empirical_lemma1(spec, X, k_max=4 * minimal(X))
+            assert report.provenance == "exact"
+            for row in report.details["rows"]:
+                k = row["k"]
+                counts = [ruzsa_size(RuzsaSpec(pushforward(m, X), k))
+                          for m in (spec.lhs_map, *spec.rhs_maps)]
+                assert [row["lhs_count"], *row["rhs_counts"]] == list(map(str, counts))
+                want = checkers._compare(
+                    [(1, projections._count(counts[0]))],
+                    [(c, projections._count(n)) for c, n in zip(coeffs, counts[1:])], 1e-9)
+                assert (row["verdict"], want.provenance) == (want.verdict, "exact")
+                assert row["verdict"] == count_reference(
+                    [(1, counts[0])], list(zip(coeffs, counts[1:])))
+                assert (row["lhs_rate"], row["rhs_rate"]) == (want.lhs / k, want.rhs / k)
 
 
 class TestTolerance:

@@ -631,6 +631,40 @@ JSON_DOCUMENTS = st.recursive(
 )
 
 
+class TestKGuard:
+    """A k past the bit limit exits 2 with one error line, before any size is built."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_sizes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a multinomial was built")
+
+        monkeypatch.setattr(entroset.ruzsa, "_multinomial", refuse)
+
+    @pytest.mark.parametrize("k", ["65538", "1" + "0" * 20])
+    @pytest.mark.parametrize("command", ["size", "bound", "enum", "commute", "lift",
+                                         "converge"])
+    def test_ruzsa(self, tmp_path, capsys, command, k):
+        dist = write(tmp_path, "d.json", UNIFORM2)
+        f = write(tmp_path, "f.json", {"table": [[[0], [0]], [[1], [0]]]})
+        argv = {"converge": ["--ks", f"2,{k}"], "commute": ["--k", k, "--map", f],
+                "lift": ["--k", k, "--map", f, "--y", "[[0], [0]]"]}.get(command, ["--k", k])
+        code, out, err = invoke(capsys, ["ruzsa", command, "--dist", dist, *argv])
+        message = f"k={k} times the 2 bits of d=2 exceeds the bit limit 131072"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_lemma1(self, tmp_path, capsys):
+        support = [[i] for i in range(16)]
+        identity = {"table": [[x, x] for x in support]}
+        spec = write(tmp_path, "s.json", {"lhs_map": identity, "rhs_maps": [identity],
+                                          "coefficients": ["1/2"]})
+        dist = write(tmp_path, "x.json", {"support": support, "probs": ["1/16"] * 16})
+        code, out, err = invoke(capsys, ["check", "lemma1", "--spec", spec, "--input", dist,
+                                         "--kmax", "27200"])
+        message = "k=27200 times the 5 bits of d=16 exceeds the bit limit 131072"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestBigIntegers:
     """Exact values past the 4300-digit int-to-str limit never raise."""
 

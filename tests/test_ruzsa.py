@@ -141,6 +141,52 @@ class TestSpec:
         assert not spec.contains(((0,), (1,)))
 
 
+class TestKGuard:
+    """A k with k * bit_length(d) past the bit limit is refused before any size is built."""
+
+    PAST = 65538  # the least even k with 2k > 2^17: d = 2 has 2 bits
+    SIXTEENTHS = RationalDist.uniform([(i,) for i in range(16)])  # d = 16 has 5 bits
+
+    @pytest.fixture(autouse=True)
+    def refuse_sizes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a multinomial was built")
+
+        monkeypatch.setattr(ruzsa, "_multinomial", refuse)
+
+    def test_at_and_past_the_limit(self):
+        assert ruzsa._K_BIT_LIMIT == 2**17
+        assert RuzsaSpec(HALVES, 65536).k == 65536
+        want = "^k=65538 times the 2 bits of d=2 exceeds the bit limit 131072$"
+        with pytest.raises(SizeGuardError, match=want):
+            RuzsaSpec(HALVES, self.PAST)
+
+    def test_the_bound_is_at_least_k(self):
+        # d = 1 has one bit, so a point mass's vectors are at most 2^17 long
+        point = RationalDist([(0,)], [1])
+        assert RuzsaSpec(point, 2**17).k == 2**17
+        with pytest.raises(SizeGuardError, match="^k=131073 times the 1 bits of d=1 "):
+            RuzsaSpec(point, 2**17 + 1)
+
+    def test_every_entry_point(self):
+        ident = FiniteMap.identity(self.SIXTEENTHS.support)
+        spec = InequalitySpec(ident, [ident], [1])
+        calls = [
+            lambda: ruzsa._sizes(HALVES, [2, self.PAST]),
+            lambda: convergence_profile(HALVES, [2, self.PAST, 4]),
+            # 1,700 rows, within the row limit; 16 * 1700 * 5 bits is past the bit limit
+            lambda: empirical_lemma1(spec, self.SIXTEENTHS, 16 * 1700),
+            lambda: empirical_lemma1(spec, self.SIXTEENTHS, 16 * 1700, cross_validate=True),
+        ]
+        for call in calls:
+            with pytest.raises(SizeGuardError, match="exceeds the bit limit 131072$"):
+                call()
+
+    def test_unsuitable_ks_are_named_first(self):
+        with pytest.raises(SuitabilityError, match="^k=3 is not a multiple"):
+            convergence_profile(HALVES, [self.PAST, 3])
+
+
 class TestSize:
     @pytest.mark.parametrize(
         "dist,k,expected",
