@@ -23,10 +23,11 @@ Index-set arguments are checked by `projections._check_indices`.
 Elements are checked once, where a value enters: a constructor called
 through the API or by a JSON decoder normalizes its elements with
 `as_element`/`as_elements`, which check every coordinate (a whole list at
-once when it is valid). A map table is read by `_map_table`, whose key
-column a later table in the same key order reuses (the maps of an
-inequality spec share one domain), as does an identity table's value
-column. Internal results, such as projections, slices and copies of a map,
+once when it is valid). A map table is read by `_map_table`, which checks
+each distinct column once: a key or value column equal to one read before
+(the keys of an identity table, or any column of an earlier table of the
+same inequality spec, whose maps share one domain) reuses its tuples.
+Internal results, such as projections, slices and copies of a map,
 are built from tuples that are already normal and are not checked again.
 """
 
@@ -40,7 +41,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -253,35 +253,34 @@ class RationalDist(Record):
         return len(self.support)
 
 
-class _KeyColumn:
-    """A raw key column that passed the bulk check, and its key tuples.
-
-    `holds` is true of a raw column of the same values of the same types. It
-    compares marshal's bytes, which tell True, 1.0 and 1 apart where `==` does
-    not, and refuse all but builtin types. The first entries are compared
-    first: most other columns already differ there.
+def _checked(raw: list, seen: list) -> list[Element] | None:
+    """`_int_tuples(raw)`, or the tuples of the column in `seen` with the same
+    marshal bytes, which tell True, 1.0 and 1 apart where `==` does not. A new
+    column is added to `seen`; one that marshal cannot write (an IntEnum, an
+    array) is checked anew. `seen` is a list, not a dict: a scan compares
+    lengths first and stops at the first byte that differs, where a dict
+    would hash every byte of each column.
     """
-
-    def __init__(self, raw: list, keys: list[Element]):
-        self.raw, self.keys, self._head = raw, keys, marshal.dumps(raw[:1], 2)
-
-    @cached_property
-    def _bytes(self) -> bytes:
-        return marshal.dumps(self.raw, 2)
-
-    def holds(self, raw: list) -> bool:
-        try:
-            return marshal.dumps(raw[:1], 2) == self._head and marshal.dumps(raw, 2) == self._bytes
-        except ValueError:  # a type marshal cannot write
-            return False
+    try:
+        data = marshal.dumps(raw, 2)
+    except ValueError:  # a type marshal cannot write
+        return _int_tuples(raw)
+    for other, elems in seen:
+        if other == data:
+            return elems
+    elems = _int_tuples(raw)
+    seen.append((data, elems))
+    return elems
 
 
-def _map_table(table, column: _KeyColumn | None = None) -> tuple[dict, _KeyColumn | None]:
-    """A map table (a mapping or a sequence of [key, value] pairs), normalized,
-    and its key column if that passed the bulk check. A key column that
-    `column` holds, and a value column that the key column holds (an identity
-    table), reuse its key tuples. A bad entry or a repeated key falls back to
-    one entry at a time, so the first in table order raises, as it would alone.
+def _map_table(table, seen: list | None = None) -> dict:
+    """A map table (a mapping or a sequence of [key, value] pairs), normalized.
+
+    Each column, the keys and the values, is bulk-checked once by `_checked`:
+    a column equal to one in `seen` (the columns read before it, such as the
+    other tables of one spec, or this table's keys) reuses its tuples. A bad
+    entry or a repeated key falls back to one entry at a time, so the first
+    in table order raises, as it would alone.
     """
     try:
         pairs = list(table.items() if isinstance(table, Mapping) else table)
@@ -293,13 +292,10 @@ def _map_table(table, column: _KeyColumn | None = None) -> tuple[dict, _KeyColum
         for entry in pairs:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise SchemaError(f"map table entries are [key, value] pairs: {_echo(entry)}")
-    raw_keys, raw_values = [k for k, _ in pairs], [v for _, v in pairs]
-    if column is None or not column.holds(raw_keys):
-        keys = _int_tuples(raw_keys)
-        column = None if keys is None else _KeyColumn(raw_keys, keys)
-    identity = column is not None and column.holds(raw_values)
-    values = column.keys if identity else _int_tuples(raw_values)
-    normalized = None if column is None or values is None else dict(zip(column.keys, values))
+    seen = [] if seen is None else seen
+    keys = _checked([k for k, _ in pairs], seen)
+    values = _checked([v for _, v in pairs], seen)
+    normalized = None if keys is None or values is None else dict(zip(keys, values))
     if normalized is None or len(normalized) != len(pairs):
         # a bad entry or a duplicate key: the first one in table order raises
         normalized = {}
@@ -310,7 +306,7 @@ def _map_table(table, column: _KeyColumn | None = None) -> tuple[dict, _KeyColum
             normalized[k] = as_element(value)
     if not normalized:
         raise SchemaError("map table must be nonempty")
-    return normalized, column
+    return normalized
 
 
 class FiniteMap(Record, unhashed=("table",)):
@@ -324,7 +320,7 @@ class FiniteMap(Record, unhashed=("table",)):
 
     def __init__(self, table):
         # a FiniteMap is already normal: its table is copied, not checked again
-        table = dict(table.table) if isinstance(table, FiniteMap) else _map_table(table)[0]
+        table = dict(table.table) if isinstance(table, FiniteMap) else _map_table(table)
         self._set(table=table)
 
     @classmethod

@@ -42,7 +42,7 @@ class SuitabilityError(EntrosetError):
 
 
 class SizeGuardError(EntrosetError):
-    """An enumeration would exceed the configured size limit."""
+    """An enumeration or a cover LP would exceed its size limit."""
 
 
 class MembershipError(EntrosetError):

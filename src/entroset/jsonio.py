@@ -13,8 +13,9 @@ read is a SchemaError naming the file.
 
 Elements are checked once, where a value enters: each decoder builds its
 values through the constructors' checks. An inequality spec's maps share
-one domain, so a table listing its keys in the lhs table's order reuses
-the lhs's checked key tuples instead of reading its key column again.
+one domain, so its tables are read with one list of checked columns: a key
+or value column equal to one read before in the spec reuses its tuples
+instead of being checked again.
 """
 
 from __future__ import annotations
@@ -126,10 +127,11 @@ def cover_to_json(cover: CoverSpec) -> dict:
 
 
 def ineq_spec_from_json(doc: dict) -> InequalitySpec:
-    lhs, column = _map_table(_table(_expect(doc, "lhs_map", "inequality spec")))
+    # the maps share one domain: a column read before in the spec is not checked again
+    seen: list = []
+    lhs = _map_table(_table(_expect(doc, "lhs_map", "inequality spec")), seen)
     rhs = _array(_expect(doc, "rhs_maps", "inequality spec"), "inequality spec field 'rhs_maps'")
-    # a table written in the lhs's key order shares its checked key tuples
-    rhs = [FiniteMap._of(table=_map_table(_table(m), column)[0]) for m in rhs]
+    rhs = [FiniteMap._of(table=_map_table(_table(m), seen)) for m in rhs]
     coeffs = _expect(doc, "coefficients", "inequality spec")
     coeffs = [parse_rational(c) for c in _array(coeffs, "inequality spec field 'coefficients'")]
     return InequalitySpec(FiniteMap._of(table=lhs), rhs, coeffs)

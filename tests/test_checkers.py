@@ -328,7 +328,7 @@ class TestEmpiricalLemma1:
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_demo_rows_are_decided_exactly(self, seed, capsys):
-        # the demo's coefficients are 1/2, so `_compare` would decide its rows in floats
+        # the demo's coefficients are 1/2 and its terms are counts, which `_compare` decides exactly
         assert cli.run(["--seed", str(seed), "demo"]) in (0, 1)
         finite_k = json.loads(capsys.readouterr().out)["finite_k"]
         assert finite_k["provenance"] == "exact"

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroset
-from entroset import EntrosetError, cli, jsonio
+from entroset import EntrosetError, cli, covers, jsonio
 from entroset.covers import MAX_COVER_N, uniform_cover_as_fractional
 from entroset.errors import ECHO_CHARS, _cut, _echo
 from entroset.projections import PointSet
@@ -240,6 +240,18 @@ class TestCheckCommands:
         cover = write(tmp_path, "c.json", {"n": 3, "members": [[1, 2]]})
         code, _, err = invoke(capsys, ["cover", "min", "--cover", cover])
         assert code == 2
+
+    def test_cover_lp_past_the_cell_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(covers, "_simplex_min_geq", refuse)
+        n = MAX_COVER_N
+        cover = write(tmp_path, "c.json", {"n": n, "members": [list(range(1, n + 1))]})
+        code, out, err = invoke(capsys, ["cover", "min", "--cover", cover])
+        assert (code, out) == (2, "")
+        assert err == (f"error: cover LP tableau of {n * (n + 2)} entries exceeds "
+                       f"the limit {covers.MAX_LP_CELLS}\n")
 
     def test_cover_check_uniform(self, tmp_path, capsys):
         cover = write(tmp_path, "c.json", {"n": 3, "members": [[1, 2], [1, 3], [2, 3]]})

@@ -12,12 +12,14 @@ from entroset import (
     IndexSet,
     InfeasibleError,
     SchemaError,
+    SizeGuardError,
     is_fractional_cover,
     is_uniform_k_cover,
     min_fractional_cover,
     uniform_cover_as_fractional,
 )
-from entroset.covers import MAX_COVER_N, _simplex_min_geq
+from entroset import covers
+from entroset.covers import MAX_COVER_N, MAX_LP_CELLS, _simplex_min_geq
 
 from genutil import random_members, random_uniform_k_cover
 
@@ -226,6 +228,25 @@ class TestMinFractionalCover:
         solution = min_fractional_cover(2, [[1, 2], [1, 2]])
         assert solution.objective == 1
         assert sum(solution.weights) == 1
+
+    def test_tableau_at_the_cell_limit_is_solved(self):
+        # one row by members + 2 columns
+        solution = min_fractional_cover(1, [[1]] * (MAX_LP_CELLS - 2))
+        assert solution.objective == 1
+
+    @pytest.mark.parametrize("n, members", [(1, [[1]] * (MAX_LP_CELLS - 1)),
+                                            (MAX_COVER_N, [range(1, MAX_COVER_N + 1)])],
+                             ids=["one-past", "largest-n"])
+    def test_tableau_past_the_cell_limit_is_refused_before_it_is_built(
+            self, monkeypatch, n, members):
+        def refuse(*args):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(covers, "_simplex_min_geq", refuse)
+        cells = n * (len(members) + n + 1)
+        with pytest.raises(SizeGuardError, match=f"^cover LP tableau of {cells} entries "
+                                                 f"exceeds the limit {MAX_LP_CELLS}$"):
+            min_fractional_cover(n, members)
 
 
 def reference_simplex_min_geq(c, a, b):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entroset import (
@@ -679,9 +679,9 @@ def reference_as_element(value):
         if not coords or not all(
             isinstance(c, int) and not isinstance(c, bool) for c in coords
         ):
-            raise SchemaError(f"element coordinates must be integers: {value!r}")
+            raise SchemaError(f"element coordinates must be integers: {_cut(repr(value))}")
         return coords
-    raise SchemaError(f"not a ground element: {value!r}")
+    raise SchemaError(f"not a ground element: {_cut(repr(value))}")
 
 
 def reference_table(table):
@@ -692,12 +692,12 @@ def reference_table(table):
     pairs = list(table.items() if isinstance(table, dict) else table)
     for entry in pairs:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise SchemaError(f"map table entries are [key, value] pairs: {entry!r}")
+            raise SchemaError(f"map table entries are [key, value] pairs: {_cut(repr(entry))}")
     normalized = {}
     for key, value in pairs:
         k = reference_as_element(key)
         if k in normalized:
-            raise SchemaError(f"duplicate key in map table: {k}")
+            raise SchemaError(f"duplicate key in map table: {_cut(repr(k))}")
         normalized[k] = reference_as_element(value)
     if not normalized:
         raise SchemaError("map table must be nonempty")
@@ -756,6 +756,9 @@ element_lists = st.one_of(
 map_keys = st.one_of(st.lists(st.integers(0, 2), min_size=1, max_size=2), elements)
 map_pairs = st.lists(st.tuples(map_keys, elements).map(list), max_size=6)
 
+# an element whose repr runs past the 100 characters an error message echoes
+LONG_VALUE = [-10**34, -10**34, 1.3407807929916684e+154]
+
 SEEDED_ELEMENTS = [
     0, -7, 2**80, True, False, Small.ONE, 1.0, float("nan"), "3", "", None,
     [], (), [1], (1, 2), [0, -1, 2**70], [True], [1, False], [Small.TWO, 3],
@@ -791,15 +794,18 @@ class TestElementFastPath:
         assert outcome(as_elements, iter(values)) == expected
 
     @given(elements)
+    @example(LONG_VALUE)
     def test_element(self, value):
         assert outcome(as_element, value) == outcome(reference_as_element, value)
 
     @given(element_lists)
+    @example([LONG_VALUE])
     def test_list(self, values):
         expected = outcome(lambda vs: [reference_as_element(v) for v in vs], values)
         assert outcome(as_elements, values) == expected
 
     @given(map_pairs)
+    @example([[[0], LONG_VALUE]])
     def test_map_table(self, pairs):
         assert outcome(lambda p: FiniteMap(p).table, pairs) == outcome(reference_table, pairs)
 
@@ -911,16 +917,44 @@ class TestSpecDecoding:
             assert len({id(t) for t in tables}) == len(tables)
 
     @pytest.mark.parametrize("intruder", [True, 1.0], ids=["bool", "float"])
-    @pytest.mark.parametrize("where", ["rhs key", "lhs value"])
+    @pytest.mark.parametrize("where", ["rhs key", "lhs value", "second rhs value"])
     def test_value_equal_to_an_int_is_refused(self, intruder, where):
         # True == 1 and 1.0 == 1, so the columns compare equal with ==
         doc = {"lhs_map": {"table": [[[0, 1], [0, 1]], [[1, 1], [1, 1]]]},
                "rhs_maps": [{"table": [[[0, 1], [0]], [[1, 1], [1]]]}],
                "coefficients": ["1"]}
-        table = doc["rhs_maps"][0]["table"] if where == "rhs key" else doc["lhs_map"]["table"]
-        table[1][0 if where == "rhs key" else 1][1] = intruder
+        if where == "second rhs value":
+            doc["rhs_maps"].append({"table": [[[0, 1], [0]], [[1, 1], [intruder]]]})
+            doc["coefficients"].append("1")
+        else:
+            table = doc["rhs_maps"][0]["table"] if where == "rhs key" else doc["lhs_map"]["table"]
+            table[1][0 if where == "rhs key" else 1][1] = intruder
         with pytest.raises(SchemaError, match="^element coordinates must be integers: "):
             jsonio.ineq_spec_from_json(doc)
+
+    def test_equal_value_columns_share_their_tuples(self):
+        domain = [[0, 0], [0, 1], [1, 0], [1, 1]]
+        doc = {"lhs_map": {"table": [[list(k), list(k)] for k in domain]},
+               "rhs_maps": [{"table": [[list(k), [k[0] ^ k[1]]] for k in domain]}
+                            for _ in range(2)],
+               "coefficients": ["1/2", "1/2"]}
+        f, g = jsonio.ineq_spec_from_json(doc).rhs_maps
+        assert f.table == g.table and f.table is not g.table
+        assert all(f.table[k] is g.table[k] for k in f.table)
+
+    def test_key_column_equal_to_an_earlier_value_column_shares_its_tuples(self):
+        # the lhs swaps the two keys, and the rhs lists its keys in the lhs's value order
+        doc = {"lhs_map": {"table": [[[0], [1]], [[1], [0]]]},
+               "rhs_maps": [{"table": [[[1], [5]], [[0], [6]]]}],
+               "coefficients": ["1"]}
+        spec = jsonio.ineq_spec_from_json(doc)
+        assert list(spec.rhs_maps[0].table) == list(spec.lhs_map.table.values())
+        assert all(k is v for k, v in zip(spec.rhs_maps[0].table, spec.lhs_map.table.values()))
+
+    def test_identity_table_reuses_its_key_tuples(self):
+        f = FiniteMap([[[0, 1], [0, 1]], [[1, 1], [1, 1]], [[2, 0], [2, 0]]])
+        assert f.table == {(0, 1): (0, 1), (1, 1): (1, 1), (2, 0): (2, 0)}
+        assert all(v is k for k, v in f.table.items())
 
     def test_array_value_is_refused_without_comparing_it(self):
         # `==` against a NumPy array of two entries raises ValueError
