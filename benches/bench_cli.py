@@ -14,6 +14,9 @@ and writing the output document. Inputs are seeded and fixed:
 * `check projection --side entropy` of the same distribution against the
   triangle cover {1,2}, {1,3}, {2,3} with weights 1/2.
 
+`test_demo` times `--seed 5 demo`, which builds its spec once per process
+and then reads it from the cache.
+
 `test_parse` times `cli.run`'s parse step alone (`cli._parse`) over one
 plain argv per leaf command: its words, the global options and every one of
 its options, with sample values. A round parses all of them once.
@@ -98,6 +101,10 @@ def test_check_projection_entropy(benchmark, inputs):
     dist, cover = inputs
     argv = ["check", "projection", "--cover", cover, "--input", dist, "--side", "entropy"]
     assert benchmark(_run, argv) == 0
+
+
+def test_demo(benchmark):
+    assert benchmark(_run, ["--seed", "5", "demo"]) == 0
 
 
 # a sample value per option type; None is an untyped (string) option

@@ -23,6 +23,11 @@ and fixed, in the shapes the benchmark's `counting` workload reads:
   1..30, written reduced, so their denominators are mixed; and
   `dist_to_json` of the decoded distribution, its counts written back.
 
+`load_json` reads and parses a file written to `tmp_path` with
+`json.dumps`: the distribution on 4 points (89 bytes) and the point sets
+of 1000 and 4000 points (20 KB and 80 KB), so both the fixed cost of a
+read and its slope in bytes are on record.
+
 `dump_json` writes documents shaped like the workloads' output: a
 `project` output of 250, 1000 and 4000 points of dimension 6, a
 `ruzsa converge` report of 40 and 100 rows, and a `check lemma1` report
@@ -42,6 +47,7 @@ from entroset.jsonio import (
     dist_to_json,
     dump_json,
     ineq_spec_from_json,
+    load_json,
     pointset_from_json,
 )
 from entroset.ruzsa import convergence_profile
@@ -122,6 +128,22 @@ def test_dist_to_json(benchmark, size):
     benchmark.extra_info["support"] = size
     doc = benchmark(dist_to_json, X)
     assert doc == _dist_doc(size, seed=size)
+
+
+LOAD_DOCS = {
+    "dist4": lambda: _dist_doc(4, seed=4),
+    "points1000": lambda: _pointset_doc(1000, seed=1000),
+    "points4000": lambda: _pointset_doc(4000, seed=4000),
+}
+
+
+@pytest.mark.parametrize("shape", list(LOAD_DOCS))
+def test_load_json(benchmark, tmp_path, shape):
+    doc = LOAD_DOCS[shape]()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    benchmark.extra_info["bytes"] = path.stat().st_size
+    assert benchmark(load_json, str(path)) == doc
 
 
 def _converge_doc(rows: int) -> dict:

@@ -249,6 +249,25 @@ def _check_lemma1(args):
     ))
 
 
+_DEMO_GRID = tuple((a, b, c) for a in range(3) for b in range(3) for c in range(3))
+
+
+@functools.cache
+def _demo_spec() -> InequalitySpec:
+    """The demo's spec, built once per process: the identity of {0,1,2}^3
+    against its three pair projections, each with exponent 1/2. A spec is
+    immutable, so every `run_demo` call shares it."""
+    pair_projections = [IndexSet((1, 2)), IndexSet((1, 3)), IndexSet((2, 3))]
+    return InequalitySpec(
+        lhs_map=FiniteMap.identity(_DEMO_GRID),
+        rhs_maps=[
+            FiniteMap({x: tuple(x[i - 1] for i in S) for x in _DEMO_GRID})
+            for S in pair_projections
+        ],
+        coefficients=["1/2", "1/2", "1/2"],
+    )
+
+
 def run_demo(args: argparse.Namespace) -> tuple[dict, int]:
     """Projection-inequality walkthrough on a random subset of {0,1,2}^3.
 
@@ -259,18 +278,9 @@ def run_demo(args: argparse.Namespace) -> tuple[dict, int]:
     `base` and `limit` from the parsed args.
     """
     rng = random.Random(args.seed)
-    grid = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-    points = sorted(rng.sample(grid, rng.randint(3, 6)))
+    points = sorted(rng.sample(_DEMO_GRID, rng.randint(3, 6)))
     A = PointSet(3, points)
-    pair_projections = [IndexSet((1, 2)), IndexSet((1, 3)), IndexSet((2, 3))]
-    spec = InequalitySpec(
-        lhs_map=FiniteMap.identity(grid),
-        rhs_maps=[
-            FiniteMap({x: tuple(x[i - 1] for i in S) for x in grid})
-            for S in pair_projections
-        ],
-        coefficients=["1/2", "1/2", "1/2"],
-    )
+    spec = _demo_spec()
     counting = check_cardinality(spec, A, tolerance=args.tolerance)
     X = RationalDist.uniform(A)
     entropy_side = check_entropy(spec, X, tolerance=args.tolerance, base=args.base)

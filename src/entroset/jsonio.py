@@ -11,6 +11,11 @@ would, with every int an exact number at any depth. On input, an int literal
 past that limit, nesting past the recursion limit, or a path that cannot be
 read is a SchemaError naming the file.
 
+A file is read with one unbuffered read and decoded as UTF-8, so a UTF-16
+or UTF-32 file is refused as a text-mode read refuses it. A carriage return
+gets text mode's newline translation, so a parse error names the line and
+column a text-mode read would.
+
 Elements are checked once, where a value enters: each decoder builds its
 values through the constructors' checks. An inequality spec's maps share
 one domain, so its tables are read with one list of checked columns: a key
@@ -139,8 +144,11 @@ def ineq_spec_from_json(doc: dict) -> InequalitySpec:
 
 def load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:  # text mode's newline translation, for the error's line
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except FileNotFoundError as exc:
         raise SchemaError(f"no such file: {path}") from exc
     except OSError as exc:  # a directory, a path through a file, no permission

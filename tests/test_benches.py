@@ -6,11 +6,13 @@ untimed, in a subprocess. The end-to-end harness under bench/ is checked
 by running its self-test once, also in a subprocess, and the output dump
 harness `tests/dump_outputs.py` is run once on one seed, with its help and
 usage-error command lines, its fixed `rationalize` command lines and its
-fixed inequality-spec and term command lines.
+fixed inequality-spec and term command lines. The A/B timing harness
+`tests/ab_ops.py` is run once, for one pass, with this `src/` on both sides.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -91,3 +93,29 @@ def test_dump_outputs_runs(tmp_path):
     diffs = [subprocess.run([sys.executable, script, "diff", str(dump), str(other)],
                             capture_output=True, text=True) for other in (dump, changed)]
     assert [d.returncode for d in diffs] == [0, 1], [d.stdout for d in diffs]
+
+
+def test_ab_ops_runs(tmp_path):
+    """`tests/ab_ops.py` loads one `src/` twice, finds both sides' outputs
+    identical, and ends with its JSON line; a side that prints one more
+    byte is told apart."""
+    src = str(ROOT / "src")
+    script = str(ROOT / "tests" / "ab_ops.py")
+    done = subprocess.run([sys.executable, script, src, src, "entropy", "1", "2"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["outputs_identical"] and result["passes"] == 1
+    assert result["a"]["samples"] == result["b"]["samples"] == result["ops"] > 0
+    assert set(result["ratio_by_kind"]) >= {"entropy", "demo"}
+
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "entroset", changed / "entroset",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "entroset" / "cli.py"
+    cli.write_text(cli.read_text().replace("print(text, file=stream)",
+                                           "print(text + ' ', file=stream)"))
+    done = subprocess.run([sys.executable, script, src, str(changed), "entropy", "1", "2"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert done.returncode == 1, done.stdout[-4000:] + done.stderr[-4000:]
+    assert not json.loads(done.stdout.splitlines()[-1])["outputs_identical"]

@@ -339,6 +339,7 @@ class TestDeterminism:
         assert out1 == out2
         doc = json.loads(out1)
         assert doc["all_hold"] is True
+        assert cli._demo_spec() is cli._demo_spec()
 
     def test_different_seeds_differ(self, capsys):
         _, out1, _ = invoke(capsys, ["--seed", "1", "demo"])
@@ -1091,6 +1092,32 @@ class TestReadFailures:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: maximum ") and self.DEEP in err
         assert err.count("\n") == 1
+
+    LINES = ["{", '  "support": [[0], [1]],', '  "probs": ["1/2", "1/2"]', "}"]
+
+    @pytest.mark.parametrize("data, message", [
+        ("\r\n".join(LINES[:2] + ['  "probs": ["1/2", "1/2",]'] + LINES[3:]).encode(),
+         ":3:26: Expecting value"),
+        ("\r".join(LINES[:2] + ['  "probs": ["1/2" "1/2"]'] + LINES[3:]).encode(),
+         ":3:19: Expecting ',' delimiter"),
+        (b"\xef\xbb\xbf" + json.dumps(UNIFORM2).encode(),
+         ":1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (json.dumps(UNIFORM2).encode("utf-16"),
+         ": 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{"support": [[0]], "probs": ["1\t"]}', ":1:32: Invalid control character at"),
+        (b"", ":1:1: Expecting value"),
+    ], ids=["crlf", "lone_cr", "utf8_bom", "utf16", "control_character", "empty"])
+    def test_dist_bytes_refused(self, tmp_path, capsys, data, message):
+        path = tmp_path / "d.json"
+        path.write_bytes(data)
+        code, out, err = invoke(capsys, ["entropy", "--dist", str(path)])
+        assert (code, out, err) == (2, "", f"error: {path}{message}\n")
+
+    def test_dist_with_crlf_lines(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_bytes("\r\n".join(self.LINES).encode())
+        code, out, err = invoke(capsys, ["entropy", "--dist", str(path)])
+        assert (code, json.loads(out), err) == (0, {"entropy": 1.0}, "")
 
     def test_lift_y_nested_too_deep(self, tmp_path, capsys):
         dist = write(tmp_path, "d.json", {"support": [[1], [2], [3], [4]], "probs": ["1/4"] * 4})
