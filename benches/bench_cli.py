@@ -35,6 +35,12 @@ they allocate is live until the command ends:
 * `condsize --t 4 --s 1,2,3` of 1000, 10000 and 100000 distinct seeded
   points of {0..17}^4.
 
+`test_repeated_input` times `project --pointset --indices 1,2` of 250, 1000
+and 4000 distinct seeded points of {0..9}^5, read by a first call (the kept
+decoded files are dropped before each round, so the file is read, parsed
+and decoded) and by a repeat (the file is read and its decoded point set is
+the one kept from the call before).
+
 `test_first_collection_after` times the same commands followed by the
 first cyclic-collector pass that the allocations after them set off, so a
 collector pass saved inside the command and paid just after it would show.
@@ -209,3 +215,22 @@ def test_first_collection_after(benchmark, sized_argv):
     assert benchmark(command_then_first_pass) == 0
     benchmark.extra_info["first_pass_generation"] = statistics.median(g for g, _ in passes)
     benchmark.extra_info["first_pass_ms"] = statistics.median(ms for _, ms in passes)
+
+
+REPEATED_POINTS = {"a250": 250, "a1000": 1000, "a4000": 4000}
+
+
+def _first_call(argv) -> int:
+    cli._decoded.cache_clear()
+    return _run(argv)
+
+
+@pytest.mark.parametrize("call", [_first_call, _run], ids=["first", "repeat"])
+@pytest.mark.parametrize("size", REPEATED_POINTS)
+def test_repeated_input(benchmark, tmp_path, size, call):
+    codes = random.Random(size).sample(range(10**5), REPEATED_POINTS[size])
+    points = [[c // 10**i % 10 for i in range(5)] for c in sorted(codes)]
+    path = _write(tmp_path / "a.json", {"dimension": 5, "points": points})
+    argv = ["project", "--pointset", path, "--indices", "1,2"]
+    assert _run(argv) == 0
+    assert benchmark(call, argv) == 0

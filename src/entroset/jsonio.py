@@ -14,7 +14,9 @@ read is a SchemaError naming the file.
 A file is read with one unbuffered read and decoded as UTF-8, so a UTF-16
 or UTF-32 file is refused as a text-mode read refuses it. A carriage return
 gets text mode's newline translation, so a parse error names the line and
-column a text-mode read would.
+column a text-mode read would. `load_json` also takes bytes already read:
+the CLI reads each input file on every call, and parses and decodes it only
+when it keeps no decoded value for those exact bytes (see `cli`).
 
 Elements are checked once, where a value enters: each decoder builds its
 values through the constructors' checks. An inequality spec's maps share
@@ -142,17 +144,28 @@ def ineq_spec_from_json(doc: dict) -> InequalitySpec:
     return InequalitySpec(FiniteMap._of(table=lhs), rhs, coeffs)
 
 
-def load_json(path: str) -> dict:
+def _read(path: str) -> bytes:
+    """The bytes of the file at `path`, in one unbuffered read."""
     try:
         with open(path, "rb", buffering=0) as handle:
-            text = handle.read().decode("utf-8")
-        if "\r" in text:  # text mode's newline translation, for the error's line
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text)
+            return handle.read()
     except FileNotFoundError as exc:
         raise SchemaError(f"no such file: {path}") from exc
     except OSError as exc:  # a directory, a path through a file, no permission
         raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL in the path
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def load_json(path: str, raw: bytes | None = None) -> dict:
+    """The JSON document in the file at `path`; `raw` is its bytes, if already read."""
+    if raw is None:
+        raw = _read(path)
+    try:
+        text = raw.decode("utf-8")
+        if "\r" in text:  # text mode's newline translation, for the error's line
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an int past the limit, too deep, not UTF-8

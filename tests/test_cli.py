@@ -141,7 +141,11 @@ class TestBasicCommands:
     @pytest.mark.parametrize("y, reason", [
         ("[1,", "Expecting value: line 1 column 4 (char 3)"),
         ("5", "'int' object is not iterable"),
-    ], ids=["truncated", "not_an_array"])
+        ("{}", "'dict' object is not an array"),
+        ('{"a": 1}', "'dict' object is not an array"),
+        ('"xy"', "'str' object is not an array"),
+        ('[[0], {"1": 2}]', "'dict' object is not an array"),
+    ], ids=["truncated", "not_an_array", "empty_object", "object", "string", "object_element"])
     def test_ruzsa_lift_bad_y(self, tmp_path, capsys, y, reason):
         dist = write(tmp_path, "d.json", {"support": [[1], [2], [3], [4]], "probs": ["1/4"] * 4})
         fmap = write(tmp_path, "f.json", MOD2_MAP)
@@ -429,6 +433,48 @@ class TestParserReuse:
             cli.run(["nosuch"])
         assert exc.value.code == 2
         assert "invalid choice: 'nosuch'" in err.getvalue()
+
+
+class TestKeptInputs:
+    """Decoded input files kept across `cli.run` calls, by (decoder, path, bytes)."""
+
+    def test_rewritten_file_is_decoded_again(self, tmp_path, capsys):
+        path = write(tmp_path, "d.json", UNIFORM2)
+        assert invoke(capsys, ["entropy", "--dist", path]) == (0, '{\n  "entropy": 1.0\n}\n', "")
+        before = os.stat(path)
+        write(tmp_path, "d.json", {"support": [[0], [1]], "probs": ["1/4", "3/4"]})
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        code, out, err = invoke(capsys, ["entropy", "--dist", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["entropy"] == pytest.approx(2 - 0.75 * math.log2(3))
+
+    def test_decode_failure_is_not_kept(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_text('{"support": [[0], [1]], "probs": ["1/2", "1/2",]}')
+        argv = ["entropy", "--dist", str(path)]
+        failed = (2, "", f"error: {path}:1:48: Expecting value\n")
+        assert invoke(capsys, argv) == failed
+        assert invoke(capsys, argv) == failed
+        path.write_text(json.dumps(UNIFORM2))
+        assert invoke(capsys, argv) == (0, '{\n  "entropy": 1.0\n}\n', "")
+
+    def test_no_hit_across_decoders(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", TRIANGLE_SET)
+        code, out, _ = invoke(capsys, ["project", "--pointset", path, "--indices", "1"])
+        assert (code, json.loads(out)) == (0, {"dimension": 1, "points": [[0], [1]]})
+        assert invoke(capsys, ["entropy", "--dist", path]) == (
+            2, "", "error: distribution document needs field 'support'\n")
+
+    def test_keeps_the_last_few_files(self, tmp_path, capsys):
+        cli._decoded.cache_clear()
+        for i in range(cli._KEPT_FILES + 1):
+            path = write(tmp_path, f"d{i}.json", UNIFORM2)
+            assert invoke(capsys, ["entropy", "--dist", path])[0] == 0
+        info = cli._decoded.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (cli._KEPT_FILES,
+                                                           cli._KEPT_FILES + 1, 0)
 
 
 def _levels(level=cli._ROOT, words=()):

@@ -123,6 +123,24 @@ def test_no_cyclic_garbage(paths, collector, capsys, words, form):
     assert unreachable == 0
 
 
+@pytest.mark.parametrize("words", _leaf_words(), ids=" ".join)
+def test_kept_inputs_print_what_a_fresh_decode_prints(paths, capsys, words):
+    """Run twice back to back (the second reads kept values), then once after
+    the kept values are dropped: so no command changes a value it shares."""
+    argv = command_line(words, paths, "success")
+    files = sum("{" in token for token in COMMANDS[words])
+    results, hits = [], []
+    for clear in (False, False, True):
+        if clear:
+            cli._decoded.cache_clear()
+        code = cli.run(argv)
+        results.append((code, *capsys.readouterr()))
+        hits.append(cli._decoded.cache_info().hits)
+    assert results[0][0] == 0
+    assert results[0] == results[1] == results[2]
+    assert hits[1] - hits[0] == files and hits[2] == 0
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 class TestCollectorState:
     """`run` pauses the collector for the command and restores it on every way out."""
