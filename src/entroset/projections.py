@@ -121,13 +121,16 @@ def _check_indices(S: IndexSet, data, empty: str | None = None) -> None:
 
 
 def _restrictor(S: IndexSet) -> Callable[[Element], Element] | None:
-    """The map x -> x_S, built once per index set; None (no g) for the empty S."""
+    """The map x -> x_S, built once per index set; None (no g) for the empty S.
+
+    A contiguous S, one index or a prefix S* included, is a slice of x, so
+    a single index gives a 1-tuple; any other S has two or more indices.
+    """
     if not S:
         return None
-    if len(S) == 1:
-        # itemgetter of one index returns the coordinate, not a 1-tuple
-        (i,) = S.indices
-        return lambda x: (x[i - 1],)
+    lo, hi = S.indices[0], S.indices[-1]
+    if hi - lo + 1 == len(S):
+        return itemgetter(slice(lo - 1, hi))
     return itemgetter(*(i - 1 for i in S.indices))
 
 

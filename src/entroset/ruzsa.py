@@ -28,20 +28,26 @@ directions are implemented: `verify_commutation` checks the identity by
 computing both sets independently, and `preimage_lift` constructs an
 explicit preimage vector witnessing the hard inclusion.
 
-Arrangements come from one level-by-level DP (`_grow`): a deduplicated
-set of images per source count vector u, grown a coordinate at a time.
-`_image_set` joins the half-length sets, so the mapped side is built
-without walking the source set and costs what the (often much smaller)
-image set does. `ruzsa_enumerate` sorts them once under the identity
-and walks the prefixes above them, lazily and in lexicographic order.
+Arrangements come from one level-by-level DP (`_grow`): the images of
+the arrangements of each source count vector u, grown a coordinate at a
+time. `ruzsa_enumerate` keeps them as byte strings of support indices,
+sorts the half-length ones once and walks the prefixes above them, lazily
+and in lexicographic order. `_image_set` codes an image as an int in the
+base of its alphabet size, first coordinate most significant. When two
+symbols are equal, states whose sets are equal share one set object, and
+each distinct half-length tail set is joined once, against the union of
+its heads. So the mapped side is built without walking the source set and
+costs what the (often much smaller) image set does. Both refuse more than
+256 support elements (`_guard`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import product
-from typing import Callable, Iterable, Iterator
+from itertools import product, starmap
+from operator import add, sub
+from typing import Callable, Collection, Iterable, Iterator
 
 from .dist import (
     Element,
@@ -66,8 +72,8 @@ DEFAULT_ENUM_LIMIT = 10**6
 _K_BIT_LIMIT = 2**17
 
 RuzsaVector = tuple[Element, ...]
-# one level of the arrangement DP: source count vector -> set of images
-Level = dict[tuple[int, ...], set[bytes]]
+# one level of the arrangement DP: source count vector -> its images (`_grow`)
+Level = dict[tuple[int, ...], Collection]
 
 
 class RuzsaSpec(Record):
@@ -172,48 +178,88 @@ def _guard(counts: tuple[int, ...], limit: int) -> None:
         )
 
 
-def _grow(level: Level, counts: tuple[int, ...], symbols: list[bytes]) -> Level:
+def _grow(level: Level, counts: tuple[int, ...], heads: list) -> Level:
     """One level of the arrangement DP, shared by `_image_set` and `ruzsa_enumerate`.
 
-    `level` maps count vectors u <= counts to sets of images of length
-    sum(u). The result maps every u + e_i <= counts to the union, over
-    such u, of symbols[i] prepended to the set of u; sets deduplicate.
+    `level` maps count vectors u <= counts to the images of length sum(u)
+    of their arrangements. The result maps every u + e_i <= counts to the
+    union, over such u, of heads[i] prepended (`heads[i].__add__`) to the
+    images of u. When the heads are distinct, an image's head names the u
+    it grew from, so no image arises twice and each child collects its
+    images in a list. Otherwise a child's parts are its (head, parent set)
+    pairs; children with the same parts share one set object, built once
+    and never changed, so each distinct set is prepended once per head.
     """
     grown: Level = {}
+    if len(set(heads)) == len(heads):
+        for state, images in level.items():
+            for i, c in enumerate(state):
+                if c < counts[i]:
+                    child = state[:i] + (c + 1,) + state[i + 1 :]
+                    grown.setdefault(child, []).extend(map(heads[i].__add__, images))
+        return grown
+    sets = {id(images): images for images in level.values()}
+    parts: dict[tuple[int, ...], list[tuple]] = {}
     for state, images in level.items():
         for i, c in enumerate(state):
             if c < counts[i]:
                 child = state[:i] + (c + 1,) + state[i + 1 :]
-                grown.setdefault(child, set()).update(map(symbols[i].__add__, images))
+                parts.setdefault(child, []).append((heads[i], id(images)))
+    shared: dict[frozenset, set] = {}
+    for child, pairs in parts.items():
+        key = frozenset(pairs)
+        if key not in shared:
+            shared[key] = set().union(*(map(head.__add__, sets[ident]) for head, ident in key))
+        grown[child] = shared[key]
     return grown
 
 
-def _image_set(counts: tuple[int, ...], symbols: Iterable[int], limit: int) -> set[bytes]:
+def _decode(code: int, k: int, base: int) -> tuple[int, ...]:
+    """The k symbols of an int-coded image (`_image_set`), first coordinate first."""
+    digits = [0] * k
+    for j in reversed(range(k)):
+        code, digits[j] = divmod(code, base)
+    return tuple(digits)
+
+
+def _image_set(counts: tuple[int, ...], symbols: Iterable[int], limit: int) -> set[int]:
     """The image of every arrangement of `counts` under index i -> symbols[i].
 
-    An image is `bytes` whose j-th byte is the symbol of the support index
-    at coordinate j; `symbols` is read only after the guards of `_guard`
-    have passed. The image sets of the arrangements of every partial count
-    vector u <= counts are grown level by level from {b""} by `_grow`. The
-    k//2 level is kept as the suffix sets; the answer joins, for every
-    state u at level k - k//2, each head in the set of u to each tail in
-    the set of counts - u. States are source count vectors, so every
-    member is the image of a real arrangement.
+    An image s_1 ... s_k is the int sum of s_j * b^(k-j), so the first
+    coordinate is the most significant digit and `_decode` reads it back.
+    The base b = max(symbols) + 1 is the size of the image alphabet, the
+    same on both sides of `verify_commutation`, where every index below it
+    occurs. `symbols` is read only after the guards of `_guard` have
+    passed. The images of the arrangements of every partial count vector
+    u <= counts are grown level by level from {0} by `_grow`: at depth d a
+    symbol s is prepended by adding s * b^(d-1). The k//2 level is kept as
+    the tails; the answer joins each distinct tail set once, as
+    head * b^(k//2) + tail, against the union of the heads of every state u
+    at level k - k//2 whose tails, those of counts - u, it holds. The union
+    does not assume that such states have equal heads, which is the
+    identity that `verify_commutation` checks. States are source count
+    vectors, so every member is the image of a real arrangement.
     """
     _guard(counts, limit)
-    symbols = [bytes((s,)) for s in symbols]
+    symbols = list(symbols)
+    base = max(symbols, default=0) + 1
     k = sum(counts)
     half = k // 2
-    level: Level = {(0,) * len(counts): {b""}}
-    suffixes = level
+    level: Level = {(0,) * len(counts): {0}}
+    suffixes, scale, shift = level, 1, 1
     for depth in range(1, k - half + 1):
-        level = _grow(level, counts, symbols)
+        level = _grow(level, counts, [s * scale for s in symbols])
+        scale *= base
         if depth == half:
-            suffixes = level
-    joined: set[bytes] = set()
+            suffixes, shift = level, scale
+    joins: dict[int, tuple[Collection, dict[int, Collection]]] = {}
     for state, heads in level.items():
-        tails = suffixes[tuple(c - u for c, u in zip(counts, state))]
-        joined.update(map(b"".join, product(heads, tails)))
+        tails = suffixes[tuple(map(sub, counts, state))]
+        joins.setdefault(id(tails), (tails, {}))[1][id(heads)] = heads
+    joined: set[int] = set()
+    for tails, heads in joins.values():
+        shifted = [head * shift for images in heads.values() for head in images]
+        joined.update(starmap(add, product(shifted, tails)))
     return joined
 
 
@@ -225,9 +271,10 @@ def ruzsa_enumerate(
     A generator: at the first item, before any vector is built, it raises
     SchemaError for a non-spec and SizeGuardError when the closed-form
     count exceeds `limit` (`_guard`); counting never needs enumeration.
-    The suffix sets of length k//2 come from `_grow` under the identity,
-    each sorted and decoded to elements once, at first use; the prefixes
-    above them are walked depth first, so members come lazily in order.
+    The suffixes of length k//2 come from `_grow` under the identity, as
+    byte strings of support indices, each list sorted and decoded to
+    elements once, at first use; the prefixes above them are walked depth
+    first, so members come lazily in order.
     """
     _expect_type(spec, RuzsaSpec, "ruzsa_enumerate")
     counts = spec.counts
@@ -255,12 +302,14 @@ def ruzsa_enumerate(
 
 def _mapped_arrangements(
     f: Callable[[Element], Element], spec: RuzsaSpec, image_support, limit: int
-) -> set[bytes]:
-    """The f^k-image of the k-set of X, as arrangements over `image_support`.
+) -> set[int]:
+    """The f^k-image of the k-set of X, int-coded over `image_support`.
 
-    `image_support` is the support of the pushforward f(X): the byte of
-    source index i is the index of f(x_i) there. `f` (a FiniteMap, or its
-    table's `__getitem__`) is called only after the size guards have passed.
+    `image_support` is the support of the pushforward f(X): the symbol of
+    source index i is the index of f(x_i) there. Every index occurs, so
+    the base of the coding is len(image_support), as it is for the k-set
+    of f(X) under the identity. `f` (a FiniteMap, or its table's
+    `__getitem__`) is called only after the size guards have passed.
     """
     position = {y: j for j, y in enumerate(image_support)}
     symbols = (position[f(x)] for x in spec.dist.support)
@@ -285,13 +334,14 @@ def verify_commutation(
     mapped = _mapped_arrangements(f, spec, image, limit)
     direct = _image_set(image_spec.counts, range(len(image)), limit)
 
-    def witnesses(vecs: set[bytes]) -> list[RuzsaVector]:
-        decoded = (tuple(map(image.__getitem__, v)) for v in vecs)
+    def witnesses(vecs: set[int]) -> list[RuzsaVector]:
+        decoded = (tuple(map(image.__getitem__, _decode(v, spec.k, len(image)))) for v in vecs)
         return sorted(decoded)[:5]
 
-    only_mapped = witnesses(mapped - direct)
-    only_direct = witnesses(direct - mapped)
-    equal = not only_mapped and not only_direct
+    # one pass over the sets when they are equal; the differences otherwise
+    equal = mapped == direct
+    only_mapped = [] if equal else witnesses(mapped - direct)
+    only_direct = [] if equal else witnesses(direct - mapped)
     return CheckReport(
         verdict=HOLDS if equal else VIOLATED,
         lhs=float(len(mapped)),

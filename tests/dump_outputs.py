@@ -26,7 +26,11 @@ workload "specs", seed 0, and TERM_OPS, fixed command lines
 whose terms no benchmark op builds (the benchmark's `condentropy` ops take
 disjoint S and C, in base 2 only), dumped as workload "terms", seed 0, and
 GUARD_OPS, `ruzsa` and `check lemma1` command lines with k just past the
-bit limit on k, dumped as workload "guards", seed 0.
+bit limit on k, dumped as workload "guards", seed 0, and COMMUTE_OPS,
+`ruzsa commute` and `check lemma1 --cross-validate` command lines past the
+benchmark's instances (merge-heavy counts, constant and injective maps,
+vectors of length 63 and 400, and lhs maps that are not the identity),
+dumped as workload "commute", seed 0.
 `diff` exits 1 and names the first differences when two dumps differ in
 any op.
 
@@ -166,6 +170,39 @@ GUARD_OPS = [
     ["check", "lemma1", "--spec", "<s>", "--input", "<r>", "--kmax", "12288"],
 ]
 
+# `ruzsa commute` past the benchmark's instances: merge-heavy counts (2 x 6, 3 x 4 and
+# ten 1s) under the map that merges them, under a constant map and (3 x 4 only: the
+# other two have millions of images) under an injective reordering, and vectors of
+# length 400 and 63 over two outcomes, swapped; then `check lemma1 --cross-validate`
+# with lhs maps that merge outcomes: the first coordinate and the coordinate sum
+_DOMAIN = [[i] for i in range(10)]
+COMMUTE_DOCS = {
+    "<p2>": {"support": _DOMAIN[:6], "probs": ["1/6"] * 6},
+    "<p3>": {"support": _DOMAIN[:4], "probs": ["1/4"] * 4},
+    "<p1>": {"support": _DOMAIN, "probs": ["1/10"] * 10},
+    "<half>": {"table": [[x, [x[0] // 2]] for x in _DOMAIN]},
+    "<fifth>": {"table": [[x, [x[0] // 5]] for x in _DOMAIN]},
+    "<const>": {"table": [[x, [7]] for x in _DOMAIN]},
+    "<rev>": {"table": [[x, [9 - x[0], x[0]]] for x in _DOMAIN]},
+    "<l1>": {"support": [[0], [1]], "probs": ["1/400", "399/400"]},
+    "<l3>": {"support": [[0], [1]], "probs": ["1/21", "20/21"]},
+    "<swap>": {"table": [[[0], [1]], [[1], [0]]]},
+    "<x>": {"support": GRID, "probs": ["1/6", "1/3", "1/6", "1/3"]},
+    "<first>": _spec(FIRST, IDENTITY),
+    "<sum>": _spec([[x, [sum(x)]] for x in GRID], IDENTITY),
+}
+COMMUTE_OPS = [
+    *(["--limit", "10000000", "ruzsa", "commute", "--dist", dist, "--k", k, "--map", m]
+      for dist, k, merge in (("<p2>", "12", "<half>"), ("<p3>", "12", "<half>"),
+                             ("<p1>", "10", "<fifth>"))
+      for m in (merge, "<const>")),
+    ["ruzsa", "commute", "--dist", "<p3>", "--k", "12", "--map", "<rev>"],
+    ["ruzsa", "commute", "--dist", "<l1>", "--k", "400", "--map", "<swap>"],
+    ["ruzsa", "commute", "--dist", "<l3>", "--k", "63", "--map", "<swap>"],
+    *(["check", "lemma1", "--spec", spec, "--input", "<x>", "--kmax", "12", "--cross-validate"]
+      for spec in ("<first>", "<sum>")),
+]
+
 
 def _import_cli(src: Path):
     """`entroset.cli` imported from `src`, or exit with a message."""
@@ -267,6 +304,9 @@ def dump(src: Path, out: Path, seeds) -> int:
         workdir = Path(tmp) / "guards"
         ops = _fixed_ops(workdir, GUARD_DOCS, GUARD_OPS)
         count += _write(handle, cli, "guards", 0, workdir, ops)
+        workdir = Path(tmp) / "commute"
+        ops = _fixed_ops(workdir, COMMUTE_DOCS, COMMUTE_OPS)
+        count += _write(handle, cli, "commute", 0, workdir, ops)
     print(f"{count} ops dumped to {out}")
     return 0
 

@@ -62,7 +62,7 @@ def test_dump_outputs_runs(tmp_path):
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert {r["workload"] for r in records} == {
         "counting", "entropy", "solvers", "usage", "rationalize", "specs", "terms", "guards",
-        "table:counting", "table:entropy", "table:solvers"}
+        "commute", "table:counting", "table:entropy", "table:solvers"}
     assert {r["code"] for r in records
             if r["workload"] not in ("usage", "specs", "guards")} == {0}
     guards = [r for r in records if r["workload"] == "guards"]

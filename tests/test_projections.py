@@ -62,6 +62,19 @@ class TestIndexSet:
         assert s_star(IndexSet([2])).indices == (1,)
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [[1], [3], [6], [2, 3, 4], [1, 2], [5, 6], [1, 3], [2, 4, 5], [1, 6], [1, 2, 3, 4, 5, 6]],
+    ids=repr,
+)
+def test_restrictor_gives_the_tuple_of_the_coordinates(indices):
+    S = IndexSet(indices)
+    for x in [(0, 1, 2, 3, 4, 5), (7, -1, 7, 0, 9, 9), tuple(range(10, 16))]:
+        got = _restrictor(S)(x)
+        assert type(got) is tuple
+        assert got == tuple(x[i - 1] for i in S)
+
+
 HALF_SQUARE = RationalDist.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
 
 

@@ -94,6 +94,23 @@ def reference_commutation(f, spec, max_witnesses=5, drop=0):
     }
 
 
+def reference_image(counts, symbols):
+    """Independent oracle: the tuples (symbols[v_1], ..., symbols[v_k]) over
+    every arrangement v of the indices with `counts`, grown one last
+    coordinate at a time over the count vectors, without int coding,
+    shared sets or a join."""
+    level = {(0,) * len(counts): {()}}
+    for _ in range(sum(counts)):
+        grown = {}
+        for u, images in level.items():
+            for i, c in enumerate(u):
+                if c < counts[i]:
+                    child = grown.setdefault(u[:i] + (c + 1,) + u[i + 1 :], set())
+                    child.update(w + (symbols[i],) for w in images)
+        level = grown
+    return level[tuple(counts)]
+
+
 def spec_of_counts(counts, support=None):
     k = sum(counts)
     support = support or [(i,) for i in range(len(counts))]
@@ -325,7 +342,8 @@ class TestImageSet:
         symbols = [position[f(x)] for x in spec.dist.support]
         got = ruzsa._image_set(spec.counts, symbols, ruzsa.DEFAULT_ENUM_LIMIT)
         want = {f.map_vector(v) for v in reference_enumerate(spec)}
-        assert {tuple(image[j] for j in v) for v in got} == want
+        decoded = (ruzsa._decode(v, spec.k, len(image)) for v in got)
+        assert {tuple(image[j] for j in v) for v in decoded} == want
         assert len(got) == len(want)
 
     def test_seeded_random_counts_and_maps(self):
@@ -338,7 +356,8 @@ class TestImageSet:
         spec = spec_of_counts([2, 3, 1, 2])
         f = FiniteMap({x: (7,) for x in spec.dist.support})
         self.check(spec, f)
-        assert ruzsa._image_set(spec.counts, [0] * 4, 10**6) == {bytes(8)}
+        got = ruzsa._image_set(spec.counts, [0] * 4, 10**6)
+        assert {ruzsa._decode(v, 8, 1) for v in got} == {(0,) * 8}
 
     def test_identity_map(self):
         spec = spec_of_counts([2, 1, 3])
@@ -356,12 +375,13 @@ class TestImageSet:
         # k = 1 needs a point mass, so it is the case n = 1 with k = 1
         spec = spec_of_counts([k], [(4,)])
         self.check(spec, FiniteMap({(4,): (0,)}))
-        assert ruzsa._image_set((k,), [3], 1) == {bytes([3] * k)}
+        got = ruzsa._image_set((k,), [3], 1)
+        assert {ruzsa._decode(v, k, 4) for v in got} == {(3,) * k}
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_all_ones_are_permutations(self, n):
         got = ruzsa._image_set((1,) * n, range(n), math.factorial(n))
-        assert got == set(map(bytes, permutations(range(n))))
+        assert {ruzsa._decode(v, n, n) for v in got} == set(permutations(range(n)))
         self.check(spec_of_counts([1] * n), FiniteMap.identity(range(n)))
 
     def test_256_index_guard(self):
@@ -382,6 +402,90 @@ class TestImageSet:
             ruzsa._mapped_arrangements(partial, spec, [(0,)], limit=45044)
         with pytest.raises(DomainError):
             ruzsa._mapped_arrangements(partial, spec, [(0,)], limit=45045)
+
+
+class TestImageSetSharing:
+    """`_image_set` where two symbols are equal, so sets are shared, and on long
+    vectors of many int digits, against the tuple-level image.
+
+    Source sets here reach 7,484,400 vectors, so the image comes from
+    `reference_image`, which `test_reference_matches_enumeration` checks
+    against the enumerated source on small cases.
+    """
+
+    @staticmethod
+    def check(counts, symbols):
+        got = ruzsa._image_set(counts, symbols, ruzsa._multinomial(counts))
+        base, k = max(symbols) + 1, sum(counts)
+        want = reference_image(counts, symbols)
+        assert {ruzsa._decode(v, k, base) for v in got} == want
+        assert len(got) == len(want)
+
+    @pytest.mark.parametrize(
+        "counts, symbols",
+        [
+            ((2, 2, 2, 2, 2, 2), (0, 0, 1, 1, 2, 2)),
+            ((3, 3, 3, 3), (0, 0, 1, 1)),
+            ((1,) * 10, (0,) * 5 + (1,) * 5),
+            ((3, 3, 3, 3), (0, 0, 0, 0)),
+            ((2, 3, 1, 2), (1, 1, 1, 1)),
+            ((1, 399), (0, 1)),
+            ((1, 399), (1, 0)),
+            ((3, 60), (0, 1)),
+        ],
+        ids=["2x6-to-3", "3x4-to-2", "ten-1s-to-2", "constant", "constant-1",
+             "1-399", "1-399-swapped", "3-60"],
+    )
+    def test_fixed_cases(self, counts, symbols):
+        self.check(counts, symbols)
+
+    def test_seeded_merges(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            counts = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 6)))
+            if ruzsa._multinomial(counts) > 200_000:
+                continue
+            symbols = [rng.randrange(len(counts) - 1) for _ in counts]
+            self.check(counts, symbols)
+
+    def test_reference_matches_enumeration(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            spec = random_counts_spec(rng, max_size=5000)
+            symbols = [rng.randrange(3) for _ in spec.counts]
+            position = dict(zip(spec.dist.support, symbols))
+            enumerated = {tuple(map(position.__getitem__, v)) for v in reference_enumerate(spec)}
+            assert reference_image(spec.counts, symbols) == enumerated
+
+    def test_equal_heads_share_one_set(self):
+        level = {(0, 0, 0): {0}}
+        grown = ruzsa._grow(level, (1, 1, 1), [0, 0, 1])
+        assert grown[(1, 0, 0)] is grown[(0, 1, 0)]
+        assert grown[(0, 0, 1)] == {1}
+        grown = ruzsa._grow(grown, (1, 1, 1), [0, 0, 2])
+        assert grown[(1, 0, 1)] is grown[(0, 1, 1)] != grown[(1, 1, 0)]
+
+    def test_every_head_set_of_a_tail_set_is_joined(self, monkeypatch):
+        # k = 7: tails at level 3, heads at level 4. The states whose heads share
+        # one set get disjoint parts of it, so only the union of their head
+        # sets covers the image; their tails stay shared.
+        counts, symbols = (2, 2, 3), (0, 0, 1)
+        grow = ruzsa._grow
+
+        def split_heads(level, counts_, heads):
+            grown = grow(level, counts_, heads)
+            if sum(next(iter(grown))) == 4:
+                states = {}
+                for u, images in grown.items():
+                    states.setdefault(id(images), []).append(u)
+                for us in states.values():
+                    images = sorted(grown[us[0]])
+                    for j, u in enumerate(us):
+                        grown[u] = set(images[j :: len(us)])
+            return grown
+
+        monkeypatch.setattr(ruzsa, "_grow", split_heads)
+        self.check(counts, symbols)
 
 
 class TestCommutation:
@@ -448,7 +552,9 @@ class TestCommutationMatchesTupleReference:
 
         def dropping(f, spec, image_support, limit):
             mapped = mapped_arrangements(f, spec, image_support, limit)
-            by_vector = sorted(mapped, key=lambda v: [image_support[i] for i in v])
+            base = len(image_support)
+            by_vector = sorted(mapped, key=lambda v: [
+                image_support[i] for i in ruzsa._decode(v, spec.k, base)])
             return mapped - set(by_vector[:drop])
 
         monkeypatch.setattr(ruzsa, "_mapped_arrangements", dropping)
