@@ -93,7 +93,7 @@ def test_ineq_spec_from_json(benchmark, side, d):
     doc = _spec_doc(side, d)
     benchmark.extra_info["domain"] = side**d
     spec = benchmark(ineq_spec_from_json, doc)
-    assert len(spec.domain) == side**d
+    assert len(spec.lhs_map.table) == side**d
 
 
 @pytest.mark.parametrize("side,d", [(5, 3), (6, 4), (7, 4)], ids=["g125", "g1296", "g2401"])

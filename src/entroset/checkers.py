@@ -43,6 +43,7 @@ from .dist import (
     _expect_type,
     _image,
     _log_function,
+    _map_table,
     as_elements,
     as_fraction,
     minimal_suitable_k,
@@ -94,16 +95,24 @@ MAX_LEMMA1_ROWS = 10_000
 
 
 class InequalitySpec(Record):
-    """Maps f, f_1..f_n and exponents for |f(A)| <= prod |f_i(A)|^a_i."""
+    """Maps f, f_1..f_n and exponents for |f(A)| <= prod |f_i(A)|^a_i.
+
+    The maps share one domain, so the spec reads its raw tables itself, f
+    and then each f_i (the coefficients after them), with one list of
+    checked columns: a key or value column equal to one read before in the
+    spec reuses its tuples instead of being checked again. A FiniteMap is
+    immutable and already checked, so it is kept as given. The domain is
+    `lhs_map.table.keys()`.
+    """
 
     lhs_map: FiniteMap
     rhs_maps: tuple[FiniteMap, ...]
     coefficients: tuple[Fraction, ...]
 
     def __init__(self, lhs_map, rhs_maps: Sequence, coefficients: Sequence):
-        # a FiniteMap is immutable and already checked, so it is kept as given
-        *maps, lhs = (m if isinstance(m, FiniteMap) else FiniteMap(m)
-                      for m in (*_as_list(rhs_maps, "rhs_maps"), lhs_map))
+        seen: list = []
+        lhs, *maps = (m if isinstance(m, FiniteMap) else FiniteMap._of(table=_map_table(m, seen))
+                      for m in (lhs_map, *_as_list(rhs_maps, "rhs_maps")))
         coeffs = tuple(map(as_fraction, _as_list(coefficients, "coefficients")))
         if len(maps) != len(coeffs):
             raise SchemaError("rhs_maps and coefficients must have equal length")
@@ -115,10 +124,6 @@ class InequalitySpec(Record):
         if any(list(m.table) != keys and m.table.keys() != lhs.table.keys() for m in maps):
             raise DomainError("all maps must share one declared domain")
         self._set(lhs_map=lhs, rhs_maps=tuple(maps), coefficients=coeffs)
-
-    @property
-    def domain(self) -> frozenset[Element]:
-        return self.lhs_map.domain
 
 
 def _as_point_collection(A) -> frozenset[Element]:
@@ -356,6 +361,7 @@ def check_shearer(
 ) -> CheckReport:
     """Uniform k-cover inequality: |A|^k <= prod |A_S| or kH(X) <= sum H(X_S)."""
     _log_function(base)  # a bad base fails before the cover checks
+    _expect_type(cover, CoverSpec, "check_shearer")
     uniform = is_uniform_k_cover(cover, k)
     if not uniform.details["uniform"]:
         raise CoverError(f"not a uniform {_cut(exact_text(k))}-cover: "

@@ -136,6 +136,7 @@ def is_uniform_k_cover(cover: CoverSpec, k: int) -> CheckReport:
 
 def uniform_cover_as_fractional(cover: CoverSpec, k: int) -> CoverSpec:
     """Scale a uniform k-cover by 1/k; every coverage sum becomes exactly 1."""
+    _expect_type(cover, CoverSpec, "uniform_cover_as_fractional")
     if not is_uniform_k_cover(cover, k).details["uniform"]:
         raise SchemaError(f"not a uniform {_cut(exact_text(k))}-cover")
     w = Fraction(1, k)

@@ -24,9 +24,9 @@ Elements are checked once, where a value enters: a constructor called
 through the API or by a JSON decoder normalizes its elements with
 `as_element`/`as_elements`, which check every coordinate (a whole list at
 once when it is valid). A map table is read by `_map_table`, which checks
-each distinct column once: a key or value column equal to one read before
-(the keys of an identity table, or any column of an earlier table of the
-same inequality spec, whose maps share one domain) reuses its tuples.
+each distinct column once: a column equal to one read before reuses its
+tuples (the keys of an identity table; the tables of one spec, see
+`InequalitySpec`).
 Internal results, such as projections, slices and copies of a map,
 are built from tuples that are already normal and are not checked again.
 """
@@ -327,10 +327,6 @@ class FiniteMap(Record, unhashed=("table",)):
     def identity(cls, domain: Iterable) -> "FiniteMap":
         return cls({x: x for x in as_elements(domain)})
 
-    @property
-    def domain(self) -> frozenset[Element]:
-        return frozenset(self.table)
-
     def __call__(self, x) -> Element:
         key = as_element(x)
         try:
@@ -407,7 +403,9 @@ def minimal_suitable_k(dist: RationalDist) -> int:
 
 
 def is_suitable(dist: RationalDist, k: int) -> bool:
-    return _as_int(k, "k") % minimal_suitable_k(dist) == 0 and k >= 1
+    _as_int(k, "k")
+    _expect_type(dist, RationalDist, "is_suitable")
+    return k % dist.denominator == 0 and k >= 1
 
 
 def _grid(big_l: int, max_denominator: int) -> list[int]:

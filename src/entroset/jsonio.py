@@ -18,11 +18,8 @@ column a text-mode read would. `load_json` also takes bytes already read:
 the CLI reads each input file on every call, and parses and decodes it only
 when it keeps no decoded value for those exact bytes (see `cli`).
 
-Elements are checked once, where a value enters: each decoder builds its
-values through the constructors' checks. An inequality spec's maps share
-one domain, so its tables are read with one list of checked columns: a key
-or value column equal to one read before in the spec reuses its tuples
-instead of being checked again.
+Elements are checked once, where a value enters: each decoder pulls out
+its fields and builds its value through the constructor's checks.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from .covers import CoverSpec
 from .checkers import InequalitySpec
-from .dist import FiniteMap, RationalDist, _as_int, _map_table, _ratio, as_fraction
+from .dist import FiniteMap, RationalDist, _as_int, _ratio, as_fraction
 from .errors import SchemaError, _echo
 from .projections import IndexSet, PointSet
 from .report import _decimal, exact_text
@@ -134,14 +131,12 @@ def cover_to_json(cover: CoverSpec) -> dict:
 
 
 def ineq_spec_from_json(doc: dict) -> InequalitySpec:
-    # the maps share one domain: a column read before in the spec is not checked again
-    seen: list = []
-    lhs = _map_table(_table(_expect(doc, "lhs_map", "inequality spec")), seen)
+    lhs = _table(_expect(doc, "lhs_map", "inequality spec"))
     rhs = _array(_expect(doc, "rhs_maps", "inequality spec"), "inequality spec field 'rhs_maps'")
-    rhs = [FiniteMap._of(table=_map_table(_table(m), seen)) for m in rhs]
     coeffs = _expect(doc, "coefficients", "inequality spec")
-    coeffs = [parse_rational(c) for c in _array(coeffs, "inequality spec field 'coefficients'")]
-    return InequalitySpec(FiniteMap._of(table=lhs), rhs, coeffs)
+    coeffs = _array(coeffs, "inequality spec field 'coefficients'")
+    # parsed lazily, so that the spec reads its tables before the coefficients
+    return InequalitySpec(lhs, [_table(m) for m in rhs], map(parse_rational, coeffs))
 
 
 def _read(path: str) -> bytes:

@@ -215,6 +215,7 @@ def conditional_avg_size(A: PointSet, T: IndexSet, S: IndexSet) -> float:
     with S empty this is plainly |A_T|. Computed in log-space to avoid
     under/overflow, with exact rational exponents and float logs.
     """
+    _expect_type(A, PointSet, "conditional_avg_size")
     return 2.0 ** log_conditional_avg_size(A, T, S, base=2)
 
 

@@ -59,7 +59,6 @@ from .dist import (
     _log_function,
     as_elements,
     entropy,
-    minimal_suitable_k,
     pushforward,
 )
 from .errors import MembershipError, SizeGuardError, SuitabilityError, _cut, _echo
@@ -83,7 +82,7 @@ class RuzsaSpec(Record):
     k: int
 
     def __init__(self, dist: RationalDist, k: int):
-        _check_k(k, _suitable(dist, k))
+        _check_k(k, _suitable(dist, k, "RuzsaSpec"))
         self._set(dist=dist, k=k)
 
     @property
@@ -97,11 +96,12 @@ class RuzsaSpec(Record):
         return len(vec) == self.k and Counter(vec) == dict(zip(self.dist.support, self.counts))
 
 
-def _suitable(dist: RationalDist, k) -> int:
+def _suitable(dist: RationalDist, k, caller: str) -> int:
     """The denominator d of `dist`; SuitabilityError unless k is a positive multiple of it."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise SuitabilityError(f"k must be an integer: {_echo(k)}")
-    d = minimal_suitable_k(dist)
+    _expect_type(dist, RationalDist, caller)
+    d = dist.denominator
     if k < 1:
         raise SuitabilityError(
             f"k={_echo(k)} must be a positive multiple of the probability denominator "
@@ -393,6 +393,7 @@ def type_bound_check(spec: RuzsaSpec) -> CheckReport:
     All comparisons are exact, in big integers; the report carries both
     ratios so the finite-k distance to 2^(kH) is visible.
     """
+    _expect_type(spec, RuzsaSpec, "type_bound_check")
     size = ruzsa_size(spec)
     # prod p_i^(-k p_i) = d^k / prod c_i^(k c_i / d), in lowest terms num/den
     num = spec.dist.denominator ** spec.k
@@ -434,11 +435,12 @@ def convergence_profile(
     nearby ks by an exact recurrence instead of a fresh multinomial.
     """
     log = _log_function(base)
+    _expect_type(dist, RationalDist, "convergence_profile")
     h = entropy(dist, base=base)
     n = len(dist)
     k_list = _as_list(k_list, "k_list")
     for k in k_list:
-        _suitable(dist, k)
+        _suitable(dist, k, "convergence_profile")
     sizes = _sizes(dist, k_list)
     rows = []
     for k in k_list:

@@ -58,6 +58,26 @@ def projection_spec(grid, index_sets, coefficients):
     )
 
 
+GRID3 = [(a, b) for a in range(3) for b in range(3)]
+
+
+def spec_doc(grid, index_sets):
+    """The JSON document of the projection spec: raw tables over one key order."""
+    def table(indices):
+        return [[list(x), [x[i - 1] for i in indices]] for x in grid]
+    return {"lhs_map": {"table": table([1, 2])},
+            "rhs_maps": [{"table": table(s)} for s in index_sets],
+            "coefficients": ["1"] * len(index_sets)}
+
+
+def count_column_checks(monkeypatch) -> list:
+    """A list that gets one entry per bulk check of a column of elements."""
+    calls = []
+    real = dist._int_tuples
+    monkeypatch.setattr(dist, "_int_tuples", lambda values: calls.append(1) or real(values))
+    return calls
+
+
 class TestInequalitySpec:
     def test_maps_kept_as_given(self):
         f = FiniteMap.identity(GRID2)
@@ -76,16 +96,32 @@ class TestSpecDomain:
     """A spec compares its maps' key sets only when their tables list keys in another order."""
 
     def test_same_order_tables_never_read_the_domain(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("a domain frozenset was built")
-
-        monkeypatch.setattr(FiniteMap, "domain", property(refuse))
         spec = projection_spec(GRID2, [[1], [2]], [1, 1])
         assert check_cardinality(spec, TRIANGLE).holds
         table = [[list(x), list(x)] for x in GRID2]
         doc = {"lhs_map": {"table": table}, "rhs_maps": [{"table": table}],
                "coefficients": ["1"]}
+        calls = count_column_checks(monkeypatch)
         assert jsonio.ineq_spec_from_json(doc).coefficients == (1,)
+        assert calls == [1]  # the one column of both identity tables
+
+    def test_api_tables_check_each_column_once(self, monkeypatch):
+        doc = spec_doc(GRID3, [[1], [2]])
+        lhs, rhs = doc["lhs_map"]["table"], [m["table"] for m in doc["rhs_maps"]]
+        calls = count_column_checks(monkeypatch)
+        spec = InequalitySpec(lhs, rhs, [1, 1])
+        assert calls == [1] * 3  # the keys, the first and the second coordinates
+        assert spec == jsonio.ineq_spec_from_json(doc)
+        assert calls == [1] * 6
+
+    def test_api_table_in_another_key_order(self):
+        doc = spec_doc(GRID3, [[1]])
+        lhs, reordered = doc["lhs_map"]["table"], doc["rhs_maps"][0]["table"][::-1]
+        spec = InequalitySpec(lhs, [reordered], [1])
+        assert spec.rhs_maps[0].table == {x: x[:1] for x in GRID3}
+        for table in (reordered[1:], [[[5, 5], [5]], *reordered[1:]]):
+            with pytest.raises(DomainError, match="^all maps must share one declared domain$"):
+                InequalitySpec(lhs, [table], [1])
 
     def test_reordered_keys_of_one_domain_are_accepted(self):
         ident = FiniteMap.identity(GRID2)

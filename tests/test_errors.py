@@ -22,8 +22,10 @@ from entroset import (
     check_projection_theorem,
     check_shearer,
     cli,
+    conditional_avg_size,
     conditional_entropy,
     conditional_slice,
+    convergence_profile,
     empirical_lemma1,
     is_fractional_cover,
     is_suitable,
@@ -35,6 +37,7 @@ from entroset import (
     rationalize,
     ruzsa_enumerate,
     s_star,
+    type_bound_check,
     uniform_cover_as_fractional,
     verify_commutation,
 )
@@ -98,6 +101,8 @@ CASES = {
                     "empirical_lemma1 needs an InequalitySpec: 5"),
     "projection_cover": (lambda: check_projection_theorem(PLANE, 5, "sets"), SchemaError,
                          "check_projection_theorem needs a CoverSpec: 5"),
+    "shearer_cover": (lambda: check_shearer(PLANE, 5, 1, "sets"), SchemaError,
+                      "check_shearer needs a CoverSpec: 5"),
     # k_max // k_min is past sys.maxsize for both, so no row list is ever built
     "lemma1_rows_1e20": (lambda: empirical_lemma1(SPEC, HALVES, 10**20), SizeGuardError,
                          "k_max // k_min exceeds the row limit 10000 (k_min = 2)"),
@@ -121,6 +126,8 @@ CASES = {
                               "is_fractional_cover needs a CoverSpec: 5"),
     "uniform_cover_type": (lambda: is_uniform_k_cover(5, 1), SchemaError,
                            "is_uniform_k_cover needs a CoverSpec: 5"),
+    "as_fractional_type": (lambda: uniform_cover_as_fractional(5, 1), SchemaError,
+                           "uniform_cover_as_fractional needs a CoverSpec: 5"),
     "uniform_cover_k": (lambda: uniform_cover_as_fractional(ONE, None), SchemaError,
                         "k must be an integer: None"),
     # dist
@@ -139,6 +146,8 @@ CASES = {
                      "weights must have positive sum"),
     "suitable_k": (lambda: is_suitable(HALVES, None), SchemaError,
                    "k must be an integer: None"),
+    "suitable_dist": (lambda: is_suitable(5, 2), SchemaError,
+                      "is_suitable needs a RationalDist: 5"),
     "exponent_past_digit_limit": (lambda: as_fraction("1e-4301"), SchemaError,
                                   "not a rational string: '1e-4301'"),
     # jsonio
@@ -156,6 +165,8 @@ CASES = {
                    "conditional_slice needs a PointSet: 5"),
     "avg_size_type": (lambda: log_conditional_avg_size(5, FIRST, EMPTY_INDEX_SET),
                       SchemaError, "log_conditional_avg_size needs a PointSet: 5"),
+    "avg_size_public_type": (lambda: conditional_avg_size(5, FIRST, EMPTY_INDEX_SET),
+                             SchemaError, "conditional_avg_size needs a PointSet: 5"),
     "from_points_empty": (lambda: PointSet.from_points([]), SchemaError,
                           "point set must be nonempty"),
     "project_set_empty": (lambda: project_set(PLANE, EMPTY_INDEX_SET), SchemaError,
@@ -183,6 +194,12 @@ CASES = {
                         "limit must be an integer: None"),
     "commutation_limit": (lambda: verify_commutation(IDENTITY, PAIRS, None), SchemaError,
                           "limit must be an integer: None"),
+    "ruzsa_spec_dist": (lambda: RuzsaSpec(5, 2), SchemaError,
+                        "RuzsaSpec needs a RationalDist: 5"),
+    "bound_spec": (lambda: type_bound_check(5), SchemaError,
+                   "type_bound_check needs a RuzsaSpec: 5"),
+    "converge_dist": (lambda: convergence_profile(5, [2]), SchemaError,
+                      "convergence_profile needs a RationalDist: 5"),
     # cli
     "project_both_inputs": (
         lambda: run_handler(["project", "--pointset", "a", "--dist", "b", "--indices", "1"]),

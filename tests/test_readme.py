@@ -1,0 +1,81 @@
+"""The README's library tour runs as written, and each of its comments states
+what the line computes: the test writes every comment from the computed values."""
+
+import ast
+import io
+import math
+import tokenize
+from pathlib import Path
+
+from entroset import minimal_suitable_k
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def tour() -> str:
+    """The code block of the README's "Library tour" section."""
+    section = README.read_text(encoding="utf-8").split("## Library tour\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def run(code: str) -> tuple[dict, dict]:
+    """Run the code one statement at a time: its names, and for each line
+    that carries a comment, its source and the value of that statement
+    (None for a statement that is not an expression) with the comment."""
+    comments = {
+        tok.start[0]: tok.string.removeprefix("#").strip()
+        for tok in tokenize.generate_tokens(io.StringIO(code).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    names: dict = {}
+    commented = {}
+    for stmt in ast.parse(code).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), names)
+        else:
+            value = exec(compile(ast.Module([stmt], []), "README.md", "exec"), names)
+        if stmt.end_lineno in comments:
+            commented[ast.get_source_segment(code, stmt)] = (value, comments[stmt.end_lineno])
+    return names, commented
+
+
+def stated(names: dict, values: dict) -> dict:
+    """The comment each commented line of the tour must carry, by its source."""
+    X, spec, dual = names["X"], names["spec"], values["lp.dual"]
+    size = values["ruzsa_size(spec)"]
+    shearer = names["check_shearer"](names["A"], names["cover"], 2, "sets")
+    assert spec.k == minimal_suitable_k(X)
+    assert size == math.factorial(spec.k) // math.prod(map(math.factorial, spec.counts))
+    assert values["verify_commutation(f, spec).holds"] is True
+    assert len(set(dual)) == 1
+    assert values['check_shearer(A, cover, 2, "sets").holds'] is True
+    assert shearer.provenance == "exact"
+    return {
+        "entropy(X)": f"{values['entropy(X)']!r} bits",
+        "pushforward(f, X).probs": repr(values["pushforward(f, X).probs"]),
+        "pushforward(f, X).counts": f"{values['pushforward(f, X).counts']!r}, over denominator "
+                                    f"{names['pushforward'](names['f'], X).denominator}",
+        "spec = RuzsaSpec(X, 6)": f"{spec.k} is the least suitable k",
+        "ruzsa_size(spec)": f"{size} = {spec.k}!/({' '.join(f'{c}!' for c in spec.counts)})",
+        "verify_commutation(f, spec).holds": "mapped set == set of the image law",
+        "lp.objective": repr(values["lp.objective"]),
+        "lp.dual": f"{dual[:1]!r} * {len(dual)}, sums to {sum(dual)}",
+        'check_shearer(A, cover, 2, "sets").holds':
+            f"{shearer.details['lhs_count']} <= {shearer.details['rhs_count']}, exact integers",
+    }
+
+
+def test_tour_comments_state_the_computed_values():
+    names, commented = run(tour())
+    values = {code: value for code, (value, _) in commented.items()}
+    expected = stated(names, values)
+    assert {code: comment for code, (_, comment) in commented.items()} == expected
+
+
+def test_tour_imports_only_what_it_uses():
+    code = tour()
+    tree = ast.parse(code)
+    imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used
