@@ -6,7 +6,10 @@ The two sides of the correspondence are kept honest with one another:
   (coefficient, term) pairs. A term is a float log and an exact form of a
   count |f(A)| or |f(A) cond g(A)|, or of 2^H(f(X)) or 2^H(f(X) | g(X));
   `projections` makes every term, with `_term` for an image and
-  `_conditional_term` for f given g (`_restrictor`s of index sets).
+  `_conditional_term` for f given g (`_restrictor`s of index sets);
+  a projection check's set side reads its conditional terms with
+  `_sliced_term` from slices of A that its chain of prefixes shares
+  (`_prefix_slices`).
   A comparison of counts alone is exact, whatever its rational
   coefficients; any other is exact inside the tolerance band and float
   outside it. Past the bit limit an in-band one is `inconclusive`;
@@ -62,7 +65,9 @@ from .projections import (
     PointSet,
     _conditional_term,
     _count,
+    _prefix_slices,
     _restrictor,
+    _sliced_term,
     _term,
     log_conditional_avg_size,  # unused: bench/selftest.py checks that its tracer rewraps it
     s_star,
@@ -390,7 +395,9 @@ def check_projection_theorem(
     """Fractional-cover bound with prefix conditioning.
 
     Set side: log|A| <= sum a_S log|A_S cond A_{S*}|; entropy side:
-    H(X) <= sum a_S H(X_S | X_{S*}). Zero-weight members are skipped.
+    H(X) <= sum a_S H(X_S | X_{S*}). Zero-weight members are skipped. The
+    prefixes S* are a chain, so the set side slices A once, by the deepest
+    nonempty S*, and merges those slices into the shorter prefixes'.
     """
     _log_function(base)  # a bad base fails before the cover checks
     _expect_type(cover, CoverSpec, "check_projection_theorem")
@@ -403,8 +410,12 @@ def check_projection_theorem(
         (m, w) for m, w in zip(cover.members, cover.weights) if w > 0
     ]
     data = _cover_data(data, side, cover.n)
-    terms = [(w, _conditional_term(data, _restrictor(m), _restrictor(s_star(m)), base))
-             for m, w in members]
+    depths = [m.indices[0] - 1 for m, _ in members]  # |S*| of each member
+    sliced = (_prefix_slices(data.points, set(depths) - {0})
+              if isinstance(data, PointSet) and any(depths) else {})
+    terms = [(w, _sliced_term(len(data), sliced[k], _restrictor(m), base) if k in sliced
+              else _conditional_term(data, _restrictor(m), _restrictor(s_star(m)), base))
+             for (m, w), k in zip(members, depths)]
     return _compare(
         [(1, _term(data, base))],
         terms,

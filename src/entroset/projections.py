@@ -13,16 +13,21 @@ functions and the checkers: `_term` (|f(A)| or 2^H(f(X))) and
 callables f and g), each a float log and an exact form built only when
 asked for; every image is `dist._image`.
 
-Slices are built in one grouping pass over A (`_group`, by any callable),
-so a conditional average size costs O(|A|) restrictions plus a sort of the
-|A_S| slice keys, not one rescan of A per slice. Its log and its exact
-|A|-th power (`conditional_size_power`) are read from the same slice sizes.
+A point set's slices by any callable g are built by one builder,
+`_slices`: one grouping pass over A (`_group`) and a sort of the slice
+keys, not one rescan of A per slice. Every set-side conditional term
+(`_sliced_term`) and `slice_weights` read them; a term's log and its exact
+|A|-th power (`conditional_size_power`) come from the same slice sizes.
+The slices by a chain of prefixes {1..k} share one pass
+(`_prefix_slices`): in the key order of the deepest prefix's slices,
+those of a shorter prefix are runs of consecutive slices, merged.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -109,10 +114,11 @@ class PointSet(Record):
         return iter(self.points)
 
 
-def _check_indices(S: IndexSet, data, empty: str | None = None) -> None:
-    """SchemaError unless S is an IndexSet, nonempty when `empty` (the error
-    message) is given; IndexRangeError when S exceeds the dimension of `data`."""
-    _expect_type(S, IndexSet, "index argument")
+def _check_indices(S: IndexSet, data, name: str, empty: str | None = None) -> None:
+    """SchemaError naming the function `name` unless S is an IndexSet, and
+    unless S is nonempty when `empty` (the error message) is given;
+    IndexRangeError when S exceeds the dimension of `data`."""
+    _expect_type(S, IndexSet, name)
     if not S:
         if empty:
             raise SchemaError(empty)
@@ -137,20 +143,20 @@ def _restrictor(S: IndexSet) -> Callable[[Element], Element] | None:
 def project_set(A: PointSet, S: IndexSet) -> PointSet:
     """Coordinate projection {x_S : x in A}, duplicates collapsed."""
     _expect_type(A, PointSet, "project_set")
-    _check_indices(S, A, "cannot project onto the empty index set")
+    _check_indices(S, A, "project_set", "cannot project onto the empty index set")
     return PointSet._of(dimension=len(S), points=_image(A.points, _restrictor(S)))
 
 
 def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
     """Marginal of X on the coordinates in S (pushforward of a projection)."""
     _expect_type(X, RationalDist, "project_rv")
-    _check_indices(S, X, "cannot project onto the empty index set")
+    _check_indices(S, X, "project_rv", "cannot project onto the empty index set")
     return _image(X, _restrictor(S))
 
 
 def s_star(S: IndexSet) -> IndexSet:
     """The prefix {1, ..., min(S)-1}; empty when min(S) = 1."""
-    _expect_type(S, IndexSet, "index argument")
+    _expect_type(S, IndexSet, "s_star")
     if not S:
         raise SchemaError("s_star of the empty index set is undefined")
     return IndexSet(range(1, min(S.indices)))
@@ -159,7 +165,8 @@ def s_star(S: IndexSet) -> IndexSet:
 def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
     """Subset of A whose S-coordinates equal y."""
     _expect_type(A, PointSet, "conditional_slice")
-    _check_indices(S, A, "conditioning on the empty index set selects all of A")
+    _check_indices(S, A, "conditional_slice",
+                   "conditioning on the empty index set selects all of A")
     y = as_element(y)
     restrict = _restrictor(S)
     pts = frozenset(x for x in A if restrict(x) == y)
@@ -168,35 +175,57 @@ def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
     return PointSet._of(dimension=A.dimension, points=pts)
 
 
-def _group(points, by: Callable, to: Callable) -> dict:
-    """The images to(x) of the points, grouped by by(x).
-
-    One pass over the points; a group's length is its slice size |{x : by(x) = y}|.
-    """
+def _group(points, by: Callable) -> dict:
+    """The points grouped by by(x), in one pass over them."""
     groups: dict = {}
     for x in points:
-        groups.setdefault(by(x), []).append(to(x))
+        groups.setdefault(by(x), []).append(x)
     return groups
+
+
+def _slices(points, g: Callable) -> list[list]:
+    """The slices [x : g(x) = y] of the points by g, in the order of their keys y."""
+    groups = _group(points, g)
+    return [groups[y] for y in sorted(groups)]
+
+
+def _prefix_slices(points, depths) -> dict[int, list[list]]:
+    """{k: the `_slices` of the points by the prefix x -> x[:k]} for each k >= 1
+    in `depths`, from one grouping pass by the deepest prefix.
+
+    In key order the slices that agree on a shorter prefix are one run of
+    consecutive slices, so each shorter prefix's slices merge the runs of
+    the next deeper one's, and stay in key order.
+    """
+    deepest, *shorter = sorted(depths, reverse=True)
+    out = {deepest: _slices(points, itemgetter(slice(0, deepest)))}
+    deeper = out[deepest]
+    for k in shorter:
+        out[k] = deeper = [list(chain.from_iterable(run))
+                           for _, run in groupby(deeper, lambda pts: pts[0][:k])]
+    return out
 
 
 def slice_weights(A: PointSet, S: IndexSet) -> dict[Element, Fraction]:
     """Exact probability that a uniform point of A projects to each y in A_S."""
     _expect_type(A, PointSet, "slice_weights")
-    _check_indices(S, A)
+    _check_indices(S, A, "slice_weights")
     total, restrict = len(A), _restrictor(S) or (lambda x: ())
-    return {
-        y: Fraction(len(group), total)
-        for y, group in sorted(_group(A, restrict, restrict).items())
-    }
+    return {restrict(pts[0]): Fraction(len(pts), total) for pts in _slices(A, restrict)}
+
+
+def _log_conditional_size(A, T: IndexSet, S: IndexSet, base: float, name: str) -> float:
+    """The checks and the log of `log_conditional_avg_size`, errors naming `name`."""
+    _expect_type(A, PointSet, name)
+    _log_function(base)  # a bad base fails before the index checks
+    _check_indices(T, A, name, "conditioned projection needs a nonempty target T")
+    _check_indices(S, A, name)
+    return _conditional_term(A, _restrictor(T), _restrictor(S), base)[0]
 
 
 def log_conditional_avg_size(A: PointSet, T: IndexSet, S: IndexSet, base: float = 2) -> float:
     """log of the conditional average size, in bits or nats."""
-    _expect_type(A, PointSet, "log_conditional_avg_size")
-    _log_function(base)  # a bad base fails before the index checks
-    _check_indices(T, A, "conditioned projection needs a nonempty target T")
-    _check_indices(S, A)
-    return _conditional_term(A, _restrictor(T), _restrictor(S), base)[0]
+    return _log_conditional_size(A, T, S, base, "log_conditional_avg_size")
 
 
 def conditional_size_power(total: int, sizes) -> tuple[int, dict[int, int]]:
@@ -215,8 +244,7 @@ def conditional_avg_size(A: PointSet, T: IndexSet, S: IndexSet) -> float:
     with S empty this is plainly |A_T|. Computed in log-space to avoid
     under/overflow, with exact rational exponents and float logs.
     """
-    _expect_type(A, PointSet, "conditional_avg_size")
-    return 2.0 ** log_conditional_avg_size(A, T, S, base=2)
+    return 2.0 ** _log_conditional_size(A, T, S, 2, "conditional_avg_size")
 
 
 def conditional_entropy(
@@ -224,8 +252,8 @@ def conditional_entropy(
 ) -> float:
     """H(X_S | X_C) = H(X_{S u C}) - H(X_C); plain H(X_S) when C is empty."""
     _expect_type(X, RationalDist, "conditional_entropy")
-    _check_indices(S, X, "conditional entropy needs a nonempty target S")
-    _check_indices(C, X)
+    _check_indices(S, X, "conditional_entropy", "conditional entropy needs a nonempty target S")
+    _check_indices(C, X, "conditional_entropy")
     return _conditional_term(X, _restrictor(S), _restrictor(C), base)[0]
 
 
@@ -240,20 +268,24 @@ def _term(image, base: float):
     return _count(len(image), _log_function(base))
 
 
+def _sliced_term(total: int, slices, f: Callable, base: float):
+    """|f(A) cond g(A)| of points A, from the `_slices` of A by g; |A| = total."""
+    # (slice size, f-size) of each slice, in key order; one point has one image
+    sizes = [(len(pts), len(set(map(f, pts))) if len(pts) > 1 else 1) for pts in slices]
+    log = _log_function(base)
+    acc = 0.0
+    for n, size in sizes:
+        acc += n / total * log(size)
+    return acc, lambda: conditional_size_power(total, sizes)
+
+
 def _conditional_term(data, f: Callable, g: Callable | None, base: float):
     """|f(A) cond g(A)| of points A or 2^H(f(X) | g(X)) of a RationalDist X, for fast
     callables on checked points; the `_term` of the image of f when g is None."""
     if g is None:
         return _term(_image(data, f), base)
     if not isinstance(data, RationalDist):
-        groups = _group(data, g, f)
-        # (slice size, f-size) of each slice, in slice-key order
-        sizes = [(len(groups[y]), len(set(groups[y]))) for y in sorted(groups)]
-        total, log = len(data), _log_function(base)
-        acc = 0.0
-        for n, size in sizes:
-            acc += n / total * log(size)
-        return acc, lambda: conditional_size_power(total, sizes)
+        return _sliced_term(len(data), _slices(data, g), f, base)
     # H(f(X) | g(X)) = H((f, g)(X)) - H(g(X)); restrictors of T and C pair into
     # the classes of the restrictor of T u C, in the same order
     joint = _term(_image(data, lambda x: (f(x), g(x))), base)

@@ -374,7 +374,7 @@ def preimage_lift(f: FiniteMap, spec: RuzsaSpec, y) -> RuzsaVector:
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
     if not image_spec.contains(y):
         raise MembershipError("vector is not in the image k-set")
-    positions = _group(range(len(y)), y.__getitem__, lambda j: j)
+    positions = _group(range(len(y)), y.__getitem__)
     result: list[Element | None] = [None] * spec.k
     for x, c in zip(spec.dist.support, spec.counts):
         slots = positions[f(x)]

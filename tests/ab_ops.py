@@ -17,7 +17,9 @@ sides alike. Runs in separate processes cannot resolve a change of a few
 percent on a shared VM; interleaved ones can.
 
 It prints each side's ops/s, p50 and p90 latency with the number of
-samples, and the B/A ratio of total time per op kind and overall. The last
+samples, and the B/A ratio of total time per op kind, per op kind and size
+class ("projection/s1000": a workload's p90 can hinge on its largest
+class alone), and overall. The last
 line of stdout is one JSON object. The exit code is 1 if the two sides
 print different outputs.
 
@@ -74,6 +76,7 @@ def compare(a_src: Path, b_src: Path, workload: str, passes: int, seed: int) -> 
                               f"{outputs['b']!r:.200}")
         times = {side: [] for side in SIDES}
         kinds = {side: {} for side in SIDES}
+        classes = {side: {} for side in SIDES}
         for p in range(passes):
             order = SIDES if p % 2 == 0 else SIDES[::-1]
             for op in ops:
@@ -83,12 +86,15 @@ def compare(a_src: Path, b_src: Path, workload: str, passes: int, seed: int) -> 
                     elapsed = perf_counter() - t0
                     times[side].append(elapsed)
                     kinds[side][op.kind] = kinds[side].get(op.kind, 0.0) + elapsed
+                    key = f"{op.kind}/{op.size_class}"
+                    classes[side][key] = classes[side].get(key, 0.0) + elapsed
     result = {
         "workload": workload, "seed": seed, "passes": passes, "ops": len(ops),
         "outputs_identical": not differ,
         **{side: _summary(times[side]) for side in SIDES},
         "ratio": sum(times["b"]) / sum(times["a"]),
         "ratio_by_kind": {kind: kinds["b"][kind] / kinds["a"][kind] for kind in kinds["a"]},
+        "ratio_by_class": {key: classes["b"][key] / classes["a"][key] for key in classes["a"]},
     }
     print(f"{workload} seed {seed}: {passes} passes of {len(ops)} ops, A then B alternating")
     for problem in differ[:5]:
@@ -99,6 +105,8 @@ def compare(a_src: Path, b_src: Path, workload: str, passes: int, seed: int) -> 
               f"p90 {s['p90_ms']:.3f} ms ({s['samples']} samples)")
     for kind, ratio in result["ratio_by_kind"].items():
         print(f"  {kind}: B/A time {ratio:.3f}")
+    for key, ratio in result["ratio_by_class"].items():
+        print(f"  {key}: B/A time {ratio:.3f}")
     print(f"B/A total time {result['ratio']:.3f}")
     print(json.dumps(result))
     return 1 if differ else 0

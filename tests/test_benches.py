@@ -108,6 +108,10 @@ def test_ab_ops_runs(tmp_path):
     assert result["outputs_identical"] and result["passes"] == 1
     assert result["a"]["samples"] == result["b"]["samples"] == result["ops"] > 0
     assert set(result["ratio_by_kind"]) >= {"entropy", "demo"}
+    # one ratio per op kind and size class, each kind's classes among them
+    by_class = result["ratio_by_class"]
+    assert {key.split("/")[0] for key in by_class} == set(result["ratio_by_kind"])
+    assert all(ratio > 0 for ratio in by_class.values())
 
     changed = tmp_path / "src"
     shutil.copytree(ROOT / "src" / "entroset", changed / "entroset",

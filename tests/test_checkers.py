@@ -32,6 +32,7 @@ from entroset import (
     project_rv,
     pushforward,
     ruzsa_size,
+    s_star,
 )
 
 from genutil import (
@@ -580,6 +581,86 @@ class TestProjectionTheorem:
                 assert got == want
                 provenances.add(theorem.provenance)
         assert provenances == {"exact", "float"}
+
+    # the fractional cover of benches/bench_checkers.py: prefixes {}, {1}, {1, 2}
+    FRACTIONAL = CoverSpec(4, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3], [2, 4]],
+                           ["1/2", "1/2", "1/2", "1/2", "1/3", "1/3"])
+
+    @staticmethod
+    def alone(A, cover):
+        """The set side with each member's term built alone: its float
+        `log_conditional_avg_size(A, S, S*)`, and its exact form from a
+        `_conditional_term` that slices A by S* itself."""
+        members = [(m, w) for m, w in zip(cover.members, cover.weights) if w > 0]
+        terms = [float(w) * projections.log_conditional_avg_size(A, m, s_star(m))
+                 for m, w in members]
+        lhs = math.log2(len(A))
+        decided = checkers._compare(
+            [(1, projections._term(A.points, 2))],
+            [(w, projections._conditional_term(
+                A, projections._restrictor(m), projections._restrictor(s_star(m)), 2))
+             for m, w in members],
+            checkers.DEFAULT_TOLERANCE)
+        return {"terms": terms, "members": [list(m.indices) for m, _ in members],
+                "lhs": lhs, "rhs": sum(terms), "slack": sum(terms) - lhs,
+                "verdict": decided.verdict, "provenance": decided.provenance}
+
+    @staticmethod
+    def report_fields(report):
+        return {"terms": report.details["terms"], "members": report.details["members"],
+                "lhs": report.lhs, "rhs": report.rhs, "slack": report.slack,
+                "verdict": report.verdict, "provenance": report.provenance}
+
+    def test_shared_prefix_slices_match_each_term_alone(self):
+        # covers whose positive-weight members repeat and nest prefixes, next to
+        # zero-weight members (some with the deepest prefix) and min S = 1
+        rng = random.Random(43)
+        provenances, prefix_counts = set(), set()
+        for _ in range(80):
+            n = rng.randint(3, 6)
+            members = [[i] for i in range(1, n + 1)]
+            for lo in rng.choices(range(1, n + 1), k=rng.randint(2, 8)):
+                members.append(sorted(rng.sample(range(lo + 1, n + 1), rng.randint(0, n - lo))
+                                      + [lo]))
+            # the singletons alone make it a fractional cover
+            weights = [Fraction(rng.randint(3, 7), 3) for _ in range(n)]
+            weights += [Fraction(rng.choice([0, 0, 1, 2, 5]), rng.choice([2, 3, 7]))
+                        for _ in members[n:]]
+            if rng.random() < 0.3:
+                members.append([n])
+                weights.append(Fraction(0))
+            cover = CoverSpec(n, members, weights)
+            A = random_pointset(rng, n, span=3, max_size=60)
+            report = check_projection_theorem(A, cover, "sets")
+            assert self.report_fields(report) == self.alone(A, cover)
+            provenances.add(report.provenance)
+            prefix_counts.add(len({m[0] for m, w in zip(members, weights) if w > 0 and m[0] > 1}))
+        assert provenances == {"exact", "float"}
+        assert max(prefix_counts) >= 4  # three merges in one check
+
+    @pytest.mark.parametrize("spans", [(2, 3, 4), (2, 3, 4, 5)], ids=repr)
+    def test_product_set_chain_tie_from_merged_slices(self, spans):
+        # the chain cover's prefixes {1}, ..., {1..n-1}: all but the deepest
+        # are merged, and |A| = prod of the spans ties exactly
+        A = PointSet(len(spans), itertools.product(*map(range, spans)))
+        report = check_projection_theorem(A, chain_cover(len(spans)), "sets")
+        assert (report.verdict, report.provenance) == ("holds", "exact")
+        assert self.report_fields(report) == self.alone(A, chain_cover(len(spans)))
+        assert report.details["terms"] == pytest.approx([math.log2(s) for s in spans])
+
+    @pytest.mark.parametrize("side, passes", [("sets", 1), ("entropy", 0)])
+    def test_one_grouping_pass_per_check(self, monkeypatch, side, passes):
+        # members [2, 3] and [2, 4] condition on {1}, [3, 4] on {1, 2}: one
+        # grouping by {1, 2} serves all three; the entropy side groups nothing
+        calls = []
+        real = projections._group
+        monkeypatch.setattr(projections, "_group",
+                            lambda *args: calls.append(1) or real(*args))
+        A = PointSet(4, [(a, b, c, d) for a, b, c, d in itertools.product(range(3), repeat=4)
+                         if (a + 2 * b + c * d) % 3])
+        data = A if side == "sets" else RationalDist.uniform(A.points)
+        assert check_projection_theorem(data, self.FRACTIONAL, side).holds
+        assert len(calls) == passes
 
 
 def product_dist(first: RationalDist, second: RationalDist) -> RationalDist:

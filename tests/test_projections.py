@@ -27,7 +27,9 @@ from entroset import (
 from entroset.projections import (
     EMPTY_INDEX_SET,
     _conditional_term,
+    _prefix_slices,
     _restrictor,
+    _slices,
     log_conditional_avg_size,
 )
 
@@ -79,27 +81,37 @@ HALF_SQUARE = RationalDist.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 @pytest.mark.parametrize(
-    "call",
+    "name, call",
     [
-        lambda S: project_set(TRIANGLE, S),
-        lambda S: project_rv(HALF_SQUARE, S),
-        lambda S: conditional_slice(TRIANGLE, S, (0,)),
-        lambda S: slice_weights(TRIANGLE, S),
-        lambda S: conditional_avg_size(TRIANGLE, S, IndexSet([1])),
-        lambda S: conditional_avg_size(TRIANGLE, IndexSet([1]), S),
-        lambda S: conditional_entropy(HALF_SQUARE, S),
-        lambda S: conditional_entropy(HALF_SQUARE, IndexSet([1]), S),
-        lambda S: s_star(S),
+        pytest.param("project_set", lambda S: project_set(TRIANGLE, S), id="project_set"),
+        pytest.param("project_rv", lambda S: project_rv(HALF_SQUARE, S), id="project_rv"),
+        pytest.param("conditional_slice", lambda S: conditional_slice(TRIANGLE, S, (0,)),
+                     id="conditional_slice"),
+        pytest.param("slice_weights", lambda S: slice_weights(TRIANGLE, S),
+                     id="slice_weights"),
+        pytest.param("conditional_avg_size",
+                     lambda S: conditional_avg_size(TRIANGLE, S, IndexSet([1])),
+                     id="conditional_avg_size-T"),
+        pytest.param("conditional_avg_size",
+                     lambda S: conditional_avg_size(TRIANGLE, IndexSet([1]), S),
+                     id="conditional_avg_size-S"),
+        pytest.param("log_conditional_avg_size",
+                     lambda S: log_conditional_avg_size(TRIANGLE, IndexSet([1]), S),
+                     id="log_conditional_avg_size-S"),
+        pytest.param("conditional_entropy", lambda S: conditional_entropy(HALF_SQUARE, S),
+                     id="conditional_entropy-S"),
+        pytest.param("conditional_entropy",
+                     lambda S: conditional_entropy(HALF_SQUARE, IndexSet([1]), S),
+                     id="conditional_entropy-C"),
+        pytest.param("s_star", lambda S: s_star(S), id="s_star"),
     ],
-    ids=["project_set", "project_rv", "conditional_slice", "slice_weights",
-         "conditional_avg_size-T", "conditional_avg_size-S", "conditional_entropy-S",
-         "conditional_entropy-C", "s_star"],
 )
 @pytest.mark.parametrize("bad", [[1], 5], ids=repr)
-def test_index_argument_must_be_an_index_set(call, bad):
+def test_index_argument_must_be_an_index_set(name, call, bad):
+    """The type error names the public function that was called."""
     with pytest.raises(SchemaError) as info:
         call(bad)
-    assert str(info.value) == f"index argument needs an IndexSet: {bad!r}"
+    assert str(info.value) == f"{name} needs an IndexSet: {bad!r}"
 
 
 def test_slice_weights_checks_the_index_range():
@@ -283,6 +295,21 @@ class TestGroupedConditionalSize:
             for T, S in (([1, 2], [2, 3]), ([2, 3, 4], [1, 2, 3]), ([3], [3])):
                 got = log_conditional_avg_size(A, IndexSet(T), IndexSet(S), base=base)
                 assert got == _rescan_log_cond_size(A, T, S, base)
+
+    def test_prefix_slices_equal_their_own_grouping(self):
+        # merged runs of the deepest prefix's slices: the same slices, in the
+        # same key order, as slicing by each shorter prefix directly
+        rng = random.Random(83)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            A = random_pointset(rng, n, span=3, max_size=120)
+            depths = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            got = _prefix_slices(A.points, depths)
+            assert set(got) == depths
+            for k, slices in got.items():
+                direct = _slices(A.points, _restrictor(IndexSet(range(1, k + 1))))
+                assert [sorted(pts) for pts in slices] == [sorted(pts) for pts in direct]
+                assert sum(map(len, slices)) == len(A)
 
 
 class TestConditionalEntropy:
