@@ -15,6 +15,9 @@ The two sides of the correspondence are kept honest with one another:
   outside it. Past the bit limit an in-band one is `inconclusive`;
 * `_images` alone applies an inequality spec's maps, by one domain test and
   `dist._image` of each table, the same way to points and to a law;
+* `check_shearer` and `check_projection_theorem` test a cover's own
+  per-element sums (`CoverSpec.multiplicities` and `coverage`), not the
+  reports of the `covers` predicates;
 * `lemma2_witness` builds the uniform variable on fiber representatives
   whose image entropy equals log|f(A)| exactly, the bridge from entropy
   statements back to counting statements;
@@ -35,7 +38,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .covers import CoverSpec, is_fractional_cover, is_uniform_k_cover
+from .covers import CoverSpec
 from .dist import (
     Element,
     FiniteMap,
@@ -367,10 +370,9 @@ def check_shearer(
     """Uniform k-cover inequality: |A|^k <= prod |A_S| or kH(X) <= sum H(X_S)."""
     _log_function(base)  # a bad base fails before the cover checks
     _expect_type(cover, CoverSpec, "check_shearer")
-    uniform = is_uniform_k_cover(cover, k)
-    if not uniform.details["uniform"]:
-        raise CoverError(f"not a uniform {_cut(exact_text(k))}-cover: "
-                         f"counts {_echo(uniform.details['counts'])}")
+    counts = cover.multiplicities()
+    if set(counts) != {_as_int(k, "k")}:
+        raise CoverError(f"not a uniform {_cut(exact_text(k))}-cover: counts {_echo(counts)}")
     data = _cover_data(data, side, cover.n)
     whole = _term(data, base)
     parts = [_conditional_term(data, _restrictor(m), None, base) for m in cover.members]
@@ -403,12 +405,10 @@ def check_projection_theorem(
     _expect_type(cover, CoverSpec, "check_projection_theorem")
     if cover.weights is None:
         raise CoverError("projection theorem checks need cover weights")
-    frac = is_fractional_cover(cover)
-    if not frac.holds:
-        raise CoverError(f"not a fractional cover: coverage {_echo(frac.details['coverage'])}")
-    members = [
-        (m, w) for m, w in zip(cover.members, cover.weights) if w > 0
-    ]
+    sums = cover.coverage()
+    if min(sums) < 1:
+        raise CoverError(f"not a fractional cover: coverage {_echo([*map(exact_text, sums)])}")
+    members = [(m, w) for m, w in zip(cover.members, cover.weights) if w > 0]
     data = _cover_data(data, side, cover.n)
     depths = [m.indices[0] - 1 for m, _ in members]  # |S*| of each member
     sliced = (_prefix_slices(data.points, set(depths) - {0})

@@ -71,6 +71,7 @@ from .projections import (
     project_rv,
     project_set,
 )
+from .report import exact_text
 from .ruzsa import (
     DEFAULT_ENUM_LIMIT,
     RuzsaSpec,
@@ -190,7 +191,7 @@ def _ruzsa_spec(args) -> RuzsaSpec:
 
 
 def _ruzsa_size(args):
-    return {"size": jsonio.format_rational(ruzsa_size(_ruzsa_spec(args)))}, 0
+    return {"size": exact_text(ruzsa_size(_ruzsa_spec(args)))}, 0
 
 
 def _ruzsa_enum(args):
@@ -240,9 +241,9 @@ def _cover_min(args):
     cover = _load_cover(args.cover)
     solution = min_fractional_cover(cover.n, cover.members)
     return {
-        "objective": jsonio.format_rational(solution.objective),
-        "weights": [jsonio.format_rational(w) for w in solution.weights],
-        "coverage": [jsonio.format_rational(s) for s in solution.certificate],
+        "objective": exact_text(solution.objective),
+        "weights": [exact_text(w) for w in solution.weights],
+        "coverage": [exact_text(s) for s in solution.certificate],
     }, 0
 
 

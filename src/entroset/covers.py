@@ -1,7 +1,11 @@
 """Fractional and uniform covers of {1..n}, and an exact cover LP.
 
 A cover is a multiset of index sets with optional nonnegative rational
-weights. Feasibility checks are exact rational sums. The minimum-weight
+weights. Every per-element sum comes from one loop, `CoverSpec._sums`:
+the coverage (the weights), the multiplicities (1 per member) and the LP's
+certificate (its integer numerators, over d once). Both predicates build
+their report from those sums with `_sum_report`; the cover checkers in
+`checkers` test the sums themselves. The minimum-weight
 fractional cover is solved by a dense two-phase simplex with Bland's
 anti-cycling rule over an integer tableau: every entry is a Python int
 over one common denominator, and pivots are fraction-free (Bareiss,
@@ -17,7 +21,8 @@ value is contractual.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .dist import _as_float, _as_int, _as_list, _expect_type, as_fraction
 from .errors import InfeasibleError, SchemaError, SizeGuardError, _cut, _echo
@@ -66,19 +71,20 @@ class CoverSpec(Record):
         """Exact total weight covering each element 1..n (weights required)."""
         if self.weights is None:
             raise SchemaError("cover has no weights")
-        sums = [Fraction(0)] * self.n
-        for member, w in zip(self.members, self.weights):
-            for i in member:
-                sums[i - 1] += w
-        return sums
+        return self._sums(self.weights, Fraction(0))
 
     def multiplicities(self) -> list[int]:
         """How many members contain each element 1..n."""
-        counts = [0] * self.n
-        for member in self.members:
+        return self._sums(repeat(1), 0)
+
+    def _sums(self, weights: Iterable, zero):
+        """Per element 1..n, `zero` plus the weights (parallel to the members)
+        of the members that contain it."""
+        sums = [zero] * self.n
+        for member, w in zip(self.members, weights):
             for i in member:
-                counts[i - 1] += 1
-        return counts
+                sums[i - 1] += w
+        return sums
 
 
 class LPSolution(Record):
@@ -99,21 +105,28 @@ class LPSolution(Record):
         self._set(weights=weights, objective=objective, certificate=certificate, dual=dual)
 
 
+def _sum_report(sums: list, target, details) -> CheckReport:
+    """Holds when every element's sum is >= `target` (1, or a k that may be past
+    the float range); the elements below it are the witnesses, and
+    `details(below)` the details, built after the float sides."""
+    least = min(sums)
+    below = [i for i, s in enumerate(sums, 1) if s < target]
+    return CheckReport(
+        verdict=VIOLATED if below else HOLDS,
+        lhs=_as_float(target, "k"),
+        rhs=_as_float(least, "least coverage"),
+        slack=float(least - target),
+        witnesses=({"element": i} for i in below),
+        provenance="exact",
+        details=details(below),
+    )
+
+
 def is_fractional_cover(cover: CoverSpec) -> CheckReport:
     """Exact check that every element is covered with total weight >= 1."""
     _expect_type(cover, CoverSpec, "is_fractional_cover")
     sums = cover.coverage()
-    uncovered = [i + 1 for i, s in enumerate(sums) if s < 1]
-    worst = min(sums)
-    return CheckReport(
-        verdict=HOLDS if not uncovered else VIOLATED,
-        lhs=1.0,
-        rhs=_as_float(worst, "least coverage"),
-        slack=float(worst - 1),
-        witnesses=({"element": i} for i in uncovered),
-        provenance="exact",
-        details={"coverage": [exact_text(s) for s in sums]},
-    )
+    return _sum_report(sums, 1, lambda _: {"coverage": [exact_text(s) for s in sums]})
 
 
 def is_uniform_k_cover(cover: CoverSpec, k: int) -> CheckReport:
@@ -121,23 +134,14 @@ def is_uniform_k_cover(cover: CoverSpec, k: int) -> CheckReport:
     _expect_type(cover, CoverSpec, "is_uniform_k_cover")
     _as_int(k, "k")
     counts = cover.multiplicities()
-    uniform = all(c == k for c in counts)
-    bad = [i + 1 for i, c in enumerate(counts) if c < k]
-    return CheckReport(
-        verdict=VIOLATED if bad else HOLDS,
-        lhs=_as_float(k, "k"),
-        rhs=float(min(counts)),
-        slack=float(min(counts) - k),
-        witnesses=({"element": i} for i in bad),
-        provenance="exact",
-        details={"counts": counts, "k": k, "uniform": uniform, "k_cover": not bad},
-    )
+    return _sum_report(counts, k, lambda below: {
+        "counts": counts, "k": k, "uniform": set(counts) == {k}, "k_cover": not below})
 
 
 def uniform_cover_as_fractional(cover: CoverSpec, k: int) -> CoverSpec:
     """Scale a uniform k-cover by 1/k; every coverage sum becomes exactly 1."""
     _expect_type(cover, CoverSpec, "uniform_cover_as_fractional")
-    if not is_uniform_k_cover(cover, k).details["uniform"]:
+    if set(cover.multiplicities()) != {_as_int(k, "k")}:
         raise SchemaError(f"not a uniform {_cut(exact_text(k))}-cover")
     w = Fraction(1, k)
     return CoverSpec(cover.n, cover.members, [w] * len(cover.members))
@@ -164,9 +168,7 @@ def min_fractional_cover(n: int, members: Sequence) -> LPSolution:
     return LPSolution(
         weights=tuple(Fraction(v, d) for v in x),
         objective=Fraction(sum(x), d),
-        certificate=tuple(
-            Fraction(sum(v for v, a in zip(x, row) if a), d) for row in rows
-        ),
+        certificate=tuple(Fraction(s, d) for s in cover._sums(x, 0)),
         dual=tuple(Fraction(v, d) for v in y),
     )
 

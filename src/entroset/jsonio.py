@@ -59,10 +59,6 @@ def parse_rational(text) -> Fraction:
     return as_fraction(_decimal_free(text))
 
 
-def format_rational(value: int | Fraction) -> str:
-    return exact_text(value)
-
-
 def dist_from_json(doc: dict) -> RationalDist:
     support = _array(_expect(doc, "support", "distribution"), "distribution field 'support'")
     probs = _array(_expect(doc, "probs", "distribution"), "distribution field 'probs'")
@@ -126,7 +122,7 @@ def cover_to_json(cover: CoverSpec) -> dict:
         "members": [list(m.indices) for m in cover.members],
     }
     if cover.weights is not None:
-        doc["weights"] = [format_rational(w) for w in cover.weights]
+        doc["weights"] = [exact_text(w) for w in cover.weights]
     return doc
 
 

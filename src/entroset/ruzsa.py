@@ -354,9 +354,9 @@ def verify_commutation(
         ),
         provenance="exact",
         details={
-            "source_size": str(ruzsa_size(spec)),
-            "mapped_size": str(len(mapped)),
-            "direct_size": str(len(direct)),
+            "source_size": exact_text(ruzsa_size(spec)),
+            "mapped_size": exact_text(len(mapped)),
+            "direct_size": exact_text(len(direct)),
             "k": spec.k,
         },
     )

@@ -30,7 +30,10 @@ bit limit on k, dumped as workload "guards", seed 0, and COMMUTE_OPS,
 `ruzsa commute` and `check lemma1 --cross-validate` command lines past the
 benchmark's instances (merge-heavy counts, constant and injective maps,
 vectors of length 63 and 400, and lhs maps that are not the identity),
-dumped as workload "commute", seed 0.
+dumped as workload "commute", seed 0, and COVER_OPS, `cover check`, `cover min`,
+`check shearer` and `check projection` command lines on covers that hold, are
+under-weighted, are not uniform, miss an element, have no weights, or have a k
+or a least coverage past the float range, dumped as workload "covers", seed 0.
 `diff` exits 1 and names the first differences when two dumps differ in
 any op.
 
@@ -203,6 +206,32 @@ COMMUTE_OPS = [
       for spec in ("<first>", "<sum>")),
 ]
 
+# covers over [3]: <t> the triangle at weights 1/2, <u> an under-weighted copy,
+# <m> counts [1, 3, 1], <miss> missing element 3, <plain> the triangle without
+# weights, <big> one member of a weight (and least coverage) past the float range;
+# <a> and <d> are the term ops' point set and law
+COVER_DOCS = {
+    "<t>": TRIANGLE,
+    "<u>": {**TRIANGLE, "weights": ["1/2", "1/2", "1/4"]},
+    "<m>": {"n": 3, "members": [[1, 2], [2, 3], [2]], "weights": ["1", "1", "0"]},
+    "<miss>": {"n": 3, "members": [[1], [1, 2]]},
+    "<plain>": {"n": 3, "members": TRIANGLE["members"]},
+    "<big>": {"n": 3, "members": [[1, 2, 3]], "weights": ["1" + "0" * 400]},
+    "<a>": TERM_DOCS["<a>"],
+    "<d>": TERM_DOCS["<d>"],
+}
+COVER_OPS = [
+    *(["cover", "check", "--cover", c, *k] for c, k in (
+        ("<t>", []), ("<t>", ["--k", "2"]), ("<u>", []), ("<u>", ["--k", "2"]), ("<m>", []),
+        *(("<m>", ["--k", k]) for k in ("1", "2", "3", "1" + "0" * 30)))),
+    *(["cover", "min", "--cover", c] for c in ("<t>", "<miss>")),
+    *(["check", "shearer", "--cover", c, "--input", "<a>", "--side", "sets", "--k", k]
+      for c, k in (("<m>", "1"), ("<t>", "1" + "0" * 400))),
+    *(["check", "projection", "--cover", c, "--input", data, "--side", side]
+      for c in ("<plain>", "<u>", "<big>")
+      for data, side in (("<a>", "sets"), ("<d>", "entropy"))),
+]
+
 
 def _import_cli(src: Path):
     """`entroset.cli` imported from `src`, or exit with a message."""
@@ -307,6 +336,9 @@ def dump(src: Path, out: Path, seeds) -> int:
         workdir = Path(tmp) / "commute"
         ops = _fixed_ops(workdir, COMMUTE_DOCS, COMMUTE_OPS)
         count += _write(handle, cli, "commute", 0, workdir, ops)
+        workdir = Path(tmp) / "covers"
+        ops = _fixed_ops(workdir, COVER_DOCS, COVER_OPS)
+        count += _write(handle, cli, "covers", 0, workdir, ops)
     print(f"{count} ops dumped to {out}")
     return 0
 

@@ -62,9 +62,11 @@ def test_dump_outputs_runs(tmp_path):
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert {r["workload"] for r in records} == {
         "counting", "entropy", "solvers", "usage", "rationalize", "specs", "terms", "guards",
-        "commute", "table:counting", "table:entropy", "table:solvers"}
+        "commute", "covers", "table:counting", "table:entropy", "table:solvers"}
     assert {r["code"] for r in records
-            if r["workload"] not in ("usage", "specs", "guards")} == {0}
+            if r["workload"] not in ("usage", "specs", "guards", "covers")} == {0}
+    covers = [r for r in records if r["workload"] == "covers"]
+    assert {r["code"] for r in covers} == {0, 1, 2}
     guards = [r for r in records if r["workload"] == "guards"]
     assert [(r["code"], r["stdout"]) for r in guards] == [(2, "")] * 5
     assert all(r["stderr"].endswith(" exceeds the bit limit 131072\n") for r in guards)

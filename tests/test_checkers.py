@@ -473,9 +473,11 @@ class TestCheckShearer:
             check_shearer(RationalDist.uniform([(0, 0, 0)]), cover, 2, "entropy")
 
     def test_k_past_the_digit_limit_is_cut(self):
-        with pytest.raises(SchemaError) as info:
+        # no count is that large, so the cover is not uniform
+        with pytest.raises(CoverError) as info:
             check_shearer(PointSet(1, [[0], [1]]), CoverSpec(1, [[1]]), 10**5000, "sets")
-        assert str(info.value) == f"k is outside the float range: 1{'0' * 99}... (5001 characters)"
+        assert str(info.value) == (
+            f"not a uniform 1{'0' * 99}... (5001 characters)-cover: counts [1]")
 
     def test_matches_direct_han_evaluation(self):
         rng = random.Random(17)

@@ -961,16 +961,20 @@ class TestFloatRange:
              f"k is outside the float range: {BIG1_CUT}"),
             (["check", "shearer", "--cover", "{one}", "--input", "{line}", "--k", BIG + "1",
               "--side", "sets"],
-             f"k is outside the float range: {BIG1_CUT}"),
+             f"not a uniform {BIG1_CUT}-cover: counts [1]"),
             (["check", "projection", "--cover", "{mixed}", "--input", "{plane}",
+              "--side", "sets"],
+             f"weight is outside the float range: {BIG_CUT}"),
+            # the least coverage is past the float range too, but only the weight is read
+            (["check", "projection", "--cover", "{big}", "--input", "{plane}",
               "--side", "sets"],
              f"weight is outside the float range: {BIG_CUT}"),
             (["check", "shearer", "--cover", "{one}", "--input", "{line}", "--k",
               "1" + "0" * 3999, "--side", "sets"],
-             f"k is outside the float range: 1{'0' * (ECHO_CHARS - 1)}... (4000 characters)"),
+             f"not a uniform 1{'0' * (ECHO_CHARS - 1)}... (4000 characters)-cover: counts [1]"),
         ],
         ids=["cardinality", "entropy", "lemma1", "cover_check", "cover_check_k", "shearer_k",
-             "projection", "shearer_long_k"],
+             "projection", "projection_least_coverage", "shearer_long_k"],
     )
     def test_schema_error_names_the_value(self, files, capsys, argv, message):
         code, out, err = invoke(capsys, [a.format(**files) for a in argv])

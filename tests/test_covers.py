@@ -1,5 +1,6 @@
 """Cover feasibility checks and the exact minimum fractional cover LP."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -8,18 +9,25 @@ from itertools import combinations
 import pytest
 
 from entroset import (
+    CheckReport,
+    CoverError,
     CoverSpec,
     IndexSet,
     InfeasibleError,
+    PointSet,
     SchemaError,
     SizeGuardError,
+    check_projection_theorem,
+    check_shearer,
     is_fractional_cover,
     is_uniform_k_cover,
     min_fractional_cover,
     uniform_cover_as_fractional,
 )
-from entroset import covers
+from entroset import checkers, covers
 from entroset.covers import MAX_COVER_N, MAX_LP_CELLS, _simplex_min_geq
+
+from entroset.errors import _cut, _echo
 
 from genutil import random_members, random_uniform_k_cover
 
@@ -428,3 +436,227 @@ class TestDualCertificate:
             solution = min_fractional_cover(n, members)
             check_dual(n, members, solution)
             assert solution.objective == solve_by_vertex_enumeration(n, members)
+
+
+# per-element sums and everything read from them, against brute-force sums:
+# one sum per element over every member, with no shared loop
+BIG = 10**400  # past the float range
+
+
+def brute_sums(cover, weights, zero):
+    return [sum((w for m, w in zip(cover.members, weights) if i in m.indices), zero)
+            for i in range(1, cover.n + 1)]
+
+
+def seeded_covers(seed, count):
+    """Covers of n = 1..12: uniform, covering or missing elements, and weights
+    that are absent, zero, repeated, under- or over-weighted, or past the float range."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        shape = rng.choice(["uniform", "covering", "sparse"])
+        if shape == "uniform":
+            members = list(random_uniform_k_cover(rng, n, rng.randint(1, 3)).members)
+        elif shape == "covering":
+            members = random_members(rng, n, 6)
+        else:
+            members = [IndexSet(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                       for _ in range(rng.randint(1, 5))]
+        top = max(brute_sums(CoverSpec(n, members), [1] * len(members), 0))
+        kind = rng.choice(["none", "repeated", "random", "scaled", "big"])
+        if kind == "none":
+            weights = None
+        elif kind == "repeated":
+            weights = [Fraction(1, rng.randint(1, 4))] * len(members)
+        elif kind == "random":
+            weights = [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in members]
+        elif kind == "scaled":  # about 1 on the most covered element: under or over
+            weights = [Fraction(rng.choice([1, 1, 2, 3]), top * rng.choice([1, 2]))
+                       for _ in members]
+        else:
+            weights = [rng.choice([0, 1, BIG, Fraction(1, 3)]) for _ in members]
+        yield CoverSpec(n, members, weights)
+
+
+def k_values(counts):
+    return sorted({0, 1, 2, 3, min(counts), max(counts), 10**30, BIG}) + [-1, True, "2"]
+
+
+def as_float(x):
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
+def outcome(call):
+    """The report of `call()`, or the (type, text) of the error it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reference_fractional(cover):
+    if cover.weights is None:
+        return SchemaError, "cover has no weights"
+    sums = brute_sums(cover, cover.weights, Fraction(0))
+    least = min(sums)
+    if as_float(least) is None:
+        return SchemaError, f"least coverage is outside the float range: {_cut(str(least))}"
+    return CheckReport(
+        verdict="violated" if least < 1 else "holds", lhs=1.0, rhs=float(least),
+        slack=float(least - 1), provenance="exact",
+        witnesses=[{"element": i} for i, s in enumerate(sums, 1) if s < 1],
+        details={"coverage": [str(s) for s in sums]},
+    )
+
+
+def reference_uniform(cover, k):
+    if type(k) is not int:
+        return SchemaError, f"k must be an integer: {k!r}"
+    counts = brute_sums(cover, [1] * len(cover.members), 0)
+    if as_float(k) is None:
+        return SchemaError, f"k is outside the float range: {_cut(str(k))}"
+    below = [i for i, c in enumerate(counts, 1) if c < k]
+    return CheckReport(
+        verdict="violated" if below else "holds", lhs=float(k), rhs=float(min(counts)),
+        slack=float(min(counts) - k), provenance="exact",
+        witnesses=[{"element": i} for i in below],
+        details={"counts": counts, "k": k, "uniform": all(c == k for c in counts),
+                 "k_cover": not below},
+    )
+
+
+def same(got, want):
+    """Equal outcomes; a report also in its field types and its JSON, key order included."""
+    assert got == want
+    if isinstance(want, CheckReport):
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+class TestPerElementSums:
+    """Both cover predicates, the LP certificate and the cover checkers read one
+    per-element sum; each is pinned to brute-force sums here."""
+
+    COVERS = list(seeded_covers(37, 150))
+
+    def test_sums_keep_their_types(self):
+        for cover in self.COVERS:
+            counts = cover.multiplicities()
+            assert counts == brute_sums(cover, [1] * len(cover.members), 0)
+            assert {type(c) for c in counts} == {int}
+            if cover.weights is not None:
+                coverage = cover.coverage()
+                assert coverage == brute_sums(cover, cover.weights, Fraction(0))
+                assert {type(s) for s in coverage} == {Fraction}
+
+    def test_fractional_report_matches_brute_force(self):
+        seen = set()
+        for cover in self.COVERS:
+            want = reference_fractional(cover)
+            same(outcome(lambda: is_fractional_cover(cover)), want)
+            seen.add(want.verdict if isinstance(want, CheckReport) else want[1][:14])
+        assert seen == {"holds", "violated", "cover has no w", "least coverage"}
+
+    def test_uniform_report_matches_brute_force(self):
+        seen = set()
+        for cover in self.COVERS:
+            for k in k_values(cover.multiplicities()):
+                want = reference_uniform(cover, k)
+                same(outcome(lambda: is_uniform_k_cover(cover, k)), want)
+                if isinstance(want, CheckReport):
+                    seen.add((want.verdict, want.details["uniform"]))
+        assert seen == {("holds", True), ("holds", False), ("violated", False)}
+
+    def test_uniform_cover_as_fractional(self):
+        for cover in self.COVERS:
+            for k in k_values(cover.multiplicities()):
+                got = outcome(lambda: uniform_cover_as_fractional(cover, k))
+                counts = brute_sums(cover, [1] * len(cover.members), 0)
+                if type(k) is not int:
+                    assert got == (SchemaError, f"k must be an integer: {k!r}")
+                elif set(counts) != {k}:
+                    assert got == (SchemaError, f"not a uniform {_cut(str(k))}-cover")
+                else:
+                    assert got == CoverSpec(cover.n, cover.members,
+                                            [Fraction(1, k)] * len(cover.members))
+
+    def test_certificate_is_the_coverage_of_the_weights(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            members = random_members(rng, n, rng.randint(1, 10))
+            solution = min_fractional_cover(n, members)
+            cover = CoverSpec(n, members, solution.weights)
+            assert list(solution.certificate) == brute_sums(cover, solution.weights, Fraction(0))
+            assert {type(s) for s in solution.certificate} == {Fraction}
+
+    @staticmethod
+    def points(rng, n):
+        return PointSet(n, [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(6)])
+
+    def test_shearer_errors_match_brute_force(self):
+        rng = random.Random(43)
+        seen = set()
+        for cover in self.COVERS:
+            counts = brute_sums(cover, [1] * len(cover.members), 0)
+            for k in k_values(counts):
+                side = rng.choice(["sets", "sets", "both"])
+                got = outcome(lambda: check_shearer(self.points(rng, cover.n), cover, k, side))
+                seen.add(got[0] if isinstance(got, tuple) else got.verdict)
+                if type(k) is not int:
+                    assert got == (SchemaError, f"k must be an integer: {k!r}")
+                elif set(counts) != {k}:  # k past the float range lands here too
+                    assert got == (CoverError, f"not a uniform {_cut(str(k))}-cover: "
+                                               f"counts {_echo(counts)}")
+                elif side == "both":
+                    assert got == (SchemaError, "side must be 'sets' or 'entropy', got 'both'")
+                else:
+                    assert isinstance(got, CheckReport)
+        assert seen == {SchemaError, CoverError, "holds"}
+
+    def test_projection_errors_match_brute_force(self):
+        rng = random.Random(47)
+        seen = []
+        for cover in self.COVERS:
+            side = rng.choice(["sets", "sets", "both"])
+            got = outcome(lambda: check_projection_theorem(self.points(rng, cover.n), cover, side))
+            seen.append(got[1][:13] if isinstance(got, tuple) else got.verdict)
+            if cover.weights is None:
+                assert got == (CoverError, "projection theorem checks need cover weights")
+                continue
+            sums = brute_sums(cover, cover.weights, Fraction(0))
+            big = [w for w in cover.weights if as_float(w) is None]
+            if min(sums) < 1:
+                assert got == (CoverError, "not a fractional cover: coverage "
+                                           f"{_echo([str(s) for s in sums])}")
+            elif side == "both":
+                assert got == (SchemaError, "side must be 'sets' or 'entropy', got 'both'")
+            elif big:  # a least coverage past the float range lands here too
+                assert got == (SchemaError, f"weight is outside the float range: {_cut(str(BIG))}")
+            else:
+                assert isinstance(got, CheckReport)
+        assert set(seen) == {"projection th", "not a fractio", "side must be ", "weight is out",
+                             "holds"}
+
+    def test_least_coverage_past_the_float_range_by_a_sum(self):
+        # each weight is a float, only their sum is not: the check is decided
+        w = 15 * 10**307
+        report = check_projection_theorem(PointSet(1, [[0], [1]]), CoverSpec(1, [[1], [1]], [w, w]),
+                                          "sets")
+        assert (report.verdict, report.provenance, report.rhs) == ("holds", "exact", float("inf"))
+
+    def test_checkers_decide_without_the_predicates(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a cover checker built a predicate's report")
+
+        for module in (covers, checkers):
+            for name in ("is_fractional_cover", "is_uniform_k_cover"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        A = PointSet(3, [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)])
+        triangle = CoverSpec(3, TRIANGLE_MEMBERS, ["1/2"] * 3)
+        assert check_projection_theorem(A, triangle, "sets").holds
+        assert check_shearer(A, triangle, 2, "sets").holds
+        with pytest.raises(CoverError):
+            check_shearer(A, triangle, 1, "sets")

@@ -523,6 +523,12 @@ class TestCommutation:
             assert report.holds, (d, f)
             done += 1
 
+    def test_source_size_past_the_str_digit_limit(self, monkeypatch):
+        monkeypatch.setattr(ruzsa, "ruzsa_size", lambda spec: 10**5000)
+        report = verify_commutation(FiniteMap.identity(SIXTHS.support), RuzsaSpec(SIXTHS, 6))
+        assert report.details["source_size"] == "1" + "0" * 5000
+        assert report.details["mapped_size"] == report.details["direct_size"] == "60"
+
 
 class TestCommutationMatchesTupleReference:
     """Reports equal a double enumeration over element tuples."""
