@@ -5,11 +5,9 @@ The two sides of the correspondence are kept honest with one another:
 * every checker decides through one comparator, `_compare`, on
   (coefficient, term) pairs. A term is a float log and an exact form of a
   count |f(A)| or |f(A) cond g(A)|, or of 2^H(f(X)) or 2^H(f(X) | g(X));
-  `projections` makes every term, with `_term` for an image and
-  `_conditional_term` for f given g (`_restrictor`s of index sets);
-  a projection check's set side reads its conditional terms with
-  `_sliced_term` from slices of A that its chain of prefixes shares
-  (`_prefix_slices`).
+  `projections` makes every term: `_term` for an image, and
+  `_prefix_terms` for the (member restrictor, prefix depth) pairs that a
+  cover checker lists, slicing A once for a chain of prefixes S*.
   A comparison of counts alone is exact, whatever its rational
   coefficients; any other is exact inside the tolerance band and float
   outside it. Past the bit limit an in-band one is `inconclusive`;
@@ -66,14 +64,11 @@ from .errors import (
 )
 from .projections import (
     PointSet,
-    _conditional_term,
     _count,
-    _prefix_slices,
+    _prefix_terms,
     _restrictor,
-    _sliced_term,
     _term,
     log_conditional_avg_size,  # unused: bench/selftest.py checks that its tracer rewraps it
-    s_star,
 )
 from .report import (
     HOLDS,
@@ -375,7 +370,7 @@ def check_shearer(
         raise CoverError(f"not a uniform {_cut(exact_text(k))}-cover: counts {_echo(counts)}")
     data = _cover_data(data, side, cover.n)
     whole = _term(data, base)
-    parts = [_conditional_term(data, _restrictor(m), None, base) for m in cover.members]
+    parts = _prefix_terms(data, [(_restrictor(m), 0) for m in cover.members], base)
     report = _compare([(k, whole)], [(1, t) for t in parts], tolerance)
     if isinstance(data, RationalDist):
         return report.with_details({"projection_entropies": [h for h, _ in parts]})
@@ -398,8 +393,7 @@ def check_projection_theorem(
 
     Set side: log|A| <= sum a_S log|A_S cond A_{S*}|; entropy side:
     H(X) <= sum a_S H(X_S | X_{S*}). Zero-weight members are skipped. The
-    prefixes S* are a chain, so the set side slices A once, by the deepest
-    nonempty S*, and merges those slices into the shorter prefixes'.
+    prefixes S* are a chain, so `_prefix_terms` slices A once for them all.
     """
     _log_function(base)  # a bad base fails before the cover checks
     _expect_type(cover, CoverSpec, "check_projection_theorem")
@@ -410,12 +404,9 @@ def check_projection_theorem(
         raise CoverError(f"not a fractional cover: coverage {_echo([*map(exact_text, sums)])}")
     members = [(m, w) for m, w in zip(cover.members, cover.weights) if w > 0]
     data = _cover_data(data, side, cover.n)
-    depths = [m.indices[0] - 1 for m, _ in members]  # |S*| of each member
-    sliced = (_prefix_slices(data.points, set(depths) - {0})
-              if isinstance(data, PointSet) and any(depths) else {})
-    terms = [(w, _sliced_term(len(data), sliced[k], _restrictor(m), base) if k in sliced
-              else _conditional_term(data, _restrictor(m), _restrictor(s_star(m)), base))
-             for (m, w), k in zip(members, depths)]
+    # each member's S* is the prefix {1..min S - 1}, of depth min S - 1
+    terms = list(zip([w for _, w in members], _prefix_terms(
+        data, [(_restrictor(m), m.indices[0] - 1) for m, _ in members], base)))
     return _compare(
         [(1, _term(data, base))],
         terms,

@@ -18,9 +18,10 @@ A point set's slices by any callable g are built by one builder,
 keys, not one rescan of A per slice. Every set-side conditional term
 (`_sliced_term`) and `slice_weights` read them; a term's log and its exact
 |A|-th power (`conditional_size_power`) come from the same slice sizes.
-The slices by a chain of prefixes {1..k} share one pass
-(`_prefix_slices`): in the key order of the deepest prefix's slices,
-those of a shorter prefix are runs of consecutive slices, merged.
+The terms of f_i given the prefixes x -> x[:k_i], as a cover check lists
+them, are evaluated in one place (`_prefix_terms`): the slices by a chain
+of prefixes share one pass, since in the key order of the deepest prefix's
+slices those of a shorter prefix are runs of consecutive slices, merged.
 """
 
 from __future__ import annotations
@@ -189,23 +190,6 @@ def _slices(points, g: Callable) -> list[list]:
     return [groups[y] for y in sorted(groups)]
 
 
-def _prefix_slices(points, depths) -> dict[int, list[list]]:
-    """{k: the `_slices` of the points by the prefix x -> x[:k]} for each k >= 1
-    in `depths`, from one grouping pass by the deepest prefix.
-
-    In key order the slices that agree on a shorter prefix are one run of
-    consecutive slices, so each shorter prefix's slices merge the runs of
-    the next deeper one's, and stay in key order.
-    """
-    deepest, *shorter = sorted(depths, reverse=True)
-    out = {deepest: _slices(points, itemgetter(slice(0, deepest)))}
-    deeper = out[deepest]
-    for k in shorter:
-        out[k] = deeper = [list(chain.from_iterable(run))
-                           for _, run in groupby(deeper, lambda pts: pts[0][:k])]
-    return out
-
-
 def slice_weights(A: PointSet, S: IndexSet) -> dict[Element, Fraction]:
     """Exact probability that a uniform point of A projects to each y in A_S."""
     _expect_type(A, PointSet, "slice_weights")
@@ -299,3 +283,24 @@ def _conditional_term(data, f: Callable, g: Callable | None, base: float):
         return d, powers
 
     return joint[0] - given[0], form
+
+
+def _prefix_terms(data, terms, base: float) -> list:
+    """The `_conditional_term` of each (f, k) pair: f given the prefix x -> x[:k]
+    of the points of A or of X, or the image of f when k = 0.
+
+    A point set is grouped once, by the deepest prefix. In key order the
+    slices that agree on a shorter prefix are one run of consecutive slices,
+    so each shorter prefix's slices merge the runs of the next deeper one's,
+    and stay in key order. A law's terms are built one by one.
+    """
+    depths = sorted({k for _, k in terms} - {0}, reverse=True)
+    sliced = {}
+    if depths and not isinstance(data, RationalDist):
+        sliced[depths[0]] = _slices(data, itemgetter(slice(0, depths[0])))
+        for deeper, k in zip(depths, depths[1:]):
+            sliced[k] = [list(chain.from_iterable(run))
+                         for _, run in groupby(sliced[deeper], lambda pts: pts[0][:k])]
+    return [_sliced_term(len(data), sliced[k], f, base) if k in sliced
+            else _conditional_term(data, f, itemgetter(slice(0, k)) if k else None, base)
+            for f, k in terms]

@@ -19,9 +19,13 @@ percent on a shared VM; interleaved ones can.
 It prints each side's ops/s, p50 and p90 latency with the number of
 samples, and the B/A ratio of total time per op kind, per op kind and size
 class ("projection/s1000": a workload's p90 can hinge on its largest
-class alone), and overall. The last
-line of stdout is one JSON object. The exit code is 1 if the two sides
-print different outputs.
+class alone), and overall. With each kind's and class's ratio it prints
+its number of timed samples (per side) and the quartiles of its per-pass
+B/A ratios, a pass being one run of every op on both sides: a ratio
+whose quartiles straddle 1 is within the spread. The last line of stdout
+is one JSON object; its `samples_by_kind` and `ratio_quartiles_by_kind`
+hold both the kinds and the kind/class keys. The exit code is 1 if the
+two sides print different outputs.
 
 The name does not match `test_*.py`, so pytest never collects this file;
 `tests/test_benches.py` runs it once.
@@ -36,6 +40,7 @@ import shutil
 import statistics
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -62,6 +67,13 @@ def _summary(times: list[float]) -> dict:
             "p90_ms": deciles[8] * 1e3, "samples": len(times)}
 
 
+def _quartiles(ratios: list[float]) -> list[float]:
+    """The quartiles of the per-pass ratios; a single pass's ratio three times."""
+    if len(ratios) == 1:
+        return ratios * 3
+    return statistics.quantiles(ratios, n=4, method="inclusive")
+
+
 def compare(a_src: Path, b_src: Path, workload: str, passes: int, seed: int) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -75,26 +87,35 @@ def compare(a_src: Path, b_src: Path, workload: str, passes: int, seed: int) -> 
                 differ.append(f"op {op.op_id} {op.kind}: {outputs['a']!r:.200} != "
                               f"{outputs['b']!r:.200}")
         times = {side: [] for side in SIDES}
-        kinds = {side: {} for side in SIDES}
-        classes = {side: {} for side in SIDES}
+        # each pass's time per op kind and per kind and size class, on each side
+        spent = {side: [] for side in SIDES}
         for p in range(passes):
             order = SIDES if p % 2 == 0 else SIDES[::-1]
+            for side in SIDES:
+                spent[side].append({})
             for op in ops:
                 for side in order:
                     t0 = perf_counter()
                     _run(clis[side], op.argv)
                     elapsed = perf_counter() - t0
                     times[side].append(elapsed)
-                    kinds[side][op.kind] = kinds[side].get(op.kind, 0.0) + elapsed
-                    key = f"{op.kind}/{op.size_class}"
-                    classes[side][key] = classes[side].get(key, 0.0) + elapsed
+                    for key in (op.kind, f"{op.kind}/{op.size_class}"):
+                        spent[side][p][key] = spent[side][p].get(key, 0.0) + elapsed
+    keys = sorted(spent["a"][0], key=lambda key: "/" in key)  # the kinds, then the classes
+    ratios = {key: sum(s[key] for s in spent["b"]) / sum(s[key] for s in spent["a"])
+              for key in keys}
+    samples = Counter(key for op in ops for key in (op.kind, f"{op.kind}/{op.size_class}"))
     result = {
         "workload": workload, "seed": seed, "passes": passes, "ops": len(ops),
         "outputs_identical": not differ,
         **{side: _summary(times[side]) for side in SIDES},
         "ratio": sum(times["b"]) / sum(times["a"]),
-        "ratio_by_kind": {kind: kinds["b"][kind] / kinds["a"][kind] for kind in kinds["a"]},
-        "ratio_by_class": {key: classes["b"][key] / classes["a"][key] for key in classes["a"]},
+        "ratio_by_kind": {key: r for key, r in ratios.items() if "/" not in key},
+        "ratio_by_class": {key: r for key, r in ratios.items() if "/" in key},
+        "samples_by_kind": {key: samples[key] * passes for key in keys},
+        "ratio_quartiles_by_kind": {
+            key: _quartiles([b[key] / a[key] for a, b in zip(spent["a"], spent["b"])])
+            for key in keys},
     }
     print(f"{workload} seed {seed}: {passes} passes of {len(ops)} ops, A then B alternating")
     for problem in differ[:5]:
@@ -103,10 +124,10 @@ def compare(a_src: Path, b_src: Path, workload: str, passes: int, seed: int) -> 
         s = result[side]
         print(f"{side.upper()} {src}: {s['ops_per_s']:.1f} ops/s, p50 {s['p50_ms']:.3f} ms, "
               f"p90 {s['p90_ms']:.3f} ms ({s['samples']} samples)")
-    for kind, ratio in result["ratio_by_kind"].items():
-        print(f"  {kind}: B/A time {ratio:.3f}")
-    for key, ratio in result["ratio_by_class"].items():
-        print(f"  {key}: B/A time {ratio:.3f}")
+    for key, ratio in ratios.items():
+        q1, q2, q3 = result["ratio_quartiles_by_kind"][key]
+        print(f"  {key}: B/A time {ratio:.3f}, per-pass quartiles {q1:.3f} {q2:.3f} {q3:.3f} "
+              f"({result['samples_by_kind'][key]} samples)")
     print(f"B/A total time {result['ratio']:.3f}")
     print(json.dumps(result))
     return 1 if differ else 0

@@ -33,7 +33,11 @@ vectors of length 63 and 400, and lhs maps that are not the identity),
 dumped as workload "commute", seed 0, and COVER_OPS, `cover check`, `cover min`,
 `check shearer` and `check projection` command lines on covers that hold, are
 under-weighted, are not uniform, miss an element, have no weights, or have a k
-or a least coverage past the float range, dumped as workload "covers", seed 0.
+or a least coverage past the float range, dumped as workload "covers", seed 0,
+and PREFIX_OPS, `check projection` on a point set of dimension 5 and a law on
+it, in both bases, with a cover whose prefixes S* are 0 to 4 deep (nested,
+repeated, and zero-weight at depths 0 and 4), and one `check shearer`,
+dumped as workload "prefixes", seed 0.
 `diff` exits 1 and names the first differences when two dumps differ in
 any op.
 
@@ -232,6 +236,27 @@ COVER_OPS = [
       for data, side in (("<a>", "sets"), ("<d>", "entropy"))),
 ]
 
+# a point set of {0,1,2}^5 and a law on it of unequal probabilities; <p> a cover
+# whose weighted members' prefixes S* have depths 0 to 4, depths 0, 1 and 3
+# repeated, with zero-weight members at depths 0 and 4; <s> the 5-cycle, a
+# uniform 2-cover
+_POINTS = [[a, b, c, d, e] for a in range(3) for b in range(3) for c in range(3)
+           for d in range(3) for e in range(3) if (a + 2 * b + c * d + e) % 5 < 2]
+_MASSES = [i % 4 + 1 for i in range(len(_POINTS))]
+PREFIX_DOCS = {
+    "<a>": {"dimension": 5, "points": _POINTS},
+    "<d>": {"support": _POINTS, "probs": [f"{m}/{sum(_MASSES)}" for m in _MASSES]},
+    "<p>": {"n": 5, "members": [[1, 2], [1, 3, 5], [1, 4], [2, 3], [2, 5], [3, 4], [4, 5],
+                                [4], [5], [5]],
+            "weights": ["1/2", "1/2", "0", "1/2", "1/3", "1/2", "1/2", "1/3", "1/2", "0"]},
+    "<s>": {"n": 5, "members": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]},
+}
+PREFIX_OPS = [
+    *([*base, "check", "projection", "--cover", "<p>", "--input", data, "--side", side]
+      for base in ([], ["--base", "e"]) for data, side in (("<a>", "sets"), ("<d>", "entropy"))),
+    ["check", "shearer", "--cover", "<s>", "--input", "<a>", "--side", "sets", "--k", "2"],
+]
+
 
 def _import_cli(src: Path):
     """`entroset.cli` imported from `src`, or exit with a message."""
@@ -339,6 +364,9 @@ def dump(src: Path, out: Path, seeds) -> int:
         workdir = Path(tmp) / "covers"
         ops = _fixed_ops(workdir, COVER_DOCS, COVER_OPS)
         count += _write(handle, cli, "covers", 0, workdir, ops)
+        workdir = Path(tmp) / "prefixes"
+        ops = _fixed_ops(workdir, PREFIX_DOCS, PREFIX_OPS)
+        count += _write(handle, cli, "prefixes", 0, workdir, ops)
     print(f"{count} ops dumped to {out}")
     return 0
 

@@ -7,7 +7,9 @@ by running its self-test once, also in a subprocess, and the output dump
 harness `tests/dump_outputs.py` is run once on one seed, with its help and
 usage-error command lines, its fixed `rationalize` command lines and its
 fixed inequality-spec and term command lines. The A/B timing harness
-`tests/ab_ops.py` is run once, for one pass, with this `src/` on both sides.
+`tests/ab_ops.py` is run once, for one pass, with this `src/` on both sides,
+and the line counter `tests/src_lines.py` once on this `src/` and once on a
+fixture of known counts.
 """
 
 import json
@@ -62,7 +64,7 @@ def test_dump_outputs_runs(tmp_path):
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert {r["workload"] for r in records} == {
         "counting", "entropy", "solvers", "usage", "rationalize", "specs", "terms", "guards",
-        "commute", "covers", "table:counting", "table:entropy", "table:solvers"}
+        "commute", "covers", "prefixes", "table:counting", "table:entropy", "table:solvers"}
     assert {r["code"] for r in records
             if r["workload"] not in ("usage", "specs", "guards", "covers")} == {0}
     covers = [r for r in records if r["workload"] == "covers"]
@@ -114,6 +116,13 @@ def test_ab_ops_runs(tmp_path):
     by_class = result["ratio_by_class"]
     assert {key.split("/")[0] for key in by_class} == set(result["ratio_by_kind"])
     assert all(ratio > 0 for ratio in by_class.values())
+    # with one pass, every kind's and class's quartiles are its one ratio
+    assert set(result["samples_by_kind"]) == set(result["ratio_quartiles_by_kind"]) == {
+        *result["ratio_by_kind"], *by_class}
+    assert sum(result["samples_by_kind"][kind] for kind in result["ratio_by_kind"]) == (
+        result["ops"])
+    assert all(result["ratio_quartiles_by_kind"][key] == [ratio] * 3
+               for key, ratio in {**result["ratio_by_kind"], **by_class}.items())
 
     changed = tmp_path / "src"
     shutil.copytree(ROOT / "src" / "entroset", changed / "entroset",
@@ -125,3 +134,38 @@ def test_ab_ops_runs(tmp_path):
                           cwd=ROOT, capture_output=True, text=True)
     assert done.returncode == 1, done.stdout[-4000:] + done.stderr[-4000:]
     assert not json.loads(done.stdout.splitlines()[-1])["outputs_identical"]
+
+
+def test_src_lines_counts(tmp_path):
+    """`tests/src_lines.py` leaves docstrings, comments and blank lines out of
+    the code lines, counts each line of a continued statement, and totals
+    every module of this `src/`."""
+    script = str(ROOT / "tests" / "src_lines.py")
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "fixture.py").write_text(
+        '"""A module docstring\nof two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "total = (1 +  # a trailing comment\n"
+        "         2)\n"
+        "\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        "    return total\n")
+    done = subprocess.run([sys.executable, script, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    counts = json.loads(done.stdout.splitlines()[-1])
+    assert counts == {"modules": {"pkg/fixture.py": {"lines": 10, "code": 4}},
+                      "lines": 10, "code": 4}
+    assert "pkg/fixture.py: 10 lines, 4 code lines" in done.stdout
+
+    done = subprocess.run([sys.executable, script, str(ROOT / "src")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    counts = json.loads(done.stdout.splitlines()[-1])
+    modules = counts["modules"]
+    assert "entroset/checkers.py" in modules and "entroset/projections.py" in modules
+    assert counts["lines"] == sum(m["lines"] for m in modules.values())
+    assert counts["code"] == sum(m["code"] for m in modules.values())
+    assert all(0 < m["code"] < m["lines"] for m in modules.values())

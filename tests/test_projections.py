@@ -27,9 +27,8 @@ from entroset import (
 from entroset.projections import (
     EMPTY_INDEX_SET,
     _conditional_term,
-    _prefix_slices,
+    _prefix_terms,
     _restrictor,
-    _slices,
     log_conditional_avg_size,
 )
 
@@ -296,20 +295,32 @@ class TestGroupedConditionalSize:
                 got = log_conditional_avg_size(A, IndexSet(T), IndexSet(S), base=base)
                 assert got == _rescan_log_cond_size(A, T, S, base)
 
-    def test_prefix_slices_equal_their_own_grouping(self):
-        # merged runs of the deepest prefix's slices: the same slices, in the
-        # same key order, as slicing by each shorter prefix directly
-        rng = random.Random(83)
+    @pytest.mark.parametrize("base", [2, math.e])
+    def test_prefix_terms_equal_each_term_alone(self, base):
+        # merged runs of the deepest prefix's slices: each term, of points and
+        # of a law on them, equals the `_conditional_term` built with its
+        # prefix's own restrictor, log and exact form alike
+        rng, more = random.Random(83), random.Random(89)
+        shapes = set()
         for _ in range(40):
             n = rng.randint(2, 6)
             A = random_pointset(rng, n, span=3, max_size=120)
-            depths = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
-            got = _prefix_slices(A.points, depths)
-            assert set(got) == depths
-            for k, slices in got.items():
-                direct = _slices(A.points, _restrictor(IndexSet(range(1, k + 1))))
-                assert [sorted(pts) for pts in slices] == [sorted(pts) for pts in direct]
-                assert sum(map(len, slices)) == len(A)
+            depths = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            X = random_dist_on(more, A.sorted_points(), max_denominator=3 * len(A))
+            # every depth, one of them repeated, and depth 0 (no condition)
+            depths = [0, *depths, more.choice(depths)]
+            more.shuffle(depths)
+            terms = [(_restrictor(IndexSet(more.sample(range(1, n + 1), more.randint(1, n)))), k)
+                     for k in depths]
+            for data in (A, X):
+                got = _prefix_terms(data, terms, base)
+                want = [_conditional_term(data, f, _restrictor(IndexSet(range(1, k + 1))), base)
+                        for f, k in terms]
+                assert [log for log, _ in got] == [log for log, _ in want]
+                assert ([form if isinstance(form, int) else form() for _, form in got]
+                        == [form if isinstance(form, int) else form() for _, form in want])
+            shapes.add(len(set(depths)) - 1)
+        assert max(shapes) >= 4 and min(shapes) == 1  # nested chains, and a single prefix
 
 
 class TestConditionalEntropy:

@@ -31,8 +31,8 @@ from entroset import (
     conditional_entropy,
     empirical_lemma1,
 )
-from entroset.checkers import DEFAULT_TOLERANCE, _compare, _conditional_term
-from entroset.projections import _restrictor, log_conditional_avg_size
+from entroset.checkers import DEFAULT_TOLERANCE, _compare
+from entroset.projections import _conditional_term, _restrictor, log_conditional_avg_size
 from entroset.report import HOLDS, VIOLATED
 
 from genutil import random_fractional_cover, random_uniform_k_cover
