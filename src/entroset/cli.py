@@ -205,19 +205,13 @@ def _ruzsa_commute(args):
     return _verdict(verify_commutation(_load_map(args.map), spec, args.limit))
 
 
-def _array(value):
-    """`value`, unless it is a JSON object or string: those iterate, but are no array."""
-    if isinstance(value, (dict, str)):
-        raise TypeError(f"{type(value).__name__!r} object is not an array")
-    return value
-
-
 def _ruzsa_lift(args):
     spec = _ruzsa_spec(args)
     try:
-        y = [tuple(_array(v)) for v in _array(json.loads(args.y))]
-    except (ValueError, TypeError, RecursionError) as exc:
+        y = json.loads(args.y)
+    except (ValueError, RecursionError) as exc:
         raise EntrosetError(f"--y must be a JSON array of elements: {exc}") from exc
+    y = [tuple(jsonio._array(v, "--y element")) for v in jsonio._array(y, "--y")]
     lifted = preimage_lift(_load_map(args.map), spec, y)
     return {"vector": [list(x) for x in lifted]}, 0
 

@@ -20,8 +20,9 @@ raises SchemaError naming the value: `_as_int` (an int, not a bool),
 of a given class) and `_as_float` (a value inside the float range).
 Index-set arguments are checked by `projections._check_indices`.
 
-Elements are checked once, where a value enters: a constructor called
-through the API or by a JSON decoder normalizes its elements with
+Elements are checked once, where a value enters: a constructor, called
+through the API or by a JSON decoder, reads every value of its fields (a
+decoder only applies JSON's own rules first), and normalizes elements with
 `as_element`/`as_elements`, which check every coordinate (a whole list at
 once when it is valid). A map table is read by `_map_table`, which checks
 each distinct column once: a column equal to one read before reuses its
@@ -175,21 +176,13 @@ def _log_function(base: float) -> Callable[[float], float]:
     raise SchemaError(f"log base must be 2 or e, got {_echo(base)}")
 
 
-def _support_of(support: Sequence, probs: Sequence) -> list[Element]:
-    """The normalized support, once it is known to pair up with the probabilities."""
-    try:
-        lengths_differ = len(support) != len(probs)
-    except TypeError:
-        raise SchemaError("support and probs must be sequences") from None
-    if lengths_differ:
-        raise SchemaError("support and probs must have equal length")
-    return as_elements(support)
-
-
 class RationalDist(Record):
     """Finite-support distribution with exact rational probabilities.
 
     `support` keeps the construction order; Pr(support[i]) = counts[i] / denominator.
+    The constructor is the one reader of a distribution, for the API and for
+    `jsonio` alike: it checks the lengths, then the support, then reads each
+    probability with `_ratio`.
     """
 
     support: tuple[Element, ...]
@@ -197,19 +190,14 @@ class RationalDist(Record):
     denominator: int
 
     def __init__(self, support: Sequence, probs: Sequence):
-        elems = _support_of(support, probs)
-        self._fill(elems, [_ratio(p) for p in probs])
-
-    @classmethod
-    def _from_ratios(cls, support: Sequence, ratios: list[tuple[int, int]]) -> "RationalDist":
-        """The distribution of `support` with its probabilities already read by
-        `_ratio`: the entry of a decoder that reads them before the support."""
-        dist = object.__new__(cls)
-        dist._fill(_support_of(support, ratios), ratios)
-        return dist
-
-    def _fill(self, elems: list[Element], ratios: list[tuple[int, int]]) -> None:
-        """Check the (numerator, denominator) pairs against `elems` and store the counts."""
+        try:
+            lengths_differ = len(support) != len(probs)
+        except TypeError:
+            raise SchemaError("support and probs must be sequences") from None
+        if lengths_differ:
+            raise SchemaError("support and probs must have equal length")
+        elems = as_elements(support)
+        ratios = [_ratio(p) for p in probs]
         if any(n < 0 for n, _ in ratios):
             raise SchemaError("probabilities must be nonnegative")
         # zero-mass outcomes are dropped, not rejected

@@ -9,7 +9,8 @@ Output is exact at any size, and Python's int-to-str digit limit is never
 changed: one writer, `_encode`, writes both output formats as `json.dumps`
 would, with every int an exact number at any depth. On input, an int literal
 past that limit, nesting past the recursion limit, or a path that cannot be
-read is a SchemaError naming the file.
+read is a SchemaError naming the file, its path cut by `_cut` as any echoed
+value is.
 
 A file is read with one unbuffered read and decoded as UTF-8, so a UTF-16
 or UTF-32 file is refused as a text-mode read refuses it. A carriage return
@@ -18,21 +19,23 @@ column a text-mode read would. `load_json` also takes bytes already read:
 the CLI reads each input file on every call, and parses and decodes it only
 when it keeps no decoded value for those exact bytes (see `cli`).
 
-Elements are checked once, where a value enters: each decoder pulls out
-its fields and builds its value through the constructor's checks.
+Each decoder pulls out its fields under JSON's own rules, in document
+order: a field is present, it is an array or a JSON integer where one is
+due, and a rational is a decimal-free string (`_decimal_free`). It then
+calls the value's public constructor, which reads every value exactly as
+it does for an API caller, so elements and rationals are checked once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
 from .covers import CoverSpec
 from .checkers import InequalitySpec
-from .dist import FiniteMap, RationalDist, _as_int, _ratio, as_fraction
-from .errors import SchemaError, _echo
+from .dist import FiniteMap, RationalDist, _as_int
+from .errors import SchemaError, _cut, _echo
 from .projections import IndexSet, PointSet
 from .report import _decimal, exact_text
 
@@ -49,21 +52,18 @@ def _array(value, what: str) -> list:
     return value
 
 
-def _decimal_free(text):
-    if isinstance(text, str) and ("." in text or "e" in text or "E" in text):
-        raise SchemaError(f"rationals must be decimal-free 'p/q' strings: {_echo(text)}")
-    return text
-
-
-def parse_rational(text) -> Fraction:
-    return as_fraction(_decimal_free(text))
+def _decimal_free(values: list) -> list:
+    """`values`, once no string among them has a decimal point or an exponent."""
+    for text in values:
+        if isinstance(text, str) and ("." in text or "e" in text or "E" in text):
+            raise SchemaError(f"rationals must be decimal-free 'p/q' strings: {_echo(text)}")
+    return values
 
 
 def dist_from_json(doc: dict) -> RationalDist:
     support = _array(_expect(doc, "support", "distribution"), "distribution field 'support'")
     probs = _array(_expect(doc, "probs", "distribution"), "distribution field 'probs'")
-    # every probability is read, in order, before the support is checked
-    return RationalDist._from_ratios(support, [_ratio(_decimal_free(p)) for p in probs])
+    return RationalDist(support, _decimal_free(probs))
 
 
 def dist_to_json(dist: RationalDist) -> dict:
@@ -112,7 +112,7 @@ def cover_from_json(doc: dict) -> CoverSpec:
     members = _array(_expect(doc, "members", "cover"), "cover field 'members'")
     weights = doc.get("weights")
     if weights is not None:
-        weights = [parse_rational(w) for w in _array(weights, "cover field 'weights'")]
+        weights = _decimal_free(_array(weights, "cover field 'weights'"))
     return CoverSpec(n, [indexset_from_json(m) for m in members], weights)
 
 
@@ -129,10 +129,9 @@ def cover_to_json(cover: CoverSpec) -> dict:
 def ineq_spec_from_json(doc: dict) -> InequalitySpec:
     lhs = _table(_expect(doc, "lhs_map", "inequality spec"))
     rhs = _array(_expect(doc, "rhs_maps", "inequality spec"), "inequality spec field 'rhs_maps'")
-    coeffs = _expect(doc, "coefficients", "inequality spec")
-    coeffs = _array(coeffs, "inequality spec field 'coefficients'")
-    # parsed lazily, so that the spec reads its tables before the coefficients
-    return InequalitySpec(lhs, [_table(m) for m in rhs], map(parse_rational, coeffs))
+    coeffs = _array(_expect(doc, "coefficients", "inequality spec"),
+                    "inequality spec field 'coefficients'")
+    return InequalitySpec(lhs, [_table(m) for m in rhs], _decimal_free(coeffs))
 
 
 def _read(path: str) -> bytes:
@@ -141,11 +140,11 @@ def _read(path: str) -> bytes:
         with open(path, "rb", buffering=0) as handle:
             return handle.read()
     except FileNotFoundError as exc:
-        raise SchemaError(f"no such file: {path}") from exc
+        raise SchemaError(f"no such file: {_cut(path)}") from exc
     except OSError as exc:  # a directory, a path through a file, no permission
-        raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
+        raise SchemaError(f"{_cut(path)}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a NUL in the path
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"{_cut(path)}: {exc}") from exc
 
 
 def load_json(path: str, raw: bytes | None = None) -> dict:
@@ -158,9 +157,9 @@ def load_json(path: str, raw: bytes | None = None) -> dict:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise SchemaError(f"{_cut(path)}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an int past the limit, too deep, not UTF-8
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"{_cut(path)}: {exc}") from exc
 
 
 def _encode(value, indent: str | None) -> str:

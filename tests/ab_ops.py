@@ -17,15 +17,19 @@ sides alike. Runs in separate processes cannot resolve a change of a few
 percent on a shared VM; interleaved ones can.
 
 It prints each side's ops/s, p50 and p90 latency with the number of
-samples, and the B/A ratio of total time per op kind, per op kind and size
-class ("projection/s1000": a workload's p90 can hinge on its largest
-class alone), and overall. With each kind's and class's ratio it prints
-its number of timed samples (per side) and the quartiles of its per-pass
-B/A ratios, a pass being one run of every op on both sides: a ratio
-whose quartiles straddle 1 is within the spread. The last line of stdout
-is one JSON object; its `samples_by_kind` and `ratio_quartiles_by_kind`
-hold both the kinds and the kind/class keys. The exit code is 1 if the
-two sides print different outputs.
+samples, and the B/A time ratio per op kind, per op kind and size class
+("projection/s1000": a workload's p90 can hinge on its largest class
+alone), and overall. A pass is one run of every op on both sides; each
+ratio is the median of the per-pass B/A ratios, printed with their
+quartiles and the number of timed samples (per side): a ratio whose
+quartiles straddle 1 is within the spread. The ratio of the summed times
+follows it; one slow pass can move that ratio outside its own quartiles.
+The last line of stdout is one JSON object: `ratio`, `ratio_by_kind` and
+`ratio_by_class` hold the medians, `summed_ratio`, `summed_ratio_by_kind`
+and `summed_ratio_by_class` the ratios of summed times, and
+`samples_by_kind` and `ratio_quartiles_by_kind` both the kinds and the
+kind/class keys. The exit code is 1 if the two sides print different
+outputs.
 
 The name does not match `test_*.py`, so pytest never collects this file;
 `tests/test_benches.py` runs it once.
@@ -68,7 +72,8 @@ def _summary(times: list[float]) -> dict:
 
 
 def _quartiles(ratios: list[float]) -> list[float]:
-    """The quartiles of the per-pass ratios; a single pass's ratio three times."""
+    """The quartiles of the per-pass ratios, the middle one their median;
+    a single pass's ratio three times."""
     if len(ratios) == 1:
         return ratios * 3
     return statistics.quantiles(ratios, n=4, method="inclusive")
@@ -102,20 +107,26 @@ def compare(a_src: Path, b_src: Path, workload: str, passes: int, seed: int) -> 
                     for key in (op.kind, f"{op.kind}/{op.size_class}"):
                         spent[side][p][key] = spent[side][p].get(key, 0.0) + elapsed
     keys = sorted(spent["a"][0], key=lambda key: "/" in key)  # the kinds, then the classes
-    ratios = {key: sum(s[key] for s in spent["b"]) / sum(s[key] for s in spent["a"])
+    quartiles = {key: _quartiles([b[key] / a[key] for a, b in zip(spent["a"], spent["b"])])
+                 for key in keys}
+    summed = {key: sum(s[key] for s in spent["b"]) / sum(s[key] for s in spent["a"])
               for key in keys}
+    kinds = [key for key in keys if "/" not in key]
+    total = _quartiles([sum(map(b.get, kinds)) / sum(map(a.get, kinds))
+                        for a, b in zip(spent["a"], spent["b"])])
     samples = Counter(key for op in ops for key in (op.kind, f"{op.kind}/{op.size_class}"))
     result = {
         "workload": workload, "seed": seed, "passes": passes, "ops": len(ops),
         "outputs_identical": not differ,
         **{side: _summary(times[side]) for side in SIDES},
-        "ratio": sum(times["b"]) / sum(times["a"]),
-        "ratio_by_kind": {key: r for key, r in ratios.items() if "/" not in key},
-        "ratio_by_class": {key: r for key, r in ratios.items() if "/" in key},
+        "ratio": total[1],
+        "ratio_by_kind": {key: quartiles[key][1] for key in kinds},
+        "ratio_by_class": {key: quartiles[key][1] for key in keys if "/" in key},
+        "summed_ratio": sum(times["b"]) / sum(times["a"]),
+        "summed_ratio_by_kind": {key: summed[key] for key in kinds},
+        "summed_ratio_by_class": {key: summed[key] for key in keys if "/" in key},
         "samples_by_kind": {key: samples[key] * passes for key in keys},
-        "ratio_quartiles_by_kind": {
-            key: _quartiles([b[key] / a[key] for a, b in zip(spent["a"], spent["b"])])
-            for key in keys},
+        "ratio_quartiles_by_kind": quartiles,
     }
     print(f"{workload} seed {seed}: {passes} passes of {len(ops)} ops, A then B alternating")
     for problem in differ[:5]:
@@ -124,11 +135,12 @@ def compare(a_src: Path, b_src: Path, workload: str, passes: int, seed: int) -> 
         s = result[side]
         print(f"{side.upper()} {src}: {s['ops_per_s']:.1f} ops/s, p50 {s['p50_ms']:.3f} ms, "
               f"p90 {s['p90_ms']:.3f} ms ({s['samples']} samples)")
-    for key, ratio in ratios.items():
-        q1, q2, q3 = result["ratio_quartiles_by_kind"][key]
-        print(f"  {key}: B/A time {ratio:.3f}, per-pass quartiles {q1:.3f} {q2:.3f} {q3:.3f} "
-              f"({result['samples_by_kind'][key]} samples)")
-    print(f"B/A total time {result['ratio']:.3f}")
+    for key in keys:
+        q1, q2, q3 = quartiles[key]
+        print(f"  {key}: B/A median per pass {q2:.3f}, quartiles {q1:.3f} {q3:.3f}, "
+              f"summed {summed[key]:.3f} ({result['samples_by_kind'][key]} samples)")
+    print(f"B/A total time: median per pass {total[1]:.3f}, quartiles {total[0]:.3f} "
+          f"{total[2]:.3f}, summed {result['summed_ratio']:.3f}")
     print(json.dumps(result))
     return 1 if differ else 0
 

@@ -102,7 +102,7 @@ def test_dump_outputs_runs(tmp_path):
 def test_ab_ops_runs(tmp_path):
     """`tests/ab_ops.py` loads one `src/` twice, finds both sides' outputs
     identical, and ends with its JSON line; a side that prints one more
-    byte is told apart."""
+    byte is told apart, and over 3 passes each ratio is a per-pass median."""
     src = str(ROOT / "src")
     script = str(ROOT / "tests" / "ab_ops.py")
     done = subprocess.run([sys.executable, script, src, src, "entropy", "1", "2"],
@@ -130,10 +130,20 @@ def test_ab_ops_runs(tmp_path):
     cli = changed / "entroset" / "cli.py"
     cli.write_text(cli.read_text().replace("print(text, file=stream)",
                                            "print(text + ' ', file=stream)"))
-    done = subprocess.run([sys.executable, script, src, str(changed), "entropy", "1", "2"],
+    done = subprocess.run([sys.executable, script, src, str(changed), "entropy", "3", "2"],
                           cwd=ROOT, capture_output=True, text=True)
     assert done.returncode == 1, done.stdout[-4000:] + done.stderr[-4000:]
-    assert not json.loads(done.stdout.splitlines()[-1])["outputs_identical"]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert not result["outputs_identical"]
+    # each ratio is the median of 3 per-pass ratios, so it lies within their
+    # quartiles; the ratios of summed times sit beside the medians
+    ratios = {**result["ratio_by_kind"], **result["ratio_by_class"]}
+    assert all(q1 <= ratios[key] <= q3
+               for key, (q1, _, q3) in result["ratio_quartiles_by_kind"].items())
+    assert set(result["summed_ratio_by_kind"]) == set(result["ratio_by_kind"])
+    assert set(result["summed_ratio_by_class"]) == set(result["ratio_by_class"])
+    assert set(ratios) == set(result["ratio_quartiles_by_kind"])
+    assert result["ratio"] > 0 and result["summed_ratio"] > 0
 
 
 def test_src_lines_counts(tmp_path):

@@ -14,12 +14,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entroset
 from entroset import EntrosetError, cli, covers, jsonio
 from entroset.covers import MAX_COVER_N, uniform_cover_as_fractional
+from entroset.dist import as_elements
 from entroset.errors import ECHO_CHARS, _cut, _echo
 from entroset.projections import PointSet
 from entroset.report import _decimal, exact_text
@@ -59,9 +60,17 @@ class TestRoundTrip:
     def test_cover(self):
         assert jsonio.cover_to_json(jsonio.cover_from_json(TRIANGLE_COVER)) == TRIANGLE_COVER
 
-    def test_decimal_strings_rejected(self):
-        with pytest.raises(Exception):
-            jsonio.parse_rational("0.5")
+    @pytest.mark.parametrize("decode, doc", [
+        (jsonio.dist_from_json, {"support": [[0], [1]], "probs": ["0.5", "1/2"]}),
+        (jsonio.cover_from_json, {"n": 2, "members": [[1], [2]], "weights": ["1", "0.5"]}),
+        (jsonio.ineq_spec_from_json, {"lhs_map": MOD2_MAP, "rhs_maps": [MOD2_MAP],
+                                      "coefficients": ["0.5"]}),
+    ], ids=["dist", "cover", "spec"])
+    def test_decimal_strings_rejected(self, decode, doc):
+        message = "rationals must be decimal-free 'p/q' strings: '0.5'"
+        with pytest.raises(entroset.SchemaError) as caught:
+            decode(doc)
+        assert str(caught.value) == message
 
 
 class TestBasicCommands:
@@ -138,22 +147,21 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out) == {"vector": [[2], [4], [1], [3]]}
 
-    @pytest.mark.parametrize("y, reason", [
-        ("[1,", "Expecting value: line 1 column 4 (char 3)"),
-        ("5", "'int' object is not iterable"),
-        ("{}", "'dict' object is not an array"),
-        ('{"a": 1}', "'dict' object is not an array"),
-        ('"xy"', "'str' object is not an array"),
-        ('[[0], {"1": 2}]', "'dict' object is not an array"),
+    @pytest.mark.parametrize("y, message", [
+        ("[1,", "--y must be a JSON array of elements: Expecting value: line 1 column 4 (char 3)"),
+        ("5", "--y must be an array: 5"),
+        ("{}", "--y must be an array: {}"),
+        ('{"a": 1}', "--y must be an array: {'a': 1}"),
+        ('"xy"', "--y must be an array: 'xy'"),
+        ('[[0], {"1": 2}]', "--y element must be an array: {'1': 2}"),
     ], ids=["truncated", "not_an_array", "empty_object", "object", "string", "object_element"])
-    def test_ruzsa_lift_bad_y(self, tmp_path, capsys, y, reason):
+    def test_ruzsa_lift_bad_y(self, tmp_path, capsys, y, message):
         dist = write(tmp_path, "d.json", {"support": [[1], [2], [3], [4]], "probs": ["1/4"] * 4})
         fmap = write(tmp_path, "f.json", MOD2_MAP)
         code, out, err = invoke(
             capsys, ["ruzsa", "lift", "--dist", dist, "--k", "4", "--map", fmap, "--y", y]
         )
-        message = f"error: --y must be a JSON array of elements: {reason}\n"
-        assert (code, out, err) == (2, "", message)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_ruzsa_enum_and_converge(self, tmp_path, capsys):
         dist = write(tmp_path, "d.json", {"support": [[0], [1]], "probs": ["1/3", "2/3"]})
@@ -1068,6 +1076,15 @@ class TestCoverDecoding:
             {"n": 2, "members": [[1, 2]], "weights": 3},
             "cover field 'weights' must be an array: 3",
         ),
+        # documents with two faults: JSON's decimal check runs before any
+        # value is read, and the constructor reads the members before the weights
+        "bad_member_before_bad_weight": (
+            {"n": 2, "members": [[0]], "weights": ["abc"]}, "indices must be >= 1: (0,)",
+        ),
+        "decimal_weight_before_bad_member": (
+            {"n": 2, "members": [[0]], "weights": ["0.5"]},
+            "rationals must be decimal-free 'p/q' strings: '0.5'",
+        ),
     }
 
     @pytest.mark.parametrize("command", ["min", "check"])
@@ -1134,6 +1151,34 @@ class TestReadFailures:
         path = write(tmp_path, "d.json", UNIFORM2) + "/x"
         code, out, err = invoke(capsys, ["entropy", "--dist", path])
         assert (code, out, err) == (2, "", f"error: {path}: Not a directory\n")
+
+    def test_dist_path_with_nul(self, capsys):
+        code, out, err = invoke(capsys, ["entropy", "--dist", "a\x00b"])
+        assert (code, out, err) == (2, "", "error: a\x00b: embedded null byte\n")
+
+    def test_missing_long_path_is_cut(self, tmp_path, capsys):
+        path = str(tmp_path / "d.json")
+        path = path[:-6] + "x" * (150 - len(path)) + "d.json"
+        assert len(path) == 150
+        code, out, err = invoke(capsys, ["entropy", "--dist", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: no such file: {path[:ECHO_CHARS]}... (150 characters)\n"
+
+    def test_path_of_5000_characters_is_cut(self, capsys):
+        path = "x" * 5000
+        code, out, err = invoke(capsys, ["entropy", "--dist", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: {'x' * ECHO_CHARS}... (5000 characters): File name too long\n"
+
+    def test_load_json_reads_the_file(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(UNIFORM2))
+        assert jsonio.load_json(str(path)) == UNIFORM2
+        path.write_text('{"support": [[0]],}')
+        with pytest.raises(entroset.SchemaError) as caught:
+            jsonio.load_json(str(path))
+        assert str(caught.value) == (
+            f"{path}:1:19: Expecting property name enclosed in double quotes")
 
     def test_dist_nested_too_deep(self, tmp_path, capsys):
         path = tmp_path / "d.json"
@@ -1514,23 +1559,41 @@ class TestDocumentDecoding:
             "dist", {"support": [[0], [False]], "probs": ["1/2", "1/2"]},
             "element coordinates must be integers: [False]",
         ),
-        # every probability is read, in order, before the support is checked,
-        # and an entry's decimal check comes before its parse
-        "zero_denominator_before_decimal": (
+        # JSON's decimal check runs on every probability before the
+        # constructor reads one; it checks the lengths, then the support,
+        # then reads the probabilities in order
+        "decimal_after_zero_denominator": (
             "dist", {"support": [[1], [2]], "probs": ["1/0", "0.5"]},
-            "not a rational string: '1/0'",
+            "rationals must be decimal-free 'p/q' strings: '0.5'",
         ),
         "decimal_before_zero_denominator": (
             "dist", {"support": [[1], [2]], "probs": ["0.5", "1/0"]},
             "rationals must be decimal-free 'p/q' strings: '0.5'",
         ),
-        "bad_prob_before_length": (
+        "length_before_bad_prob": (
             "dist", {"support": [[1]], "probs": ["abc", "1/2"]},
-            "not a rational string: 'abc'",
+            "support and probs must have equal length",
         ),
-        "bad_prob_before_bad_element": (
+        "bad_element_before_bad_prob": (
             "dist", {"support": [[1], ["x"]], "probs": ["1/2", "abc"]},
-            "not a rational string: 'abc'",
+            "element coordinates must be integers: ['x']",
+        ),
+        "bad_element_before_zero_denominator": (
+            "dist", {"support": [[True], [1]], "probs": ["1/0", "1"]},
+            "element coordinates must be integers: [True]",
+        ),
+        # a decimal coefficient is refused before the spec reads its tables
+        "decimal_coefficient_before_bad_table_entry": (
+            "spec",
+            {"lhs_map": IDENTITY2, "rhs_maps": [{"table": [[[0, 0], [True]]]}],
+             "coefficients": ["0.5"]},
+            "rationals must be decimal-free 'p/q' strings: '0.5'",
+        ),
+        "bad_table_entry_before_bad_coefficient": (
+            "spec",
+            {"lhs_map": IDENTITY2, "rhs_maps": [{"table": [[[0, 0], [True]]]}],
+             "coefficients": ["abc"]},
+            "element coordinates must be integers: [True]",
         ),
         "bad_element_before_negative_prob": (
             "dist", {"support": [[1], ["x"]], "probs": ["-1/2", "3/2"]},
@@ -1641,6 +1704,21 @@ def json_dist_docs(draw):
         "support": st.lists(json_elements, min_size=count, max_size=count),
         "probs": json_probs(count),
     }))
+
+
+def has_decimal(value) -> bool:
+    return isinstance(value, str) and any(c in value for c in ".eE")
+
+
+@st.composite
+def decimal_free_dist_docs(draw):
+    """Distribution documents whose fields are arrays, now and then of unequal
+    lengths, with no decimal string among the probabilities."""
+    count = draw(st.integers(1, 4))
+    support = draw(st.lists(json_elements, min_size=count, max_size=count))
+    probs = draw(json_probs(draw(mostly(st.just(count), st.integers(1, 4)))))
+    assume(isinstance(probs, list) and not any(map(has_decimal, probs)))
+    return {"support": support, "probs": probs}
 
 
 map_docs = json_docs({
@@ -1818,7 +1896,8 @@ class TestDecoderFuzz:
     @settings(max_examples=200, deadline=None)
     @given(doc=json_dist_docs())
     def test_dist_matches_fraction_decoder(self, doc):
-        """`dist_from_json` against the decoder that read each entry as a Fraction."""
+        """`dist_from_json` against a decoder that reads each entry as a Fraction:
+        every decimal check, then the lengths, then the support, then the entries."""
         doc = json.loads(json.dumps(doc))
 
         def through_fractions(doc):
@@ -1826,15 +1905,25 @@ class TestDecoderFuzz:
                                     "distribution field 'support'")
             probs = jsonio._array(jsonio._expect(doc, "probs", "distribution"),
                                   "distribution field 'probs'")
-            fracs = []
             for p in probs:
-                if isinstance(p, str) and any(c in p for c in ".eE"):
+                if has_decimal(p):
                     raise entroset.SchemaError(
                         f"rationals must be decimal-free 'p/q' strings: {_echo(p)}")
-                fracs.append(Fraction(*reference_ratio(p)))
+            if len(support) != len(probs):
+                raise entroset.SchemaError("support and probs must have equal length")
+            as_elements(support)
+            fracs = [Fraction(*reference_ratio(p)) for p in probs]
             return entroset.RationalDist(support, fracs)
 
         assert decoded(jsonio.dist_from_json, doc) == decoded(through_fractions, doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=decimal_free_dist_docs())
+    def test_dist_decoder_is_the_constructor(self, doc):
+        """Past JSON's own rules, `dist_from_json` is `RationalDist` on the fields."""
+        doc = json.loads(json.dumps(doc))
+        assert decoded(jsonio.dist_from_json, doc) == decoded(
+            lambda doc: entroset.RationalDist(doc["support"], doc["probs"]), doc)
 
     @pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
     @settings(max_examples=5, deadline=None)
