@@ -340,13 +340,13 @@ def empirical_lemma1(
     )
 
 
-def _cover_data(data, side: str, n: int):
-    """The data of a cover checker's side: a PointSet for "sets", a
+def _cover_data(data, side: str, n: int, what: str):
+    """The data of the cover checker `what`'s side: a PointSet for "sets", a
     RationalDist for "entropy", of the cover's dimension n."""
     if side == "sets":
         data = data if isinstance(data, PointSet) else PointSet.from_points(data)
     elif side == "entropy":
-        _expect_type(data, RationalDist, "entropy")
+        _expect_type(data, RationalDist, what)
     else:
         raise SchemaError(f"side must be 'sets' or 'entropy', got {_echo(side)}")
     if n != data.dimension:
@@ -368,7 +368,7 @@ def check_shearer(
     counts = cover.multiplicities()
     if set(counts) != {_as_int(k, "k")}:
         raise CoverError(f"not a uniform {_cut(exact_text(k))}-cover: counts {_echo(counts)}")
-    data = _cover_data(data, side, cover.n)
+    data = _cover_data(data, side, cover.n, "check_shearer")
     whole = _term(data, base)
     parts = _prefix_terms(data, [(_restrictor(m), 0) for m in cover.members], base)
     report = _compare([(k, whole)], [(1, t) for t in parts], tolerance)
@@ -403,7 +403,7 @@ def check_projection_theorem(
     if min(sums) < 1:
         raise CoverError(f"not a fractional cover: coverage {_echo([*map(exact_text, sums)])}")
     members = [(m, w) for m, w in zip(cover.members, cover.weights) if w > 0]
-    data = _cover_data(data, side, cover.n)
+    data = _cover_data(data, side, cover.n, "check_projection_theorem")
     # each member's S* is the prefix {1..min S - 1}, of depth min S - 1
     terms = list(zip([w for _, w in members], _prefix_terms(
         data, [(_restrictor(m), m.indices[0] - 1) for m, _ in members], base)))

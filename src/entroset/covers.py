@@ -6,16 +6,17 @@ the coverage (the weights), the multiplicities (1 per member) and the LP's
 certificate (its integer numerators, over d once). Both predicates build
 their report from those sums with `_sum_report`; the cover checkers in
 `checkers` test the sums themselves. The minimum-weight
-fractional cover is solved by a dense two-phase simplex with Bland's
-anti-cycling rule over an integer tableau: every entry is a Python int
-over one common denominator, and pivots are fraction-free (Bareiss,
-Math. Comp. 1968; Edmonds 1967), so each division is exact and no
-Fraction is built before the answer. For a 0/1 cover matrix the
-denominator is a basis determinant, bounded by Hadamard's bound (about
-4e3 at n=12). The solution carries the optimal dual packing, which
-proves the objective optimal. For a fixed input order the returned
-vertex is deterministic; between degenerate optima only the objective
-value is contractual.
+fractional cover is solved by a dense dual simplex (Lemke 1954) with
+Bland's anti-cycling rule over an integer tableau: with unit costs the
+surplus basis is already dual feasible, so there is no phase 1. Every
+entry is a Python int over one common denominator, and pivots are
+fraction-free (Bareiss, Math. Comp. 1968; Edmonds 1967), so each
+division is exact and no Fraction is built before the answer. For a 0/1
+cover matrix the denominator is a basis determinant, bounded by
+Hadamard's bound (about 4e3 at n=12). The solution carries the optimal
+dual packing, which proves the objective optimal. For a fixed input order
+the returned vertex is deterministic; between degenerate optima only the
+objective value is contractual.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .report import HOLDS, VIOLATED, CheckReport, Record, exact_text
 MAX_COVER_N = 10_000  # the checks allocate lists of n entries
 # the most entries of the cover LP's tableau, n rows by members + n + 1 columns:
 # every pivot rewrites them all. Solving random covers of n elements by members
-# of 2 to n // 2 elements, at 4,096 entries (n = 32, 95 members) took 0.7 s,
-# and at 8,145 (n = 45, 135 members) 3.3 s, on a 2-vCPU VM
+# of 2 to n // 2 elements, at 4,096 entries (n = 32, 95 members) took 0.06-0.11 s,
+# and at 8,145 (n = 45, 135 members) 0.3-0.6 s, on a 2-vCPU VM
 MAX_LP_CELLS = 4_096
 
 
@@ -176,79 +177,58 @@ def min_fractional_cover(n: int, members: Sequence) -> LPSolution:
 def _simplex_min_geq(
     c: list[int], a: list[list[int]], b: list[int]
 ) -> tuple[list[int], list[int], int]:
-    """Exact two-phase simplex for min c.x s.t. a x >= b, x >= 0, b >= 0.
+    """Exact dual simplex (Lemke 1954) for min c.x s.t. a x >= b, x >= 0, c >= 0.
 
-    Integer data, with a >= 0 and no zero row. Columns are [x | surplus |
-    rhs]; each entry of the tableau, and of the two reduced-cost rows
-    carried with it, is an int over the common denominator d > 0. Bland's
-    rule picks the entering and leaving variables, and pivots only on a
-    positive entry. The artificial of row i (minus surplus column i) is only
-    the basis entry nvar + m + i. By the precondition some x > 0 has every
-    surplus > 0, and [a | -I] has full row rank; so once the x and surplus
-    columns price >= 0, the phase-1 multipliers y are 0 (at that point,
-    y.b = 0 is a sum of column terms that are each <= 0), and no artificial
-    is left basic or ever entered. Returns the numerators of the optimal x
-    and of the dual y (the phase-2 reduced costs of the surplus columns), d.
+    Integer data. Row i is -a_i.x + s_i = -b_i with its surplus s_i basic;
+    columns are [x | surplus | rhs], and the reduced-cost row, which starts
+    at c, is the tableau's last row. Every entry is an int over the common
+    denominator d > 0. As c >= 0 the surplus basis is dual feasible, so no
+    phase 1 is needed. Each pivot leaves the least-index basic variable whose
+    value is negative, negates its row so that the pivot is positive, and
+    enters the least ratio z_j / t_j over that row's entries t_j > 0, least
+    index on ties: Bland's rule on the dual, which cannot cycle. A row with
+    no such entry reads a sum of nonnegative terms equal to a negative value,
+    so the LP is infeasible.
+
+    Pivots are fraction-free (Bareiss). With the reduced-cost row, the
+    tableau is d B^-1 M, where M is [-a | I | -b] over [c | 0 | 0], B is the
+    basic columns of M beside the cost row's own unit column, and d = +-det B.
+    Negating row r gives the same form for the basis with column r negated
+    (its variable replaced by its negative), whose determinant is -det B; by
+    Cramer's rule the positive pivot p is then +-det of the next basis, so
+    every division by d is exact and d = p stays > 0. Returns the numerators
+    of the optimal x and of the dual y (the reduced costs of the surplus
+    columns), and d.
     """
     m = len(a)
     nvar = len(c)
-    art = nvar + m
-    tab = []
-    for i in range(m):
-        row = list(a[i]) + [0] * m + [b[i]]
-        row[nvar + i] = -1  # surplus
-        tab.append(row)
-    basis = list(range(art, art + m))
-    # reduced-cost rows: phase 2 prices c, phase 1 prices the artificials
-    # (basic at the start, so a column's reduced cost is minus its sum)
-    objectives = [list(c) + [0] * (m + 1), [-sum(col) for col in zip(*tab)]]
+    width = nvar + m
+    tab = [[-v for v in a[i]] + [int(j == i) for j in range(m)] + [-b[i]] for i in range(m)]
+    tab.append(list(c) + [0] * (m + 1))
+    basis = list(range(nvar, width))
     d = 1
-
-    def pivot(r: int, col: int) -> None:
-        # fraction-free (Bareiss) step: every division by d is exact
-        nonlocal d
-        prow = tab[r]
-        p = prow[col]
-        for rows in (tab, objectives):
-            for i, row in enumerate(rows):
-                if row is prow:
-                    continue
-                f = row[col]
-                if f:
-                    rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
-                elif p != d:
-                    rows[i] = [p * v // d for v in row]
+    while negative := [(bi, i) for i, bi in enumerate(basis) if tab[i][-1] < 0]:
+        r = min(negative)[1]
+        tab[r] = prow = [-v for v in tab[r]]
+        z = tab[-1]
+        enter = None
+        for j in range(width):
+            t = prow[j]
+            # ratio z[j] / t against the best, cross-multiplied; ties keep the least j
+            if t > 0 and (enter is None or z[j] * den < num * t):
+                enter, num, den = j, z[j], t
+        if enter is None:
+            raise InfeasibleError("LP is infeasible")
+        p = prow[enter]
+        for i, row in enumerate(tab):
+            if i == r:
+                continue
+            f = row[enter]
+            if f:
+                tab[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+            elif p != d:
+                tab[i] = [p * v // d for v in row]
         d = p
-        basis[r] = col
-
-    def optimize(phase: int) -> None:
-        while True:
-            z = objectives[phase]
-            enter = next((j for j in range(art) if z[j] < 0), None)
-            if enter is None:
-                return
-            leave = None
-            for i, row in enumerate(tab):
-                coef = row[enter]
-                if coef > 0:
-                    # ratio row[-1] / coef against the best, cross-multiplied
-                    if leave is None:
-                        leave, num, den = i, row[-1], coef
-                        continue
-                    lhs, rhs = row[-1] * den, num * coef
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                        leave, num, den = i, row[-1], coef
-            if leave is None:
-                raise InfeasibleError("LP is unbounded")  # pragma: no cover
-            pivot(leave, enter)
-
-    optimize(1)
-    if any(bi >= art for bi in basis):
-        raise InfeasibleError("no fractional cover exists")  # pragma: no cover
-    objectives.pop()  # the phase-1 row is not needed past this point
-    optimize(0)
-    x = [0] * nvar
-    for i, bi in enumerate(basis):
-        if bi < nvar:
-            x[bi] = tab[i][-1]
-    return x, objectives[0][nvar:art], d
+        basis[r] = enter
+    values = dict(zip(basis, (row[-1] for row in tab)))
+    return [values.get(j, 0) for j in range(nvar)], tab[-1][nvar:width], d

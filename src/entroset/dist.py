@@ -220,10 +220,12 @@ class RationalDist(Record):
     @classmethod
     def uniform(cls, points: Iterable) -> "RationalDist":
         """Uniform distribution over the given points, in canonical order."""
-        elems = sorted(set(as_elements(points)))
+        elems = tuple(sorted(set(as_elements(points))))
         if not elems:
             raise SchemaError("uniform distribution needs a nonempty point set")
-        return cls(elems, [Fraction(1, len(elems))] * len(elems))
+        if len(set(map(len, elems))) != 1:
+            raise SchemaError("support elements must share one dimension")
+        return cls._of(support=elems, counts=(1,) * len(elems), denominator=len(elems))
 
     @property
     def probs(self) -> tuple[Fraction, ...]:
@@ -313,7 +315,10 @@ class FiniteMap(Record, unhashed=("table",)):
 
     @classmethod
     def identity(cls, domain: Iterable) -> "FiniteMap":
-        return cls({x: x for x in as_elements(domain)})
+        table = {x: x for x in as_elements(domain)}
+        if not table:
+            raise SchemaError("map table must be nonempty")
+        return cls._of(table=table)
 
     def __call__(self, x) -> Element:
         key = as_element(x)

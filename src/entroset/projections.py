@@ -91,19 +91,22 @@ class PointSet(Record):
     points: frozenset[Element]
 
     def __init__(self, dimension: int, points: Iterable):
-        pts = frozenset(as_elements(points))
+        self._set(**self._checked_fields(dimension, as_elements(points)))
+
+    @classmethod
+    def from_points(cls, points: Iterable) -> "PointSet":
+        pts = as_elements(points)  # of the first point's dimension; [] is refused as empty
+        return cls._of(**cls._checked_fields(len(pts[0]) if pts else 0, pts))
+
+    @staticmethod
+    def _checked_fields(dimension: int, elems: list[Element]) -> dict:
+        """The fields of a point set of checked elements, all of `dimension`."""
+        pts = frozenset(elems)
         if not pts:
             raise SchemaError("point set must be nonempty")
         if set(map(len, pts)) != {_as_int(dimension, "dimension")}:
             raise SchemaError(f"all points must have dimension {_echo(dimension)}")
-        self._set(dimension=int(dimension), points=pts)
-
-    @classmethod
-    def from_points(cls, points: Iterable) -> "PointSet":
-        pts = as_elements(points)
-        if not pts:
-            raise SchemaError("point set must be nonempty")
-        return cls(len(pts[0]), pts)
+        return {"dimension": int(dimension), "points": pts}
 
     def sorted_points(self) -> list[Element]:
         return sorted(self.points)

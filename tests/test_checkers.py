@@ -198,8 +198,18 @@ class TestCheckCardinality:
         assert check_cardinality(spec, TRIANGLE).to_json() == expected
         assert calls == []
         # a list of points is still checked once, where it enters
-        assert check_cardinality(spec, list(TRIANGLE.points)).to_json() == expected
+        points = list(TRIANGLE.points)
+        assert check_cardinality(spec, points).to_json() == expected
         assert calls == [1]
+        # and so by each named constructor, which builds what its general one would
+        for build, general in (
+                (PointSet.from_points, lambda: PointSet(2, points)),
+                (RationalDist.uniform, lambda: RationalDist(sorted(points), ["1/3"] * 3)),
+                (FiniteMap.identity, lambda: FiniteMap([(p, p) for p in points]))):
+            calls.clear()
+            value = build(points)
+            assert calls == [1], build.__qualname__
+            assert value == general()
 
 
 class TestCheckEntropy:

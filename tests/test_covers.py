@@ -258,11 +258,12 @@ class TestMinFractionalCover:
 
 
 def reference_simplex_min_geq(c, a, b):
-    """The Fraction simplex the integer tableau replaced, kept as a reference.
+    """A two-phase Fraction simplex, the oracle for the optimal value.
 
     Dense Fraction tableau, objective recomputed every iteration, Bland's
-    rule for entering and leaving variables. Columns are
-    [x | surplus | artificial].
+    rule for entering and leaving variables, artificials driven out after
+    phase 1. Columns are [x | surplus | artificial]; needs b >= 0. Its
+    vertex may differ from the dual simplex's on degenerate LPs.
     """
     m = len(a)
     nvar = len(c)
@@ -337,9 +338,86 @@ def reference_simplex_min_geq(c, a, b):
     return tuple(x)
 
 
+def fraction_dual_simplex(c, a, b, ties="least"):
+    """The solver's pivoting rules on a dense Fraction tableau, for its vertex.
+
+    Rows are -a_i.x + s_i = -b_i with the surplus basis; the least-index
+    basic variable of negative value leaves, and the least ratio z_j / -t_j
+    over that row's entries t_j < 0 enters, the least j on ties (the greatest
+    with ties="greatest"). Returns the optimal x and the duals y, the reduced
+    costs of the surplus columns.
+    """
+    m, nvar = len(a), len(c)
+    width = nvar + m
+    tab = [[Fraction(-v) for v in a[i]] + [Fraction(int(j == i)) for j in range(m)]
+           + [Fraction(-b[i])] for i in range(m)]
+    z = [Fraction(v) for v in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(nvar, width))
+    while True:
+        negative = [i for i in range(m) if tab[i][-1] < 0]
+        if not negative:
+            break
+        r = min(negative, key=lambda i: basis[i])
+        ratios = {j: z[j] / -tab[r][j] for j in range(width) if tab[r][j] < 0}
+        if not ratios:
+            raise InfeasibleError("LP is infeasible")
+        best = [j for j, q in ratios.items() if q == min(ratios.values())]
+        enter = min(best) if ties == "least" else max(best)
+        pivot = tab[r][enter]
+        tab[r] = [v / pivot for v in tab[r]]
+        for row in tab[:r] + tab[r + 1:] + [z]:
+            f = row[enter]
+            row[:] = [v - f * w for v, w in zip(row, tab[r])]
+        basis[r] = enter
+    x = [Fraction(0)] * nvar
+    for i, bi in enumerate(basis):
+        if bi < nvar:
+            x[bi] = tab[i][-1]
+    return tuple(x), tuple(z[nvar:width])
+
+
+def cover_lp(n, members):
+    rows = [[1 if (i + 1) in m else 0 for m in map(IndexSet, members)] for i in range(n)]
+    return [1] * len(members), rows, [1] * n
+
+
 def reference_weights(n, members):
-    rows = [[Fraction(1 if (i + 1) in m else 0) for m in members] for i in range(n)]
-    return reference_simplex_min_geq([Fraction(1)] * len(members), rows, [Fraction(1)] * n)
+    c, rows, b = cover_lp(n, members)
+    return reference_simplex_min_geq(list(map(Fraction, c)), [list(map(Fraction, r)) for r in rows],
+                                     list(map(Fraction, b)))
+
+
+def check_against_references(n, members):
+    """The vertex and duals of the Fraction dual simplex, and the two-phase
+    optimum as both the objective and the dual value; says whether the vertex
+    differs from the two-phase one."""
+    solution = min_fractional_cover(n, members)
+    assert (solution.weights, solution.dual) == fraction_dual_simplex(*cover_lp(n, members))
+    two_phase = reference_weights(n, members)
+    assert solution.objective == sum(two_phase) == sum(solution.dual)
+    return solution.weights != two_phase
+
+
+def check_general_lp(c, a, b):
+    """The solver against both references on min c.x s.t. a x >= b, x >= 0:
+    the vertex and duals of the Fraction dual simplex, the two-phase optimum
+    as its objective and dual value; the objective, or None when infeasible."""
+    try:
+        two_phase = reference_simplex_min_geq(list(map(Fraction, c)),
+                                              [list(map(Fraction, r)) for r in a],
+                                              list(map(Fraction, b)))
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError, match="^LP is infeasible$"):
+            _simplex_min_geq(c, a, b)
+        return None
+    x, y, d = _simplex_min_geq(c, a, b)
+    assert d > 0
+    want_x, want_y = fraction_dual_simplex(c, a, b)
+    assert (tuple(Fraction(v, d) for v in x), tuple(Fraction(v, d) for v in y)) == (want_x, want_y)
+    objective = sum(ci * xi for ci, xi in zip(c, want_x))
+    assert objective == sum(ci * xi for ci, xi in zip(c, two_phase))
+    assert objective == sum(yi * bi for yi, bi in zip(want_y, b))
+    return objective
 
 
 def degenerate_members(rng, n, m):
@@ -359,46 +437,79 @@ def degenerate_members(rng, n, m):
     return members + [[i] for i in range(1, n + 1) if i not in covered]
 
 
+def bench_shaped_members(rng, n):
+    """3n members of 2 to n // 2 elements covering {1..n}, as the benchmarks draw them."""
+    while True:
+        members = [sorted(rng.sample(range(1, n + 1), rng.randint(2, n // 2)))
+                   for _ in range(3 * n)]
+        if set().union(*map(set, members)) == set(range(1, n + 1)):
+            return members
+
+
 class TestIntegerTableauMatchesFractionSimplex:
-    """The fraction-free solver returns the same vertex as the Fraction one."""
+    """The fraction-free solver returns the vertex and duals of a Fraction dual
+    simplex with its rules, and the optimum of a two-phase Fraction simplex."""
 
     def test_seeded_instances(self):
         rng = random.Random(89)
         for _ in range(60):
             n = rng.randint(1, 12)
-            members = degenerate_members(rng, n, rng.randint(1, 40))
-            assert min_fractional_cover(n, members).weights == reference_weights(n, members)
+            check_against_references(n, degenerate_members(rng, n, rng.randint(1, 40)))
 
     @pytest.mark.parametrize("n, m", [(12, 40), (12, 20), (10, 40), (6, 40)])
     def test_largest_sizes(self, n, m):
         rng = random.Random(97 + n * m)
-        members = degenerate_members(rng, n, m)
-        assert min_fractional_cover(n, members).weights == reference_weights(n, members)
+        check_against_references(n, degenerate_members(rng, n, m))
+
+    @pytest.mark.parametrize("n", [6, 9, 12], ids=["n6", "n9", "n12"])
+    def test_bench_shaped_covers(self, n):
+        # degenerate optima: here the dual simplex leaves the two-phase vertex
+        moved = [check_against_references(n, bench_shaped_members(random.Random(seed), n))
+                 for seed in range(8)]
+        assert any(moved)
 
     def test_twin_elements(self):
         # elements 1, 2 lie in the same members, so their rows are equal
-        members = [[1, 2], [1, 2, 3], [3, 4], [1, 2, 4], [4]]
-        assert min_fractional_cover(4, members).weights == reference_weights(4, members)
+        check_against_references(4, [[1, 2], [1, 2, 3], [3, 4], [1, 2, 4], [4]])
 
-    def test_artificial_left_in_the_basis_is_infeasible(self):
-        # Outside the precondition (a >= 0, no zero row) phase 1 can end with
-        # a degenerate artificial in the basis; the solver refuses such an
-        # LP rather than driving the artificial out.
+    def test_ratio_tie_goes_to_lower_index(self):
+        # [1] and [1, 2] tie for element 1's row; the other choice is also optimal
+        members = [[1], [1, 2], [2, 3]]
+        check_against_references(3, members)
+        assert min_fractional_cover(3, members).weights == (1, 0, 1)
+        other, _ = fraction_dual_simplex(*cover_lp(3, members), ties="greatest")
+        assert other == (0, 1, 1)
+
+    def test_full_set_duplicates(self):
+        check_against_references(3, [[1, 2, 3]] * 3 + [[2]])
+
+    def test_mixed_sign_lps_match_the_reference(self):
+        # a of either sign and c >= 0, where the surplus basis is still dual
+        # feasible; first an LP whose phase 1 ends with a degenerate artificial basic
         c = [2, 1, 3, 0, 1, 3]
         a = [[1, 1, 1, 2, 0, 1], [0, 0, 0, 0, -1, -1], [-1, -1, 1, -1, -1, 0],
              [2, -1, 1, 0, 2, 1]]
+        assert check_general_lp(c, a, [0, 0, 2, 2]) == 6
+        rng = random.Random(107)
+        seen = set()
+        for _ in range(200):
+            m, nvar = rng.randint(1, 5), rng.randint(1, 6)
+            c = [rng.randint(0, 3) for _ in range(nvar)]
+            a = [[rng.randint(-2, 2) for _ in range(nvar)] for _ in range(m)]
+            infeasible = check_general_lp(c, a, [rng.randint(0, 2) for _ in range(m)]) is None
+            seen.add(infeasible)
+        assert seen == {True, False}  # both infeasible and optimal LPs were drawn
+
+    @pytest.mark.parametrize("a, b", [
+        ([[0, 0]], [1]),                 # a zero row
+        ([[1, 1], [0, -1], [-1, 0]], [0, 1, 0]),  # a row with no a_ij > 0
+        ([[1, 0], [-1, 1], [0, -1]], [1, 0, 0]),  # infeasible only after two pivots
+    ], ids=["zero-row", "nonpositive-row", "after-pivots"])
+    def test_infeasible_lp_is_refused(self, a, b):
+        with pytest.raises(InfeasibleError, match="^LP is infeasible$"):
+            _simplex_min_geq([1] * len(a[0]), a, b)
         with pytest.raises(InfeasibleError):
-            _simplex_min_geq(c, a, [0, 0, 2, 2])
-
-    def test_ratio_tie_goes_to_lower_basis_index(self):
-        # a seeded instance whose vertex depends on how ratio ties are broken
-        members = [[2, 4, 6, 7, 8], [2, 4, 6, 7, 8], [5], [7], [4], [2, 4, 6, 7, 8],
-                   [2, 4, 5, 6, 7, 8], [7], [4, 5, 6, 7], [6], [1, 2, 7, 8], [3]]
-        assert min_fractional_cover(8, members).weights == reference_weights(8, members)
-
-    def test_full_set_duplicates(self):
-        members = [[1, 2, 3]] * 3 + [[2]]
-        assert min_fractional_cover(3, members).weights == reference_weights(3, members)
+            fraction_dual_simplex([1] * len(a[0]), a, b)
 
 
 def check_dual(n, members, solution):

@@ -49,6 +49,7 @@ HALVES = RationalDist.uniform([0, 1])
 IDENTITY = FiniteMap.identity(HALVES.support)
 SPEC = InequalitySpec(IDENTITY, [IDENTITY], [1])
 PLANE = PointSet(2, [(0, 0), (0, 1), (1, 0)])
+POINT = PointSet(1, [(0,)])
 SQUARE = RationalDist.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
 ONE = CoverSpec(1, [[1]])
 PAIRS = RuzsaSpec(HALVES, 2)
@@ -103,6 +104,14 @@ CASES = {
                          "check_projection_theorem needs a CoverSpec: 5"),
     "shearer_cover": (lambda: check_shearer(PLANE, 5, 1, "sets"), SchemaError,
                       "check_shearer needs a CoverSpec: 5"),
+    # the entropy side's data is refused in the checker's name
+    "shearer_entropy_data": (lambda: check_shearer(POINT, ONE, 1, "entropy"), SchemaError,
+                             "check_shearer needs a RationalDist: "
+                             "PointSet(dimension=1, points=frozenset({(0,)}))"),
+    "projection_entropy_data": (
+        lambda: check_projection_theorem(POINT, CoverSpec(1, [[1]], [1]), "entropy"),
+        SchemaError, "check_projection_theorem needs a RationalDist: "
+                     "PointSet(dimension=1, points=frozenset({(0,)}))"),
     # k_max // k_min is past sys.maxsize for both, so no row list is ever built
     "lemma1_rows_1e20": (lambda: empirical_lemma1(SPEC, HALVES, 10**20), SizeGuardError,
                          "k_max // k_min exceeds the row limit 10000 (k_min = 2)"),
