@@ -2,8 +2,8 @@
 
 Distributions carry exact rational probabilities; type-class vector sets
 over them are counted in closed form and enumerated under guards; point
-sets in product spaces get projections, slices and conditional average
-sizes; covers of the coordinate set are checked and optimized with an
+sets in product spaces get projections and conditional average sizes;
+covers of the coordinate set are checked and optimized with an
 exact rational LP; and the checkers evaluate both the cardinality and
 the entropy side of the classical projection inequalities.
 """
@@ -23,7 +23,6 @@ from .covers import (
     is_fractional_cover,
     is_uniform_k_cover,
     min_fractional_cover,
-    uniform_cover_as_fractional,
 )
 from .dist import (
     FiniteMap,
@@ -38,7 +37,6 @@ from .errors import (
     ApproximationError,
     CoverError,
     DomainError,
-    EmptySliceError,
     EntrosetError,
     IndexRangeError,
     InfeasibleError,
@@ -53,11 +51,8 @@ from .projections import (
     PointSet,
     conditional_avg_size,
     conditional_entropy,
-    conditional_slice,
     project_rv,
     project_set,
-    s_star,
-    slice_weights,
 )
 from .report import CheckReport
 from .ruzsa import (
@@ -76,7 +71,6 @@ __all__ = [
     "CoverError",
     "CoverSpec",
     "DomainError",
-    "EmptySliceError",
     "EntrosetError",
     "FiniteMap",
     "IndexRangeError",
@@ -98,7 +92,6 @@ __all__ = [
     "check_shearer",
     "conditional_avg_size",
     "conditional_entropy",
-    "conditional_slice",
     "convergence_profile",
     "empirical_lemma1",
     "entropy",
@@ -115,9 +108,6 @@ __all__ = [
     "rationalize",
     "ruzsa_enumerate",
     "ruzsa_size",
-    "s_star",
-    "slice_weights",
     "type_bound_check",
-    "uniform_cover_as_fractional",
     "verify_commutation",
 ]

@@ -139,15 +139,6 @@ def is_uniform_k_cover(cover: CoverSpec, k: int) -> CheckReport:
         "counts": counts, "k": k, "uniform": set(counts) == {k}, "k_cover": not below})
 
 
-def uniform_cover_as_fractional(cover: CoverSpec, k: int) -> CoverSpec:
-    """Scale a uniform k-cover by 1/k; every coverage sum becomes exactly 1."""
-    _expect_type(cover, CoverSpec, "uniform_cover_as_fractional")
-    if set(cover.multiplicities()) != {_as_int(k, "k")}:
-        raise SchemaError(f"not a uniform {_cut(exact_text(k))}-cover")
-    w = Fraction(1, k)
-    return CoverSpec(cover.n, cover.members, [w] * len(cover.members))
-
-
 def min_fractional_cover(n: int, members: Sequence) -> LPSolution:
     """Minimum total weight making the multiset a fractional cover.
 

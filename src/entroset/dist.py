@@ -476,7 +476,7 @@ def rationalize(weights: Sequence[float], max_denominator: int) -> RationalDist:
     if not weights:
         raise SchemaError("weights must be nonempty")
     for w in weights:
-        if not isinstance(w, numbers.Real):
+        if isinstance(w, bool) or not isinstance(w, numbers.Real):
             raise SchemaError(f"weights must be real numbers: {_echo(w)}")
     if not all(math.isfinite(_as_float(w, "weight")) for w in weights):
         raise SchemaError("weights must be finite")

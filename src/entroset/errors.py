@@ -71,7 +71,3 @@ class CoverError(EntrosetError):
 
 class NegativeCoefficientError(EntrosetError):
     """Negative exponents are not allowed in cardinality-side checks."""
-
-
-class EmptySliceError(EntrosetError):
-    """Conditioning value is not attained by any point of the set."""

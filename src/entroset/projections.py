@@ -16,8 +16,8 @@ asked for; every image is `dist._image`.
 A point set's slices by any callable g are built by one builder,
 `_slices`: one grouping pass over A (`_group`) and a sort of the slice
 keys, not one rescan of A per slice. Every set-side conditional term
-(`_sliced_term`) and `slice_weights` read them; a term's log and its exact
-|A|-th power (`conditional_size_power`) come from the same slice sizes.
+(`_sliced_term`) reads them; a term's log and its exact |A|-th power
+(`conditional_size_power`) come from the same slice sizes.
 The terms of f_i given the prefixes x -> x[:k_i], as a cover check lists
 them, are evaluated in one place (`_prefix_terms`): the slices by a chain
 of prefixes share one pass, since in the key order of the deepest prefix's
@@ -27,7 +27,6 @@ slices those of a shorter prefix are runs of consecutive slices, merged.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -40,12 +39,11 @@ from .dist import (
     _expect_type,
     _image,
     _log_function,
-    as_element,
     as_elements,
     entropy,
     entropy_power,
 )
-from .errors import EmptySliceError, IndexRangeError, SchemaError, _echo
+from .errors import IndexRangeError, SchemaError, _echo
 from .report import Record
 
 
@@ -158,27 +156,6 @@ def project_rv(X: RationalDist, S: IndexSet) -> RationalDist:
     return _image(X, _restrictor(S))
 
 
-def s_star(S: IndexSet) -> IndexSet:
-    """The prefix {1, ..., min(S)-1}; empty when min(S) = 1."""
-    _expect_type(S, IndexSet, "s_star")
-    if not S:
-        raise SchemaError("s_star of the empty index set is undefined")
-    return IndexSet(range(1, min(S.indices)))
-
-
-def conditional_slice(A: PointSet, S: IndexSet, y) -> PointSet:
-    """Subset of A whose S-coordinates equal y."""
-    _expect_type(A, PointSet, "conditional_slice")
-    _check_indices(S, A, "conditional_slice",
-                   "conditioning on the empty index set selects all of A")
-    y = as_element(y)
-    restrict = _restrictor(S)
-    pts = frozenset(x for x in A if restrict(x) == y)
-    if not pts:
-        raise EmptySliceError(f"no point of A has coordinates {_echo(y)} on {S.indices}")
-    return PointSet._of(dimension=A.dimension, points=pts)
-
-
 def _group(points, by: Callable) -> dict:
     """The points grouped by by(x), in one pass over them."""
     groups: dict = {}
@@ -191,14 +168,6 @@ def _slices(points, g: Callable) -> list[list]:
     """The slices [x : g(x) = y] of the points by g, in the order of their keys y."""
     groups = _group(points, g)
     return [groups[y] for y in sorted(groups)]
-
-
-def slice_weights(A: PointSet, S: IndexSet) -> dict[Element, Fraction]:
-    """Exact probability that a uniform point of A projects to each y in A_S."""
-    _expect_type(A, PointSet, "slice_weights")
-    _check_indices(S, A, "slice_weights")
-    total, restrict = len(A), _restrictor(S) or (lambda x: ())
-    return {restrict(pts[0]): Fraction(len(pts), total) for pts in _slices(A, restrict)}
 
 
 def _log_conditional_size(A, T: IndexSet, S: IndexSet, base: float, name: str) -> float:

@@ -14,6 +14,7 @@ import inspect
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -57,12 +58,11 @@ VALID = {
     "RuzsaSpec": {"dist": X1, "k": PAIRS.k},
     "check_cardinality": {"spec": SPEC, "A": list(X1.support)},
     "check_entropy": {"spec": SPEC, "X": X1},
-    "check_projection_theorem": {"data": CUBE, "side": "sets",
-                                 "cover": entroset.uniform_cover_as_fractional(COVER, 2)},
+    "check_projection_theorem": {"data": CUBE, "side": "sets", "cover": CoverSpec(
+        COVER.n, COVER.members, [Fraction(1, 2)] * len(COVER.members))},
     "check_shearer": {"data": CUBE, "cover": COVER, "k": 2, "side": "sets"},
     "conditional_avg_size": {"A": A2, "T": FIRST, "S": SECOND},
     "conditional_entropy": {"X": X2, "S": FIRST, "C": SECOND},
-    "conditional_slice": {"A": A2, "S": FIRST, "y": min(A2.points)[:1]},
     "convergence_profile": {"dist": X1, "k_list": [PAIRS.k, 2 * PAIRS.k]},
     "empirical_lemma1": {"spec": SPEC, "X": X1, "k_max": 2 * PAIRS.k},
     "entropy": {"dist": X2},
@@ -80,10 +80,7 @@ VALID = {
     "rationalize": {"weights": [0.2, 0.3, 0.5], "max_denominator": 10},
     "ruzsa_enumerate": {"spec": PAIRS},
     "ruzsa_size": {"spec": PAIRS},
-    "s_star": {"S": FIRST},
-    "slice_weights": {"A": A2, "S": FIRST},
     "type_bound_check": {"spec": PAIRS},
-    "uniform_cover_as_fractional": {"cover": COVER, "k": 2},
     "verify_commutation": {"f": F1, "spec": PAIRS},
 }
 

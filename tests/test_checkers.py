@@ -32,7 +32,6 @@ from entroset import (
     project_rv,
     pushforward,
     ruzsa_size,
-    s_star,
 )
 
 from genutil import (
@@ -603,17 +602,18 @@ class TestProjectionTheorem:
         """The set side with each member's term built alone: its float
         `log_conditional_avg_size(A, S, S*)`, and its exact form from a
         `_conditional_term` that slices A by S* itself."""
-        members = [(m, w) for m, w in zip(cover.members, cover.weights) if w > 0]
-        terms = [float(w) * projections.log_conditional_avg_size(A, m, s_star(m))
-                 for m, w in members]
+        members = [(m, IndexSet(range(1, m.indices[0])), w)
+                   for m, w in zip(cover.members, cover.weights) if w > 0]
+        terms = [float(w) * projections.log_conditional_avg_size(A, m, prefix)
+                 for m, prefix, w in members]
         lhs = math.log2(len(A))
         decided = checkers._compare(
             [(1, projections._term(A.points, 2))],
             [(w, projections._conditional_term(
-                A, projections._restrictor(m), projections._restrictor(s_star(m)), 2))
-             for m, w in members],
+                A, projections._restrictor(m), projections._restrictor(prefix), 2))
+             for m, prefix, w in members],
             checkers.DEFAULT_TOLERANCE)
-        return {"terms": terms, "members": [list(m.indices) for m, _ in members],
+        return {"terms": terms, "members": [list(m.indices) for m, _, _ in members],
                 "lhs": lhs, "rhs": sum(terms), "slack": sum(terms) - lhs,
                 "verdict": decided.verdict, "provenance": decided.provenance}
 

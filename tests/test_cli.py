@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import entroset
 from entroset import EntrosetError, cli, covers, jsonio
-from entroset.covers import MAX_COVER_N, uniform_cover_as_fractional
+from entroset.covers import MAX_COVER_N
 from entroset.dist import as_elements
 from entroset.errors import ECHO_CHARS, _cut, _echo
 from entroset.projections import PointSet
@@ -1460,9 +1460,6 @@ class TestEchoBound:
         with pytest.raises(entroset.CoverError) as info:
             entroset.check_shearer(PointSet(1, [[0], [1]]), cover, k, "sets")
         assert str(info.value) == f"not a uniform {shown}-cover: counts [1]"
-        with pytest.raises(entroset.SchemaError) as info:
-            uniform_cover_as_fractional(cover, k)
-        assert str(info.value) == f"not a uniform {shown}-cover"
         argv = ["check", "shearer", "--k", str(k), "--side", "sets",
                 "--cover", write(tmp_path, "c.json", {"n": 1, "members": [[1]]}),
                 "--input", write(tmp_path, "a.json", {"dimension": 1, "points": [[0], [1]]})]

@@ -22,7 +22,6 @@ from entroset import (
     is_fractional_cover,
     is_uniform_k_cover,
     min_fractional_cover,
-    uniform_cover_as_fractional,
 )
 from entroset import checkers, covers
 from entroset.covers import MAX_COVER_N, MAX_LP_CELLS, _simplex_min_geq
@@ -156,7 +155,8 @@ class TestUniformKCover:
         for _ in range(20):
             n = rng.randint(2, 5)
             k = rng.randint(1, 4)
-            scaled = uniform_cover_as_fractional(random_uniform_k_cover(rng, n, k), k)
+            members = random_uniform_k_cover(rng, n, k).members
+            scaled = CoverSpec(n, members, [Fraction(1, k)] * len(members))
             assert all(s == 1 for s in scaled.coverage())
 
 
@@ -679,19 +679,6 @@ class TestPerElementSums:
                 if isinstance(want, CheckReport):
                     seen.add((want.verdict, want.details["uniform"]))
         assert seen == {("holds", True), ("holds", False), ("violated", False)}
-
-    def test_uniform_cover_as_fractional(self):
-        for cover in self.COVERS:
-            for k in k_values(cover.multiplicities()):
-                got = outcome(lambda: uniform_cover_as_fractional(cover, k))
-                counts = brute_sums(cover, [1] * len(cover.members), 0)
-                if type(k) is not int:
-                    assert got == (SchemaError, f"k must be an integer: {k!r}")
-                elif set(counts) != {k}:
-                    assert got == (SchemaError, f"not a uniform {_cut(str(k))}-cover")
-                else:
-                    assert got == CoverSpec(cover.n, cover.members,
-                                            [Fraction(1, k)] * len(cover.members))
 
     def test_certificate_is_the_coverage_of_the_weights(self):
         rng = random.Random(41)

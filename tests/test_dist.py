@@ -169,6 +169,8 @@ def test_non_iterable_argument_is_schema_error(call):
         ([1.0, 1.0], 4.5, "max_denominator must be an integer: 4.5"),
         ([1.0, 1.0], "4", "max_denominator must be an integer: '4'"),
         ([1.0, 1.0], True, "max_denominator must be an integer: True"),
+        ([True, False], 2, "weights must be real numbers: True"),
+        ([1.0, False], 2, "weights must be real numbers: False"),
     ],
 )
 def test_rationalize_argument_of_wrong_type_is_schema_error(weights, max_denominator, message):

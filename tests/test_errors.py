@@ -24,7 +24,6 @@ from entroset import (
     cli,
     conditional_avg_size,
     conditional_entropy,
-    conditional_slice,
     convergence_profile,
     empirical_lemma1,
     is_fractional_cover,
@@ -36,9 +35,7 @@ from entroset import (
     project_set,
     rationalize,
     ruzsa_enumerate,
-    s_star,
     type_bound_check,
-    uniform_cover_as_fractional,
     verify_commutation,
 )
 from entroset.covers import MAX_COVER_N
@@ -129,16 +126,10 @@ CASES = {
                        "weights must be parallel to members"),
     "weights_negative": (lambda: CoverSpec(2, [[1, 2]], [-1]), SchemaError,
                          "weights must be nonnegative"),
-    "not_uniform": (lambda: uniform_cover_as_fractional(CoverSpec(2, [[1], [1, 2]]), 1),
-                    SchemaError, "not a uniform 1-cover"),
     "fractional_cover_type": (lambda: is_fractional_cover(5), SchemaError,
                               "is_fractional_cover needs a CoverSpec: 5"),
     "uniform_cover_type": (lambda: is_uniform_k_cover(5, 1), SchemaError,
                            "is_uniform_k_cover needs a CoverSpec: 5"),
-    "as_fractional_type": (lambda: uniform_cover_as_fractional(5, 1), SchemaError,
-                           "uniform_cover_as_fractional needs a CoverSpec: 5"),
-    "uniform_cover_k": (lambda: uniform_cover_as_fractional(ONE, None), SchemaError,
-                        "k must be an integer: None"),
     # dist
     "table_empty": (lambda: FiniteMap([]), SchemaError, "map table must be nonempty"),
     "uniform_empty": (lambda: RationalDist.uniform([]), SchemaError,
@@ -170,8 +161,6 @@ CASES = {
                                  "dimension must be an integer: 2.0"),
     "project_set_type": (lambda: project_set(5, FIRST), SchemaError,
                          "project_set needs a PointSet: 5"),
-    "slice_type": (lambda: conditional_slice(5, FIRST, (0,)), SchemaError,
-                   "conditional_slice needs a PointSet: 5"),
     "avg_size_type": (lambda: log_conditional_avg_size(5, FIRST, EMPTY_INDEX_SET),
                       SchemaError, "log_conditional_avg_size needs a PointSet: 5"),
     "avg_size_public_type": (lambda: conditional_avg_size(5, FIRST, EMPTY_INDEX_SET),
@@ -182,10 +171,6 @@ CASES = {
                           "cannot project onto the empty index set"),
     "project_rv_empty": (lambda: project_rv(SQUARE, EMPTY_INDEX_SET), SchemaError,
                          "cannot project onto the empty index set"),
-    "s_star_empty": (lambda: s_star(EMPTY_INDEX_SET), SchemaError,
-                     "s_star of the empty index set is undefined"),
-    "slice_empty": (lambda: conditional_slice(PLANE, EMPTY_INDEX_SET, ()), SchemaError,
-                    "conditioning on the empty index set selects all of A"),
     "target_T_empty": (
         lambda: log_conditional_avg_size(PLANE, EMPTY_INDEX_SET, IndexSet([1])),
         SchemaError, "conditioned projection needs a nonempty target T"),

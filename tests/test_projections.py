@@ -7,22 +7,17 @@ from fractions import Fraction
 import pytest
 
 from entroset import (
-    EmptySliceError,
     FiniteMap,
-    IndexRangeError,
     IndexSet,
     PointSet,
     RationalDist,
     SchemaError,
     conditional_avg_size,
     conditional_entropy,
-    conditional_slice,
     entropy,
     project_rv,
     project_set,
     pushforward,
-    s_star,
-    slice_weights,
 )
 from entroset.projections import (
     EMPTY_INDEX_SET,
@@ -57,11 +52,6 @@ class TestIndexSet:
         assert IndexSet(range(3, 0, -1)).indices == (1, 2, 3)
         assert IndexSet([2**70]).indices == (2**70,)
 
-    def test_s_star(self):
-        assert s_star(IndexSet([3, 5])).indices == (1, 2)
-        assert s_star(IndexSet([1, 4])).indices == ()
-        assert s_star(IndexSet([2])).indices == (1,)
-
 
 @pytest.mark.parametrize(
     "indices",
@@ -84,10 +74,6 @@ HALF_SQUARE = RationalDist.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
     [
         pytest.param("project_set", lambda S: project_set(TRIANGLE, S), id="project_set"),
         pytest.param("project_rv", lambda S: project_rv(HALF_SQUARE, S), id="project_rv"),
-        pytest.param("conditional_slice", lambda S: conditional_slice(TRIANGLE, S, (0,)),
-                     id="conditional_slice"),
-        pytest.param("slice_weights", lambda S: slice_weights(TRIANGLE, S),
-                     id="slice_weights"),
         pytest.param("conditional_avg_size",
                      lambda S: conditional_avg_size(TRIANGLE, S, IndexSet([1])),
                      id="conditional_avg_size-T"),
@@ -102,7 +88,6 @@ HALF_SQUARE = RationalDist.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
         pytest.param("conditional_entropy",
                      lambda S: conditional_entropy(HALF_SQUARE, IndexSet([1]), S),
                      id="conditional_entropy-C"),
-        pytest.param("s_star", lambda S: s_star(S), id="s_star"),
     ],
 )
 @pytest.mark.parametrize("bad", [[1], 5], ids=repr)
@@ -111,12 +96,6 @@ def test_index_argument_must_be_an_index_set(name, call, bad):
     with pytest.raises(SchemaError) as info:
         call(bad)
     assert str(info.value) == f"{name} needs an IndexSet: {bad!r}"
-
-
-def test_slice_weights_checks_the_index_range():
-    with pytest.raises(IndexRangeError) as info:
-        slice_weights(TRIANGLE, IndexSet([5]))
-    assert str(info.value) == "index set (5,) exceeds dimension 2"
 
 
 class TestProjectSet:
@@ -173,25 +152,6 @@ class TestProjectRV:
                 assert got.probs == want.probs
 
 
-class TestConditionalSlice:
-    def test_filter(self):
-        got = conditional_slice(TRIANGLE, IndexSet([1]), (0,))
-        assert got.points == {(0, 0), (0, 1)}
-
-    def test_full_conditioning_gives_singleton(self):
-        got = conditional_slice(TRIANGLE, IndexSet([1, 2]), (1, 0))
-        assert got.points == {(1, 0)}
-
-    def test_product_structure(self):
-        A = PointSet(2, [(a, b) for a in (0, 1) for b in (5, 6, 7)])
-        got = conditional_slice(A, IndexSet([1]), (1,))
-        assert got.points == {(1, 5), (1, 6), (1, 7)}
-
-    def test_unattained_value(self):
-        with pytest.raises(EmptySliceError):
-            conditional_slice(TRIANGLE, IndexSet([1]), (9,))
-
-
 class TestConditionalAvgSize:
     def test_weighted_geometric_mean(self):
         got = conditional_avg_size(TRIANGLE, IndexSet([2]), IndexSet([1]))
@@ -230,10 +190,6 @@ class TestConditionalAvgSize:
                 a = conditional_avg_size(A, IndexSet(T), IndexSet(S))
                 b = conditional_avg_size(relabeled, IndexSet(T), IndexSet(S))
                 assert a == pytest.approx(b, rel=1e-12)
-
-    def test_slice_weights_are_exact_masses(self):
-        weights = slice_weights(TRIANGLE, IndexSet([1]))
-        assert weights == {(0,): Fraction(2, 3), (1,): Fraction(1, 3)}
 
 
 def _restrict(x, S):

@@ -1,15 +1,27 @@
 """The README's library tour runs as written, and each of its comments states
-what the line computes: the test writes every comment from the computed values."""
+what the line computes: the test writes every comment from the computed values.
+Every `module.name` that the README or a docstring or comment of the package
+names exists."""
 
 import ast
+import functools
+import importlib
 import io
 import math
+import pkgutil
+import re
 import tokenize
 from pathlib import Path
 
+import entroset
 from entroset import minimal_suitable_k
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCES = sorted((README.parent / "src" / "entroset").glob("*.py"))
+MODULES = [info.name for info in pkgutil.iter_modules(entroset.__path__)]
+# a backticked `module.name` or `entroset.module.name`; `cli.py` is a file name
+REFERENCE = re.compile(
+    rf"`(?:entroset\.)?({'|'.join(MODULES)})\.(?!py\b)([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
 
 
 def tour() -> str:
@@ -79,3 +91,29 @@ def test_tour_imports_only_what_it_uses():
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used
+
+
+def prose(path: Path) -> str:
+    """The docstrings and comments of a source file."""
+    code = path.read_text(encoding="utf-8")
+    nodes = [node for node in ast.walk(ast.parse(code))
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+    docs = [ast.get_docstring(node, clean=False) or "" for node in nodes]
+    comments = [tok.string for tok in tokenize.generate_tokens(io.StringIO(code).readline)
+                if tok.type == tokenize.COMMENT]
+    return "\n".join(docs + comments)
+
+
+def test_module_references_resolve():
+    texts = {"README.md": README.read_text(encoding="utf-8")}
+    texts.update((f"src/entroset/{path.name}", prose(path)) for path in SOURCES)
+    found = [(where, module, name) for where, text in texts.items()
+             for module, name in REFERENCE.findall(text)]
+    stale = []
+    for where, module, name in found:
+        try:
+            value = importlib.import_module(f"entroset.{module}")
+            functools.reduce(getattr, name.split("."), value)
+        except AttributeError:
+            stale.append(f"{where}: {module}.{name}")
+    assert found and not stale, stale
