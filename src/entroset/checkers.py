@@ -8,9 +8,12 @@ The two sides of the correspondence are kept honest with one another:
   `projections` makes every term: `_term` for an image, and
   `_prefix_terms` for the (member restrictor, prefix depth) pairs that a
   cover checker lists, slicing A once for a chain of prefixes S*.
-  A comparison of counts alone is exact, whatever its rational
-  coefficients; any other is exact inside the tolerance band and float
-  outside it. Past the bit limit an in-band one is `inconclusive`;
+  Every comparison is decided by one exact rule, `_exact_verdict`: the
+  sign of sum e log2 b over the cleared exponent map {b: e}, read from
+  floats with a stated rounding bound, and for a tie or near tie that the
+  bound cannot separate from 0, the big-int products of both sides. Only a
+  near tie whose products are past the bit limit is `inconclusive`. The
+  tolerance is validated and decides nothing;
 * `_images` alone applies an inequality spec's maps, by one domain test and
   `dist._image` of each table, the same way to points and to a law;
 * `check_shearer` and `check_projection_theorem` test a cover's own
@@ -155,7 +158,27 @@ def _images(spec: InequalitySpec, data) -> list:
 
 
 def _exact_verdict(lhs, rhs) -> str | None:
-    """Compare prod lhs <= prod rhs exactly; None past the bit limit."""
+    """Is prod lhs <= prod rhs? Decided exactly; None for a near tie past the bit limit.
+
+    The sides clear to one map {b: e} of int bases and exponents with
+    prod b^e = (rhs / lhs)^L for some L > 0, so the verdict is the sign of
+    T = sum e log2 b. That sign is read from floats first. Assume
+    `math.log2` is within 1 ulp (the tests check it against `decimal`); an
+    int e rounds to the nearest float, so each product e * log2 b is within
+    a relative 2^-51 (and a hair) of its true value, and `math.fsum` rounds
+    once. The total is then within 2^-50 fsum(|terms|) + 2^-52 |total| of
+    T, so when |total| > 2^-49 fsum(|terms|) its sign is the true one.
+
+    An exponent of 2^1000 or more would overflow a float, so every e is
+    shifted right by the s bits that keep each term below 2^1000 (fsum
+    cannot overflow on fewer than 2^23 bases). e >> s is within 1 of
+    e / 2^s, so when s > 0 the bound gains sum bitlen(b) > sum log2 b, the
+    most the shifts move T / 2^s.
+
+    Only a tie or a near tie, which the bound cannot separate from 0, falls
+    through to the big-int products of both sides, built within
+    `_EXACT_BIT_LIMIT` bits; past it the answer is None.
+    """
     forms = [
         (sign, c, (1, {f: 1}) if isinstance(f, int) else f())
         for sign, side in ((-1, lhs), (1, rhs))
@@ -169,6 +192,13 @@ def _exact_verdict(lhs, rhs) -> str | None:
         for b, e in powers.items():
             exps[b] = exps.get(b, 0) + scale * e
     exps.pop(1, None)
+    # log2 b < 2^bitlen(bitlen(b)), so each shifted term is below 2^1000
+    s = max(0, max(map(abs, exps.values()), default=0).bit_length()
+            + max(exps, default=1).bit_length().bit_length() - 1000)
+    terms = [(e >> s) * math.log2(b) for b, e in exps.items()]
+    total = math.fsum(terms)
+    if abs(total) > 2**-49 * math.fsum(map(abs, terms)) + (s and sum(map(int.bit_length, exps))):
+        return HOLDS if total > 0 else VIOLATED
     # (rhs / lhs)^(lcm / g) is >= 1 just when (rhs / lhs)^lcm is
     g = math.gcd(*exps.values()) or 1
     if sum(abs(e) // g * b.bit_length() for b, e in exps.items()) > _EXACT_BIT_LIMIT:
@@ -188,29 +218,18 @@ def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckRe
     """Is prod term^c over lhs <= the same over rhs, for (c, term) pairs?
 
     A term is (log, form): a float log, and an int count or a function
-    giving (d, {b: e}) with term^d = prod b^e, called only when needed.
-    Exact when every term is a count, whatever the rational c (the cleared
-    exponents are each c times the lcm of the c's denominators); else by the
-    float slack outside the tolerance band, exact inside it. Past the bit
-    limit the slack decides outside the band; inside it is inconclusive.
-    A NaN or infinite slack (a side past the float range) is inside the band.
+    giving (d, {b: e}) with term^d = prod b^e. `_exact_verdict` decides
+    every comparison from the forms, so a decided verdict is exact; a near
+    tie past the bit limit is `inconclusive`, with provenance "float". The
+    float logs are only reported, as the sides and the slack (NaN or
+    infinite past the float range). The tolerance is validated and decides
+    nothing.
     """
     _check_tolerance(tolerance)
     lhs_log, rhs_log = _logs(lhs, rhs)
-    slack = rhs_log - lhs_log
-    counts = all(isinstance(f, int) for _, (_, f) in lhs + rhs)
-    in_band = not math.isfinite(slack) or abs(slack) < tolerance
-    verdict = _exact_verdict(lhs, rhs) if counts or in_band else None
-    provenance = "float" if verdict is None else "exact"
-    verdict = verdict or (INCONCLUSIVE if in_band else HOLDS if slack >= 0 else VIOLATED)
-    return CheckReport(
-        verdict=verdict,
-        lhs=lhs_log,
-        rhs=rhs_log,
-        slack=slack,
-        provenance=provenance,
-        details=details,
-    )
+    verdict = _exact_verdict(lhs, rhs)
+    return CheckReport(verdict or INCONCLUSIVE, lhs_log, rhs_log, rhs_log - lhs_log,
+                       provenance="float" if verdict is None else "exact", details=details)
 
 
 def check_cardinality(
@@ -280,8 +299,8 @@ def empirical_lemma1(
     compares counts, raising SizeGuardError when the k-set exceeds `limit`;
     a row whose enumerated count differs from the closed form is violated
     and carries the enumerated count. Each row is one `_compare` of its
-    counts, so it is decided exactly; the report is exact when every row
-    is, and a row past the bit limit makes it float.
+    counts, so it is decided exactly, and a near tie past the bit limit is
+    inconclusive; the report is exact unless it is inconclusive.
     More than MAX_LEMMA1_ROWS rows (k_max // k_min) raise SizeGuardError
     before any row is built.
     """
@@ -308,11 +327,10 @@ def empirical_lemma1(
     # every image's d divides k_min, so each k is suitable for all of them
     sizes = [_sizes(d, ks) for d in images]
     f = spec.lhs_map.table.__getitem__
-    rows, exact = [], True
+    rows = []
     for k in ks:
         lhs_count, *rhs_counts = counts = [s[k] for s in sizes]
         report = _compare(*_spec_sides(spec, [_count(n) for n in counts]), tolerance)
-        exact &= report.provenance == "exact"
         enumerated = lhs_count
         if cross_validate:
             enumerated = len(_mapped_arrangements(f, RuzsaSpec(X, k), images[0].support, limit))
@@ -329,13 +347,14 @@ def empirical_lemma1(
             row["enumerated_count"] = exact_text(enumerated)
         rows.append(row)
     verdicts = {row["verdict"] for row in rows}
+    # any violated row decides; an inconclusive one leaves it open
+    verdict = next((v for v in (VIOLATED, INCONCLUSIVE) if v in verdicts), HOLDS)
     return CheckReport(
-        # any violated row decides; an inconclusive one leaves it open
-        verdict=next((v for v in (VIOLATED, INCONCLUSIVE) if v in verdicts), HOLDS),
+        verdict=verdict,
         lhs=lhs_log,
         rhs=rhs_log,
         slack=rhs_log - lhs_log,
-        provenance="exact" if exact else "float",
+        provenance="float" if verdict == INCONCLUSIVE else "exact",
         details={"rows": rows, "k_values": ks},
     )
 
@@ -376,7 +395,7 @@ def check_shearer(
         return report.with_details({"projection_entropies": [h for h, _ in parts]})
     sizes = [size for _, size in parts]
     details = {"projection_sizes": [exact_text(s) for s in sizes]}
-    if report.provenance == "exact":  # the powers are within the bit limit
+    if k * whole[1].bit_length() + sum(map(int.bit_length, sizes)) <= _EXACT_BIT_LIMIT:
         details = {"lhs_count": exact_text(whole[1] ** k),
                    "rhs_count": exact_text(math.prod(sizes)), **details}
     return report.with_details(details)

@@ -380,8 +380,7 @@ def _image(data, f: Callable) -> frozenset | RationalDist:
 def pushforward(f: FiniteMap, dist: RationalDist) -> RationalDist:
     """Distribution of f(X): exact preimage sums, support in first-image order."""
     _expect_type(dist, RationalDist, "pushforward")
-    if not callable(f):
-        raise SchemaError(f"pushforward needs a map: {_echo(f)}")
+    _expect_type(f, FiniteMap, "pushforward")
     image = _image(dist, f)
     # map values may differ in length
     if len(set(map(len, image.support))) != 1:

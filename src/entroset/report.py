@@ -1,9 +1,11 @@
 """Check reports: evaluated sides of an inequality plus a verdict.
 
 Reports are plain value objects. `lhs`/`rhs` are floats (log-space for
-cardinality checks). `provenance` is "exact" when exact integer or
-rational arithmetic settled the verdict, else "float": the float slack
-outside the tolerance band, or `inconclusive`. Exact quantities are
+cardinality checks). `provenance` is "exact" on every decided verdict:
+exact integer or rational arithmetic settled it, or a float sign whose
+rounding error is bounded (see `checkers._exact_verdict`). It is "float"
+only on an `inconclusive` report, a near tie past the bit limit; the
+float sides and slack are reported, never decisive. Exact quantities are
 carried in `details` as strings. `witnesses` holds counterexample
 structures for set-equality style checks. JSON has no NaN or infinity,
 so `to_json` writes such a float (a side past the float range) as null.

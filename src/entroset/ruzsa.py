@@ -329,6 +329,7 @@ def verify_commutation(
     equality with up to five discrepancy witnesses per side.
     """
     _expect_type(spec, RuzsaSpec, "verify_commutation")
+    _expect_type(f, FiniteMap, "verify_commutation")
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
     image = image_spec.dist.support
     mapped = _mapped_arrangements(f, spec, image, limit)
@@ -370,6 +371,7 @@ def preimage_lift(f: FiniteMap, spec: RuzsaSpec, y) -> RuzsaVector:
     k*Pr(X=x), blocks ordered by the support ordering of X.
     """
     _expect_type(spec, RuzsaSpec, "preimage_lift")
+    _expect_type(f, FiniteMap, "preimage_lift")
     y = tuple(as_elements(y))
     image_spec = RuzsaSpec(pushforward(f, spec.dist), spec.k)
     if not image_spec.contains(y):

@@ -38,8 +38,12 @@ and PREFIX_OPS, `check projection` on a point set of dimension 5 and a law on
 it, in both bases, with a cover whose prefixes S* are 0 to 4 deep (nested,
 repeated, and zero-weight at depths 0 and 4), and one `check shearer`,
 dumped as workload "prefixes", seed 0.
-`diff` exits 1 and names the first differences when two dumps differ in
-any op.
+`diff` exits 1 when two dumps differ in any op. It prints the number of
+differences, then each distinct pair of changed stdout or stderr lines
+with the number of times it occurs, most common first, each cut to the
+span that differs with about 20 characters of context on either side,
+and then the first differences in full. A change that alters one field
+on purpose shows there that nothing else moved.
 
 The name does not match `test_*.py`, so pytest never collects this file;
 `tests/test_benches.py` runs it once.
@@ -49,12 +53,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import io
 import json
 import os
 import random
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -376,17 +382,36 @@ def _load(path: Path) -> dict:
     return {(r["workload"], r["seed"], r["op"]): r for r in records}
 
 
+def _changed_spans(old: str, new: str, context: int = 20):
+    """The (old, new) pairs of changed runs of lines, each cut to the span
+    that differs with `context` characters on either side."""
+    a, b = old.splitlines(), new.splitlines()
+    for tag, i, j, k, m in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            x, y = "\n".join(a[i:j]), "\n".join(b[k:m])
+            head = len(os.path.commonprefix([x, y]))
+            tail = len(os.path.commonprefix([x[head:][::-1], y[head:][::-1]]))
+            start = max(head - context, 0)
+            yield x[start:len(x) - tail + context], y[start:len(y) - tail + context]
+
+
 def diff(old: Path, new: Path) -> int:
     a, b = _load(old), _load(new)
     problems = [f"only in {old}: {key}" for key in sorted(a.keys() - b.keys())]
     problems += [f"only in {new}: {key}" for key in sorted(b.keys() - a.keys())]
+    spans: Counter = Counter()
     for key in sorted(a.keys() & b.keys()):
         for name in FIELDS:
             if a[key][name] != b[key][name]:
                 problems.append(f"{key} {a[key]['kind']} {name}: "
                                 f"{a[key][name]!r:.200} != {b[key][name]!r:.200}")
+                if name != "code":
+                    spans.update(_changed_spans(a[key][name], b[key][name]))
     if problems:
-        print(f"{len(problems)} differences", *problems[:5], sep="\n")
+        print(f"{len(problems)} differences")
+        for (x, y), n in spans.most_common():
+            print(f"{n:6d} x {x!r} -> {y!r}")
+        print(*problems[:5], sep="\n")
         return 1
     print(f"{len(a)} ops identical")
     return 0

@@ -30,7 +30,7 @@ from entroset import (
 )
 from genutil import random_dist, random_map, random_pointset, random_uniform_k_cover
 
-HOSTILE = [5, None, True, "x", [], 10**400, 10**18, math.nan, math.inf, object()]
+HOSTILE = [5, None, True, "x", [], 10**400, 10**18, math.nan, math.inf, object(), len]
 
 rng = random.Random(18)
 X1 = random_dist(rng, max_support=3, max_denominator=4)  # one coordinate

@@ -1,5 +1,6 @@
 """Both sides of the cardinality/entropy inequalities, and the bridges."""
 
+import decimal
 import itertools
 import json
 import math
@@ -384,13 +385,14 @@ class TestEmpiricalLemma1:
             rhs = [(half, projections._count(int(n))) for n in row["rhs_counts"]]
             assert row["verdict"] == checkers._exact_verdict(lhs, rhs)
 
-    def test_rows_past_the_bit_limit_are_float(self, monkeypatch):
+    def test_rows_past_the_bit_limit_are_exact(self, monkeypatch):
+        # no row is a near tie, so the certified float sign decides every one
         spec = projection_spec(GRID2, [[1], [2]], [1, 1])
         X = RationalDist.uniform(GRID2)
         assert empirical_lemma1(spec, X, k_max=8).provenance == "exact"
         monkeypatch.setattr(checkers, "_EXACT_BIT_LIMIT", 0)
         report = empirical_lemma1(spec, X, k_max=8)
-        assert (report.verdict, report.provenance) == ("holds", "float")
+        assert (report.verdict, report.provenance) == ("holds", "exact")
 
 
 def mixed_lengths_map(grid, index):
@@ -591,7 +593,7 @@ class TestProjectionTheorem:
                 got, want = ([getattr(r, f) for f in fields] for r in (theorem, direct))
                 assert got == want
                 provenances.add(theorem.provenance)
-        assert provenances == {"exact", "float"}
+        assert provenances == {"exact"}
 
     # the fractional cover of benches/bench_checkers.py: prefixes {}, {1}, {1, 2}
     FRACTIONAL = CoverSpec(4, [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3], [2, 4]],
@@ -647,7 +649,7 @@ class TestProjectionTheorem:
             assert self.report_fields(report) == self.alone(A, cover)
             provenances.add(report.provenance)
             prefix_counts.add(len({m[0] for m, w in zip(members, weights) if w > 0 and m[0] > 1}))
-        assert provenances == {"exact", "float"}
+        assert provenances == {"exact"}
         assert max(prefix_counts) >= 4  # three merges in one check
 
     @pytest.mark.parametrize("spans", [(2, 3, 4), (2, 3, 4, 5)], ids=repr)
@@ -761,17 +763,19 @@ class TestComparator:
         report = check_shearer(XB, CoverSpec(2, [[1], [2]]), 1, "entropy")
         assert (report.verdict, report.provenance) == ("holds", "exact")
 
-    def test_float_verdicts_build_no_exact_form(self, monkeypatch):
+    def test_public_measures_build_no_exact_form(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("exact form built on the float path")
+            raise AssertionError("exact form built for a float measure")
 
         monkeypatch.setattr(projections, "entropy_power", refuse)
         monkeypatch.setattr(projections, "conditional_size_power", refuse)
-        spec = projection_spec(GRID2, [[1], [2]], ["1/2", "1/2"])
-        assert check_cardinality(spec, TRIANGLE).provenance == "exact"
-        assert check_entropy(spec, RationalDist.uniform(TRIANGLE.points)).provenance == "float"
-        cover = CoverSpec(2, [[1], [2]], [1, 1])
-        assert check_projection_theorem(TRIANGLE, cover, "sets").provenance == "float"
+        X = RationalDist.uniform(TRIANGLE.points)
+        first, second = IndexSet([1]), IndexSet([2])
+        assert projections.conditional_entropy(X, first, second) == pytest.approx(2 / 3)
+        assert projections.conditional_avg_size(TRIANGLE, first, second) == pytest.approx(
+            2 ** (2 / 3))
+        assert projections.log_conditional_avg_size(TRIANGLE, first, second) == pytest.approx(
+            2 / 3)
 
     def test_lemma1_builds_no_exact_entropy_form(self, monkeypatch):
         # H(X) <= H(X) is a tie inside the band; lemma1 reports its entropy
@@ -795,14 +799,20 @@ class TestComparator:
             empirical_lemma1(spec, X, k_max=8)
 
     def test_lemma1_rows_past_the_bit_limit(self, monkeypatch):
-        # no exact comparison fits and every row is inside the band: the rows
-        # are inconclusive, and so is the whole report, instead of violated
+        # a tie whose bases differ, 36 against 6 * 6, is left to the products;
+        # with no product within the limit the rows are inconclusive, and so
+        # is the whole report, instead of violated
         monkeypatch.setattr(checkers, "_EXACT_BIT_LIMIT", 0)
+        tie = checkers._compare([(1, checkers._count(36))],
+                                [(1, checkers._count(6)), (1, checkers._count(6))], 1e-9)
+        assert (tie.verdict, tie.provenance) == ("inconclusive", "float")
+        counts = iter([36, 6, 6])
+        monkeypatch.setattr(checkers, "_sizes",
+                            lambda d, ks: dict.fromkeys(ks, next(counts)))
         spec = projection_spec(GRID2, [[1], [2]], [1, 1])
-        X = RationalDist.uniform(GRID2)
-        report = empirical_lemma1(spec, X, k_max=8, tolerance=100.0)
+        report = empirical_lemma1(spec, RationalDist.uniform(GRID2), k_max=8)
         assert {row["verdict"] for row in report.details["rows"]} == {"inconclusive"}
-        assert report.verdict == "inconclusive"
+        assert (report.verdict, report.provenance) == ("inconclusive", "float")
 
 
 def count_reference(lhs, rhs) -> str:
@@ -872,6 +882,73 @@ class TestCountComparisons:
                 assert row["verdict"] == count_reference(
                     [(1, counts[0])], list(zip(coeffs, counts[1:])))
                 assert (row["lhs_rate"], row["rhs_rate"]) == (want.lhs / k, want.rhs / k)
+
+
+class TestSignRule:
+    """The sign of sum e log2 b, certified in floats, then the products for near ties."""
+
+    def test_log2_of_an_int_is_within_one_ulp(self):
+        # the assumption the rounding bound rests on, against `decimal` at 60 digits
+        rng = random.Random(44)
+        ints = [*range(2, 300), *(2**j + s for j in range(2, 1100, 3) for s in (-1, 1)),
+                *(rng.randint(2, 2 ** rng.randint(2, 1024)) for _ in range(300)),
+                *(rng.getrandbits(rng.randint(1, 4000)) | 1 << 1024 for _ in range(100))]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ln2 = decimal.Decimal(2).ln()
+            for n in ints:
+                got = math.log2(n)
+                error = abs(decimal.Decimal(got) - decimal.Decimal(n).ln() / ln2)
+                assert error <= decimal.Decimal(math.ulp(got)), n
+
+    # p of the convergents p/q of log2 3
+    CONVERGENTS = [3, 8, 19, 65, 84, 485, 1054, 24727, 50508, 125743, 176251, 301994,
+                   16785921, 17087915]
+
+    def test_near_ties_of_powers_of_2_and_3(self):
+        # |p - q log2 3| falls to 1.8e-8 at the last, which alone the rounding
+        # bound cannot separate from 0 and whose products are past the bit limit
+        undecided = []
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ln2, ln3 = decimal.Decimal(2).ln(), decimal.Decimal(3).ln()
+            for p in self.CONVERGENTS:
+                q = int((p * ln2 / ln3).to_integral_value())
+                holds = q * ln3 > p * ln2  # 2^p <= 3^q
+                for lhs, rhs, truth in (([(p, 2)], [(q, 3)], holds),
+                                        ([(q, 3)], [(p, 2)], not holds)):
+                    report = checkers._compare(
+                        *([(c, projections._count(n)) for c, n in side] for side in (lhs, rhs)),
+                        checkers.DEFAULT_TOLERANCE)
+                    if report.verdict == "inconclusive":
+                        undecided.append(p)
+                        continue
+                    assert report.verdict == ("holds" if truth else "violated"), (p, q)
+                    assert report.provenance == "exact"
+                    if 2 * (p + q) <= checkers._EXACT_BIT_LIMIT:  # the products fit
+                        assert report.verdict == count_reference(lhs, rhs)
+        assert undecided == [17087915] * 2
+
+    def test_huge_denominators_are_decided_by_the_shifted_sign(self, monkeypatch):
+        # d = 3^1893 has 3001 bits, so the cleared exponents, about 2^3000, are
+        # shifted into the float range; with the bit limit at 0 no product is built
+        monkeypatch.setattr(checkers, "_EXACT_BIT_LIMIT", 0)
+        d = 3**1893
+        X = RationalDist([(0,), (1,)], [Fraction(d // 2, d), Fraction(d - d // 2, d)])
+        ident = FiniteMap.identity(X.support)
+        for coefficient, verdict in (("1/2", "violated"), ("2", "holds")):
+            report = check_entropy(InequalitySpec(ident, [ident], [coefficient]), X)
+            assert (report.verdict, report.provenance) == (verdict, "exact")
+
+    def test_shearer_count_details_only_within_the_bit_limit(self, monkeypatch):
+        # 3^3 <= (2 * 2)^3: the powers take at most 3 * 2 + 6 * 2 = 18 bits
+        cover = CoverSpec(2, [[1], [2]] * 3)
+        report = check_shearer(TRIANGLE, cover, 3, "sets")
+        assert (report.details["lhs_count"], report.details["rhs_count"]) == ("27", "64")
+        monkeypatch.setattr(checkers, "_EXACT_BIT_LIMIT", 17)
+        report = check_shearer(TRIANGLE, cover, 3, "sets")
+        assert (report.verdict, report.provenance) == ("holds", "exact")
+        assert report.details == {"projection_sizes": ["2"] * 6}
 
 
 class TestTolerance:

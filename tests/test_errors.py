@@ -31,8 +31,10 @@ from entroset import (
     is_uniform_k_cover,
     jsonio,
     lemma2_witness,
+    preimage_lift,
     project_rv,
     project_set,
+    pushforward,
     rationalize,
     ruzsa_enumerate,
     type_bound_check,
@@ -188,6 +190,19 @@ CASES = {
                         "limit must be an integer: None"),
     "commutation_limit": (lambda: verify_commutation(IDENTITY, PAIRS, None), SchemaError,
                           "limit must be an integer: None"),
+    # a map argument is a FiniteMap, not any callable
+    "pushforward_callable": (lambda: pushforward(len, HALVES), SchemaError,
+                             "pushforward needs a FiniteMap: <built-in function len>"),
+    "pushforward_map": (lambda: pushforward(5, HALVES), SchemaError,
+                        "pushforward needs a FiniteMap: 5"),
+    "commutation_callable": (lambda: verify_commutation(len, PAIRS), SchemaError,
+                             "verify_commutation needs a FiniteMap: <built-in function len>"),
+    "commutation_map": (lambda: verify_commutation(5, PAIRS), SchemaError,
+                        "verify_commutation needs a FiniteMap: 5"),
+    "lift_callable": (lambda: preimage_lift(len, PAIRS, [(0,), (1,)]), SchemaError,
+                      "preimage_lift needs a FiniteMap: <built-in function len>"),
+    "lift_map": (lambda: preimage_lift(5, PAIRS, [(0,), (1,)]), SchemaError,
+                 "preimage_lift needs a FiniteMap: 5"),
     "ruzsa_spec_dist": (lambda: RuzsaSpec(5, 2), SchemaError,
                         "RuzsaSpec needs a RationalDist: 5"),
     "bound_spec": (lambda: type_bound_check(5), SchemaError,

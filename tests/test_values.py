@@ -128,7 +128,7 @@ def test_shearer_report_keeps_the_compared_fields_beside_its_details():
     entropies = [entropy(project_rv(X, m)) for m in TRIANGLE.members]
     lhs, rhs = 2 * entropy(X), sum(entropies)
     assert check_shearer(X, TRIANGLE, 2, "entropy") == CheckReport(
-        "holds", lhs, rhs, rhs - lhs, (), "float", {"projection_entropies": entropies},
+        "holds", lhs, rhs, rhs - lhs, (), "exact", {"projection_entropies": entropies},
     )
 
 
