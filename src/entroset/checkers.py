@@ -12,8 +12,7 @@ The two sides of the correspondence are kept honest with one another:
   sign of sum e log2 b over the cleared exponent map {b: e}, read from
   floats with a stated rounding bound, and for a tie or near tie that the
   bound cannot separate from 0, the big-int products of both sides. Only a
-  near tie whose products are past the bit limit is `inconclusive`. The
-  tolerance is validated and decides nothing;
+  near tie whose products are past the bit limit is `inconclusive`;
 * `_images` alone applies an inequality spec's maps, by one domain test and
   `dist._image` of each table, the same way to points and to a law;
 * `check_shearer` and `check_projection_theorem` test a cover's own
@@ -34,8 +33,6 @@ cardinality side, where the bridge argument needs positivity.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -82,16 +79,6 @@ from .report import (
     exact_text,
 )
 from .ruzsa import DEFAULT_ENUM_LIMIT, RuzsaSpec, _mapped_arrangements, _sizes
-
-DEFAULT_TOLERANCE = 1e-9
-
-
-def _check_tolerance(tolerance) -> None:
-    """SchemaError unless the tolerance is a positive finite real (not a bool)."""
-    if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
-            or not 0 < tolerance <= sys.float_info.max):
-        raise SchemaError("tolerance must be positive and finite")
-
 
 # refuse exact power comparisons beyond this many bits
 _EXACT_BIT_LIMIT = 2_000_000
@@ -214,7 +201,7 @@ def _logs(lhs, rhs) -> tuple[float, float]:
             sum(_as_float(c, "coefficient") * log for c, (log, _) in rhs))
 
 
-def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckReport:
+def _compare(lhs, rhs, details: dict | None = None) -> CheckReport:
     """Is prod term^c over lhs <= the same over rhs, for (c, term) pairs?
 
     A term is (log, form): a float log, and an int count or a function
@@ -222,19 +209,15 @@ def _compare(lhs, rhs, tolerance: float, details: dict | None = None) -> CheckRe
     every comparison from the forms, so a decided verdict is exact; a near
     tie past the bit limit is `inconclusive`, with provenance "float". The
     float logs are only reported, as the sides and the slack (NaN or
-    infinite past the float range). The tolerance is validated and decides
-    nothing.
+    infinite past the float range).
     """
-    _check_tolerance(tolerance)
     lhs_log, rhs_log = _logs(lhs, rhs)
     verdict = _exact_verdict(lhs, rhs)
     return CheckReport(verdict or INCONCLUSIVE, lhs_log, rhs_log, rhs_log - lhs_log,
                        provenance="float" if verdict is None else "exact", details=details)
 
 
-def check_cardinality(
-    spec: InequalitySpec, A, tolerance: float = DEFAULT_TOLERANCE
-) -> CheckReport:
+def check_cardinality(spec: InequalitySpec, A) -> CheckReport:
     """|f(A)| <= prod |f_i(A)|^a_i by exact counting, log-space comparison."""
     _expect_type(spec, InequalitySpec, "check_cardinality")
     if any(c < 0 for c in spec.coefficients):
@@ -245,15 +228,10 @@ def check_cardinality(
     lhs_count, *rhs_counts = (exact_text(n) for _, n in terms)
     details = {"lhs_count": lhs_count, "rhs_counts": rhs_counts,
                "coefficients": [exact_text(c) for c in spec.coefficients]}
-    return _compare(*_spec_sides(spec, terms), tolerance, details)
+    return _compare(*_spec_sides(spec, terms), details)
 
 
-def check_entropy(
-    spec: InequalitySpec,
-    X: RationalDist,
-    tolerance: float = DEFAULT_TOLERANCE,
-    base: float = 2,
-) -> CheckReport:
+def check_entropy(spec: InequalitySpec, X: RationalDist, base: float = 2) -> CheckReport:
     """H(f(X)) <= sum a_i H(f_i(X)); negative a_i evaluated as given."""
     _expect_type(spec, InequalitySpec, "check_entropy")
     _expect_type(X, RationalDist, "check_entropy")
@@ -261,7 +239,7 @@ def check_entropy(
     lhs, rhs = _spec_sides(spec, [_term(d, base) for d in _images(spec, X)])
     details = {"rhs_entropies": [h for _, (h, _) in rhs],
                "coefficients": [exact_text(c) for c in spec.coefficients]}
-    return _compare(lhs, rhs, tolerance, details)
+    return _compare(lhs, rhs, details)
 
 
 def lemma2_witness(A, f: FiniteMap) -> RationalDist:
@@ -284,7 +262,6 @@ def empirical_lemma1(
     X: RationalDist,
     k_max: int,
     limit: int = DEFAULT_ENUM_LIMIT,
-    tolerance: float = DEFAULT_TOLERANCE,
     base: float = 2,
     cross_validate: bool = False,
 ) -> CheckReport:
@@ -330,7 +307,7 @@ def empirical_lemma1(
     rows = []
     for k in ks:
         lhs_count, *rhs_counts = counts = [s[k] for s in sizes]
-        report = _compare(*_spec_sides(spec, [_count(n) for n in counts]), tolerance)
+        report = _compare(*_spec_sides(spec, [_count(n) for n in counts]))
         enumerated = lhs_count
         if cross_validate:
             enumerated = len(_mapped_arrangements(f, RuzsaSpec(X, k), images[0].support, limit))
@@ -378,7 +355,6 @@ def check_shearer(
     cover: CoverSpec,
     k: int,
     side: str,
-    tolerance: float = DEFAULT_TOLERANCE,
     base: float = 2,
 ) -> CheckReport:
     """Uniform k-cover inequality: |A|^k <= prod |A_S| or kH(X) <= sum H(X_S)."""
@@ -390,7 +366,7 @@ def check_shearer(
     data = _cover_data(data, side, cover.n, "check_shearer")
     whole = _term(data, base)
     parts = _prefix_terms(data, [(_restrictor(m), 0) for m in cover.members], base)
-    report = _compare([(k, whole)], [(1, t) for t in parts], tolerance)
+    report = _compare([(k, whole)], [(1, t) for t in parts])
     if isinstance(data, RationalDist):
         return report.with_details({"projection_entropies": [h for h, _ in parts]})
     sizes = [size for _, size in parts]
@@ -405,7 +381,6 @@ def check_projection_theorem(
     data,
     cover: CoverSpec,
     side: str,
-    tolerance: float = DEFAULT_TOLERANCE,
     base: float = 2,
 ) -> CheckReport:
     """Fractional-cover bound with prefix conditioning.
@@ -429,7 +404,6 @@ def check_projection_theorem(
     return _compare(
         [(1, _term(data, base))],
         terms,
-        tolerance,
         {
             "terms": [_as_float(w, "weight") * log for w, (log, _) in terms],
             "members": [list(m.indices) for m, _ in members],

@@ -16,8 +16,8 @@ its defaults are immutable, each call parses into a fresh namespace, and
 usage errors and `--help` go to the call's `sys.stderr` / `sys.stdout`.
 Each leaf subcommand's `run` default is its handler, which takes the parsed
 args alone. Settings are checked where the library reads them; `run`
-checks `--tolerance` and `--limit` up front, so a bad value exits 2 even
-for a subcommand that never reads it.
+checks `--limit` up front, so a bad value exits 2 even for a subcommand
+that never reads it.
 
 Every call reads each of its input files in full. The decoded values of the
 last three files read are kept across calls, keyed by (decoder, path,
@@ -42,9 +42,7 @@ import sys
 
 from . import jsonio
 from .checkers import (
-    DEFAULT_TOLERANCE,
     InequalitySpec,
-    _check_tolerance,
     check_cardinality,
     check_entropy,
     check_projection_theorem,
@@ -243,12 +241,12 @@ def _cover_min(args):
 
 def _check_entropy(args):
     spec, X = _load_spec(args.spec), _load_dist(args.input)
-    return _verdict(check_entropy(spec, X, tolerance=args.tolerance, base=args.base))
+    return _verdict(check_entropy(spec, X, base=args.base))
 
 
 def _check_cardinality(args):
     spec, A = _load_spec(args.spec), _load_pointset(args.input)
-    return _verdict(check_cardinality(spec, A, tolerance=args.tolerance))
+    return _verdict(check_cardinality(spec, A))
 
 
 def _cover_and_data(args):
@@ -258,23 +256,19 @@ def _cover_and_data(args):
 
 def _check_shearer(args):
     cover, data = _cover_and_data(args)
-    return _verdict(check_shearer(
-        data, cover, args.k, args.side, tolerance=args.tolerance, base=args.base
-    ))
+    return _verdict(check_shearer(data, cover, args.k, args.side, base=args.base))
 
 
 def _check_projection(args):
     cover, data = _cover_and_data(args)
-    return _verdict(check_projection_theorem(
-        data, cover, args.side, tolerance=args.tolerance, base=args.base
-    ))
+    return _verdict(check_projection_theorem(data, cover, args.side, base=args.base))
 
 
 def _check_lemma1(args):
     spec, X = _load_spec(args.spec), _load_dist(args.input)
     return _verdict(empirical_lemma1(
-        spec, X, k_max=args.kmax, limit=args.limit, tolerance=args.tolerance,
-        base=args.base, cross_validate=args.cross_validate,
+        spec, X, k_max=args.kmax, limit=args.limit, base=args.base,
+        cross_validate=args.cross_validate,
     ))
 
 
@@ -303,19 +297,17 @@ def run_demo(args: argparse.Namespace) -> tuple[dict, int]:
     Checks the three-coordinate projection (Loomis-Whitney style) bound by
     counting, the matching entropy bound for the uniform variable, then the
     finite-k counting experiment whose rates approach the entropy values,
-    and tabulates the convergence of log|set|/k. Reads `seed`, `tolerance`,
-    `base` and `limit` from the parsed args.
+    and tabulates the convergence of log|set|/k. Reads `seed`, `base` and
+    `limit` from the parsed args.
     """
     rng = random.Random(args.seed)
     points = sorted(rng.sample(_DEMO_GRID, rng.randint(3, 6)))
     A = PointSet(3, points)
     spec = _demo_spec()
-    counting = check_cardinality(spec, A, tolerance=args.tolerance)
+    counting = check_cardinality(spec, A)
     X = RationalDist.uniform(A)
-    entropy_side = check_entropy(spec, X, tolerance=args.tolerance, base=args.base)
-    finite_k = empirical_lemma1(
-        spec, X, k_max=12, limit=args.limit, tolerance=args.tolerance, base=args.base
-    )
+    entropy_side = check_entropy(spec, X, base=args.base)
+    finite_k = empirical_lemma1(spec, X, k_max=12, limit=args.limit, base=args.base)
     ks = finite_k.details["k_values"]
     rows = convergence_profile(X, ks, base=args.base)
     # 0 <= gap <= envelope is the exact sandwich of `type_bound_check`
@@ -383,7 +375,6 @@ _COVER_SIDE = {"--cover": _REQUIRED, "--input": _REQUIRED,
 
 # every command and option, once; `build_parser` and `_plain_args` both read it
 _ROOT = _Level({
-    "--tolerance": {"type": float, "default": DEFAULT_TOLERANCE},
     "--base": {"type": _parse_base, "default": 2},
     "--limit": {"type": int, "default": DEFAULT_ENUM_LIMIT},
     "--seed": {"type": int, "default": 0},
@@ -529,7 +520,6 @@ def run(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        _check_tolerance(args.tolerance)
         if args.limit < 1:
             raise EntrosetError("enum limit must be >= 1")
         doc, code = args.run(args)

@@ -16,7 +16,7 @@ Entropy is the only float-valued quantity here; everything feeding it
 
 The input rules that every module shares live here, each a helper that
 raises SchemaError naming the value: `_as_int` (an int, not a bool),
-`_as_list` (any iterable, read into a list), `_expect_type` (an instance
+`_as_list` (any iterable but a str, read into a list), `_expect_type` (an instance
 of a given class) and `_as_float` (a value inside the float range).
 Index-set arguments are checked by `projections._check_indices`.
 
@@ -63,11 +63,14 @@ def _as_int(value, what: str) -> int:
 
 
 def _as_list(values, what: str) -> list:
-    """`list(values)`; SchemaError naming a value that cannot be iterated."""
+    """`list(values)`; SchemaError naming a value that cannot be iterated, or
+    a str, which would be read one character at a time."""
     try:
-        return list(values)
+        if not isinstance(values, str):
+            return list(values)
     except TypeError:
-        raise SchemaError(f"{what} must be a sequence: {_echo(values)}") from None
+        pass
+    raise SchemaError(f"{what} must be a sequence: {_echo(values)}")
 
 
 def _expect_type(value, kind: type, what: str) -> None:
@@ -197,7 +200,7 @@ class RationalDist(Record):
         if lengths_differ:
             raise SchemaError("support and probs must have equal length")
         elems = as_elements(support)
-        ratios = [_ratio(p) for p in probs]
+        ratios = [_ratio(p) for p in _as_list(probs, "probs")]
         if any(n < 0 for n, _ in ratios):
             raise SchemaError("probabilities must be nonnegative")
         # zero-mass outcomes are dropped, not rejected

@@ -98,6 +98,7 @@ USAGE = [level.split() + ["--help"] for level in LEVELS] + [
     ["entropy", "--dist", "<d>", "extra"],                 # extra token
     ["--seed", "1", "--", "demo"],
     ["-h"],
+    ["--tolerance", "1e-9", "demo"],                       # an option that is gone
 ]
 # (weights, D): 9-12 seeded weights at D 8, 12 and 16, equal weights (exact
 # ties), zero weights, and sums past the float range

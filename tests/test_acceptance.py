@@ -257,8 +257,8 @@ def test_criterion_7_entropy_to_counting_bridge():
         if abs(h_image - math.log2(lhs_exact)) > 1e-12:
             failures += 1
             continue
-        # chained comparison: H(f(X*)) against sum a_S log|f_S(A)|, with the
-        # same float-band + exact-integer rule the library uses
+        # chained comparison: H(f(X*)) against sum a_S log|f_S(A)|, decided
+        # by the float slack outside a 1e-9 band and by exact integers inside
         rhs_counts = [len(m.image(A.points)) for m in spec.rhs_maps]
         rhs_log = sum(
             float(c) * math.log2(r) for c, r in zip(spec.coefficients, rhs_counts)

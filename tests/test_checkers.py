@@ -21,7 +21,6 @@ from entroset import (
     PointSet,
     RationalDist,
     RuzsaSpec,
-    SchemaError,
     SizeGuardError,
     check_cardinality,
     check_entropy,
@@ -613,8 +612,7 @@ class TestProjectionTheorem:
             [(1, projections._term(A.points, 2))],
             [(w, projections._conditional_term(
                 A, projections._restrictor(m), projections._restrictor(prefix), 2))
-             for m, prefix, w in members],
-            checkers.DEFAULT_TOLERANCE)
+             for m, prefix, w in members])
         return {"terms": terms, "members": [list(m.indices) for m, _, _ in members],
                 "lhs": lhs, "rhs": sum(terms), "slack": sum(terms) - lhs,
                 "verdict": decided.verdict, "provenance": decided.provenance}
@@ -688,15 +686,15 @@ def product_dist(first: RationalDist, second: RationalDist) -> RationalDist:
 
 
 class TestComparator:
-    """Every checker decides through one comparator: exact, float or inconclusive."""
+    """Every checker decides through one comparator: exact, or inconclusive past the bit limit."""
 
     SIXTHS = RationalDist([(0,), (1,), (2,)], ["1/6", "1/3", "1/2"])
 
-    def test_in_band_entropy_violation_is_exact(self):
-        # H(X) <= (999/1000) H(X) is false by ~1.5e-3, inside a 1e-2 band
+    def test_entropy_violation_of_1e_3_is_exact(self):
+        # H(X) <= (999/1000) H(X) is false by ~1.5e-3
         ident = FiniteMap.identity([(0,), (1,), (2,)])
         spec = InequalitySpec(ident, [ident], ["999/1000"])
-        report = check_entropy(spec, self.SIXTHS, tolerance=1e-2)
+        report = check_entropy(spec, self.SIXTHS)
         assert -1e-2 < report.slack < 0
         assert report.verdict == "violated"
         assert report.provenance == "exact"
@@ -708,10 +706,22 @@ class TestComparator:
         assert report.verdict == "holds"
         assert report.provenance == "exact"
 
-    def test_chain_cover_tie_in_a_wide_band_is_exact(self):
+    def test_product_distribution_shearer_ties_hold_exactly(self):
+        # H(X, Y) = H(X) + H(Y) for independent X, Y; the float slack is
+        # rounding noise of either sign, and the exact rule decides
+        rng = random.Random(8)
+        for _ in range(40):
+            first, second = (
+                random_dist_on(rng, [(i,) for i in range(rng.randint(2, 4))]) for _ in range(2)
+            )
+            X = product_dist(first, second)
+            report = check_shearer(X, CoverSpec(2, [[1], [2]]), 1, "entropy")
+            assert (report.verdict, report.provenance) == ("holds", "exact")
+
+    def test_chain_cover_entropy_tie_is_exact(self):
         rng = random.Random(31)
         X = random_dist_on(rng, random_pointset(rng, 3, span=3).sorted_points())
-        report = check_projection_theorem(X, chain_cover(3), "entropy", tolerance=1e-3)
+        report = check_projection_theorem(X, chain_cover(3), "entropy")
         assert (report.verdict, report.provenance) == ("holds", "exact")
 
     def test_product_set_tie_is_exact(self):
@@ -728,11 +738,11 @@ class TestComparator:
         # log2(2^40 + 1) - 40 is about 1.3e-12
         lhs = [(1, checkers._count(2**40 + 1))]
         for rhs in ([(1, checkers._count(2**40))], [(Fraction(1, 2), checkers._count(2**80))]):
-            report = checkers._compare(lhs, rhs, 1e-9)
+            report = checkers._compare(lhs, rhs)
             assert -1e-11 < report.slack <= 0
             assert (report.verdict, report.provenance) == ("violated", "exact")
 
-    def test_integer_coefficient_counts_are_exact_outside_the_band(self):
+    def test_count_comparisons_far_from_a_tie_are_exact(self):
         spec = projection_spec(GRID2, [[1], [2]], [1, 1])
         report = check_cardinality(spec, TRIANGLE)
         assert report.slack > 0.4
@@ -778,7 +788,7 @@ class TestComparator:
             2 / 3)
 
     def test_lemma1_builds_no_exact_entropy_form(self, monkeypatch):
-        # H(X) <= H(X) is a tie inside the band; lemma1 reports its entropy
+        # H(X) <= H(X) is a tie; lemma1 reports its entropy
         # side in floats and lets the exact row counts decide
         def refuse(*args):
             raise AssertionError("exact entropy form built for lemma1")
@@ -804,7 +814,7 @@ class TestComparator:
         # is the whole report, instead of violated
         monkeypatch.setattr(checkers, "_EXACT_BIT_LIMIT", 0)
         tie = checkers._compare([(1, checkers._count(36))],
-                                [(1, checkers._count(6)), (1, checkers._count(6))], 1e-9)
+                                [(1, checkers._count(6)), (1, checkers._count(6))])
         assert (tie.verdict, tie.provenance) == ("inconclusive", "float")
         counts = iter([36, 6, 6])
         monkeypatch.setattr(checkers, "_sizes",
@@ -848,17 +858,17 @@ class TestCountComparisons:
                    for _ in range(2))
 
     def test_exact_and_equal_to_int_powers(self):
-        # a band of 1e-4 holds the near ties of large counts but not of small ones
-        verdicts, band = set(), 1e-4
+        # the near ties of large counts have a slack below 1e-4, of small ones not
+        verdicts, small = set(), 1e-4
         for lhs, rhs in self.cases():
             report = checkers._compare(*([(c, projections._count(n)) for c, n in side]
-                                         for side in (lhs, rhs)), band)
+                                         for side in (lhs, rhs)))
             assert report.provenance == "exact"
             assert report.verdict == count_reference(lhs, rhs), (lhs, rhs)
-            if abs(report.slack) >= band:
+            if abs(report.slack) >= small:
                 assert report.verdict == ("holds" if report.slack > 0 else "violated")
-            verdicts.add((report.verdict, abs(report.slack) < band))
-        # ties and near ties fall inside the band on both sides of the verdict
+            verdicts.add((report.verdict, abs(report.slack) < small))
+        # slacks below and past 1e-4 on both sides of the verdict
         assert verdicts == set(itertools.product(("holds", "violated"), (False, True)))
 
     def test_lemma1_rows_are_compare_on_their_counts(self):
@@ -877,7 +887,7 @@ class TestCountComparisons:
                 assert [row["lhs_count"], *row["rhs_counts"]] == list(map(str, counts))
                 want = checkers._compare(
                     [(1, projections._count(counts[0]))],
-                    [(c, projections._count(n)) for c, n in zip(coeffs, counts[1:])], 1e-9)
+                    [(c, projections._count(n)) for c, n in zip(coeffs, counts[1:])])
                 assert (row["verdict"], want.provenance) == (want.verdict, "exact")
                 assert row["verdict"] == count_reference(
                     [(1, counts[0])], list(zip(coeffs, counts[1:])))
@@ -918,8 +928,7 @@ class TestSignRule:
                 for lhs, rhs, truth in (([(p, 2)], [(q, 3)], holds),
                                         ([(q, 3)], [(p, 2)], not holds)):
                     report = checkers._compare(
-                        *([(c, projections._count(n)) for c, n in side] for side in (lhs, rhs)),
-                        checkers.DEFAULT_TOLERANCE)
+                        *([(c, projections._count(n)) for c, n in side] for side in (lhs, rhs)))
                     if report.verdict == "inconclusive":
                         undecided.append(p)
                         continue
@@ -950,38 +959,3 @@ class TestSignRule:
         assert (report.verdict, report.provenance) == ("holds", "exact")
         assert report.details == {"projection_sizes": ["2"] * 6}
 
-
-class TestTolerance:
-    """The tolerance is checked where the comparator reads it, for every checker."""
-
-    BAD = [0, 0.0, -1e-9, -math.inf, math.inf, math.nan, True, None, "1e-9"]
-
-    @pytest.mark.parametrize("tolerance", BAD, ids=repr)
-    def test_every_checker_rejects_a_bad_tolerance(self, tolerance):
-        spec = projection_spec(GRID2, [[1], [2]], [1, 1])
-        X = RationalDist.uniform(GRID2)
-        cover = CoverSpec(2, [[1], [2]], [1, 1])
-        calls = [
-            lambda: check_cardinality(spec, TRIANGLE, tolerance=tolerance),
-            lambda: check_entropy(spec, X, tolerance=tolerance),
-            lambda: check_shearer(TRIANGLE, cover, 1, "sets", tolerance=tolerance),
-            lambda: check_shearer(X, cover, 1, "entropy", tolerance=tolerance),
-            lambda: check_projection_theorem(TRIANGLE, cover, "sets", tolerance=tolerance),
-            lambda: check_projection_theorem(X, cover, "entropy", tolerance=tolerance),
-            lambda: empirical_lemma1(spec, X, k_max=4, tolerance=tolerance),
-        ]
-        for call in calls:
-            with pytest.raises(SchemaError, match="^tolerance must be positive and finite$"):
-                call()
-
-    def test_product_distribution_shearer_ties_hold_exactly(self):
-        # H(X, Y) = H(X) + H(Y) for independent X, Y; the float slack is
-        # rounding noise of either sign, and the default band decides exactly
-        rng = random.Random(8)
-        for _ in range(40):
-            first, second = (
-                random_dist_on(rng, [(i,) for i in range(rng.randint(2, 4))]) for _ in range(2)
-            )
-            X = product_dist(first, second)
-            report = check_shearer(X, CoverSpec(2, [[1], [2]]), 1, "entropy")
-            assert (report.verdict, report.provenance) == ("holds", "exact")

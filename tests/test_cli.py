@@ -232,21 +232,13 @@ class TestCheckCommands:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
-    def test_bad_tolerance_exit_code(self, capsys, value):
-        code, out, err = invoke(capsys, [f"--tolerance={value}", "demo"])
-        assert code == 2
-        assert out == ""
-        assert "tolerance must be positive and finite" in err
-
-    @pytest.mark.parametrize("flag", ["--tolerance=nan", "--tolerance=0", "--limit=0"])
+    @pytest.mark.parametrize("flag", ["--limit=0"])
     def test_bad_setting_exits_2_where_it_is_not_read(self, tmp_path, capsys, flag):
         # `entropy` compares nothing and enumerates nothing, yet a bad value exits 2
         code, out, err = invoke(capsys, [flag, "entropy", "--dist", write(tmp_path, "d.json",
                                                                           UNIFORM2)])
-        message = "enum limit must be >= 1" if "limit" in flag else "tolerance must be"
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {message}")
+        assert err.startswith("error: enum limit must be >= 1")
 
     def test_infeasible_cover_exit_code(self, tmp_path, capsys):
         cover = write(tmp_path, "c.json", {"n": 3, "members": [[1, 2]]})
@@ -282,14 +274,13 @@ class TestCheckCommands:
         doc = json.loads(out)
         assert (code, doc["verdict"], doc["uniform"], doc["k_cover"]) == (1, "violated", False, False)
 
-    def test_in_band_entropy_violation(self, tmp_path, capsys):
-        # H(X) <= (999/1000) H(X) is false by 1.5e-3, inside the 1e-2 band
+    def test_entropy_violation_of_1e_3(self, tmp_path, capsys):
+        # H(X) <= (999/1000) H(X) is false by 1.5e-3
         ident = {"table": [[[i], [i]] for i in (1, 2, 3)]}
         spec = write(tmp_path, "s.json",
                      {"lhs_map": ident, "rhs_maps": [ident], "coefficients": ["999/1000"]})
         dist = write(tmp_path, "d.json", SIXTHS)
-        code, out, _ = invoke(capsys, ["--tolerance", "1e-2", "check", "entropy",
-                                       "--spec", spec, "--input", dist])
+        code, out, _ = invoke(capsys, ["check", "entropy", "--spec", spec, "--input", dist])
         doc = json.loads(out)
         assert (code, doc["verdict"], doc["provenance"]) == (1, "violated", "exact")
 
@@ -341,6 +332,38 @@ class TestCheckCommands:
                                          "--kmax", "100000000000000000000"])
         assert (code, out) == (2, "")
         assert err == "error: k_max // k_min exceeds the row limit 10000 (k_min = 2)\n"
+
+
+class TestNoTolerance:
+    """Every verdict is exact, so no tolerance is taken: the flag is a usage
+    error, and a value passed where the tolerance stood lands on the base."""
+
+    @pytest.mark.parametrize("argv", [["--tolerance", "1e-9", "demo"],
+                                      ["--tolerance=1e-9", "demo"],
+                                      ["demo", "--tolerance", "1e-9"]], ids=" ".join)
+    def test_the_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.run(argv)
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err.startswith("usage: entroset")
+        assert "error: " in captured.err
+
+    def test_a_positional_tolerance_is_refused_as_a_base(self):
+        ident = entroset.FiniteMap.identity([(0,), (1,)])
+        spec = entroset.InequalitySpec(ident, [ident], [1])
+        X = entroset.RationalDist.uniform(ident.table)
+        A = entroset.PointSet(1, ident.table)
+        cover = entroset.CoverSpec(1, [[1]], [1])
+        calls = [
+            lambda: entroset.check_entropy(spec, X, 1e-9),
+            lambda: entroset.check_shearer(X, cover, 1, "entropy", 1e-9),
+            lambda: entroset.check_projection_theorem(A, cover, "sets", 1e-9),
+            lambda: entroset.empirical_lemma1(spec, X, 6, 10**6, 1e-9),
+        ]
+        for call in calls:
+            with pytest.raises(entroset.SchemaError, match="^log base must be 2 or e, got "):
+                call()
 
 
 class TestDeterminism:
@@ -649,8 +672,7 @@ class TestCommandTable:
 
     @pytest.mark.parametrize("words, level", LEAVES, ids=[" ".join(w) for w, _ in LEAVES])
     def test_every_leaf_takes_the_table_path(self, words, level):
-        every = ["--tolerance", "0.5", "--base", "e", "--limit", "5", "--seed", "3",
-                 "--format", "table", *words]
+        every = ["--base", "e", "--limit", "5", "--seed", "3", "--format", "table", *words]
         required = list(words)
         for flag, keywords in level.options.items():
             if _is_switch(keywords):
@@ -1815,7 +1837,6 @@ json_text = st.one_of(json_values.map(json.dumps), st.just("["))
 INTS = st.sampled_from(["1", "2", "3", "0", "-1", "x"])
 INDEX_LISTS = st.sampled_from(["1", "2", "1,2", "2,1", "1,3", "", "0", "4", "1,1", "x"])
 GLOBAL_FLAGS = {
-    "--tolerance": st.sampled_from(["1e-9", "1e-2", "1e-12", "0", "nan", "x"]),
     "--base": st.sampled_from(["2", "e", "e", "10"]),
     "--limit": st.sampled_from(["1000", "1000000", "1000000", "0"]),
     "--seed": st.sampled_from(["0", "7", "-3"]),

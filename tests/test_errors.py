@@ -90,9 +90,6 @@ CASES = {
                          "check_cardinality needs an InequalitySpec: 5"),
     "lemma2_map": (lambda: lemma2_witness(PLANE, 5), SchemaError,
                    "lemma2_witness needs a FiniteMap: 5"),
-    "tolerance_past_float_range": (
-        lambda: check_entropy(SPEC, HALVES, tolerance=10**400), SchemaError,
-        "tolerance must be positive and finite"),
     "lemma1_k_max": (lambda: empirical_lemma1(SPEC, HALVES, None), SchemaError,
                      "k_max must be an integer: None"),
     "entropy_spec": (lambda: check_entropy(5, HALVES), SchemaError,
@@ -209,6 +206,16 @@ CASES = {
                    "type_bound_check needs a RuzsaSpec: 5"),
     "converge_dist": (lambda: convergence_profile(5, [2]), SchemaError,
                       "convergence_profile needs a RationalDist: 5"),
+    # a str where a sequence belongs is refused, not read one character at a time
+    "coefficients_str": (lambda: InequalitySpec(IDENTITY, [IDENTITY, IDENTITY], "12"),
+                         SchemaError, "coefficients must be a sequence: '12'"),
+    "cover_weights_str": (lambda: CoverSpec(2, [[1], [2]], "11"), SchemaError,
+                          "cover weights must be a sequence: '11'"),
+    "probs_str": (lambda: RationalDist([(0,)], "1"), SchemaError,
+                  "probs must be a sequence: '1'"),
+    "indices_str": (lambda: IndexSet("12"), SchemaError, "indices must be a sequence: '12'"),
+    "k_list_str": (lambda: convergence_profile(HALVES, "36"), SchemaError,
+                   "k_list must be a sequence: '36'"),
     # cli
     "project_both_inputs": (
         lambda: run_handler(["project", "--pointset", "a", "--dist", "b", "--indices", "1"]),

@@ -31,7 +31,7 @@ from entroset import (
     conditional_entropy,
     empirical_lemma1,
 )
-from entroset.checkers import DEFAULT_TOLERANCE, _compare
+from entroset.checkers import _compare
 from entroset.projections import _conditional_term, _restrictor, log_conditional_avg_size
 from entroset.report import HOLDS, VIOLATED
 
@@ -120,7 +120,7 @@ def test_linear_map_specs_agree(G, count, coefficients):
         spec = InequalitySpec(lhs, rhs, [c * scale for c in coeffs])
         reports = [check_cardinality(spec, G.A), check_entropy(spec, G.X)]
         assert [r.verdict for r in reports] == [verdict, verdict]
-        if verdict == HOLDS:  # a tie is inside the tolerance band: decided exactly
+        if verdict == HOLDS:  # a tie is decided exactly
             assert [r.provenance for r in reports] == ["exact", "exact"]
 
 
@@ -135,7 +135,7 @@ def test_conditional_terms_tie_exactly(G):
             sets, entropy = (_conditional_term(data, _restrictor(T), _restrictor(C), 2)
                              for data in (G.A, G.X))
             for lhs, rhs in ((sets, entropy), (entropy, sets)):
-                report = _compare([(1, lhs)], [(1, rhs)], DEFAULT_TOLERANCE)
+                report = _compare([(1, lhs)], [(1, rhs)])
                 assert (report.verdict, report.provenance) == (HOLDS, "exact"), (T, C)
 
 
@@ -150,7 +150,7 @@ def test_conditional_map_terms_tie_exactly(G):
         f, g = (m.table.__getitem__ for m in (G.linear_map(), G.linear_map()))
         sets, entropy = (_conditional_term(data, f, g, 2) for data in (G.A, G.X))
         for lhs, rhs in ((sets, entropy), (entropy, sets)):
-            report = _compare([(1, lhs)], [(1, rhs)], DEFAULT_TOLERANCE)
+            report = _compare([(1, lhs)], [(1, rhs)])
             assert (report.verdict, report.provenance) == (HOLDS, "exact")
 
 

@@ -1,7 +1,7 @@
 """The README's library tour runs as written, and each of its comments states
 what the line computes: the test writes every comment from the computed values.
 Every `module.name` that the README or a docstring or comment of the package
-names exists."""
+names exists, and every `--flag` it names is an option of the command table."""
 
 import ast
 import functools
@@ -14,7 +14,7 @@ import tokenize
 from pathlib import Path
 
 import entroset
-from entroset import minimal_suitable_k
+from entroset import cli, minimal_suitable_k
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SOURCES = sorted((README.parent / "src" / "entroset").glob("*.py"))
@@ -117,3 +117,18 @@ def test_module_references_resolve():
         except AttributeError:
             stale.append(f"{where}: {module}.{name}")
     assert found and not stale, stale
+
+
+def test_readme_flags_are_in_the_command_table():
+    text = README.read_text(encoding="utf-8")
+    # the "Global flags" sentence lists the root level's options, in order
+    sentence = re.split(r"\.\s", text.split("Global flags", 1)[1], maxsplit=1)[0]
+    assert re.findall(r"`(--[a-z][\w-]*)", sentence) == list(cli._ROOT.options)
+    flags, levels = set(), [cli._ROOT]
+    while levels:
+        level = levels.pop()
+        flags.update(level.options)
+        levels.extend((level.commands or {}).values())
+    # argparse's --help, pytest's --benchmark-only, and the placeholder of `--name value`
+    named = set(re.findall(r"--[a-z][\w-]*", text)) - {"--help", "--benchmark-only", "--name"}
+    assert named <= flags, sorted(named - flags)
