@@ -7,7 +7,8 @@ The tier-1 test run does not collect this file (it is not named
         --benchmark-only --benchmark-json=out.json
 
 Inputs are seeded and fixed. Every check below is far from a tie, so its
-float slack decides, except where noted:
+float slack, past its certified rounding bound, decides, except where
+noted:
 
 * `check_cardinality`: the Loomis-Whitney spec (the identity against the
   three pair projections with coefficients 1/2) on random point sets of
@@ -22,10 +23,10 @@ float slack decides, except where noted:
 * `check_projection_theorem`: a fixed fractional cover of {1..4} with
   weights 1/2 and 1/3 on the same point sets and distributions; the set
   side takes conditional average sizes.
-* One in-band tie per side, which prices the exact comparison: a product
-  set of 2 * 3 * 5 * 7 points under the pair cover of {1..4} with weights
-  1/3 (sets), and the chain cover {1}, {2}, {3}, {4} on a distribution
-  over 300 points (entropy).
+* One tie per side, which prices the exact forms: a product set of
+  2 * 3 * 5 * 7 points under the pair cover of {1..4} with weights 1/3
+  (sets), and the chain cover {1}, {2}, {3}, {4} on a distribution over
+  300 points (entropy).
 """
 
 import random

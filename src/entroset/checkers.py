@@ -8,7 +8,10 @@ The two sides of the correspondence are kept honest with one another:
   `projections` makes every term: `_term` for an image, and
   `_prefix_terms` for the (member restrictor, prefix depth) pairs that a
   cover checker lists, slicing A once for a chain of prefixes S*.
-  Every comparison is decided by one exact rule, `_exact_verdict`: the
+  Every comparison is decided by one exact rule. Stage 0 reads the sign of
+  the float slack that `_compare` reports, when it is past a stated bound
+  on its rounding error (`_slack_bound`); no exact form is built then.
+  Ties, near ties and NaN or infinite sides go to `_exact_verdict`: the
   sign of sum e log2 b over the cleared exponent map {b: e}, read from
   floats with a stated rounding bound, and for a tie or near tie that the
   bound cannot separate from 0, the big-int products of both sides. Only a
@@ -195,25 +198,88 @@ def _exact_verdict(lhs, rhs) -> str | None:
     return HOLDS if den <= num else VIOLATED
 
 
-def _logs(lhs, rhs) -> tuple[float, float]:
-    """The float logs of both sides: sums of c * log over the (c, term) pairs."""
-    return (sum(_as_float(c, "coefficient") * log for c, (log, _) in lhs),
-            sum(_as_float(c, "coefficient") * log for c, (log, _) in rhs))
+def _logs(lhs, rhs) -> tuple[float, float, list, list]:
+    """The float logs of both sides, sums of c * log over the (c, term) pairs
+    in order, and the float coefficients c and products c * log of both."""
+    pairs = (*lhs, *rhs)
+    coefficients = [_as_float(c, "coefficient") for c, _ in pairs]
+    products = [c * log for c, (_, (log, _)) in zip(coefficients, pairs)]
+    return sum(products[:len(lhs)]), sum(products[len(lhs):]), coefficients, products
 
 
-def _compare(lhs, rhs, details: dict | None = None) -> CheckReport:
+# the unit roundoff of a float
+_U = 2.0**-53
+
+
+def _term_error(log: float, size: int) -> float:
+    """A bound on the rounding error of a term's float log, built from data of
+    `size` points or support points (1 for a bare count), in bits or nats.
+
+    Assume that `math.log2` and `math.log` of a float, and `math.log2` of a
+    positive int, are within 1 ulp (the tests check them against `decimal`);
+    1 ulp of x is at most 2u|x|. Let n = size; an entropy H of a law on at
+    most n points is at most log2 n, in bits or nats.
+
+    * A count log N is within 1 ulp, 2u|log N|: in bits by the assumption on
+      ints, and in nats N is a size of the data, below 2^53, so a float.
+    * An entropy term, over at most n support points, is a left-to-right sum
+      of q log(1/q) with q = c/d and 1/q each rounded once. The two roundings
+      move log(1/q) by at most 2u / ln 2 < 3u, and q, the log and the
+      product add a relative 4u; so each summand is within
+      4u p log(1/p) + 3u p, and the n - 1 additions add (n - 1)u H: in all
+      3u + (n + 3)u H. The
+      `dist._entropy_term` fallback (p < 2^-1024, whose logs of ints past
+      2^1024 err by a relative 4u at most), the subnormal q and the subnormal
+      products err by less than 2^-1000 each, far inside 3u.
+    * A sliced set term, at most n summands n_y/|A| log size_y, is within
+      (n + 3)u log2 n the same way, with no error in the argument of a log.
+    * A law's conditional term H(f, g) - H(g) is within the sum of the two
+      entropy terms' bounds, plus u|log| for the subtraction.
+
+    2u(|log| + (n + 4) log2 n + 3) covers every case.
+    """
+    return 2 * _U * (abs(log) + (size + 4) * math.log2(size) + 3)
+
+
+def _slack_bound(coefficients: list, products: list, size: int) -> float:
+    """B, 8 times a bound on the rounding error of the slack rhs - lhs by
+    `_logs`, from its float coefficients c and products c * log.
+
+    Each pair contributes |c| times its `_term_error`, 2u|c log| plus
+    |c| `_term_error(0, size)`. Rounding c and each product, the
+    left-to-right sums of each side and the final subtraction add at most
+    (m + 3)u sum |c log| over the m pairs. A coefficient or a product in the
+    subnormal range errs by at most 2^-1075 (1 + |log|) more, and every
+    |log| is below 2^64 (a log of an int held in memory, or of a law's
+    size), so 2^-900 covers them all. The factor 8 covers the second-order
+    terms, B's own rounding and Python 3.12's compensated `sum`, which is
+    within 2u|sum| plus second-order terms.
+    """
+    return 8 * ((len(products) + 5) * _U * sum(map(abs, products))
+                + _term_error(0.0, size) * sum(map(abs, coefficients))) + 2**-900
+
+
+def _compare(lhs, rhs, size: int, details: dict | None = None) -> CheckReport:
     """Is prod term^c over lhs <= the same over rhs, for (c, term) pairs?
 
     A term is (log, form): a float log, and an int count or a function
-    giving (d, {b: e}) with term^d = prod b^e. `_exact_verdict` decides
-    every comparison from the forms, so a decided verdict is exact; a near
-    tie past the bit limit is `inconclusive`, with provenance "float". The
-    float logs are only reported, as the sides and the slack (NaN or
-    infinite past the float range).
+    giving (d, {b: e}) with term^d = prod b^e. `size` is the number of
+    points or support points of the data that the terms are built from, 1
+    when they are bare counts. The sides and the slack are the float sums
+    of `_logs`. Stage 0 decides from the slack alone when it is finite and
+    past `_slack_bound`, which bounds its rounding error, so its sign is the
+    true one; no form is built. Else `_exact_verdict` decides from the
+    forms: ties, near ties and a NaN or infinite side (past the float range)
+    land there. Every decided verdict is exact; a near tie past the bit
+    limit is `inconclusive`, with provenance "float".
     """
-    lhs_log, rhs_log = _logs(lhs, rhs)
-    verdict = _exact_verdict(lhs, rhs)
-    return CheckReport(verdict or INCONCLUSIVE, lhs_log, rhs_log, rhs_log - lhs_log,
+    lhs_log, rhs_log, coefficients, products = _logs(lhs, rhs)
+    slack = rhs_log - lhs_log
+    if _slack_bound(coefficients, products, size) < abs(slack) < math.inf:
+        verdict = HOLDS if slack > 0 else VIOLATED
+    else:
+        verdict = _exact_verdict(lhs, rhs)
+    return CheckReport(verdict or INCONCLUSIVE, lhs_log, rhs_log, slack,
                        provenance="float" if verdict is None else "exact", details=details)
 
 
@@ -224,11 +290,12 @@ def check_cardinality(spec: InequalitySpec, A) -> CheckReport:
         raise NegativeCoefficientError(
             "cardinality-side checks require nonnegative coefficients"
         )
-    terms = [_term(image, 2) for image in _images(spec, _as_point_collection(A))]
+    points = _as_point_collection(A)
+    terms = [_term(image, 2) for image in _images(spec, points)]
     lhs_count, *rhs_counts = (exact_text(n) for _, n in terms)
     details = {"lhs_count": lhs_count, "rhs_counts": rhs_counts,
                "coefficients": [exact_text(c) for c in spec.coefficients]}
-    return _compare(*_spec_sides(spec, terms), details)
+    return _compare(*_spec_sides(spec, terms), len(points), details)
 
 
 def check_entropy(spec: InequalitySpec, X: RationalDist, base: float = 2) -> CheckReport:
@@ -239,7 +306,7 @@ def check_entropy(spec: InequalitySpec, X: RationalDist, base: float = 2) -> Che
     lhs, rhs = _spec_sides(spec, [_term(d, base) for d in _images(spec, X)])
     details = {"rhs_entropies": [h for _, (h, _) in rhs],
                "coefficients": [exact_text(c) for c in spec.coefficients]}
-    return _compare(lhs, rhs, details)
+    return _compare(lhs, rhs, len(X), details)
 
 
 def lemma2_witness(A, f: FiniteMap) -> RationalDist:
@@ -291,7 +358,7 @@ def empirical_lemma1(
         )
     images = _images(spec, X)
     # the entropy side is reported in floats only: the rows decide the verdict
-    lhs_log, rhs_log = _logs(*_spec_sides(spec, [_term(d, base) for d in images]))
+    lhs_log, rhs_log, *_ = _logs(*_spec_sides(spec, [_term(d, base) for d in images]))
     k_min = minimal_suitable_k(X)
     k_max, shown = _as_int(k_max, "k_max"), _cut(exact_text(k_min))
     if k_max // k_min > MAX_LEMMA1_ROWS:
@@ -307,7 +374,7 @@ def empirical_lemma1(
     rows = []
     for k in ks:
         lhs_count, *rhs_counts = counts = [s[k] for s in sizes]
-        report = _compare(*_spec_sides(spec, [_count(n) for n in counts]))
+        report = _compare(*_spec_sides(spec, [_count(n) for n in counts]), 1)
         enumerated = lhs_count
         if cross_validate:
             enumerated = len(_mapped_arrangements(f, RuzsaSpec(X, k), images[0].support, limit))
@@ -366,7 +433,7 @@ def check_shearer(
     data = _cover_data(data, side, cover.n, "check_shearer")
     whole = _term(data, base)
     parts = _prefix_terms(data, [(_restrictor(m), 0) for m in cover.members], base)
-    report = _compare([(k, whole)], [(1, t) for t in parts])
+    report = _compare([(k, whole)], [(1, t) for t in parts], len(data))
     if isinstance(data, RationalDist):
         return report.with_details({"projection_entropies": [h for h, _ in parts]})
     sizes = [size for _, size in parts]
@@ -404,6 +471,7 @@ def check_projection_theorem(
     return _compare(
         [(1, _term(data, base))],
         terms,
+        len(data),
         {
             "terms": [_as_float(w, "weight") * log for w, (log, _) in terms],
             "members": [list(m.indices) for m, _ in members],

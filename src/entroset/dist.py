@@ -276,7 +276,9 @@ def _map_table(table, seen: list | None = None) -> dict:
     in table order raises, as it would alone.
     """
     try:
-        pairs = list(table.items() if isinstance(table, Mapping) else table)
+        # a str is refused, not read one character at a time
+        pairs = list(table.items() if isinstance(table, Mapping) else
+                     None if isinstance(table, str) else table)
     except TypeError:
         raise SchemaError(
             f"map table must be a mapping or a sequence: {_echo(table)}") from None

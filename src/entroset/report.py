@@ -3,9 +3,11 @@
 Reports are plain value objects. `lhs`/`rhs` are floats (log-space for
 cardinality checks). `provenance` is "exact" on every decided verdict:
 exact integer or rational arithmetic settled it, or a float sign whose
-rounding error is bounded (see `checkers._exact_verdict`). It is "float"
-only on an `inconclusive` report, a near tie past the bit limit; the
-float sides and slack are reported, never decisive. Exact quantities are
+rounding error is bounded (the slack past `checkers._slack_bound`, or
+the sign in `checkers._exact_verdict`). It is "float" only on an
+`inconclusive` report, a near tie past the bit limit; the float sides and
+slack decide only past their bound, and a NaN or infinite one never
+does. Exact quantities are
 carried in `details` as strings. `witnesses` holds counterexample
 structures for set-equality style checks. JSON has no NaN or infinity,
 so `to_json` writes such a float (a side past the float range) as null.

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroset import checkers, cli, dist, jsonio, projections
 from entroset import (
@@ -40,6 +42,7 @@ from genutil import (
     random_fractional_cover,
     random_map,
     random_pointset,
+    random_uniform_k_cover,
 )
 
 GRID2 = [(a, b) for a in range(2) for b in range(2)]
@@ -612,7 +615,7 @@ class TestProjectionTheorem:
             [(1, projections._term(A.points, 2))],
             [(w, projections._conditional_term(
                 A, projections._restrictor(m), projections._restrictor(prefix), 2))
-             for m, prefix, w in members])
+             for m, prefix, w in members], len(A))
         return {"terms": terms, "members": [list(m.indices) for m, _, _ in members],
                 "lhs": lhs, "rhs": sum(terms), "slack": sum(terms) - lhs,
                 "verdict": decided.verdict, "provenance": decided.provenance}
@@ -738,7 +741,7 @@ class TestComparator:
         # log2(2^40 + 1) - 40 is about 1.3e-12
         lhs = [(1, checkers._count(2**40 + 1))]
         for rhs in ([(1, checkers._count(2**40))], [(Fraction(1, 2), checkers._count(2**80))]):
-            report = checkers._compare(lhs, rhs)
+            report = checkers._compare(lhs, rhs, 1)
             assert -1e-11 < report.slack <= 0
             assert (report.verdict, report.provenance) == ("violated", "exact")
 
@@ -787,6 +790,62 @@ class TestComparator:
         assert projections.log_conditional_avg_size(TRIANGLE, first, second) == pytest.approx(
             2 / 3)
 
+    def test_far_from_tie_comparisons_build_no_exact_form(self, monkeypatch):
+        # stage 0 decides every comparison whose slack is past its bound from
+        # the float sides alone, so no 2^H or |A|-th power is built
+        def refuse(*args):
+            raise AssertionError("exact form built for a far-from-tie comparison")
+
+        monkeypatch.setattr(projections, "entropy_power", refuse)
+        monkeypatch.setattr(projections, "conditional_size_power", refuse)
+        A = PointSet(3, [x for x in itertools.product(range(3), repeat=3) if sum(x) % 3])
+        X = random_dist_on(random.Random(44), A.sorted_points())
+        grid = list(itertools.product(range(3), repeat=3))
+        pairs = [[1, 2], [2, 3], [1, 3]]
+        reports = [
+            check_entropy(projection_spec(grid, pairs, ["1/2"] * 3), X),
+            check_entropy(projection_spec(grid, pairs, ["1/3"] * 3), X),
+            check_shearer(X, CoverSpec(3, pairs), 2, "entropy"),
+            check_projection_theorem(X, CoverSpec(3, pairs, ["1/2"] * 3), "entropy"),
+            check_projection_theorem(A, CoverSpec(3, pairs, ["1/2"] * 3), "sets"),
+        ]
+        assert [(r.verdict, r.provenance) for r in reports] == [
+            ("holds", "exact"), ("violated", "exact"), ("holds", "exact"),
+            ("holds", "exact"), ("holds", "exact")]
+        assert min(abs(r.slack) for r in reports) > 0.05
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stage_0_agrees_with_the_forms(self, seed):
+        # every checker gives the same report when stage 0 declines every
+        # comparison and the forms decide them all
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        grid = list(itertools.product(range(3), repeat=n))
+        A = random_pointset(rng, n, span=3, max_size=20)
+        X = random_dist_on(rng, A.sorted_points())
+        spec = InequalitySpec(random_map(rng, grid), [random_map(rng, grid) for _ in range(2)],
+                              [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(2)])
+        fractional = random_fractional_cover(rng, n, max_members=4)
+        uniform = random_uniform_k_cover(rng, n, rng.randint(1, 3))
+        k = uniform.multiplicities()[0]
+
+        def reports():
+            return [report.to_json() for report in (
+                check_cardinality(spec, A),
+                check_entropy(spec, X),
+                empirical_lemma1(spec, X, k_max=2 * X.denominator),
+                *(check_shearer(data, uniform, k, side) for data, side in
+                  ((A, "sets"), (X, "entropy"))),
+                *(check_projection_theorem(data, fractional, side) for data, side in
+                  ((A, "sets"), (X, "entropy"))),
+            )]
+
+        staged = reports()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checkers, "_slack_bound", lambda *args: math.inf)
+            assert reports() == staged
+
     def test_lemma1_builds_no_exact_entropy_form(self, monkeypatch):
         # H(X) <= H(X) is a tie; lemma1 reports its entropy
         # side in floats and lets the exact row counts decide
@@ -814,7 +873,7 @@ class TestComparator:
         # is the whole report, instead of violated
         monkeypatch.setattr(checkers, "_EXACT_BIT_LIMIT", 0)
         tie = checkers._compare([(1, checkers._count(36))],
-                                [(1, checkers._count(6)), (1, checkers._count(6))])
+                                [(1, checkers._count(6)), (1, checkers._count(6))], 1)
         assert (tie.verdict, tie.provenance) == ("inconclusive", "float")
         counts = iter([36, 6, 6])
         monkeypatch.setattr(checkers, "_sizes",
@@ -862,7 +921,7 @@ class TestCountComparisons:
         verdicts, small = set(), 1e-4
         for lhs, rhs in self.cases():
             report = checkers._compare(*([(c, projections._count(n)) for c, n in side]
-                                         for side in (lhs, rhs)))
+                                         for side in (lhs, rhs)), 1)
             assert report.provenance == "exact"
             assert report.verdict == count_reference(lhs, rhs), (lhs, rhs)
             if abs(report.slack) >= small:
@@ -887,7 +946,7 @@ class TestCountComparisons:
                 assert [row["lhs_count"], *row["rhs_counts"]] == list(map(str, counts))
                 want = checkers._compare(
                     [(1, projections._count(counts[0]))],
-                    [(c, projections._count(n)) for c, n in zip(coeffs, counts[1:])])
+                    [(c, projections._count(n)) for c, n in zip(coeffs, counts[1:])], 1)
                 assert (row["verdict"], want.provenance) == (want.verdict, "exact")
                 assert row["verdict"] == count_reference(
                     [(1, counts[0])], list(zip(coeffs, counts[1:])))
@@ -911,14 +970,127 @@ class TestSignRule:
                 error = abs(decimal.Decimal(got) - decimal.Decimal(n).ln() / ln2)
                 assert error <= decimal.Decimal(math.ulp(got)), n
 
+    def test_logs_of_ints_and_floats_are_within_one_ulp(self):
+        # the rest of the assumption stage 0 rests on: `math.log` of an int,
+        # and both logs of a float in (1, 2^1024), 1/q for q = c/d among them;
+        # `math.log` of an int past 2^1024 is within 2 ulps
+        rng = random.Random(45)
+        ints = [*range(2, 300), *(2**j + s for j in range(2, 1100, 3) for s in (-1, 1)),
+                *(rng.randint(2, 2 ** rng.randint(2, 1024)) for _ in range(300)),
+                *(rng.getrandbits(rng.randint(1, 4000)) | 1 << 1024 for _ in range(100))]
+        floats = [rng.uniform(1, 2) * 2.0 ** rng.randint(0, 1023) for _ in range(400)]
+        for _ in range(400):
+            d = rng.randint(2, 2 ** rng.randint(2, 1100))
+            q = rng.randint(1, d - 1) / d
+            if q and 1 / q < math.inf:
+                floats.append(1 / q)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ln2 = decimal.Decimal(2).ln()
+            for x in ints + floats:
+                truth = decimal.Decimal(x).ln()
+                for log, exact in ((math.log2, truth / ln2), (math.log, truth)):
+                    if log is math.log2 and isinstance(x, int):
+                        continue  # test_log2_of_an_int_is_within_one_ulp
+                    got = log(x)
+                    ulps = 2 if isinstance(x, int) and x >= 2**1024 else 1
+                    assert abs(decimal.Decimal(got) - exact) <= ulps * decimal.Decimal(
+                        math.ulp(got)), (log, x)
+
+    @staticmethod
+    def nats(counts, d) -> decimal.Decimal:
+        """The entropy in nats of the masses c / d, at the context's precision."""
+        D = decimal.Decimal
+        return sum((D(c) / D(d) * (D(d) / D(c)).ln() for c in counts), D(0))
+
+    @staticmethod
+    def random_law(rng, size: int, bits: int) -> RationalDist:
+        """A law on `size` points of dimension 2 whose denominator has about `bits` bits,
+        some masses 1/d among them."""
+        d = max(rng.getrandbits(bits) | 1 << (bits - 1), size)
+        ones = rng.randint(0, size - 1)
+        cuts = set()
+        while len(cuts) < size - ones - 1:
+            cuts.add(rng.randrange(1, d - ones))
+        bounds = [0, *sorted(cuts), d - ones]
+        counts = [1] * ones + [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        rng.shuffle(counts)
+        width = rng.randint(1, 8)
+        return RationalDist([(i % width, i // width) for i in range(size)],
+                            [Fraction(c, d) for c in counts])
+
+    def test_float_terms_are_within_the_term_error(self):
+        # every kind of term, in both bases, against `decimal` at 60 digits:
+        # laws of up to 2,000 points with denominators up to past 2^1100, masses
+        # below 2^-1074 among them, their conditional terms, and sliced set terms
+        rng = random.Random(46)
+        first, second = (projections._restrictor(IndexSet([i])) for i in (1, 2))
+        fallbacks = 0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ln2 = decimal.Decimal(2).ln()
+            cases = []  # (float term by base, truth in nats, size, bases)
+            laws = (2, math.e)
+            for size, bits in [(1, 1), (2, 2), (3, 60), (7, 1000), (40, 1023), (40, 1030),
+                               (300, 1080), (300, 1200), (2000, 40), (2000, 1100),
+                               *((rng.randint(1, 60), rng.randint(1, 1200)) for _ in range(20))]:
+                X = self.random_law(rng, size, bits)
+                fallbacks += any(c / X.denominator == 0 for c in X.counts)
+                truth = self.nats(X.counts, X.denominator)
+                cases.append((lambda base, X=X: projections._term(X, base)[0], truth, size, laws))
+                given = dist._image(X, second)
+                cases.append((lambda base, X=X: projections._conditional_term(
+                    X, first, second, base)[0],
+                    truth - self.nats(given.counts, given.denominator), size, laws))
+                A = random_pointset(rng, 3, span=rng.randint(2, 13), max_size=size)
+                sliced = {}
+                for x in A:
+                    sliced.setdefault(x[:1], set()).add(x[1:])
+                cases.append((lambda base, A=A: projections._conditional_term(
+                    A, projections._restrictor(IndexSet([2, 3])), first, base)[0],
+                    sum((decimal.Decimal(len(s)) / len(A) * decimal.Decimal(len(s)).ln()
+                         for s in sliced.values()), decimal.Decimal(0)), len(A), laws))
+            # counts in nats are sizes of the data, below 2^53; lemma1's counts are in bits
+            for count in [2, 3, 2**53 - 1, 2**53 + 1, 10**300, 3**2000, rng.getrandbits(5000)]:
+                cases.append((lambda base, count=count: projections._count(
+                    count, dist._log_function(base))[0], decimal.Decimal(count).ln(), 1,
+                    laws if count < 2**53 else (2,)))
+            terms = {2: [], math.e: []}  # (float log, truth, size) by base
+            for term, truth, size, bases in cases:
+                for base in bases:
+                    exact = truth / ln2 if base == 2 else truth
+                    got = term(base)
+                    bound = checkers._term_error(got, size)
+                    assert abs(decimal.Decimal(got) - exact) <= decimal.Decimal(bound), (
+                        base, size)
+                    terms[base].append((got, exact, size))
+            # the slack of random comparisons of those terms is within B / 8
+            for base, pool in terms.items():
+                for _ in range(200):
+                    sides = [[(Fraction(rng.randint(-99, 99), rng.randint(1, 9)), *rng.choice(pool))
+                              for _ in range(rng.randint(1, 4))] for _ in range(2)]
+                    lhs, rhs = ([(c, (got, None)) for c, got, _, _ in side] for side in sides)
+                    lhs_log, rhs_log, *floats = checkers._logs(lhs, rhs)
+                    bound = checkers._slack_bound(*floats, max(t[3] for t in sides[0] + sides[1]))
+                    truth = sum((sign * decimal.Decimal(c.numerator) / c.denominator * exact
+                                 for sign, side in ((-1, sides[0]), (1, sides[1]))
+                                 for c, _, exact, _ in side), decimal.Decimal(0))
+                    assert abs(decimal.Decimal(rhs_log - lhs_log) - truth) <= decimal.Decimal(
+                        bound / 8)
+        assert fallbacks >= 4
+
     # p of the convergents p/q of log2 3
     CONVERGENTS = [3, 8, 19, 65, 84, 485, 1054, 24727, 50508, 125743, 176251, 301994,
                    16785921, 17087915]
 
-    def test_near_ties_of_powers_of_2_and_3(self):
+    def test_near_ties_of_powers_of_2_and_3(self, monkeypatch):
         # |p - q log2 3| falls to 1.8e-8 at the last, which alone the rounding
-        # bound cannot separate from 0 and whose products are past the bit limit
-        undecided = []
+        # bound cannot separate from 0 and whose products are past the bit limit.
+        # Stage 0 decides the convergents whose slack is past its bound; the
+        # near ties within it reach the forms, which decide every convergent
+        real, reached, near_ties, undecided = checkers._exact_verdict, [], [], []
+        monkeypatch.setattr(checkers, "_exact_verdict",
+                            lambda lhs, rhs: reached.append(1) or real(lhs, rhs))
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             ln2, ln3 = decimal.Decimal(2).ln(), decimal.Decimal(3).ln()
@@ -927,21 +1099,31 @@ class TestSignRule:
                 holds = q * ln3 > p * ln2  # 2^p <= 3^q
                 for lhs, rhs, truth in (([(p, 2)], [(q, 3)], holds),
                                         ([(q, 3)], [(p, 2)], not holds)):
-                    report = checkers._compare(
-                        *([(c, projections._count(n)) for c, n in side] for side in (lhs, rhs)))
+                    sides = [[(c, projections._count(n)) for c, n in side] for side in (lhs, rhs)]
+                    calls = len(reached)
+                    report = checkers._compare(*sides, 1)
+                    bound = checkers._slack_bound(*checkers._logs(*sides)[2:], 1)
+                    near = abs(report.slack) <= bound
+                    assert len(reached) == calls + near, (p, q)
+                    near_ties += [p] * near
+                    verdict = real(*sides)
                     if report.verdict == "inconclusive":
+                        assert verdict is None
                         undecided.append(p)
                         continue
-                    assert report.verdict == ("holds" if truth else "violated"), (p, q)
+                    assert report.verdict == verdict == ("holds" if truth else "violated"), (p, q)
                     assert report.provenance == "exact"
                     if 2 * (p + q) <= checkers._EXACT_BIT_LIMIT:  # the products fit
                         assert report.verdict == count_reference(lhs, rhs)
+        assert near_ties == [16785921] * 2 + [17087915] * 2
         assert undecided == [17087915] * 2
 
     def test_huge_denominators_are_decided_by_the_shifted_sign(self, monkeypatch):
         # d = 3^1893 has 3001 bits, so the cleared exponents, about 2^3000, are
-        # shifted into the float range; with the bit limit at 0 no product is built
+        # shifted into the float range; with the bit limit at 0 no product is
+        # built, and with stage 0 declining the forms decide
         monkeypatch.setattr(checkers, "_EXACT_BIT_LIMIT", 0)
+        monkeypatch.setattr(checkers, "_slack_bound", lambda *args: math.inf)
         d = 3**1893
         X = RationalDist([(0,), (1,)], [Fraction(d // 2, d), Fraction(d - d // 2, d)])
         ident = FiniteMap.identity(X.support)

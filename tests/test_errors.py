@@ -216,6 +216,12 @@ CASES = {
     "indices_str": (lambda: IndexSet("12"), SchemaError, "indices must be a sequence: '12'"),
     "k_list_str": (lambda: convergence_profile(HALVES, "36"), SchemaError,
                    "k_list must be a sequence: '36'"),
+    "map_table_str": (lambda: FiniteMap("ab"), SchemaError,
+                      "map table must be a mapping or a sequence: 'ab'"),
+    "map_table_empty_str": (lambda: FiniteMap(""), SchemaError,
+                            "map table must be a mapping or a sequence: ''"),
+    "spec_table_str": (lambda: InequalitySpec("ab", ["cd"], [1]), SchemaError,
+                       "map table must be a mapping or a sequence: 'ab'"),
     # cli
     "project_both_inputs": (
         lambda: run_handler(["project", "--pointset", "a", "--dist", "b", "--indices", "1"]),

@@ -135,7 +135,7 @@ def test_conditional_terms_tie_exactly(G):
             sets, entropy = (_conditional_term(data, _restrictor(T), _restrictor(C), 2)
                              for data in (G.A, G.X))
             for lhs, rhs in ((sets, entropy), (entropy, sets)):
-                report = _compare([(1, lhs)], [(1, rhs)])
+                report = _compare([(1, lhs)], [(1, rhs)], len(G.A))
                 assert (report.verdict, report.provenance) == (HOLDS, "exact"), (T, C)
 
 
@@ -150,7 +150,7 @@ def test_conditional_map_terms_tie_exactly(G):
         f, g = (m.table.__getitem__ for m in (G.linear_map(), G.linear_map()))
         sets, entropy = (_conditional_term(data, f, g, 2) for data in (G.A, G.X))
         for lhs, rhs in ((sets, entropy), (entropy, sets)):
-            report = _compare([(1, lhs)], [(1, rhs)])
+            report = _compare([(1, lhs)], [(1, rhs)], len(G.A))
             assert (report.verdict, report.provenance) == (HOLDS, "exact")
 
 
