@@ -15,7 +15,9 @@ The two sides of the correspondence are kept honest with one another:
   sign of sum e log2 b over the cleared exponent map {b: e}, read from
   floats with a stated rounding bound, and for a tie or near tie that the
   bound cannot separate from 0, the big-int products of both sides. Only a
-  near tie whose products are past the bit limit is `inconclusive`;
+  near tie whose products are past the bit limit is `inconclusive`. No
+  checker states a provenance: `CheckReport.provenance` reads it from the
+  verdict;
 * `_images` alone applies an inequality spec's maps, by one domain test and
   `dist._image` of each table, the same way to points and to a law;
 * `check_shearer` and `check_projection_theorem` test a cover's own
@@ -147,8 +149,8 @@ def _images(spec: InequalitySpec, data) -> list:
     return [_image(data, m.table.__getitem__) for m in (spec.lhs_map, *spec.rhs_maps)]
 
 
-def _exact_verdict(lhs, rhs) -> str | None:
-    """Is prod lhs <= prod rhs? Decided exactly; None for a near tie past the bit limit.
+def _exact_verdict(lhs, rhs) -> str:
+    """Is prod lhs <= prod rhs? Decided exactly; inconclusive for a near tie past the bit limit.
 
     The sides clear to one map {b: e} of int bases and exponents with
     prod b^e = (rhs / lhs)^L for some L > 0, so the verdict is the sign of
@@ -167,7 +169,7 @@ def _exact_verdict(lhs, rhs) -> str | None:
 
     Only a tie or a near tie, which the bound cannot separate from 0, falls
     through to the big-int products of both sides, built within
-    `_EXACT_BIT_LIMIT` bits; past it the answer is None.
+    `_EXACT_BIT_LIMIT` bits; past it the answer is `inconclusive`.
     """
     forms = [
         (sign, c, (1, {f: 1}) if isinstance(f, int) else f())
@@ -192,7 +194,7 @@ def _exact_verdict(lhs, rhs) -> str | None:
     # (rhs / lhs)^(lcm / g) is >= 1 just when (rhs / lhs)^lcm is
     g = math.gcd(*exps.values()) or 1
     if sum(abs(e) // g * b.bit_length() for b, e in exps.items()) > _EXACT_BIT_LIMIT:
-        return None
+        return INCONCLUSIVE
     num = math.prod(b ** (e // g) for b, e in exps.items() if e > 0)
     den = math.prod(b ** (-e // g) for b, e in exps.items() if e < 0)
     return HOLDS if den <= num else VIOLATED
@@ -271,7 +273,7 @@ def _compare(lhs, rhs, size: int, details: dict | None = None) -> CheckReport:
     true one; no form is built. Else `_exact_verdict` decides from the
     forms: ties, near ties and a NaN or infinite side (past the float range)
     land there. Every decided verdict is exact; a near tie past the bit
-    limit is `inconclusive`, with provenance "float".
+    limit is `inconclusive`; `_exact_verdict` returns one of the three.
     """
     lhs_log, rhs_log, coefficients, products = _logs(lhs, rhs)
     slack = rhs_log - lhs_log
@@ -279,8 +281,7 @@ def _compare(lhs, rhs, size: int, details: dict | None = None) -> CheckReport:
         verdict = HOLDS if slack > 0 else VIOLATED
     else:
         verdict = _exact_verdict(lhs, rhs)
-    return CheckReport(verdict or INCONCLUSIVE, lhs_log, rhs_log, slack,
-                       provenance="float" if verdict is None else "exact", details=details)
+    return CheckReport(verdict, lhs_log, rhs_log, slack, details=details)
 
 
 def check_cardinality(spec: InequalitySpec, A) -> CheckReport:
@@ -344,7 +345,8 @@ def empirical_lemma1(
     a row whose enumerated count differs from the closed form is violated
     and carries the enumerated count. Each row is one `_compare` of its
     counts, so it is decided exactly, and a near tie past the bit limit is
-    inconclusive; the report is exact unless it is inconclusive.
+    inconclusive. A violated row decides the report; else an inconclusive
+    row leaves it inconclusive.
     More than MAX_LEMMA1_ROWS rows (k_max // k_min) raise SizeGuardError
     before any row is built.
     """
@@ -398,7 +400,6 @@ def empirical_lemma1(
         lhs=lhs_log,
         rhs=rhs_log,
         slack=rhs_log - lhs_log,
-        provenance="float" if verdict == INCONCLUSIVE else "exact",
         details={"rows": rows, "k_values": ks},
     )
 
@@ -433,15 +434,15 @@ def check_shearer(
     data = _cover_data(data, side, cover.n, "check_shearer")
     whole = _term(data, base)
     parts = _prefix_terms(data, [(_restrictor(m), 0) for m in cover.members], base)
-    report = _compare([(k, whole)], [(1, t) for t in parts], len(data))
     if isinstance(data, RationalDist):
-        return report.with_details({"projection_entropies": [h for h, _ in parts]})
-    sizes = [size for _, size in parts]
-    details = {"projection_sizes": [exact_text(s) for s in sizes]}
-    if k * whole[1].bit_length() + sum(map(int.bit_length, sizes)) <= _EXACT_BIT_LIMIT:
-        details = {"lhs_count": exact_text(whole[1] ** k),
-                   "rhs_count": exact_text(math.prod(sizes)), **details}
-    return report.with_details(details)
+        details = {"projection_entropies": [h for h, _ in parts]}
+    else:
+        sizes = [size for _, size in parts]
+        details = {"projection_sizes": [exact_text(s) for s in sizes]}
+        if k * whole[1].bit_length() + sum(map(int.bit_length, sizes)) <= _EXACT_BIT_LIMIT:
+            details = {"lhs_count": exact_text(whole[1] ** k),
+                       "rhs_count": exact_text(math.prod(sizes)), **details}
+    return _compare([(k, whole)], [(1, t) for t in parts], len(data), details)
 
 
 def check_projection_theorem(

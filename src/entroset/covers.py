@@ -118,7 +118,6 @@ def _sum_report(sums: list, target, details) -> CheckReport:
         rhs=_as_float(least, "least coverage"),
         slack=float(least - target),
         witnesses=({"element": i} for i in below),
-        provenance="exact",
         details=details(below),
     )
 

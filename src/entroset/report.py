@@ -1,16 +1,17 @@
 """Check reports: evaluated sides of an inequality plus a verdict.
 
 Reports are plain value objects. `lhs`/`rhs` are floats (log-space for
-cardinality checks). `provenance` is "exact" on every decided verdict:
-exact integer or rational arithmetic settled it, or a float sign whose
-rounding error is bounded (the slack past `checkers._slack_bound`, or
-the sign in `checkers._exact_verdict`). It is "float" only on an
-`inconclusive` report, a near tie past the bit limit; the float sides and
-slack decide only past their bound, and a NaN or infinite one never
-does. Exact quantities are
-carried in `details` as strings. `witnesses` holds counterexample
-structures for set-equality style checks. JSON has no NaN or infinity,
-so `to_json` writes such a float (a side past the float range) as null.
+cardinality checks). `provenance` is not stored: the `provenance`
+property reads it from the verdict, the one rule for every checker. Every
+decided verdict is "exact": exact integer or rational arithmetic settled
+it, or a float sign whose rounding error is bounded (the slack past
+`checkers._slack_bound`, or the sign in `checkers._exact_verdict`). Only
+an `inconclusive` report, a near tie past the bit limit, reads "float";
+the float sides and slack decide only past their bound, and a NaN or
+infinite one never does. Exact quantities are carried in `details` as
+strings. `witnesses` holds counterexample structures for set-equality
+style checks. JSON has no NaN or infinity, so `to_json` writes such a
+float (a side past the float range) as null.
 
 `exact_text` writes those strings. Python refuses `str()` on an int of
 more than `sys.get_int_max_str_digits()` digits (4300 by default);
@@ -83,20 +84,21 @@ class CheckReport(Record, unhashed=("details",)):
     rhs: float | None
     slack: float | None
     witnesses: tuple
-    provenance: str
     details: dict[str, Any]
 
     def __init__(self, verdict: str, lhs=None, rhs=None, slack=None, witnesses: tuple = (),
-                 provenance: str = "float", details: dict[str, Any] | None = None):
-        if (verdict not in (HOLDS, VIOLATED, INCONCLUSIVE) or not hasattr(witnesses, "__iter__")
-                or not isinstance(details, (dict, type(None)))):
+                 details: dict[str, Any] | None = None):
+        # a str is iterable, but its characters are not witnesses
+        if (verdict not in (HOLDS, VIOLATED, INCONCLUSIVE) or isinstance(witnesses, str)
+                or not hasattr(witnesses, "__iter__") or not isinstance(details, dict | None)):
             raise SchemaError(f"bad report: {verdict=}, {witnesses=}, {details=}")
         self._set(verdict=verdict, lhs=lhs, rhs=rhs, slack=slack, witnesses=tuple(witnesses),
-                  provenance=provenance, details={} if details is None else details)
+                  details={} if details is None else details)
 
-    def with_details(self, details: dict[str, Any]) -> "CheckReport":
-        """This report with `details` in place of its own."""
-        return CheckReport(**dict(self.__dict__, details=details))
+    @property
+    def provenance(self) -> str:
+        """"float" on an inconclusive verdict, "exact" on a decided one."""
+        return "float" if self.verdict == INCONCLUSIVE else "exact"
 
     @property
     def holds(self) -> bool:

@@ -353,7 +353,6 @@ def verify_commutation(
             for side, vs in (("mapped_only", only_mapped), ("direct_only", only_direct))
             for v in vs
         ),
-        provenance="exact",
         details={
             "source_size": exact_text(ruzsa_size(spec)),
             "mapped_size": exact_text(len(mapped)),
@@ -413,7 +412,6 @@ def type_bound_check(spec: RuzsaSpec) -> CheckReport:
         lhs=lhs,
         rhs=rhs,
         slack=rhs - lhs,
-        provenance="exact",
         details={
             "size": exact_text(size),
             "type_mass_inverse": exact_text(num, den),

@@ -1108,7 +1108,7 @@ class TestSignRule:
                     near_ties += [p] * near
                     verdict = real(*sides)
                     if report.verdict == "inconclusive":
-                        assert verdict is None
+                        assert verdict == "inconclusive"
                         undecided.append(p)
                         continue
                     assert report.verdict == verdict == ("holds" if truth else "violated"), (p, q)

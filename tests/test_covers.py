@@ -617,7 +617,7 @@ def reference_fractional(cover):
         return SchemaError, f"least coverage is outside the float range: {_cut(str(least))}"
     return CheckReport(
         verdict="violated" if least < 1 else "holds", lhs=1.0, rhs=float(least),
-        slack=float(least - 1), provenance="exact",
+        slack=float(least - 1),
         witnesses=[{"element": i} for i, s in enumerate(sums, 1) if s < 1],
         details={"coverage": [str(s) for s in sums]},
     )
@@ -632,7 +632,7 @@ def reference_uniform(cover, k):
     below = [i for i, c in enumerate(counts, 1) if c < k]
     return CheckReport(
         verdict="violated" if below else "holds", lhs=float(k), rhs=float(min(counts)),
-        slack=float(min(counts) - k), provenance="exact",
+        slack=float(min(counts) - k),
         witnesses=[{"element": i} for i in below],
         details={"counts": counts, "k": k, "uniform": all(c == k for c in counts),
                  "k_cover": not below},

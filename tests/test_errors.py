@@ -180,6 +180,9 @@ CASES = {
                        "bad report: verdict='maybe', witnesses=(), details=None"),
     "report_witnesses": (lambda: CheckReport("holds", witnesses=5), SchemaError,
                          "bad report: verdict='holds', witnesses=5, details=None"),
+    # a str would be stored one character at a time
+    "report_witnesses_str": (lambda: CheckReport("holds", witnesses="ab"), SchemaError,
+                             "bad report: verdict='holds', witnesses='ab', details=None"),
     "report_details": (lambda: CheckReport("holds", details=5), SchemaError,
                        "bad report: verdict='holds', witnesses=(), details=5"),
     # ruzsa

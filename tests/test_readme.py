@@ -1,7 +1,8 @@
 """The README's library tour runs as written, and each of its comments states
 what the line computes: the test writes every comment from the computed values.
 Every `module.name` that the README or a docstring or comment of the package
-names exists, and every `--flag` it names is an option of the command table."""
+names exists, every `Class.attr` of a public class names one of its attributes
+or fields, and every `--flag` it names is an option of the command table."""
 
 import ast
 import functools
@@ -22,6 +23,10 @@ MODULES = [info.name for info in pkgutil.iter_modules(entroset.__path__)]
 # a backticked `module.name` or `entroset.module.name`; `cli.py` is a file name
 REFERENCE = re.compile(
     rf"`(?:entroset\.)?({'|'.join(MODULES)})\.(?!py\b)([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
+CLASSES = {name: value for name in entroset.__all__
+           if isinstance(value := getattr(entroset, name), type)}
+# a backticked `Class.attr` or `entroset.Class.attr` of a class in `entroset.__all__`
+CLASS_REFERENCE = re.compile(rf"`(?:entroset\.)?({'|'.join(CLASSES)})\.([A-Za-z_]\w*)")
 
 
 def tour() -> str:
@@ -104,9 +109,15 @@ def prose(path: Path) -> str:
     return "\n".join(docs + comments)
 
 
-def test_module_references_resolve():
+def documents() -> dict[str, str]:
+    """The README and the prose of each source file, by where they are."""
     texts = {"README.md": README.read_text(encoding="utf-8")}
     texts.update((f"src/entroset/{path.name}", prose(path)) for path in SOURCES)
+    return texts
+
+
+def test_module_references_resolve():
+    texts = documents()
     found = [(where, module, name) for where, text in texts.items()
              for module, name in REFERENCE.findall(text)]
     stale = []
@@ -116,6 +127,17 @@ def test_module_references_resolve():
             functools.reduce(getattr, name.split("."), value)
         except AttributeError:
             stale.append(f"{where}: {module}.{name}")
+    assert found and not stale, stale
+
+
+def test_class_references_resolve():
+    """A `Class.attr` names a class attribute (a method or property) or a
+    field, which `Record` keeps per instance and lists in `_fields`."""
+    found = [(where, cls, attr) for where, text in documents().items()
+             for cls, attr in CLASS_REFERENCE.findall(text)]
+    stale = [f"{where}: {cls}.{attr}" for where, cls, attr in found
+             if not hasattr(CLASSES[cls], attr)
+             and attr not in getattr(CLASSES[cls], "_fields", ())]
     assert found and not stale, stale
 
 

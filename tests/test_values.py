@@ -45,8 +45,8 @@ VALUES = {
     "RuzsaSpec": (lambda: RuzsaSpec(RationalDist.uniform([0, 1]), 4), ("dist", "k")),
     "InequalitySpec": (lambda: InequalitySpec(IDENTITY, [IDENTITY], ["1/2"]),
                        ("lhs_map", "rhs_maps", "coefficients")),
-    "CheckReport": (lambda: CheckReport("holds", 1.0, 2.0, 1.0, (), "exact", {"k": 2}),
-                    ("verdict", "lhs", "rhs", "slack", "witnesses", "provenance", "details")),
+    "CheckReport": (lambda: CheckReport("holds", 1.0, 2.0, 1.0, (), {"k": 2}),
+                    ("verdict", "lhs", "rhs", "slack", "witnesses", "details")),
 }
 
 
@@ -102,7 +102,7 @@ def test_hash_leaves_out_map_tables_and_report_details():
 def test_report_defaults():
     report = CheckReport("holds")
     assert (report.lhs, report.rhs, report.slack) == (None, None, None)
-    assert report.witnesses == () and report.provenance == "float"
+    assert report.witnesses == () and report.provenance == "exact"
     assert report.details == {} and report.details is not CheckReport("holds").details
 
 
@@ -110,8 +110,26 @@ def test_report_stores_witnesses_as_a_tuple_and_writes_a_fraction_as_text():
     report = CheckReport("holds", witnesses=[{"element": 1}], details={"w": Fraction(-2, 6)})
     assert report.witnesses == ({"element": 1},)
     assert report.to_json() == {
-        "verdict": "holds", "witnesses": [{"element": 1}], "provenance": "float", "w": "-1/3",
+        "verdict": "holds", "witnesses": [{"element": 1}], "provenance": "exact", "w": "-1/3",
     }
+
+
+@pytest.mark.parametrize("verdict, provenance", [
+    ("holds", "exact"), ("violated", "exact"), ("inconclusive", "float"),
+])
+def test_report_provenance_follows_from_the_verdict(verdict, provenance):
+    report = CheckReport(verdict)
+    assert report.provenance == provenance
+    assert report.to_json()["provenance"] == provenance
+
+
+def test_report_takes_no_provenance_argument():
+    with pytest.raises(TypeError):
+        CheckReport("holds", provenance="float")
+    with pytest.raises(TypeError):
+        CheckReport("holds", 1.0, 2.0, 1.0, (), "float", {})
+    with pytest.raises(AttributeError):
+        CheckReport("holds").provenance = "float"
 
 
 CUBE = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
@@ -119,16 +137,16 @@ TRIANGLE = CoverSpec(3, [[1, 2], [1, 3], [2, 3]])
 
 
 def test_shearer_report_keeps_the_compared_fields_beside_its_details():
-    """check_shearer puts its own details on the compared report and keeps the rest."""
+    """check_shearer's report holds the compared fields beside its own details."""
     assert check_shearer(CUBE, TRIANGLE, 2, "sets") == CheckReport(
-        "holds", 6.0, 6.0, 0.0, (), "exact",
+        "holds", 6.0, 6.0, 0.0, (),
         {"lhs_count": "64", "rhs_count": "64", "projection_sizes": ["4", "4", "4"]},
     )
     X = RationalDist(CUBE[:3], ["1/2", "1/4", "1/4"])
     entropies = [entropy(project_rv(X, m)) for m in TRIANGLE.members]
     lhs, rhs = 2 * entropy(X), sum(entropies)
     assert check_shearer(X, TRIANGLE, 2, "entropy") == CheckReport(
-        "holds", lhs, rhs, rhs - lhs, (), "exact", {"projection_entropies": entropies},
+        "holds", lhs, rhs, rhs - lhs, (), {"projection_entropies": entropies},
     )
 
 
