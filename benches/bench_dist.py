@@ -19,10 +19,16 @@ Inputs are seeded and fixed:
   1,000 seeded values of each kind: plain "p/q" strings (every rational
   the CLI reads from a benchmark input), signed or spaced strings ("-3/4",
   " 1/2"), Fractions and ints; p/q has q in 1..40 and 0 <= p <= q.
+* `FiniteMap` built from raw [key, value] pairs of lists, as a JSON decoder
+  gives them, on the grids {0..4}^3, {0..5}^4 and {0..6}^4 (125, 1296 and
+  2401 keys): the identity table, whose value column reuses its key column,
+  and the projection onto the first d - 1 coordinates. Each round builds
+  one map through the API, with its own column memo.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -94,3 +100,20 @@ def test_read_rationals(benchmark, read, kind, count):
     out = benchmark(_read_all, read, values)
     assert [Fraction(*r) if isinstance(r, tuple) else r for r in out] == [
         Fraction(v) for v in values]
+
+
+def _table(side: int, d: int, kind: str) -> list:
+    """Raw [key, value] pairs of lists over {0..side-1}^d."""
+    grid = product(range(side), repeat=d)
+    if kind == "identity":
+        return [[list(x), list(x)] for x in grid]
+    return [[list(x), list(x[:-1])] for x in grid]
+
+
+@pytest.mark.parametrize("side,d", [(5, 3), (6, 4), (7, 4)], ids=["g125", "g1296", "g2401"])
+@pytest.mark.parametrize("kind", ["identity", "projection"])
+def test_finite_map_table(benchmark, kind, side, d):
+    pairs = _table(side, d, kind)
+    benchmark.extra_info["entries"] = len(pairs)
+    f = benchmark(FiniteMap, pairs)
+    assert len(f.table) == side**d

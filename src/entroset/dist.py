@@ -24,10 +24,14 @@ Elements are checked once, where a value enters: a constructor, called
 through the API or by a JSON decoder, reads every value of its fields (a
 decoder only applies JSON's own rules first), and normalizes elements with
 `as_element`/`as_elements`, which check every coordinate (a whole list at
-once when it is valid). A map table is read by `_map_table`, which checks
-each distinct column once: a column equal to one read before reuses its
-tuples (the keys of an identity table; the tables of one spec, see
-`InequalitySpec`).
+once when it is valid). The bulk check, `_int_tuples`, reads the coordinate
+types from the list's marshal bytes; a list marshal cannot write (an
+IntEnum, a list subclass, one nested past marshal's depth limit) or whose
+bytes hold any other token (a bool, a float, an int outside 32 bits, a
+nested list) is checked type by type. A map table is read by `_map_table`,
+which checks each distinct column once: a column equal to one read before
+reuses its tuples (the keys of an identity table; the tables of one spec,
+see `InequalitySpec`).
 Internal results, such as projections, slices and copies of a map,
 are built from tuples that are already normal and are not checked again.
 """
@@ -97,17 +101,41 @@ def as_element(value) -> Element:
     raise SchemaError(f"not a ground element: {_echo(value)}")
 
 
-def _int_tuples(values: list) -> list[Element] | None:
+def _marshalled(values) -> bytes | None:
+    """`marshal.dumps(values, 2)`, or None for a value marshal cannot write
+    (an IntEnum, a list subclass, a list nested past marshal's depth limit)."""
+    try:
+        return marshal.dumps(values, 2)
+    except ValueError:
+        return None
+
+
+def _int_tuples(values: Sequence, data: bytes | None = None) -> list[Element] | None:
     """The values as tuples if each is a nonempty list or tuple of ints, else None.
 
     The ints must be exact `int`s: a bool or an int subclass gives None.
+    `data`, when given, is `marshal.dumps(values, 2)`, and the coordinate
+    types are read from it. In marshal version 2 a list `[`, a tuple `(` and
+    an int within 32 bits `i` are each a type byte and a 4-byte field; every
+    other value has another type byte. So each token before the first other
+    one starts at a multiple of 5, and that token's type byte is in
+    `data[::5]`: if those bytes are all `[`, `(` or `i`, so is every token.
+    The values, all lists or tuples, and the sequence holding them are
+    len(values) + 1 of those tokens; any other is a nested list or tuple.
+    Any other column, and one without `data`, is checked type by type: an
+    int outside 32 bits passes, a bool, a float or a nested list gives None.
     """
     if not set(map(type, values)) <= _SEQUENCES:
         return None
     elems = list(map(tuple, values))
-    if all(elems) and set(map(type, chain.from_iterable(elems))) <= _INT:
-        return elems
-    return None
+    if not all(elems):
+        return None
+    if data is not None:
+        tokens = data[::5]
+        if not tokens.strip(b"[(i") and (
+                tokens.count(b"[") + tokens.count(b"(") == len(values) + 1):
+            return elems
+    return elems if set(map(type, chain.from_iterable(elems))) <= _INT else None
 
 
 def as_elements(values: Iterable) -> list[Element]:
@@ -118,7 +146,7 @@ def as_elements(values: Iterable) -> list[Element]:
     """
     if not isinstance(values, list):
         values = _as_list(values, "elements")
-    elems = _int_tuples(values)
+    elems = _int_tuples(values, _marshalled(values))
     return [as_element(v) for v in values] if elems is None else elems
 
 
@@ -158,7 +186,10 @@ def _ratio(value) -> tuple[int, int]:
 
 
 def as_fraction(value) -> Fraction:
-    """Ints, Fractions and rational strings as an exact Fraction, read by `_ratio`."""
+    """Ints, Fractions and rational strings as an exact Fraction, read by `_ratio`
+    (an int, not a bool, is converted directly)."""
+    if type(value) is int:
+        return Fraction(value)
     return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
@@ -246,22 +277,23 @@ class RationalDist(Record):
         return len(self.support)
 
 
-def _checked(raw: list, seen: list) -> list[Element] | None:
-    """`_int_tuples(raw)`, or the tuples of the column in `seen` with the same
-    marshal bytes, which tell True, 1.0 and 1 apart where `==` does not. A new
-    column is added to `seen`; one that marshal cannot write (an IntEnum, an
-    array) is checked anew. `seen` is a list, not a dict: a scan compares
-    lengths first and stops at the first byte that differs, where a dict
-    would hash every byte of each column.
+def _checked(raw: Sequence, seen: list) -> list[Element] | None:
+    """`_int_tuples(raw, data)` with `data` the column's marshal bytes, or the
+    tuples of the column in `seen` with the same bytes, which tell True, 1.0
+    and 1 apart where `==` does not. The bulk check reads the coordinate
+    types from those bytes. A new column is added to `seen`; one that
+    marshal cannot write (an IntEnum, a list subclass) is checked anew, type
+    by type. `seen` is a list, not a dict: a scan compares lengths first and
+    stops at the first byte that differs, where a dict would hash every byte
+    of each column.
     """
-    try:
-        data = marshal.dumps(raw, 2)
-    except ValueError:  # a type marshal cannot write
+    data = _marshalled(raw)
+    if data is None:
         return _int_tuples(raw)
     for other, elems in seen:
         if other == data:
             return elems
-    elems = _int_tuples(raw)
+    elems = _int_tuples(raw, data)
     seen.append((data, elems))
     return elems
 
@@ -269,11 +301,12 @@ def _checked(raw: list, seen: list) -> list[Element] | None:
 def _map_table(table, seen: list | None = None) -> dict:
     """A map table (a mapping or a sequence of [key, value] pairs), normalized.
 
-    Each column, the keys and the values, is bulk-checked once by `_checked`:
-    a column equal to one in `seen` (the columns read before it, such as the
-    other tables of one spec, or this table's keys) reuses its tuples. A bad
-    entry or a repeated key falls back to one entry at a time, so the first
-    in table order raises, as it would alone.
+    The pairs are split into a key and a value column, and each is
+    bulk-checked once by `_checked`: a column equal to one in `seen` (the
+    columns read before it, such as the other tables of one spec, or this
+    table's keys) reuses its tuples. A bad entry or a repeated key falls
+    back to one entry at a time, so the first in table order raises, as it
+    would alone.
     """
     try:
         # a str is refused, not read one character at a time
@@ -282,14 +315,18 @@ def _map_table(table, seen: list | None = None) -> dict:
     except TypeError:
         raise SchemaError(
             f"map table must be a mapping or a sequence: {_echo(table)}") from None
-    if not (set(map(type, pairs)) <= _SEQUENCES and set(map(len, pairs)) <= {2}):
+    try:
+        # ValueError unless there are entries, each a list or tuple of two
+        keys, values = zip(*pairs, strict=True) if set(map(type, pairs)) <= _SEQUENCES else ()
+    except ValueError:
         # the shape of every entry is checked before any element
         for entry in pairs:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise SchemaError(f"map table entries are [key, value] pairs: {_echo(entry)}")
+                raise SchemaError(
+                    f"map table entries are [key, value] pairs: {_echo(entry)}") from None
+        keys, values = [k for k, _ in pairs], [v for _, v in pairs]
     seen = [] if seen is None else seen
-    keys = _checked([k for k, _ in pairs], seen)
-    values = _checked([v for _, v in pairs], seen)
+    keys, values = _checked(keys, seen), _checked(values, seen)
     normalized = None if keys is None or values is None else dict(zip(keys, values))
     if normalized is None or len(normalized) != len(pairs):
         # a bad entry or a duplicate key: the first one in table order raises

@@ -77,7 +77,8 @@ def count_column_checks(monkeypatch) -> list:
     """A list that gets one entry per bulk check of a column of elements."""
     calls = []
     real = dist._int_tuples
-    monkeypatch.setattr(dist, "_int_tuples", lambda values: calls.append(1) or real(values))
+    monkeypatch.setattr(dist, "_int_tuples",
+                        lambda values, data=None: calls.append(1) or real(values, data))
     return calls
 
 
@@ -196,7 +197,8 @@ class TestCheckCardinality:
         expected = check_cardinality(spec, TRIANGLE).to_json()
         calls = []
         real = dist._int_tuples
-        monkeypatch.setattr(dist, "_int_tuples", lambda values: calls.append(1) or real(values))
+        monkeypatch.setattr(dist, "_int_tuples",
+                            lambda values, data=None: calls.append(1) or real(values, data))
         assert check_cardinality(spec, TRIANGLE).to_json() == expected
         assert calls == []
         # a list of points is still checked once, where it enters

@@ -1,8 +1,10 @@
 """Distribution construction, entropy, pushforward, suitability, rounding."""
 
 import inspect
+import marshal
 import math
 import random
+import struct
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
@@ -741,9 +743,13 @@ coordinates = st.one_of(
     st.lists(st.integers(0, 2), max_size=2),
 )
 int_lists = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+# ints on both sides of the 32 bits that a marshal `i` token holds
+int32_edges = st.sampled_from([0, 2**31 - 1, 2**31, -2**31, -2**31 - 1])
+edge_lists = st.lists(int32_edges, min_size=1, max_size=4)
 elements = st.one_of(
     st.integers(),
     int_lists,
+    edge_lists,
     st.tuples(st.integers(), st.integers()),
     coordinates,
     st.lists(coordinates, max_size=4),
@@ -752,6 +758,7 @@ elements = st.one_of(
 element_lists = st.one_of(
     st.lists(int_lists, max_size=8),
     st.lists(st.one_of(int_lists, st.integers()), max_size=8),
+    st.lists(st.one_of(int_lists, edge_lists), max_size=8),
     st.lists(elements, max_size=8),
 )
 # keys from a small domain, so that duplicates are common
@@ -779,6 +786,49 @@ SEEDED_LISTS = [
     [[1, 2], "12"],
     [[0, i] for i in range(499)] + [[1, True]] + [[2, i] for i in range(10)],
 ]
+
+
+class IntList(list):
+    """A list subclass, which marshal refuses to write."""
+
+
+def nested(depth: int) -> list:
+    value = [1]
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# floats whose 8 payload bytes are all `i`, `[` or `(`
+FLOAT_I, FLOAT_LIST, FLOAT_TUPLE = (struct.unpack("<d", c * 8)[0] for c in (b"i", b"[", b"("))
+# an int past 32 bits whose 11-byte `l` token has `i` bytes at offsets 5 and
+# 10, so that a float after it lies off the stride
+LONG_I = 0x69 + 0x6901 * 2**30
+
+# columns at the edges of the marshal bytes that `_int_tuples` reads
+EDGE_COLUMNS = {
+    "int32-max": [[2**31 - 1, 0], [1, 2]],
+    "int32-max-plus-1": [[1, 2], [2**31, 0]],
+    "int32-min": [[-2**31], [0]],
+    "int32-min-minus-1": [[0], [-2**31 - 1]],
+    "true": [[1, 2], [True, 2]],
+    "false": [[False]],
+    "float-i": [[FLOAT_I, 1]],
+    "float-i-last": [[1, 2], [3, FLOAT_I]],
+    "float-list": [[1, FLOAT_LIST, 2]],
+    "float-tuple": [(FLOAT_TUPLE,), (1,)],
+    "long-then-float": [[LONG_I, FLOAT_I]],
+    "nested-list": [[[1]]],
+    "nested-tuple": [[1, (2,)], [3, 4]],
+    "empty-element": [[1], []],
+    "empty": [],
+    "tuples-and-lists": [(1, 2), [3, 4], (5, 6)],
+    "list-subclass": [IntList([1, 2]), [3, 4]],
+    "intenum": [[Small.ONE, 2], [3, 4]],
+    "empty-bytes": [[1, b""]],
+    # marshal refuses the second element; the first is the one reported
+    "past-marshal-depth": [[1.5], nested(3000)],
+}
 
 
 class TestElementFastPath:
@@ -842,6 +892,45 @@ class TestElementFastPath:
         assert outcome(lambda p: sorted(f.image(p)), points) == outcome(
             lambda p: sorted(reference_image(f, p)), points
         )
+
+    @pytest.mark.parametrize("values", EDGE_COLUMNS.values(), ids=EDGE_COLUMNS)
+    def test_edge_column(self, values):
+        expected = outcome(lambda vs: [reference_as_element(v) for v in vs], values)
+        assert outcome(as_elements, values) == expected
+        # the column as a table's keys, and as its values
+        for pairs in ([[v, [i]] for i, v in enumerate(values)],
+                      [[[i], v] for i, v in enumerate(values)]):
+            assert outcome(lambda p: FiniteMap(p).table, pairs) == outcome(reference_table, pairs)
+        # read from the marshal bytes or type by type, the column is the same
+        data = dist_module._marshalled(values)
+        assert dist_module._int_tuples(values, data) == dist_module._int_tuples(values)
+
+    def test_valid_columns_are_read_from_marshal_bytes(self, monkeypatch):
+        # the type-by-type scan is not reached
+        monkeypatch.setattr(dist_module, "chain", None)
+        for values in ([[2**31 - 1, -2**31]], [(1, 2), [3, 4]], [[0]] * 700, []):
+            assert as_elements(values) == [tuple(v) for v in values]
+        pairs = [[[i], (i, -i)] for i in range(700)]
+        assert FiniteMap(pairs).table == {(i,): (i, -i) for i in range(700)}
+
+    def test_marshal_layout(self):
+        """The marshal version 2 layout that `_int_tuples` reads: a list, a
+        tuple and an int within 32 bits are a type byte and a 4-byte field,
+        and no other value is written as a 5-byte `i` token."""
+        def field(n):
+            return n.to_bytes(4, "little", signed=True)
+        data = marshal.dumps([[1, -1], (2,)], 2)
+        assert data == b"".join([b"[", field(2), b"[", field(2), b"i", field(1), b"i",
+                                 field(-1), b"(", field(1), b"i", field(2)])
+        assert data[::5] == b"[[ii(i"
+        for value in (True, False, 1.0, FLOAT_I, 2**31, -2**31 - 1, LONG_I, None, b""):
+            token = marshal.dumps(value, 2)
+            assert token[:1] not in (b"[", b"(", b"i"), value
+        assert marshal.dumps(2**31 - 1, 2) == b"i" + field(2**31 - 1)
+        assert marshal.dumps(-2**31, 2) == b"i" + field(-2**31)
+        for value in (Small.ONE, IntList([1]), nested(3000)):
+            with pytest.raises(ValueError):
+                marshal.dumps(value, 2)
 
     def test_map_copy_shares_no_table(self):
         f = FiniteMap({(0,): (1,), (1,): (0,)})
